@@ -2,7 +2,8 @@
 # runs: vet, build, race-enabled tests, the tile-parallel determinism
 # goldens, the differential validation oracle, the internal/check
 # coverage floor, a one-iteration bench smoke and short fuzz smokes of
-# every fuzz target.
+# every fuzz target, and megbench's self-tests (smoke run plus the
+# pinned seed-1 report digests).
 
 GO ?= go
 
@@ -36,9 +37,9 @@ STREAM_COVER_FLOOR ?= 85
 # certified.
 CHAOS_COVER_FLOOR ?= 85
 
-.PHONY: ci vet build test race determinism resilience serve fabric stream chaos validate cover-check resilience-cover-check serve-cover-check fabric-cover-check stream-cover-check chaos-cover-check bench bench-tbr bench-cluster bench-check bench-smoke tile-bench-smoke fuzz-smoke
+.PHONY: ci vet build test race determinism resilience serve fabric stream chaos validate cover-check resilience-cover-check serve-cover-check fabric-cover-check stream-cover-check chaos-cover-check bench bench-tbr bench-cluster bench-funcsim bench-check bench-smoke bench-selftest tile-bench-smoke fuzz-smoke
 
-ci: vet build race determinism resilience serve fabric stream chaos validate cover-check resilience-cover-check serve-cover-check fabric-cover-check stream-cover-check chaos-cover-check bench-check bench-smoke tile-bench-smoke fuzz-smoke
+ci: vet build race determinism resilience serve fabric stream chaos validate cover-check resilience-cover-check serve-cover-check fabric-cover-check stream-cover-check chaos-cover-check bench-check bench-smoke bench-selftest tile-bench-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -164,11 +165,11 @@ chaos-cover-check:
 	echo "internal/chaos coverage: $$cov% (floor $(CHAOS_COVER_FLOOR)%)"; \
 	awk "BEGIN{exit !($$cov >= $(CHAOS_COVER_FLOOR))}" || { echo "chaos-cover-check: coverage $$cov% below $(CHAOS_COVER_FLOOR)% floor"; exit 1; }
 
-# Benchmark baselines: run the tbr and cluster suites, keep the raw
+# Benchmark baselines: run the tbr, cluster and funcsim suites, keep the raw
 # benchstat-format text, and convert to JSON with cmd/benchjson. The
 # JSON files are committed as baselines; compare a fresh run with
 #   jq -r '.raw[]' results/BENCH_tbr.json > old.txt && benchstat old.txt new.txt
-bench: bench-tbr bench-cluster
+bench: bench-tbr bench-cluster bench-funcsim
 
 bench-tbr:
 	@mkdir -p results
@@ -179,6 +180,14 @@ bench-cluster:
 	@mkdir -p results
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/cluster > results/BENCH_cluster.txt
 	$(GO) run ./cmd/benchjson -in results/BENCH_cluster.txt -out results/BENCH_cluster.json
+
+# Functional characterization of the batch-cold template trace at 1 and
+# 2 workers: the layer's thread-scaling baseline. Each op profiles 1407
+# frames, so benchtime 1x per count is already a stable measurement.
+bench-funcsim:
+	@mkdir -p results
+	$(GO) test -run '^$$' -bench '^BenchmarkCharacterize$$' -benchtime 1x -count $(BENCHCOUNT) -cpu 1,2 ./internal/funcsim > results/BENCH_funcsim.txt
+	$(GO) run ./cmd/benchjson -in results/BENCH_funcsim.txt -out results/BENCH_funcsim.json
 
 # Benchmark regression gate: rerun the tbr suite and compare against
 # the committed baseline with cmd/benchjson -check. Allocation counts
@@ -214,6 +223,12 @@ bench-check:
 # without paying for stable measurements.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# megbench's own tests (bench/ is a separate module): a smoke run of
+# every workload and the pinned seed-1 report digests, which catch any
+# change that moves a campaign report's bytes.
+bench-selftest:
+	cd bench && $(GO) test -count=1 ./...
 
 # One iteration of the tile-parallel raster benchmark across worker
 # counts: keeps the sharded path exercised even if the full bench

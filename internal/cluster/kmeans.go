@@ -6,12 +6,11 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/pool"
 	"repro/internal/xmath/linalg"
 	"repro/internal/xmath/stats"
 )
@@ -196,30 +195,8 @@ func assignAndSum(data [][]float64, centroids [][]float64, assign []int, sizes [
 
 	var changed bool
 	if n*k*d >= parallelThreshold && n > 2*parallelChunk {
-		chunks := (n + parallelChunk - 1) / parallelChunk
-		results := make([]bool, chunks)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		workers := runtime.GOMAXPROCS(0)
-		if workers > chunks {
-			workers = chunks
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1)) - 1
-					if ci >= chunks {
-						return
-					}
-					lo := ci * parallelChunk
-					hi := min(lo+parallelChunk, n)
-					results[ci] = assignRange(lo, hi)
-				}
-			}()
-		}
-		wg.Wait()
+		results := make([]bool, chunks(n))
+		forChunks(n, func(ci, lo, hi int) { results[ci] = assignRange(lo, hi) })
 		for _, r := range results {
 			changed = changed || r
 		}
@@ -255,32 +232,12 @@ func sumByCluster(data [][]float64, assign []int, k, d int) [][]float64 {
 		}
 	}
 	if n*d >= parallelThreshold/8 && n > 2*parallelChunk {
-		chunks := (n + parallelChunk - 1) / parallelChunk
-		partials := make([][]float64, chunks)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		workers := runtime.GOMAXPROCS(0)
-		if workers > chunks {
-			workers = chunks
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1)) - 1
-					if ci >= chunks {
-						return
-					}
-					part := make([]float64, k*d)
-					lo := ci * parallelChunk
-					hi := min(lo+parallelChunk, n)
-					sumRange(part, lo, hi)
-					partials[ci] = part
-				}
-			}()
-		}
-		wg.Wait()
+		partials := make([][]float64, chunks(n))
+		forChunks(n, func(ci, lo, hi int) {
+			part := make([]float64, k*d)
+			sumRange(part, lo, hi)
+			partials[ci] = part
+		})
 		// Merge in chunk order for bit-stable floating point.
 		flat := make([]float64, k*d)
 		for _, part := range partials {
@@ -301,11 +258,24 @@ func sumByCluster(data [][]float64, assign []int, k, d int) [][]float64 {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// chunks is the number of parallelChunk-row chunks covering n rows.
+func chunks(n int) int { return (n + parallelChunk - 1) / parallelChunk }
+
+// forChunks runs fn over every parallelChunk-row chunk [lo, hi) of n
+// rows across GOMAXPROCS workers. Callers write per-chunk results by
+// chunk index ci and fold them in chunk order after the join, so the
+// outcome is the same for any worker count. A panic in fn resurfaces
+// here.
+func forChunks(n int, fn func(ci, lo, hi int)) {
+	_, err := pool.Claim(context.Background(), 0, chunks(n), func(int) (func(int), error) {
+		return func(ci int) {
+			lo := ci * parallelChunk
+			fn(ci, lo, min(lo+parallelChunk, n))
+		}, nil
+	})
+	if err != nil {
+		panic(err)
 	}
-	return b
 }
 
 // seedPlusPlus picks k initial centroids with the k-means++ strategy:

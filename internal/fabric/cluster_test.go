@@ -173,15 +173,22 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) serve.JobStatus 
 // killSwitch turns a worker's transport off deterministically: once
 // armed (after killAfter served frames), every connection is hijacked
 // and closed raw — a genuine mid-request transport error, exactly what
-// a dying worker process looks like to the coordinator.
+// a dying worker process looks like to the coordinator. Frame requests
+// are admitted against killAfter before they are served, so concurrent
+// dispatches cannot slip a frame past the kill while the last admitted
+// one is still in flight.
 type killSwitch struct {
 	killAfter int64
+	admitted  atomic.Int64
 	served    atomic.Int64
 	killed    atomic.Bool
 }
 
 func killable(h http.Handler, ks *killSwitch) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/fabric/v1/frames" && ks.killAfter > 0 && ks.admitted.Add(1) > ks.killAfter {
+			ks.killed.Store(true)
+		}
 		if ks.killed.Load() {
 			if hj, ok := w.(http.Hijacker); ok {
 				if conn, _, err := hj.Hijack(); err == nil {

@@ -13,6 +13,7 @@
 package funcsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -78,30 +79,32 @@ func Run(trace *gltrace.Trace) (*Result, error) { return RunObs(trace, nil) }
 // ".fragments") and a per-frame fragment-count histogram
 // ("funcsim.frame_fragments"). A nil registry makes RunObs identical to
 // Run.
+//
+// Frames are profiled across GOMAXPROCS workers (Streamer.ProfileRange);
+// the observations are recorded after the join in frame order, so the
+// result and the registry snapshot are the same for any worker count.
 func RunObs(trace *gltrace.Trace, reg *obs.Registry) (*Result, error) {
 	st, err := NewStreamer(trace)
 	if err != nil {
 		return nil, err
 	}
+	res := &Result{Trace: trace.Name, Profiles: make([]FrameProfile, trace.NumFrames())}
+	res.VSStatic, res.FSStatic = st.Static()
+	if err := st.ProfileRange(context.TODO(), res.Profiles, 0); err != nil {
+		return nil, err
+	}
+
 	var (
 		cFrames    = reg.Counter("funcsim.frames")
 		cDraws     = reg.Counter("funcsim.draws")
 		cFragments = reg.Counter("funcsim.fragments")
 		hFragments = reg.Histogram("funcsim.frame_fragments")
 	)
-	res := &Result{Trace: trace.Name}
-	res.VSStatic, res.FSStatic = st.Static()
-
-	res.Profiles = make([]FrameProfile, trace.NumFrames())
-	for f := range trace.Frames {
-		prof := &res.Profiles[f]
-		if err := st.ProfileAt(prof, f); err != nil {
-			return nil, err
-		}
+	for f := range res.Profiles {
 		cDraws.Add(uint64(trace.Frames[f].DrawCount()))
 		cFrames.Inc()
-		cFragments.Add(prof.Fragments)
-		hFragments.Observe(prof.Fragments)
+		cFragments.Add(res.Profiles[f].Fragments)
+		hFragments.Observe(res.Profiles[f].Fragments)
 	}
 	return res, nil
 }

@@ -1,34 +1,51 @@
 package funcsim
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/gltrace"
+	"repro/internal/pool"
 	"repro/internal/raster"
 	"repro/internal/shader"
 )
 
 // Streamer characterizes frames one at a time — the incremental twin of
-// Run. It owns the reusable rasterization scratch (depth buffer,
-// triangle buffer), so profiling a frame allocates nothing beyond the
-// profile's count vectors, and frames are characterized independently:
-// the depth buffer is cleared and all binding state reset at every
-// frame start, exactly as Run does, so ProfileInto(f) is a pure
-// function of frame f's commands and the trace resources.
+// Run — or a range of frames at once across GOMAXPROCS workers
+// (ProfileRange). It owns the reusable rasterization scratch, so
+// profiling a frame allocates nothing beyond the profile's count vectors
+// and the shader executor's texture trace, and frames are characterized
+// independently: the depth buffer is cleared and all binding state
+// reset at every frame start, so ProfileInto(f) is a pure function of
+// frame f's commands and the trace resources. That purity is what makes
+// the frame-parallel range byte-identical to the serial loop.
 //
 // This is what lets the streaming sampler (internal/stream) consume an
 // unbounded frame sequence with O(1) characterization state instead of
 // materializing a whole funcsim.Result.
 type Streamer struct {
-	res    resources
-	trace  *gltrace.Trace // nil in resource mode
-	depth  *raster.DepthBuffer
-	clip   geom.AABB2
-	triBuf []raster.ScreenTriangle
+	res   resources
+	trace *gltrace.Trace // nil in resource mode
+	clip  geom.AABB2
+	// scratch[w] is worker w's mutable state; scratch[0] also serves the
+	// one-frame entry points.
+	scratch []*frameScratch
 
 	vsStatic []shader.Cost
 	fsStatic []shader.Cost
+}
+
+// frameScratch is everything one frame's characterization writes
+// besides its profile. Programs, meshes and textures are shared
+// read-only, so one frameScratch per worker is all frame parallelism
+// needs.
+type frameScratch struct {
+	depth *raster.DepthBuffer
+	tris  []raster.ScreenTriangle
+	draw  raster.DrawScratch
+	quads raster.QuadBatch
 }
 
 // resources is the frame-independent part of a trace: everything a
@@ -42,7 +59,8 @@ type resources struct {
 }
 
 // NewStreamer builds a streamer over a trace's resources. The trace
-// must validate; its frames are profiled on demand with ProfileAt.
+// must validate; its frames are profiled on demand with ProfileAt and
+// ProfileRange.
 func NewStreamer(tr *gltrace.Trace) (*Streamer, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -81,12 +99,12 @@ func NewResourceStreamer(name string, vp geom.Viewport, vs, fs []*shader.Program
 func newStreamer(res resources, tr *gltrace.Trace) (*Streamer, error) {
 	s := &Streamer{
 		res:   res,
-		depth: raster.NewDepthBuffer(res.viewport.Width, res.viewport.Height),
+		trace: tr,
 		clip: geom.AABB2{Max: geom.Vec2{
 			X: float64(res.viewport.Width), Y: float64(res.viewport.Height),
 		}},
 	}
-	s.trace = tr
+	s.growScratch(1)
 	for _, p := range res.vs {
 		s.vsStatic = append(s.vsStatic, p.StaticCost())
 	}
@@ -94,6 +112,17 @@ func newStreamer(res resources, tr *gltrace.Trace) (*Streamer, error) {
 		s.fsStatic = append(s.fsStatic, p.StaticCost())
 	}
 	return s, nil
+}
+
+// growScratch ensures at least n workers' scratch exists. Scratch is
+// kept across calls, so a streamer profiling window after window
+// allocates its depth buffers once.
+func (s *Streamer) growScratch(n int) {
+	for len(s.scratch) < n {
+		s.scratch = append(s.scratch, &frameScratch{
+			depth: raster.NewDepthBuffer(s.res.viewport.Width, s.res.viewport.Height),
+		})
+	}
 }
 
 // Static returns the per-program static costs (instruction counts and
@@ -117,13 +146,49 @@ func (s *Streamer) NumFrames() int {
 // valid for trace-backed streamers. The trace was validated whole at
 // NewStreamer, so no per-frame re-validation happens here.
 func (s *Streamer) ProfileAt(dst *FrameProfile, f int) error {
+	if err := s.checkRange(f, 1); err != nil {
+		return err
+	}
+	s.scratch[0].profile(&s.res, s.clip, dst, &s.trace.Frames[f], f)
+	return nil
+}
+
+// ProfileRange profiles frames [lo, lo+len(dst)) of the streamer's
+// trace into dst, dst[i] receiving frame lo+i, across GOMAXPROCS
+// workers. Each worker owns its scratch and writes its frames' profiles
+// by index, so dst is identical to a ProfileAt loop for any worker
+// count and any distribution of frames over workers. Cancelling ctx
+// stops the workers at their next frame claim and returns ctx's error;
+// dst is then partially written and must be discarded. Only valid for
+// trace-backed streamers.
+func (s *Streamer) ProfileRange(ctx context.Context, dst []FrameProfile, lo int) error {
+	if err := s.checkRange(lo, len(dst)); err != nil {
+		return err
+	}
+	workers := pool.Workers(0, len(dst))
+	s.growScratch(workers)
+	_, err := pool.Claim(ctx, workers, len(dst), func(w int) (func(int), error) {
+		sc := s.scratch[w]
+		return func(i int) { sc.profile(&s.res, s.clip, &dst[i], &s.trace.Frames[lo+i], lo+i) }, nil
+	})
+	if err != nil {
+		return fmt.Errorf("funcsim: profiling frames [%d,%d): %w", lo, lo+len(dst), err)
+	}
+	return nil
+}
+
+// checkRange validates the frame range [lo, lo+n) of a trace-backed
+// streamer.
+func (s *Streamer) checkRange(lo, n int) error {
 	if s.trace == nil {
 		return fmt.Errorf("funcsim: streamer has no trace (resource mode)")
 	}
-	if f < 0 || f >= s.trace.NumFrames() {
-		return fmt.Errorf("funcsim: frame %d out of range [0,%d)", f, s.trace.NumFrames())
+	if lo < 0 || lo+n > s.trace.NumFrames() {
+		if n == 1 {
+			return fmt.Errorf("funcsim: frame %d out of range [0,%d)", lo, s.trace.NumFrames())
+		}
+		return fmt.Errorf("funcsim: frames [%d,%d) out of range [0,%d)", lo, lo+n, s.trace.NumFrames())
 	}
-	s.profileInto(dst, &s.trace.Frames[f], f)
 	return nil
 }
 
@@ -137,15 +202,19 @@ func (s *Streamer) ProfileInto(dst *FrameProfile, frame *gltrace.Frame, index in
 	if err := s.validateFrame(frame); err != nil {
 		return err
 	}
-	s.profileInto(dst, frame, index)
+	s.scratch[0].profile(&s.res, s.clip, dst, frame, index)
 	return nil
 }
 
-// profileInto is ProfileInto after validation: the shared per-frame
-// characterization body Run and the streaming sampler both execute.
-func (s *Streamer) profileInto(dst *FrameProfile, frame *gltrace.Frame, index int) {
-	*dst = FrameProfile{Frame: index, VSCount: resizeU64(dst.VSCount, len(s.res.vs)), FSCount: resizeU64(dst.FSCount, len(s.res.fs))}
-	s.depth.Clear()
+// profile is the per-frame characterization body every entry point
+// executes, on a validated frame. It runs the same batched raster path
+// as the timing simulator: geometry into reused scratch, each
+// triangle's quads into a struct-of-arrays batch, then the early depth
+// test over the batch in scan order.
+func (sc *frameScratch) profile(res *resources, clip geom.AABB2, dst *FrameProfile, frame *gltrace.Frame, index int) {
+	*dst = FrameProfile{Frame: index, VSCount: resizeU64(dst.VSCount, len(res.vs)), FSCount: resizeU64(dst.FSCount, len(res.fs))}
+	depth := sc.depth
+	depth.Clear()
 
 	curVS, curFS := -1, -1
 	curTex := 0
@@ -159,49 +228,49 @@ func (s *Streamer) profileInto(dst *FrameProfile, frame *gltrace.Frame, index in
 				curTex = cmd.Texture
 			}
 		case gltrace.CmdClear:
-			s.depth.Clear()
+			depth.Clear()
 		case gltrace.CmdDraw:
-			mesh := &s.res.meshes[cmd.Mesh]
+			mesh := &res.meshes[cmd.Mesh]
 			dst.VSCount[curVS] += uint64(len(mesh.Vertices))
 
 			// Functionally execute the bound programs once per draw
 			// with draw-derived inputs; lock-step warps make all
 			// invocations of a draw structurally identical, so one
 			// execution yields the per-draw functional digest.
-			vsOut := s.res.vs[curVS].Exec(shader.Regs{
+			vsOut := res.vs[curVS].Exec(shader.Regs{
 				cmd.MVP[3], cmd.MVP[7], cmd.MVP[11], cmd.DepthBias,
 			}, nil)
-			fsOut := s.res.fs[curFS].Exec(shader.Regs{
+			fsOut := res.fs[curFS].Exec(shader.Regs{
 				cmd.MVP[3], cmd.MVP[7], 0.5, 0.5,
 			}, proceduralSampler{tex: curTex})
 			dst.Checksum = mixChecksum(dst.Checksum, vsOut.Regs, fsOut.Regs)
 
-			s.triBuf = s.triBuf[:0]
-			tris, gstats := raster.ProcessDraw(mesh, cmd.MVP, s.res.viewport, cmd.DepthBias, s.triBuf)
-			s.triBuf = tris
+			tris, gstats := raster.ProcessDrawScratch(mesh, cmd.MVP, res.viewport, cmd.DepthBias, sc.tris[:0], &sc.draw)
+			sc.tris = tris
 			dst.PrimsIn += uint64(gstats.PrimsIn)
 			dst.PrimsVisible += uint64(gstats.Visible)
 
 			blend := cmd.Blend
+			var shaded uint64
+			q := &sc.quads
 			for t := range tris {
-				raster.RasterizeQuads(&tris[t], s.clip, func(q *raster.Quad) {
+				q.Reset()
+				q.AppendQuads(&tris[t], clip)
+				for i, n := 0, q.Len(); i < n; i++ {
+					x, y, d, m := int(q.X[i]), int(q.Y[i]), q.Depth[i*4:i*4+4], q.Mask[i]
 					var surviving uint8
 					if blend {
 						// Transparent fragments are depth-tested but
 						// never write depth.
-						surviving = s.depth.TestQuadReadOnly(q)
+						surviving = depth.TestMaskReadOnly(x, y, d, m)
 					} else {
-						surviving = s.depth.TestQuad(q)
+						surviving = depth.TestMask(x, y, d, m)
 					}
-					if surviving == 0 {
-						return
-					}
-					q.Mask = surviving
-					n := uint64(q.Coverage())
-					dst.FSCount[curFS] += n
-					dst.Fragments += n
-				})
+					shaded += uint64(bits.OnesCount8(surviving))
+				}
 			}
+			dst.FSCount[curFS] += shaded
+			dst.Fragments += shaded
 		}
 	}
 }

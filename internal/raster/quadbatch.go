@@ -8,8 +8,9 @@ import (
 )
 
 // QuadBatch is a struct-of-arrays buffer of rasterized 2x2 quads. The
-// timing simulator's fragment loop iterates these flat slices instead of
-// chasing per-quad structs through a callback, and the backing arrays
+// timing simulator's fragment loop and the functional simulator's
+// characterization iterate these flat slices instead of chasing
+// per-quad structs through a callback, and the backing arrays
 // are reused across triangles and tiles, so the steady-state raster hot
 // path performs no allocations.
 //

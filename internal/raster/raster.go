@@ -194,9 +194,9 @@ const sampleBias = 1.0 / 256
 // order of a hardware rasterizer.
 //
 // This is a callback adapter over QuadBatch.AppendQuads — the batched
-// SoA rasterizer is the single implementation — kept for consumers
-// (the functional simulator) that want per-quad delivery. The *Quad is
-// only valid for the duration of the callback.
+// SoA rasterizer is the single implementation — kept for per-quad
+// consumers: funcsim.RenderFrame and tests. The *Quad is only valid for
+// the duration of the callback.
 func RasterizeQuads(tri *ScreenTriangle, clip geom.AABB2, fn func(*Quad)) {
 	b := batchPool.Get().(*QuadBatch)
 	b.Reset()

@@ -373,7 +373,7 @@ func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 	var (
 		st       StreamStatus
 		ingested int
-		prof     funcsim.FrameProfile
+		profs    []funcsim.FrameProfile // one batch's characterization, reused across batches
 	)
 	for ingested < creq.Count {
 		sess.mu.Lock()
@@ -403,17 +403,24 @@ func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 		if n > streamIngestBatch {
 			n = streamIngestBatch
 		}
-		for i := 0; i < n; i++ {
-			f := sess.ing.Frames()
-			if err := sess.streamer.ProfileAt(&prof, f); err != nil {
-				sess.mu.Unlock()
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("frame %d: %v", f, err))
-				return
-			}
+		// Characterize the batch across GOMAXPROCS workers, then ingest
+		// it in frame order.
+		lo := sess.ing.Frames()
+		if cap(profs) < n {
+			profs = make([]funcsim.FrameProfile, n)
+		}
+		profs = profs[:n]
+		if err := sess.streamer.ProfileRange(r.Context(), profs, lo); err != nil {
+			sess.mu.Unlock()
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		for i := range profs {
+			f := lo + i
 			// Pin before Add: the eviction hook may release this very frame
 			// during ingest (it never made any reservoir).
 			sess.members[f] = true
-			if err := sess.ing.Add(&prof); err != nil {
+			if err := sess.ing.Add(&profs[i]); err != nil {
 				delete(sess.members, f)
 				sess.mu.Unlock()
 				writeError(w, http.StatusInternalServerError, fmt.Sprintf("frame %d: %v", f, err))

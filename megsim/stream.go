@@ -85,6 +85,11 @@ type StreamingOptions struct {
 // DefaultStreamCheckpointEvery is the default ingest checkpoint cadence.
 const DefaultStreamCheckpointEvery = 16
 
+// streamWindow bounds how many frames SampleStreaming characterizes
+// ahead of ingest: enough to balance frames of uneven cost across
+// workers, few enough that the profiles held stay a small constant.
+const streamWindow = 64
+
 // StreamingRun is the outcome of a streaming sampling campaign.
 type StreamingRun struct {
 	// Trace is the analyzed workload.
@@ -273,19 +278,45 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 
 	// Phase 1: ingest the stream, checkpointing strata state and — in
 	// eager mode — launching representative simulations as they settle.
-	var prof funcsim.FrameProfile
+	// Frames are characterized a window at a time across GOMAXPROCS
+	// workers, then ingested one by one in frame order. A window ends on
+	// every checkpoint and eager boundary, so ingest state, checkpoint
+	// bytes and eager rounds are exactly those of a frame-at-a-time
+	// loop; a cancellation mid-window loses only that window's
+	// characterization, never ingest progress.
+	window := make([]funcsim.FrameProfile, min(streamWindow, numFrames))
+	var pending []funcsim.FrameProfile // characterized, not yet ingested
+	// cancelled checkpoints the ingest progress so far and reports why
+	// ingest stopped.
+	cancelled := func(cause error) (*StreamingRun, error) {
+		if err := saveIngest(); err != nil {
+			return run, err
+		}
+		return run, cause
+	}
 	for f := run.ResumedFrames; f < numFrames; f++ {
 		if err := ctx.Err(); err != nil {
-			ferr := saveIngest()
-			if ferr == nil {
-				ferr = err
+			return cancelled(err)
+		}
+		if len(pending) == 0 {
+			end := min(numFrames, f+len(window))
+			if hasCk && every > 0 {
+				end = min(end, (f/every+1)*every)
 			}
-			return run, ferr
+			if opts.EagerEvery > 0 {
+				end = min(end, (f/opts.EagerEvery+1)*opts.EagerEvery)
+			}
+			pending = window[:end-f]
+			if err := streamer.ProfileRange(ctx, pending, f); err != nil {
+				if cerr := ctx.Err(); cerr != nil {
+					return cancelled(cerr)
+				}
+				return run, fmt.Errorf("megsim: streaming characterization: %w", err)
+			}
 		}
-		if err := streamer.ProfileAt(&prof, f); err != nil {
-			return run, fmt.Errorf("megsim: streaming characterization: %w", err)
-		}
-		if err := ing.Add(&prof); err != nil {
+		prof := &pending[0]
+		pending = pending[1:]
+		if err := ing.Add(prof); err != nil {
 			return run, fmt.Errorf("megsim: frame %d: %w", f, err)
 		}
 		if hasCk && every > 0 && (f+1)%every == 0 {

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/serve"
@@ -201,5 +205,123 @@ func TestSampleStreamingQuarantineDegrades(t *testing.T) {
 	}
 	if _, ok := srun.RepresentativeStats[victim]; ok {
 		t.Fatalf("quarantined frame %d was simulated", victim)
+	}
+}
+
+// cancelAfterErrCalls is a context that cancels itself right after its
+// n-th Err call returns (that call still reports nil). Sweeping n lands
+// the cancellation everywhere a campaign consults its context: between
+// ingested frames inside a characterization window, inside a window's
+// frame-parallel characterization (whose workers watch Done), and in
+// the eager phase-2 rounds.
+type cancelAfterErrCalls struct {
+	context.Context
+	cancel context.CancelFunc
+	n      int64
+	calls  atomic.Int64
+}
+
+func newCancelAfterErrCalls(n int64) *cancelAfterErrCalls {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelAfterErrCalls{Context: ctx, cancel: cancel, n: n}
+}
+
+func (c *cancelAfterErrCalls) Err() error {
+	err := c.Context.Err()
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return err
+}
+
+// streamingAtProcs runs a checkpointed streaming campaign at GOMAXPROCS
+// procs and returns its normalized report and final checkpoint bytes.
+func streamingAtProcs(t *testing.T, procs int, tr *megsim.Trace, opts megsim.StreamingOptions) ([]byte, []byte) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	srun, err := megsim.SampleStreaming(context.Background(), tr, opts, megsim.DefaultGPUConfig())
+	if err != nil {
+		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+	}
+	ck, err := os.ReadFile(opts.Resilience.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return normalizeReport(serve.NewStreamingCampaignReport(srun, 0)), ck
+}
+
+// TestSampleStreamingFrameParallelInvariant: characterization windows
+// run frame-parallel, yet the report and the checkpoint bytes are the
+// same at GOMAXPROCS 1 and 4, with checkpoint and eager cadences (5 and
+// 7) that cut the stream into windows of uneven length.
+func TestSampleStreamingFrameParallelInvariant(t *testing.T) {
+	tr := megsim.MustGenerateBenchmark("jjo", testScale())
+	var reports, ckpts [][]byte
+	for _, procs := range []int{1, 4} {
+		rep, ck := streamingAtProcs(t, procs, tr, megsim.StreamingOptions{
+			MaxFrames:       40,
+			CheckpointEvery: 5,
+			EagerEvery:      7,
+			Resilience:      megsim.ResilienceConfig{CheckpointPath: filepath.Join(t.TempDir(), "stream.ckpt")},
+		})
+		reports = append(reports, rep)
+		ckpts = append(ckpts, ck)
+	}
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Fatalf("report depends on GOMAXPROCS:\n--- 1 ---\n%s\n--- 4 ---\n%s", reports[0], reports[1])
+	}
+	if !bytes.Equal(ckpts[0], ckpts[1]) {
+		t.Fatal("checkpoint bytes depend on GOMAXPROCS")
+	}
+}
+
+// TestSampleStreamingCancelMidWindowResumes: wherever a cancellation
+// lands — mid-window, mid-characterization or mid-eager-round — the
+// checkpoint it leaves resumes to a report byte-identical to an
+// uninterrupted run.
+func TestSampleStreamingCancelMidWindowResumes(t *testing.T) {
+	tr := megsim.MustGenerateBenchmark("hcr", testScale())
+	gpu := megsim.DefaultGPUConfig()
+	opts := func(ckpt string, resume bool) megsim.StreamingOptions {
+		return megsim.StreamingOptions{
+			MaxFrames:       40,
+			CheckpointEvery: 5,
+			EagerEvery:      7,
+			Resilience:      megsim.ResilienceConfig{CheckpointPath: ckpt, Resume: resume},
+		}
+	}
+	ref, err := megsim.SampleStreaming(context.Background(), tr, opts(filepath.Join(t.TempDir(), "ref.ckpt"), false), gpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := normalizeReport(serve.NewStreamingCampaignReport(ref, 0))
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	offGrid := false
+	// n counts the campaign's Err calls: one on entry, one per frame,
+	// then the eager round's. 2 and 7 cancel inside the characterization
+	// of the windows starting at frames 0 and 5, 3 to 6 between the
+	// ingested frames of window [0,5), 8 and 9 during the eager round at
+	// frame 7.
+	for n := int64(2); n <= 9; n++ {
+		ckpt := filepath.Join(t.TempDir(), "stream.ckpt")
+		ctx := newCancelAfterErrCalls(n)
+		if _, err := megsim.SampleStreaming(ctx, tr, opts(ckpt, false), gpu); !errors.Is(err, context.Canceled) {
+			t.Fatalf("n=%d: cancelled run: err = %v, want context.Canceled", n, err)
+		}
+		res, err := megsim.SampleStreaming(context.Background(), tr, opts(ckpt, true), gpu)
+		if err != nil {
+			t.Fatalf("n=%d: resumed run: %v", n, err)
+		}
+		if res.StreamResumeErr != nil {
+			t.Fatalf("n=%d: stream resume fell back: %v", n, res.StreamResumeErr)
+		}
+		offGrid = offGrid || res.ResumedFrames%5 != 0
+		if got := normalizeReport(serve.NewStreamingCampaignReport(res, 0)); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d (resumed at frame %d): report not byte-identical to the uninterrupted run:\n%s\n---\n%s", n, res.ResumedFrames, got, want)
+		}
+	}
+	if !offGrid {
+		t.Fatal("no cancellation landed off the checkpoint grid; the sweep tests nothing beyond periodic checkpoints")
 	}
 }
