@@ -1,9 +1,11 @@
-# Developer entry points. `make ci` is the full gate the CI workflow
-# runs: vet, build, race-enabled tests, the tile-parallel determinism
-# goldens, the differential validation oracle, the internal/check
-# coverage floor, a one-iteration bench smoke and short fuzz smokes of
-# every fuzz target, and megbench's self-tests (smoke run plus the
-# pinned seed-1 report digests).
+# Developer entry points. `make ci` is the one gate, and the CI
+# workflow runs nothing else: vet, build, every package's tests under
+# the race detector (the determinism, kill/resume, service, cluster,
+# streaming and chaos goldens included), the differential validation
+# oracle, the coverage floors, the tbr bench regression check, a
+# one-iteration bench smoke, megbench's self-tests (smoke run plus the
+# pinned seed-1 report digests) and short fuzz smokes of every fuzz
+# target.
 
 GO ?= go
 
@@ -12,34 +14,19 @@ GO ?= go
 BENCHTIME ?= 100ms
 BENCHCOUNT ?= 5
 
-# Minimum statement coverage for the validation subsystem itself — the
-# checker that gates everything else must not rot unexercised.
-CHECK_COVER_FLOOR ?= 85
+# Minimum statement coverage for the packages whose guarantees live or
+# die in their own tests: the validation oracle (the checker that gates
+# everything else), the run supervisor (byte-identical resume), the
+# campaign service (cache identity, backpressure, drain), the cluster
+# fabric (failover and byte identity), the streaming first phase
+# (bounded memory) and the chaos transport (the fault injector that
+# certifies the fabric's trust layer).
+COVER_FLOOR ?= 85
+COVER_PKGS := check resilience serve fabric stream chaos
 
-# Minimum statement coverage for the run supervisor — the machinery
-# that promises byte-identical resume must stay exercised.
-RESILIENCE_COVER_FLOOR ?= 85
+.PHONY: ci vet build test race validate cover-check bench bench-tbr bench-cluster bench-funcsim bench-check bench-smoke bench-selftest fuzz-smoke
 
-# Minimum statement coverage for the campaign service — the cache
-# identity, backpressure and drain guarantees live or die in tests.
-SERVE_COVER_FLOOR ?= 85
-
-# Minimum statement coverage for the distributed campaign fabric — the
-# failover and byte-identity guarantees of cluster mode.
-FABRIC_COVER_FLOOR ?= 85
-
-# Minimum statement coverage for the streaming first phase — the
-# bounded-memory stratifier behind unbounded-stream campaigns.
-STREAM_COVER_FLOOR ?= 85
-
-# Minimum statement coverage for the chaos transport — the fault
-# injector that certifies the fabric's trust layer must itself be
-# certified.
-CHAOS_COVER_FLOOR ?= 85
-
-.PHONY: ci vet build test race determinism resilience serve fabric stream chaos validate cover-check resilience-cover-check serve-cover-check fabric-cover-check stream-cover-check chaos-cover-check bench bench-tbr bench-cluster bench-funcsim bench-check bench-smoke bench-selftest tile-bench-smoke fuzz-smoke
-
-ci: vet build race determinism resilience serve fabric stream chaos validate cover-check resilience-cover-check serve-cover-check fabric-cover-check stream-cover-check chaos-cover-check bench-check bench-smoke bench-selftest tile-bench-smoke fuzz-smoke
+ci: vet build race validate cover-check bench-check bench-smoke bench-selftest fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -50,70 +37,9 @@ build:
 test:
 	$(GO) test ./...
 
+# -count=1: a local `make ci` must never report a cached pass.
 race:
-	$(GO) test -race ./...
-
-# Explicit gate on the parallelism guarantees: serial, frame-parallel
-# and tile-parallel (tile-workers 1, 2, 4 and beyond, plus the
-# composition of both axes) must produce byte-identical stats and obs
-# snapshots, race-detector clean.
-determinism:
-	$(GO) test -race -count=1 -run '^TestGoldenDeterminism' ./internal/tbr
-
-# Explicit gate on the resilience guarantees: the kill-and-resume
-# golden (byte-identical stats, obs snapshots and checkpoint bytes
-# across kill points, worker counts and tile-worker counts, under
-# injected faults) and the degraded-mode oracle (three fixed seeds,
-# quarantined representative, accuracy within 3x-widened bands), both
-# race-detector clean.
-resilience:
-	$(GO) test -race -count=1 -run '^TestGoldenKillAndResume$$' ./internal/resilience
-	$(GO) test -race -count=1 -run '^TestDegradedAccuracyWithinWidenedBands$$' ./internal/resilience
-
-# Explicit gate on the campaign service guarantees: concurrent
-# identical submissions deduplicate to one execution with byte-identical
-# results, the admission queue backpressures with 429 + Retry-After and
-# drains cleanly, a drained daemon's checkpoints resume byte-identically
-# after restart, and the CLI's -server mode matches a local run — all
-# race-detector clean.
-serve:
-	$(GO) test -race -count=1 ./internal/serve
-	$(GO) test -race -count=1 -run '^TestServerMode' ./cmd/megsim
-	$(GO) test -race -count=1 ./cmd/megsimd
-
-# Explicit gate on the cluster guarantees: killing a worker mid-campaign
-# still produces byte-identical results (the coordinator fails over and
-# the supervisor requeues lost frames), a campaign drained on one
-# coordinator resumes byte-identically on another over a different
-# fleet, routing policies respect draining/affinity invariants, and the
-# worker/coordinator endpoints hold their refusal semantics — all
-# race-detector clean.
-fabric:
-	$(GO) test -race -count=1 ./internal/fabric
-
-# Explicit gate on the chaos-hardening guarantees: the deterministic
-# fault transport replays identical fault sequences for identical
-# seeds, and the end-to-end soak — a fleet with one byzantine worker
-# behind the chaos transport, every honest worker killed and restarted
-# mid-campaign — quarantines the byzantine worker, requeues the killed
-# frames, and still produces a report byte-identical to a clean
-# single-process run. Per-class property tests pin that every fault
-# class either triggers recovery or is absorbed without a trace — all
-# race-detector clean.
-chaos:
-	$(GO) test -race -count=1 ./internal/chaos
-	$(GO) test -race -count=1 -run '^TestChaosSoakByzantineKillRestart$$|^TestChaosFaultClassesPreserveReport$$|^TestClusterGoldenWithAuditAndHedging$$' ./internal/fabric
-
-# Explicit gate on the streaming guarantees: the online stratifier is
-# chunk-split invariant and bounded-memory, its snapshots round-trip
-# byte-identically, the goldens pin streaming-vs-batch selection
-# agreement on the oracle seeds, and a campaign killed mid-stream
-# resumes to a byte-identical report at tile-workers 1 and 4 — all
-# race-detector clean.
-stream:
-	$(GO) test -race -count=1 ./internal/stream
-	$(GO) test -race -count=1 -run '^TestSampleStreaming|^TestStream' ./megsim ./cmd/megsim
-	$(GO) test -race -count=1 -run '^TestStream' ./internal/serve
+	$(GO) test -race -count=1 ./...
 
 # The statistical acceptance gate: the differential oracle of
 # internal/check runs MEGsim-sampled vs full simulation over three fixed
@@ -123,47 +49,14 @@ stream:
 validate:
 	$(GO) run -race ./cmd/experiments validate -seeds 1,2,3 -out results/validate.json
 
-# Coverage floor for the validation subsystem.
+# Coverage floors, one package at a time (see COVER_FLOOR).
 cover-check:
-	@cov=$$($(GO) test -cover ./internal/check | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "cover-check: no coverage reported for internal/check"; exit 1; fi; \
-	echo "internal/check coverage: $$cov% (floor $(CHECK_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(CHECK_COVER_FLOOR))}" || { echo "cover-check: coverage $$cov% below $(CHECK_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage floor for the run supervisor.
-resilience-cover-check:
-	@cov=$$($(GO) test -cover ./internal/resilience | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "resilience-cover-check: no coverage reported for internal/resilience"; exit 1; fi; \
-	echo "internal/resilience coverage: $$cov% (floor $(RESILIENCE_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(RESILIENCE_COVER_FLOOR))}" || { echo "resilience-cover-check: coverage $$cov% below $(RESILIENCE_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage floor for the campaign service.
-serve-cover-check:
-	@cov=$$($(GO) test -cover ./internal/serve | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "serve-cover-check: no coverage reported for internal/serve"; exit 1; fi; \
-	echo "internal/serve coverage: $$cov% (floor $(SERVE_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(SERVE_COVER_FLOOR))}" || { echo "serve-cover-check: coverage $$cov% below $(SERVE_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage floor for the campaign fabric.
-fabric-cover-check:
-	@cov=$$($(GO) test -cover ./internal/fabric | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "fabric-cover-check: no coverage reported for internal/fabric"; exit 1; fi; \
-	echo "internal/fabric coverage: $$cov% (floor $(FABRIC_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(FABRIC_COVER_FLOOR))}" || { echo "fabric-cover-check: coverage $$cov% below $(FABRIC_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage floor for the streaming first phase.
-stream-cover-check:
-	@cov=$$($(GO) test -cover ./internal/stream | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "stream-cover-check: no coverage reported for internal/stream"; exit 1; fi; \
-	echo "internal/stream coverage: $$cov% (floor $(STREAM_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(STREAM_COVER_FLOOR))}" || { echo "stream-cover-check: coverage $$cov% below $(STREAM_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage floor for the chaos transport.
-chaos-cover-check:
-	@cov=$$($(GO) test -cover ./internal/chaos | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "chaos-cover-check: no coverage reported for internal/chaos"; exit 1; fi; \
-	echo "internal/chaos coverage: $$cov% (floor $(CHAOS_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(CHAOS_COVER_FLOOR))}" || { echo "chaos-cover-check: coverage $$cov% below $(CHAOS_COVER_FLOOR)% floor"; exit 1; }
+	@for p in $(COVER_PKGS); do \
+		cov=$$($(GO) test -cover ./internal/$$p | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
+		if [ -z "$$cov" ]; then echo "cover-check: no coverage reported for internal/$$p"; exit 1; fi; \
+		echo "internal/$$p coverage: $$cov% (floor $(COVER_FLOOR)%)"; \
+		awk "BEGIN{exit !($$cov >= $(COVER_FLOOR))}" || { echo "cover-check: internal/$$p coverage $$cov% below $(COVER_FLOOR)% floor"; exit 1; }; \
+	done
 
 # Benchmark baselines: run the tbr, cluster and funcsim suites, keep the raw
 # benchstat-format text, and convert to JSON with cmd/benchjson. The
@@ -229,12 +122,6 @@ bench-smoke:
 # change that moves a campaign report's bytes.
 bench-selftest:
 	cd bench && $(GO) test -count=1 ./...
-
-# One iteration of the tile-parallel raster benchmark across worker
-# counts: keeps the sharded path exercised even if the full bench
-# suite is trimmed.
-tile-bench-smoke:
-	$(GO) test -run '^$$' -bench '^BenchmarkTileParallelRaster$$' -benchtime 1x ./internal/tbr
 
 # -fuzz must match exactly one target per package, so each fuzz target
 # gets its own short invocation.

@@ -13,6 +13,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -85,7 +86,7 @@ func BenchmarkTableII_Characterize(b *testing.B) {
 			var res *funcsim.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = funcsim.Run(tr)
+				res, err = funcsim.Run(context.Background(), tr, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

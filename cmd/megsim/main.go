@@ -324,13 +324,7 @@ func validateEstimate(ctx context.Context, tr *megsim.Trace, est *megsim.FrameSt
 	inv := check.NewInvariants(gpu)
 	gpu.Check = inv
 	start := time.Now()
-	var full []megsim.FrameStats
-	var err error
-	if gpu.FlushCachesPerFrame {
-		full, err = megsim.SimulateFullParallelCtx(ctx, tr, gpu, 0)
-	} else {
-		full, err = megsim.SimulateFull(tr, gpu)
-	}
+	full, err := megsim.SimulateFullParallelCtx(ctx, tr, gpu, 0)
 	if err != nil {
 		return nil, err
 	}

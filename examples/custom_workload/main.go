@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -64,7 +65,7 @@ func main() {
 
 	// Sanity-check the estimate against the ground truth (cheap here:
 	// the custom sequence is short).
-	full, err := megsim.SimulateFull(trace, megsim.DefaultGPUConfig())
+	full, err := megsim.SimulateFullParallelCtx(context.Background(), trace, megsim.DefaultGPUConfig(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

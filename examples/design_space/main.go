@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -69,7 +70,7 @@ func main() {
 	gpu := megsim.DefaultGPUConfig()
 	gpu.L2.SizeBytes = 32 << 10
 	start := time.Now()
-	full, err := megsim.SimulateFull(trace, gpu)
+	full, err := megsim.SimulateFullParallelCtx(context.Background(), trace, gpu, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -35,7 +36,7 @@ func main() {
 
 	// Simulate every frame in parallel; worker-local registries merge
 	// into reg when the pool joins.
-	stats, err := megsim.SimulateFullParallel(trace, gpu, 0)
+	stats, err := megsim.SimulateFullParallelCtx(context.Background(), trace, gpu, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -36,7 +37,7 @@ func main() {
 
 	// Validate against the expensive full simulation.
 	start = time.Now()
-	full, err := megsim.SimulateFull(trace, megsim.DefaultGPUConfig())
+	full, err := megsim.SimulateFullParallelCtx(context.Background(), trace, megsim.DefaultGPUConfig(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

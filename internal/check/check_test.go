@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -159,7 +160,7 @@ func TestCheckerWiredIntoSimulator(t *testing.T) {
 		cfg.TileWorkers = tw
 		iv := NewInvariants(cfg).Strict()
 		cfg.Check = iv
-		stats, err := tbr.SimulateAllParallel(cfg, tr, 2, nil)
+		stats, err := tbr.SimulateFrames(context.Background(), cfg, tr, nil, 2)
 		if err != nil {
 			t.Fatalf("TileWorkers=%d: %v", tw, err)
 		}
@@ -185,7 +186,7 @@ func TestCorruptStatsTripsChecker(t *testing.T) {
 	cfg.Faults = tbr.FaultConfig{CorruptStats: true}
 	iv := NewInvariants(cfg)
 	cfg.Check = iv
-	if _, err := tbr.SimulateAllParallel(cfg, tr, 1, nil); err != nil {
+	if _, err := tbr.SimulateFrames(context.Background(), cfg, tr, nil, 1); err != nil {
 		t.Fatalf("record-mode run errored: %v", err)
 	}
 	vs := iv.Violations()
@@ -199,10 +200,10 @@ func TestCorruptStatsTripsChecker(t *testing.T) {
 	}
 
 	// In strict mode the same corruption aborts the run with an error
-	// (the parallel driver converts the checker panic back).
+	// (SimulateFrames converts the checker panic back).
 	cfg2 := cfg
 	cfg2.Check = NewInvariants(cfg2).Strict()
-	if _, err := tbr.SimulateAllParallel(cfg2, tr, 1, nil); err == nil {
+	if _, err := tbr.SimulateFrames(context.Background(), cfg2, tr, nil, 1); err == nil {
 		t.Fatal("strict checker did not abort the corrupted run")
 	}
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -250,7 +251,7 @@ func (c *OracleConfig) runSeed(seed uint64) (*SeedResult, error) {
 	}
 	c.logf("[%s] %d frames, %d VS / %d FS (%s)", p.Alias, tr.NumFrames(), p.NumVS, p.NumFS, p.Type)
 
-	fr, err := funcsim.Run(tr)
+	fr, err := funcsim.Run(context.Background(), tr, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +270,7 @@ func (c *OracleConfig) runSeed(seed uint64) (*SeedResult, error) {
 	inv := NewInvariants(gpu)
 	gpu.Check = inv
 
-	full, err := tbr.SimulateAllParallel(gpu, tr, c.Workers, nil)
+	full, err := tbr.SimulateFrames(context.Background(), gpu, tr, nil, c.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +279,7 @@ func (c *OracleConfig) runSeed(seed uint64) (*SeedResult, error) {
 	// Sampled pass: representatives standalone, exactly as a MEGsim
 	// user runs them. Frame isolation must make each bit-identical to
 	// the same frame inside the full run.
-	repFrames, err := tbr.SimulateFramesParallel(gpu, tr, sel.Representatives, c.Workers)
+	repFrames, err := tbr.SimulateFrames(context.Background(), gpu, tr, sel.Representatives, c.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +426,7 @@ func (c *OracleConfig) probeWorkerInvariance(gpu tbr.Config, tr *gltrace.Trace, 
 		g := gpu
 		g.TileWorkers = tw
 		g.Check = nil // the probe measures determinism, not invariants
-		stats, err := tbr.SimulateFramesParallel(g, tr, []int{frame}, 1)
+		stats, err := tbr.SimulateFrames(context.Background(), g, tr, []int{frame}, 1)
 		if err != nil {
 			return false, err
 		}

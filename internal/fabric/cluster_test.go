@@ -30,7 +30,7 @@ func clusterCampaignBody() string {
 		`{"workload":{"benchmark":"hcr","width":%d,"height":%d,"frame_div":%d,"detail_div":%d},`+
 			`"gpu":{"tile_workers":%d},"resilience":{"retries":%d}}`,
 		sc.Width, sc.Height, sc.FrameDivisor, sc.DetailDivisor,
-		opts.TileWorkers, harness.ServiceResilience().MaxAttempts)
+		opts.GPU.TileWorkers, harness.ServiceResilience().MaxAttempts)
 }
 
 // clusterGolden runs the canonical campaign once, in-process through

@@ -1,6 +1,7 @@
 package funcsim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/workload"
@@ -17,7 +18,7 @@ func BenchmarkCharacterize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(tr); err != nil {
+		if _, err := Run(context.Background(), tr, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,27 +70,24 @@ func (p proceduralSampler) Sample(unit int, u, v float64, f shader.FilterMode) f
 	return x - math.Floor(x)
 }
 
-// Run functionally simulates every frame of the trace. The trace must
-// validate.
-func Run(trace *gltrace.Trace) (*Result, error) { return RunObs(trace, nil) }
-
-// RunObs is Run with observability: when reg is enabled it receives the
-// characterization workload counters ("funcsim.frames", ".draws",
-// ".fragments") and a per-frame fragment-count histogram
-// ("funcsim.frame_fragments"). A nil registry makes RunObs identical to
-// Run.
+// Run functionally simulates every frame of the trace, which must
+// validate. When reg is enabled it receives the characterization
+// workload counters ("funcsim.frames", ".draws", ".fragments") and a
+// per-frame fragment-count histogram ("funcsim.frame_fragments"); a nil
+// registry records nothing. Cancelling ctx stops the pass at the next
+// frame claim and returns ctx's error with no result.
 //
 // Frames are profiled across GOMAXPROCS workers (Streamer.ProfileRange);
 // the observations are recorded after the join in frame order, so the
 // result and the registry snapshot are the same for any worker count.
-func RunObs(trace *gltrace.Trace, reg *obs.Registry) (*Result, error) {
+func Run(ctx context.Context, trace *gltrace.Trace, reg *obs.Registry) (*Result, error) {
 	st, err := NewStreamer(trace)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Trace: trace.Name, Profiles: make([]FrameProfile, trace.NumFrames())}
 	res.VSStatic, res.FSStatic = st.Static()
-	if err := st.ProfileRange(context.TODO(), res.Profiles, 0); err != nil {
+	if err := st.ProfileRange(ctx, res.Profiles, 0); err != nil {
 		return nil, err
 	}
 

@@ -1,6 +1,7 @@
 package funcsim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/tbr"
@@ -10,7 +11,7 @@ import (
 func run(t *testing.T, alias string) (*Result, int) {
 	t.Helper()
 	tr := workload.MustGenerate(workload.Profiles[alias], workload.TestScale)
-	res, err := Run(tr)
+	res, err := Run(context.Background(), tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestAgreementWithTimingSimulator(t *testing.T) {
 	// The functional and timing simulators share geometry and
 	// rasterization; their visibility counts must agree exactly.
 	tr := workload.MustGenerate(workload.Profiles["bbr1"], workload.TestScale)
-	res, err := Run(tr)
+	res, err := Run(context.Background(), tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestProfilesReflectPhaseStructure(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
-	res, err := Run(tr)
+	res, err := Run(context.Background(), tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestRunRejectsInvalidTrace(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
 	tr.Name = ""
-	if _, err := Run(tr); err == nil {
+	if _, err := Run(context.Background(), tr, nil); err == nil {
 		t.Fatal("Run accepted invalid trace")
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/workload"
 )
 
-// referenceRun is the frame-at-a-time characterization RunObs must
+// referenceRun is the frame-at-a-time characterization Run must
 // reproduce: one ProfileAt per frame in frame order, observations
 // recorded as each frame completes.
 func referenceRun(t *testing.T, tr *gltrace.Trace) (*Result, *obs.Snapshot) {
@@ -43,11 +43,11 @@ func withProcs(n int, fn func()) {
 	fn()
 }
 
-// TestRunObsFrameParallelMatchesSerial: the frame-parallel RunObs gives
+// TestRunFrameParallelMatchesSerial: the frame-parallel Run gives
 // a result and an obs snapshot identical to the frame-at-a-time
 // reference at every worker count, on randomized 2D and 3D traces and
 // on a blend-heavy one (read-only depth tests interleaved with writes).
-func TestRunObsFrameParallelMatchesSerial(t *testing.T) {
+func TestRunFrameParallelMatchesSerial(t *testing.T) {
 	traces := map[string]*gltrace.Trace{
 		"blend-heavy jjo": workload.MustGenerate(workload.Profiles["jjo"], workload.TestScale),
 	}
@@ -59,7 +59,7 @@ func TestRunObsFrameParallelMatchesSerial(t *testing.T) {
 		for _, procs := range []int{1, 2, 4} {
 			withProcs(procs, func() {
 				reg := obs.New()
-				got, err := RunObs(tr, reg)
+				got, err := Run(context.Background(), tr, reg)
 				if err != nil {
 					t.Fatalf("%s, GOMAXPROCS=%d: %v", name, procs, err)
 				}
@@ -71,6 +71,17 @@ func TestRunObsFrameParallelMatchesSerial(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRunCancelled: a cancelled context stops characterization and
+// surfaces as ctx's error, with no result.
+func TestRunCancelled(t *testing.T) {
+	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := Run(ctx, tr, nil); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("Run = (%v, %v), want (nil, Canceled)", res, err)
 	}
 }
 

@@ -361,24 +361,22 @@ func (s *Study) VaryGPUConfig(alias string, gpu tbr.Config, groundTruth bool) (e
 	if err != nil {
 		return estimate, actual, err
 	}
-	sim, err := tbr.New(gpu, r.Trace)
+	opts := s.Opts
+	opts.GPU = gpu
+	repStats, err := simulateReps(opts, r.Trace, r.Selection.Representatives)
 	if err != nil {
 		return estimate, actual, err
-	}
-	repStats := make(map[int]tbr.FrameStats, r.Selection.NumRepresentatives())
-	for _, f := range r.Selection.Representatives {
-		repStats[f] = sim.SimulateFrame(f)
 	}
 	estimate, err = r.Selection.Estimate(repStats)
 	if err != nil {
 		return estimate, actual, err
 	}
 	if groundTruth {
-		fullSim, err2 := tbr.New(gpu, r.Trace)
-		if err2 != nil {
-			return estimate, actual, err2
+		full, err := tbr.SimulateFrames(opts.ctx(), gpu, r.Trace, nil, opts.Workers)
+		if err != nil {
+			return estimate, actual, err
 		}
-		actual = core.SumStats(fullSim.SimulateAll(nil))
+		actual = core.SumStats(full)
 	}
 	return estimate, actual, nil
 }

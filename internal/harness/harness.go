@@ -23,8 +23,9 @@ import (
 // Options configures a study.
 type Options struct {
 	// Ctx, when non-nil, bounds the study: cancellation (or deadline
-	// expiry) stops the simulation passes at the next frame boundary
-	// and surfaces the context's error. Nil means context.Background().
+	// expiry) stops functional characterization and the simulation
+	// passes at the next frame boundary and surfaces the context's
+	// error. Nil means context.Background().
 	Ctx context.Context
 	// GPU is the timing-simulator configuration (Table I defaults).
 	GPU tbr.Config
@@ -32,16 +33,10 @@ type Options struct {
 	MEGsim core.Config
 	// Scale is the workload scale.
 	Scale workload.Scale
-	// Workers bounds the goroutines used for the parallel ground-truth
-	// pass (0 = GOMAXPROCS). Affects wall clock only, never results.
+	// Workers bounds the goroutines the cycle-simulation passes fan
+	// frames out over (0 = GOMAXPROCS; see tbr.SimulateFrames). Affects
+	// wall clock only, never results.
 	Workers int
-	// TileWorkers enables the tile-parallel raster stage inside each
-	// simulated frame (0 = the serial warm-cache raster stage). It
-	// composes with Workers — frames fan out across Workers, tiles
-	// within each frame across TileWorkers — and never affects results:
-	// every TileWorkers >= 1 setting is byte-identical. Ignored when the
-	// caller already set GPU.TileWorkers explicitly.
-	TileWorkers int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 	// Obs, when non-nil and enabled, receives metrics and timeline
@@ -60,12 +55,8 @@ func (o *Options) ctx() context.Context {
 	return context.Background()
 }
 
-// wireObs propagates opts.Obs and opts.TileWorkers into the phase
-// configurations.
+// wireObs propagates opts.Obs into the phase configurations.
 func (o *Options) wireObs() {
-	if o.TileWorkers > 0 && o.GPU.TileWorkers == 0 {
-		o.GPU.TileWorkers = o.TileWorkers
-	}
 	if !o.Obs.Enabled() {
 		return
 	}
@@ -140,7 +131,7 @@ func Run(p workload.Profile, opts Options) (*BenchmarkResult, error) {
 
 	logf(opts.Log, "[%s] functional characterization of %d frames", p.Alias, tr.NumFrames())
 	t0 := time.Now()
-	fr, err := funcsim.RunObs(tr, opts.Obs)
+	fr, err := funcsim.Run(opts.ctx(), tr, opts.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -157,19 +148,9 @@ func Run(p workload.Profile, opts Options) (*BenchmarkResult, error) {
 
 	logf(opts.Log, "[%s] full-sequence cycle simulation", p.Alias)
 	t0 = time.Now()
-	if opts.GPU.FlushCachesPerFrame {
-		// Frame isolation makes parallel simulation bit-identical to
-		// the sequential pass, so the ground truth uses all cores.
-		res.Full, err = tbr.SimulateAllParallelCtx(opts.ctx(), opts.GPU, tr, opts.Workers, nil)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		sim, err := tbr.New(opts.GPU, tr)
-		if err != nil {
-			return nil, err
-		}
-		res.Full = sim.SimulateAll(nil)
+	res.Full, err = tbr.SimulateFrames(opts.ctx(), opts.GPU, tr, nil, opts.Workers)
+	if err != nil {
+		return nil, err
 	}
 	res.FullSimTime = time.Since(t0)
 	res.FullTotals = core.SumStats(res.Full)
@@ -194,71 +175,15 @@ func Run(p workload.Profile, opts Options) (*BenchmarkResult, error) {
 	return res, nil
 }
 
-// RunSampledOnly executes only what a MEGsim user needs in production:
-// characterization, selection and representative simulation — no
-// ground-truth pass. Returns the result with Full/FullTotals/Accuracy
-// unset.
-func RunSampledOnly(p workload.Profile, opts Options) (*BenchmarkResult, error) {
-	opts.wireObs()
-	if err := opts.ctx().Err(); err != nil {
-		return nil, err
-	}
-	res := &BenchmarkResult{Profile: p}
-	tr, err := workload.Generate(p, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
-	res.Trace = tr
-	t0 := time.Now()
-	fr, err := funcsim.RunObs(tr, opts.Obs)
-	if err != nil {
-		return nil, err
-	}
-	res.Func = fr
-	res.FuncSimTime = time.Since(t0)
-
-	t0 = time.Now()
-	if err := res.selectFrames(opts); err != nil {
-		return nil, err
-	}
-	res.SelectTime = time.Since(t0)
-
-	t0 = time.Now()
-	repStats, err := simulateReps(opts, tr, res.Selection.Representatives)
-	if err != nil {
-		return nil, err
-	}
-	res.SampledSimTime = time.Since(t0)
-	res.Estimate, err = res.Selection.Estimate(repStats)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// simulateReps cycle-simulates exactly the representative frames,
-// in parallel when frame isolation allows it.
+// simulateReps cycle-simulates exactly the representative frames.
 func simulateReps(opts Options, tr *gltrace.Trace, reps []int) (map[int]tbr.FrameStats, error) {
-	repStats := make(map[int]tbr.FrameStats, len(reps))
-	if opts.GPU.FlushCachesPerFrame {
-		stats, err := tbr.SimulateFramesParallelCtx(opts.ctx(), opts.GPU, tr, reps, opts.Workers)
-		if err != nil {
-			return nil, err
-		}
-		for i, f := range reps {
-			repStats[f] = stats[i]
-		}
-		return repStats, nil
-	}
-	sim, err := tbr.New(opts.GPU, tr)
+	stats, err := tbr.SimulateFrames(opts.ctx(), opts.GPU, tr, reps, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range reps {
-		if err := opts.ctx().Err(); err != nil {
-			return nil, err
-		}
-		repStats[f] = sim.SimulateFrame(f)
+	repStats := make(map[int]tbr.FrameStats, len(reps))
+	for i, f := range reps {
+		repStats[f] = stats[i]
 	}
 	return repStats, nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/tbr"
 	"repro/internal/workload"
+	"repro/megsim"
 )
 
 // testStudy builds a study over two small benchmarks.
@@ -44,26 +45,16 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRunSampledOnlySkipsGroundTruth(t *testing.T) {
-	r, err := RunSampledOnly(workload.Profiles["hcr"], TestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Full != nil {
-		t.Fatal("sampled-only run produced ground truth")
-	}
-	if r.Estimate.Cycles == 0 {
-		t.Fatal("no estimate produced")
-	}
-}
-
+// TestSampledOnlyMatchesFullStudyEstimate: the study's estimate is the
+// one a user gets from the sampled-only public flow (megsim.Sample) on
+// the same trace and configuration.
 func TestSampledOnlyMatchesFullStudyEstimate(t *testing.T) {
 	opts := TestOptions()
 	full, err := Run(workload.Profiles["jjo"], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := RunSampledOnly(workload.Profiles["jjo"], opts)
+	sampled, err := megsim.Sample(full.Trace, opts.MEGsim, opts.GPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +64,16 @@ func TestSampledOnlyMatchesFullStudyEstimate(t *testing.T) {
 }
 
 func TestTileWorkersOptionDoesNotAffectResults(t *testing.T) {
-	// Options.TileWorkers must thread into the GPU config, and any
-	// worker count >= 1 must produce identical estimates.
+	// Any tile-worker count >= 1 must produce identical estimates.
 	one := TestOptions()
-	one.TileWorkers = 1
+	one.GPU.TileWorkers = 1
 	four := TestOptions()
-	four.TileWorkers = 4
-	a, err := RunSampledOnly(workload.Profiles["hcr"], one)
+	four.GPU.TileWorkers = 4
+	a, err := Run(workload.Profiles["hcr"], one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSampledOnly(workload.Profiles["hcr"], four)
+	b, err := Run(workload.Profiles["hcr"], four)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // the serve test fixtures in lockstep.
 func ServiceOptions() Options {
 	o := TestOptions()
-	o.TileWorkers = 2
+	o.GPU.TileWorkers = 2
 	return o
 }
 

@@ -1,7 +1,8 @@
 // Package pool holds the one work-distribution primitive every parallel
-// layer shares: the frame- and tile-parallel drivers of internal/tbr,
-// the frame-parallel functional characterization of internal/funcsim
-// and the chunked k-means steps of internal/cluster.
+// layer shares: the frame driver and tile-parallel raster stage of
+// internal/tbr, the frame-parallel functional characterization of
+// internal/funcsim, the chunked k-means steps of internal/cluster and
+// the per-frame attempt loops of the internal/resilience supervisor.
 //
 // Claim never decides what a result is, only which goroutine computes
 // it. Callers write each item's result by index and fold after the join

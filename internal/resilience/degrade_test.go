@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -164,7 +165,7 @@ func TestDegradedAccuracyWithinWidenedBands(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ch, err := funcsim.Run(tr)
+		ch, err := funcsim.Run(context.Background(), tr, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -177,7 +178,7 @@ func TestDegradedAccuracyWithinWidenedBands(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		full, err := tbr.SimulateAllParallel(tbr.DefaultConfig(), tr, 0, nil)
+		full, err := tbr.SimulateFrames(context.Background(), tbr.DefaultConfig(), tr, nil, 0)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -3,13 +3,13 @@ package resilience
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/tbr"
 )
 
@@ -241,14 +241,7 @@ func Run(ctx context.Context, frames []int, fn FrameFunc, cfg Config) (*Result, 
 		pending = append(pending, f)
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-
+	workers := pool.Workers(cfg.Workers, len(pending))
 	var dog *watchdog
 	dogDone := make(chan struct{})
 	if cfg.StallTimeout > 0 && workers > 0 {
@@ -273,68 +266,58 @@ func Run(ctx context.Context, frames []int, fn FrameFunc, cfg Config) (*Result, 
 		}()
 	}
 
+	// The shared claim pool stops claiming once ctx is cancelled, so a
+	// cancelled run ends at a frame boundary. runAttempt recovers the
+	// frame function's panics, so the pool fails only on a panic in the
+	// supervisor's own loop, which Run then returns as its error.
 	maxAttempts := cfg.maxAttempts()
 	maxRequeues := cfg.maxRequeues()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+	_, poolErr := pool.Claim(ctx, workers, len(pending), func(w int) (func(i int), error) {
+		return func(i int) {
+			frame := pending[i]
+			attempt := 0
+			requeues := 0
 			for {
+				attempt++
+				dog.beat(w, frame)
+				rec, err := runAttempt(ctx, fn, frame, attempt, cfg.Obs)
+				dog.beat(w, -1)
+				if err == nil {
+					state.record(rec)
+					return
+				}
 				if ctx.Err() != nil {
-					return
+					return // cancelled: the frame stays incomplete, not quarantined
 				}
-				i := int(next.Add(1)) - 1
-				if i >= len(pending) {
-					return
-				}
-				frame := pending[i]
-				attempt := 0
-				requeues := 0
-				for {
-					attempt++
-					dog.beat(w, frame)
-					rec, err := runAttempt(ctx, fn, frame, attempt, cfg.Obs)
-					dog.beat(w, -1)
-					if err == nil {
-						state.record(rec)
-						break
-					}
-					if ctx.Err() != nil {
-						return // cancelled: the frame stays incomplete, not quarantined
-					}
-					if IsWorkerLost(err) && requeues < maxRequeues {
-						// Losing the worker is not the frame's fault: requeue
-						// without charging an attempt, like quarantined work
-						// re-entering the pool, bounded by MaxRequeues.
-						requeues++
-						attempt--
-						state.requeue()
-						d := Backoff(cfg.BackoffBase, cfg.BackoffCap, cfg.Seed, frame, requeues)
-						logf(cfg.Log, "resilience: frame %d requeued after worker loss (%d/%d), retrying in %v: %v",
-							frame, requeues, maxRequeues, d, err)
-						if sleep(ctx, d) != nil {
-							return
-						}
-						continue
-					}
-					if attempt >= maxAttempts {
-						q := QuarantineRecord{Frame: frame, Attempts: attempt, Err: err.Error()}
-						logf(cfg.Log, "resilience: %s", q)
-						state.quarantine(q)
-						break
-					}
-					d := Backoff(cfg.BackoffBase, cfg.BackoffCap, cfg.Seed, frame, attempt)
-					logf(cfg.Log, "resilience: frame %d attempt %d failed (%v), retrying in %v", frame, attempt, err, d)
+				if IsWorkerLost(err) && requeues < maxRequeues {
+					// Losing the worker is not the frame's fault: requeue
+					// without charging an attempt, like quarantined work
+					// re-entering the pool, bounded by MaxRequeues.
+					requeues++
+					attempt--
+					state.requeue()
+					d := Backoff(cfg.BackoffBase, cfg.BackoffCap, cfg.Seed, frame, requeues)
+					logf(cfg.Log, "resilience: frame %d requeued after worker loss (%d/%d), retrying in %v: %v",
+						frame, requeues, maxRequeues, d, err)
 					if sleep(ctx, d) != nil {
 						return
 					}
+					continue
+				}
+				if attempt >= maxAttempts {
+					q := QuarantineRecord{Frame: frame, Attempts: attempt, Err: err.Error()}
+					logf(cfg.Log, "resilience: %s", q)
+					state.quarantine(q)
+					return
+				}
+				d := Backoff(cfg.BackoffBase, cfg.BackoffCap, cfg.Seed, frame, attempt)
+				logf(cfg.Log, "resilience: frame %d attempt %d failed (%v), retrying in %v", frame, attempt, err, d)
+				if sleep(ctx, d) != nil {
+					return
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}, nil
+	})
 	close(dogDone)
 
 	// Final flush: even a run that completed nothing (or was cancelled
@@ -378,7 +361,7 @@ func Run(ctx context.Context, frames []int, fn FrameFunc, cfg Config) (*Result, 
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	return res, nil
+	return res, poolErr
 }
 
 // runAttempt executes one attempt of one frame with a fresh worker-

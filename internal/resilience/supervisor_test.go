@@ -310,11 +310,11 @@ func TestRunWatchdogFlagsStall(t *testing.T) {
 	}
 }
 
-// TestRunObsDeterministicAcrossWorkersAndRetries is the supervisor-level
+// TestSupervisorObsDeterministicAcrossWorkersAndRetries is the supervisor-level
 // half of the byte-identical guarantee: the parent registry's snapshot
 // is a pure function of the completed frame set — independent of worker
 // count and of how many attempts each frame needed.
-func TestRunObsDeterministicAcrossWorkersAndRetries(t *testing.T) {
+func TestSupervisorObsDeterministicAcrossWorkersAndRetries(t *testing.T) {
 	frames := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	mkFn := func(tr *attemptTracker, flaky bool) FrameFunc {
 		return func(ctx context.Context, frame int, reg *obs.Registry) (tbr.FrameStats, error) {

@@ -55,7 +55,7 @@ func directGolden(t *testing.T) []byte {
 			return
 		}
 		gpu := megsim.DefaultGPUConfig()
-		gpu.TileWorkers = opts.TileWorkers
+		gpu.TileWorkers = opts.GPU.TileWorkers
 		rrun, err := megsim.SampleResilient(context.Background(), tr,
 			megsim.DefaultConfig(), gpu, harness.ServiceResilience())
 		if err != nil {

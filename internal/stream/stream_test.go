@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"sync"
@@ -43,7 +44,7 @@ func seedResult(t testing.TB, seed uint64) *seedData {
 	if err != nil {
 		t.Fatalf("generate workload: %v", err)
 	}
-	fr, err := funcsim.Run(tr)
+	fr, err := funcsim.Run(context.Background(), tr, nil)
 	if err != nil {
 		t.Fatalf("funcsim: %v", err)
 	}

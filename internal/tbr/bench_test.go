@@ -1,6 +1,7 @@
 package tbr_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -96,7 +97,7 @@ func BenchmarkSimulateAllParallelObs(b *testing.B) {
 				if mode == "on" {
 					cfg.Obs = obs.New()
 				}
-				if _, err := tbr.SimulateAllParallel(cfg, tr, 0, nil); err != nil {
+				if _, err := tbr.SimulateFrames(context.Background(), cfg, tr, nil, 0); err != nil {
 					b.Fatal(err)
 				}
 				if cfg.Obs != nil {

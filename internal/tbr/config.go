@@ -83,14 +83,14 @@ type Config struct {
 	// per-tile results compose serially at frame end, which makes every
 	// TileWorkers >= 1 setting produce byte-identical FrameStats and
 	// obs snapshots — only wall-clock time changes with the worker
-	// count. Tile-parallelism composes with the frame-parallel drivers
-	// (each frame worker runs its own tile pool).
+	// count. Tile-parallelism composes with the frame-parallel driver,
+	// SimulateFrames (each frame worker runs its own tile pool).
 	TileWorkers int
 
 	// Obs, when non-nil and enabled, receives metrics and per-stage
-	// timeline spans from the simulator (package obs). The parallel
-	// drivers give each worker a local registry and merge them into
-	// this one at join time, so instrumented parallel runs are
+	// timeline spans from the simulator (package obs). SimulateFrames
+	// gives each worker a local registry and merges them into this one
+	// at join time, so instrumented parallel runs are
 	// race-free and deterministic. Nil disables observability at the
 	// cost of one branch per instrumentation point.
 	Obs *obs.Registry
@@ -103,15 +103,15 @@ type Config struct {
 	// Check, when non-nil, receives every completed frame's statistics
 	// for invariant verification (internal/check.Invariants is the
 	// standard implementation) and arms the per-queue occupancy checks.
-	// A non-nil error from CheckFrame aborts the run via panic (the
-	// parallel drivers convert it back into an error). Nil disables all
+	// A non-nil error from CheckFrame aborts the run via panic
+	// (SimulateFrames converts it back into an error). Nil disables all
 	// checking at the cost of one branch per frame.
 	Check FrameChecker
 }
 
 // FrameChecker verifies invariants over completed frame statistics.
-// Implementations must be safe for concurrent use: the frame-parallel
-// drivers share one checker across workers.
+// Implementations must be safe for concurrent use: SimulateFrames
+// shares one checker across workers.
 type FrameChecker interface {
 	CheckFrame(st *FrameStats) error
 }

@@ -1,6 +1,7 @@
 package tbr_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -14,7 +15,7 @@ import (
 // TestGoldenDeterminismSerialVsParallel is the golden determinism test:
 // with frame isolation, the same trace must produce byte-identical
 // per-frame statistics AND identical observability snapshots from the
-// sequential driver and from SimulateAllParallel at every worker count.
+// sequential driver and from SimulateFrames at every worker count.
 // Counters and histograms merge additively and snapshot events sort
 // canonically, so even the timeline must match exactly.
 func TestGoldenDeterminismSerialVsParallel(t *testing.T) {
@@ -33,7 +34,7 @@ func TestGoldenDeterminismSerialVsParallel(t *testing.T) {
 			stats = sim.SimulateAll(nil)
 		} else {
 			var err error
-			stats, err = tbr.SimulateAllParallel(cfg, tr, workers, nil)
+			stats, err = tbr.SimulateFrames(context.Background(), cfg, tr, nil, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +78,7 @@ func TestGoldenDeterminismSerialVsParallel(t *testing.T) {
 }
 
 // TestGoldenDeterminismFrameSubset repeats the golden comparison for
-// SimulateFramesParallel over a representative-style frame subset (the
+// SimulateFrames over a representative-style frame subset (the
 // path harness.simulateReps takes), including a duplicated frame.
 func TestGoldenDeterminismFrameSubset(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
@@ -88,7 +89,7 @@ func TestGoldenDeterminismFrameSubset(t *testing.T) {
 		t.Helper()
 		cfg := tbr.DefaultConfig()
 		cfg.Obs = obs.New()
-		stats, err := tbr.SimulateFramesParallel(cfg, tr, frames, workers)
+		stats, err := tbr.SimulateFrames(context.Background(), cfg, tr, frames, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func TestGoldenDeterminismTileParallel(t *testing.T) {
 					stats = sim.SimulateAll(nil)
 				} else {
 					var err error
-					stats, err = tbr.SimulateAllParallel(cfg, tr, frameWorkers, nil)
+					stats, err = tbr.SimulateFrames(context.Background(), cfg, tr, nil, frameWorkers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -192,7 +193,7 @@ func TestObsSpansCoverEveryFrame(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
 	cfg := tbr.DefaultConfig()
 	cfg.Obs = obs.New()
-	stats, err := tbr.SimulateAllParallel(cfg, tr, 0, nil)
+	stats, err := tbr.SimulateFrames(context.Background(), cfg, tr, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tbr
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gltrace"
@@ -115,7 +116,7 @@ func TestFaultInjectionWorkerInvariant(t *testing.T) {
 	}{{1, 1}, {2, 1}, {4, 2}, {1, 3}} {
 		cfg := base
 		cfg.TileWorkers = mode.tileWorkers
-		got, err := SimulateAllParallel(cfg, tr, mode.frameWorkers, nil)
+		got, err := SimulateFrames(context.Background(), cfg, tr, nil, mode.frameWorkers)
 		if err != nil {
 			t.Fatalf("tw=%d fw=%d: %v", mode.tileWorkers, mode.frameWorkers, err)
 		}
@@ -137,7 +138,7 @@ func TestFaultInjectionWorkerInvariant(t *testing.T) {
 // silently do nothing validate nothing.
 func TestFaultsPerturbResults(t *testing.T) {
 	tr := faultTestTrace(t)
-	clean, err := SimulateAllParallel(DefaultConfig(), tr, 2, nil)
+	clean, err := SimulateFrames(context.Background(), DefaultConfig(), tr, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestFaultsPerturbResults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Faults = tc.faults
-			got, err := SimulateAllParallel(cfg, tr, 2, nil)
+			got, err := SimulateFrames(context.Background(), cfg, tr, nil, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,12 +192,12 @@ func TestFaultsPreserveFrameIsolation(t *testing.T) {
 	tr := faultTestTrace(t)
 	cfg := DefaultConfig()
 	cfg.Faults = FaultConfig{Seed: 9, DropTileRate: 0.3, StallRate: 0.3, StallCycles: 300}
-	full, err := SimulateAllParallel(cfg, tr, 2, nil)
+	full, err := SimulateFrames(context.Background(), cfg, tr, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pick := []int{1, tr.NumFrames() - 1}
-	solo, err := SimulateFramesParallel(cfg, tr, pick, 1)
+	solo, err := SimulateFrames(context.Background(), cfg, tr, pick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

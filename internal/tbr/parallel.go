@@ -26,9 +26,9 @@ func setTestWorkerHook(h func(item int)) {
 	testWorkerHook.Store(&h)
 }
 
-// claimPool is the shared claim primitive (pool.Claim) used by the
-// frame-parallel driver and the tile-parallel raster stage, with the
-// test worker hook spliced in before every claimed item.
+// claimPool is the shared claim primitive (pool.Claim) used by
+// SimulateFrames and the tile-parallel raster stage, with the test
+// worker hook spliced in before every claimed item.
 func claimPool(ctx context.Context, workers, n int, setup func(w int) (fn func(i int), err error)) (failed []bool, firstErr error) {
 	return pool.Claim(ctx, workers, n, func(w int) (func(i int), error) {
 		fn, err := setup(w)
@@ -81,106 +81,40 @@ func runPool(ctx context.Context, cfg Config, trace *gltrace.Trace, workers, n i
 	return firstErr
 }
 
-// SimulateFramesParallel simulates the given frame subset across
-// `workers` goroutines (0 = GOMAXPROCS), returning stats in the same
-// order as frames. Like SimulateAllParallel it requires frame isolation
-// (FlushCachesPerFrame).
-func SimulateFramesParallel(cfg Config, trace *gltrace.Trace, frames []int, workers int) ([]FrameStats, error) {
-	return SimulateFramesParallelCtx(context.Background(), cfg, trace, frames, workers)
-}
-
-// SimulateFramesParallelCtx is SimulateFramesParallel honoring a
-// context: cancellation (or deadline expiry) stops every worker at its
-// next claim and returns ctx's error. Results are all-or-nothing — a
-// cancelled run returns no stats, exactly like a failed one.
-func SimulateFramesParallelCtx(ctx context.Context, cfg Config, trace *gltrace.Trace, frames []int, workers int) ([]FrameStats, error) {
-	if !cfg.FlushCachesPerFrame {
-		return nil, fmt.Errorf("tbr: parallel simulation requires FlushCachesPerFrame (frame isolation)")
+// SimulateFrames is the one frame-list driver: it cycle-simulates the
+// given frames of the trace and returns their stats in frames order.
+// frames == nil means every frame of the trace; a non-nil empty list
+// simulates nothing; duplicates are simulated once per occurrence; an
+// out-of-range index is rejected before anything runs.
+//
+// With FlushCachesPerFrame every frame starts cold, so the frames fan
+// out over `workers` goroutines (0 = GOMAXPROCS), each with its own
+// Simulator, and the result is bit-identical to a sequential
+// SimulateFrame loop however they are distributed. Without it each
+// frame starts from the caches the previous one left, so the frames run
+// in the given order on one simulator. Either way they go through
+// runPool, so a panic out of SimulateFrame (a failed strict checker)
+// becomes an error, and cancelling ctx stops the run at the next frame
+// claim. On error or cancellation no stats are returned.
+func SimulateFrames(ctx context.Context, cfg Config, trace *gltrace.Trace, frames []int, workers int) ([]FrameStats, error) {
+	n := trace.NumFrames()
+	if frames == nil {
+		frames = make([]int, n)
+		for f := range frames {
+			frames[f] = f
+		}
 	}
 	for _, f := range frames {
-		if f < 0 || f >= trace.NumFrames() {
-			return nil, fmt.Errorf("tbr: frame %d out of range [0,%d)", f, trace.NumFrames())
+		if f < 0 || f >= n {
+			return nil, fmt.Errorf("tbr: frame %d out of range [0,%d)", f, n)
 		}
 	}
-	workers = pool.Workers(workers, len(frames))
-	if len(frames) == 0 {
-		return nil, ctx.Err()
+	if !cfg.FlushCachesPerFrame {
+		workers = 1
 	}
 	out := make([]FrameStats, len(frames))
-	// A single worker skips the pool — unless a checker is attached, in
-	// which case the pool's recover is what converts a failed CheckFrame
-	// (a panic out of SimulateFrame) into an error.
-	if workers <= 1 && cfg.Check == nil {
-		sim, err := New(cfg, trace)
-		if err != nil {
-			return nil, err
-		}
-		for i, f := range frames {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i] = sim.SimulateFrame(f)
-		}
-		return out, nil
-	}
 	err := runPool(ctx, cfg, trace, workers, len(frames), func(sim *Simulator, i int) {
 		out[i] = sim.SimulateFrame(frames[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SimulateAllParallel simulates every frame of the trace across
-// `workers` goroutines (0 = GOMAXPROCS), each with its own Simulator
-// instance. It requires FlushCachesPerFrame: frame isolation makes the
-// result bit-identical to the sequential SimulateAll regardless of how
-// frames are distributed over workers — verified by tests. progress, if
-// non-nil, is called once per completed frame (from worker goroutines;
-// it must be safe for concurrent use).
-func SimulateAllParallel(cfg Config, trace *gltrace.Trace, workers int, progress func(frame int)) ([]FrameStats, error) {
-	return SimulateAllParallelCtx(context.Background(), cfg, trace, workers, progress)
-}
-
-// SimulateAllParallelCtx is SimulateAllParallel honoring a context:
-// cancellation stops every worker at its next frame claim and returns
-// ctx's error instead of stats.
-func SimulateAllParallelCtx(ctx context.Context, cfg Config, trace *gltrace.Trace, workers int, progress func(frame int)) ([]FrameStats, error) {
-	if !cfg.FlushCachesPerFrame {
-		return nil, fmt.Errorf("tbr: parallel simulation requires FlushCachesPerFrame (frame isolation)")
-	}
-	n := trace.NumFrames()
-	workers = pool.Workers(workers, n)
-	if n == 0 {
-		return nil, ctx.Err()
-	}
-	// See SimulateFramesParallelCtx for why a checker disables the
-	// serial fast path.
-	if workers <= 1 && cfg.Check == nil {
-		sim, err := New(cfg, trace)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]FrameStats, 0, n)
-		for f := 0; f < n; f++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out = append(out, sim.SimulateFrame(f))
-			if progress != nil {
-				progress(f)
-			}
-		}
-		return out, nil
-	}
-
-	out := make([]FrameStats, n)
-	err := runPool(ctx, cfg, trace, workers, n, func(sim *Simulator, f int) {
-		out[f] = sim.SimulateFrame(f)
-		if progress != nil {
-			progress(f)
-		}
 	})
 	if err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ func TestParallelAbortsPromptlyOnWorkerFailure(t *testing.T) {
 	})
 	defer setTestWorkerHook(nil)
 
-	_, err := SimulateFramesParallel(DefaultConfig(), tr, frames, 4)
+	_, err := SimulateFrames(context.Background(), DefaultConfig(), tr, frames, 4)
 	if err == nil {
 		t.Fatal("pool swallowed the worker failure")
 	}
@@ -103,7 +103,7 @@ func TestParallelFirstErrorWins(t *testing.T) {
 	setTestWorkerHook(func(item int) { panic("boom") })
 	defer setTestWorkerHook(nil)
 
-	out, err := SimulateFramesParallel(DefaultConfig(), tr, frames, 4)
+	out, err := SimulateFrames(context.Background(), DefaultConfig(), tr, frames, 4)
 	if err == nil {
 		t.Fatal("no error surfaced")
 	}
@@ -206,21 +206,21 @@ func TestClaimPoolContextCancellation(t *testing.T) {
 	}
 }
 
-// TestSimulateFramesParallelCtxCancelled: a pre-cancelled context must
-// return ctx.Err() and no stats from both drivers.
-func TestSimulateFramesParallelCtxCancelled(t *testing.T) {
+// TestSimulateFramesCancelled: a pre-cancelled context must return
+// ctx.Err() and no stats, for a frame subset and for every frame, at
+// one worker and at several.
+func TestSimulateFramesCancelled(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"],
 		workload.Scale{Width: 96, Height: 48, FrameDivisor: 100, DetailDivisor: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if out, err := SimulateFramesParallelCtx(ctx, DefaultConfig(), tr, []int{0, 0, 0}, 2); !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("SimulateFramesParallelCtx = (%v, %v), want (nil, Canceled)", out, err)
-	}
-	if out, err := SimulateFramesParallelCtx(ctx, DefaultConfig(), tr, []int{0}, 1); !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("serial SimulateFramesParallelCtx = (%v, %v), want (nil, Canceled)", out, err)
-	}
-	if out, err := SimulateAllParallelCtx(ctx, DefaultConfig(), tr, 2, nil); !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("SimulateAllParallelCtx = (%v, %v), want (nil, Canceled)", out, err)
+	for _, c := range []struct {
+		frames  []int
+		workers int
+	}{{[]int{0, 0, 0}, 2}, {[]int{0}, 1}, {nil, 2}} {
+		if out, err := SimulateFrames(ctx, DefaultConfig(), tr, c.frames, c.workers); !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("SimulateFrames(frames=%v, workers=%d) = (%v, %v), want (nil, Canceled)", c.frames, c.workers, out, err)
+		}
 	}
 }

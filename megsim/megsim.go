@@ -19,6 +19,7 @@
 package megsim
 
 import (
+	"context"
 	"fmt"
 	"image"
 
@@ -143,7 +144,9 @@ func LoadTrace(path string) (*Trace, error) { return gltrace.LoadFile(path) }
 
 // Characterize runs the fast functional simulation that produces the
 // per-frame profiles MEGsim clusters on (the cheap first pass).
-func Characterize(tr *Trace) (*Characterization, error) { return funcsim.Run(tr) }
+func Characterize(tr *Trace) (*Characterization, error) {
+	return funcsim.Run(context.Background(), tr, nil)
+}
 
 // SelectFrames builds the vectors of characteristics and picks the
 // representative frames.
@@ -194,13 +197,13 @@ func Sample(tr *Trace, cfg Config, gpu GPUConfig) (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("megsim: selection: %w", err)
 	}
-	sim, err := NewSimulator(gpu, tr)
+	stats, err := tbr.SimulateFrames(context.Background(), gpu, tr, sel.Representatives, 0)
 	if err != nil {
-		return nil, fmt.Errorf("megsim: simulator: %w", err)
+		return nil, fmt.Errorf("megsim: simulation: %w", err)
 	}
 	repStats := make(map[int]FrameStats, sel.NumRepresentatives())
-	for _, f := range sel.Representatives {
-		repStats[f] = sim.SimulateFrame(f)
+	for i, f := range sel.Representatives {
+		repStats[f] = stats[i]
 	}
 	est, err := sel.Estimate(repStats)
 	if err != nil {
@@ -213,23 +216,6 @@ func Sample(tr *Trace, cfg Config, gpu GPUConfig) (*Run, error) {
 		RepresentativeStats: repStats,
 		Estimate:            est,
 	}, nil
-}
-
-// SimulateFull runs the cycle-level simulator over every frame — the
-// expensive baseline MEGsim avoids; exposed for validation studies.
-func SimulateFull(tr *Trace, gpu GPUConfig) ([]FrameStats, error) {
-	sim, err := NewSimulator(gpu, tr)
-	if err != nil {
-		return nil, err
-	}
-	return sim.SimulateAll(nil), nil
-}
-
-// SimulateFullParallel is SimulateFull across worker goroutines
-// (0 = GOMAXPROCS). Frame isolation makes the result bit-identical to
-// the sequential run; it requires GPUConfig.FlushCachesPerFrame.
-func SimulateFullParallel(tr *Trace, gpu GPUConfig, workers int) ([]FrameStats, error) {
-	return tbr.SimulateAllParallel(gpu, tr, workers, nil)
 }
 
 // GPUPresets returns named GPU configurations (mali450 = Table I,

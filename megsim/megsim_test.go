@@ -2,6 +2,7 @@ package megsim_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/megsim"
@@ -52,7 +53,7 @@ func TestSampleMatchesFullSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := megsim.SimulateFull(tr, megsim.DefaultGPUConfig())
+	full, err := megsim.SimulateFullParallelCtx(context.Background(), tr, megsim.DefaultGPUConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,12 @@ func TestFacadeWrappers(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("hcr", testScale())
 
 	// Parallel full simulation matches the sequential one exactly.
-	seq, err := megsim.SimulateFull(tr, megsim.DefaultGPUConfig())
+	sim, err := megsim.NewSimulator(megsim.DefaultGPUConfig(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := megsim.SimulateFullParallel(tr, megsim.DefaultGPUConfig(), 3)
+	seq := sim.SimulateAll(nil)
+	par, err := megsim.SimulateFullParallelCtx(context.Background(), tr, megsim.DefaultGPUConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,8 +275,12 @@ func mergeSupervision(dst, r *ResilienceResult, first bool) {
 	sort.Ints(dst.StalledWorkers)
 }
 
-// SimulateFullParallelCtx is SimulateFullParallel honoring a context:
-// cancellation stops every worker at its next frame claim.
+// SimulateFullParallelCtx runs the cycle-level simulator over every
+// frame — the expensive baseline MEGsim avoids, exposed for validation
+// studies — on tbr.SimulateFrames: across `workers` goroutines
+// (0 = GOMAXPROCS) when GPUConfig.FlushCachesPerFrame isolates frames,
+// in order on one simulator otherwise. Cancellation stops the run at
+// the next frame claim.
 func SimulateFullParallelCtx(ctx context.Context, tr *Trace, gpu GPUConfig, workers int) ([]FrameStats, error) {
-	return tbr.SimulateAllParallelCtx(ctx, gpu, tr, workers, nil)
+	return tbr.SimulateFrames(ctx, gpu, tr, nil, workers)
 }
