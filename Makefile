@@ -2,8 +2,8 @@
 # workflow runs nothing else: vet, build, every package's tests under
 # the race detector (the determinism, kill/resume, service, cluster,
 # streaming and chaos goldens included), the differential validation
-# oracle, the coverage floors, the tbr bench regression check, a
-# one-iteration bench smoke, megbench's self-tests (smoke run plus the
+# oracle, the coverage floors, the tbr/cluster/funcsim bench regression
+# checks, a one-iteration bench smoke, megbench's self-tests (smoke run plus the
 # pinned seed-1 report digests) and short fuzz smokes of every fuzz
 # target.
 
@@ -24,7 +24,9 @@ BENCHCOUNT ?= 5
 COVER_FLOOR ?= 85
 COVER_PKGS := check resilience serve fabric stream chaos
 
-.PHONY: ci vet build test race validate cover-check bench bench-tbr bench-cluster bench-funcsim bench-check bench-smoke bench-selftest fuzz-smoke
+# bench-<layer> and bench-check-<layer> are pattern rules, so they
+# stay off .PHONY (make skips implicit-rule search for phony targets).
+.PHONY: ci vet build test race validate cover-check bench bench-check bench-smoke bench-selftest fuzz-smoke
 
 ci: vet build race validate cover-check bench-check bench-smoke bench-selftest fuzz-smoke
 
@@ -58,59 +60,75 @@ cover-check:
 		awk "BEGIN{exit !($$cov >= $(COVER_FLOOR))}" || { echo "cover-check: internal/$$p coverage $$cov% below $(COVER_FLOOR)% floor"; exit 1; }; \
 	done
 
-# Benchmark baselines: run the tbr, cluster and funcsim suites, keep the raw
-# benchstat-format text, and convert to JSON with cmd/benchjson. The
-# JSON files are committed as baselines; compare a fresh run with
+# Benchmark baselines, one per layer: BENCH_<layer> runs the layer's
+# packages and arguments below at GOMAXPROCS 1 and 2 (-cpu 1,2),
+# keeps the raw benchstat-format text in results/BENCH_<layer>.txt and
+# converts it to JSON with cmd/benchjson. The JSON files are committed
+# baselines; compare a fresh run with
 #   jq -r '.raw[]' results/BENCH_tbr.json > old.txt && benchstat old.txt new.txt
-bench: bench-tbr bench-cluster bench-funcsim
-
-bench-tbr:
-	@mkdir -p results
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tbr/... > results/BENCH_tbr.txt
-	$(GO) run ./cmd/benchjson -in results/BENCH_tbr.txt -out results/BENCH_tbr.json
-
-bench-cluster:
-	@mkdir -p results
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/cluster > results/BENCH_cluster.txt
-	$(GO) run ./cmd/benchjson -in results/BENCH_cluster.txt -out results/BENCH_cluster.json
-
-# Functional characterization of the batch-cold template trace at 1 and
-# 2 workers: the layer's thread-scaling baseline. Each op profiles 1407
-# frames, so benchtime 1x per count is already a stable measurement.
-bench-funcsim:
-	@mkdir -p results
-	$(GO) test -run '^$$' -bench '^BenchmarkCharacterize$$' -benchtime 1x -count $(BENCHCOUNT) -cpu 1,2 ./internal/funcsim > results/BENCH_funcsim.txt
-	$(GO) run ./cmd/benchjson -in results/BENCH_funcsim.txt -out results/BENCH_funcsim.json
-
-# Benchmark regression gate: rerun the tbr suite and compare against
-# the committed baseline with cmd/benchjson -check. Allocation counts
-# gate tightly (they are deterministic — a reintroduced per-tile
-# allocation fails regardless of machine weather); wall clock gates
-# primarily through the tile-workers=4 / serial ratio measured within
-# the SAME run, which cancels host-speed variation (shared CI hosts
-# have been observed to swing near 2x on an identical binary), plus a
-# deliberately generous absolute backstop for gross regressions. The
-# fresh run is left in results/BENCH_tbr.new.txt for benchstat
-# comparison against `jq -r '.raw[]' results/BENCH_tbr.json`.
 #
-# -max-alloc-growth 2.0: the frame benchmarks' allocs/op is fixed
+# cluster covers the k-means kernel (internal/cluster) and frame
+# selection on the batch-cold template (BenchmarkSelect in
+# internal/core). funcsim characterizes the batch-cold template trace:
+# each op profiles 1407 frames, so benchtime 1x per count is already a
+# stable measurement.
+BENCH_LAYERS := tbr cluster funcsim
+BENCH_PKGS_tbr := ./internal/tbr/...
+BENCH_ARGS_tbr := -bench . -benchtime $(BENCHTIME)
+BENCH_PKGS_cluster := ./internal/cluster ./internal/core
+BENCH_ARGS_cluster := -bench . -benchtime $(BENCHTIME)
+BENCH_PKGS_funcsim := ./internal/funcsim
+BENCH_ARGS_funcsim := -bench '^BenchmarkCharacterize$$' -benchtime 1x
+
+# Per-layer gate flags for bench-check (see below).
+#
+# tbr -max-alloc-growth 2.0: the frame benchmarks' allocs/op is fixed
 # setup amortized over a small, benchtime-dependent b.N, so it jitters
 # ~50-80; losing arena reuse jumps it to several hundred (the
 # pre-arena path measured ~547/op at tile-workers=4), which 2x of a
 # ~50-70 baseline still catches with an order of magnitude to spare.
 #
-# -max-ratio-growth 1.5: serial and tile-workers=4 run about a minute
-# apart inside one `go test` invocation, so the machine-weather window
-# can shift between them; +-25% ratio jitter has been observed on an
-# otherwise idle host. A hot-path-only 2x regression still lands the
-# ratio near 2x baseline, well past the 1.5x limit.
-bench-check:
+# tbr ratio gate: tile-workers=4 over serial, measured within the SAME
+# run, cancels host-speed variation (shared CI hosts have been observed
+# to swing near 2x on an identical binary). benchjson judges every
+# ratio at the baseline's highest GOMAXPROCS (2 here), where losing the
+# tile parallelism shows; at 1 the two are nearly equal by construction. -max-ratio-growth 1.5: serial
+# and tile-workers=4 run about a minute apart inside one `go test`
+# invocation, so the machine-weather window can shift between them;
+# +-25% ratio jitter has been observed on an otherwise idle host. A
+# hot-path-only 2x regression still lands the ratio near 2x baseline,
+# well past the 1.5x limit.
+#
+# cluster and funcsim take benchjson's default gates: their allocs/op
+# repeat within a few per cent (1.10x + 1 allows for that) and they
+# have no same-run ratio pair, so wall clock gates on the 2.5x
+# absolute backstop alone.
+BENCH_GATE_tbr := -max-alloc-growth 2.0 -max-ratio-growth 1.5 \
+	-ratio 'BenchmarkTileParallelRaster/tile-workers=4:BenchmarkTileParallelRaster/serial'
+
+bench: $(addprefix bench-,$(BENCH_LAYERS))
+
+bench-%:
 	@mkdir -p results
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/tbr/... > results/BENCH_tbr.new.txt
-	$(GO) run ./cmd/benchjson -check -baseline results/BENCH_tbr.json \
-		-ratio 'BenchmarkTileParallelRaster/tile-workers=4:BenchmarkTileParallelRaster/serial' \
-		-max-alloc-growth 2.0 -max-ratio-growth 1.5 \
-		-in results/BENCH_tbr.new.txt
+	$(GO) test -run '^$$' $(BENCH_ARGS_$*) -benchmem -count $(BENCHCOUNT) -cpu 1,2 $(BENCH_PKGS_$*) > results/BENCH_$*.txt
+	$(GO) run ./cmd/benchjson -in results/BENCH_$*.txt -out results/BENCH_$*.json
+
+# Benchmark regression gate, one layer at a time: rerun the layer's
+# suite exactly as its baseline was recorded and compare with
+# cmd/benchjson -check, procs by procs (a baseline that lacks the fresh
+# run's GOMAXPROCS is refused). Allocation counts gate tightly (they
+# are deterministic — a reintroduced per-tile allocation fails
+# regardless of machine weather); wall clock gates through the layer's
+# same-run ratio pairs, if any, plus a deliberately generous absolute
+# backstop (-max-slowdown, default 2.5x) for gross regressions. The
+# fresh runs are left in results/BENCH_<layer>.new.txt for benchstat
+# comparison against `jq -r '.raw[]' results/BENCH_<layer>.json`.
+bench-check: $(addprefix bench-check-,$(BENCH_LAYERS))
+
+bench-check-%:
+	@mkdir -p results
+	$(GO) test -run '^$$' $(BENCH_ARGS_$*) -benchmem -count $(BENCHCOUNT) -cpu 1,2 $(BENCH_PKGS_$*) > results/BENCH_$*.new.txt
+	$(GO) run ./cmd/benchjson -check -baseline results/BENCH_$*.json $(BENCH_GATE_$*) -in results/BENCH_$*.new.txt
 
 # One iteration of every benchmark: catches bitrot in the bench suite
 # without paying for stable measurements.

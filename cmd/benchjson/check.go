@@ -22,12 +22,26 @@ import (
 //  2. ratio pairs (-ratio num:den): the ratio of two benchmarks from
 //     the SAME run (e.g. tile-workers=4 over serial) cancels host-speed
 //     variation, because both sides see the same machine weather. This
-//     is the primary wall-clock gate.
+//     is the primary wall-clock gate. It is judged at the baseline's
+//     highest GOMAXPROCS, the only one where a workers-over-serial
+//     pair measures parallelism.
 //  3. absolute ns/op: a deliberately generous factor that only catches
 //     gross regressions (an accidentally quadratic loop), not noise.
 //
 // Every comparison uses the median across -count repetitions, the same
-// robust center benchstat uses.
+// robust center benchstat uses, and compares like with like: a
+// benchmark is identified by its name AND its GOMAXPROCS (the -P
+// suffix), so a -cpu 1,2 run is checked procs by procs. A fresh run at
+// a GOMAXPROCS the baseline never recorded is refused outright — a
+// 2-core result judged against a 1-core baseline would mean nothing.
+
+// benchKey identifies one benchmark at one GOMAXPROCS.
+type benchKey struct {
+	name  string
+	procs int
+}
+
+func (k benchKey) String() string { return fmt.Sprintf("%s-%d", k.name, k.procs) }
 
 // ratioList collects repeatable -ratio num:den flag values.
 type ratioList []ratioPair
@@ -64,16 +78,17 @@ type checkLimits struct {
 }
 
 // medians reduces repeated benchmark lines (from -count N) to one
-// median value per benchmark name for the given metric. Names missing
-// the metric are absent from the result.
-func medians(f *File, metric string) map[string]float64 {
-	byName := map[string][]float64{}
+// median value per (name, GOMAXPROCS) for the given metric. Benchmarks
+// missing the metric are absent from the result.
+func medians(f *File, metric string) map[benchKey]float64 {
+	byName := map[benchKey][]float64{}
 	for _, b := range f.Benchmarks {
 		if v, ok := b.Metrics[metric]; ok {
-			byName[b.Name] = append(byName[b.Name], v)
+			k := benchKey{b.Name, b.Procs}
+			byName[k] = append(byName[k], v)
 		}
 	}
-	out := make(map[string]float64, len(byName))
+	out := make(map[benchKey]float64, len(byName))
 	for name, vs := range byName {
 		sort.Float64s(vs)
 		n := len(vs)
@@ -103,6 +118,18 @@ func runCheck(baselinePath string, fresh *File, pairs []ratioPair, lim checkLimi
 	freshNS := medians(fresh, "ns/op")
 	baseAllocs := medians(&base, "allocs/op")
 	freshAllocs := medians(fresh, "allocs/op")
+
+	baseProcs := map[int]bool{}
+	topProcs := 0
+	for k := range baseNS {
+		baseProcs[k.procs] = true
+		topProcs = max(topProcs, k.procs)
+	}
+	for _, k := range sortedKeys(freshNS) {
+		if !baseProcs[k.procs] {
+			return fmt.Errorf("baseline %s has no results at GOMAXPROCS=%d (%s): re-record it at the fresh run's -cpu list", baselinePath, k.procs, k)
+		}
+	}
 
 	var failures []string
 	fail := func(format string, args ...any) {
@@ -143,13 +170,17 @@ func runCheck(baselinePath string, fresh *File, pairs []ratioPair, lim checkLimi
 		fmt.Fprintf(w, "%-4s %s: %.0f ns/op (baseline %.0f, %.2fx of limit)\n", status, name, f, b, f/limit)
 	}
 
-	// Same-run ratio gate: host speed cancels.
+	// Same-run ratio gate: host speed cancels. A ratio is judged at the
+	// baseline's highest GOMAXPROCS, where a pair that measures
+	// parallelism (workers over serial) shows its speed-up; at lower
+	// procs the two sides converge and the ratio only carries noise.
 	for _, p := range pairs {
-		fNum, fDen := freshNS[p.num], freshNS[p.den]
-		bNum, bDen := baseNS[p.num], baseNS[p.den]
+		num, den := benchKey{p.num, topProcs}, benchKey{p.den, topProcs}
+		fNum, fDen := freshNS[num], freshNS[den]
+		bNum, bDen := baseNS[num], baseNS[den]
 		if fNum == 0 || fDen == 0 || bNum == 0 || bDen == 0 {
-			fail("ratio %s:%s: benchmark missing from fresh run or baseline", p.num, p.den)
-			fmt.Fprintf(w, "FAIL ratio %s / %s: missing data\n", p.num, p.den)
+			fail("ratio %s:%s: benchmark missing from fresh run or baseline", num, den)
+			fmt.Fprintf(w, "FAIL ratio %s / %s: missing data\n", num, den)
 			continue
 		}
 		fr, br := fNum/fDen, bNum/bDen
@@ -157,9 +188,9 @@ func runCheck(baselinePath string, fresh *File, pairs []ratioPair, lim checkLimi
 		status := "ok"
 		if fr > limit {
 			status = "FAIL"
-			fail("ratio %s / %s: %.3f exceeds limit %.3f (baseline %.3f)", p.num, p.den, fr, limit, br)
+			fail("ratio %s / %s: %.3f exceeds limit %.3f (baseline %.3f)", num, den, fr, limit, br)
 		}
-		fmt.Fprintf(w, "%-4s ratio %s / %s: %.3f (baseline %.3f, limit %.3f)\n", status, p.num, p.den, fr, br, limit)
+		fmt.Fprintf(w, "%-4s ratio %s / %s: %.3f (baseline %.3f, limit %.3f)\n", status, num, den, fr, br, limit)
 	}
 
 	if len(failures) > 0 {
@@ -168,11 +199,16 @@ func runCheck(baselinePath string, fresh *File, pairs []ratioPair, lim checkLimi
 	return nil
 }
 
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
+func sortedKeys(m map[benchKey]float64) []benchKey {
+	keys := make([]benchKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].name != keys[j].name {
+			return keys[i].name < keys[j].name
+		}
+		return keys[i].procs < keys[j].procs
+	})
 	return keys
 }

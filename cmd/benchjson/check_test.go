@@ -183,3 +183,66 @@ func TestRatioListParsing(t *testing.T) {
 		}
 	}
 }
+
+// procsFile builds a File of single-repetition ns/op results keyed by
+// (name, GOMAXPROCS).
+func procsFile(results map[benchKey]float64) *File {
+	f := &File{}
+	for k, ns := range results {
+		f.Benchmarks = append(f.Benchmarks, Result{Name: k.name, Procs: k.procs, Metrics: map[string]float64{"ns/op": ns}})
+	}
+	return f
+}
+
+// A fresh run at a GOMAXPROCS the baseline never recorded must be
+// refused, not compared against another machine shape.
+func TestCheckRefusesBaselineWithoutMatchingProcs(t *testing.T) {
+	path := writeBaseline(t, procsFile(map[benchKey]float64{{"BenchmarkA", 1}: 1000}))
+	fresh := procsFile(map[benchKey]float64{{"BenchmarkA", 1}: 1000, {"BenchmarkA", 2}: 600})
+	err := runCheck(path, fresh, nil, defaultLimits, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "no results at GOMAXPROCS=2") {
+		t.Fatalf("want refusal of a procs-1-only baseline, got %v", err)
+	}
+}
+
+// Each GOMAXPROCS is judged against its own baseline: a procs-2 result
+// that lost its parallel speed-up fails even though it would hide
+// inside a median taken across procs.
+func TestCheckComparesLikeProcs(t *testing.T) {
+	path := writeBaseline(t, procsFile(map[benchKey]float64{{"BenchmarkA", 1}: 1000, {"BenchmarkA", 2}: 500}))
+	ok := procsFile(map[benchKey]float64{{"BenchmarkA", 1}: 1000, {"BenchmarkA", 2}: 600})
+	if err := runCheck(path, ok, nil, defaultLimits, &bytes.Buffer{}); err != nil {
+		t.Fatalf("within-limit run failed: %v", err)
+	}
+	slow := procsFile(map[benchKey]float64{{"BenchmarkA", 1}: 1000, {"BenchmarkA", 2}: 1400})
+	err := runCheck(path, slow, nil, defaultLimits, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkA-2") {
+		t.Fatalf("want BenchmarkA-2 failure, got %v", err)
+	}
+}
+
+// A ratio is judged at the baseline's highest GOMAXPROCS only: the
+// procs-1 ratio may move freely, a serialized procs-2 run fails.
+func TestCheckRatioAtTopProcs(t *testing.T) {
+	base := procsFile(map[benchKey]float64{
+		{"BenchmarkA/serial", 1}: 1000, {"BenchmarkA/par", 1}: 1000,
+		{"BenchmarkA/serial", 2}: 1000, {"BenchmarkA/par", 2}: 500,
+	})
+	path := writeBaseline(t, base)
+	pairs := []ratioPair{{num: "BenchmarkA/par", den: "BenchmarkA/serial"}}
+	drift := procsFile(map[benchKey]float64{
+		{"BenchmarkA/serial", 1}: 800, {"BenchmarkA/par", 1}: 1300,
+		{"BenchmarkA/serial", 2}: 1000, {"BenchmarkA/par", 2}: 520,
+	})
+	if err := runCheck(path, drift, pairs, defaultLimits, &bytes.Buffer{}); err != nil {
+		t.Fatalf("procs-1 ratio drift tripped the ratio gate: %v", err)
+	}
+	serialized := procsFile(map[benchKey]float64{
+		{"BenchmarkA/serial", 1}: 1000, {"BenchmarkA/par", 1}: 1000,
+		{"BenchmarkA/serial", 2}: 1000, {"BenchmarkA/par", 2}: 1000,
+	})
+	err := runCheck(path, serialized, pairs, defaultLimits, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "ratio BenchmarkA/par-2") {
+		t.Fatalf("want procs-2 ratio failure, got %v", err)
+	}
+}

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/xmath/stats"
 )
 
@@ -107,22 +109,60 @@ type SearchResult struct {
 	Best Result
 	// Scores[i] is the BIC score of k = i+1, for every k explored.
 	Scores []float64
-	// StoppedAt is the largest k explored (where BIC first dropped or
-	// the cap was hit).
+	// StoppedAt is the largest k explored: where Patience consecutive
+	// k failed to improve on the best score, a perfect fit ended the
+	// search, or MaxK was reached.
 	StoppedAt int
 }
 
 // Search explores k = 1, 2, ... computing the BIC score for each
-// clustering, stops when the score drops below the previous one (or at
-// MaxK), and selects the smallest k whose score reaches
-// min + Threshold*(max-min) — exactly the procedure of Section III-F.
+// clustering until Patience consecutive k fail to improve on the best
+// score (or MaxK), and selects the smallest k whose score reaches
+// min + Threshold*(max-min) — the procedure of Section III-F. It is
+// Explore followed by Cut.
 func Search(data [][]float64, cfg SearchConfig, rng *stats.RNG) (SearchResult, error) {
+	if err := checkThreshold(cfg.Threshold); err != nil {
+		return SearchResult{}, err
+	}
+	ex, err := Explore(data, cfg, rng)
+	if err != nil {
+		return SearchResult{}, err
+	}
+	return ex.Cut(data, cfg.Threshold)
+}
+
+// Exploration is the threshold-free half of the cluster-count search:
+// for every k explored, the kept clustering's centroids, iteration count
+// and BIC score. It is a pure function of the data, the seed and the
+// search settings other than Threshold, so one exploration serves every
+// threshold. It holds no per-point data; Cut rebuilds the chosen
+// clustering's assignment from its centroids.
+type Exploration struct {
+	n     int
+	steps []explored
+}
+
+// explored is the clustering the search kept at one k. centroids is nil
+// when no run at that k had a finite WCSS (the kept clustering is then
+// the zero Result, as the search has always reported it).
+type explored struct {
+	centroids  [][]float64
+	iterations int
+	score      float64
+}
+
+// Explore runs the k loop of Search: k = 1, 2, ... up to MaxK, keeping
+// at each k the lowest-WCSS of the fresh k-means++ restarts and the warm
+// start from the previous k's clustering, and stopping after Patience
+// consecutive k that do not improve on the best BIC score, or at a
+// perfect fit. Threshold is not read.
+func Explore(data [][]float64, cfg SearchConfig, rng *stats.RNG) (*Exploration, error) {
 	n := len(data)
 	if n == 0 {
-		return SearchResult{}, fmt.Errorf("cluster: search on empty dataset")
+		return nil, fmt.Errorf("cluster: search on empty dataset")
 	}
-	if cfg.Threshold < 0 || cfg.Threshold > 1 {
-		return SearchResult{}, fmt.Errorf("cluster: threshold %v out of [0,1]", cfg.Threshold)
+	if err := checkRows(data); err != nil {
+		return nil, err
 	}
 	maxK := cfg.MaxK
 	if maxK <= 0 {
@@ -157,49 +197,68 @@ func Search(data [][]float64, cfg SearchConfig, rng *stats.RNG) (SearchResult, e
 		cIters = cfg.Obs.Counter("cluster.kmeans.iterations")
 		hIters = cfg.Obs.Histogram("cluster.kmeans.iterations_per_run")
 	)
-	record := func(res Result) Result {
-		cRuns.Inc()
-		cIters.Add(uint64(res.Iterations))
-		hIters.Observe(uint64(res.Iterations))
-		return res
-	}
 
+	ex := &Exploration{n: n}
 	var (
-		results  []Result
-		scores   []float64
 		bestSeen = math.Inf(-1)
 		dry      = 0
-		prevRes  Result
+		prev     *run // the clustering kept at k-1; nil when none
 	)
 	for k := 1; k <= maxK; k++ {
-		best := Result{}
-		bestWCSS := math.Inf(1)
 		fresh := 1
 		if k <= freshRestartMaxK {
 			fresh = restarts
 		} else if k%freshRestartEvery != 0 {
 			fresh = 0
 		}
+		// Every run's generator is split off up front, fresh restarts
+		// first and the warm start last, so the runs can go in parallel
+		// and still draw exactly what a serial loop would.
+		rngs := make([]*stats.RNG, 0, fresh+1)
 		for r := 0; r < fresh; r++ {
-			res := record(KMeans(data, k, rng.Split(), cfg.MaxIterations))
-			if res.WCSS < bestWCSS {
-				best, bestWCSS = res, res.WCSS
-			}
+			rngs = append(rngs, rng.Split())
 		}
 		if k > 1 {
-			// x-means-style warm start: refine the previous best
-			// clustering with one extra centroid. This keeps WCSS
-			// (near-)monotone in k so the BIC stop rule fires on the
-			// real optimum, not on a k-means local-minimum artifact.
-			res := record(KMeansSeeded(data, k, rng.Split(), cfg.MaxIterations, prevRes.Centroids))
-			if res.WCSS < bestWCSS {
-				best, bestWCSS = res, res.WCSS
+			rngs = append(rngs, rng.Split())
+		}
+		runs := make([]run, len(rngs))
+		_, err := pool.Claim(context.Background(), 0, len(runs), func(int) (func(int), error) {
+			return func(r int) {
+				if r < fresh {
+					runs[r] = lloyd(data, k, rngs[r], cfg.MaxIterations, nil, nil)
+					return
+				}
+				// x-means-style warm start: refine the previous best
+				// clustering with one extra centroid. This keeps WCSS
+				// (near-)monotone in k so the BIC stop rule fires on the
+				// real optimum, not on a k-means local-minimum artifact.
+				var seeds [][]float64
+				if prev != nil {
+					seeds = prev.Centroids
+				}
+				runs[r] = lloyd(data, k, rngs[r], cfg.MaxIterations, seeds, prev)
+			}, nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("cluster: k=%d: %w", k, err)
+		}
+		var best *run
+		bestWCSS := math.Inf(1)
+		for r := range runs {
+			cRuns.Inc()
+			cIters.Add(uint64(runs[r].Iterations))
+			hIters.Observe(uint64(runs[r].Iterations))
+			if runs[r].WCSS < bestWCSS {
+				best, bestWCSS = &runs[r], runs[r].WCSS
 			}
 		}
-		prevRes = best
-		score := BIC(data, best)
-		results = append(results, best)
-		scores = append(scores, score)
+		prev = best
+		step := explored{score: math.Inf(-1)}
+		if best != nil {
+			step = explored{centroids: best.Centroids, iterations: best.Iterations, score: BIC(data, best.Result)}
+		}
+		ex.steps = append(ex.steps, step)
+		score := step.score
 		if math.IsInf(score, 1) {
 			// Perfect fit: no larger k can do better.
 			break
@@ -214,8 +273,34 @@ func Search(data [][]float64, cfg SearchConfig, rng *stats.RNG) (SearchResult, e
 			}
 		}
 	}
+	return ex, nil
+}
 
-	// Selection: smallest k reaching Threshold of the score spread.
+// scores returns the BIC score of every k explored (scores()[i] is
+// k = i+1), in a fresh slice.
+func (e *Exploration) scores() []float64 {
+	scores := make([]float64, len(e.steps))
+	for i, s := range e.steps {
+		scores[i] = s.score
+	}
+	return scores
+}
+
+// Cut applies the selection rule of Section III-F to the exploration:
+// the smallest k whose score reaches min + threshold*(max-min) over the
+// explored scores. data must be the dataset that was explored; the
+// chosen clustering's Assign, Sizes and WCSS are rebuilt from its
+// centroids with one assignment pass, which is the pass k-means ended
+// on, so they are exactly what the search computed. Cut never modifies
+// the exploration, and the result shares no memory with it.
+func (e *Exploration) Cut(data [][]float64, threshold float64) (SearchResult, error) {
+	if err := checkThreshold(threshold); err != nil {
+		return SearchResult{}, err
+	}
+	if len(data) != e.n {
+		return SearchResult{}, fmt.Errorf("cluster: cut of a %d-point exploration on %d points", e.n, len(data))
+	}
+	scores := e.scores()
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, s := range scores {
 		if math.IsInf(s, 0) {
@@ -230,7 +315,7 @@ func Search(data [][]float64, cfg SearchConfig, rng *stats.RNG) (SearchResult, e
 	}
 	chosen := len(scores) - 1
 	if !math.IsInf(lo, 0) && !math.IsInf(hi, 0) && hi > lo {
-		cut := lo + cfg.Threshold*(hi-lo)
+		cut := lo + threshold*(hi-lo)
 		for i, s := range scores {
 			if s >= cut {
 				chosen = i
@@ -247,5 +332,21 @@ func Search(data [][]float64, cfg SearchConfig, rng *stats.RNG) (SearchResult, e
 			}
 		}
 	}
-	return SearchResult{Best: results[chosen], Scores: scores, StoppedAt: len(scores)}, nil
+	var best Result
+	if step := e.steps[chosen]; step.centroids != nil {
+		centroids := make([][]float64, len(step.centroids))
+		for c, v := range step.centroids {
+			centroids[c] = clone(v)
+		}
+		best = Result{K: len(centroids), Centroids: centroids, Iterations: step.iterations}
+		best.Assign, best.Sizes, best.WCSS = assignment(data, centroids)
+	}
+	return SearchResult{Best: best, Scores: scores, StoppedAt: len(scores)}, nil
+}
+
+func checkThreshold(t float64) error {
+	if t < 0 || t > 1 {
+		return fmt.Errorf("cluster: threshold %v out of [0,1]", t)
+	}
+	return nil
 }

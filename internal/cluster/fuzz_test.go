@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -47,11 +48,38 @@ func fuzzDataset(raw []byte) [][]float64 {
 	return data
 }
 
+// rawDataset decodes the same bytes as fuzzDataset without filtering:
+// NaN, ±Inf, subnormal and huge coordinates reach k-means as they are.
+func rawDataset(raw []byte) [][]float64 {
+	if len(raw) < 9 {
+		return nil
+	}
+	dim := int(raw[0]&0x03) + 1
+	dupes := int(raw[0]>>2&0x07) + 1
+	raw = raw[1:]
+	var data [][]float64
+	for len(raw) >= 8*dim && len(data) < 512 {
+		vec := make([]float64, dim)
+		for d := range vec {
+			vec[d] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*d:]))
+		}
+		raw = raw[8*dim:]
+		for i := 0; i < dupes; i++ {
+			data = append(data, vec)
+		}
+	}
+	return data
+}
+
 // FuzzSearch throws adversarial datasets — NaN/Inf bit patterns,
 // duplicate-heavy point sets, single points — at the full BIC
 // cluster-count search and checks the structural invariants every
 // clustering must satisfy. Any panic (empty cluster, NaN centroid,
-// division by zero variance) is a finding.
+// division by zero variance) is a finding. It also holds the bounded
+// k-means kernel to plain Lloyd: on the filtered and on the raw
+// (NaN/Inf-carrying) dataset, KMeansSeeded fresh and warm-started
+// runs and the whole search must equal the full-scan references of
+// reference_test.go bit for bit.
 func FuzzSearch(f *testing.F) {
 	// Single point.
 	one := []byte{0x00}
@@ -110,7 +138,30 @@ func FuzzSearch(f *testing.F) {
 				t.Fatalf("BIC score for k=%d is NaN", k+1)
 			}
 		}
+
+		for _, ds := range [][][]float64{data, rawDataset(raw)} {
+			sameSearch(t, "search vs reference", mustSearch(t, ds, cfg, seed), refSearch(ds, cfg, stats.NewRNG(seed)))
+			var prev Result
+			for k := 1; k <= min(len(ds), 6); k++ {
+				sameResult(t, fmt.Sprintf("fresh k=%d", k), KMeans(ds, k, stats.NewRNG(seed+uint64(k)), cfg.MaxIterations),
+					refKMeansSeeded(ds, k, stats.NewRNG(seed+uint64(k)), cfg.MaxIterations, nil))
+				if prev.K > 0 {
+					sameResult(t, fmt.Sprintf("warm k=%d", k), KMeansSeeded(ds, k, stats.NewRNG(seed), cfg.MaxIterations, prev.Centroids),
+						refKMeansSeeded(ds, k, stats.NewRNG(seed), cfg.MaxIterations, prev.Centroids))
+				}
+				prev = refKMeansSeeded(ds, k, stats.NewRNG(seed^0x5eed), cfg.MaxIterations, nil)
+			}
+		}
 	})
+}
+
+func mustSearch(t *testing.T, data [][]float64, cfg SearchConfig, seed uint64) SearchResult {
+	t.Helper()
+	res, err := Search(data, cfg, stats.NewRNG(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // checkClustering asserts the structural invariants of a Result.

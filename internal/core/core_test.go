@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/funcsim"
+	"repro/internal/obs"
 	"repro/internal/shader"
 	"repro/internal/tbr"
 	"repro/internal/tbr/mem"
@@ -177,6 +179,52 @@ func TestSelectDeterministic(t *testing.T) {
 	for i := range a.Representatives {
 		if a.Representatives[i] != b.Representatives[i] {
 			t.Fatal("representatives not deterministic")
+		}
+	}
+}
+
+// ExplorationKey leaves out exactly what Explore never reads: configs
+// that differ only in threshold or registry share a key, and one
+// exploration cut at each threshold is what Select returns.
+func TestExplorationKey(t *testing.T) {
+	fs, err := BuildFeatures(syntheticResult(3, 30, 3, 3), DefaultFeatureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := DefaultConfig()
+	ex, err := Explore(fs, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, th := range []float64{0.70, 0.85, 0.95} {
+		cfg := base
+		cfg.Search.Threshold = th
+		cfg.Search.Obs = obs.New()
+		if ExplorationKey(cfg) != ExplorationKey(base) {
+			t.Fatalf("T=%v: key depends on threshold or registry", th)
+		}
+		want, err := Select(fs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Cut(fs, ex, th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("T=%v: cut of a shared exploration differs from Select", th)
+		}
+	}
+	for name, mutate := range map[string]func(*Config){
+		"seed":     func(c *Config) { c.Seed++ },
+		"max-k":    func(c *Config) { c.Search.MaxK = 7 },
+		"restarts": func(c *Config) { c.Search.Restarts++ },
+		"feature":  func(c *Config) { c.Feature.IncludePrim = false },
+	} {
+		cfg := base
+		mutate(&cfg)
+		if ExplorationKey(cfg) == ExplorationKey(base) {
+			t.Errorf("key ignores %s", name)
 		}
 	}
 }

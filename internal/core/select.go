@@ -61,12 +61,48 @@ func (s *Selection) ClusterOf(frame int) int { return s.Clusters.Assign[frame] }
 
 // Select runs the MEGsim frame-selection pipeline on a feature set:
 // k-means with BIC-scored cluster-count search, then representative
-// extraction.
+// extraction. It is Explore followed by Cut at cfg.Search.Threshold.
 func Select(fs *FeatureSet, cfg Config) (*Selection, error) {
+	ex, err := Explore(fs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Cut(fs, ex, cfg.Search.Threshold)
+}
+
+// Explore runs the threshold-free half of Select: the k-means/BIC
+// exploration over k, seeded by cfg.Seed. It never reads
+// cfg.Search.Threshold, so one exploration serves every threshold over
+// the same features and ExplorationKey.
+func Explore(fs *FeatureSet, cfg Config) (*cluster.Exploration, error) {
 	if fs == nil || len(fs.Vectors) == 0 {
 		return nil, fmt.Errorf("core: empty feature set")
 	}
-	sr, err := cluster.Search(fs.Vectors, cfg.Search, stats.NewRNG(cfg.Seed))
+	ex, err := cluster.Explore(fs.Vectors, cfg.Search, stats.NewRNG(cfg.Seed))
+	if err != nil {
+		return nil, fmt.Errorf("core: cluster search: %w", err)
+	}
+	return ex, nil
+}
+
+// ExplorationKey is the part of cfg that determines Explore's result:
+// cfg with the threshold zeroed and the observability registry
+// cleared. Over the same features, configurations with equal keys
+// explore identically, so callers that memoize explorations key them
+// on it.
+func ExplorationKey(cfg Config) Config {
+	cfg.Search.Threshold = 0
+	cfg.Search.Obs = nil
+	return cfg
+}
+
+// Cut picks the clustering at threshold from an exploration of fs and
+// extracts its representatives. It never modifies ex.
+func Cut(fs *FeatureSet, ex *cluster.Exploration, threshold float64) (*Selection, error) {
+	if fs == nil || len(fs.Vectors) == 0 {
+		return nil, fmt.Errorf("core: empty feature set")
+	}
+	sr, err := ex.Cut(fs.Vectors, threshold)
 	if err != nil {
 		return nil, fmt.Errorf("core: cluster search: %w", err)
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/tbr"
@@ -42,6 +43,9 @@ func (s *Study) AblationTable(alias string) (*report.Table, []AblationRow, error
 	t := report.NewTable(fmt.Sprintf("Ablations on %s (cycles/dram error vs ground truth)", alias),
 		"variant", "frames", "cycles-err(%)", "dram-err(%)")
 	var rows []AblationRow
+	// Variants that differ only in threshold cut one shared
+	// exploration.
+	explored := map[core.Config]*cluster.Exploration{}
 	for _, v := range variants {
 		cfg := s.Opts.MEGsim
 		v.mutate(&cfg)
@@ -49,7 +53,15 @@ func (s *Study) AblationTable(alias string) (*report.Table, []AblationRow, error
 		if err != nil {
 			return nil, nil, err
 		}
-		sel, err := core.Select(fs, cfg)
+		key := core.ExplorationKey(cfg)
+		ex, ok := explored[key]
+		if !ok {
+			if ex, err = core.Explore(fs, cfg); err != nil {
+				return nil, nil, err
+			}
+			explored[key] = ex
+		}
+		sel, err := core.Cut(fs, ex, cfg.Search.Threshold)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gltrace"
 	"repro/internal/workload"
 	"repro/megsim"
@@ -238,6 +239,18 @@ func (c *CampaignRequest) resolveWorkload() resolvedWorkload {
 // GPU or methodology settings they run under.
 func (c *CampaignRequest) WorkloadKey() string {
 	return hashKey("wl", c.resolveWorkload())
+}
+
+// exploreKey content-addresses the campaign's cluster-count
+// exploration: the resolved workload and core.ExplorationKey of the
+// campaign's configuration, which leaves out the threshold (it only
+// cuts the explored scores afterwards). Campaigns that differ only in
+// threshold or GPU settings share one exploration.
+func (c *CampaignRequest) exploreKey() string {
+	return hashKey("exp", struct {
+		Workload resolvedWorkload
+		Config   core.Config
+	}{c.resolveWorkload(), core.ExplorationKey(c.MegsimConfig())})
 }
 
 // Fingerprint content-addresses the campaign's result: the resolved

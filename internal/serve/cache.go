@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/cluster"
 	"repro/internal/gltrace"
 	"repro/internal/obs"
 	"repro/internal/tbr"
 	"repro/megsim"
 )
 
-// Cache is the service's content-addressed result cache. It holds three
+// Cache is the service's content-addressed result cache. It holds four
 // layers, each keyed by a hash of everything that determines the value:
 //
 //   - traces by WorkloadKey (the generators are pure functions of the
@@ -19,6 +20,12 @@ import (
 //   - characterizations by WorkloadKey (MEGsim's cheap pass depends on
 //     the trace alone — campaigns with different GPU or clustering
 //     settings still share it);
+//   - cluster-count explorations by exploreKey (the k-means/BIC search
+//     over k depends on the characterization, the feature settings, the
+//     seed and the search settings, but not on the threshold or the GPU
+//     — campaigns that differ only in those share one search and each
+//     cuts it at its own threshold). An entry keeps only each explored
+//     k's centroids, iteration count and score;
 //   - per-representative FrameStats by (megsim.RunFingerprint, frame) —
 //     frame isolation makes a representative's statistics a pure
 //     function of (trace, result-affecting GPU config, frame), so
@@ -32,18 +39,23 @@ import (
 // cached — the next caller retries.
 //
 // Hits and misses are counted into the service registry
-// (serve.cache.{trace,char,frame}.{hit,miss}); a caller that joined an
-// in-flight build counts as a hit (it paid nothing).
+// (serve.cache.{trace,char,select,frame}.{hit,miss}); a caller that
+// joined an in-flight build counts as a hit (it paid nothing).
+//
+// Cached values are shared between campaigns and must never be
+// modified: a campaign that needs to change one copies it first.
 type Cache struct {
-	mu      sync.Mutex
-	traces  *fifoMap[*gltrace.Trace]
-	chars   *fifoMap[*megsim.Characterization]
-	frames  *fifoMap[tbr.FrameStats]
-	flights map[string]*flight
+	mu       sync.Mutex
+	traces   *fifoMap[*gltrace.Trace]
+	chars    *fifoMap[*megsim.Characterization]
+	explores *fifoMap[*cluster.Exploration]
+	frames   *fifoMap[tbr.FrameStats]
+	flights  map[string]*flight
 
-	traceHit, traceMiss *obs.Counter
-	charHit, charMiss   *obs.Counter
-	frameHit, frameMiss *obs.Counter
+	traceHit, traceMiss   *obs.Counter
+	charHit, charMiss     *obs.Counter
+	selectHit, selectMiss *obs.Counter
+	frameHit, frameMiss   *obs.Counter
 }
 
 // Default cache capacities (entries, FIFO-evicted).
@@ -54,22 +66,26 @@ const (
 
 // NewCache builds a cache recording hit/miss counters into reg.
 // maxFrames bounds the FrameStats layer (0 = DefaultMaxFrames); the
-// trace and characterization layers hold DefaultMaxWorkloads entries.
+// trace, characterization and exploration layers hold
+// DefaultMaxWorkloads entries each.
 func NewCache(reg *obs.Registry, maxFrames int) *Cache {
 	if maxFrames <= 0 {
 		maxFrames = DefaultMaxFrames
 	}
 	return &Cache{
-		traces:    newFifoMap[*gltrace.Trace](DefaultMaxWorkloads),
-		chars:     newFifoMap[*megsim.Characterization](DefaultMaxWorkloads),
-		frames:    newFifoMap[tbr.FrameStats](maxFrames),
-		flights:   map[string]*flight{},
-		traceHit:  reg.Counter("serve.cache.trace.hit"),
-		traceMiss: reg.Counter("serve.cache.trace.miss"),
-		charHit:   reg.Counter("serve.cache.char.hit"),
-		charMiss:  reg.Counter("serve.cache.char.miss"),
-		frameHit:  reg.Counter("serve.cache.frame.hit"),
-		frameMiss: reg.Counter("serve.cache.frame.miss"),
+		traces:     newFifoMap[*gltrace.Trace](DefaultMaxWorkloads),
+		chars:      newFifoMap[*megsim.Characterization](DefaultMaxWorkloads),
+		explores:   newFifoMap[*cluster.Exploration](DefaultMaxWorkloads),
+		frames:     newFifoMap[tbr.FrameStats](maxFrames),
+		flights:    map[string]*flight{},
+		traceHit:   reg.Counter("serve.cache.trace.hit"),
+		traceMiss:  reg.Counter("serve.cache.trace.miss"),
+		charHit:    reg.Counter("serve.cache.char.hit"),
+		charMiss:   reg.Counter("serve.cache.char.miss"),
+		selectHit:  reg.Counter("serve.cache.select.hit"),
+		selectMiss: reg.Counter("serve.cache.select.miss"),
+		frameHit:   reg.Counter("serve.cache.frame.hit"),
+		frameMiss:  reg.Counter("serve.cache.frame.miss"),
 	}
 }
 
@@ -83,6 +99,12 @@ func (c *Cache) Trace(ctx context.Context, key string, build func() (*gltrace.Tr
 // key, building (once, shared) on a miss.
 func (c *Cache) Characterization(ctx context.Context, key string, build func() (*megsim.Characterization, error)) (*megsim.Characterization, error) {
 	return cacheGet(ctx, c, c.chars, "char:"+key, c.charHit, c.charMiss, build)
+}
+
+// Exploration returns the cached cluster-count exploration for key,
+// building (once, shared) on a miss.
+func (c *Cache) Exploration(ctx context.Context, key string, build func() (*cluster.Exploration, error)) (*cluster.Exploration, error) {
+	return cacheGet(ctx, c, c.explores, "select:"+key, c.selectHit, c.selectMiss, build)
 }
 
 // FrameRunner wraps a frame function with the per-representative

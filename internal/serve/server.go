@@ -42,6 +42,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/megsim"
 )
@@ -294,9 +296,11 @@ func (s *Server) finishInterrupted(j *Job, msg string) {
 }
 
 // execute runs the campaign through the cached pipeline: trace and
-// characterization by workload key, selection (cheap, recomputed),
-// then the supervised sampling run with the per-representative
-// FrameStats cache wrapped around the frame runner.
+// characterization by workload key; the features rebuilt from the
+// characterization (cheap) and the cluster-count exploration by
+// exploreKey, cut at the campaign's threshold; then the supervised
+// sampling run with the per-representative FrameStats cache wrapped
+// around the frame runner.
 func (s *Server) execute(ctx context.Context, j *Job) (*CampaignReport, error) {
 	req := j.Req
 	if req.Stream != nil {
@@ -314,7 +318,17 @@ func (s *Server) execute(ctx context.Context, j *Job) (*CampaignReport, error) {
 		return nil, fmt.Errorf("characterize: %w", err)
 	}
 	cfg := req.MegsimConfig()
-	sel, err := megsim.SelectFrames(ch, cfg)
+	fs, err := core.BuildFeatures(ch, cfg.Feature)
+	if err != nil {
+		return nil, fmt.Errorf("select frames: %w", err)
+	}
+	ex, err := s.cache.Exploration(ctx, req.exploreKey(), func() (*cluster.Exploration, error) {
+		return core.Explore(fs, cfg)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("select frames: %w", err)
+	}
+	sel, err := core.Cut(fs, ex, cfg.Search.Threshold)
 	if err != nil {
 		return nil, fmt.Errorf("select frames: %w", err)
 	}

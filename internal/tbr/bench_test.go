@@ -86,9 +86,9 @@ func BenchmarkTileParallelRaster(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateAllParallelObs measures the worker-local-registry
+// BenchmarkSimulateFramesObs measures the worker-local-registry
 // merge pattern end to end at full parallelism.
-func BenchmarkSimulateAllParallelObs(b *testing.B) {
+func BenchmarkSimulateFramesObs(b *testing.B) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
