@@ -1,5 +1,5 @@
 # Developer entry points. `make ci` is the one gate, and the CI
-# workflow runs nothing else: vet, build, every package's tests under
+# workflow runs nothing else: vet (plus a gofmt check), build, every package's tests under
 # the race detector (the determinism, kill/resume, service, cluster,
 # streaming and chaos goldens included), the differential validation
 # oracle, the coverage floors, the tbr/cluster/funcsim bench regression
@@ -30,8 +30,11 @@ COVER_PKGS := check resilience serve fabric stream chaos
 
 ci: vet build race validate cover-check bench-check bench-smoke bench-selftest fuzz-smoke
 
+# gofmt -l lists every file whose formatting differs; any output fails.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

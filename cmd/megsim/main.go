@@ -174,6 +174,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		StallTimeout:   *stallTimeout,
 	}
 
+	var (
+		rep         *serve.CampaignReport
+		estimate    *megsim.FrameStats
+		sampledTime time.Duration
+	)
+	start := time.Now()
 	if *streamMode {
 		if *saveSel != "" {
 			return fmt.Errorf("-save-selection records a batch clustering; it cannot be combined with -stream")
@@ -187,50 +193,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			scfg.ReservoirCap = *reservoir
 		}
 		opts := megsim.StreamingOptions{Stream: scfg, Resilience: rcfg, EagerEvery: *eagerEvery}
-		start := time.Now()
 		srun, err := megsim.SampleStreaming(ctx, tr, opts, gpu)
 		if err != nil {
-			if *checkpoint != "" {
-				return fmt.Errorf("%w (progress checkpointed to %s; rerun with -resume)", err, *checkpoint)
-			}
-			return err
+			return resumeHint(err, *checkpoint)
 		}
-		sampledTime := time.Since(start)
-		var val *validation
-		if *validate {
-			effTol := *tolScale
-			if srun.Degraded() {
-				effTol *= 3
-			}
-			val, err = validateEstimate(ctx, tr, &srun.Estimate, gpu, effTol)
-			if err != nil {
+		sampledTime = time.Since(start)
+		rep, estimate = serve.NewStreamingCampaignReport(srun, sampledTime), &srun.Estimate
+	} else {
+		rrun, err := megsim.SampleResilient(ctx, tr, cfg, gpu, rcfg)
+		if err != nil {
+			return resumeHint(err, *checkpoint)
+		}
+		sampledTime = time.Since(start)
+		rep, estimate = serve.NewCampaignReport(rrun, sampledTime), &rrun.Estimate
+		if *saveSel != "" {
+			if err := writeSelection(*saveSel, tr.Name, rrun.Run); err != nil {
 				return err
 			}
-			val.Degraded = srun.Degraded()
-			if *valOut != "" {
-				if err := writeValidation(*valOut, tr.Name, val); err != nil {
-					return err
-				}
-			}
-		}
-		rep := serve.NewStreamingCampaignReport(srun, sampledTime)
-		return renderReport(stdout, rep, val, sampledTime, *jsonOut)
-	}
-
-	start := time.Now()
-	rrun, err := megsim.SampleResilient(ctx, tr, cfg, gpu, rcfg)
-	if err != nil {
-		if *checkpoint != "" {
-			return fmt.Errorf("%w (progress checkpointed to %s; rerun with -resume)", err, *checkpoint)
-		}
-		return err
-	}
-	run := rrun.Run
-	sampledTime := time.Since(start)
-
-	if *saveSel != "" {
-		if err := writeSelection(*saveSel, tr.Name, run); err != nil {
-			return err
 		}
 	}
 
@@ -241,24 +220,31 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// best-effort estimate. Widen the bands 3x (mirroring the
 		// degraded-mode oracle gate) and say so, rather than failing a
 		// gate the methodology no longer promises, or silently passing.
+		degraded := rep.Resilience != nil && rep.Resilience.Degraded
 		effTol := *tolScale
-		if rrun.Degraded() {
+		if degraded {
 			effTol *= 3
 		}
-		val, err = validateEstimate(ctx, tr, &run.Estimate, gpu, effTol)
+		val, err = validateEstimate(ctx, tr, estimate, gpu, effTol)
 		if err != nil {
 			return err
 		}
-		val.Degraded = rrun.Degraded()
+		val.Degraded = degraded
 		if *valOut != "" {
 			if err := writeValidation(*valOut, tr.Name, val); err != nil {
 				return err
 			}
 		}
 	}
-
-	rep := serve.NewCampaignReport(rrun, sampledTime)
 	return renderReport(stdout, rep, val, sampledTime, *jsonOut)
+}
+
+// resumeHint points a failed checkpointed run at -resume.
+func resumeHint(err error, checkpoint string) error {
+	if checkpoint != "" {
+		return fmt.Errorf("%w (progress checkpointed to %s; rerun with -resume)", err, checkpoint)
+	}
+	return err
 }
 
 // renderReport renders batch and streaming runs through the one shared

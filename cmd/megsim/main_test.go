@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/megsim"
 )
 
 // TestValidateWithinBandAcrossSeeds is the CLI half of the acceptance
@@ -110,8 +112,9 @@ type sampleSummary struct {
 	L2              uint64 `json:"estimated_l2_accesses"`
 	Tile            uint64 `json:"estimated_tile_cache_accesses"`
 	Resilience      *struct {
-		Degraded      bool  `json:"degraded"`
-		Resumed       []int `json:"resumed_frames"`
+		Degraded      bool                      `json:"degraded"`
+		Quarantined   []megsim.QuarantineRecord `json:"quarantined"`
+		Resumed       []int                     `json:"resumed_frames"`
 		Substitutions []struct {
 			Cluster    int `json:"cluster"`
 			Original   int `json:"original"`

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/megsim"
 )
 
 // TestStreamValidateWithinBand is the streaming half of the acceptance
@@ -74,6 +77,36 @@ func TestStreamFlagValidation(t *testing.T) {
 		var buf bytes.Buffer
 		if err := run(context.Background(), args, &buf); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestStreamPreQuarantineReported: frames pre-quarantined in a
+// streaming run are listed exactly as batch lists them — in the JSON
+// resilience.quarantined records and in the text DEGRADED count.
+func TestStreamPreQuarantineReported(t *testing.T) {
+	healthy := sampleJSON(t, "-stream")
+	victim := healthy.Representatives[0]
+	rep := sampleJSON(t, "-stream", "-quarantine", strconv.Itoa(victim))
+	if rep.Resilience == nil || !rep.Resilience.Degraded {
+		t.Fatalf("quarantined representative not reported as degraded: %+v", rep.Resilience)
+	}
+	want := []megsim.QuarantineRecord{{Frame: victim, Err: "pre-quarantined"}}
+	if !reflect.DeepEqual(rep.Resilience.Quarantined, want) {
+		t.Fatalf("quarantined = %+v, want %+v", rep.Resilience.Quarantined, want)
+	}
+
+	var buf bytes.Buffer
+	args := []string{"-benchmark", "hcr", "-frame-div", "40", "-stream", "-quarantine", strconv.Itoa(victim)}
+	if err := run(context.Background(), args, &buf); err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	for _, line := range []string{
+		"DEGRADED: 1 frames quarantined",
+		want[0].String(),
+	} {
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("text report missing %q:\n%s", line, buf.String())
 		}
 	}
 }

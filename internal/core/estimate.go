@@ -11,14 +11,41 @@ import (
 // representatives: each representative's statistics are scaled by its
 // cluster's size and summed (Section III-E).
 func (s *Selection) Estimate(repStats map[int]tbr.FrameStats) (tbr.FrameStats, error) {
+	return Extrapolate(s.Representatives, s.Clusters.Sizes, repStats)
+}
+
+// Extrapolate is MEGsim's estimator, shared by batch clusters and
+// streaming strata (Section III-E): plan[g] is the frame simulated for
+// group g, or -1 when the group was lost to quarantine, and sizes[g] is
+// the group's member count. Each planned frame's statistics scale by
+// its group's size and sum. When groups were lost, the partial total
+// rescales by frames/covered so the estimate still targets the whole
+// sequence: the lost groups are assumed to behave like the surviving
+// mix, which is the accuracy loss a degraded run reports.
+func Extrapolate(plan, sizes []int, repStats map[int]tbr.FrameStats) (tbr.FrameStats, error) {
+	if len(plan) != len(sizes) {
+		return tbr.FrameStats{}, fmt.Errorf("core: plan has %d groups, sizes %d", len(plan), len(sizes))
+	}
 	var total tbr.FrameStats
-	for c, rep := range s.Representatives {
-		st, ok := repStats[rep]
-		if !ok {
-			return tbr.FrameStats{}, fmt.Errorf("core: missing simulated stats for representative frame %d (cluster %d)", rep, c)
+	frames, covered := 0, 0
+	for g, f := range plan {
+		frames += sizes[g]
+		if f < 0 {
+			continue
 		}
-		scaled := st.Scale(uint64(s.Clusters.Sizes[c]))
+		st, ok := repStats[f]
+		if !ok {
+			return tbr.FrameStats{}, fmt.Errorf("core: missing simulated stats for representative frame %d (group %d)", f, g)
+		}
+		scaled := st.Scale(uint64(sizes[g]))
 		total.Add(&scaled)
+		covered += sizes[g]
+	}
+	if covered == 0 {
+		return tbr.FrameStats{}, fmt.Errorf("core: every cluster lost to quarantine; no estimate possible")
+	}
+	if covered < frames {
+		total = total.ScaleF(float64(frames) / float64(covered))
 	}
 	total.Frame = -1
 	return total, nil

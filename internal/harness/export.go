@@ -104,15 +104,5 @@ func ReadSelectionSummary(r io.Reader) (SelectionSummary, error) {
 // using a deserialized summary (the Estimate operation without the live
 // Selection).
 func EstimateFromSummary(s SelectionSummary, repStats map[int]tbr.FrameStats) (tbr.FrameStats, error) {
-	var total tbr.FrameStats
-	for c, rep := range s.Representatives {
-		st, ok := repStats[rep]
-		if !ok {
-			return tbr.FrameStats{}, fmt.Errorf("harness: missing stats for representative %d", rep)
-		}
-		scaled := st.Scale(uint64(s.ClusterSizes[c]))
-		total.Add(&scaled)
-	}
-	total.Frame = -1
-	return total, nil
+	return core.Extrapolate(s.Representatives, s.ClusterSizes, repStats)
 }

@@ -3,12 +3,14 @@
 // retry, capped exponential backoff and deterministic jitter;
 // quarantine of frames that keep failing; frame-granularity
 // checkpointing (atomic write-tmp-rename snapshots of completed frame
-// stats plus observability deltas, CRC-checksummed) with resume; a
+// stats plus observability deltas, CRC-checksummed) with resume; and a
 // wall-clock watchdog that flags stalled workers through obs
-// heartbeats; and graceful degradation of the MEGsim methodology —
-// when a quarantined frame is a cluster representative, the
-// next-closest in-cluster frame substitutes and the extrapolation
-// weights rescale, with the degradation reported, never silent.
+// heartbeats. The supervisor only quarantines frames; what a
+// quarantined representative means for the estimate is megsim's
+// supervise-then-degrade loop, which re-plans the selection
+// (core.Selection.Degrade or stream.Selection.Degrade), simulates the
+// stand-ins in a further supervised round, and extrapolates through
+// core.Degradation, reporting the degradation, never silently.
 //
 // The headline guarantee, golden-tested: kill a supervised run at any
 // frame boundary (cancellation, SIGTERM, crash after a checkpoint

@@ -27,15 +27,16 @@ type ResilienceSummary struct {
 	ResumeError   string                    `json:"resume_error,omitempty"`
 }
 
-// NewResilienceSummary extracts the supervision summary of a resilient
-// run (nil when the run carries no supervision record).
-func NewResilienceSummary(rrun *megsim.ResilientRun) *ResilienceSummary {
-	sup := rrun.Supervision
+// NewResilienceSummary extracts the supervision summary of a batch or
+// streaming run from its supervision record and degradation (nil when
+// the run carries no supervision record). Streaming strata report as
+// clusters.
+func NewResilienceSummary(sup *megsim.ResilienceResult, deg *megsim.Degradation) *ResilienceSummary {
 	if sup == nil {
 		return nil
 	}
 	sum := &ResilienceSummary{
-		Degraded:    rrun.Degraded(),
+		Degraded:    deg.Degraded(),
 		Coverage:    1.0,
 		Quarantined: sup.Quarantined,
 		Resumed:     sup.Resumed,
@@ -43,10 +44,10 @@ func NewResilienceSummary(rrun *megsim.ResilientRun) *ResilienceSummary {
 		Requeued:    sup.Requeued,
 		Stalled:     sup.StalledWorkers,
 	}
-	if d := rrun.Degradation; d != nil {
-		sum.Coverage = d.Coverage()
-		sum.Substitutions = d.Substitutions
-		sum.LostClusters = d.LostClusters
+	if deg != nil {
+		sum.Coverage = deg.Coverage()
+		sum.Substitutions = deg.Substitutions
+		sum.LostClusters = deg.Lost
 	}
 	if sup.ResumeErr != nil {
 		sum.ResumeError = sup.ResumeErr.Error()
@@ -63,38 +64,6 @@ type StreamingSummary struct {
 	Merges        int    `json:"merges"`
 	ResumedFrames int    `json:"resumed_frames,omitempty"`
 	ResumeError   string `json:"resume_error,omitempty"`
-}
-
-// NewStreamingResilienceSummary maps a streaming run's supervision and
-// degradation onto the shared summary shape (strata stand in for
-// clusters).
-func NewStreamingResilienceSummary(srun *megsim.StreamingRun) *ResilienceSummary {
-	sup := srun.Supervision
-	if sup == nil {
-		return nil
-	}
-	sum := &ResilienceSummary{
-		Degraded:    srun.Degraded(),
-		Coverage:    1.0,
-		Quarantined: sup.Quarantined,
-		Resumed:     sup.Resumed,
-		Retried:     sup.Retried,
-		Requeued:    sup.Requeued,
-		Stalled:     sup.StalledWorkers,
-	}
-	if d := srun.Degradation; d != nil {
-		if srun.Selection != nil && srun.Selection.Frames > 0 {
-			sum.Coverage = float64(d.CoveredFrames) / float64(srun.Selection.Frames)
-		}
-		for _, s := range d.Substitutions {
-			sum.Substitutions = append(sum.Substitutions, megsim.Substitution{Cluster: s.Stratum, Original: s.From, Substitute: s.To})
-		}
-		sum.LostClusters = d.LostStrata
-	}
-	if sup.ResumeErr != nil {
-		sum.ResumeError = sup.ResumeErr.Error()
-	}
-	return sum
 }
 
 // CampaignReport is the final result of a campaign — exactly the
@@ -139,7 +108,7 @@ func NewCampaignReport(rrun *megsim.ResilientRun, sampled time.Duration) *Campai
 		DRAMAccesses:    run.Estimate.DRAM.Accesses,
 		L2Accesses:      run.Estimate.L2.Accesses,
 		TileAccesses:    run.Estimate.TileCache.Accesses,
-		Resilience:      NewResilienceSummary(rrun),
+		Resilience:      NewResilienceSummary(rrun.Supervision, rrun.Degradation),
 	}
 }
 
@@ -165,7 +134,7 @@ func NewStreamingCampaignReport(srun *megsim.StreamingRun, sampled time.Duration
 		DRAMAccesses:    srun.Estimate.DRAM.Accesses,
 		L2Accesses:      srun.Estimate.L2.Accesses,
 		TileAccesses:    srun.Estimate.TileCache.Accesses,
-		Resilience:      NewStreamingResilienceSummary(srun),
+		Resilience:      NewResilienceSummary(srun.Supervision, srun.Degradation),
 		Streaming:       sum,
 	}
 }
@@ -237,7 +206,7 @@ func (r *CampaignReport) writeSupervision(w io.Writer) {
 		fmt.Fprintf(w, "  %s\n", q.String())
 	}
 	for _, s := range sum.Substitutions {
-		fmt.Fprintf(w, "  substitute: cluster %d representative %d -> %d\n", s.Cluster, s.Original, s.Substitute)
+		fmt.Fprintf(w, "  substitute: cluster %d representative %d -> %d\n", s.Group, s.Original, s.Substitute)
 	}
 	for _, c := range sum.LostClusters {
 		fmt.Fprintf(w, "  lost: cluster %d entirely quarantined, weights rescaled\n", c)

@@ -29,7 +29,7 @@ func degradedReport() *CampaignReport {
 				{Frame: 9, Attempts: 3, Err: "injected fault"},
 			},
 			Substitutions: []megsim.Substitution{
-				{Cluster: 1, Original: 9, Substitute: 10},
+				{Group: 1, Original: 9, Substitute: 10},
 			},
 			LostClusters: []int{3},
 			Resumed:      []int{2},
@@ -100,7 +100,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 }
 
 func TestNewResilienceSummaryNil(t *testing.T) {
-	if got := NewResilienceSummary(&megsim.ResilientRun{}); got != nil {
+	if got := NewResilienceSummary(nil, nil); got != nil {
 		t.Fatalf("summary without supervision: %+v, want nil", got)
 	}
 }

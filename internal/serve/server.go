@@ -23,9 +23,11 @@
 //     campaign after restart resumes from its checkpoint to
 //     byte-identical results.
 //
-// Jobs execute under megsim.SampleResilientPrepared, so per-frame
-// retry, quarantine, checkpointing and graceful degradation all apply
-// per job exactly as they do in the CLI.
+// Batch jobs execute under megsim.SampleResilientPrepared and
+// streaming jobs under megsim.SampleStreaming, on the same frame
+// function and supervisor configuration, so per-frame retry,
+// quarantine, checkpointing and graceful degradation all apply per job
+// exactly as they do in the CLI.
 package serve
 
 import (
@@ -336,33 +338,39 @@ func (s *Server) execute(ctx context.Context, j *Job) (*CampaignReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	fn, rcfg := s.supervision(j, tr, gpu)
+	start := time.Now()
+	s.executed.Inc()
+	rrun, err := megsim.SampleResilientPrepared(ctx, tr, ch, sel, gpu, rcfg, fn)
+	// Fold whatever the job recorded — even a cancelled run's completed
+	// frames — into the service registry for /metrics.
+	s.reg.Merge(rcfg.Obs)
+	if err != nil {
+		return nil, err
+	}
+	return NewCampaignReport(rrun, time.Since(start)), nil
+}
+
+// supervision builds what a job's supervisor runs on, batch or
+// streaming: the frame function (the dispatcher's in coordinator mode,
+// else the in-process simulator) behind the per-representative
+// FrameStats cache, and the resilience configuration, which records
+// into a fresh per-job registry and checkpoints under CheckpointDir.
+func (s *Server) supervision(j *Job, tr *megsim.Trace, gpu megsim.GPUConfig) (megsim.ResilientFrameFunc, megsim.ResilienceConfig) {
 	fp := megsim.RunFingerprint(tr, gpu)
 	inner := megsim.FrameRunner(tr, gpu)
 	if s.cfg.Dispatcher != nil {
-		inner = s.cfg.Dispatcher.FrameRunner(fp, req)
+		inner = s.cfg.Dispatcher.FrameRunner(fp, j.Req)
 	}
-	fn := s.cache.FrameRunner(fp, inner)
-
-	jobReg := obs.NewWith(obs.Options{TraceCapacity: -1})
-	rcfg := req.ResilienceConfig()
-	rcfg.Obs = jobReg
+	rcfg := j.Req.ResilienceConfig()
+	rcfg.Obs = obs.NewWith(obs.Options{TraceCapacity: -1})
 	rcfg.Fingerprint = fp
 	if s.cfg.CheckpointDir != "" {
 		rcfg.CheckpointPath = filepath.Join(s.cfg.CheckpointDir, j.Fingerprint+".ckpt")
 		rcfg.Resume = true // a missing checkpoint is a clean fresh start
 	}
 	rcfg.Log = s.cfg.Log
-
-	start := time.Now()
-	s.executed.Inc()
-	rrun, err := megsim.SampleResilientPrepared(ctx, tr, ch, sel, gpu, rcfg, fn)
-	// Fold whatever the job recorded — even a cancelled run's completed
-	// frames — into the service registry for /metrics.
-	s.reg.Merge(jobReg)
-	if err != nil {
-		return nil, err
-	}
-	return NewCampaignReport(rrun, time.Since(start)), nil
+	return s.cache.FrameRunner(fp, inner), rcfg
 }
 
 // SubmitResponse answers POST /api/v1/campaigns.

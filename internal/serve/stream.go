@@ -8,14 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/funcsim"
 	"repro/internal/gltrace"
-	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/megsim"
 )
@@ -556,23 +554,7 @@ func (s *Server) executeStreaming(ctx context.Context, j *Job) (*CampaignReport,
 	if err != nil {
 		return nil, err
 	}
-	fp := megsim.RunFingerprint(tr, gpu)
-	inner := megsim.FrameRunner(tr, gpu)
-	if s.cfg.Dispatcher != nil {
-		inner = s.cfg.Dispatcher.FrameRunner(fp, req)
-	}
-	fn := s.cache.FrameRunner(fp, inner)
-
-	jobReg := obs.NewWith(obs.Options{TraceCapacity: -1})
-	rcfg := req.ResilienceConfig()
-	rcfg.Obs = jobReg
-	rcfg.Fingerprint = fp
-	if s.cfg.CheckpointDir != "" {
-		rcfg.CheckpointPath = filepath.Join(s.cfg.CheckpointDir, j.Fingerprint+".ckpt")
-		rcfg.Resume = true
-	}
-	rcfg.Log = s.cfg.Log
-
+	fn, rcfg := s.supervision(j, tr, gpu)
 	opts := megsim.StreamingOptions{
 		Stream:     req.StreamConfig(),
 		Resilience: rcfg,
@@ -584,7 +566,7 @@ func (s *Server) executeStreaming(ctx context.Context, j *Job) (*CampaignReport,
 	start := time.Now()
 	s.executed.Inc()
 	srun, err := megsim.SampleStreaming(ctx, tr, opts, gpu)
-	s.reg.Merge(jobReg)
+	s.reg.Merge(rcfg.Obs)
 	if err != nil {
 		return nil, err
 	}

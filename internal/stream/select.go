@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/tbr"
 )
 
@@ -104,15 +105,25 @@ func (s *Selection) ReductionFactor() float64 {
 	return float64(s.Frames) / float64(len(s.Strata))
 }
 
-// Plan maps each stratum to the frame that should stand for it given a
-// quarantine set: the representative when healthy, else the first
-// non-quarantined alternate, else -1 (stratum lost). The ladder order
-// is the centroid-distance ranking, mirroring the batch degradation's
-// next-closest-in-cluster substitution.
-func (s *Selection) Plan(quarantined map[int]bool) []int {
+// Estimate extrapolates full-stream statistics from simulated
+// representatives, exactly as the batch Estimate does: each stratum's
+// stats scale by its member count and sum (Section III-E).
+func (s *Selection) Estimate(repStats map[int]tbr.FrameStats) (tbr.FrameStats, error) {
+	return s.Degrade(nil).Estimate(repStats)
+}
+
+// Degrade plans the strata around a quarantine set and records the
+// degradation: each stratum keeps its representative when healthy,
+// else the first non-quarantined alternate stands in, else the stratum
+// is lost. The ladder is the centroid-distance ranking, the streaming
+// analogue of the batch next-closest-in-cluster substitution, and the
+// record's Estimate rescales lost strata exactly as lost clusters.
+func (s *Selection) Degrade(quarantined map[int]bool) *core.Degradation {
+	reps := make([]int, len(s.Strata))
+	sizes := make([]int, len(s.Strata))
 	plan := make([]int, len(s.Strata))
 	for i, st := range s.Strata {
-		plan[i] = -1
+		reps[i], sizes[i], plan[i] = st.Representative, st.Count, -1
 		if !quarantined[st.Representative] {
 			plan[i] = st.Representative
 			continue
@@ -124,83 +135,5 @@ func (s *Selection) Plan(quarantined map[int]bool) []int {
 			}
 		}
 	}
-	return plan
-}
-
-// Degradation reports how a streaming estimate deviated from the
-// healthy plan: substituted representatives and lost strata.
-type Degradation struct {
-	// Substitutions lists strata whose representative was replaced by
-	// an alternate, in stratum order.
-	Substitutions []StreamSubstitution `json:"substitutions,omitempty"`
-	// LostStrata lists strata (indices into Selection.Strata) whose
-	// whole reservoir was quarantined; their weight was rescaled onto
-	// the surviving strata.
-	LostStrata []int `json:"lostStrata,omitempty"`
-	// CoveredFrames is the member count of the surviving strata.
-	CoveredFrames int `json:"coveredFrames"`
-}
-
-// StreamSubstitution records one representative substitution.
-type StreamSubstitution struct {
-	Stratum int `json:"stratum"`
-	From    int `json:"from"`
-	To      int `json:"to"`
-}
-
-// Degraded reports whether any substitution or loss happened.
-func (d *Degradation) Degraded() bool {
-	return d != nil && (len(d.Substitutions) > 0 || len(d.LostStrata) > 0)
-}
-
-// Estimate extrapolates full-stream statistics from simulated
-// representatives, exactly as the batch Estimate does: each stratum's
-// stats scale by its member count and sum (Section III-E).
-func (s *Selection) Estimate(repStats map[int]tbr.FrameStats) (tbr.FrameStats, error) {
-	est, deg, err := s.EstimateWith(s.Plan(nil), repStats)
-	if err != nil {
-		return tbr.FrameStats{}, err
-	}
-	if deg.Degraded() {
-		return tbr.FrameStats{}, fmt.Errorf("stream: healthy estimate degraded (internal error)")
-	}
-	return est, nil
-}
-
-// EstimateWith extrapolates from an explicit per-stratum plan (see
-// Plan): substituted frames stand in with the stratum's full weight,
-// and lost strata rescale the surviving estimate by
-// frames/coveredFrames — the same weight-rescale rule the batch
-// degradation applies to lost clusters.
-func (s *Selection) EstimateWith(plan []int, repStats map[int]tbr.FrameStats) (tbr.FrameStats, *Degradation, error) {
-	if len(plan) != len(s.Strata) {
-		return tbr.FrameStats{}, nil, fmt.Errorf("stream: plan has %d entries for %d strata", len(plan), len(s.Strata))
-	}
-	deg := &Degradation{}
-	var total tbr.FrameStats
-	for i, st := range s.Strata {
-		f := plan[i]
-		if f < 0 {
-			deg.LostStrata = append(deg.LostStrata, i)
-			continue
-		}
-		stat, ok := repStats[f]
-		if !ok {
-			return tbr.FrameStats{}, nil, fmt.Errorf("stream: missing simulated stats for frame %d (stratum %d)", f, i)
-		}
-		if f != st.Representative {
-			deg.Substitutions = append(deg.Substitutions, StreamSubstitution{Stratum: i, From: st.Representative, To: f})
-		}
-		deg.CoveredFrames += st.Count
-		scaled := stat.Scale(uint64(st.Count))
-		total.Add(&scaled)
-	}
-	if deg.CoveredFrames == 0 {
-		return tbr.FrameStats{}, deg, fmt.Errorf("stream: every stratum lost, nothing to estimate from")
-	}
-	if deg.CoveredFrames < s.Frames {
-		total = total.ScaleF(float64(s.Frames) / float64(deg.CoveredFrames))
-	}
-	total.Frame = -1
-	return total, deg, nil
+	return core.Degrade(reps, plan, sizes, nil)
 }

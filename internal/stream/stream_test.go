@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/funcsim"
 	"repro/internal/tbr"
+	"repro/internal/tbr/mem"
 	"repro/internal/workload"
 )
 
@@ -385,10 +389,10 @@ func TestAssignmentsConsistent(t *testing.T) {
 	}
 }
 
-// TestPlanAndEstimateDegradation: the substitution ladder and the
-// lost-stratum weight rescale mirror the batch degradation rules.
-func TestPlanAndEstimateDegradation(t *testing.T) {
-	sel := &Selection{
+// ladderSelection is a hand-built two-stratum selection: stratum 0 has
+// a substitution ladder (2, then 5, then 7), stratum 1 has none.
+func ladderSelection() *Selection {
+	return &Selection{
 		Workload: "x",
 		Frames:   10,
 		Strata: []Stratum{
@@ -396,6 +400,12 @@ func TestPlanAndEstimateDegradation(t *testing.T) {
 			{Label: 1, Count: 4, Representative: 3},
 		},
 	}
+}
+
+// TestPlanAndEstimateDegradation: the substitution ladder and the
+// lost-stratum weight rescale mirror the batch degradation rules.
+func TestPlanAndEstimateDegradation(t *testing.T) {
+	sel := ladderSelection()
 	stats := map[int]tbr.FrameStats{
 		2: {Cycles: 100},
 		3: {Cycles: 50},
@@ -414,36 +424,159 @@ func TestPlanAndEstimateDegradation(t *testing.T) {
 	// Representative 2 quarantined: alternate 5 stands in with full
 	// weight (6*110 + 4*50 = 860) and the substitution is reported.
 	q := map[int]bool{2: true}
-	est, deg, err := sel.EstimateWith(sel.Plan(q), stats)
+	deg := sel.Degrade(q)
+	est, err = deg.Estimate(stats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.Cycles != 860 {
 		t.Fatalf("substituted estimate %d cycles, want 860", est.Cycles)
 	}
-	if !deg.Degraded() || len(deg.Substitutions) != 1 || deg.Substitutions[0] != (StreamSubstitution{Stratum: 0, From: 2, To: 5}) {
+	if !deg.Degraded() || len(deg.Substitutions) != 1 || deg.Substitutions[0] != (core.Substitution{Group: 0, Original: 2, Substitute: 5}) {
 		t.Fatalf("degradation %+v, want one 2->5 substitution", deg)
 	}
 
 	// Whole first reservoir quarantined: stratum lost, surviving 4-frame
 	// stratum rescales to the full 10 frames (50*4 * 10/4 = 500).
 	q = map[int]bool{2: true, 5: true, 7: true}
-	est, deg, err = sel.EstimateWith(sel.Plan(q), stats)
+	deg = sel.Degrade(q)
+	est, err = deg.Estimate(stats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.Cycles != 500 {
 		t.Fatalf("lost-stratum estimate %d cycles, want 500", est.Cycles)
 	}
-	if len(deg.LostStrata) != 1 || deg.LostStrata[0] != 0 || deg.CoveredFrames != 4 {
+	if len(deg.Lost) != 1 || deg.Lost[0] != 0 || deg.CoveredFrames != 4 {
 		t.Fatalf("degradation %+v, want stratum 0 lost with 4 covered frames", deg)
 	}
 
 	// Everything quarantined: an explicit error, never a zero estimate.
 	q = map[int]bool{2: true, 5: true, 7: true, 3: true}
-	if _, _, err := sel.EstimateWith(sel.Plan(q), stats); err == nil {
+	if _, err := sel.Degrade(q).Estimate(stats); err == nil {
 		t.Fatal("all-lost estimate accepted")
 	}
+}
+
+// TestPlanMatchesReference: over random quarantine sets on the ladder
+// selection and on a real streaming selection, the plan, the shared
+// degradation record and its estimate equal the pre-unification
+// Plan/EstimateWith reference bit for bit.
+func TestPlanMatchesReference(t *testing.T) {
+	d := seedResult(t, 1)
+	in := newTestIngestor(d, DefaultConfig())
+	if err := in.AddChunk(d.fr.Profiles); err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := in.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for name, sel := range map[string]*Selection{"ladder": ladderSelection(), "seed1": seeded} {
+		var pool []int // every frame a plan can pick
+		for _, st := range sel.Strata {
+			pool = append(pool, st.Representative)
+			pool = append(pool, st.Alternates...)
+		}
+		stats := map[int]tbr.FrameStats{}
+		for _, f := range pool {
+			stats[f] = tbr.FrameStats{Frame: f, Cycles: rng.Uint64N(1 << 30), FragmentsShaded: rng.Uint64N(1 << 30),
+				DRAM: mem.DRAMStats{Accesses: rng.Uint64N(1 << 30)}, L2: mem.CacheStats{Accesses: rng.Uint64N(1 << 30)}}
+		}
+		subs, losses := 0, 0
+		for trial := 0; trial < 300; trial++ {
+			p := rng.Float64()
+			q := map[int]bool{}
+			for _, f := range pool {
+				if rng.Float64() < p {
+					q[f] = true
+				}
+			}
+			label := fmt.Sprintf("%s/trial %d", name, trial)
+			deg := sel.Degrade(q)
+			plan := deg.Plan
+			if want := refPlan(sel, q); !reflect.DeepEqual(plan, want) {
+				t.Fatalf("%s: plan %v, reference %v", label, plan, want)
+			}
+			est, err := deg.Estimate(stats)
+			want, wantDeg, wantErr := refEstimateWith(sel, plan, stats)
+			if (err != nil) != (wantErr != nil) || est != want {
+				t.Fatalf("%s: estimate %+v (%v), reference %+v (%v)", label, est, err, want, wantErr)
+			}
+			var wantSubs []core.Substitution
+			for _, s := range wantDeg.subs {
+				wantSubs = append(wantSubs, core.Substitution{Group: s[0], Original: s[1], Substitute: s[2]})
+			}
+			if !reflect.DeepEqual(deg.Substitutions, wantSubs) || !reflect.DeepEqual(deg.Lost, wantDeg.lost) ||
+				deg.CoveredFrames != wantDeg.covered || deg.Frames != sel.Frames {
+				t.Fatalf("%s: degradation %+v, reference %+v", label, deg, wantDeg)
+			}
+			subs += len(deg.Substitutions)
+			losses += len(deg.Lost)
+		}
+		if subs == 0 || losses == 0 {
+			t.Fatalf("%s: the quarantine sets gave %d substitutions and %d losses; both must occur", name, subs, losses)
+		}
+	}
+}
+
+// refPlan and refEstimateWith are the pre-unification streaming
+// Selection.Plan and Selection.EstimateWith bodies, kept as the
+// reference the shared degradation rules are held to. A substitution is
+// (stratum, from, to).
+func refPlan(s *Selection, quarantined map[int]bool) []int {
+	plan := make([]int, len(s.Strata))
+	for i, st := range s.Strata {
+		plan[i] = -1
+		if !quarantined[st.Representative] {
+			plan[i] = st.Representative
+			continue
+		}
+		for _, alt := range st.Alternates {
+			if !quarantined[alt] {
+				plan[i] = alt
+				break
+			}
+		}
+	}
+	return plan
+}
+
+type refDegradation struct {
+	subs    [][3]int
+	lost    []int
+	covered int
+}
+
+func refEstimateWith(s *Selection, plan []int, repStats map[int]tbr.FrameStats) (tbr.FrameStats, *refDegradation, error) {
+	deg := &refDegradation{}
+	var total tbr.FrameStats
+	for i, st := range s.Strata {
+		f := plan[i]
+		if f < 0 {
+			deg.lost = append(deg.lost, i)
+			continue
+		}
+		stat, ok := repStats[f]
+		if !ok {
+			return tbr.FrameStats{}, nil, fmt.Errorf("missing stats for frame %d", f)
+		}
+		if f != st.Representative {
+			deg.subs = append(deg.subs, [3]int{i, st.Representative, f})
+		}
+		deg.covered += st.Count
+		scaled := stat.Scale(uint64(st.Count))
+		total.Add(&scaled)
+	}
+	if deg.covered == 0 {
+		return tbr.FrameStats{}, deg, fmt.Errorf("every stratum lost")
+	}
+	if deg.covered < s.Frames {
+		total = total.ScaleF(float64(s.Frames) / float64(deg.covered))
+	}
+	total.Frame = -1
+	return total, deg, nil
 }
 
 // TestShapeMismatchRejected: profiles with the wrong shader-count shape

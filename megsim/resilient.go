@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/tbr"
@@ -25,10 +26,12 @@ type (
 	ResilienceResult = resilience.Result
 	// QuarantineRecord describes one frame the supervisor gave up on.
 	QuarantineRecord = resilience.QuarantineRecord
-	// DegradedSelection is a selection adjusted for quarantined frames.
-	DegradedSelection = resilience.DegradedSelection
+	// Degradation records how a campaign's plan deviates from its
+	// healthy representatives (substitutions, lost groups, coverage) and
+	// extrapolates from that plan.
+	Degradation = core.Degradation
 	// Substitution records one representative replaced by a stand-in.
-	Substitution = resilience.Substitution
+	Substitution = core.Substitution
 	// ResilientFrameFunc simulates one frame for the supervisor.
 	ResilientFrameFunc = resilience.FrameFunc
 )
@@ -44,25 +47,23 @@ func Supervise(ctx context.Context, frames []int, fn ResilientFrameFunc, cfg Res
 
 // ResilientRun is a sampling run executed under the run supervisor. On
 // a healthy run it is exactly a Run; when frames were quarantined it
-// additionally carries the supervision record and the degraded
-// selection the estimate was computed from — degradation is always
-// reported, never silent.
+// additionally carries the supervision record and the degradation the
+// estimate was computed from — degradation is always reported, never
+// silent.
 type ResilientRun struct {
 	*Run
 	// Supervision aggregates the supervisor outcomes (one per
 	// degradation round): quarantines, retries, resumed frames, stalls.
 	Supervision *ResilienceResult
 	// Degradation is non-nil when representatives were substituted or
-	// clusters lost; the Estimate then comes from the degraded
-	// selection with rescaled weights.
-	Degradation *DegradedSelection
+	// clusters lost; the Estimate then comes from the degraded plan
+	// with rescaled weights.
+	Degradation *Degradation
 }
 
 // Degraded reports whether the estimate was computed from a degraded
-// selection.
-func (r *ResilientRun) Degraded() bool {
-	return r.Degradation != nil && r.Degradation.Degraded()
-}
+// plan.
+func (r *ResilientRun) Degraded() bool { return r.Degradation.Degraded() }
 
 // RunFingerprint identifies a (workload, GPU configuration) pair for
 // checkpoint compatibility: resuming is only allowed when the trace and
@@ -157,82 +158,118 @@ func SampleResilientPrepared(ctx context.Context, tr *Trace, ch *Characterizatio
 		rcfg.Obs = gpu.Obs
 	}
 
-	quarantined := map[int]bool{}
-	for _, f := range rcfg.Quarantine {
-		quarantined[f] = true
+	d := newDegrader(rcfg, fn)
+	deg, err := d.settle(ctx, sel, rcfg)
+	if err != nil {
+		return &ResilientRun{Run: &Run{Trace: tr, Characterization: ch, Selection: sel}, Supervision: d.sup}, err
 	}
-	sup := &ResilienceResult{CheckpointPath: rcfg.CheckpointPath}
-	for f := range quarantined {
-		// Mirror the supervisor's record for frames the caller excluded
-		// up front, so the quarantine is visible in one place.
-		sup.Quarantined = append(sup.Quarantined, QuarantineRecord{Frame: f, Err: "pre-quarantined"})
-	}
-	sort.Slice(sup.Quarantined, func(i, j int) bool { return sup.Quarantined[i].Frame < sup.Quarantined[j].Frame })
-
-	// Supervise-then-degrade fixed point: simulate the active
-	// representatives; every newly quarantined frame re-degrades the
-	// selection, whose substitutes are simulated in the next round.
-	// Each round resumes the same checkpoint, so one file accumulates
-	// the whole campaign. Terminates because each round either
-	// quarantines a new frame (finitely many) or stops.
-	repStats := map[int]FrameStats{}
-	deg := resilience.Degrade(sel, quarantined)
-	for round := 0; ; round++ {
-		var todo []int
-		for _, f := range deg.ActiveRepresentatives() {
-			if _, done := repStats[f]; !done {
-				todo = append(todo, f)
-			}
-		}
-		if len(todo) == 0 {
-			break
-		}
-		roundCfg := rcfg
-		roundCfg.Quarantine = nil // pre-quarantine handled via Degrade
-		if round > 0 {
-			roundCfg.Resume = true // later rounds extend the round-0 checkpoint
-		}
-		r, err := resilience.Run(ctx, todo, fn, roundCfg)
-		if r != nil {
-			mergeSupervision(sup, r, round == 0)
-			for f, st := range r.Stats {
-				repStats[f] = st
-			}
-		}
-		if err != nil {
-			return &ResilientRun{Run: &Run{Trace: tr, Characterization: ch, Selection: sel}, Supervision: sup}, err
-		}
-		fresh := false
-		for _, q := range r.Quarantined {
-			if !quarantined[q.Frame] {
-				quarantined[q.Frame] = true
-				fresh = true
-			}
-		}
-		if !fresh {
-			break
-		}
-		deg = resilience.Degrade(sel, quarantined)
-	}
-
 	run := &Run{
 		Trace:               tr,
 		Characterization:    ch,
 		Selection:           sel,
-		RepresentativeStats: repStats,
+		RepresentativeStats: d.stats,
 	}
-	out := &ResilientRun{Run: run, Supervision: sup}
-	var err error
+	out := &ResilientRun{Run: run, Supervision: d.sup}
 	if deg.Degraded() {
 		out.Degradation = deg
-		run.Estimate, err = deg.Estimate(repStats)
-	} else {
-		run.Estimate, err = sel.Estimate(repStats)
 	}
-	if err != nil {
+	if run.Estimate, err = deg.Estimate(d.stats); err != nil {
 		return out, fmt.Errorf("megsim: estimation: %w", err)
 	}
 	return out, nil
+}
+
+// degradable is a selection the degrade loop can re-plan around
+// quarantined frames: a batch Selection (clusters) or a StreamSelection
+// (strata). Degrade's Plan maps each group to the frame standing for
+// it (-1 = lost).
+type degradable interface {
+	Degrade(quarantined map[int]bool) *Degradation
+}
+
+// degrader is the supervise-then-degrade state a campaign carries
+// through its supervisor rounds: the quarantine set that drives the
+// plan, the statistics of every simulated frame, and the aggregated
+// supervision record.
+type degrader struct {
+	fn          ResilientFrameFunc
+	quarantined map[int]bool
+	stats       map[int]FrameStats
+	sup         *ResilienceResult
+}
+
+// newDegrader starts a campaign's degrade state. Frames the caller
+// excluded up front are recorded as pre-quarantined, so the quarantine
+// is visible in one place in batch and streaming campaigns alike.
+func newDegrader(rcfg ResilienceConfig, fn ResilientFrameFunc) *degrader {
+	d := &degrader{
+		fn:          fn,
+		quarantined: map[int]bool{},
+		stats:       map[int]FrameStats{},
+		sup:         &ResilienceResult{CheckpointPath: rcfg.CheckpointPath},
+	}
+	for _, f := range rcfg.Quarantine {
+		if !d.quarantined[f] {
+			d.quarantined[f] = true
+			d.sup.Quarantined = append(d.sup.Quarantined, QuarantineRecord{Frame: f, Err: "pre-quarantined"})
+		}
+	}
+	sort.Slice(d.sup.Quarantined, func(i, j int) bool { return d.sup.Quarantined[i].Frame < d.sup.Quarantined[j].Frame })
+	return d
+}
+
+// round supervises one pass over todo and folds its statistics and
+// quarantines into the campaign state. The plan already routes around
+// pre-quarantined frames, so the round's own Quarantine is cleared.
+func (d *degrader) round(ctx context.Context, todo []int, cfg ResilienceConfig) (*ResilienceResult, error) {
+	cfg.Quarantine = nil
+	r, err := resilience.Run(ctx, todo, d.fn, cfg)
+	if r != nil {
+		for f, st := range r.Stats {
+			d.stats[f] = st
+		}
+		for _, q := range r.Quarantined {
+			d.quarantined[q.Frame] = true
+		}
+	}
+	return r, err
+}
+
+// settle is the supervise-then-degrade fixed point: simulate the plan;
+// every fresh quarantine re-plans (a substitute, or a lost group), and
+// the new frames run in the next round. Rounds after the first resume
+// cfg's checkpoint, so one file accumulates the whole campaign. Frames
+// simulated before settle (streaming's eager rounds) are requested
+// again when a checkpoint holds their records, so the supervisor adopts
+// them and merges their observability exactly once; without a
+// checkpoint they are skipped. Terminates because each round either
+// quarantines a new frame (finitely many) or requests nothing new.
+func (d *degrader) settle(ctx context.Context, sel degradable, cfg ResilienceConfig) (*Degradation, error) {
+	requested := map[int]bool{}
+	for round := 0; ; round++ {
+		deg := sel.Degrade(d.quarantined)
+		var todo []int
+		for _, f := range deg.Plan {
+			if _, done := d.stats[f]; f < 0 || requested[f] || (done && cfg.CheckpointPath == "") {
+				continue
+			}
+			requested[f] = true
+			todo = append(todo, f)
+		}
+		if len(todo) == 0 {
+			return deg, nil
+		}
+		if round > 0 {
+			cfg.Resume = true
+		}
+		r, err := d.round(ctx, todo, cfg)
+		if r != nil {
+			mergeSupervision(d.sup, r, round == 0)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // mergeSupervision folds one supervisor round into the aggregate.

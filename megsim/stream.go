@@ -20,9 +20,6 @@ type (
 	StreamSelection = stream.Selection
 	// StreamStratum is one finalized stratum.
 	StreamStratum = stream.Stratum
-	// StreamDegradation reports substituted representatives and lost
-	// strata in a streaming estimate.
-	StreamDegradation = stream.Degradation
 	// StreamIngestor is the online stratifier itself, for callers that
 	// feed frames from their own source (the campaign service's
 	// chunked-upload sessions).
@@ -105,7 +102,7 @@ type StreamingRun struct {
 	Supervision *ResilienceResult
 	// Degradation is non-nil when representatives were substituted or
 	// strata lost; never silent.
-	Degradation *StreamDegradation
+	Degradation *Degradation
 	// ResumedFrames counts ingest work skipped by restoring a strata
 	// snapshot (frames NOT re-characterized on resume).
 	ResumedFrames int
@@ -170,7 +167,8 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 		numFrames = opts.MaxFrames
 	}
 
-	run := &StreamingRun{Trace: tr, Supervision: &ResilienceResult{CheckpointPath: rcfg.CheckpointPath}}
+	d := newDegrader(rcfg, runner)
+	run := &StreamingRun{Trace: tr, Supervision: d.sup}
 
 	// Resume: restore the strata snapshot from the checkpoint and skip
 	// the frames it already ingested. Failure of any kind falls back to
@@ -242,38 +240,22 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 		return run, err
 	}
 
-	repStats := map[int]FrameStats{}
-	quarantined := map[int]bool{}
-	for _, f := range rcfg.Quarantine {
-		quarantined[f] = true
-	}
-
-	// superviseRound runs one phase-2 supervisor pass over todo frames.
-	// The current strata snapshot rides in Config.StreamState so every
-	// per-frame checkpoint rewrite keeps phase 1 resumable.
-	superviseRound := func(todo []int, parent *ObsRegistry) (*ResilienceResult, error) {
-		roundCfg := rcfg
-		roundCfg.Quarantine = nil
-		roundCfg.Resume = hasCk
-		roundCfg.Obs = parent
+	// phase2Config is the supervisor configuration of the phase-2
+	// rounds: the current strata snapshot rides in StreamState so every
+	// per-frame checkpoint rewrite keeps phase 1 resumable, and with a
+	// checkpoint every round resumes it (the ingest wrote it).
+	phase2Config := func(parent *ObsRegistry) (ResilienceConfig, error) {
+		cfg := rcfg
+		cfg.Resume = hasCk
+		cfg.Obs = parent
 		if hasCk {
 			snap, serr := ing.Snapshot()
 			if serr != nil {
-				return nil, fmt.Errorf("megsim: strata snapshot: %w", serr)
+				return cfg, fmt.Errorf("megsim: strata snapshot: %w", serr)
 			}
-			roundCfg.StreamState = snap
+			cfg.StreamState = snap
 		}
-		r, rerr := resilience.Run(ctx, todo, runner, roundCfg)
-		if r != nil {
-			for f, st := range r.Stats {
-				repStats[f] = st
-			}
-			for _, q := range r.Quarantined {
-				quarantined[q.Frame] = true
-			}
-			reloadBase()
-		}
-		return r, rerr
+		return cfg, nil
 	}
 
 	// Phase 1: ingest the stream, checkpointing strata state and — in
@@ -330,11 +312,9 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 				return run, serr
 			}
 			var todo []int
-			for _, fr := range sel.Plan(quarantined) {
-				if fr >= 0 {
-					if _, done := repStats[fr]; !done {
-						todo = append(todo, fr)
-					}
+			for _, fr := range sel.Degrade(d.quarantined).Plan {
+				if _, done := d.stats[fr]; fr >= 0 && !done {
+					todo = append(todo, fr)
 				}
 			}
 			if len(todo) > 0 {
@@ -348,9 +328,17 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 				if hasCk {
 					parent = rcfg.Obs.NewLocal()
 				}
-				r, rerr := superviseRound(todo, parent)
-				if r != nil && !hasCk {
-					mergeSupervision(run.Supervision, r, false)
+				cfg, cerr := phase2Config(parent)
+				if cerr != nil {
+					return run, cerr
+				}
+				r, rerr := d.round(ctx, todo, cfg)
+				if r != nil {
+					if hasCk {
+						reloadBase()
+					} else {
+						mergeSupervision(run.Supervision, r, false)
+					}
 				}
 				if rerr != nil {
 					return run, rerr
@@ -371,46 +359,21 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 	}
 	run.Selection = sel
 
-	// Phase 2 fixed point, mirroring SampleResilientPrepared: simulate
-	// the plan; every fresh quarantine re-plans with the next alternate
-	// on the stratum's ladder; terminates because each round either
-	// quarantines a new frame or requests nothing.
-	requested := map[int]bool{}
-	for round := 0; ; round++ {
-		plan := sel.Plan(quarantined)
-		var todo []int
-		for _, f := range plan {
-			if f < 0 || requested[f] {
-				continue
-			}
-			if !hasCk {
-				// Without a checkpoint there is no record adoption:
-				// skip frames already simulated eagerly (their obs was
-				// merged directly when they ran).
-				if _, done := repStats[f]; done {
-					continue
-				}
-			}
-			requested[f] = true
-			todo = append(todo, f)
-		}
-		if len(todo) == 0 {
-			break
-		}
-		r, rerr := superviseRound(todo, rcfg.Obs)
-		if r != nil {
-			mergeSupervision(run.Supervision, r, round == 0)
-		}
-		if rerr != nil {
-			return run, rerr
-		}
+	// Phase 2: the supervise-then-degrade fixed point batch campaigns
+	// run, over the strata's substitution ladders.
+	cfg, err := phase2Config(rcfg.Obs)
+	if err != nil {
+		return run, err
 	}
-
-	est, deg, err := sel.EstimateWith(sel.Plan(quarantined), repStats)
+	deg, err := d.settle(ctx, sel, cfg)
+	if err != nil {
+		return run, err
+	}
+	est, err := deg.Estimate(d.stats)
 	if err != nil {
 		return run, fmt.Errorf("megsim: streaming estimation: %w", err)
 	}
-	run.RepresentativeStats = repStats
+	run.RepresentativeStats = d.stats
 	run.Estimate = est
 	if deg.Degraded() {
 		run.Degradation = deg

@@ -193,14 +193,14 @@ func TestSampleStreamingQuarantineDegrades(t *testing.T) {
 	}
 	found := false
 	for _, s := range srun.Degradation.Substitutions {
-		if s.From == victim {
+		if s.Original == victim {
 			found = true
-			if _, ok := srun.RepresentativeStats[s.To]; !ok {
-				t.Fatalf("substitute %d was not simulated", s.To)
+			if _, ok := srun.RepresentativeStats[s.Substitute]; !ok {
+				t.Fatalf("substitute %d was not simulated", s.Substitute)
 			}
 		}
 	}
-	if !found && len(srun.Degradation.LostStrata) == 0 {
+	if !found && len(srun.Degradation.Lost) == 0 {
 		t.Fatalf("no substitution or loss recorded for %d: %+v", victim, srun.Degradation)
 	}
 	if _, ok := srun.RepresentativeStats[victim]; ok {
