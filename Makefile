@@ -31,8 +31,10 @@ COVER_PKGS := check resilience serve fabric stream chaos
 ci: vet build race validate cover-check bench-check bench-smoke bench-selftest fuzz-smoke
 
 # gofmt -l lists every file whose formatting differs; any output fails.
+# bench/ is its own module, so the root `go vet ./...` skips it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 

@@ -69,11 +69,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		metricsOut   = fs.String("metrics-out", "", "write observability metrics (counters/histograms) as JSON to this file")
 		traceOut     = fs.String("trace-out", "", "write a Chrome-trace JSON timeline (chrome://tracing, Perfetto) to this file")
 		checkpoint   = fs.String("checkpoint", "", "checkpoint progress at frame granularity to this file (enables the supervised frame loop)")
-		resume       = fs.Bool("resume", false, "resume completed frames from -checkpoint instead of re-simulating")
+		resume       = fs.Bool("resume", false, "resume completed frames from -checkpoint instead of re-simulating (needs -checkpoint)")
 		retries      = fs.Int("retries", 0, "attempts per frame before quarantine under -checkpoint (0 = default)")
 		workers      = fs.Int("workers", 1, "supervised frame-loop workers under -checkpoint (frame isolation keeps results identical)")
 		runTimeout   = fs.Duration("run-timeout", 0, "overall wall-clock deadline for the run (0 = none)")
-		stallTimeout = fs.Duration("stall-timeout", 0, "flag a worker stuck on one frame longer than this (0 = off)")
+		stallTimeout = fs.Duration("stall-timeout", 0, "flag a worker stuck on one frame longer than this under -checkpoint (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -83,8 +83,19 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *runTimeout)
 		defer cancel()
 	}
-	if (*resume || *retries > 0) && *checkpoint == "" {
-		return fmt.Errorf("-resume and -retries require -checkpoint")
+	if *checkpoint == "" {
+		// The supervisor's knobs do nothing on the plain frame loop:
+		// refuse them instead of silently ignoring them.
+		var unmet []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "resume", "retries", "workers", "stall-timeout":
+				unmet = append(unmet, "-"+f.Name)
+			}
+		})
+		if len(unmet) > 0 {
+			return fmt.Errorf("%s require -checkpoint", strings.Join(unmet, ", "))
+		}
 	}
 
 	tr, err := loadTrace(*tracePath, *benchmark, *frameDiv)

@@ -260,10 +260,20 @@ func TestRunTimeoutIsResumable(t *testing.T) {
 }
 
 func TestSupervisedFlagsRequireCheckpoint(t *testing.T) {
-	if err := run(context.Background(), []string{"-benchmark", "hcr", "-resume"}, io.Discard); err == nil {
-		t.Fatal("-resume without -checkpoint accepted")
-	}
-	if err := run(context.Background(), []string{"-benchmark", "hcr", "-retries", "5"}, io.Discard); err == nil {
-		t.Fatal("-retries without -checkpoint accepted")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-resume"}, "-resume"},
+		{[]string{"-retries", "5"}, "-retries"},
+		{[]string{"-workers", "4"}, "-workers"},
+		{[]string{"-stall-timeout", "1s"}, "-stall-timeout"},
+		{[]string{"-workers", "4", "-stall-timeout", "1s"}, "-stall-timeout, -workers require -checkpoint"},
+	} {
+		args := append([]string{"-benchmark", "hcr", "-frame-div", "200"}, tc.args...)
+		err := run(context.Background(), args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v without -checkpoint: error %v, want mention of %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -32,13 +32,15 @@
 // cluster) is replaced by the streaming one: frames are characterized
 // and folded into an online stratifier one at a time, so memory stays
 // O(strata · reservoir) however long the trace is, and only each
-// stratum's representative is ever simulated. -validate, -checkpoint,
-// -resume, retry/quarantine and -server all compose with it.
+// stratum's representative is ever simulated, after the stream ends.
+// -validate, -checkpoint, -resume, retry/quarantine and -server all
+// compose with it.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -67,6 +69,16 @@ func main() {
 	}
 }
 
+// flagNeeds maps each flag that only refines another to the flag it
+// needs.
+var flagNeeds = map[string]string{
+	"strata":       "stream",
+	"reservoir":    "stream",
+	"tol":          "validate",
+	"validate-out": "validate",
+	"resume":       "checkpoint",
+}
+
 // run is the whole command behind a single error return so every exit
 // path is uniform (and testable) instead of scattering os.Exit calls.
 func run(ctx context.Context, args []string, stdout io.Writer) error {
@@ -82,10 +94,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		tileWorkers  = fs.Int("tile-workers", 0, "tile-parallel raster workers per frame (0 = serial raster stage)")
 		jsonOut      = fs.Bool("json", false, "print machine-readable JSON instead of text")
 		saveSel      = fs.String("save-selection", "", "write the frame selection as JSON to this file")
-		tolScale     = fs.Float64("tol", 1, "scale factor on the default -validate tolerance bands")
-		valOut       = fs.String("validate-out", "", "write the -validate accuracy report as JSON to this file")
+		tolScale     = fs.Float64("tol", 1, "scale factor on the default -validate tolerance bands (needs -validate)")
+		valOut       = fs.String("validate-out", "", "write the -validate accuracy report as JSON to this file (needs -validate)")
 		checkpoint   = fs.String("checkpoint", "", "checkpoint progress at frame granularity to this file")
-		resume       = fs.Bool("resume", false, "resume completed frames from -checkpoint instead of re-simulating")
+		resume       = fs.Bool("resume", false, "resume completed frames from -checkpoint instead of re-simulating (needs -checkpoint)")
 		retries      = fs.Int("retries", 0, "attempts per frame before quarantine (0 = default)")
 		quarantine   = fs.String("quarantine", "", "comma-separated frames to pre-quarantine (route around known-bad frames)")
 		runTimeout   = fs.Duration("run-timeout", 0, "overall wall-clock deadline for the run (0 = none)")
@@ -94,7 +106,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		streamMode   = fs.Bool("stream", false, "streaming mode: online stratification with bounded memory instead of batch clustering")
 		strata       = fs.Int("strata", 0, "streaming stratum budget (0 = default; needs -stream)")
 		reservoir    = fs.Int("reservoir", 0, "streaming per-stratum reservoir capacity (0 = default; needs -stream)")
-		eagerEvery   = fs.Int("stream-eager", 0, "launch representative simulations every N streamed frames (0 = at stream end; needs -stream)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -108,17 +119,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-quarantine: %w", err)
 	}
-	if !*streamMode {
-		var needStream []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "strata", "reservoir", "stream-eager":
-				needStream = append(needStream, "-"+f.Name)
-			}
-		})
-		if len(needStream) > 0 {
-			return fmt.Errorf("%s need -stream", strings.Join(needStream, ", "))
+	// A flag that only refines another does nothing without it: refuse
+	// it instead of silently ignoring it.
+	enabled := map[string]bool{"stream": *streamMode, "validate": *validate, "checkpoint": *checkpoint != ""}
+	var unmet []string
+	fs.Visit(func(f *flag.Flag) {
+		if dep := flagNeeds[f.Name]; dep != "" && !enabled[dep] {
+			unmet = append(unmet, fmt.Sprintf("-%s needs -%s", f.Name, dep))
 		}
+	})
+	if len(unmet) > 0 {
+		return errors.New(strings.Join(unmet, "; "))
 	}
 
 	if *server != "" {
@@ -150,7 +161,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			},
 		}
 		if *streamMode {
-			req.Stream = &serve.StreamSpec{MaxStrata: *strata, ReservoirCap: *reservoir, EagerEvery: *eagerEvery}
+			req.Stream = &serve.StreamSpec{MaxStrata: *strata, ReservoirCap: *reservoir}
 		}
 		return runRemote(ctx, *server, req, *jsonOut, stdout)
 	}
@@ -192,7 +203,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if *reservoir > 0 {
 			scfg.ReservoirCap = *reservoir
 		}
-		opts := megsim.StreamingOptions{Stream: scfg, Resilience: rcfg, EagerEvery: *eagerEvery}
+		opts := megsim.StreamingOptions{Stream: scfg, Resilience: rcfg}
 		srun, err := megsim.SampleStreaming(ctx, tr, opts, gpu)
 		if err != nil {
 			return resumeHint(err, *checkpoint)

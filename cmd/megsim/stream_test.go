@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -65,19 +67,34 @@ func TestStreamJSONReport(t *testing.T) {
 	}
 }
 
-// TestStreamFlagValidation: streaming knobs demand -stream, and a
+// TestStreamFlagValidation: a flag that only refines another demands
+// it (the streaming knobs need -stream, the validation knobs -validate,
+// -resume needs -checkpoint) and writes nothing when refused, and a
 // streaming run cannot save a batch clustering selection.
 func TestStreamFlagValidation(t *testing.T) {
-	for _, args := range [][]string{
-		{"-benchmark", "hcr", "-strata", "8"},
-		{"-benchmark", "hcr", "-reservoir", "4"},
-		{"-benchmark", "hcr", "-stream-eager", "16"},
-		{"-benchmark", "hcr", "-stream", "-save-selection", "sel.json"},
+	dir := t.TempDir()
+	report := filepath.Join(dir, "r.json")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-strata", "8"}, "-strata needs -stream"},
+		{[]string{"-reservoir", "4"}, "-reservoir needs -stream"},
+		{[]string{"-validate-out", report}, "-validate-out needs -validate"},
+		{[]string{"-tol", "2"}, "-tol needs -validate"},
+		{[]string{"-resume"}, "-resume needs -checkpoint"},
+		{[]string{"-stream", "-resume"}, "-resume needs -checkpoint"},
+		{[]string{"-stream", "-save-selection", filepath.Join(dir, "sel.json")}, "-save-selection"},
 	} {
 		var buf bytes.Buffer
-		if err := run(context.Background(), args, &buf); err == nil {
-			t.Errorf("args %v accepted", args)
+		args := append([]string{"-benchmark", "hcr", "-frame-div", "40"}, tc.args...)
+		err := run(context.Background(), args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %v, want mention of %q", tc.args, err, tc.want)
 		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) > 0 {
+		t.Fatalf("refused runs wrote %v (%v)", entries, err)
 	}
 }
 

@@ -111,9 +111,8 @@ func TestProfileRangeReusesScratchAcrossWindows(t *testing.T) {
 	})
 }
 
-// TestProfileRangeErrors: out-of-range windows and resource-mode
-// streamers are refused, and a cancelled context surfaces as ctx's
-// error.
+// TestProfileRangeErrors: out-of-range windows are refused, and a
+// cancelled context surfaces as ctx's error.
 func TestProfileRangeErrors(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
 	st, err := NewStreamer(tr)
@@ -134,13 +133,5 @@ func TestProfileRangeErrors(t *testing.T) {
 	cancel()
 	if err := st.ProfileRange(ctx, make([]FrameProfile, n), 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled range: err = %v, want context.Canceled", err)
-	}
-
-	rs, err := NewResourceStreamer(tr.Name, tr.Viewport, tr.VertexShaders, tr.FragmentShaders, tr.Meshes, tr.Textures)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.ProfileRange(context.Background(), make([]FrameProfile, 1), 0); err == nil {
-		t.Fatal("resource-mode streamer profiled a trace range")
 	}
 }

@@ -96,11 +96,6 @@ type StreamSpec struct {
 	// ReservoirCap is the per-stratum candidate reservoir capacity
 	// (0 = default).
 	ReservoirCap int `json:"reservoir_cap,omitempty"`
-	// EagerEvery launches representative simulations mid-stream every
-	// this many ingested frames (0 = phase boundary only). Eager runs
-	// shape execution, never results, so this never enters the
-	// campaign fingerprint.
-	EagerEvery int `json:"eager_every,omitempty"`
 }
 
 // CampaignRequest is the job-submission document POSTed to
@@ -201,9 +196,6 @@ func (c *CampaignRequest) Validate() error {
 		if st.ReservoirCap < 0 || st.ReservoirCap > maxStreamReservoir {
 			return fmt.Errorf("stream: reservoir_cap %d out of [0, %d]", st.ReservoirCap, maxStreamReservoir)
 		}
-		if st.EagerEvery < 0 || st.EagerEvery > maxDivisor {
-			return fmt.Errorf("stream: eager_every %d out of [0, %d]", st.EagerEvery, maxDivisor)
-		}
 	}
 	return nil
 }
@@ -284,9 +276,7 @@ func (c *CampaignRequest) Fingerprint() string {
 // streamFingerprint content-addresses a streaming campaign under its
 // own prefix: the resolved stream budget and seed replace the batch
 // search threshold, and frames > 0 records a stream truncated at that
-// frame (a chunked-upload session that finished early). EagerEvery is
-// execution-shaping and excluded — eager and lazy runs are
-// byte-identical.
+// frame (a chunked-upload session that finished early).
 func (c *CampaignRequest) streamFingerprint(tw int, quarantine []int, frames int) string {
 	scfg := c.StreamConfig()
 	return hashKey("smc", struct {

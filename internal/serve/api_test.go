@@ -66,6 +66,7 @@ func TestDecodeCampaignRequestRejects(t *testing.T) {
 		{"huge retries", `{"workload":{"benchmark":"hcr"},"resilience":{"retries":1000}}`, "retries"},
 		{"negative quarantined frame", `{"workload":{"benchmark":"hcr"},"resilience":{"quarantine":[-3]}}`, "quarantine"},
 		{"negative stall timeout", `{"workload":{"benchmark":"hcr"},"resilience":{"stall_timeout_ms":-1}}`, "stall"},
+		{"removed stream field", `{"workload":{"benchmark":"hcr"},"stream":{"eager_every":8}}`, `unknown field "eager_every"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

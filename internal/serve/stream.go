@@ -558,7 +558,6 @@ func (s *Server) executeStreaming(ctx context.Context, j *Job) (*CampaignReport,
 	opts := megsim.StreamingOptions{
 		Stream:     req.StreamConfig(),
 		Resilience: rcfg,
-		EagerEvery: req.Stream.EagerEvery,
 		Runner:     fn,
 		Snapshot:   j.StreamSnapshot,
 		MaxFrames:  j.StreamMaxFrames,

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -17,12 +19,13 @@ var updateDegradedGoldens = flag.Bool("update-degraded-goldens", false,
 	"rewrite the degraded campaign report goldens under testdata/degraded")
 
 // TestDegradedReportGoldens pins the JSON and text campaign reports of
-// degraded batch and streaming campaigns on hcr: a quarantined
+// degraded batch and streaming campaigns on hcr: a pre-quarantined
 // representative (substitution), a fully quarantined small cluster or
-// stratum (lost group and rescale), streaming with eager rounds plus a
-// quarantine, and the substitution case checkpointed, cancelled
-// mid-phase-2 and resumed. sampled_run_ms is wall clock and is zeroed; every other
-// byte is deterministic. Regenerate with
+// stratum (lost group and rescale), the substitution case checkpointed,
+// cancelled mid-phase-2 and resumed, and a checkpointed campaign whose
+// representative fails every attempt and is quarantined at run time.
+// sampled_run_ms is wall clock and is zeroed; every other byte is
+// deterministic. Regenerate with
 //
 //	go test ./megsim -run TestDegradedReportGoldens -update-degraded-goldens
 func TestDegradedReportGoldens(t *testing.T) {
@@ -82,14 +85,20 @@ func TestDegradedReportGoldens(t *testing.T) {
 			}
 			return serve.NewCampaignReport(rrun, 0)
 		}},
+		{"batch_failed", func(t *testing.T) *serve.CampaignReport {
+			rrun, err := megsim.SampleResilientPrepared(context.Background(), tr, ch, sel, gpu,
+				failingConfig(t), failOn(tr, gpu, batchSub[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRuntimeQuarantine(t, rrun.Supervision, batchSub[0])
+			return serve.NewCampaignReport(rrun, 0)
+		}},
 		{"stream_substitute", func(t *testing.T) *serve.CampaignReport {
 			return streaming(t, megsim.StreamingOptions{Resilience: megsim.ResilienceConfig{Quarantine: streamSub}})
 		}},
 		{"stream_lost", func(t *testing.T) *serve.CampaignReport {
 			return streaming(t, megsim.StreamingOptions{Resilience: megsim.ResilienceConfig{Quarantine: streamLost}})
-		}},
-		{"stream_eager", func(t *testing.T) *serve.CampaignReport {
-			return streaming(t, megsim.StreamingOptions{EagerEvery: 7, Resilience: megsim.ResilienceConfig{Quarantine: streamSub}})
 		}},
 		{"stream_resume", func(t *testing.T) *serve.CampaignReport {
 			ckpt := filepath.Join(t.TempDir(), "stream.ckpt")
@@ -106,6 +115,17 @@ func TestDegradedReportGoldens(t *testing.T) {
 			if len(srun.Supervision.Resumed) == 0 {
 				t.Fatal("resumed streaming run adopted nothing from the checkpoint")
 			}
+			return serve.NewStreamingCampaignReport(srun, 0)
+		}},
+		{"stream_failed", func(t *testing.T) *serve.CampaignReport {
+			srun, err := megsim.SampleStreaming(context.Background(), tr, megsim.StreamingOptions{
+				Resilience: failingConfig(t),
+				Runner:     failOn(tr, gpu, streamSub[0]),
+			}, gpu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRuntimeQuarantine(t, srun.Supervision, streamSub[0])
 			return serve.NewStreamingCampaignReport(srun, 0)
 		}},
 	}
@@ -196,6 +216,41 @@ func streamVictims(t *testing.T, sel *megsim.StreamSelection) (sub, lost []int) 
 	lost = append([]int{st.Representative}, st.Alternates...)
 	sort.Ints(lost)
 	return sub, lost
+}
+
+// failedAttempts is the attempt budget of the runtime-quarantine cases.
+const failedAttempts = 2
+
+// failingConfig checkpoints a campaign and quarantines a frame after
+// failedAttempts failures, without backoff.
+func failingConfig(t *testing.T) megsim.ResilienceConfig {
+	return megsim.ResilienceConfig{
+		CheckpointPath: filepath.Join(t.TempDir(), "run.ckpt"),
+		MaxAttempts:    failedAttempts,
+		BackoffBase:    -1,
+	}
+}
+
+// failOn returns a frame function that fails victim on every attempt
+// and simulates every other frame.
+func failOn(tr *megsim.Trace, gpu megsim.GPUConfig, victim int) megsim.ResilientFrameFunc {
+	inner := megsim.FrameRunner(tr, gpu)
+	return func(ctx context.Context, frame int, reg *megsim.ObsRegistry) (megsim.FrameStats, error) {
+		if frame == victim {
+			return megsim.FrameStats{}, fmt.Errorf("injected fault on frame %d", frame)
+		}
+		return inner(ctx, frame, reg)
+	}
+}
+
+// checkRuntimeQuarantine asserts that victim is the one quarantined
+// frame, with its attempts and error.
+func checkRuntimeQuarantine(t *testing.T, sup *megsim.ResilienceResult, victim int) {
+	t.Helper()
+	want := []megsim.QuarantineRecord{{Frame: victim, Attempts: failedAttempts, Err: fmt.Sprintf("injected fault on frame %d", victim)}}
+	if !reflect.DeepEqual(sup.Quarantined, want) {
+		t.Fatalf("quarantined = %+v, want %+v", sup.Quarantined, want)
+	}
 }
 
 // cancelOnCall returns a context and a frame function that cancels it

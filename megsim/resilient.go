@@ -158,22 +158,17 @@ func SampleResilientPrepared(ctx context.Context, tr *Trace, ch *Characterizatio
 		rcfg.Obs = gpu.Obs
 	}
 
-	d := newDegrader(rcfg, fn)
-	deg, err := d.settle(ctx, sel, rcfg)
+	deg, sup, err := settle(ctx, sel, fn, rcfg)
+	run := &Run{Trace: tr, Characterization: ch, Selection: sel}
+	out := &ResilientRun{Run: run, Supervision: sup}
 	if err != nil {
-		return &ResilientRun{Run: &Run{Trace: tr, Characterization: ch, Selection: sel}, Supervision: d.sup}, err
+		return out, err
 	}
-	run := &Run{
-		Trace:               tr,
-		Characterization:    ch,
-		Selection:           sel,
-		RepresentativeStats: d.stats,
-	}
-	out := &ResilientRun{Run: run, Supervision: d.sup}
+	run.RepresentativeStats = sup.Stats
 	if deg.Degraded() {
 		out.Degradation = deg
 	}
-	if run.Estimate, err = deg.Estimate(d.stats); err != nil {
+	if run.Estimate, err = deg.Estimate(sup.Stats); err != nil {
 		return out, fmt.Errorf("megsim: estimation: %w", err)
 	}
 	return out, nil
@@ -187,96 +182,60 @@ type degradable interface {
 	Degrade(quarantined map[int]bool) *Degradation
 }
 
-// degrader is the supervise-then-degrade state a campaign carries
-// through its supervisor rounds: the quarantine set that drives the
-// plan, the statistics of every simulated frame, and the aggregated
-// supervision record.
-type degrader struct {
-	fn          ResilientFrameFunc
-	quarantined map[int]bool
-	stats       map[int]FrameStats
-	sup         *ResilienceResult
-}
-
-// newDegrader starts a campaign's degrade state. Frames the caller
-// excluded up front are recorded as pre-quarantined, so the quarantine
-// is visible in one place in batch and streaming campaigns alike.
-func newDegrader(rcfg ResilienceConfig, fn ResilientFrameFunc) *degrader {
-	d := &degrader{
-		fn:          fn,
-		quarantined: map[int]bool{},
-		stats:       map[int]FrameStats{},
-		sup:         &ResilienceResult{CheckpointPath: rcfg.CheckpointPath},
-	}
-	for _, f := range rcfg.Quarantine {
-		if !d.quarantined[f] {
-			d.quarantined[f] = true
-			d.sup.Quarantined = append(d.sup.Quarantined, QuarantineRecord{Frame: f, Err: "pre-quarantined"})
+// settle is the supervise-then-degrade fixed point every campaign runs
+// once its selection is final: simulate the plan; every fresh
+// quarantine re-plans (a substitute, or a lost group), and the new
+// frames run in the next round. Frames cfg.Quarantine excludes up front
+// are recorded as pre-quarantined, so the quarantine is visible in one
+// place in batch and streaming campaigns alike. Rounds after the first
+// resume cfg's checkpoint, so one file accumulates the whole campaign.
+// The returned supervision aggregates every round, its Stats holding
+// every simulated frame, and is non-nil even on error. Terminates
+// because each round either quarantines a new frame (finitely many) or
+// requests nothing new.
+func settle(ctx context.Context, sel degradable, fn ResilientFrameFunc, cfg ResilienceConfig) (*Degradation, *ResilienceResult, error) {
+	sup := &ResilienceResult{CheckpointPath: cfg.CheckpointPath, Stats: map[int]FrameStats{}}
+	quarantined := map[int]bool{}
+	for _, f := range cfg.Quarantine {
+		if !quarantined[f] {
+			quarantined[f] = true
+			sup.Quarantined = append(sup.Quarantined, QuarantineRecord{Frame: f, Err: "pre-quarantined"})
 		}
 	}
-	sort.Slice(d.sup.Quarantined, func(i, j int) bool { return d.sup.Quarantined[i].Frame < d.sup.Quarantined[j].Frame })
-	return d
-}
-
-// round supervises one pass over todo and folds its statistics and
-// quarantines into the campaign state. The plan already routes around
-// pre-quarantined frames, so the round's own Quarantine is cleared.
-func (d *degrader) round(ctx context.Context, todo []int, cfg ResilienceConfig) (*ResilienceResult, error) {
+	sort.Slice(sup.Quarantined, func(i, j int) bool { return sup.Quarantined[i].Frame < sup.Quarantined[j].Frame })
+	// The plan already routes around pre-quarantined frames.
 	cfg.Quarantine = nil
-	r, err := resilience.Run(ctx, todo, d.fn, cfg)
-	if r != nil {
-		for f, st := range r.Stats {
-			d.stats[f] = st
-		}
-		for _, q := range r.Quarantined {
-			d.quarantined[q.Frame] = true
-		}
-	}
-	return r, err
-}
-
-// settle is the supervise-then-degrade fixed point: simulate the plan;
-// every fresh quarantine re-plans (a substitute, or a lost group), and
-// the new frames run in the next round. Rounds after the first resume
-// cfg's checkpoint, so one file accumulates the whole campaign. Frames
-// simulated before settle (streaming's eager rounds) are requested
-// again when a checkpoint holds their records, so the supervisor adopts
-// them and merges their observability exactly once; without a
-// checkpoint they are skipped. Terminates because each round either
-// quarantines a new frame (finitely many) or requests nothing new.
-func (d *degrader) settle(ctx context.Context, sel degradable, cfg ResilienceConfig) (*Degradation, error) {
 	requested := map[int]bool{}
 	for round := 0; ; round++ {
-		deg := sel.Degrade(d.quarantined)
+		deg := sel.Degrade(quarantined)
 		var todo []int
 		for _, f := range deg.Plan {
-			if _, done := d.stats[f]; f < 0 || requested[f] || (done && cfg.CheckpointPath == "") {
-				continue
+			if f >= 0 && !requested[f] {
+				requested[f] = true
+				todo = append(todo, f)
 			}
-			requested[f] = true
-			todo = append(todo, f)
 		}
 		if len(todo) == 0 {
-			return deg, nil
+			return deg, sup, nil
 		}
 		if round > 0 {
 			cfg.Resume = true
 		}
-		r, err := d.round(ctx, todo, cfg)
+		r, err := resilience.Run(ctx, todo, fn, cfg)
 		if r != nil {
-			mergeSupervision(d.sup, r, round == 0)
+			mergeSupervision(sup, r, round == 0)
+			for _, q := range r.Quarantined {
+				quarantined[q.Frame] = true
+			}
 		}
 		if err != nil {
-			return nil, err
+			return nil, sup, err
 		}
 	}
 }
 
 // mergeSupervision folds one supervisor round into the aggregate.
 func mergeSupervision(dst, r *ResilienceResult, first bool) {
-	if dst.Stats == nil {
-		dst.Stats = map[int]FrameStats{}
-	}
 	for f, st := range r.Stats {
 		dst.Stats[f] = st
 	}

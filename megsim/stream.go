@@ -18,27 +18,10 @@ type (
 	// StreamSelection is the streaming second-phase plan: strata with
 	// member counts, representatives and substitution alternates.
 	StreamSelection = stream.Selection
-	// StreamStratum is one finalized stratum.
-	StreamStratum = stream.Stratum
-	// StreamIngestor is the online stratifier itself, for callers that
-	// feed frames from their own source (the campaign service's
-	// chunked-upload sessions).
-	StreamIngestor = stream.Ingestor
 )
 
 // DefaultStreamConfig returns the paper-faithful streaming settings.
 func DefaultStreamConfig() StreamConfig { return stream.DefaultConfig() }
-
-// NewStreamIngestor builds an online stratifier over a trace's static
-// shader costs without touching its frames.
-func NewStreamIngestor(tr *Trace, cfg StreamConfig) (*StreamIngestor, error) {
-	st, err := funcsim.NewStreamer(tr)
-	if err != nil {
-		return nil, err
-	}
-	vs, fs := st.Static()
-	return stream.NewIngestor(tr.Name, vs, fs, cfg), nil
-}
 
 // StreamingOptions configures SampleStreaming.
 type StreamingOptions struct {
@@ -49,13 +32,6 @@ type StreamingOptions struct {
 	// strata snapshot) checkpoints alongside simulated frames inside
 	// the same CRC envelope, and Resume restarts mid-stream.
 	Resilience ResilienceConfig
-	// EagerEvery launches representative simulations mid-stream every
-	// EagerEvery ingested frames — the "second phase as strata
-	// stabilize" mode. Simulated frames are pure per frame, so eager
-	// results are a warm cache: frames still representative at stream
-	// end are adopted, the rest are wasted work but never wrong.
-	// 0 = run phase 2 only at stream end.
-	EagerEvery int
 	// CheckpointEvery bounds how many ingested frames a crash can lose
 	// (0 = DefaultStreamCheckpointEvery; negative = checkpoint only at
 	// phase boundaries). Ignored without a CheckpointPath.
@@ -93,12 +69,13 @@ type StreamingRun struct {
 	Trace *Trace
 	// Selection is the finalized streaming selection.
 	Selection *StreamSelection
-	// RepresentativeStats maps simulated frame -> stats (it may hold
-	// extra frames simulated eagerly for strata that later merged).
+	// RepresentativeStats maps each frame the final plan simulated (a
+	// representative or its stand-in) -> stats.
 	RepresentativeStats map[int]FrameStats
 	// Estimate is the extrapolated full-stream statistics.
 	Estimate FrameStats
-	// Supervision aggregates the phase-2 supervisor outcomes.
+	// Supervision aggregates the phase-2 supervisor outcomes (nil when
+	// the run stopped before phase 2).
 	Supervision *ResilienceResult
 	// Degradation is non-nil when representatives were substituted or
 	// strata lost; never silent.
@@ -167,8 +144,7 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 		numFrames = opts.MaxFrames
 	}
 
-	d := newDegrader(rcfg, runner)
-	run := &StreamingRun{Trace: tr, Supervision: d.sup}
+	run := &StreamingRun{Trace: tr}
 
 	// Resume: restore the strata snapshot from the checkpoint and skip
 	// the frames it already ingested. Failure of any kind falls back to
@@ -220,52 +196,19 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 			return fmt.Errorf("megsim: strata snapshot: %w", serr)
 		}
 		base.Stream = snap
-		if serr := resilience.SaveCheckpoint(rcfg.CheckpointPath, base); serr != nil {
-			return serr
-		}
-		return nil
+		return resilience.SaveCheckpoint(rcfg.CheckpointPath, base)
 	}
-	// reloadBase re-adopts the checkpoint after a supervisor round so
-	// later ingest-time rewrites keep the round's frame records.
-	reloadBase := func() {
-		if !hasCk {
-			return
-		}
-		if ck, lerr := resilience.LoadCheckpoint(rcfg.CheckpointPath, rcfg.Fingerprint); lerr == nil && ck != nil {
-			base = ck
-		}
-	}
-
 	if err := saveIngest(); err != nil {
 		return run, err
 	}
 
-	// phase2Config is the supervisor configuration of the phase-2
-	// rounds: the current strata snapshot rides in StreamState so every
-	// per-frame checkpoint rewrite keeps phase 1 resumable, and with a
-	// checkpoint every round resumes it (the ingest wrote it).
-	phase2Config := func(parent *ObsRegistry) (ResilienceConfig, error) {
-		cfg := rcfg
-		cfg.Resume = hasCk
-		cfg.Obs = parent
-		if hasCk {
-			snap, serr := ing.Snapshot()
-			if serr != nil {
-				return cfg, fmt.Errorf("megsim: strata snapshot: %w", serr)
-			}
-			cfg.StreamState = snap
-		}
-		return cfg, nil
-	}
-
-	// Phase 1: ingest the stream, checkpointing strata state and — in
-	// eager mode — launching representative simulations as they settle.
-	// Frames are characterized a window at a time across GOMAXPROCS
-	// workers, then ingested one by one in frame order. A window ends on
-	// every checkpoint and eager boundary, so ingest state, checkpoint
-	// bytes and eager rounds are exactly those of a frame-at-a-time
-	// loop; a cancellation mid-window loses only that window's
-	// characterization, never ingest progress.
+	// Phase 1: ingest the stream, checkpointing strata state. Frames
+	// are characterized a window at a time across GOMAXPROCS workers,
+	// then ingested one by one in frame order. A window ends on every
+	// checkpoint boundary, so ingest state and checkpoint bytes are
+	// exactly those of a frame-at-a-time loop; a cancellation
+	// mid-window loses only that window's characterization, never
+	// ingest progress.
 	window := make([]funcsim.FrameProfile, min(streamWindow, numFrames))
 	var pending []funcsim.FrameProfile // characterized, not yet ingested
 	// cancelled checkpoints the ingest progress so far and reports why
@@ -285,9 +228,6 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 			if hasCk && every > 0 {
 				end = min(end, (f/every+1)*every)
 			}
-			if opts.EagerEvery > 0 {
-				end = min(end, (f/opts.EagerEvery+1)*opts.EagerEvery)
-			}
 			pending = window[:end-f]
 			if err := streamer.ProfileRange(ctx, pending, f); err != nil {
 				if cerr := ctx.Err(); cerr != nil {
@@ -306,45 +246,6 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 				return run, err
 			}
 		}
-		if opts.EagerEvery > 0 && (f+1)%opts.EagerEvery == 0 && f+1 < numFrames {
-			sel, serr := ing.Finalize()
-			if serr != nil {
-				return run, serr
-			}
-			var todo []int
-			for _, fr := range sel.Degrade(d.quarantined).Plan {
-				if _, done := d.stats[fr]; fr >= 0 && !done {
-					todo = append(todo, fr)
-				}
-			}
-			if len(todo) > 0 {
-				// Eager observability goes to a discardable twin of the
-				// real registry when checkpointing: the per-frame deltas
-				// persist in the records and merge into the real registry
-				// exactly once, during the final phase — identically in
-				// interrupted and uninterrupted runs. Without a checkpoint
-				// there is no adoption path, so merge directly.
-				parent := rcfg.Obs
-				if hasCk {
-					parent = rcfg.Obs.NewLocal()
-				}
-				cfg, cerr := phase2Config(parent)
-				if cerr != nil {
-					return run, cerr
-				}
-				r, rerr := d.round(ctx, todo, cfg)
-				if r != nil {
-					if hasCk {
-						reloadBase()
-					} else {
-						mergeSupervision(run.Supervision, r, false)
-					}
-				}
-				if rerr != nil {
-					return run, rerr
-				}
-			}
-		}
 	}
 	if ing.Frames() == 0 {
 		return run, fmt.Errorf("megsim: empty trace, nothing to stream")
@@ -360,20 +261,27 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 	run.Selection = sel
 
 	// Phase 2: the supervise-then-degrade fixed point batch campaigns
-	// run, over the strata's substitution ladders.
-	cfg, err := phase2Config(rcfg.Obs)
+	// run, over the strata's substitution ladders. The strata snapshot
+	// rides in StreamState so every per-frame checkpoint rewrite keeps
+	// phase 1 resumable, and with a checkpoint the supervisor resumes
+	// the file the ingest wrote.
+	cfg := rcfg
+	cfg.Resume = hasCk
+	if hasCk {
+		if cfg.StreamState, err = ing.Snapshot(); err != nil {
+			return run, fmt.Errorf("megsim: strata snapshot: %w", err)
+		}
+	}
+	deg, sup, err := settle(ctx, sel, runner, cfg)
+	run.Supervision = sup
 	if err != nil {
 		return run, err
 	}
-	deg, err := d.settle(ctx, sel, cfg)
-	if err != nil {
-		return run, err
-	}
-	est, err := deg.Estimate(d.stats)
+	est, err := deg.Estimate(sup.Stats)
 	if err != nil {
 		return run, fmt.Errorf("megsim: streaming estimation: %w", err)
 	}
-	run.RepresentativeStats = d.stats
+	run.RepresentativeStats = sup.Stats
 	run.Estimate = est
 	if deg.Degraded() {
 		run.Degradation = deg

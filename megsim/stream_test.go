@@ -146,29 +146,6 @@ func TestSampleStreamingTileWorkersInvariant(t *testing.T) {
 	}
 }
 
-// TestSampleStreamingEagerMatchesFinal: eagerly simulating mid-stream
-// representatives (EagerEvery > 0) is a warm cache, never a different
-// answer — the estimate and selection match the stream-end-only run.
-func TestSampleStreamingEagerMatchesFinal(t *testing.T) {
-	tr := megsim.MustGenerateBenchmark("hcr", testScale())
-	gpu := megsim.DefaultGPUConfig()
-
-	plain, err := megsim.SampleStreaming(context.Background(), tr, megsim.StreamingOptions{}, gpu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager, err := megsim.SampleStreaming(context.Background(), tr, megsim.StreamingOptions{EagerEvery: 7}, gpu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eager.Estimate != plain.Estimate {
-		t.Fatalf("eager estimate differs:\n got %+v\nwant %+v", eager.Estimate, plain.Estimate)
-	}
-	if !reflect.DeepEqual(eager.Selection, plain.Selection) {
-		t.Fatal("eager selection differs")
-	}
-}
-
 // TestSampleStreamingQuarantineDegrades: quarantining a streaming
 // representative drives the substitution ladder end to end and is
 // reported loudly.
@@ -213,7 +190,7 @@ func TestSampleStreamingQuarantineDegrades(t *testing.T) {
 // the cancellation everywhere a campaign consults its context: between
 // ingested frames inside a characterization window, inside a window's
 // frame-parallel characterization (whose workers watch Done), and in
-// the eager phase-2 rounds.
+// phase 2.
 type cancelAfterErrCalls struct {
 	context.Context
 	cancel context.CancelFunc
@@ -252,16 +229,15 @@ func streamingAtProcs(t *testing.T, procs int, tr *megsim.Trace, opts megsim.Str
 
 // TestSampleStreamingFrameParallelInvariant: characterization windows
 // run frame-parallel, yet the report and the checkpoint bytes are the
-// same at GOMAXPROCS 1 and 4, with checkpoint and eager cadences (5 and
-// 7) that cut the stream into windows of uneven length.
+// same at GOMAXPROCS 1 and 4, with a checkpoint cadence (7 over 40
+// frames) that leaves a shorter last window.
 func TestSampleStreamingFrameParallelInvariant(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("jjo", testScale())
 	var reports, ckpts [][]byte
 	for _, procs := range []int{1, 4} {
 		rep, ck := streamingAtProcs(t, procs, tr, megsim.StreamingOptions{
 			MaxFrames:       40,
-			CheckpointEvery: 5,
-			EagerEvery:      7,
+			CheckpointEvery: 7,
 			Resilience:      megsim.ResilienceConfig{CheckpointPath: filepath.Join(t.TempDir(), "stream.ckpt")},
 		})
 		reports = append(reports, rep)
@@ -276,17 +252,17 @@ func TestSampleStreamingFrameParallelInvariant(t *testing.T) {
 }
 
 // TestSampleStreamingCancelMidWindowResumes: wherever a cancellation
-// lands — mid-window, mid-characterization or mid-eager-round — the
+// lands — mid-window, mid-characterization or mid-phase-2 — the
 // checkpoint it leaves resumes to a report byte-identical to an
 // uninterrupted run.
 func TestSampleStreamingCancelMidWindowResumes(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("hcr", testScale())
 	gpu := megsim.DefaultGPUConfig()
+	const frames, every = 40, 7
 	opts := func(ckpt string, resume bool) megsim.StreamingOptions {
 		return megsim.StreamingOptions{
-			MaxFrames:       40,
-			CheckpointEvery: 5,
-			EagerEvery:      7,
+			MaxFrames:       frames,
+			CheckpointEvery: every,
 			Resilience:      megsim.ResilienceConfig{CheckpointPath: ckpt, Resume: resume},
 		}
 	}
@@ -298,12 +274,12 @@ func TestSampleStreamingCancelMidWindowResumes(t *testing.T) {
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	offGrid := false
-	// n counts the campaign's Err calls: one on entry, one per frame,
-	// then the eager round's. 2 and 7 cancel inside the characterization
-	// of the windows starting at frames 0 and 5, 3 to 6 between the
-	// ingested frames of window [0,5), 8 and 9 during the eager round at
-	// frame 7.
-	for n := int64(2); n <= 9; n++ {
+	// n counts the campaign's Err calls: one on entry, one per ingested
+	// frame (41 in all), then phase 2's. 2 and 9 cancel inside the
+	// characterization of the windows starting at frames 0 and 7, 3 to 8
+	// between the ingested frames of window [0,7), 45 and 55 inside
+	// phase 2.
+	for _, n := range []int64{2, 3, 4, 5, 6, 7, 8, 9, 45, 55} {
 		ckpt := filepath.Join(t.TempDir(), "stream.ckpt")
 		ctx := newCancelAfterErrCalls(n)
 		if _, err := megsim.SampleStreaming(ctx, tr, opts(ckpt, false), gpu); !errors.Is(err, context.Canceled) {
@@ -316,7 +292,10 @@ func TestSampleStreamingCancelMidWindowResumes(t *testing.T) {
 		if res.StreamResumeErr != nil {
 			t.Fatalf("n=%d: stream resume fell back: %v", n, res.StreamResumeErr)
 		}
-		offGrid = offGrid || res.ResumedFrames%5 != 0
+		if n > frames+1 && res.ResumedFrames != frames {
+			t.Fatalf("n=%d: cancelled during ingest (resumed at frame %d), not phase 2", n, res.ResumedFrames)
+		}
+		offGrid = offGrid || (res.ResumedFrames < frames && res.ResumedFrames%every != 0)
 		if got := normalizeReport(serve.NewStreamingCampaignReport(res, 0)); !bytes.Equal(got, want) {
 			t.Fatalf("n=%d (resumed at frame %d): report not byte-identical to the uninterrupted run:\n%s\n---\n%s", n, res.ResumedFrames, got, want)
 		}
