@@ -26,7 +26,7 @@ COVER_PKGS := check resilience serve fabric stream chaos
 
 # bench-<layer> and bench-check-<layer> are pattern rules, so they
 # stay off .PHONY (make skips implicit-rule search for phony targets).
-.PHONY: ci vet build test race validate cover-check bench bench-check bench-smoke bench-selftest fuzz-smoke
+.PHONY: ci vet build test race validate cover-check bench bench-check bench-smoke bench-selftest fuzz-smoke loc
 
 ci: vet build race validate cover-check bench-check bench-smoke bench-selftest fuzz-smoke
 
@@ -145,6 +145,11 @@ bench-smoke:
 # change that moves a campaign report's bytes.
 bench-selftest:
 	cd bench && $(GO) test -count=1 ./...
+
+# Non-test Go lines outside bench/: the size measure simplicity changes
+# report. Not part of ci.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 # -fuzz must match exactly one target per package, so each fuzz target
 # gets its own short invocation.

@@ -132,6 +132,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return errors.New(strings.Join(unmet, "; "))
 	}
 
+	// One campaign document for both modes, so a local run resolves its
+	// defaults (seed 0, threshold 0) exactly as the daemon does.
+	req := &serve.CampaignRequest{
+		Workload:  serve.WorkloadSpec{Benchmark: *benchmark, FrameDiv: *frameDiv},
+		Threshold: *threshold,
+		Seed:      *seed,
+		GPU:       serve.GPUSpec{TBDR: *tbdr, TileWorkers: *tileWorkers},
+		Resilience: serve.ResilienceSpec{
+			Retries:        *retries,
+			Quarantine:     preQuarantine,
+			StallTimeoutMS: stallTimeout.Milliseconds(),
+		},
+	}
+	if *streamMode {
+		req.Stream = &serve.StreamSpec{MaxStrata: *strata, ReservoirCap: *reservoir}
+	}
+
 	if *server != "" {
 		// Local-only flags make no sense against a daemon: validation is
 		// a local ground-truth pass, and the daemon owns checkpointing
@@ -149,20 +166,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if *benchmark == "" {
 			return fmt.Errorf("-server needs -benchmark (traces are generated daemon-side)")
 		}
-		req := &serve.CampaignRequest{
-			Workload:  serve.WorkloadSpec{Benchmark: *benchmark, FrameDiv: *frameDiv},
-			Threshold: *threshold,
-			Seed:      *seed,
-			GPU:       serve.GPUSpec{TBDR: *tbdr, TileWorkers: *tileWorkers},
-			Resilience: serve.ResilienceSpec{
-				Retries:        *retries,
-				Quarantine:     preQuarantine,
-				StallTimeoutMS: stallTimeout.Milliseconds(),
-			},
-		}
-		if *streamMode {
-			req.Stream = &serve.StreamSpec{MaxStrata: *strata, ReservoirCap: *reservoir}
-		}
 		return runRemote(ctx, *server, req, *jsonOut, stdout)
 	}
 
@@ -171,12 +174,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	cfg := megsim.DefaultConfig()
-	cfg.Search.Threshold = *threshold
-	cfg.Seed = *seed
-	gpu := megsim.DefaultGPUConfig()
-	gpu.DeferredShading = *tbdr
-	gpu.TileWorkers = *tileWorkers
+	gpu, err := req.GPUConfig()
+	if err != nil {
+		return err
+	}
+	// The resilience config stays local: checkpoint, resume and a
+	// sub-millisecond -stall-timeout exist only in local mode.
 	rcfg := megsim.ResilienceConfig{
 		MaxAttempts:    *retries,
 		CheckpointPath: *checkpoint,
@@ -195,15 +198,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if *saveSel != "" {
 			return fmt.Errorf("-save-selection records a batch clustering; it cannot be combined with -stream")
 		}
-		scfg := megsim.DefaultStreamConfig()
-		scfg.Seed = *seed
-		if *strata > 0 {
-			scfg.MaxStrata = *strata
-		}
-		if *reservoir > 0 {
-			scfg.ReservoirCap = *reservoir
-		}
-		opts := megsim.StreamingOptions{Stream: scfg, Resilience: rcfg}
+		opts := megsim.StreamingOptions{Stream: req.StreamConfig(), Resilience: rcfg}
 		srun, err := megsim.SampleStreaming(ctx, tr, opts, gpu)
 		if err != nil {
 			return resumeHint(err, *checkpoint)
@@ -211,7 +206,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		sampledTime = time.Since(start)
 		rep, estimate = serve.NewStreamingCampaignReport(srun, sampledTime), &srun.Estimate
 	} else {
-		rrun, err := megsim.SampleResilient(ctx, tr, cfg, gpu, rcfg)
+		rrun, err := megsim.SampleResilient(ctx, tr, req.MegsimConfig(), gpu, rcfg)
 		if err != nil {
 			return resumeHint(err, *checkpoint)
 		}

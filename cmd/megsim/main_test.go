@@ -104,6 +104,26 @@ func TestTraceAndBenchmarkAreExclusive(t *testing.T) {
 	}
 }
 
+// TestZeroFlagsResolveLikeTheDaemon: -seed 0 and -threshold 0 mean
+// "the default" in local mode exactly as they do in a daemon
+// submission, so the local report equals the -seed 1 (default) one.
+func TestZeroFlagsResolveLikeTheDaemon(t *testing.T) {
+	report := func(extra ...string) string {
+		var buf bytes.Buffer
+		args := append([]string{"-benchmark", "hcr", "-frame-div", "40", "-json"}, extra...)
+		if err := run(context.Background(), args, &buf); err != nil {
+			t.Fatalf("run %v: %v\n%s", extra, err, buf.String())
+		}
+		return sampledJSONLine.ReplaceAllString(buf.String(), `"sampled_run_ms": 0`)
+	}
+	want := report("-seed", "1")
+	for _, extra := range [][]string{{"-seed", "0"}, {"-threshold", "0"}} {
+		if got := report(extra...); got != want {
+			t.Errorf("%v report differs from the default:\n--- got ---\n%s\n--- want ---\n%s", extra, got, want)
+		}
+	}
+}
+
 // sampleJSON runs megsim -json with extra args and parses the summary.
 type sampleSummary struct {
 	Representatives []int  `json:"representatives"`

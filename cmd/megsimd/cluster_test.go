@@ -150,21 +150,35 @@ func TestClusterDaemonLifecycle(t *testing.T) {
 }
 
 // TestClusterBadFlags: the mode flags must refuse contradictory
-// combinations before binding a socket.
+// combinations before binding a socket. As in TestDaemonBadFlags, a
+// wrongly accepted row drains at once under the cancelled context.
 func TestClusterBadFlags(t *testing.T) {
-	cases := [][]string{
-		{"-worker", "-coordinator", "http://x"},
-		{"-worker", "-checkpoint-dir", "/tmp/x"},
-		{"-worker", "-tenant-rate", "5"},
-		{"-worker", "-policy", "affinity"},
-		{"-policy", "affinity"}, // without -coordinator
-		{"-coordinator", "http://x", "-policy", "no-such-policy"},
-		{"-coordinator", " , "}, // no usable worker URLs
-	}
-	for _, args := range cases {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-worker", "-coordinator", "http://x"}, "-coordinator cannot be combined with -worker"},
+		{[]string{"-worker", "-checkpoint-dir", "ckpt"}, "-checkpoint-dir cannot be combined with -worker"},
+		{[]string{"-worker", "-tenant-rate", "5"}, "-tenant-rate cannot be combined with -worker"},
+		{[]string{"-worker", "-policy", "affinity"}, "-policy cannot be combined with -worker"},
+		{[]string{"-worker", "-queue", "8"}, "-queue cannot be combined with -worker"},
+		{[]string{"-worker", "-workers", "2"}, "-workers cannot be combined with -worker"},
+		{[]string{"-worker", "-frame-cache", "16"}, "-frame-cache cannot be combined with -worker"},
+		{[]string{"-worker", "-tenant-burst", "2"}, "-tenant-burst cannot be combined with -worker"},
+		{[]string{"-worker", "-heartbeat", "1s"}, "-heartbeat cannot be combined with -worker"},
+		{[]string{"-worker", "-audit-fraction", "0.5"}, "-audit-fraction cannot be combined with -worker"},
+		{[]string{"-worker", "-hedge-after", "1s"}, "-hedge-after cannot be combined with -worker"},
+		{[]string{"-worker", "-chaos-seed", "7"}, "-chaos-seed cannot be combined with -worker"},
+		{[]string{"-coordinator", "http://x", "-policy", "no-such-policy"}, "no-such-policy"},
+		{[]string{"-coordinator", " , "}, "worker"}, // no usable worker URLs
+	} {
 		var buf bytes.Buffer
-		if err := run(context.Background(), args, &buf); err == nil {
-			t.Errorf("args %v accepted", args)
+		args := append([]string{"-addr", "127.0.0.1:0"}, tc.args...)
+		err := run(ctx, args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -56,6 +56,21 @@ func main() {
 	}
 }
 
+// flagNeeds maps each flag that only tunes a mode to the flag that
+// turns the mode on.
+var flagNeeds = map[string]string{
+	"policy":         "coordinator",
+	"heartbeat":      "coordinator",
+	"audit-fraction": "coordinator",
+	"hedge-after":    "coordinator",
+	"chaos-seed":     "coordinator",
+	"tenant-burst":   "tenant-rate",
+}
+
+// workerFlags are the only flags -worker mode reads; every
+// campaign-service and coordinator flag is refused with it.
+var workerFlags = map[string]bool{"worker": true, "addr": true, "drain-timeout": true}
+
 // run is the whole daemon behind a single error return, mirroring the
 // megsim CLI's structure so the lifecycle is testable in-process.
 func run(ctx context.Context, args []string, stdout io.Writer) error {
@@ -75,27 +90,29 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		hedgeAfter   = fs.Duration("hedge-after", 0, "hedge a frame to the next worker after max(this, 2x fleet latency EWMA) (0 = hedging off)")
 		chaosSeed    = fs.Uint64("chaos-seed", 0, "arm the deterministic chaos transport on the coordinator's worker client with this seed (staging fault-injection profile; 0 = off)")
 		tenantRate   = fs.Float64("tenant-rate", 0, "per-tenant submissions per second via the X-Megsim-Tenant header (0 = tenant throttling off)")
-		tenantBurst  = fs.Int("tenant-burst", 0, "per-tenant submission burst (0 = default)")
-		streamIdle   = fs.Duration("stream-idle", 0, "expire open stream sessions after this much ingest inactivity (0 = default; negative = never)")
-		streamKeep   = fs.Duration("stream-retention", 0, "evict closed stream sessions' status this long after they close (0 = default; negative = forever)")
+		tenantBurst  = fs.Int("tenant-burst", 0, "per-tenant submission burst (0 = default; needs -tenant-rate)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *workerMode {
-		switch {
-		case *coordinator != "":
-			return errors.New("-worker and -coordinator are mutually exclusive")
-		case *ckptDir != "" || *tenantRate != 0 || *policy != "":
-			return errors.New("-worker mode takes no campaign-service flags (-checkpoint-dir, -tenant-rate, -policy)")
+	// A flag its mode ignores is refused, not silently dropped: a
+	// worker serves frames, not campaigns, and a flag that only tunes
+	// another does nothing without it.
+	enabled := map[string]bool{"coordinator": *coordinator != "", "tenant-rate": *tenantRate > 0}
+	var bad []string
+	fs.Visit(func(f *flag.Flag) {
+		switch dep := flagNeeds[f.Name]; {
+		case *workerMode && !workerFlags[f.Name]:
+			bad = append(bad, fmt.Sprintf("-%s cannot be combined with -worker", f.Name))
+		case !*workerMode && dep != "" && !enabled[dep]:
+			bad = append(bad, fmt.Sprintf("-%s needs -%s", f.Name, dep))
 		}
+	})
+	if len(bad) > 0 {
+		return errors.New(strings.Join(bad, "; "))
+	}
+	if *workerMode {
 		return runWorker(ctx, *addr, *drainTimeout, stdout)
-	}
-	if *policy != "" && *coordinator == "" {
-		return errors.New("-policy requires -coordinator")
-	}
-	if (*auditFrac != 0 || *hedgeAfter != 0 || *chaosSeed != 0) && *coordinator == "" {
-		return errors.New("-audit-fraction, -hedge-after and -chaos-seed require -coordinator")
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
@@ -104,15 +121,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	cfg := serve.Config{
-		QueueCapacity:     *queue,
-		Workers:           *workers,
-		CheckpointDir:     *ckptDir,
-		MaxCachedFrames:   *frameCache,
-		TenantRate:        *tenantRate,
-		TenantBurst:       *tenantBurst,
-		StreamIdleTimeout: *streamIdle,
-		StreamRetention:   *streamKeep,
-		Log:               stdout,
+		QueueCapacity:   *queue,
+		Workers:         *workers,
+		CheckpointDir:   *ckptDir,
+		MaxCachedFrames: *frameCache,
+		TenantRate:      *tenantRate,
+		TenantBurst:     *tenantBurst,
+		Log:             stdout,
 	}
 	if *coordinator != "" {
 		pol, err := fabric.PolicyByName(*policy)

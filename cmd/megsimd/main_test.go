@@ -142,26 +142,33 @@ func TestDaemonLifecycle(t *testing.T) {
 }
 
 // TestDaemonBadFlags exercises the error paths that must fail before
-// the daemon binds a socket.
+// the daemon binds a socket. Every row listens on an ephemeral port
+// under an already-cancelled context, so a flag combination the daemon
+// wrongly accepts drains at once and returns nil instead of blocking.
 func TestDaemonBadFlags(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-no-such-flag"}, &buf); err == nil {
-		t.Error("unknown flag accepted")
-	}
-	if err := run(context.Background(), []string{"-addr", "256.0.0.1:bad"}, &buf); err == nil {
-		t.Error("unlistenable address accepted")
-	}
-	for _, flags := range [][]string{
-		{"-audit-fraction", "0.5"},
-		{"-hedge-after", "100ms"},
-		{"-chaos-seed", "7"},
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-no-such-flag"}, "flag provided but not defined"},
+		{[]string{"-addr", "256.0.0.1:bad"}, "listen"},
+		{[]string{"-policy", "affinity"}, "-policy needs -coordinator"},
+		{[]string{"-heartbeat", "1s"}, "-heartbeat needs -coordinator"},
+		{[]string{"-audit-fraction", "0.5"}, "-audit-fraction needs -coordinator"},
+		{[]string{"-hedge-after", "100ms"}, "-hedge-after needs -coordinator"},
+		{[]string{"-chaos-seed", "7"}, "-chaos-seed needs -coordinator"},
+		{[]string{"-tenant-burst", "4"}, "-tenant-burst needs -tenant-rate"},
+		{[]string{"-tenant-rate", "0", "-tenant-burst", "4"}, "-tenant-burst needs -tenant-rate"},
+		{[]string{"-coordinator", "http://localhost:1", "-audit-fraction", "1.5"}, "audit"},
 	} {
-		if err := run(context.Background(), flags, &buf); err == nil {
-			t.Errorf("%v accepted without -coordinator", flags)
+		var buf bytes.Buffer
+		args := append([]string{"-addr", "127.0.0.1:0"}, tc.args...)
+		err := run(ctx, args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)
 		}
-	}
-	if err := run(context.Background(), []string{"-coordinator", "http://localhost:1", "-audit-fraction", "1.5"}, &buf); err == nil {
-		t.Error("out-of-range -audit-fraction accepted")
 	}
 }
 

@@ -144,8 +144,8 @@ func TestClassString(t *testing.T) {
 		}
 	}
 	d := Decision{Drop: true, Stall: true}
-	if got := FaultNames(d.Faults()); got != "drop+stall" {
-		t.Fatalf("FaultNames = %q", got)
+	if got := d.Faults(); !reflect.DeepEqual(got, []Class{ClassDrop, ClassStall}) {
+		t.Fatalf("Faults = %v", got)
 	}
 }
 

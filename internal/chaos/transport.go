@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 )
@@ -199,13 +198,4 @@ func sleep(req *http.Request, d time.Duration) error {
 	case <-req.Context().Done():
 		return req.Context().Err()
 	}
-}
-
-// FaultNames renders a fault list for logs: "drop+stall".
-func FaultNames(faults []Class) string {
-	names := make([]string, len(faults))
-	for i, f := range faults {
-		names[i] = f.String()
-	}
-	return strings.Join(names, "+")
 }

@@ -73,17 +73,6 @@ func ScaleXYZ(s Vec3) Mat4 {
 	}
 }
 
-// RotateX returns a rotation about the X axis by angle radians.
-func RotateX(angle float64) Mat4 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	return Mat4{
-		1, 0, 0, 0,
-		0, c, -s, 0,
-		0, s, c, 0,
-		0, 0, 0, 1,
-	}
-}
-
 // RotateY returns a rotation about the Y axis by angle radians.
 func RotateY(angle float64) Mat4 {
 	c, s := math.Cos(angle), math.Sin(angle)
@@ -91,17 +80,6 @@ func RotateY(angle float64) Mat4 {
 		c, 0, s, 0,
 		0, 1, 0, 0,
 		-s, 0, c, 0,
-		0, 0, 0, 1,
-	}
-}
-
-// RotateZ returns a rotation about the Z axis by angle radians.
-func RotateZ(angle float64) Mat4 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	return Mat4{
-		c, -s, 0, 0,
-		s, c, 0, 0,
-		0, 0, 1, 0,
 		0, 0, 0, 1,
 	}
 }

@@ -111,16 +111,6 @@ func (a Vec4) PerspectiveDivide() Vec3 {
 	return Vec3{a.X * inv, a.Y * inv, a.Z * inv}
 }
 
-// Lerp linearly interpolates between a and b by t in [0, 1].
-func Lerp(a, b Vec4, t float64) Vec4 {
-	return a.Add(b.Sub(a).Scale(t))
-}
-
-// Lerp3 linearly interpolates between a and b by t in [0, 1].
-func Lerp3(a, b Vec3, t float64) Vec3 {
-	return a.Add(b.Sub(a).Scale(t))
-}
-
 // Clamp returns x clamped to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

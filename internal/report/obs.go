@@ -61,14 +61,3 @@ func ObsCounterTable(s *obs.Snapshot) *Table {
 	}
 	return t
 }
-
-// ObsHistogramTable renders a snapshot's histograms (count, mean, min,
-// max per metric), sorted by metric name.
-func ObsHistogramTable(s *obs.Snapshot) *Table {
-	t := NewTable("observability histograms", "metric", "count", "mean", "min", "max")
-	for _, name := range s.HistogramNames() {
-		h := s.Histograms[name]
-		t.AddRow(name, h.Count, fmt.Sprintf("%.1f", h.Mean()), h.Min, h.Max)
-	}
-	return t
-}

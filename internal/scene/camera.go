@@ -82,14 +82,6 @@ func CircuitPath(rx, rz, period float64) func(t float64) geom.Vec3 {
 	}
 }
 
-// StraightPath returns a path moving in -Z at the given speed — endless
-// runner courses.
-func StraightPath(speed float64) func(t float64) geom.Vec3 {
-	return func(t float64) geom.Vec3 {
-		return geom.Vec3{Z: -speed * t}
-	}
-}
-
 // Instance places a mesh in the world: a model matrix builder.
 type Instance struct {
 	Position geom.Vec3

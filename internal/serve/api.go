@@ -109,8 +109,9 @@ type CampaignRequest struct {
 	Seed       uint64         `json:"seed,omitempty"`
 	GPU        GPUSpec        `json:"gpu,omitempty"`
 	Resilience ResilienceSpec `json:"resilience,omitempty"`
-	// Stream, when present, runs the campaign in streaming mode (and is
-	// the request document a chunked-upload stream session opens with).
+	// Stream, when present, runs the campaign in streaming mode: the
+	// daemon replays the whole generated workload through the online
+	// stratifier, then simulates the finalized strata's representatives.
 	Stream *StreamSpec `json:"stream,omitempty"`
 }
 
@@ -260,7 +261,19 @@ func (c *CampaignRequest) Fingerprint() string {
 	quarantine := append([]int(nil), c.Resilience.Quarantine...)
 	sort.Ints(quarantine)
 	if c.Stream != nil {
-		return c.streamFingerprint(tw, quarantine, 0)
+		// Streaming campaigns hash under their own prefix: the resolved
+		// stream budget and seed replace the batch search threshold.
+		scfg := c.StreamConfig()
+		return hashKey("smc", struct {
+			Workload     resolvedWorkload
+			Seed         uint64
+			MaxStrata    int
+			ReservoirCap int
+			Preset       string
+			TBDR         bool
+			TileW        int
+			Quarantine   []int
+		}{c.resolveWorkload(), scfg.Seed, scfg.MaxStrata, scfg.ReservoirCap, c.GPU.Preset, c.GPU.TBDR, tw, quarantine})
 	}
 	return hashKey("cmp", struct {
 		Workload   resolvedWorkload
@@ -271,38 +284,6 @@ func (c *CampaignRequest) Fingerprint() string {
 		TileW      int
 		Quarantine []int
 	}{c.resolveWorkload(), c.threshold(), c.seed(), c.GPU.Preset, c.GPU.TBDR, tw, quarantine})
-}
-
-// streamFingerprint content-addresses a streaming campaign under its
-// own prefix: the resolved stream budget and seed replace the batch
-// search threshold, and frames > 0 records a stream truncated at that
-// frame (a chunked-upload session that finished early).
-func (c *CampaignRequest) streamFingerprint(tw int, quarantine []int, frames int) string {
-	scfg := c.StreamConfig()
-	return hashKey("smc", struct {
-		Workload     resolvedWorkload
-		Seed         uint64
-		MaxStrata    int
-		ReservoirCap int
-		Frames       int `json:",omitempty"`
-		Preset       string
-		TBDR         bool
-		TileW        int
-		Quarantine   []int
-	}{c.resolveWorkload(), scfg.Seed, scfg.MaxStrata, scfg.ReservoirCap, frames, c.GPU.Preset, c.GPU.TBDR, tw, quarantine})
-}
-
-// StreamFingerprint is Fingerprint for a stream session that ingested
-// exactly frames frames before finishing (0 = the whole workload, which
-// equals Fingerprint for a streaming request).
-func (c *CampaignRequest) StreamFingerprint(frames int) string {
-	tw := c.GPU.TileWorkers
-	if tw > 1 {
-		tw = 1
-	}
-	quarantine := append([]int(nil), c.Resilience.Quarantine...)
-	sort.Ints(quarantine)
-	return c.streamFingerprint(tw, quarantine, frames)
 }
 
 // StreamConfig resolves the streaming stratifier configuration (the

@@ -99,6 +99,17 @@ func TestValidateNaN(t *testing.T) {
 func TestFingerprintNormalization(t *testing.T) {
 	base := decode(t, minimalCampaign)
 
+	// Checkpoint files are named by fingerprint, so these must never move.
+	for body, want := range map[string]string{
+		`{"workload":{"benchmark":"hcr"}}`:             "cmp-036422a6a8f71cf2f4023ab1",
+		`{"workload":{"benchmark":"hcr"},"stream":{}}`: "smc-5fd03261c16ff8f39aa75058",
+		`{"workload":{"benchmark":"hcr"},"gpu":{"tile_workers":4},"resilience":{"quarantine":[3,1]},"stream":{"max_strata":8,"reservoir_cap":4}}`: "smc-d044617060949d6d6f421c54",
+	} {
+		if got := decode(t, body).Fingerprint(); got != want {
+			t.Errorf("%s: fingerprint %s, want %s", body, got, want)
+		}
+	}
+
 	// Explicit defaults address the same result as omitted fields.
 	explicit := decode(t, minimalCampaign)
 	explicit.Threshold = megsim.DefaultConfig().Search.Threshold

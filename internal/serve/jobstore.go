@@ -42,13 +42,6 @@ type Job struct {
 	Req *CampaignRequest
 	// Submitted is the admission time.
 	Submitted time.Time
-	// StreamSnapshot seeds a streaming job with a chunked-upload
-	// session's strata snapshot (nil for direct submissions). Written
-	// before the job is enqueued, read by the claiming worker.
-	StreamSnapshot []byte
-	// StreamMaxFrames truncates a streaming job's replay to the frames
-	// the session actually ingested (0 = the whole workload).
-	StreamMaxFrames int
 
 	mu         sync.Mutex
 	state      JobState

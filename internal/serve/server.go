@@ -84,19 +84,6 @@ type Config struct {
 	// Dispatcher, when non-nil, sources each campaign's frame function
 	// (coordinator mode); nil runs frames on the in-process simulator.
 	Dispatcher Dispatcher
-	// MaxStreamSessions bounds concurrently open chunked-upload stream
-	// sessions (0 = DefaultMaxStreamSessions).
-	MaxStreamSessions int
-	// StreamIdleTimeout expires an open stream session that has not
-	// ingested for this long, freeing its session slot so abandoned
-	// clients cannot exhaust MaxStreamSessions (0 =
-	// DefaultStreamIdleTimeout; negative = never expire).
-	StreamIdleTimeout time.Duration
-	// StreamRetention evicts a closed (finished/aborted/expired)
-	// session's status document this long after it closed, bounding
-	// session-store memory (0 = DefaultStreamRetention; negative =
-	// retain forever).
-	StreamRetention time.Duration
 	// TenantRate enables per-tenant token-bucket admission: each tenant
 	// (the X-Megsim-Tenant header; empty = anonymous) refills at this
 	// many submissions per second, bursting to TenantBurst. Zero or
@@ -127,7 +114,6 @@ type Server struct {
 	store   *Store
 	queue   *admissionQueue
 	tenants *tenantLimiter
-	streams *streamStore
 	mux     *http.ServeMux
 
 	jobsCtx    context.Context
@@ -141,9 +127,6 @@ type Server struct {
 	throttled                    *obs.Counter
 	executed, completed, failed  *obs.Counter
 	degradedJobs, interrupted    *obs.Counter
-
-	streamsOpened, streamsFinished *obs.Counter
-	streamChunks, streamsExpired   *obs.Counter
 }
 
 // New builds a Server and starts its worker pool.
@@ -167,7 +150,6 @@ func New(cfg Config) *Server {
 		store:        NewStore(),
 		queue:        newAdmissionQueue(cfg.QueueCapacity),
 		tenants:      newTenantLimiter(cfg.TenantRate, cfg.TenantBurst, nil),
-		streams:      newStreamStore(cfg.MaxStreamSessions, cfg.StreamIdleTimeout, cfg.StreamRetention),
 		jobsCtx:      ctx,
 		cancelJobs:   cancel,
 		submitted:    reg.Counter("serve.jobs.submitted"),
@@ -180,20 +162,11 @@ func New(cfg Config) *Server {
 		degradedJobs: reg.Counter("serve.jobs.degraded"),
 		interrupted:  reg.Counter("serve.jobs.interrupted"),
 	}
-	s.streamsOpened = reg.Counter("serve.streams.opened")
-	s.streamsFinished = reg.Counter("serve.streams.finished")
-	s.streamChunks = reg.Counter("serve.streams.chunks")
-	s.streamsExpired = reg.Counter("serve.streams.expired")
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /api/v1/campaigns", s.handleSubmit)
 	s.mux.HandleFunc("GET /api/v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
-	s.mux.HandleFunc("POST /api/v1/streams", s.handleStreamOpen)
-	s.mux.HandleFunc("GET /api/v1/streams/{id}", s.handleStreamStatus)
-	s.mux.HandleFunc("POST /api/v1/streams/{id}/chunks", s.handleStreamChunk)
-	s.mux.HandleFunc("POST /api/v1/streams/{id}/finish", s.handleStreamFinish)
-	s.mux.HandleFunc("DELETE /api/v1/streams/{id}", s.handleStreamAbort)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	for w := 0; w < workers; w++ {
@@ -349,6 +322,32 @@ func (s *Server) execute(ctx context.Context, j *Job) (*CampaignReport, error) {
 		return nil, err
 	}
 	return NewCampaignReport(rrun, time.Since(start)), nil
+}
+
+// executeStreaming runs a streaming campaign job: the online stratifier
+// replaces batch characterization and selection, and phase 2 reuses the
+// same per-representative FrameStats cache (and dispatcher, in
+// coordinator mode) as batch campaigns.
+func (s *Server) executeStreaming(ctx context.Context, j *Job) (*CampaignReport, error) {
+	req := j.Req
+	tr, err := s.cache.Trace(ctx, req.WorkloadKey(), req.BuildTrace)
+	if err != nil {
+		return nil, fmt.Errorf("build trace: %w", err)
+	}
+	gpu, err := req.GPUConfig()
+	if err != nil {
+		return nil, err
+	}
+	fn, rcfg := s.supervision(j, tr, gpu)
+	opts := megsim.StreamingOptions{Stream: req.StreamConfig(), Resilience: rcfg, Runner: fn}
+	start := time.Now()
+	s.executed.Inc()
+	srun, err := megsim.SampleStreaming(ctx, tr, opts, gpu)
+	s.reg.Merge(rcfg.Obs)
+	if err != nil {
+		return nil, err
+	}
+	return NewStreamingCampaignReport(srun, time.Since(start)), nil
 }
 
 // supervision builds what a job's supervisor runs on, batch or

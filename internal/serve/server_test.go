@@ -30,49 +30,87 @@ func serviceCampaignBody(tileWorkers int, extraResilience string) string {
 		tileWorkers, harness.ServiceResilience().MaxAttempts, extraResilience)
 }
 
+// streamCampaignBody is the canonical campaign in streaming mode, with
+// a small stratum budget so the test workload settles into several
+// strata.
+func streamCampaignBody(tileWorkers int) string {
+	return strings.TrimSuffix(serviceCampaignBody(tileWorkers, ""), "}") +
+		`,"stream":{"max_strata":8,"reservoir_cap":4}}`
+}
+
 // directGolden runs the canonical campaign once, directly through
-// megsim.SampleResilient under the same `service` preset — the ground
-// truth every service response must match byte-for-byte (modulo wall
-// clock). Computed once and shared across tests.
+// megsim.SampleResilient (batch) or megsim.SampleStreaming (stream)
+// under the same `service` preset — the ground truth every service
+// response must match byte-for-byte (modulo wall clock). Each is
+// computed once and shared across tests.
 var (
-	goldenOnce  sync.Once
-	goldenBytes []byte
-	goldenErr   error
+	goldenOnce, streamGoldenOnce sync.Once
+	goldenBytes, streamGolden    []byte
+	goldenErr, streamGoldenErr   error
 )
 
 func directGolden(t *testing.T) []byte {
 	t.Helper()
 	goldenOnce.Do(func() {
-		opts := harness.ServiceOptions()
-		p, err := workload.Get("hcr")
-		if err != nil {
-			goldenErr = err
-			return
-		}
-		tr, err := workload.Generate(p, opts.Scale)
-		if err != nil {
-			goldenErr = err
-			return
-		}
-		gpu := megsim.DefaultGPUConfig()
-		gpu.TileWorkers = opts.GPU.TileWorkers
-		rrun, err := megsim.SampleResilient(context.Background(), tr,
-			megsim.DefaultConfig(), gpu, harness.ServiceResilience())
-		if err != nil {
-			goldenErr = err
-			return
-		}
-		raw, err := marshalReport(NewCampaignReport(rrun, 0))
-		if err != nil {
-			goldenErr = err
-			return
-		}
-		goldenBytes, goldenErr = normalizeReport(raw, false)
+		goldenBytes, goldenErr = runDirect(func(tr *megsim.Trace, gpu megsim.GPUConfig) (*CampaignReport, error) {
+			rrun, err := megsim.SampleResilient(context.Background(), tr,
+				megsim.DefaultConfig(), gpu, harness.ServiceResilience())
+			if err != nil {
+				return nil, err
+			}
+			return NewCampaignReport(rrun, 0), nil
+		})
 	})
 	if goldenErr != nil {
 		t.Fatalf("direct golden run: %v", goldenErr)
 	}
 	return goldenBytes
+}
+
+func directStreamGolden(t *testing.T) []byte {
+	t.Helper()
+	streamGoldenOnce.Do(func() {
+		streamGolden, streamGoldenErr = runDirect(func(tr *megsim.Trace, gpu megsim.GPUConfig) (*CampaignReport, error) {
+			scfg := megsim.DefaultStreamConfig()
+			scfg.Seed = megsim.DefaultConfig().Seed
+			scfg.MaxStrata, scfg.ReservoirCap = 8, 4
+			opts := megsim.StreamingOptions{Stream: scfg, Resilience: harness.ServiceResilience()}
+			srun, err := megsim.SampleStreaming(context.Background(), tr, opts, gpu)
+			if err != nil {
+				return nil, err
+			}
+			return NewStreamingCampaignReport(srun, 0), nil
+		})
+	})
+	if streamGoldenErr != nil {
+		t.Fatalf("direct streaming golden run: %v", streamGoldenErr)
+	}
+	return streamGolden
+}
+
+// runDirect generates the `service` preset workload and renders the
+// report of one in-process sampling run over it.
+func runDirect(sample func(*megsim.Trace, megsim.GPUConfig) (*CampaignReport, error)) ([]byte, error) {
+	opts := harness.ServiceOptions()
+	p, err := workload.Get("hcr")
+	if err != nil {
+		return nil, err
+	}
+	tr, err := workload.Generate(p, opts.Scale)
+	if err != nil {
+		return nil, err
+	}
+	gpu := megsim.DefaultGPUConfig()
+	gpu.TileWorkers = opts.GPU.TileWorkers
+	rep, err := sample(tr, gpu)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := marshalReport(rep)
+	if err != nil {
+		return nil, err
+	}
+	return normalizeReport(raw, false)
 }
 
 // normalizeReport re-renders a report with the wall-clock field zeroed
@@ -190,88 +228,17 @@ func counter(s *Server, name string) uint64 {
 	return s.Registry().Snapshot().Counters[name]
 }
 
-// TestCampaignCacheIdentity is the service's golden contract: N
-// concurrent identical submissions (across tile-worker counts, which
-// normalize to one fingerprint) run ONE simulation, every poller reads
-// byte-identical bytes, and those bytes match a direct in-process
-// megsim.SampleResilient run of the same campaign.
+// TestCampaignCacheIdentity is the service's golden contract, for a
+// batch and a streaming campaign: N concurrent identical submissions
+// (across tile-worker counts, which normalize to one fingerprint) run
+// ONE simulation, every poller reads byte-identical bytes, and those
+// bytes match a direct in-process run of the same campaign.
 func TestCampaignCacheIdentity(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueCapacity: 16})
-
-	const N = 6
-	subs := make([]SubmitResponse, N)
-	errs := make([]error, N)
-	var wg sync.WaitGroup
-	for i := 0; i < N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// tile_workers 1, 2, 3 — all the same campaign fingerprint.
-			subs[i], errs[i] = trySubmit(ts, serviceCampaignBody(1+i%3, ""))
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	fresh := 0
-	for _, sub := range subs {
-		if !sub.Deduped {
-			fresh++
-		}
-		if sub.JobID != subs[0].JobID {
-			t.Fatalf("identical submissions got different jobs: %s vs %s", sub.JobID, subs[0].JobID)
-		}
-	}
-	if fresh != 1 {
-		t.Fatalf("%d fresh admissions for %d identical submissions, want exactly 1", fresh, N)
-	}
-
-	st := waitTerminal(t, ts, subs[0].JobID)
-	if st.State != JobSucceeded {
-		t.Fatalf("job ended %s: %s", st.State, st.Error)
-	}
-
-	resultPath := "/api/v1/jobs/" + subs[0].JobID + "/result"
-	code, r1 := getJSON(t, ts, resultPath)
-	if code != http.StatusOK {
-		t.Fatalf("result: status %d: %s", code, r1)
-	}
-	_, r2 := getJSON(t, ts, resultPath)
-	if !bytes.Equal(r1, r2) {
-		t.Fatal("two reads of the same result differ")
-	}
-
-	// Resubmitting after completion is a pure cache hit on the same job.
-	late := submitOK(t, ts, serviceCampaignBody(2, ""))
-	if !late.Deduped || late.JobID != subs[0].JobID {
-		t.Fatalf("post-completion resubmission not deduped: %+v", late)
-	}
-	_, r3 := getJSON(t, ts, resultPath)
-	if !bytes.Equal(r1, r3) {
-		t.Fatal("result changed after resubmission")
-	}
-
-	// Byte-identical to the direct run, modulo the wall-clock field.
-	norm, err := normalizeReport(r1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := directGolden(t); !bytes.Equal(norm, want) {
-		t.Fatalf("service result differs from direct run:\n--- service ---\n%s\n--- direct ---\n%s", norm, want)
-	}
-
-	if got := counter(s, "serve.jobs.executed"); got != 1 {
-		t.Fatalf("serve.jobs.executed = %d, want 1 (one simulation for %d submissions)", got, N+1)
-	}
-	if got := counter(s, "serve.jobs.deduped"); got != N {
-		t.Fatalf("serve.jobs.deduped = %d, want %d", got, N)
-	}
-	if got := counter(s, "serve.jobs.completed"); got != 1 {
-		t.Fatalf("serve.jobs.completed = %d, want 1", got)
+	batchID, r1 := requireOneJob(t, s, ts, func(tw int) string { return serviceCampaignBody(tw, "") }, directGolden(t))
+	requireOneJob(t, s, ts, streamCampaignBody, directStreamGolden(t))
+	if got := counter(s, "serve.jobs.completed"); got != 2 {
+		t.Fatalf("serve.jobs.completed = %d, want 2", got)
 	}
 
 	// Second campaign, distinct fingerprint (pre-quarantines one
@@ -298,7 +265,7 @@ func TestCampaignCacheIdentity(t *testing.T) {
 	}
 	frameMissBefore := counter(s, "serve.cache.frame.miss")
 	sub2 := submitOK(t, ts, serviceCampaignBody(2, fmt.Sprintf(`,"quarantine":[%d]`, nonRep)))
-	if sub2.Deduped || sub2.JobID == subs[0].JobID {
+	if sub2.Deduped || sub2.JobID == batchID {
 		t.Fatalf("distinct campaign was deduped: %+v", sub2)
 	}
 	st2 := waitTerminal(t, ts, sub2.JobID)
@@ -362,7 +329,7 @@ func TestCampaignCacheIdentity(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE serve_jobs_executed counter",
-		"serve_jobs_executed 3",
+		"serve_jobs_executed 4",
 		"serve_cache_char_hit",
 		"megsimd_queue_depth 0",
 		"megsimd_inflight_jobs 0",
@@ -372,6 +339,89 @@ func TestCampaignCacheIdentity(t *testing.T) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
+}
+
+// requireOneJob submits N concurrent copies of the campaign body(tw)
+// for tile-worker counts 1..3, asserts they attach to one job that
+// runs one simulation and succeeds, that a late resubmission dedups
+// onto it, and that its result equals want modulo the wall-clock
+// field. It returns the job's ID and result bytes.
+func requireOneJob(t *testing.T, s *Server, ts *httptest.Server, body func(tw int) string, want []byte) (string, []byte) {
+	t.Helper()
+	const N = 6
+	executed, deduped := counter(s, "serve.jobs.executed"), counter(s, "serve.jobs.deduped")
+	subs := make([]SubmitResponse, N)
+	errs := make([]error, N)
+	var wg sync.WaitGroup
+	for i := 0; i < N; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// tile_workers 1, 2, 3 — all the same campaign fingerprint.
+			subs[i], errs[i] = trySubmit(ts, body(1+i%3))
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fresh := 0
+	for _, sub := range subs {
+		if !sub.Deduped {
+			fresh++
+		}
+		if sub.JobID != subs[0].JobID {
+			t.Fatalf("identical submissions got different jobs: %s vs %s", sub.JobID, subs[0].JobID)
+		}
+	}
+	if fresh != 1 {
+		t.Fatalf("%d fresh admissions for %d identical submissions, want exactly 1", fresh, N)
+	}
+
+	st := waitTerminal(t, ts, subs[0].JobID)
+	if st.State != JobSucceeded {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	}
+
+	resultPath := "/api/v1/jobs/" + subs[0].JobID + "/result"
+	code, r1 := getJSON(t, ts, resultPath)
+	if code != http.StatusOK {
+		t.Fatalf("result: status %d: %s", code, r1)
+	}
+	_, r2 := getJSON(t, ts, resultPath)
+	if !bytes.Equal(r1, r2) {
+		t.Fatal("two reads of the same result differ")
+	}
+
+	// Resubmitting after completion is a pure cache hit on the same job.
+	late := submitOK(t, ts, body(2))
+	if !late.Deduped || late.JobID != subs[0].JobID {
+		t.Fatalf("post-completion resubmission not deduped: %+v", late)
+	}
+	_, r3 := getJSON(t, ts, resultPath)
+	if !bytes.Equal(r1, r3) {
+		t.Fatal("result changed after resubmission")
+	}
+
+	// Byte-identical to the direct run, modulo the wall-clock field.
+	norm, err := normalizeReport(r1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(norm, want) {
+		t.Fatalf("service result differs from direct run:\n--- service ---\n%s\n--- direct ---\n%s", norm, want)
+	}
+
+	if got := counter(s, "serve.jobs.executed") - executed; got != 1 {
+		t.Fatalf("serve.jobs.executed rose by %d, want 1 (one simulation for %d submissions)", got, N+1)
+	}
+	if got := counter(s, "serve.jobs.deduped") - deduped; got != N {
+		t.Fatalf("serve.jobs.deduped rose by %d, want %d", got, N)
+	}
+	return subs[0].JobID, r1
 }
 
 // TestBackpressure: with capacity K and no workers, K+M concurrent
@@ -478,6 +528,18 @@ func TestBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: status %d body %s", resp.StatusCode, raw)
 	}
+	// Streaming campaigns have one route, /api/v1/campaigns with a
+	// "stream" spec; no stream session routes exist.
+	resp, err := http.Post(ts.URL+"/api/v1/streams", "application/json",
+		strings.NewReader(`{"workload":{"benchmark":"hcr"},"stream":{}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("stream session route: status %d, want 404", resp.StatusCode)
+	}
+
 	code, raw = getJSON(t, ts, "/healthz")
 	if code != http.StatusOK || !strings.Contains(string(raw), `"draining": true`) {
 		t.Fatalf("healthz while draining: %d %s", code, raw)

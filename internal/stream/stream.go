@@ -62,12 +62,6 @@ type Config struct {
 	// memory — oracle and test use only; the bounded-memory guarantee
 	// applies to the default, disabled, mode).
 	TrackAssignments bool
-	// OnEvict, when non-nil, is called exactly once for every ingested
-	// frame that ceases to be a reservoir member (including frames that
-	// never enter one). Frames never evicted are reservoir members at
-	// finalization. The chunked-upload service uses this to release
-	// retained frame payloads the selection can no longer need.
-	OnEvict func(frame int)
 }
 
 // DefaultConfig returns the paper-faithful streaming configuration.
@@ -119,8 +113,9 @@ type stratum struct {
 }
 
 // Ingestor is the streaming stratifier. It is single-goroutine, like a
-// funcsim pass; concurrency lives above it (the service ingests chunks
-// under the session lock).
+// funcsim pass; concurrency lives above it (megsim.SampleStreaming
+// characterizes windows of frames in parallel, then ingests them in
+// frame order).
 type Ingestor struct {
 	cfg  Config
 	name string
@@ -374,9 +369,10 @@ func (in *Ingestor) offer(st *stratum, e resEntry) {
 	copy(st.res[i+1:], st.res[i:])
 	st.res[i] = e
 	if len(st.res) > in.cfg.ReservoirCap {
-		drop := st.res[len(st.res)-1]
+		// The dropped frame can never become a representative: free its
+		// vector.
+		in.alloc.put(st.res[len(st.res)-1].vec)
 		st.res = st.res[:len(st.res)-1]
-		in.evict(drop)
 	}
 }
 
@@ -385,15 +381,6 @@ func less(a, b resEntry) bool {
 		return a.pri < b.pri
 	}
 	return a.frame < b.frame
-}
-
-// evict releases a reservoir entry's vector and notifies the eviction
-// hook: this frame can never become a representative.
-func (in *Ingestor) evict(e resEntry) {
-	in.alloc.put(e.vec)
-	if in.cfg.OnEvict != nil {
-		in.cfg.OnEvict(e.frame)
-	}
 }
 
 // spawn creates a fresh stratum seeded by frame's vector. The vector

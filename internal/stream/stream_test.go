@@ -178,41 +178,6 @@ func TestBoundedMemory(t *testing.T) {
 	t.Logf("%d frames: peak %d vectors (budget %d)", len(d.fr.Profiles), in.PeakVectors(), budget)
 }
 
-// TestOnEvictExactlyOnce: the eviction hook fires exactly once for
-// every ingested frame that is not a reservoir member at the end, and
-// never for frames that are.
-func TestOnEvictExactlyOnce(t *testing.T) {
-	d := seedResult(t, 3)
-	cfg := DefaultConfig()
-	cfg.MaxStrata = 6
-	cfg.ReservoirCap = 3
-	evicted := map[int]int{}
-	cfg.OnEvict = func(frame int) { evicted[frame]++ }
-	in := newTestIngestor(d, cfg)
-	if err := in.AddChunk(d.fr.Profiles); err != nil {
-		t.Fatal(err)
-	}
-	members := map[int]bool{}
-	for _, st := range in.strata {
-		for _, e := range st.res {
-			members[e.frame] = true
-		}
-	}
-	for f, n := range evicted {
-		if n != 1 {
-			t.Errorf("frame %d evicted %d times", f, n)
-		}
-		if members[f] {
-			t.Errorf("frame %d both evicted and a reservoir member", f)
-		}
-	}
-	for f := 0; f < len(d.fr.Profiles); f++ {
-		if !members[f] && evicted[f] == 0 {
-			t.Errorf("frame %d neither evicted nor a member", f)
-		}
-	}
-}
-
 // TestSnapshotRoundTrip: snapshotting at any point mid-stream and
 // restoring into a fresh ingestor continues bit-identically — the same
 // final snapshot and selection as never having stopped.

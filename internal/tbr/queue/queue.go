@@ -71,9 +71,6 @@ func New(name string, entries int) *Queue {
 // Name returns the queue's name.
 func (q *Queue) Name() string { return q.name }
 
-// Entries returns the queue capacity.
-func (q *Queue) Entries() int { return len(q.doneAt) }
-
 // Instrument resolves a "queue.<name>.occupancy" histogram sampled at
 // each admit. With a nil or disabled registry the queue stays
 // uninstrumented and Admit pays only a nil check.

@@ -42,21 +42,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(len(xs))
 }
 
-// SampleVariance returns the unbiased sample variance (dividing by N-1),
-// or 0 for slices with fewer than two elements.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
@@ -163,50 +148,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ArgMin returns the index of the smallest element of xs. It panics on
-// empty input. Ties resolve to the lowest index.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		panic("stats: ArgMin of empty slice")
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element of xs. It panics on
-// empty input. Ties resolve to the lowest index.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		panic("stats: ArgMax of empty slice")
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// it panics otherwise and returns 0 for empty input.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean requires positive values")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }

@@ -158,17 +158,6 @@ func TestEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	want := 32.0 / 7.0
-	if v := SampleVariance(xs); !almostEqual(v, want, 1e-12) {
-		t.Fatalf("SampleVariance = %v, want %v", v, want)
-	}
-	if v := SampleVariance([]float64{1}); v != 0 {
-		t.Fatalf("SampleVariance of one element = %v, want 0", v)
-	}
-}
-
 func TestPearsonPerfectCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
@@ -262,21 +251,6 @@ func TestMinMaxArg(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
 	if Min(xs) != 1 || Max(xs) != 9 {
 		t.Fatal("Min/Max wrong")
-	}
-	if ArgMin(xs) != 1 {
-		t.Fatalf("ArgMin = %d, want 1 (first tie)", ArgMin(xs))
-	}
-	if ArgMax(xs) != 5 {
-		t.Fatalf("ArgMax = %d, want 5", ArgMax(xs))
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); !almostEqual(g, 10, 1e-9) {
-		t.Fatalf("GeoMean = %v, want 10", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Fatalf("GeoMean(nil) = %v, want 0", g)
 	}
 }
 

@@ -41,17 +41,9 @@ type StreamingOptions struct {
 	// per-representative stats cache and remote dispatch here; the
 	// function must honor FrameRunner's purity contract.
 	Runner ResilientFrameFunc
-	// Snapshot, when non-empty, seeds the ingestor from a strata
-	// snapshot taken by another Ingestor over the same workload (the
-	// service's chunked-upload sessions hand their ingest state to the
-	// phase-2 job this way). A checkpoint's own stream state, when
-	// present, takes precedence. Restore failure falls back to
-	// re-ingesting from frame zero and is reported in StreamResumeErr.
-	Snapshot []byte
 	// MaxFrames truncates the stream to its first MaxFrames frames
 	// (0 = the whole trace): the estimate then extrapolates over the
-	// streamed prefix only, which is what a chunked-upload session that
-	// stopped early means.
+	// streamed prefix only.
 	MaxFrames int
 }
 
@@ -170,18 +162,6 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 				run.ResumedFrames = ing.Frames()
 				base = ck
 			}
-		}
-	}
-	// A caller-provided snapshot seeds the ingestor only when the
-	// checkpoint didn't already restore strata state (the checkpoint is
-	// never behind: every rewrite carries the latest snapshot).
-	if len(opts.Snapshot) > 0 && ing.Frames() == 0 && ing.NumStrata() == 0 {
-		if rerr := ing.Restore(opts.Snapshot); rerr != nil {
-			run.StreamResumeErr = rerr
-		} else if ing.Frames() > numFrames {
-			return nil, fmt.Errorf("megsim: strata snapshot has %d frames, stream has %d", ing.Frames(), numFrames)
-		} else {
-			run.ResumedFrames = ing.Frames()
 		}
 	}
 
