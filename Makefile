@@ -2,7 +2,7 @@
 # workflow runs nothing else: vet (plus a gofmt check), build, every package's tests under
 # the race detector (the determinism, kill/resume, service, cluster,
 # streaming and chaos goldens included), the differential validation
-# oracle, the coverage floors, the tbr/cluster/funcsim bench regression
+# oracle, the coverage floors, the tbr/cluster/funcsim/megsim bench regression
 # checks, a one-iteration bench smoke, megbench's self-tests (smoke run plus the
 # pinned seed-1 report digests) and short fuzz smokes of every fuzz
 # target.
@@ -74,16 +74,23 @@ cover-check:
 #
 # cluster covers the k-means kernel (internal/cluster) and frame
 # selection on the batch-cold template (BenchmarkSelect in
-# internal/core). funcsim characterizes the batch-cold template trace:
+# internal/core); it skips internal/cluster's Ablation benchmarks,
+# which compare the comparator algorithms kept in its test files and
+# are not part of any campaign. funcsim characterizes the batch-cold template trace:
 # each op profiles 1407 frames, so benchtime 1x per count is already a
-# stable measurement.
-BENCH_LAYERS := tbr cluster funcsim
+# stable measurement. megsim times one representative frame through
+# megsim.FrameRunner (BenchmarkFrameRunner) on a warmed runner, so its
+# allocs/op is one frame's and stays fixed; a runner that built a
+# simulator per frame again would fail the alloc gate on any host.
+BENCH_LAYERS := tbr cluster funcsim megsim
 BENCH_PKGS_tbr := ./internal/tbr/...
 BENCH_ARGS_tbr := -bench . -benchtime $(BENCHTIME)
 BENCH_PKGS_cluster := ./internal/cluster ./internal/core
-BENCH_ARGS_cluster := -bench . -benchtime $(BENCHTIME)
+BENCH_ARGS_cluster := -bench . -skip Ablation -benchtime $(BENCHTIME)
 BENCH_PKGS_funcsim := ./internal/funcsim
 BENCH_ARGS_funcsim := -bench '^BenchmarkCharacterize$$' -benchtime 1x
+BENCH_PKGS_megsim := ./megsim
+BENCH_ARGS_megsim := -bench '^BenchmarkFrameRunner$$' -benchtime $(BENCHTIME)
 
 # Per-layer gate flags for bench-check (see below).
 #
@@ -104,7 +111,7 @@ BENCH_ARGS_funcsim := -bench '^BenchmarkCharacterize$$' -benchtime 1x
 # hot-path-only 2x regression still lands the ratio near 2x baseline,
 # well past the 1.5x limit.
 #
-# cluster and funcsim take benchjson's default gates: their allocs/op
+# cluster, funcsim and megsim take benchjson's default gates: their allocs/op
 # repeat within a few per cent (1.10x + 1 allows for that) and they
 # have no same-run ratio pair, so wall clock gates on the 2.5x
 # absolute backstop alone.

@@ -439,84 +439,3 @@ func BenchmarkBaseline_SamplingComparison(b *testing.B) {
 	b.ReportMetric(periodicErr*100, "periodic-err-%")
 	b.ReportMetric(randomErr*100, "random-err-%")
 }
-
-// BenchmarkAblation_WardVsKMeans compares the paper's k-means choice
-// against deterministic Ward agglomerative clustering at the same k on
-// a real feature matrix.
-func BenchmarkAblation_WardVsKMeans(b *testing.B) {
-	r := benchResult(b, "bbr1")
-	data := r.Features.Vectors
-	k := r.Selection.Clusters.K
-
-	estimateErr := func(res cluster.Result) float64 {
-		reps := cluster.Representatives(data, res)
-		est := 0.0
-		for c, rep := range reps {
-			est += float64(r.Full[rep].Cycles) * float64(res.Sizes[c])
-		}
-		return stats.RelativeError(est, float64(r.FullTotals.Cycles)) * 100
-	}
-
-	b.Run("kmeans", func(b *testing.B) {
-		var res cluster.Result
-		for i := 0; i < b.N; i++ {
-			res = cluster.KMeans(data, k, stats.NewRNG(uint64(i)+1), 0)
-		}
-		b.ReportMetric(res.WCSS, "wcss")
-		b.ReportMetric(estimateErr(res), "cycles-err-%")
-	})
-	b.Run("ward", func(b *testing.B) {
-		var res cluster.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = cluster.Agglomerative(data, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(res.WCSS, "wcss")
-		b.ReportMetric(estimateErr(res), "cycles-err-%")
-	})
-}
-
-// BenchmarkAblation_XMeansVsLinearSearch compares the paper's linear
-// BIC-scored k search against Pelleg & Moore's recursive x-means (the
-// source of the BIC formulation) on a real feature matrix.
-func BenchmarkAblation_XMeansVsLinearSearch(b *testing.B) {
-	r := benchResult(b, "bbr1")
-	data := r.Features.Vectors
-
-	evalErr := func(res cluster.Result) float64 {
-		reps := cluster.Representatives(data, res)
-		est := 0.0
-		for c, rep := range reps {
-			est += float64(r.Full[rep].Cycles) * float64(res.Sizes[c])
-		}
-		return stats.RelativeError(est, float64(r.FullTotals.Cycles)) * 100
-	}
-
-	b.Run("linear-search", func(b *testing.B) {
-		var res cluster.Result
-		for i := 0; i < b.N; i++ {
-			sr, err := cluster.Search(data, cluster.DefaultSearchConfig(), stats.NewRNG(uint64(i)+3))
-			if err != nil {
-				b.Fatal(err)
-			}
-			res = sr.Best
-		}
-		b.ReportMetric(float64(res.K), "clusters")
-		b.ReportMetric(evalErr(res), "cycles-err-%")
-	})
-	b.Run("xmeans", func(b *testing.B) {
-		var res cluster.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = cluster.XMeans(data, 1, 56, stats.NewRNG(uint64(i)+3), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(res.K), "clusters")
-		b.ReportMetric(evalErr(res), "cycles-err-%")
-	})
-}

@@ -27,9 +27,10 @@ type WorkerConfig struct {
 
 // Worker is one simulation worker of the fabric: a stateless HTTP
 // service that simulates single frames on demand. It keeps only a
-// content-addressed trace cache (the same serve.Cache the campaign
-// service uses), so any frame of any campaign can land on any worker
-// and the result is identical — state lives on the coordinator.
+// content-addressed trace cache and a few frame runners with their idle
+// simulators (the same serve.Cache the campaign service uses), so any
+// frame of any campaign can land on any worker and the result is
+// identical — state lives on the coordinator.
 //
 // Endpoints:
 //
@@ -153,7 +154,8 @@ func (w *Worker) simulate(ctx context.Context, u *WorkUnit) (res *WorkResult, co
 		}
 	}()
 	req := workUnitRequest(u)
-	tr, err := w.cache.Trace(ctx, req.WorkloadKey(), req.BuildTrace)
+	wkey := req.WorkloadKey()
+	tr, err := w.cache.Trace(ctx, wkey, req.BuildTrace)
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("build trace: %w", err)
 	}
@@ -174,7 +176,7 @@ func (w *Worker) simulate(ctx context.Context, u *WorkUnit) (res *WorkResult, co
 	// which is what makes coordinator-side merges byte-identical to a
 	// local run.
 	reg := obs.NewWith(obs.Options{TraceCapacity: -1})
-	stats, err := megsim.FrameRunner(tr, gpu)(ctx, u.Frame, reg)
+	stats, err := w.cache.Runner(wkey, u.Fingerprint, tr, gpu)(ctx, u.Frame, reg)
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("simulate frame %d: %w", u.Frame, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/serve"
 	"repro/megsim"
 )
 
@@ -230,5 +231,67 @@ func TestWriteJSONMarshalFailure(t *testing.T) {
 	}
 	if !bytes.Contains(rec.Body.Bytes(), []byte(`"error"`)) {
 		t.Fatalf("no error envelope: %s", rec.Body.String())
+	}
+}
+
+// TestWorkerReusesRunner: work units of one run share the worker's
+// cached frame runner (and its simulators), with the same stats as a
+// fresh runner, and the worker's /metrics shows the runner counters. A
+// unit whose workload differs only in width carries the same run
+// fingerprint and must still get its own runner and its own trace.
+func TestWorkerReusesRunner(t *testing.T) {
+	w := NewWorker(WorkerConfig{})
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+
+	req, tr, gpu, err := clusterRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := *req
+	wide.Workload.Width *= 2
+	wideTr, err := wide.BuildTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := megsim.RunFingerprint(tr, gpu)
+	if wfp := megsim.RunFingerprint(wideTr, gpu); wfp != fp {
+		t.Fatalf("run fingerprints differ (%s, %s); the test needs them equal", fp, wfp)
+	}
+	for _, c := range []struct {
+		req   *serve.CampaignRequest
+		tr    *megsim.Trace
+		frame int
+	}{{req, tr, 1}, {req, tr, 2}, {&wide, wideTr, 1}, {req, tr, 1}, {&wide, wideTr, 2}} {
+		u := &WorkUnit{Fingerprint: fp, Frame: c.frame, Workload: c.req.Workload, GPU: c.req.GPU}
+		code, raw := postUnit(t, ts, marshalUnit(t, u))
+		if code != http.StatusOK {
+			t.Fatalf("width %d frame %d: status %d: %s", u.Workload.Width, c.frame, code, raw)
+		}
+		var res WorkResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		want, err := megsim.FrameRunner(c.tr, gpu)(context.Background(), c.frame, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats != want {
+			t.Fatalf("width %d frame %d on a cached runner differs:\nworker: %+v\nfresh:  %+v", u.Workload.Width, c.frame, res.Stats, want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	metrics, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"serve_cache_runner_hit 3", "serve_cache_runner_miss 2"} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("worker metrics missing %q", want)
+		}
 	}
 }

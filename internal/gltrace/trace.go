@@ -187,7 +187,9 @@ func (t *Trace) Validate() error {
 	}
 	for fi := range t.Frames {
 		bound := false
-		for ci, cmd := range t.Frames[fi].Commands {
+		cmds := t.Frames[fi].Commands
+		for ci := range cmds {
+			cmd := &cmds[ci]
 			switch cmd.Op {
 			case CmdBindProgram:
 				if cmd.VS < 0 || cmd.VS >= len(t.VertexShaders) {

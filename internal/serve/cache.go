@@ -26,20 +26,31 @@ import (
 //     — campaigns that differ only in those share one search and each
 //     cuts it at its own threshold). An entry keeps only each explored
 //     k's centroids, iteration count and score;
-//   - per-representative FrameStats by (megsim.RunFingerprint, frame) —
-//     frame isolation makes a representative's statistics a pure
-//     function of (trace, result-affecting GPU config, frame), so
-//     campaigns that select overlapping representatives (different
-//     thresholds or seeds over the same workload) skip re-simulating
-//     the shared ones.
+//   - per-representative FrameStats by (WorkloadKey,
+//     megsim.RunFingerprint, frame) — frame isolation makes a
+//     representative's statistics a pure function of (trace,
+//     result-affecting GPU config, frame), so campaigns that select
+//     overlapping representatives (different thresholds or seeds over
+//     the same workload) skip re-simulating the shared ones. The run
+//     fingerprint names the trace only by profile and frame count, so
+//     the workload key is what tells apart traces that differ in
+//     viewport or detail.
 //
-// Every layer is singleflight-deduplicated: concurrent misses on one
-// key run the builder once and share the value (and error), so a burst
-// of identical submissions costs one simulation. Errors are never
-// cached — the next caller retries.
+// A fifth, small layer keeps megsim.FrameRunners by the same run key
+// plus the tile-worker count (maxRunners entries), so the idle
+// simulators a runner keeps — each built once, with one whole-trace
+// validation — serve every later work unit of the same run instead of
+// being rebuilt per unit. The fabric worker uses it; the daemon builds
+// one runner per job. Building a runner is free (it builds its
+// simulators on first use), so this layer needs no singleflight.
+//
+// The four result layers are singleflight-deduplicated: concurrent
+// misses on one key run the builder once and share the value (and
+// error), so a burst of identical submissions costs one simulation.
+// Errors are never cached — the next caller retries.
 //
 // Hits and misses are counted into the service registry
-// (serve.cache.{trace,char,select,frame}.{hit,miss}); a caller that
+// (serve.cache.{trace,char,select,frame,runner}.{hit,miss}); a caller that
 // joined an in-flight build counts as a hit (it paid nothing).
 //
 // Cached values are shared between campaigns and must never be
@@ -50,12 +61,14 @@ type Cache struct {
 	chars    *fifoMap[*megsim.Characterization]
 	explores *fifoMap[*cluster.Exploration]
 	frames   *fifoMap[tbr.FrameStats]
+	runners  *fifoMap[megsim.ResilientFrameFunc]
 	flights  map[string]*flight
 
 	traceHit, traceMiss   *obs.Counter
 	charHit, charMiss     *obs.Counter
 	selectHit, selectMiss *obs.Counter
 	frameHit, frameMiss   *obs.Counter
+	runnerHit, runnerMiss *obs.Counter
 }
 
 // Default cache capacities (entries, FIFO-evicted).
@@ -63,6 +76,11 @@ const (
 	DefaultMaxWorkloads = 32
 	DefaultMaxFrames    = 4096
 )
+
+// maxRunners bounds the runner layer. Each entry pins a trace and its
+// idle simulators, so the layer holds only the few runs a daemon or
+// worker is serving at once.
+const maxRunners = 4
 
 // NewCache builds a cache recording hit/miss counters into reg.
 // maxFrames bounds the FrameStats layer (0 = DefaultMaxFrames); the
@@ -77,6 +95,7 @@ func NewCache(reg *obs.Registry, maxFrames int) *Cache {
 		chars:      newFifoMap[*megsim.Characterization](DefaultMaxWorkloads),
 		explores:   newFifoMap[*cluster.Exploration](DefaultMaxWorkloads),
 		frames:     newFifoMap[tbr.FrameStats](maxFrames),
+		runners:    newFifoMap[megsim.ResilientFrameFunc](maxRunners),
 		flights:    map[string]*flight{},
 		traceHit:   reg.Counter("serve.cache.trace.hit"),
 		traceMiss:  reg.Counter("serve.cache.trace.miss"),
@@ -86,6 +105,8 @@ func NewCache(reg *obs.Registry, maxFrames int) *Cache {
 		selectMiss: reg.Counter("serve.cache.select.miss"),
 		frameHit:   reg.Counter("serve.cache.frame.hit"),
 		frameMiss:  reg.Counter("serve.cache.frame.miss"),
+		runnerHit:  reg.Counter("serve.cache.runner.hit"),
+		runnerMiss: reg.Counter("serve.cache.runner.miss"),
 	}
 }
 
@@ -107,17 +128,37 @@ func (c *Cache) Exploration(ctx context.Context, key string, build func() (*clus
 	return cacheGet(ctx, c, c.explores, "select:"+key, c.selectHit, c.selectMiss, build)
 }
 
+// Runner returns the cached megsim.FrameRunner(tr, gpu) of the run
+// (wkey, fp), creating it on a miss: wkey is the WorkloadKey tr was
+// built from and fp is megsim.RunFingerprint(tr, gpu). The key adds the
+// tile-worker count, which the fingerprint leaves out because it never
+// changes a result, so a unit always runs at the tile parallelism it
+// asked for.
+func (c *Cache) Runner(wkey, fp string, tr *gltrace.Trace, gpu tbr.Config) megsim.ResilientFrameFunc {
+	key := fmt.Sprintf("%s/%s/tw%d", wkey, fp, gpu.TileWorkers)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if fn, ok := c.runners.get(key); ok {
+		c.runnerHit.Inc()
+		return fn
+	}
+	c.runnerMiss.Inc()
+	fn := megsim.FrameRunner(tr, gpu)
+	c.runners.put(key, fn)
+	return fn
+}
+
 // FrameRunner wraps a frame function with the per-representative
-// result cache under run fingerprint fp: hits return the cached
-// statistics without simulating (the supervisor still checkpoints and
-// counts them); misses simulate via fn and populate the cache. The
-// wrapped function stays pure per frame — exactly fn's contract — so
-// SampleResilientPrepared's guarantees are unchanged. A cache-hit
-// frame records no observability delta (there was no simulation);
-// service-level metrics account for the hit instead.
-func (c *Cache) FrameRunner(fp string, fn megsim.ResilientFrameFunc) megsim.ResilientFrameFunc {
+// result cache under the run (wkey, fp), as for Runner: hits return the
+// cached statistics without simulating (the supervisor still
+// checkpoints and counts them); misses simulate via fn and populate the
+// cache. The wrapped function stays pure per frame — exactly fn's
+// contract — so SampleResilientPrepared's guarantees are unchanged. A
+// cache-hit frame records no observability delta (there was no
+// simulation); service-level metrics account for the hit instead.
+func (c *Cache) FrameRunner(wkey, fp string, fn megsim.ResilientFrameFunc) megsim.ResilientFrameFunc {
 	return func(ctx context.Context, frame int, reg *obs.Registry) (tbr.FrameStats, error) {
-		key := fmt.Sprintf("frame:%s#%d", fp, frame)
+		key := fmt.Sprintf("frame:%s/%s#%d", wkey, fp, frame)
 		return cacheGet(ctx, c, c.frames, key, c.frameHit, c.frameMiss, func() (tbr.FrameStats, error) {
 			return fn(ctx, frame, reg)
 		})

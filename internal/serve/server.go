@@ -369,7 +369,7 @@ func (s *Server) supervision(j *Job, tr *megsim.Trace, gpu megsim.GPUConfig) (me
 		rcfg.Resume = true // a missing checkpoint is a clean fresh start
 	}
 	rcfg.Log = s.cfg.Log
-	return s.cache.FrameRunner(fp, inner), rcfg
+	return s.cache.FrameRunner(j.Req.WorkloadKey(), fp, inner), rcfg
 }
 
 // SubmitResponse answers POST /api/v1/campaigns.

@@ -72,13 +72,13 @@ func New(name string, entries int) *Queue {
 func (q *Queue) Name() string { return q.name }
 
 // Instrument resolves a "queue.<name>.occupancy" histogram sampled at
-// each admit. With a nil or disabled registry the queue stays
-// uninstrumented and Admit pays only a nil check.
+// each admit, replacing any earlier binding. With a nil or disabled
+// registry the queue is uninstrumented and Admit pays only a nil check.
 func (q *Queue) Instrument(r *obs.Registry) {
-	if !r.Enabled() {
-		return
+	q.obsOccupancy = nil
+	if r.Enabled() {
+		q.obsOccupancy = r.Histogram("queue." + q.name + ".occupancy")
 	}
-	q.obsOccupancy = r.Histogram("queue." + q.name + ".occupancy")
 }
 
 // Admit returns the earliest cycle >= ready at which the item can enter

@@ -83,13 +83,20 @@ type Simulator struct {
 	tileDurs    []uint64
 	tileFPEnds  []uint64
 
-	// Observability (package obs). The registry and counter handles are
-	// nil when disabled. The simulation hot paths stay uninstrumented:
-	// additive metrics (cache hits, DRAM traffic, queue stalls) are
-	// exported once per frame from the per-frame stat deltas the
-	// simulator computes anyway, the stage-end markers are folded in at
-	// tile/pass granularity, and the only per-event cost left is the
-	// queues' occupancy nil check.
+	// Observability (package obs), rebound by SetObs.
+	simObs
+	frameTilingEnd uint64 // completion cycle of the frame's last PLB write
+	frameFPEnd     uint64 // completion cycle of the frame's last shaded quad
+}
+
+// simObs holds the simulator's observability handles; all are nil when
+// instrumentation is disabled. The simulation hot paths stay
+// uninstrumented: additive metrics (cache hits, DRAM traffic, queue
+// stalls) are exported once per frame from the per-frame stat deltas the
+// simulator computes anyway, the stage-end markers are folded in at
+// tile/pass granularity, and the only per-event cost left is the
+// queues' occupancy nil check.
+type simObs struct {
 	obs            *obs.Registry
 	cFrames        *obs.Counter
 	cGeomCycles    *obs.Counter
@@ -106,8 +113,6 @@ type Simulator struct {
 	cDRAMRowHits   *obs.Counter
 	cDRAMRowMisses *obs.Counter
 	obsQueues      []*queueObs
-	frameTilingEnd uint64 // completion cycle of the frame's last PLB write
-	frameFPEnd     uint64 // completion cycle of the frame's last shaded quad
 }
 
 // cacheObs exports one cache's per-frame stat deltas as counters.
@@ -345,31 +350,51 @@ func New(cfg Config, trace *gltrace.Trace) (*Simulator, error) {
 		s.initTileWorkers()
 	}
 
-	if cfg.Obs.Enabled() {
-		s.obs = cfg.Obs
-		s.cFrames = cfg.Obs.Counter("tbr.frames")
-		s.cGeomCycles = cfg.Obs.Counter("tbr.geometry.cycles")
-		s.cTilingCycles = cfg.Obs.Counter("tbr.tiling.cycles")
-		s.cRasterCycles = cfg.Obs.Counter("tbr.raster.cycles")
-		s.cFragBusy = cfg.Obs.Counter("tbr.fragment.busy_cycles")
-		s.hFrameCycles = cfg.Obs.Histogram("tbr.frame_cycles")
-		s.obsVCache = newCacheObs(cfg.Obs, "vertex")
-		s.obsTexCache = newCacheObs(cfg.Obs, "texture")
-		s.obsTileCache = newCacheObs(cfg.Obs, "tile")
-		s.obsL2 = newCacheObs(cfg.Obs, "l2")
-		s.cDRAMReads = cfg.Obs.Counter("mem.dram.reads")
-		s.cDRAMWrites = cfg.Obs.Counter("mem.dram.writes")
-		s.cDRAMRowHits = cfg.Obs.Counter("mem.dram.row_hits")
-		s.cDRAMRowMisses = cfg.Obs.Counter("mem.dram.row_misses")
-		for _, q := range []*queue.Queue{s.vertexQ, s.triangleQ, s.fragmentQ, s.colorQ} {
-			s.obsQueues = append(s.obsQueues, newQueueObs(cfg.Obs, q))
-		}
-	}
+	s.SetObs(cfg.Obs)
 	return s, nil
 }
 
 // Config returns the simulator's configuration.
 func (s *Simulator) Config() Config { return s.cfg }
+
+// SetObs rebinds the simulator's instrumentation to r (nil or disabled
+// turns it off), exactly as if it had been built with Config.Obs = r.
+// Later frames record into r only; nothing already recorded moves.
+// With FlushCachesPerFrame every frame cold-starts, so a simulator
+// rebound between frames gives the same FrameStats and the same obs
+// deltas as a fresh one — what lets callers keep one simulator per
+// worker instead of building (and re-validating the trace) per frame.
+func (s *Simulator) SetObs(r *obs.Registry) {
+	s.cfg.Obs = r
+	s.simObs = simObs{}
+	queues := []*queue.Queue{s.vertexQ, s.triangleQ, s.fragmentQ, s.colorQ}
+	if !r.Enabled() {
+		for _, q := range queues {
+			q.Instrument(nil)
+		}
+		return
+	}
+	s.simObs = simObs{
+		obs:            r,
+		cFrames:        r.Counter("tbr.frames"),
+		cGeomCycles:    r.Counter("tbr.geometry.cycles"),
+		cTilingCycles:  r.Counter("tbr.tiling.cycles"),
+		cRasterCycles:  r.Counter("tbr.raster.cycles"),
+		cFragBusy:      r.Counter("tbr.fragment.busy_cycles"),
+		hFrameCycles:   r.Histogram("tbr.frame_cycles"),
+		obsVCache:      newCacheObs(r, "vertex"),
+		obsTexCache:    newCacheObs(r, "texture"),
+		obsTileCache:   newCacheObs(r, "tile"),
+		obsL2:          newCacheObs(r, "l2"),
+		cDRAMReads:     r.Counter("mem.dram.reads"),
+		cDRAMWrites:    r.Counter("mem.dram.writes"),
+		cDRAMRowHits:   r.Counter("mem.dram.row_hits"),
+		cDRAMRowMisses: r.Counter("mem.dram.row_misses"),
+	}
+	for _, q := range queues {
+		s.obsQueues = append(s.obsQueues, newQueueObs(r, q))
+	}
+}
 
 func align(a uint64, to uint64) uint64 {
 	return (a + to - 1) &^ (to - 1)

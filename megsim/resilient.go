@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -93,23 +95,80 @@ func RunFingerprint(tr *Trace, gpu GPUConfig) string {
 }
 
 // FrameRunner adapts the cycle-level simulator to the supervisor's
-// FrameFunc: each attempt simulates one frame on a fresh simulator
-// instance recording into the supervisor's per-frame registry, so the
-// result is a pure function of the frame (frame isolation) and failed
-// attempts never leave torn state behind.
+// FrameFunc: each attempt simulates one frame recording into the
+// supervisor's per-frame registry, and the result is a pure function of
+// the frame (frame isolation).
+//
+// With FlushCachesPerFrame (every preset) the runner keeps a free list
+// of at most GOMAXPROCS idle simulators: an attempt takes one (or
+// builds one, validating the trace, when none is idle), rebinds it to
+// the attempt's registry, and returns it after the frame; a simulator
+// returned to a full list is dropped. Every frame cold-starts its
+// caches, DRAM and queues, so the stats and obs deltas are
+// byte-identical to a fresh simulator's. A simulator whose frame
+// panicked is dropped, never reused, so a failed attempt leaves no torn
+// state behind. In warm mode a frame's result depends on what ran
+// before it, so every attempt builds a fresh simulator.
 func FrameRunner(tr *Trace, gpu GPUConfig) resilience.FrameFunc {
-	return func(ctx context.Context, frame int, reg *obs.Registry) (FrameStats, error) {
-		if err := ctx.Err(); err != nil {
-			return FrameStats{}, err
-		}
-		g := gpu
-		g.Obs = reg
-		sim, err := NewSimulator(g, tr)
-		if err != nil {
-			return FrameStats{}, err
-		}
-		return sim.SimulateFrame(frame), nil
+	return (&simPool{tr: tr, gpu: gpu}).run
+}
+
+// simPool is FrameRunner's free list of idle simulators.
+type simPool struct {
+	tr  *Trace
+	gpu GPUConfig
+
+	mu   sync.Mutex
+	idle []*Simulator
+}
+
+func (p *simPool) run(ctx context.Context, frame int, reg *obs.Registry) (FrameStats, error) {
+	if err := ctx.Err(); err != nil {
+		return FrameStats{}, err
 	}
+	sim, err := p.get(reg)
+	if err != nil {
+		return FrameStats{}, err
+	}
+	st := sim.SimulateFrame(frame) // a panic drops sim along with the attempt
+	p.put(sim)
+	return st, nil
+}
+
+// get returns a simulator recording into reg: an idle one rebound to
+// reg, else a new one.
+func (p *simPool) get(reg *obs.Registry) (*Simulator, error) {
+	if p.gpu.FlushCachesPerFrame {
+		p.mu.Lock()
+		n := len(p.idle)
+		var sim *Simulator
+		if n > 0 {
+			sim, p.idle = p.idle[n-1], p.idle[:n-1]
+		}
+		p.mu.Unlock()
+		if sim != nil {
+			sim.SetObs(reg)
+			return sim, nil
+		}
+	}
+	g := p.gpu
+	g.Obs = reg
+	return NewSimulator(g, p.tr)
+}
+
+// put returns sim to the free list unless the runner is in warm mode or
+// the list already holds GOMAXPROCS simulators, the supervisor's
+// default worker count.
+func (p *simPool) put(sim *Simulator) {
+	if !p.gpu.FlushCachesPerFrame {
+		return
+	}
+	sim.SetObs(nil) // an idle simulator must not pin the attempt's registry
+	p.mu.Lock()
+	if len(p.idle) < runtime.GOMAXPROCS(0) {
+		p.idle = append(p.idle, sim)
+	}
+	p.mu.Unlock()
 }
 
 // SampleResilient is Sample under the run supervisor: representative
