@@ -3,7 +3,6 @@ package funcsim
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/gltrace"
@@ -13,10 +12,14 @@ import (
 )
 
 // Streamer characterizes frames one at a time (ProfileAt) or a range of
-// frames at once across GOMAXPROCS workers (ProfileRange). It owns the
-// reusable rasterization scratch, so profiling a frame allocates nothing
-// beyond the profile's count vectors and the shader executor's texture
-// trace, and frames are characterized independently: the depth buffer is
+// frames at once across GOMAXPROCS workers (ProfileRange). Each frame's
+// triangles go through raster's count-only walk
+// (DepthBuffer.CountTriangle), which shares its coverage code with the
+// timing simulator's rasterizer but stores nothing per quad. The
+// streamer owns the reusable geometry scratch and depth buffers, so
+// profiling a frame allocates nothing beyond the profile's count
+// vectors and the shader executor's texture trace, and frames are
+// characterized independently: the depth buffer is
 // cleared and all binding state reset at every frame start, so a frame's
 // profile is a pure function of its commands and the trace resources.
 // That purity is what makes the frame-parallel range byte-identical to
@@ -44,7 +47,6 @@ type frameScratch struct {
 	depth *raster.DepthBuffer
 	tris  []raster.ScreenTriangle
 	draw  raster.DrawScratch
-	quads raster.QuadBatch
 }
 
 // NewStreamer builds a streamer over a trace's resources. The trace
@@ -133,10 +135,9 @@ func (s *Streamer) checkRange(lo, n int) error {
 }
 
 // profile is the per-frame characterization body both entry points
-// execute, on frame index of a validated trace. It runs the same batched raster path
-// as the timing simulator: geometry into reused scratch, each
-// triangle's quads into a struct-of-arrays batch, then the early depth
-// test over the batch in scan order.
+// execute, on frame index of a validated trace: geometry into reused
+// scratch, then one count-only raster walk per triangle that early-Z
+// tests each covered sample in place.
 func (sc *frameScratch) profile(tr *gltrace.Trace, clip geom.AABB2, dst *FrameProfile, index int) {
 	*dst = FrameProfile{Frame: index, VSCount: resizeU64(dst.VSCount, len(tr.VertexShaders)), FSCount: resizeU64(dst.FSCount, len(tr.FragmentShaders))}
 	frame := &tr.Frames[index]
@@ -177,24 +178,11 @@ func (sc *frameScratch) profile(tr *gltrace.Trace, clip geom.AABB2, dst *FramePr
 			dst.PrimsIn += uint64(gstats.PrimsIn)
 			dst.PrimsVisible += uint64(gstats.Visible)
 
-			blend := cmd.Blend
+			// Transparent fragments are depth-tested but never write
+			// depth.
 			var shaded uint64
-			q := &sc.quads
 			for t := range tris {
-				q.Reset()
-				q.AppendQuads(&tris[t], clip)
-				for i, n := 0, q.Len(); i < n; i++ {
-					x, y, d, m := int(q.X[i]), int(q.Y[i]), q.Depth[i*4:i*4+4], q.Mask[i]
-					var surviving uint8
-					if blend {
-						// Transparent fragments are depth-tested but
-						// never write depth.
-						surviving = depth.TestMaskReadOnly(x, y, d, m)
-					} else {
-						surviving = depth.TestMask(x, y, d, m)
-					}
-					shaded += uint64(bits.OnesCount8(surviving))
-				}
+				shaded += depth.CountTriangle(&tris[t], clip, cmd.Blend)
 			}
 			dst.FSCount[curFS] += shaded
 			dst.Fragments += shaded

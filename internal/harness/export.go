@@ -70,39 +70,3 @@ func (s SelectionSummary) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
 }
-
-// ReadSelectionSummary parses a summary written by WriteJSON and
-// validates its internal consistency.
-func ReadSelectionSummary(r io.Reader) (SelectionSummary, error) {
-	var s SelectionSummary
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return s, fmt.Errorf("harness: decoding selection summary: %w", err)
-	}
-	if s.Clusters != len(s.Representatives) || s.Clusters != len(s.ClusterSizes) {
-		return s, fmt.Errorf("harness: summary inconsistent: %d clusters, %d reps, %d sizes",
-			s.Clusters, len(s.Representatives), len(s.ClusterSizes))
-	}
-	total := 0
-	for _, n := range s.ClusterSizes {
-		if n <= 0 {
-			return s, fmt.Errorf("harness: summary has empty cluster")
-		}
-		total += n
-	}
-	if total != s.Frames {
-		return s, fmt.Errorf("harness: cluster sizes sum to %d, frames = %d", total, s.Frames)
-	}
-	for _, rep := range s.Representatives {
-		if rep < 0 || rep >= s.Frames {
-			return s, fmt.Errorf("harness: representative %d out of range", rep)
-		}
-	}
-	return s, nil
-}
-
-// EstimateFromSummary extrapolates totals from representative stats
-// using a deserialized summary (the Estimate operation without the live
-// Selection).
-func EstimateFromSummary(s SelectionSummary, repStats map[int]tbr.FrameStats) (tbr.FrameStats, error) {
-	return core.Extrapolate(s.Representatives, s.ClusterSizes, repStats)
-}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"sync"
@@ -186,10 +187,11 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if err := snap.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadChromeTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var ct chromeTrace
+	if err := json.Unmarshal(buf.Bytes(), &ct); err != nil {
 		t.Fatal(err)
 	}
+	got := ct.TraceEvents
 	if !reflect.DeepEqual(got, snap.Events) {
 		t.Fatalf("round trip mismatch:\n%+v\nvs\n%+v", got, snap.Events)
 	}

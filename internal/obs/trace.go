@@ -97,14 +97,3 @@ func (s *Snapshot) WriteChromeTrace(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// ReadChromeTrace parses a Chrome trace-format JSON object back into
-// its event list — the inverse of WriteChromeTrace, used by tests and
-// external tooling.
-func ReadChromeTrace(rd io.Reader) ([]Event, error) {
-	var ct chromeTrace
-	if err := json.NewDecoder(rd).Decode(&ct); err != nil {
-		return nil, err
-	}
-	return ct.TraceEvents, nil
-}

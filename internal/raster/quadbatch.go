@@ -1,18 +1,17 @@
 package raster
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/geom"
 )
 
 // QuadBatch is a struct-of-arrays buffer of rasterized 2x2 quads. The
-// timing simulator's fragment loop and the functional simulator's
-// characterization iterate these flat slices instead of chasing
-// per-quad structs through a callback, and the backing arrays
-// are reused across triangles and tiles, so the steady-state raster hot
-// path performs no allocations.
+// timing simulator's fragment loop iterates these flat slices instead
+// of chasing per-quad structs through a callback, and the backing
+// arrays are reused across triangles and tiles, so the steady-state
+// raster hot path performs no allocations. Characterization, which
+// needs only counts, uses DepthBuffer.CountTriangle instead.
 //
 // Quad i occupies X[i], Y[i], Mask[i], U[i], V[i] and the four samples
 // Depth[4i:4i+4] (sample order (0,0), (1,0), (0,1), (1,1), matching
@@ -55,69 +54,31 @@ func (b *QuadBatch) Quad(i int) Quad {
 // covered sample. Quads are emitted row-major, the scan order of a
 // hardware rasterizer.
 //
-// This is the batched form of RasterizeQuads and is bit-identical to it:
-// every floating-point result is produced by the same expression tree in
-// the same order. Loop-invariant subexpressions (the edge coefficients,
-// the per-row (xC-xB)*(py-yC) terms) are hoisted, which IEEE arithmetic
-// guarantees is value-preserving; no operation is reassociated and no
-// incremental edge stepping is used, because either would change
-// coverage decisions on boundary samples.
+// A sample is covered when all three of its barycentrics, evaluated
+// directly at the sample point, are non-negative. Loop-invariant
+// subexpressions (the edge coefficients, the per-row (xC-xB)*(py-yC)
+// terms) are hoisted, which IEEE arithmetic guarantees is
+// value-preserving; no operation is reassociated and no incremental
+// edge stepping is used, because either would change coverage
+// decisions on boundary samples. The quad-center reject and the row
+// exit (setupTriangle) skip only quads with no covered sample, so the
+// output equals an exhaustive per-sample walk of the bounding box.
+// CountTriangle shares the setup and the per-sample expressions.
 func (b *QuadBatch) AppendQuads(tri *ScreenTriangle, clip geom.AABB2) {
-	bb := tri.Tri.Bounds().Intersect(clip)
-	if bb.Empty() {
+	ts, ok := setupTriangle(tri, clip)
+	if !ok {
 		return
 	}
-	x0 := int(math.Floor(bb.Min.X)) &^ 1
-	y0 := int(math.Floor(bb.Min.Y)) &^ 1
-	x1 := int(math.Ceil(bb.Max.X))
-	y1 := int(math.Ceil(bb.Max.Y))
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 <= x0 || y1 <= y0 {
-		return
-	}
-
+	x0, y0, x1, y1 := ts.x0, ts.y0, ts.x1, ts.y1
+	minX, minY, maxX, maxY := ts.minX, ts.minY, ts.maxX, ts.maxY
+	xC, yC := ts.xC, ts.yC
+	e0x, e0y, e1x, e1y := ts.e0x, ts.e0y, ts.e1x, ts.e1y
+	invDen := ts.invDen
+	m0, m1, m2 := ts.m0, ts.m1, ts.m2
 	t := &tri.Tri
-	xA, yA := t.V[0].X, t.V[0].Y
-	xB, yB := t.V[1].X, t.V[1].Y
-	xC, yC := t.V[2].X, t.V[2].Y
-	den := (yB-yC)*(xA-xC) + (xC-xB)*(yA-yC)
-	if math.Abs(den) < 1e-12 {
-		return
-	}
-	invDen := 1 / den
-
-	// Edge coefficients, identical subtractions to the per-sample form.
-	e0x := yB - yC // l0's px coefficient
-	e0y := xC - xB // l0's py coefficient
-	e1x := yC - yA // l1's px coefficient
-	e1y := xA - xC // l1's py coefficient
 	z0, z1, z2 := t.V[0].Z, t.V[1].Z, t.V[2].Z
 	u0, u1, u2 := tri.UV[0].X, tri.UV[1].X, tri.UV[2].X
 	v0, v1, v2 := tri.UV[0].Y, tri.UV[1].Y, tri.UV[2].Y
-
-	minX, minY := bb.Min.X, bb.Min.Y
-	maxX, maxY := bb.Max.X, bb.Max.Y
-
-	// Conservative reject margins: a sample center is at most
-	// r = 0.5 + sampleBias away from the quad center in each axis, so a
-	// barycentric coordinate can differ from its quad-center value by at
-	// most (|ex| + |ey|) * r * |invDen| in real arithmetic. The factor 2
-	// swamps floating-point rounding in both evaluations (relative error
-	// ~1e-12 of the margin at plausible screen sizes), so a quad whose
-	// center coordinate is below -margin provably fails coverage at all
-	// four samples and can be skipped without evaluating them. Quads that
-	// pass the test still run the full per-sample evaluation, so coverage
-	// decisions are bit-identical to the unrejected path.
-	absInvDen := math.Abs(invDen)
-	marginR := (0.5 + sampleBias) * 2 * absInvDen
-	m0 := (math.Abs(e0x) + math.Abs(e0y)) * marginR
-	m1 := (math.Abs(e1x) + math.Abs(e1y)) * marginR
-	m2 := m0 + m1
 
 	// Extend the arrays to the bounding box's worst case once, then fill
 	// by index: one capacity check per triangle instead of six append
@@ -153,6 +114,7 @@ func (b *QuadBatch) AppendQuads(tri *ScreenTriangle, clip geom.AABB2) {
 		cy0 := e0y * dyc
 		cy1 := e1y * dyc
 
+		accepted := false
 		for x := x0; x < x1; x += 2 {
 			cx := float64(x) + 1
 			dxc := cx - xC
@@ -160,8 +122,12 @@ func (b *QuadBatch) AppendQuads(tri *ScreenTriangle, clip geom.AABB2) {
 			l1c := (e1x*dxc + cy1) * invDen
 			l2c := 1 - l0c - l1c
 			if l0c < -m0 || l1c < -m1 || l2c < -m2 {
+				if accepted {
+					break // the rest of the row is past the edge (setupTriangle)
+				}
 				continue
 			}
+			accepted = true
 
 			pxL := float64(x) + 0.5 + sampleBias
 			pxR := float64(x+1) + 0.5 + sampleBias

@@ -193,10 +193,12 @@ const sampleBias = 1.0 / 256
 // at least one covered sample. Quads are emitted row-major, the scan
 // order of a hardware rasterizer.
 //
-// This is a callback adapter over QuadBatch.AppendQuads — the batched
-// SoA rasterizer is the single implementation — kept for per-quad
-// consumers: funcsim.RenderFrame and tests. The *Quad is only valid for
-// the duration of the callback.
+// This is a callback adapter over QuadBatch.AppendQuads, kept for
+// per-quad consumers: funcsim.RenderFrame and tests. The *Quad is only
+// valid for the duration of the callback. Coverage is decided in one
+// place: AppendQuads and the count-only DepthBuffer.CountTriangle share
+// setupTriangle and the per-sample expressions, and differ only in what
+// they do with a covered sample.
 func RasterizeQuads(tri *ScreenTriangle, clip geom.AABB2, fn func(*Quad)) {
 	b := batchPool.Get().(*QuadBatch)
 	b.Reset()

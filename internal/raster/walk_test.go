@@ -1,0 +1,240 @@
+package raster
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"testing"
+
+	"repro/internal/geom"
+)
+
+// referenceQuads is the naive rasterizer both quad walks must match: it
+// evaluates every sample of every quad on the even grid over the clipped
+// bounding box, with no center reject and no row exit. Pixels left of
+// or above the origin are never rasterized. Each coverage and depth
+// value is the same expression, in the same order, as the per-sample
+// form the walks hoist loop invariants out of, so equality is exact.
+func referenceQuads(tri *ScreenTriangle, clip geom.AABB2) []Quad {
+	bb := tri.Tri.Bounds().Intersect(clip)
+	if bb.Empty() {
+		return nil
+	}
+	t := &tri.Tri
+	xA, yA := t.V[0].X, t.V[0].Y
+	xB, yB := t.V[1].X, t.V[1].Y
+	xC, yC := t.V[2].X, t.V[2].Y
+	den := (yB-yC)*(xA-xC) + (xC-xB)*(yA-yC)
+	if math.Abs(den) < 1e-12 {
+		return nil
+	}
+	invDen := 1 / den
+	bary := func(px, py float64) (l0, l1, l2 float64) {
+		l0 = ((yB-yC)*(px-xC) + (xC-xB)*(py-yC)) * invDen
+		l1 = ((yC-yA)*(px-xC) + (xA-xC)*(py-yC)) * invDen
+		return l0, l1, 1 - l0 - l1
+	}
+	var out []Quad
+	for y := max(0, int(math.Floor(bb.Min.Y))&^1); y < int(math.Ceil(bb.Max.Y)); y += 2 {
+		for x := max(0, int(math.Floor(bb.Min.X))&^1); x < int(math.Ceil(bb.Max.X)); x += 2 {
+			q := Quad{X: x, Y: y}
+			for s := 0; s < 4; s++ {
+				px := float64(x+(s&1)) + 0.5 + sampleBias
+				py := float64(y+(s>>1)) + 0.5 + sampleBias
+				if px < bb.Min.X || px >= bb.Max.X || py < bb.Min.Y || py >= bb.Max.Y {
+					continue
+				}
+				l0, l1, l2 := bary(px, py)
+				if l0 >= 0 && l1 >= 0 && l2 >= 0 {
+					q.Mask |= 1 << s
+					q.Depth[s] = l0*t.V[0].Z + l1*t.V[1].Z + l2*t.V[2].Z
+				}
+			}
+			if q.Mask == 0 {
+				continue
+			}
+			l0, l1, l2 := bary(float64(x)+1, float64(y)+1)
+			q.U = l0*tri.UV[0].X + l1*tri.UV[1].X + l2*tri.UV[2].X
+			q.V = l0*tri.UV[0].Y + l1*tri.UV[1].Y + l2*tri.UV[2].Y
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// walkClasses names the triangle shapes randomWalkCase draws.
+var walkClasses = []string{"generic", "subpixel", "thin", "axis-parallel", "huge", "off-clip", "near-degenerate", "grid"}
+
+// randomWalkCase draws a triangle of the given class, a clip rect and a
+// depth buffer with a random prior state. The buffer may be smaller
+// than the clip, so some covered samples fall outside it.
+func randomWalkCase(rng *rand.Rand, class int) (ScreenTriangle, geom.AABB2, *DepthBuffer) {
+	cw, ch := 1+rng.Float64()*96, 1+rng.Float64()*96
+	cx, cy := rng.Float64()*32, rng.Float64()*32
+	if rng.IntN(4) == 0 { // snap the clip to whole pixels, as tiles are
+		cx, cy, cw, ch = math.Floor(cx), math.Floor(cy), math.Ceil(cw), math.Ceil(ch)
+	}
+	clip := geom.AABB2{Min: geom.Vec2{X: cx, Y: cy}, Max: geom.Vec2{X: cx + cw, Y: cy + ch}}
+	in := func() (float64, float64) { // a point near the clip
+		return cx - 8 + rng.Float64()*(cw+16), cy - 8 + rng.Float64()*(ch+16)
+	}
+
+	var v [3][2]float64
+	switch walkClasses[class] {
+	case "generic":
+		for i := range v {
+			v[i][0], v[i][1] = in()
+		}
+	case "subpixel":
+		x, y := in()
+		for i := range v {
+			v[i] = [2]float64{x + rng.Float64(), y + rng.Float64()}
+		}
+	case "thin":
+		ax, ay := in()
+		bx, by := in()
+		f, off := rng.Float64(), math.Pow(10, -3*rng.Float64())
+		nx, ny := by-ay, ax-bx
+		l := math.Hypot(nx, ny) + 1e-9
+		v = [3][2]float64{{ax, ay}, {bx, by}, {ax + f*(bx-ax) + off*nx/l, ay + f*(by-ay) + off*ny/l}}
+	case "axis-parallel":
+		ax, ay := in()
+		bx, by := in()
+		if rng.IntN(2) == 0 { // edges on sample rows and columns
+			ax, ay = math.Floor(ax)+0.5+sampleBias, math.Floor(ay)+0.5+sampleBias
+			bx, by = math.Floor(bx)+0.5+sampleBias, math.Floor(by)+0.5+sampleBias
+		}
+		v = [3][2]float64{{ax, ay}, {bx, ay}, {ax, by}}
+	case "huge":
+		for i := range v {
+			r, th := 1e3+rng.Float64()*1e6, rng.Float64()*2*math.Pi
+			v[i] = [2]float64{cx + r*math.Cos(th), cy + r*math.Sin(th)}
+		}
+	case "off-clip":
+		for i := range v {
+			x, y := in()
+			switch rng.IntN(4) {
+			case 0:
+				x = cx - rng.Float64()*64
+			case 1:
+				x = cx + cw + rng.Float64()*64
+			case 2:
+				y = cy - rng.Float64()*64
+			default:
+				y = cy + ch + rng.Float64()*64
+			}
+			v[i] = [2]float64{x, y}
+		}
+	case "near-degenerate":
+		ax, ay := in()
+		bx, by := in()
+		f := rng.Float64()
+		area := math.Pow(10, -12+6*rng.Float64()) // den = 2*area, around the 1e-12 cut
+		l := math.Hypot(bx-ax, by-ay) + 1e-9
+		h := 2 * area / l
+		v = [3][2]float64{{ax, ay}, {bx, by}, {ax + f*(bx-ax) + h*(ay-by)/l, ay + f*(by-ay) + h*(bx-ax)/l}}
+	case "grid":
+		for i := range v {
+			x, y := in()
+			v[i] = [2]float64{math.Round(x*2) / 2, math.Round(y*2) / 2}
+		}
+	}
+
+	// A third of the triangles are flat, as every 2D layer is.
+	flat := rng.IntN(3) == 0
+	z := rng.Float64()
+	var tri ScreenTriangle
+	for i := range v {
+		if !flat {
+			z = rng.Float64()
+		}
+		tri.Tri.V[i] = geom.Vec3{X: v[i][0], Y: v[i][1], Z: z}
+		tri.UV[i] = geom.Vec2{X: rng.Float64(), Y: rng.Float64()}
+	}
+
+	w, h := 1+rng.IntN(int(cx+cw)+8), 1+rng.IntN(int(cy+ch)+8)
+	depth := NewDepthBuffer(w, h)
+	switch rng.IntN(4) {
+	case 0: // cleared
+	case 1: // the same triangle already drawn: every covered sample ties
+		var b QuadBatch
+		b.AppendQuads(&tri, clip)
+		for i := 0; i < b.Len(); i++ {
+			depth.TestMask(int(b.X[i]), int(b.Y[i]), b.Depth[i*4:i*4+4], b.Mask[i])
+		}
+	default: // random, with some pixels at a flat triangle's own depth
+		for i := range depth.z {
+			switch rng.IntN(4) {
+			case 0:
+			case 1:
+				depth.z[i] = float32(z)
+			default:
+				depth.z[i] = rng.Float32()
+			}
+		}
+	}
+	return tri, clip, depth
+}
+
+// checkQuadWalks asserts that AppendQuads equals referenceQuads quad
+// for quad, and that CountTriangle's count and final depth buffer equal
+// AppendQuads followed by TestMask (or TestMaskReadOnly when blend).
+func checkQuadWalks(t *testing.T, seed uint64, class uint8, blend bool) {
+	rng := rand.New(rand.NewPCG(seed, uint64(class)))
+	cls := int(class) % len(walkClasses)
+	tri, clip, depth := randomWalkCase(rng, cls)
+	ctx := func() string {
+		return fmt.Sprintf("%s triangle %v clip %v", walkClasses[cls], tri.Tri.V, clip)
+	}
+
+	var b QuadBatch
+	b.AppendQuads(&tri, clip)
+	want := referenceQuads(&tri, clip)
+	if b.Len() != len(want) {
+		t.Fatalf("%s: AppendQuads emitted %d quads, reference %d", ctx(), b.Len(), len(want))
+	}
+	for i := range want {
+		if got := b.Quad(i); got != want[i] {
+			t.Fatalf("%s: quad %d = %+v, reference %+v", ctx(), i, got, want[i])
+		}
+	}
+
+	batched := &DepthBuffer{w: depth.w, h: depth.h, z: append([]float32(nil), depth.z...)}
+	var survivors uint64
+	for i := 0; i < b.Len(); i++ {
+		x, y, d, m := int(b.X[i]), int(b.Y[i]), b.Depth[i*4:i*4+4], b.Mask[i]
+		var s uint8
+		if blend {
+			s = batched.TestMaskReadOnly(x, y, d, m)
+		} else {
+			s = batched.TestMask(x, y, d, m)
+		}
+		for ; s != 0; s &= s - 1 {
+			survivors++
+		}
+	}
+	if got := depth.CountTriangle(&tri, clip, blend); got != survivors {
+		t.Fatalf("%s blend=%v: CountTriangle = %d, AppendQuads+TestMask = %d", ctx(), blend, got, survivors)
+	}
+	for i := range depth.z {
+		if math.Float32bits(depth.z[i]) != math.Float32bits(batched.z[i]) {
+			t.Fatalf("%s blend=%v: depth at (%d,%d) = %v, AppendQuads+TestMask left %v",
+				ctx(), blend, i%depth.w, i/depth.w, depth.z[i], batched.z[i])
+		}
+	}
+}
+
+// FuzzQuadWalks differentially tests both quad walks against the naive
+// reference rasterizer over random triangles of every class, random
+// clip rects and prior depth states, with blending on and off. The
+// seed corpus alone, which `go test` runs, covers every class 64 times.
+func FuzzQuadWalks(f *testing.F) {
+	for seed := uint64(0); seed < 64; seed++ {
+		for class := range walkClasses {
+			f.Add(seed, uint8(class), seed%2 == 1)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, class uint8, blend bool) {
+		checkQuadWalks(t, seed, class, blend)
+	})
+}
