@@ -42,9 +42,8 @@ func runValidate(args []string, stdout io.Writer) error {
 	}
 
 	cfg := check.OracleConfig{
-		Workers:     *workers,
-		TileWorkers: *tileWorkers,
-		Tolerance:   check.DefaultTolerance().Scaled(*tolScale),
+		Workers:   *workers,
+		Tolerance: check.DefaultTolerance().Scaled(*tolScale),
 		Faults: tbr.FaultConfig{
 			DropTileRate:      *faultDrop,
 			DuplicateTileRate: *faultDup,
@@ -54,6 +53,10 @@ func runValidate(args []string, stdout io.Writer) error {
 			DRAMLatencyScale:  *faultDRAMScale,
 			CorruptStats:      *faultCorrupt,
 		},
+	}
+	if *tileWorkers > 0 {
+		cfg.GPU = tbr.DefaultConfig()
+		cfg.GPU.TileWorkers = *tileWorkers
 	}
 	if *frameDiv > 0 {
 		cfg.Scale = check.DefaultOracleScale

@@ -22,6 +22,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -60,7 +61,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		tracePath    = fs.String("trace", "", "trace file produced by tracegen")
 		benchmark    = fs.String("benchmark", "", "generate this benchmark instead of loading a trace")
 		frames       = fs.String("frames", "", "frame range lo:hi (default: all)")
-		frameDiv     = fs.Int("frame-div", 1, "frame divisor when generating")
+		frameDiv     = fs.Int("frame-div", 1, "frame divisor when generating (needs -benchmark)")
 		perFrame     = fs.Bool("per-frame", false, "print one line per frame")
 		tbdr         = fs.Bool("tbdr", false, "simulate a TBDR GPU (hidden surface removal)")
 		tileWorkers  = fs.Int("tile-workers", 0, "tile-parallel raster workers per frame (0 = serial raster stage)")
@@ -83,19 +84,24 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *runTimeout)
 		defer cancel()
 	}
-	if *checkpoint == "" {
-		// The supervisor's knobs do nothing on the plain frame loop:
-		// refuse them instead of silently ignoring them.
-		var unmet []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "resume", "retries", "workers", "stall-timeout":
-				unmet = append(unmet, "-"+f.Name)
-			}
-		})
-		if len(unmet) > 0 {
-			return fmt.Errorf("%s require -checkpoint", strings.Join(unmet, ", "))
+	// A flag that only refines another does nothing without it: refuse
+	// it instead of silently ignoring it. The supervisor's knobs need
+	// -checkpoint; the generator's divisor needs -benchmark.
+	var supervisorFlags []string
+	frameDivSet := false
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "resume", "retries", "workers", "stall-timeout":
+			supervisorFlags = append(supervisorFlags, "-"+f.Name)
+		case "frame-div":
+			frameDivSet = true
 		}
+	})
+	if *checkpoint == "" && len(supervisorFlags) > 0 {
+		return fmt.Errorf("%s require -checkpoint", strings.Join(supervisorFlags, ", "))
+	}
+	if *benchmark == "" && frameDivSet {
+		return errors.New("-frame-div needs -benchmark")
 	}
 
 	tr, err := loadTrace(*tracePath, *benchmark, *frameDiv)

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/megsim"
 )
 
 func TestParseRange(t *testing.T) {
@@ -53,6 +55,23 @@ func TestLoadTraceValidation(t *testing.T) {
 	}
 	if _, err := loadTrace("", "not-a-benchmark", 1); err == nil {
 		t.Fatal("accepted unknown benchmark")
+	}
+}
+
+// TestFrameDivNeedsBenchmark: -frame-div only divides a generated
+// trace, so with -trace it is refused instead of silently ignored.
+func TestFrameDivNeedsBenchmark(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hcr.trace")
+	sc := megsim.Scale{Width: 64, Height: 32, FrameDivisor: 200, DetailDivisor: 2}
+	if err := megsim.MustGenerateBenchmark("hcr", sc).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), []string{"-trace", path}, io.Discard); err != nil {
+		t.Fatalf("-trace alone: %v", err)
+	}
+	err := run(context.Background(), []string{"-trace", path, "-frame-div", "4"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-frame-div needs -benchmark") {
+		t.Fatalf("-trace -frame-div: error %v, want -frame-div needs -benchmark", err)
 	}
 }
 

@@ -77,6 +77,7 @@ var flagNeeds = map[string]string{
 	"tol":          "validate",
 	"validate-out": "validate",
 	"resume":       "checkpoint",
+	"frame-div":    "benchmark",
 }
 
 // run is the whole command behind a single error return so every exit
@@ -86,7 +87,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var (
 		tracePath    = fs.String("trace", "", "trace file produced by tracegen")
 		benchmark    = fs.String("benchmark", "", "generate this benchmark instead of loading a trace")
-		frameDiv     = fs.Int("frame-div", 1, "frame divisor when generating")
+		frameDiv     = fs.Int("frame-div", 1, "frame divisor when generating (needs -benchmark)")
 		threshold    = fs.Float64("threshold", 0.85, "BIC spread threshold T")
 		seed         = fs.Uint64("seed", 1, "k-means initialization seed")
 		validate     = fs.Bool("validate", false, "also run the full simulation and report relative errors")
@@ -121,7 +122,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	// A flag that only refines another does nothing without it: refuse
 	// it instead of silently ignoring it.
-	enabled := map[string]bool{"stream": *streamMode, "validate": *validate, "checkpoint": *checkpoint != ""}
+	enabled := map[string]bool{
+		"stream": *streamMode, "validate": *validate,
+		"checkpoint": *checkpoint != "", "benchmark": *benchmark != "",
+	}
 	var unmet []string
 	fs.Visit(func(f *flag.Flag) {
 		if dep := flagNeeds[f.Name]; dep != "" && !enabled[dep] {

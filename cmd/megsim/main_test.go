@@ -104,6 +104,24 @@ func TestTraceAndBenchmarkAreExclusive(t *testing.T) {
 	}
 }
 
+// TestFrameDivNeedsBenchmark: -frame-div only divides a generated
+// trace, so with -trace it is refused instead of silently ignored.
+func TestFrameDivNeedsBenchmark(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hcr.trace")
+	sc := megsim.Scale{Width: 64, Height: 32, FrameDivisor: 100, DetailDivisor: 2}
+	if err := megsim.MustGenerateBenchmark("hcr", sc).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{"-trace", path}, &buf); err != nil {
+		t.Fatalf("-trace alone: %v", err)
+	}
+	err := run(context.Background(), []string{"-trace", path, "-frame-div", "4"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "-frame-div needs -benchmark") {
+		t.Fatalf("-trace -frame-div: error %v, want -frame-div needs -benchmark", err)
+	}
+}
+
 // TestZeroFlagsResolveLikeTheDaemon: -seed 0 and -threshold 0 mean
 // "the default" in local mode exactly as they do in a daemon
 // submission, so the local report equals the -seed 1 (default) one.

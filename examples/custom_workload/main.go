@@ -56,7 +56,8 @@ func main() {
 	fmt.Printf("custom workload %q: %d frames, %d draw commands in frame 900\n",
 		trace.Name, trace.NumFrames(), trace.Frames[900].DrawCount())
 
-	run, err := megsim.Sample(trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.SampleResilient(context.Background(), trace, megsim.DefaultConfig(),
+		megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,8 @@ func main() {
 
 	// MEGsim: characterize -> cluster -> simulate representatives.
 	start := time.Now()
-	run, err := megsim.Sample(trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.SampleResilient(context.Background(), trace, megsim.DefaultConfig(),
+		megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

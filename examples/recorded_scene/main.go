@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -74,7 +75,8 @@ func main() {
 	fmt.Printf("recorded %q: %d frames, %d primitives total\n",
 		trace.Name, trace.NumFrames(), trace.TotalPrimitives())
 
-	run, err := megsim.Sample(trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.SampleResilient(context.Background(), trace, megsim.DefaultConfig(),
+		megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

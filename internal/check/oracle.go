@@ -68,8 +68,6 @@ type OracleConfig struct {
 	// Workers bounds goroutines for the simulation passes (0 =
 	// GOMAXPROCS). Never affects results.
 	Workers int
-	// TileWorkers enables the tile-parallel raster stage (0 = serial).
-	TileWorkers int
 	// Faults, when enabled, perturbs the simulated microarchitecture
 	// identically in the full and sampled passes (the injection is
 	// keyed by frame and tile, not execution order). Faults.Seed is
@@ -219,9 +217,6 @@ func RunOracle(cfg OracleConfig) (*Report, error) {
 	c := cfg.withDefaults()
 	if !c.GPU.FlushCachesPerFrame {
 		return nil, fmt.Errorf("check: oracle requires GPU.FlushCachesPerFrame (frame isolation)")
-	}
-	if c.TileWorkers > 0 && c.GPU.TileWorkers == 0 {
-		c.GPU.TileWorkers = c.TileWorkers
 	}
 	rep := &Report{Tolerance: c.Tolerance, FaultsEnabled: c.Faults.Enabled(), Pass: true}
 	for _, seed := range c.Seeds {

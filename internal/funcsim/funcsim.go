@@ -116,19 +116,6 @@ func mixChecksum(sum uint64, regSets ...shader.Regs) uint64 {
 	return sum
 }
 
-// TotalInvocations returns the summed shader invocation counts of a
-// profile (vertex + fragment), a coarse per-frame activity scalar.
-func (p *FrameProfile) TotalInvocations() uint64 {
-	var n uint64
-	for _, c := range p.VSCount {
-		n += c
-	}
-	for _, c := range p.FSCount {
-		n += c
-	}
-	return n
-}
-
 // Validate checks internal consistency of a result against its trace.
 func (r *Result) Validate(trace *gltrace.Trace) error {
 	if r.Trace != trace.Name {

@@ -34,9 +34,6 @@ func TestRunProducesProfiles(t *testing.T) {
 		if p.Fragments == 0 {
 			t.Fatalf("frame %d shaded no fragments", i)
 		}
-		if p.TotalInvocations() == 0 {
-			t.Fatalf("frame %d has no shader invocations", i)
-		}
 	}
 }
 

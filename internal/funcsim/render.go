@@ -34,8 +34,11 @@ func RenderFrame(trace *gltrace.Trace, frame int) (*image.RGBA, error) {
 	clip := geom.AABB2{Max: geom.Vec2{X: float64(vp.Width), Y: float64(vp.Height)}}
 
 	curFS, curTex := 0, 0
-	bound := false
-	var triBuf []raster.ScreenTriangle
+	var (
+		tris  []raster.ScreenTriangle
+		scr   raster.DrawScratch
+		quads raster.QuadBatch
+	)
 	for ci := range trace.Frames[frame].Commands {
 		cmd := &trace.Frames[frame].Commands[ci]
 		switch cmd.Op {
@@ -43,44 +46,40 @@ func RenderFrame(trace *gltrace.Trace, frame int) (*image.RGBA, error) {
 			depth.Clear()
 		case gltrace.CmdBindProgram:
 			curFS = cmd.FS
-			bound = true
 		case gltrace.CmdBindTexture:
 			if cmd.Unit == 0 {
 				curTex = cmd.Texture
 			}
 		case gltrace.CmdDraw:
-			if !bound {
-				continue
-			}
-			mesh := &trace.Meshes[cmd.Mesh]
-			triBuf = triBuf[:0]
-			tris, _ := raster.ProcessDraw(mesh, cmd.MVP, vp, cmd.DepthBias, triBuf)
-			triBuf = tris
+			tris, _ = raster.ProcessDraw(&trace.Meshes[cmd.Mesh], cmd.MVP, vp, cmd.DepthBias, tris[:0], &scr)
 			r, g, b := materialColor(curFS, curTex)
-			blend := cmd.Blend
 			for t := range tris {
-				raster.RasterizeQuads(&tris[t], clip, func(q *raster.Quad) {
+				quads.Reset()
+				quads.AppendQuads(&tris[t], clip)
+				for i, n := 0, quads.Len(); i < n; i++ {
+					qx, qy := int(quads.X[i]), int(quads.Y[i])
+					qd := quads.Depth[4*i : 4*i+4]
 					var mask uint8
-					if blend {
-						mask = depth.TestQuadReadOnly(q)
+					if cmd.Blend {
+						mask = depth.TestMaskReadOnly(qx, qy, qd, quads.Mask[i])
 					} else {
-						mask = depth.TestQuad(q)
+						mask = depth.TestMask(qx, qy, qd, quads.Mask[i])
 					}
 					for s := 0; s < 4; s++ {
 						if mask&(1<<s) == 0 {
 							continue
 						}
-						x := q.X + (s & 1)
-						y := q.Y + (s >> 1)
+						x := qx + (s & 1)
+						y := qy + (s >> 1)
 						if x >= vp.Width || y >= vp.Height {
 							continue
 						}
 						// Depth cue: nearer is brighter.
-						shade := 1 - 0.6*q.Depth[s]
+						shade := 1 - 0.6*qd[s]
 						pr := uint8(float64(r) * shade)
 						pg := uint8(float64(g) * shade)
 						pb := uint8(float64(b) * shade)
-						if blend {
+						if cmd.Blend {
 							old := img.RGBAAt(x, y)
 							pr = uint8((uint16(old.R) + uint16(pr)) / 2)
 							pg = uint8((uint16(old.G) + uint16(pg)) / 2)
@@ -88,7 +87,7 @@ func RenderFrame(trace *gltrace.Trace, frame int) (*image.RGBA, error) {
 						}
 						img.SetRGBA(x, y, color.RGBA{R: pr, G: pg, B: pb, A: 255})
 					}
-				})
+				}
 			}
 		}
 	}

@@ -173,7 +173,7 @@ func (sc *frameScratch) profile(tr *gltrace.Trace, clip geom.AABB2, dst *FramePr
 			}, proceduralSampler{tex: curTex})
 			dst.Checksum = mixChecksum(dst.Checksum, vsOut.Regs, fsOut.Regs)
 
-			tris, gstats := raster.ProcessDrawScratch(mesh, cmd.MVP, tr.Viewport, cmd.DepthBias, sc.tris[:0], &sc.draw)
+			tris, gstats := raster.ProcessDraw(mesh, cmd.MVP, tr.Viewport, cmd.DepthBias, sc.tris[:0], &sc.draw)
 			sc.tris = tris
 			dst.PrimsIn += uint64(gstats.PrimsIn)
 			dst.PrimsVisible += uint64(gstats.Visible)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -46,15 +47,15 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 // TestSampledOnlyMatchesFullStudyEstimate: the study's estimate is the
-// one a user gets from the sampled-only public flow (megsim.Sample) on
-// the same trace and configuration.
+// one a user gets from the sampled-only public flow
+// (megsim.SampleResilient) on the same trace and configuration.
 func TestSampledOnlyMatchesFullStudyEstimate(t *testing.T) {
 	opts := TestOptions()
 	full, err := Run(workload.Profiles["jjo"], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := megsim.Sample(full.Trace, opts.MEGsim, opts.GPU)
+	sampled, err := megsim.SampleResilient(context.Background(), full.Trace, opts.MEGsim, opts.GPU, megsim.ResilienceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,11 @@ func BenchmarkProcessDrawSphere(b *testing.B) {
 	mvp := geom.Perspective(1.0, 2.0, 0.1, 100).
 		Mul(geom.Translate(geom.Vec3{Z: -3}))
 	buf := make([]ScreenTriangle, 0, mesh.TriangleCount())
+	var scr DrawScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = buf[:0]
-		buf, _ = ProcessDraw(&mesh, mvp, vp, 0, buf)
+		buf, _ = ProcessDraw(&mesh, mvp, vp, 0, buf, &scr)
 	}
 }
 
@@ -28,12 +29,17 @@ var bench64 = ScreenTriangle{
 
 var bench64Clip = geom.AABB2{Max: geom.Vec2{X: 64, Y: 64}}
 
+// BenchmarkRasterizeQuads64 times AppendQuads filling a reused batch,
+// the timing simulator's per-triangle raster step.
 func BenchmarkRasterizeQuads64(b *testing.B) {
 	tri, clip := bench64, bench64Clip
+	var batch QuadBatch
 	b.ResetTimer()
 	quads := 0
 	for i := 0; i < b.N; i++ {
-		RasterizeQuads(&tri, clip, func(q *Quad) { quads++ })
+		batch.Reset()
+		batch.AppendQuads(&tri, clip)
+		quads += batch.Len()
 	}
 	if quads == 0 {
 		b.Fatal("no quads")
@@ -61,9 +67,9 @@ var countSink uint64
 
 func BenchmarkDepthTestQuad(b *testing.B) {
 	d := NewDepthBuffer(64, 64)
-	q := Quad{X: 30, Y: 30, Mask: 0b1111, Depth: [4]float64{0.5, 0.5, 0.5, 0.5}}
+	depth := []float64{0.5, 0.5, 0.5, 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.TestQuad(&q)
+		d.TestMask(30, 30, depth, 0b1111)
 	}
 }

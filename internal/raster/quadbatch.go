@@ -1,21 +1,19 @@
 package raster
 
-import (
-	"sync"
+import "repro/internal/geom"
 
-	"repro/internal/geom"
-)
-
-// QuadBatch is a struct-of-arrays buffer of rasterized 2x2 quads. The
-// timing simulator's fragment loop iterates these flat slices instead
-// of chasing per-quad structs through a callback, and the backing
-// arrays are reused across triangles and tiles, so the steady-state
-// raster hot path performs no allocations. Characterization, which
-// needs only counts, uses DepthBuffer.CountTriangle instead.
+// QuadBatch is a struct-of-arrays buffer of rasterized 2x2 quads, the
+// only quad representation. The timing simulator's fragment loop and
+// the frame renderer iterate these flat slices, and the backing arrays
+// are reused across triangles and tiles, so the steady-state raster hot
+// path performs no allocations. Characterization, which needs only
+// counts, uses DepthBuffer.CountTriangle instead.
 //
-// Quad i occupies X[i], Y[i], Mask[i], U[i], V[i] and the four samples
-// Depth[4i:4i+4] (sample order (0,0), (1,0), (0,1), (1,1), matching
-// Quad.Depth).
+// Quad i has top-left pixel (X[i], Y[i]) on the even quad grid and
+// coverage Mask[i], where bit s is set when sample s is covered; sample
+// order is (0,0), (1,0), (0,1), (1,1). Depth[4i:4i+4] holds the
+// interpolated depth of each covered sample in that order, and U[i],
+// V[i] the texture coordinates interpolated at the quad center.
 type QuadBatch struct {
 	X, Y  []int32
 	Mask  []uint8
@@ -34,19 +32,6 @@ func (b *QuadBatch) Reset() {
 	b.Depth = b.Depth[:0]
 	b.U = b.U[:0]
 	b.V = b.V[:0]
-}
-
-// Quad materializes quad i as an AoS Quad (callback wrappers, tests).
-func (b *QuadBatch) Quad(i int) Quad {
-	q := Quad{
-		X:    int(b.X[i]),
-		Y:    int(b.Y[i]),
-		Mask: b.Mask[i],
-		U:    b.U[i],
-		V:    b.V[i],
-	}
-	copy(q.Depth[:], b.Depth[i*4:i*4+4])
-	return q
 }
 
 // AppendQuads rasterizes tri's 2x2 quads intersected with clip (in
@@ -210,15 +195,12 @@ func extend[T any](s []T, newLen int) []T {
 	return ns
 }
 
-// batchPool recycles scratch batches for the callback wrapper so
-// RasterizeQuads stays allocation-free in steady state.
-var batchPool = sync.Pool{New: func() any { return new(QuadBatch) }}
-
-// TestMask applies the depth test to the covered samples of the quad at
-// (x, y) whose per-sample depths and coverage are given SoA-style
-// (depth must have 4 entries in Quad sample order), updating the buffer
-// for survivors and returning the surviving mask. This is TestQuad over
-// a QuadBatch entry.
+// TestMask applies the Early Z-Test to the covered samples of the quad
+// at (x, y), given SoA-style as a QuadBatch entry (depth has 4 entries
+// in sample order). A sample passes when its depth, rounded to float32,
+// is strictly nearer than the stored value; samples outside the buffer
+// fail. The buffer is updated for survivors and the surviving mask is
+// returned.
 func (d *DepthBuffer) TestMask(x, y int, depth []float64, mask uint8) uint8 {
 	_ = depth[3]
 	var surviving uint8
@@ -264,8 +246,9 @@ func (d *DepthBuffer) TestMask(x, y int, depth []float64, mask uint8) uint8 {
 	return surviving
 }
 
-// TestMaskReadOnly depth-tests the quad at (x, y) without updating the
-// buffer — TestQuadReadOnly over a QuadBatch entry.
+// TestMaskReadOnly is TestMask without updating the buffer: the Early-Z
+// behaviour of alpha-blended fragments, which must not occlude anything
+// behind other transparent surfaces.
 func (d *DepthBuffer) TestMaskReadOnly(x, y int, depth []float64, mask uint8) uint8 {
 	_ = depth[3]
 	var surviving uint8

@@ -7,7 +7,12 @@
 //
 // Rasterization proceeds in 2x2 pixel quads, the granularity real GPUs
 // shade at (derivatives for mip selection come from quad neighbours) and
-// the granularity at which the simulators charge costs.
+// the granularity at which the simulators charge costs. QuadBatch is the
+// one quad container: AppendQuads fills it and DepthBuffer.TestMask or
+// TestMaskReadOnly applies the Early Z-Test to its entries. Consumers
+// that need only fragment counts (characterization) use the count-only
+// walk DepthBuffer.CountTriangle, which shares AppendQuads' coverage
+// expressions.
 package raster
 
 import (
@@ -41,9 +46,25 @@ type GeomStats struct {
 	Visible int
 }
 
+// xformed is one transformed vertex of a draw.
+type xformed struct {
+	clip geom.Vec4
+	scr  geom.Vec3
+	ok   bool
+}
+
+// DrawScratch holds the per-draw transform buffer ProcessDraw reuses
+// across draws, so a caller processing many draws (the timing
+// simulator's geometry pass, characterization, the frame renderer)
+// performs no per-draw allocation.
+type DrawScratch struct {
+	xf []xformed
+}
+
 // ProcessDraw transforms a mesh instance to screen space and performs
-// clipping/culling, returning the visible screen triangles and geometry
-// statistics.
+// clipping/culling, appending the visible screen triangles to out and
+// returning them with geometry statistics. scr holds the transformed
+// vertices and grows only when a mesh outgrows it.
 //
 // Clipping is simplified relative to a full Sutherland-Hodgman
 // implementation: primitives with any vertex at w <= 0 (behind the
@@ -52,41 +73,15 @@ type GeomStats struct {
 // during rasterization. This preserves exact fragment counts (coverage
 // testing is per-pixel) while avoiding the vertex-introduction
 // bookkeeping full clipping requires.
-func ProcessDraw(mesh *gltrace.Mesh, mvp geom.Mat4, vp geom.Viewport, depthBias float64, out []ScreenTriangle) ([]ScreenTriangle, GeomStats) {
-	return ProcessDrawScratch(mesh, mvp, vp, depthBias, out, nil)
-}
-
-// xformed is one transformed vertex of a draw.
-type xformed struct {
-	clip geom.Vec4
-	scr  geom.Vec3
-	ok   bool
-}
-
-// DrawScratch holds the per-draw transform buffer ProcessDrawScratch
-// reuses across draws, so a caller processing many draws (the timing
-// simulator's geometry pass) performs no per-draw allocation.
-type DrawScratch struct {
-	xf []xformed
-}
-
-// ProcessDrawScratch is ProcessDraw with an optional reusable scratch
-// buffer; a nil scratch allocates per call.
-func ProcessDrawScratch(mesh *gltrace.Mesh, mvp geom.Mat4, vp geom.Viewport, depthBias float64, out []ScreenTriangle, scr *DrawScratch) ([]ScreenTriangle, GeomStats) {
+func ProcessDraw(mesh *gltrace.Mesh, mvp geom.Mat4, vp geom.Viewport, depthBias float64, out []ScreenTriangle, scr *DrawScratch) ([]ScreenTriangle, GeomStats) {
 	stats := GeomStats{VerticesIn: len(mesh.Vertices)}
+	if cap(scr.xf) < len(mesh.Vertices) {
+		scr.xf = make([]xformed, len(mesh.Vertices))
+	}
+	xf := scr.xf[:len(mesh.Vertices)]
 
 	// Transform every vertex once (vertex caching: real hardware also
 	// shades each indexed vertex once per draw).
-	var xf []xformed
-	if scr != nil {
-		if cap(scr.xf) < len(mesh.Vertices) {
-			scr.xf = make([]xformed, len(mesh.Vertices))
-		}
-		scr.xf = scr.xf[:len(mesh.Vertices)]
-		xf = scr.xf
-	} else {
-		xf = make([]xformed, len(mesh.Vertices))
-	}
 	for i := range mesh.Vertices {
 		v := &mesh.Vertices[i]
 		c := mvp.MulVec4(v.Pos.ToVec4(1))
@@ -159,57 +154,12 @@ func outsideSamePlane(a, b, c geom.Vec4) bool {
 	return false
 }
 
-// Quad is one 2x2 fragment quad produced by rasterization. X, Y are the
-// top-left pixel coordinates (always even relative to the quad grid).
-type Quad struct {
-	X, Y int
-	// Mask has bit i set when sample i is covered. Sample order:
-	// (0,0), (1,0), (0,1), (1,1).
-	Mask uint8
-	// Depth holds the interpolated depth per covered sample.
-	Depth [4]float64
-	// U, V are the interpolated texture coordinates at the quad center.
-	U, V float64
-}
-
-// Coverage returns the number of covered fragments in the quad.
-func (q *Quad) Coverage() int {
-	n := 0
-	for m := q.Mask; m != 0; m >>= 1 {
-		n += int(m & 1)
-	}
-	return n
-}
-
 // sampleBias nudges sample points off exact pixel centers so that a
 // sample never lies precisely on an edge shared by two triangles. This
 // plays the role of a hardware top-left fill rule: adjacent triangles
 // never both cover the same sample, so meshes neither double-shade nor
 // crack along shared edges.
 const sampleBias = 1.0 / 256
-
-// RasterizeQuads walks the 2x2 quads of tri's bounding box intersected
-// with clip (in pixels, max-exclusive), invoking fn for every quad with
-// at least one covered sample. Quads are emitted row-major, the scan
-// order of a hardware rasterizer.
-//
-// This is a callback adapter over QuadBatch.AppendQuads, kept for
-// per-quad consumers: funcsim.RenderFrame and tests. The *Quad is only
-// valid for the duration of the callback. Coverage is decided in one
-// place: AppendQuads and the count-only DepthBuffer.CountTriangle share
-// setupTriangle and the per-sample expressions, and differ only in what
-// they do with a covered sample.
-func RasterizeQuads(tri *ScreenTriangle, clip geom.AABB2, fn func(*Quad)) {
-	b := batchPool.Get().(*QuadBatch)
-	b.Reset()
-	b.AppendQuads(tri, clip)
-	var q Quad
-	for i, n := 0, b.Len(); i < n; i++ {
-		q = b.Quad(i)
-		fn(&q)
-	}
-	batchPool.Put(b)
-}
 
 // DepthBuffer is a per-pixel depth buffer implementing the Early Z-Test.
 // Smaller depth wins (depth 0 = near plane).
@@ -239,64 +189,10 @@ func (d *DepthBuffer) Clear() {
 	}
 }
 
-// TestAndSet performs the depth test at (x, y); when z passes (strictly
-// nearer than the stored value) the buffer is updated and true is
-// returned. Out-of-bounds coordinates fail the test.
-func (d *DepthBuffer) TestAndSet(x, y int, z float64) bool {
-	if x < 0 || y < 0 || x >= d.w || y >= d.h {
-		return false
-	}
-	i := y*d.w + x
-	if float32(z) < d.z[i] {
-		d.z[i] = float32(z)
-		return true
-	}
-	return false
-}
-
 // At returns the stored depth at (x, y), or +MaxFloat32 out of bounds.
 func (d *DepthBuffer) At(x, y int) float64 {
 	if x < 0 || y < 0 || x >= d.w || y >= d.h {
 		return math.MaxFloat32
 	}
 	return float64(d.z[y*d.w+x])
-}
-
-// TestQuad applies the depth test to every covered sample of q,
-// returning the surviving coverage mask (and updating the buffer for
-// survivors). This is the Early Z-Test operation at quad granularity.
-func (d *DepthBuffer) TestQuad(q *Quad) uint8 {
-	var surviving uint8
-	for s := 0; s < 4; s++ {
-		if q.Mask&(1<<s) == 0 {
-			continue
-		}
-		x := q.X + (s & 1)
-		y := q.Y + (s >> 1)
-		if d.TestAndSet(x, y, q.Depth[s]) {
-			surviving |= 1 << s
-		}
-	}
-	return surviving
-}
-
-// TestQuadReadOnly depth-tests q without updating the buffer — the
-// Early-Z behaviour of alpha-blended fragments, which must not occlude
-// anything behind other transparent surfaces.
-func (d *DepthBuffer) TestQuadReadOnly(q *Quad) uint8 {
-	var surviving uint8
-	for s := 0; s < 4; s++ {
-		if q.Mask&(1<<s) == 0 {
-			continue
-		}
-		x := q.X + (s & 1)
-		y := q.Y + (s >> 1)
-		if x < 0 || y < 0 || x >= d.w || y >= d.h {
-			continue
-		}
-		if float32(q.Depth[s]) < d.z[y*d.w+x] {
-			surviving |= 1 << s
-		}
-	}
-	return surviving
 }

@@ -6,9 +6,9 @@ import (
 	"repro/internal/geom"
 )
 
-// triSetup is the per-triangle state both quad walks share: the
-// timing simulator's QuadBatch.AppendQuads and characterization's
-// DepthBuffer.CountTriangle. Computing it in one place keeps the two
+// triSetup is the per-triangle state both quad walks share:
+// QuadBatch.AppendQuads (the timing simulator and the frame renderer)
+// and characterization's DepthBuffer.CountTriangle. Computing it in one place keeps the two
 // walks' coverage decisions identical; their quad loops differ only in
 // what they do with a covered sample.
 type triSetup struct {

@@ -9,13 +9,29 @@ import (
 	"repro/internal/geom"
 )
 
+// refQuad is one quad of the reference rasterizer, in the field order
+// and sample order of a QuadBatch entry.
+type refQuad struct {
+	X, Y  int
+	Mask  uint8
+	Depth [4]float64
+	U, V  float64
+}
+
+// batchQuad copies quad i of b into a refQuad for comparison.
+func batchQuad(b *QuadBatch, i int) refQuad {
+	q := refQuad{X: int(b.X[i]), Y: int(b.Y[i]), Mask: b.Mask[i], U: b.U[i], V: b.V[i]}
+	copy(q.Depth[:], b.Depth[4*i:4*i+4])
+	return q
+}
+
 // referenceQuads is the naive rasterizer both quad walks must match: it
 // evaluates every sample of every quad on the even grid over the clipped
 // bounding box, with no center reject and no row exit. Pixels left of
 // or above the origin are never rasterized. Each coverage and depth
 // value is the same expression, in the same order, as the per-sample
 // form the walks hoist loop invariants out of, so equality is exact.
-func referenceQuads(tri *ScreenTriangle, clip geom.AABB2) []Quad {
+func referenceQuads(tri *ScreenTriangle, clip geom.AABB2) []refQuad {
 	bb := tri.Tri.Bounds().Intersect(clip)
 	if bb.Empty() {
 		return nil
@@ -34,10 +50,10 @@ func referenceQuads(tri *ScreenTriangle, clip geom.AABB2) []Quad {
 		l1 = ((yC-yA)*(px-xC) + (xA-xC)*(py-yC)) * invDen
 		return l0, l1, 1 - l0 - l1
 	}
-	var out []Quad
+	var out []refQuad
 	for y := max(0, int(math.Floor(bb.Min.Y))&^1); y < int(math.Ceil(bb.Max.Y)); y += 2 {
 		for x := max(0, int(math.Floor(bb.Min.X))&^1); x < int(math.Ceil(bb.Max.X)); x += 2 {
-			q := Quad{X: x, Y: y}
+			q := refQuad{X: x, Y: y}
 			for s := 0; s < 4; s++ {
 				px := float64(x+(s&1)) + 0.5 + sampleBias
 				py := float64(y+(s>>1)) + 0.5 + sampleBias
@@ -194,7 +210,7 @@ func checkQuadWalks(t *testing.T, seed uint64, class uint8, blend bool) {
 		t.Fatalf("%s: AppendQuads emitted %d quads, reference %d", ctx(), b.Len(), len(want))
 	}
 	for i := range want {
-		if got := b.Quad(i); got != want[i] {
+		if got := batchQuad(&b, i); got != want[i] {
 			t.Fatalf("%s: quad %d = %+v, reference %+v", ctx(), i, got, want[i])
 		}
 	}

@@ -256,15 +256,6 @@ type Result struct {
 	CheckpointErr error
 }
 
-// QuarantinedFrames returns the quarantined frame indices, ascending.
-func (r *Result) QuarantinedFrames() []int {
-	out := make([]int, 0, len(r.Quarantined))
-	for _, q := range r.Quarantined {
-		out = append(out, q.Frame)
-	}
-	return out
-}
-
 func logf(w io.Writer, format string, args ...any) {
 	if w != nil {
 		fmt.Fprintf(w, format+"\n", args...)

@@ -88,8 +88,8 @@ func TestRunRetriesAndQuarantines(t *testing.T) {
 			t.Fatalf("frame %d: stats missing or wrong: %+v", f, st)
 		}
 	}
-	if got := res.QuarantinedFrames(); !reflect.DeepEqual(got, []int{2, 4}) {
-		t.Fatalf("quarantined %v, want [2 4]", got)
+	if q := res.Quarantined; len(q) != 2 || q[0].Frame != 2 || q[1].Frame != 4 {
+		t.Fatalf("quarantined %+v, want frames [2 4]", q)
 	}
 	for _, q := range res.Quarantined {
 		if q.Attempts != 3 {
@@ -226,8 +226,8 @@ func TestRunPreQuarantineAndDegenerates(t *testing.T) {
 	if tr.count(1) != 0 {
 		t.Fatal("pre-quarantined frame was attempted")
 	}
-	if got := res.QuarantinedFrames(); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("quarantined %v, want [1]", got)
+	if q := res.Quarantined; len(q) != 1 || q[0].Frame != 1 {
+		t.Fatalf("quarantined %+v, want frame [1]", q)
 	}
 	if res.Quarantined[0].Err != "pre-quarantined" || res.Quarantined[0].Attempts != 0 {
 		t.Fatalf("pre-quarantine record wrong: %+v", res.Quarantined[0])

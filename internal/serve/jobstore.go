@@ -106,16 +106,6 @@ func (j *Job) Result() ([]byte, bool) {
 	return j.reportJSON, true
 }
 
-// Report returns the structured report once succeeded.
-func (j *Job) Report() (*CampaignReport, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != JobSucceeded {
-		return nil, false
-	}
-	return j.report, true
-}
-
 // JobStatus is the poll document of /api/v1/jobs/{id}.
 type JobStatus struct {
 	ID          string   `json:"id"`

@@ -32,8 +32,8 @@ func TestStoreDedupAndRetry(t *testing.T) {
 	default:
 		t.Fatal("Done not closed after completion")
 	}
-	if rep, ok := j1.Report(); !ok || rep.Cycles != 7 {
-		t.Fatal("Report missing after completion")
+	if b, ok := j1.Result(); !ok || string(b) != "bytes" {
+		t.Fatal("Result missing after completion")
 	}
 	// Terminal states are final: a late failure must not overwrite.
 	j1.fail(JobFailed, "too late")
@@ -47,8 +47,8 @@ func TestStoreDedupAndRetry(t *testing.T) {
 	// Failed and interrupted jobs are replaced on resubmission.
 	jf, _ := st.Submit(req, "cmp-b", time.Time{})
 	jf.fail(JobFailed, "boom")
-	if _, ok := jf.Report(); ok {
-		t.Fatal("failed job has a report")
+	if _, ok := jf.Result(); ok {
+		t.Fatal("failed job has a result")
 	}
 	jf2, fresh := st.Submit(req, "cmp-b", time.Time{})
 	if !fresh || jf2 == jf {

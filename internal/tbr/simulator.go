@@ -159,38 +159,28 @@ func (qo *queueObs) record() {
 	qo.stallCycles.Add(d.StallCycles - qo.start.StallCycles)
 }
 
-// quadSoA is a struct-of-arrays list of quads awaiting a later shade
-// pass (the TBDR deferred and transparency queues). Quad i occupies
-// x[i], y[i], mask[i], u[i], v[i], tri[i] and depth[4i:4i+4]; the
-// backing arrays are reused across tiles.
-type quadSoA struct {
-	x, y  []int32
-	mask  []uint8
-	depth []float64
-	u, v  []float64
-	tri   []int32
+// taggedQuads is a list of quads awaiting a later shade pass (the TBDR
+// deferred and transparency queues): a raster.QuadBatch plus, in
+// tri[i], the index of quad i's triangle in the frame's triangle list.
+// The backing arrays are reused across tiles.
+type taggedQuads struct {
+	raster.QuadBatch
+	tri []int32
 }
 
-func (l *quadSoA) reset() {
-	l.x = l.x[:0]
-	l.y = l.y[:0]
-	l.mask = l.mask[:0]
-	l.depth = l.depth[:0]
-	l.u = l.u[:0]
-	l.v = l.v[:0]
+func (l *taggedQuads) reset() {
+	l.Reset()
 	l.tri = l.tri[:0]
 }
 
-func (l *quadSoA) len() int { return len(l.mask) }
-
 // appendFrom copies quad i of b, tagged with its triangle index.
-func (l *quadSoA) appendFrom(b *raster.QuadBatch, i int, tri int32) {
-	l.x = append(l.x, b.X[i])
-	l.y = append(l.y, b.Y[i])
-	l.mask = append(l.mask, b.Mask[i])
-	l.depth = append(l.depth, b.Depth[i*4:i*4+4]...)
-	l.u = append(l.u, b.U[i])
-	l.v = append(l.v, b.V[i])
+func (l *taggedQuads) appendFrom(b *raster.QuadBatch, i int, tri int32) {
+	l.X = append(l.X, b.X[i])
+	l.Y = append(l.Y, b.Y[i])
+	l.Mask = append(l.Mask, b.Mask[i])
+	l.Depth = append(l.Depth, b.Depth[i*4:i*4+4]...)
+	l.U = append(l.U, b.U[i])
+	l.V = append(l.V, b.V[i])
 	l.tri = append(l.tri, tri)
 }
 
@@ -219,8 +209,8 @@ type rasterCtx struct {
 	batch raster.QuadBatch
 
 	// Deferred-shading (TBDR) buffers, reused per tile.
-	deferred    quadSoA
-	transparent quadSoA
+	deferred    taggedQuads
+	transparent taggedQuads
 	shadedPix   []bool
 
 	// fpEnd is the completion cycle of the latest shaded quad seen on
@@ -683,7 +673,7 @@ func (s *Simulator) geometryPass(st *FrameStats) uint64 {
 			// Geometry processing (visibility) is computed by the
 			// shared rasterizer front end; timing is charged below.
 			s.triBuf = s.triBuf[:0]
-			tris, gstats := raster.ProcessDrawScratch(mesh, cmd.MVP, vp, cmd.DepthBias, s.triBuf, &s.drawScratch)
+			tris, gstats := raster.ProcessDraw(mesh, cmd.MVP, vp, cmd.DepthBias, s.triBuf, &s.drawScratch)
 			s.triBuf = tris[:0]
 			st.PrimsIn += uint64(gstats.PrimsIn)
 			st.PrimsVisible += uint64(gstats.Visible)
@@ -960,12 +950,12 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 
 	issue := hsrDone
 	var shadedFrags uint64
-	for di, n := 0, c.deferred.len(); di < n; di++ {
+	for di, n := 0, c.deferred.Len(); di < n; di++ {
 		bt := &s.tris[c.deferred.tri[di]]
-		qx := int(c.deferred.x[di])
-		qy := int(c.deferred.y[di])
-		mask := c.deferred.mask[di]
-		depth := c.deferred.depth[di*4 : di*4+4]
+		qx := int(c.deferred.X[di])
+		qy := int(c.deferred.Y[di])
+		mask := c.deferred.Mask[di]
+		depth := c.deferred.Depth[di*4 : di*4+4]
 		var visible uint8
 		for smp := 0; smp < 4; smp++ {
 			if mask&(1<<smp) == 0 {
@@ -990,7 +980,7 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 		alive := bits.OnesCount8(visible)
 		shadedFrags += uint64(alive)
 		issue++
-		fpDone := c.shadeQuad(st, bt, c.deferred.u[di], c.deferred.v[di], issue, alive)
+		fpDone := c.shadeQuad(st, bt, c.deferred.U[di], c.deferred.V[di], issue, alive)
 		cEnter := c.colorQ.Admit(fpDone)
 		blendClock = maxU(blendClock+1, cEnter)
 		c.colorQ.Commit(blendClock)
@@ -1002,17 +992,17 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 	// Pass 3: transparency — blended quads test against the final
 	// opaque depth (read-only) and shade in submission order; multiple
 	// transparent layers over a pixel all shade (they stack).
-	for di, n := 0, c.transparent.len(); di < n; di++ {
+	for di, n := 0, c.transparent.Len(); di < n; di++ {
 		bt := &s.tris[c.transparent.tri[di]]
-		depth := c.transparent.depth[di*4 : di*4+4]
-		visible := s.depth.TestMaskReadOnly(int(c.transparent.x[di]), int(c.transparent.y[di]), depth, c.transparent.mask[di])
+		depth := c.transparent.Depth[di*4 : di*4+4]
+		visible := s.depth.TestMaskReadOnly(int(c.transparent.X[di]), int(c.transparent.Y[di]), depth, c.transparent.Mask[di])
 		if visible == 0 {
 			continue
 		}
 		alive := bits.OnesCount8(visible)
 		shadedFrags += uint64(alive)
 		issue++
-		fpDone := c.shadeQuad(st, bt, c.transparent.u[di], c.transparent.v[di], issue, alive)
+		fpDone := c.shadeQuad(st, bt, c.transparent.U[di], c.transparent.V[di], issue, alive)
 		cEnter := c.colorQ.Admit(fpDone)
 		blendClock = maxU(blendClock+1, cEnter)
 		c.colorQ.Commit(blendClock)

@@ -1,6 +1,7 @@
 package megsim_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/megsim"
@@ -8,10 +9,11 @@ import (
 
 // The full MEGsim flow on a shortened built-in benchmark: characterize,
 // cluster, simulate only the representatives, extrapolate.
-func ExampleSample() {
+func ExampleSampleResilient() {
 	sc := megsim.Scale{Width: 128, Height: 64, FrameDivisor: 20, DetailDivisor: 2}
 	trace := megsim.MustGenerateBenchmark("hcr", sc)
-	run, err := megsim.Sample(trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.SampleResilient(context.Background(), trace, megsim.DefaultConfig(),
+		megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -7,10 +7,11 @@
 // The typical flow is:
 //
 //	trace := megsim.MustGenerateBenchmark("bbr1", megsim.DefaultScale())
-//	run, err := megsim.Sample(trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+//	run, err := megsim.SampleResilient(ctx, trace, megsim.DefaultConfig(),
+//		megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 //	// run.Estimate holds full-sequence statistics obtained by
 //	// simulating only run.Representatives (tens of frames instead of
-//	// thousands).
+//	// thousands), under the run supervisor's retry and quarantine.
 //
 // Everything is deterministic given the seeds carried in the configs.
 // The heavy machinery lives in internal packages; this package re-exports
@@ -20,7 +21,6 @@ package megsim
 
 import (
 	"context"
-	"fmt"
 	"image"
 
 	"repro/internal/core"
@@ -184,39 +184,6 @@ func (r *Run) Representatives() []int { return r.Selection.Representatives }
 // ReductionFactor returns frames/representatives (the headline Table III
 // metric).
 func (r *Run) ReductionFactor() float64 { return r.Selection.ReductionFactor() }
-
-// Sample executes the full MEGsim flow on a trace: characterize, select
-// representatives, simulate only those frames on the cycle-level
-// simulator, and extrapolate full-sequence statistics.
-func Sample(tr *Trace, cfg Config, gpu GPUConfig) (*Run, error) {
-	ch, err := Characterize(tr)
-	if err != nil {
-		return nil, fmt.Errorf("megsim: characterization: %w", err)
-	}
-	sel, err := SelectFrames(ch, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("megsim: selection: %w", err)
-	}
-	stats, err := tbr.SimulateFrames(context.Background(), gpu, tr, sel.Representatives, 0)
-	if err != nil {
-		return nil, fmt.Errorf("megsim: simulation: %w", err)
-	}
-	repStats := make(map[int]FrameStats, sel.NumRepresentatives())
-	for i, f := range sel.Representatives {
-		repStats[f] = stats[i]
-	}
-	est, err := sel.Estimate(repStats)
-	if err != nil {
-		return nil, fmt.Errorf("megsim: estimation: %w", err)
-	}
-	return &Run{
-		Trace:               tr,
-		Characterization:    ch,
-		Selection:           sel,
-		RepresentativeStats: repStats,
-		Estimate:            est,
-	}, nil
-}
 
 // GPUPresets returns named GPU configurations (mali450 = Table I,
 // lowend, highend, tbdr) for design-space studies.

@@ -29,7 +29,7 @@ func TestBenchmarksListed(t *testing.T) {
 
 func TestSampleEndToEnd(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("hcr", testScale())
-	run, err := megsim.Sample(tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.SampleResilient(context.Background(), tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSampleEndToEnd(t *testing.T) {
 
 func TestSampleMatchesFullSimulation(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("jjo", testScale())
-	run, err := megsim.Sample(tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.SampleResilient(context.Background(), tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestTBDRConfigThroughFacade(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("bbr1", testScale())
 	gpu := megsim.DefaultGPUConfig()
 	gpu.DeferredShading = true
-	run, err := megsim.Sample(tr, megsim.DefaultConfig(), gpu)
+	run, err := megsim.SampleResilient(context.Background(), tr, megsim.DefaultConfig(), gpu, megsim.ResilienceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := megsim.Sample(tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	base, err := megsim.SampleResilient(context.Background(), tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

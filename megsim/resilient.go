@@ -171,8 +171,11 @@ func (p *simPool) put(sim *Simulator) {
 	p.mu.Unlock()
 }
 
-// SampleResilient is Sample under the run supervisor: representative
-// frames are simulated with per-frame retry and quarantine, progress is
+// SampleResilient executes the full MEGsim flow on a trace:
+// characterize, select representatives, simulate only those frames on
+// the cycle-level simulator, and extrapolate full-sequence statistics.
+// It runs under the run supervisor: representative frames are
+// simulated with per-frame retry and quarantine, progress is
 // checkpointed at frame granularity (when rcfg.CheckpointPath is set),
 // and quarantined representatives degrade gracefully — the next-closest
 // in-cluster frame substitutes, weights rescale, and the ResilientRun

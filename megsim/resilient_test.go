@@ -9,17 +9,44 @@ import (
 	"repro/megsim"
 )
 
+// unsupervisedEstimate is the sampling flow without the run supervisor:
+// characterize, select, simulate every frame, and extrapolate from the
+// representatives' stats. Frames are isolated (FlushCachesPerFrame), so
+// a representative's stats do not depend on which frames ran before it.
+func unsupervisedEstimate(t *testing.T, tr *megsim.Trace, cfg megsim.Config, gpu megsim.GPUConfig) megsim.FrameStats {
+	t.Helper()
+	ch, err := megsim.Characterize(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := megsim.SelectFrames(ch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := megsim.SimulateFullParallelCtx(context.Background(), tr, gpu, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := make(map[int]megsim.FrameStats, len(sel.Representatives))
+	for _, f := range sel.Representatives {
+		reps[f] = full[f]
+	}
+	est, err := sel.Estimate(reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
 // TestSampleResilientHealthyMatchesSample: with nothing failing, the
-// supervised sampling path must land on exactly the estimate the plain
-// Sample path computes — supervision is free when the run is healthy.
+// supervised sampling path must land on exactly the estimate the
+// unsupervised flow computes — supervision is free when the run is
+// healthy.
 func TestSampleResilientHealthyMatchesSample(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("hcr", testScale())
 	cfg, gpu := megsim.DefaultConfig(), megsim.DefaultGPUConfig()
 
-	plain, err := megsim.Sample(tr, cfg, gpu)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := unsupervisedEstimate(t, tr, cfg, gpu)
 	rrun, err := megsim.SampleResilient(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -27,8 +54,8 @@ func TestSampleResilientHealthyMatchesSample(t *testing.T) {
 	if rrun.Degraded() {
 		t.Fatalf("healthy run reported degraded: %+v", rrun.Degradation)
 	}
-	if rrun.Estimate != plain.Estimate {
-		t.Fatalf("supervised estimate differs:\n got %+v\nwant %+v", rrun.Estimate, plain.Estimate)
+	if rrun.Estimate != plain {
+		t.Fatalf("supervised estimate differs:\n got %+v\nwant %+v", rrun.Estimate, plain)
 	}
 	if len(rrun.Supervision.Quarantined) != 0 || rrun.Supervision.Retried != 0 {
 		t.Fatalf("healthy supervision: %+v", rrun.Supervision)
@@ -44,11 +71,15 @@ func TestSampleResilientDegradationLoop(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("hcr", testScale())
 	cfg, gpu := megsim.DefaultConfig(), megsim.DefaultGPUConfig()
 
-	plain, err := megsim.Sample(tr, cfg, gpu)
+	ch, err := megsim.Characterize(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := plain.Representatives()[0]
+	sel, err := megsim.SelectFrames(ch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := sel.Representatives[0]
 
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	rrun, err := megsim.SampleResilient(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{
