@@ -26,7 +26,7 @@ COVER_PKGS := check resilience serve fabric stream chaos
 
 # bench-<layer> and bench-check-<layer> are pattern rules, so they
 # stay off .PHONY (make skips implicit-rule search for phony targets).
-.PHONY: ci vet build test race validate cover-check bench bench-check bench-smoke bench-selftest fuzz-smoke loc
+.PHONY: ci vet build test race validate cover-check bench bench-check bench-smoke bench-selftest fuzz-smoke loc api
 
 ci: vet build race validate cover-check bench-check bench-smoke bench-selftest fuzz-smoke
 
@@ -157,6 +157,22 @@ bench-selftest:
 # report. Not part of ci.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
+# Exported API size of ./internal/... and ./megsim: exported top-level
+# names (funcs, types, and each name of a const or var block) plus
+# exported methods, counted from `go doc -all`, which prints only
+# exported declarations, each starting at column 0 below the package
+# comment. Not part of ci.
+api:
+	@for p in $$($(GO) list ./internal/... ./megsim); do $(GO) doc -all $$p; done | awk ' \
+		/^package / { decl = 0 } \
+		/^(CONSTANTS|VARIABLES|FUNCTIONS|TYPES)$$/ { decl = 1 } \
+		!decl { next } \
+		/^(const|var) \($$/ { blk = 1; next } \
+		blk && /^\)/ { blk = 0; next } \
+		blk && /^\t[A-Z]/ { n++; next } \
+		/^(func|type|const|var) / { n++ } \
+		END { print n }'
 
 # -fuzz must match exactly one target per package, so each fuzz target
 # gets its own short invocation.

@@ -19,6 +19,10 @@ import (
 // keeps the daemon's handler load negligible.
 const pollInterval = 250 * time.Millisecond
 
+// maxResponseBytes bounds every daemon response body the CLI reads, the
+// same bound the cluster coordinator puts on a worker's frame result.
+const maxResponseBytes = 32 << 20
+
 // runRemote submits the campaign to a megsimd daemon, waits for the job
 // to finish, and renders the result with the same renderers a local run
 // uses — so apart from wall-clock timing the output is identical either
@@ -157,9 +161,14 @@ func doRequest(ctx context.Context, method, url string, body []byte) (*http.Resp
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
+	// Read one byte past the cap so an oversized body is refused by
+	// name rather than cut short into a malformed-JSON error.
+	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return nil, nil, err
+	}
+	if len(payload) > maxResponseBytes {
+		return nil, nil, fmt.Errorf("%s %s: daemon answered more than %d bytes", method, url, maxResponseBytes)
 	}
 	return resp, payload, nil
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
@@ -100,6 +102,36 @@ func TestServerModeJobFailure(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "failed") || !strings.Contains(err.Error(), "quarantine") {
 		t.Fatalf("failure error lacks job state and cause: %v", err)
+	}
+}
+
+// TestServerModeRefusesOversizedResult: a daemon whose result body is
+// well-formed JSON but larger than maxResponseBytes is refused with an
+// error naming the cap, not read into memory without bound.
+func TestServerModeRefusesOversizedResult(t *testing.T) {
+	pad := strings.Repeat("x", maxResponseBytes)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch r.URL.Path {
+		case "/api/v1/campaigns":
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(serve.SubmitResponse{JobID: "job-1", State: serve.JobQueued})
+		case "/api/v1/jobs/job-1":
+			json.NewEncoder(w).Encode(serve.JobStatus{ID: "job-1", State: serve.JobSucceeded})
+		case "/api/v1/jobs/job-1/result":
+			json.NewEncoder(w).Encode(map[string]string{"workload": "hcr", "pad": pad})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer ts.Close()
+	var buf bytes.Buffer
+	err := run(context.Background(), []string{"-server", ts.URL, "-benchmark", "hcr", "-frame-div", "40", "-json"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxResponseBytes)) {
+		t.Fatalf("oversized result: error %v, want one naming the %d-byte cap", err, maxResponseBytes)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("oversized result reached stdout (%d bytes)", buf.Len())
 	}
 }
 

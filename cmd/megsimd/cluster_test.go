@@ -41,15 +41,13 @@ func TestClusterDaemonLifecycle(t *testing.T) {
 		"-addr", "127.0.0.1:0", "-workers", "1", "-queue", "4",
 		"-checkpoint-dir", t.TempDir(),
 		"-coordinator", strings.Join(workerURLs, ","),
-		"-policy", "round-robin", // spread frames across both workers
-		"-tenant-rate", "100",
 	}
 	go func() { done <- run(ctx, args, out) }()
 	base, err := waitListening(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "coordinating 2 workers (round-robin routing)") {
+	if !strings.Contains(out.String(), "coordinating 2 workers") {
 		t.Fatalf("coordinator did not report its fleet:\n%s", out.String())
 	}
 
@@ -161,17 +159,12 @@ func TestClusterBadFlags(t *testing.T) {
 	}{
 		{[]string{"-worker", "-coordinator", "http://x"}, "-coordinator cannot be combined with -worker"},
 		{[]string{"-worker", "-checkpoint-dir", "ckpt"}, "-checkpoint-dir cannot be combined with -worker"},
-		{[]string{"-worker", "-tenant-rate", "5"}, "-tenant-rate cannot be combined with -worker"},
-		{[]string{"-worker", "-policy", "affinity"}, "-policy cannot be combined with -worker"},
 		{[]string{"-worker", "-queue", "8"}, "-queue cannot be combined with -worker"},
 		{[]string{"-worker", "-workers", "2"}, "-workers cannot be combined with -worker"},
 		{[]string{"-worker", "-frame-cache", "16"}, "-frame-cache cannot be combined with -worker"},
-		{[]string{"-worker", "-tenant-burst", "2"}, "-tenant-burst cannot be combined with -worker"},
 		{[]string{"-worker", "-heartbeat", "1s"}, "-heartbeat cannot be combined with -worker"},
 		{[]string{"-worker", "-audit-fraction", "0.5"}, "-audit-fraction cannot be combined with -worker"},
-		{[]string{"-worker", "-hedge-after", "1s"}, "-hedge-after cannot be combined with -worker"},
 		{[]string{"-worker", "-chaos-seed", "7"}, "-chaos-seed cannot be combined with -worker"},
-		{[]string{"-coordinator", "http://x", "-policy", "no-such-policy"}, "no-such-policy"},
 		{[]string{"-coordinator", " , "}, "worker"}, // no usable worker URLs
 	} {
 		var buf bytes.Buffer

@@ -12,9 +12,10 @@
 // The daemon also runs as either half of a cluster: -worker turns it
 // into a stateless simulation worker serving single frames over the
 // fabric protocol, and -coordinator turns it into the cluster's
-// coordinator — the same campaign API, with representative frames
-// dispatched across the worker fleet (affinity-routed by default) and
-// worker failures absorbed by the resilience supervisor's requeue path.
+// coordinator — the same campaign API, with each campaign's
+// representative frames dispatched to the worker its fingerprint hashes
+// to, failing over to the next worker when one dies, and lost frames
+// absorbed by the resilience supervisor's requeue path.
 //
 // Usage:
 //
@@ -59,12 +60,9 @@ func main() {
 // flagNeeds maps each flag that only tunes a mode to the flag that
 // turns the mode on.
 var flagNeeds = map[string]string{
-	"policy":         "coordinator",
 	"heartbeat":      "coordinator",
 	"audit-fraction": "coordinator",
-	"hedge-after":    "coordinator",
 	"chaos-seed":     "coordinator",
-	"tenant-burst":   "tenant-rate",
 }
 
 // workerFlags are the only flags -worker mode reads; every
@@ -84,13 +82,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs to reach a frame boundary on shutdown")
 		workerMode   = fs.Bool("worker", false, "run as a cluster simulation worker (serves single frames, not campaigns)")
 		coordinator  = fs.String("coordinator", "", "comma-separated worker URLs; run as the cluster coordinator dispatching frames to this fleet")
-		policy       = fs.String("policy", "", "coordinator frame routing: affinity (default), round-robin or least-loaded")
 		heartbeat    = fs.Duration("heartbeat", 0, "coordinator worker-probe cadence (0 = default)")
 		auditFrac    = fs.Float64("audit-fraction", 0, "fraction of frames the coordinator re-dispatches to a second worker and digest-checks (byzantine defense; 0 = off, 1 = every frame)")
-		hedgeAfter   = fs.Duration("hedge-after", 0, "hedge a frame to the next worker after max(this, 2x fleet latency EWMA) (0 = hedging off)")
 		chaosSeed    = fs.Uint64("chaos-seed", 0, "arm the deterministic chaos transport on the coordinator's worker client with this seed (staging fault-injection profile; 0 = off)")
-		tenantRate   = fs.Float64("tenant-rate", 0, "per-tenant submissions per second via the X-Megsim-Tenant header (0 = tenant throttling off)")
-		tenantBurst  = fs.Int("tenant-burst", 0, "per-tenant submission burst (0 = default; needs -tenant-rate)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -98,7 +92,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// A flag its mode ignores is refused, not silently dropped: a
 	// worker serves frames, not campaigns, and a flag that only tunes
 	// another does nothing without it.
-	enabled := map[string]bool{"coordinator": *coordinator != "", "tenant-rate": *tenantRate > 0}
+	enabled := map[string]bool{"coordinator": *coordinator != ""}
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {
 		switch dep := flagNeeds[f.Name]; {
@@ -125,15 +119,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Workers:         *workers,
 		CheckpointDir:   *ckptDir,
 		MaxCachedFrames: *frameCache,
-		TenantRate:      *tenantRate,
-		TenantBurst:     *tenantBurst,
 		Log:             stdout,
 	}
 	if *coordinator != "" {
-		pol, err := fabric.PolicyByName(*policy)
-		if err != nil {
-			return err
-		}
 		// Coordinator and campaign service share one registry, so
 		// /metrics exports the per-worker fleet gauges alongside the
 		// job counters.
@@ -149,13 +137,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
 			Workers:           strings.Split(*coordinator, ","),
-			Policy:            pol,
 			Obs:               reg,
 			Client:            client,
 			HeartbeatInterval: *heartbeat,
 			AuditFraction:     *auditFrac,
 			AuditSeed:         *chaosSeed,
-			HedgeAfter:        *hedgeAfter,
 			Log:               stdout,
 		})
 		if err != nil {
@@ -164,7 +150,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		defer coord.Close()
 		cfg.Obs = reg
 		cfg.Dispatcher = coord
-		fmt.Fprintf(stdout, "megsimd: coordinating %d workers (%s routing)\n", len(coord.Workers()), pol.Name())
+		fmt.Fprintf(stdout, "megsimd: coordinating %d workers\n", len(coord.Workers()))
 	}
 	srv := serve.New(cfg)
 	ln, err := net.Listen("tcp", *addr)

@@ -154,13 +154,9 @@ func TestDaemonBadFlags(t *testing.T) {
 	}{
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 		{[]string{"-addr", "256.0.0.1:bad"}, "listen"},
-		{[]string{"-policy", "affinity"}, "-policy needs -coordinator"},
 		{[]string{"-heartbeat", "1s"}, "-heartbeat needs -coordinator"},
 		{[]string{"-audit-fraction", "0.5"}, "-audit-fraction needs -coordinator"},
-		{[]string{"-hedge-after", "100ms"}, "-hedge-after needs -coordinator"},
 		{[]string{"-chaos-seed", "7"}, "-chaos-seed needs -coordinator"},
-		{[]string{"-tenant-burst", "4"}, "-tenant-burst needs -tenant-rate"},
-		{[]string{"-tenant-rate", "0", "-tenant-burst", "4"}, "-tenant-burst needs -tenant-rate"},
 		{[]string{"-coordinator", "http://localhost:1", "-audit-fraction", "1.5"}, "audit"},
 	} {
 		var buf bytes.Buffer

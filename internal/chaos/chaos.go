@@ -36,7 +36,7 @@ const (
 	// sees it and the client gets a transport error — a lost packet.
 	ClassDrop Class = iota
 	// ClassDelay holds the request for Config.Delay before sending —
-	// ordinary network jitter, below any hedging deadline of interest.
+	// ordinary network jitter, short next to any client timeout.
 	ClassDelay
 	// ClassDuplicate delivers the request twice and returns the second
 	// response — a retransmitted POST reaching an at-least-once worker.
@@ -48,7 +48,7 @@ const (
 	// corruption that checksums exist to catch.
 	ClassCorrupt
 	// ClassStall holds the request for Config.StallDelay — a straggler
-	// worker, the case hedged dispatch exists for.
+	// worker that answers late but inside the client timeout.
 	ClassStall
 	// ClassPartition makes a worker unreachable for a whole window of
 	// consecutive requests — a partial network partition: some peers
@@ -167,7 +167,7 @@ func (c *Config) partitionWindow() int {
 
 // StagingProfile is the moderate default the megsimd -chaos-seed flag
 // arms: every fault class on at a rate a healthy fleet absorbs through
-// failover, hedging and digest verification. Staging clusters run under
+// failover and digest verification. Staging clusters run under
 // it to prove the trust layer earns its keep before production traffic
 // does the proving.
 func StagingProfile(seed uint64) Config {

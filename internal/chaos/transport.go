@@ -187,8 +187,8 @@ func cloneWithBody(req *http.Request, body []byte) *http.Request {
 }
 
 // sleep waits for d or until the request's context ends, whichever is
-// first — a stalled request must still honor cancellation, or hedging
-// could not reclaim the stuck attempt.
+// first — a stalled request must still honor cancellation, or a
+// draining service would wait out every stalled frame.
 func sleep(req *http.Request, d time.Duration) error {
 	timer := time.NewTimer(d)
 	defer timer.Stop()

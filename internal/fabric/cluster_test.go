@@ -248,7 +248,7 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 	for i, u := range urls {
 		cands[i] = Candidate{Name: u}
 	}
-	target := NewAffinity().Pick(fp, cands)
+	target := affinity{}.Pick(fp, cands)
 	if target < 0 {
 		t.Fatal("affinity found no candidate")
 	}
@@ -256,7 +256,6 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Workers:           urls,
-		Policy:            NewAffinity(),
 		HeartbeatInterval: -1, // deterministic: only dispatch failures mark members down
 	})
 	if err != nil {
@@ -360,7 +359,7 @@ func TestDistributedObsIdentity(t *testing.T) {
 	_, _, urls := startFleet(t, 2)
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Workers:           urls,
-		Policy:            NewRoundRobin(), // spread frames across both workers
+		Policy:            &roundRobin{}, // spread frames across both workers
 		HeartbeatInterval: -1,
 	})
 	if err != nil {

@@ -42,8 +42,9 @@ type CoordinatorConfig struct {
 	// (e.g. "http://sim-3:8080"). Required, order-insensitive — routing
 	// keys on the URL, not the position.
 	Workers []string
-	// Policy routes frames to workers (nil = NewAffinity, which
+	// Policy routes frames to workers (nil = rendezvous affinity, which
 	// co-locates each campaign's frames on one worker's trace cache).
+	// Tests substitute their own to seat specific workers.
 	Policy Policy
 	// Obs receives the coordinator's fabric counters and per-worker
 	// gauges (nil = a fresh metrics-only registry). Pass the campaign
@@ -66,13 +67,6 @@ type CoordinatorConfig struct {
 	AuditFraction float64
 	// AuditSeed keys the audit sampler (0 is a valid seed).
 	AuditSeed uint64
-	// HedgeAfter arms hedged dispatch: when a worker has held a frame
-	// longer than the adaptive deadline max(HedgeAfter, 2× the fleet's
-	// latency EWMA), the frame is also sent to the policy's next
-	// candidate and the first digest-valid result wins. <= 0 disables
-	// hedging. Safe because worker results are byte-identical — either
-	// copy of the answer is the answer.
-	HedgeAfter time.Duration
 	// DigestFailureLimit quarantines a worker after this many digest
 	// verification failures (0 = DefaultDigestFailureLimit).
 	DigestFailureLimit int
@@ -135,11 +129,6 @@ type Coordinator struct {
 	lost, refused          *obs.Counter
 	auditSampled, auditBad *obs.Counter
 	digestFailed           *obs.Counter
-	hedges, hedgeWins      *obs.Counter
-
-	// latencyEWMA is the fleet's successful-dispatch latency EWMA in
-	// nanoseconds (alpha 1/8), the adaptive half of the hedge deadline.
-	latencyEWMA atomic.Uint64
 
 	// ctx is cancelled by Close, bounding the heartbeat loop and any
 	// in-flight probe — a probe can't outlive its coordinator.
@@ -167,7 +156,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	policy := cfg.Policy
 	if policy == nil {
-		policy = NewAffinity()
+		policy = affinity{}
 	}
 	client := cfg.Client
 	if client == nil {
@@ -187,8 +176,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		auditSampled: reg.Counter("fabric.audit.sampled"),
 		auditBad:     reg.Counter("fabric.audit.mismatch"),
 		digestFailed: reg.Counter("fabric.digest.failed"),
-		hedges:       reg.Counter("fabric.dispatch.hedged"),
-		hedgeWins:    reg.Counter("fabric.dispatch.hedge_wins"),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	seen := map[string]bool{}
@@ -364,149 +351,55 @@ func (c *Coordinator) auditSample(u *WorkUnit) bool {
 	return float64(x>>11)/(1<<53) < f
 }
 
-// attemptOutcome is one post's answer as dispatchOnce's select loop
-// consumes it.
-type attemptOutcome struct {
-	idx              int
-	res              *WorkResult
-	unitErr, dispErr error
-	hedge            bool
-}
-
-// dispatchOnce drives one unit to one digest-valid result: sequential
-// failover across the policy's candidates, plus at most one hedge — if
-// the hedge deadline passes with the attempt still in flight, the next
-// candidate gets the unit too and the first valid result wins, the
-// loser's request cancelled. exclude lists member indexes this dispatch
-// must not use (audit re-dispatches exclude the workers already
-// consulted). Returns the member index that produced the result.
+// dispatchOnce drives one unit to one digest-valid result by
+// sequential failover across the policy's candidates, one attempt in
+// flight at a time. exclude lists member indexes this dispatch must not
+// use (audit re-dispatches exclude the workers already consulted).
+// Returns the member index that produced the result.
 func (c *Coordinator) dispatchOnce(ctx context.Context, u *WorkUnit, exclude map[int]bool) (*WorkResult, int, error) {
-	dctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	tried := make(map[int]bool, len(c.members))
 	for i := range exclude {
 		tried[i] = true
 	}
-	// Every member launches at most once, so the buffer bounds all
-	// possible sends: losing attempts never block after we return.
-	results := make(chan attemptOutcome, len(c.members))
-	inflight := 0
-	launch := func(idx int, hedge bool) {
+	lastErr := errors.New("no live workers")
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, -1, err
+		}
+		idx := c.pick(u.Fingerprint, tried)
+		if idx < 0 {
+			c.lost.Inc()
+			return nil, -1, resilience.WorkerLost(lastErr)
+		}
 		tried[idx] = true
-		inflight++
 		c.dispatched.Inc()
 		m := c.members[idx]
-		go func() {
-			start := time.Now()
-			res, unitErr, dispErr := c.post(dctx, m, u)
-			if unitErr == nil && dispErr == nil {
-				c.observeLatency(time.Since(start))
+		res, unitErr, dispErr := c.post(ctx, m, u)
+		switch {
+		case unitErr != nil:
+			// Deterministic refusal: the frame itself is the problem, so
+			// failover would only re-fail it N times. Let the supervisor's
+			// retry/quarantine path own it.
+			c.refused.Inc()
+			return nil, idx, unitErr
+		case dispErr == nil:
+			if lastErr = c.verifyResult(m, u, res); lastErr == nil {
+				return res, idx, nil
 			}
-			results <- attemptOutcome{idx: idx, res: res, unitErr: unitErr, dispErr: dispErr, hedge: hedge}
-		}()
-	}
-
-	idx := c.pick(u.Fingerprint, tried)
-	if idx < 0 {
-		c.lost.Inc()
-		return nil, -1, resilience.WorkerLost(errors.New("no live workers"))
-	}
-	launch(idx, false)
-
-	var hedgeC <-chan time.Time
-	if d := c.hedgeDelay(); d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, -1, ctx.Err()
-		case <-hedgeC:
-			hedgeC = nil // one hedge per dispatch
-			if next := c.pick(u.Fingerprint, tried); next >= 0 {
-				c.hedges.Inc()
-				c.logf("fabric: hedging %s frame %d to %s", u.Fingerprint, u.Frame, c.members[next].name)
-				launch(next, true)
+		case errors.Is(dispErr, errDraining):
+			m.draining.Store(true)
+			c.logf("fabric: %s draining, failing over", m.name)
+			lastErr = dispErr
+		default:
+			if err := ctx.Err(); err != nil {
+				// The transport error was our own cancellation, not the
+				// worker's death.
+				return nil, -1, err
 			}
-		case a := <-results:
-			inflight--
-			m := c.members[a.idx]
-			switch {
-			case a.dispErr == nil && a.unitErr == nil:
-				if err := c.verifyResult(m, u, a.res); err != nil {
-					lastErr = err
-					c.failovers.Inc()
-				} else {
-					if a.hedge {
-						c.hedgeWins.Inc()
-					}
-					return a.res, a.idx, nil
-				}
-			case a.unitErr != nil:
-				// Deterministic refusal: the frame itself is the problem, so
-				// failover would only re-fail it N times. Let the supervisor's
-				// retry/quarantine path own it.
-				c.refused.Inc()
-				return nil, a.idx, a.unitErr
-			case errors.Is(a.dispErr, errDraining):
-				m.draining.Store(true)
-				c.logf("fabric: %s draining, failing over", m.name)
-				lastErr = a.dispErr
-				c.failovers.Inc()
-			default:
-				if err := ctx.Err(); err != nil {
-					// The transport error was our own cancellation, not the
-					// worker's death.
-					return nil, -1, err
-				}
-				c.markDown(m, a.dispErr)
-				lastErr = a.dispErr
-				c.failovers.Inc()
-			}
-			// This attempt failed. If a hedge (or the original) is still
-			// out, wait for it; otherwise move to the next candidate.
-			if inflight == 0 {
-				next := c.pick(u.Fingerprint, tried)
-				if next < 0 {
-					c.lost.Inc()
-					return nil, -1, resilience.WorkerLost(lastErr)
-				}
-				launch(next, false)
-			}
+			c.markDown(m, dispErr)
+			lastErr = dispErr
 		}
-	}
-}
-
-// hedgeDelay is the adaptive hedge deadline: the configured floor,
-// stretched to twice the fleet's successful-dispatch latency EWMA so a
-// slow-but-healthy fleet isn't double-dispatching every frame. 0 means
-// hedging is off.
-func (c *Coordinator) hedgeDelay() time.Duration {
-	floor := c.cfg.HedgeAfter
-	if floor <= 0 {
-		return 0
-	}
-	if adaptive := 2 * time.Duration(c.latencyEWMA.Load()); adaptive > floor {
-		return adaptive
-	}
-	return floor
-}
-
-func (c *Coordinator) observeLatency(d time.Duration) {
-	for {
-		old := c.latencyEWMA.Load()
-		next := uint64(d)
-		if old != 0 {
-			next = (7*old + uint64(d)) / 8
-		}
-		if c.latencyEWMA.CompareAndSwap(old, next) {
-			return
-		}
+		c.failovers.Inc()
 	}
 }
 
@@ -565,11 +458,7 @@ func (c *Coordinator) pick(key string, tried map[int]bool) int {
 		if tried[i] || m.down.Load() {
 			continue
 		}
-		cands = append(cands, Candidate{
-			Name:     m.name,
-			Load:     int(m.inflight.Load()),
-			Draining: m.draining.Load(),
-		})
+		cands = append(cands, Candidate{Name: m.name, Draining: m.draining.Load()})
 		idxs = append(idxs, i)
 	}
 	p := c.policy.Pick(key, cands)

@@ -1,19 +1,12 @@
 package fabric
 
-import (
-	"fmt"
-	"hash/fnv"
-	"sync/atomic"
-)
+import "hash/fnv"
 
 // Candidate is one dispatchable worker as a routing policy sees it.
 type Candidate struct {
 	// Name identifies the worker stably across coordinator restarts —
 	// the fabric uses the worker's base URL from the static peer list.
 	Name string
-	// Load is the worker's in-flight frame count as tracked by the
-	// coordinator.
-	Load int
 	// Draining marks a worker that answered its drain endpoint or
 	// reported draining on a heartbeat; policies must never pick it.
 	Draining bool
@@ -21,72 +14,14 @@ type Candidate struct {
 
 // Policy picks the worker for one frame dispatch. Pick returns an index
 // into cands, or -1 when no candidate is eligible. Implementations must
-// be safe for concurrent use and must skip draining candidates.
+// be safe for concurrent use and must skip draining candidates. The
+// coordinator routes by cache affinity unless a test substitutes its
+// own policy.
 type Policy interface {
-	Name() string
 	Pick(key string, cands []Candidate) int
 }
 
-// PolicyByName resolves a policy by its CLI name.
-func PolicyByName(name string) (Policy, error) {
-	switch name {
-	case "affinity", "":
-		return NewAffinity(), nil
-	case "round-robin":
-		return NewRoundRobin(), nil
-	case "least-loaded":
-		return NewLeastLoaded(), nil
-	}
-	return nil, fmt.Errorf("fabric: unknown routing policy %q (want affinity, round-robin or least-loaded)", name)
-}
-
-// RoundRobin cycles through eligible workers, ignoring the key: the
-// baseline policy for homogeneous fleets and cold caches.
-type RoundRobin struct{ next atomic.Uint64 }
-
-// NewRoundRobin returns a round-robin policy.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
-
-func (*RoundRobin) Name() string { return "round-robin" }
-
-func (p *RoundRobin) Pick(_ string, cands []Candidate) int {
-	if len(cands) == 0 {
-		return -1
-	}
-	start := int((p.next.Add(1) - 1) % uint64(len(cands)))
-	for i := 0; i < len(cands); i++ {
-		c := (start + i) % len(cands)
-		if !cands[c].Draining {
-			return c
-		}
-	}
-	return -1
-}
-
-// LeastLoaded picks the eligible worker with the fewest in-flight
-// frames, breaking ties by name so concurrent coordinators converge.
-type LeastLoaded struct{}
-
-// NewLeastLoaded returns a least-loaded policy.
-func NewLeastLoaded() *LeastLoaded { return &LeastLoaded{} }
-
-func (*LeastLoaded) Name() string { return "least-loaded" }
-
-func (*LeastLoaded) Pick(_ string, cands []Candidate) int {
-	best := -1
-	for i, c := range cands {
-		if c.Draining {
-			continue
-		}
-		if best < 0 || c.Load < cands[best].Load ||
-			(c.Load == cands[best].Load && c.Name < cands[best].Name) {
-			best = i
-		}
-	}
-	return best
-}
-
-// Affinity routes by rendezvous (highest-random-weight) hashing over
+// affinity routes by rendezvous (highest-random-weight) hashing over
 // the campaign fingerprint: every frame of a campaign lands on the same
 // worker, so the worker's trace cache is hit after the first frame. The
 // weight is a pure function of (key, worker name), which buys the two
@@ -98,14 +33,9 @@ func (*LeastLoaded) Pick(_ string, cands []Candidate) int {
 //   - minimal remap: when a worker joins or leaves, only the campaigns
 //     whose top-weight worker changed move — every other campaign keeps
 //     its placement, unlike modulo hashing where most keys reshuffle.
-type Affinity struct{}
+type affinity struct{}
 
-// NewAffinity returns a cache-affinity policy.
-func NewAffinity() *Affinity { return &Affinity{} }
-
-func (*Affinity) Name() string { return "affinity" }
-
-func (*Affinity) Pick(key string, cands []Candidate) int {
+func (affinity) Pick(key string, cands []Candidate) int {
 	best, bestW := -1, uint64(0)
 	for i, c := range cands {
 		if c.Draining {

@@ -13,30 +13,6 @@ func cands(names ...string) []Candidate {
 	return out
 }
 
-// TestPolicyByName is the CLI-name table.
-func TestPolicyByName(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		want string
-	}{
-		{"", "affinity"},
-		{"affinity", "affinity"},
-		{"round-robin", "round-robin"},
-		{"least-loaded", "least-loaded"},
-	} {
-		p, err := PolicyByName(tc.name)
-		if err != nil {
-			t.Fatalf("PolicyByName(%q): %v", tc.name, err)
-		}
-		if p.Name() != tc.want {
-			t.Fatalf("PolicyByName(%q).Name() = %q, want %q", tc.name, p.Name(), tc.want)
-		}
-	}
-	if _, err := PolicyByName("random"); err == nil {
-		t.Fatal("unknown policy name accepted")
-	}
-}
-
 // TestAffinityStableAcrossRestarts: the pick is a pure function of
 // (key, candidate set) — a fresh policy instance (a restarted
 // coordinator) routes every campaign exactly as the old one did.
@@ -44,9 +20,9 @@ func TestAffinityStableAcrossRestarts(t *testing.T) {
 	fleet := cands("http://w0", "http://w1", "http://w2")
 	for i := 0; i < 32; i++ {
 		key := fmt.Sprintf("megsim-%024x", i)
-		first := NewAffinity().Pick(key, fleet)
+		first := affinity{}.Pick(key, fleet)
 		for run := 0; run < 3; run++ {
-			if got := NewAffinity().Pick(key, fleet); got != first {
+			if got := (affinity{}).Pick(key, fleet); got != first {
 				t.Fatalf("key %s: fresh instance picked %d, first run picked %d", key, got, first)
 			}
 		}
@@ -58,7 +34,7 @@ func TestAffinityStableAcrossRestarts(t *testing.T) {
 // every frame after the first.
 func TestAffinityColocatesCampaign(t *testing.T) {
 	fleet := cands("http://w0", "http://w1", "http://w2")
-	p := NewAffinity()
+	p := affinity{}
 	first := p.Pick("megsim-abc123", fleet)
 	for i := 0; i < 16; i++ {
 		if got := p.Pick("megsim-abc123", fleet); got != first {
@@ -82,7 +58,7 @@ func TestAffinityColocatesCampaign(t *testing.T) {
 // everything.)
 func TestAffinityMinimalRemap(t *testing.T) {
 	full := cands("http://w0", "http://w1", "http://w2", "http://w3")
-	p := NewAffinity()
+	p := affinity{}
 	const n = 256
 	before := make(map[string]string, n)
 	for i := 0; i < n; i++ {
@@ -109,67 +85,29 @@ func TestAffinityMinimalRemap(t *testing.T) {
 	}
 }
 
-// TestPoliciesSkipDraining: no policy may ever hand a frame to a
+// TestPoliciesSkipDraining: affinity never hands a frame to a
 // draining worker, and an all-draining fleet reads as no pick.
 func TestPoliciesSkipDraining(t *testing.T) {
-	for _, p := range []Policy{NewAffinity(), NewRoundRobin(), NewLeastLoaded()} {
-		fleet := []Candidate{
-			{Name: "http://w0", Load: 0, Draining: true},
-			{Name: "http://w1", Load: 5},
-			{Name: "http://w2", Load: 9, Draining: true},
-		}
-		for i := 0; i < 16; i++ {
-			key := fmt.Sprintf("megsim-%024x", i)
-			if got := p.Pick(key, fleet); got != 1 {
-				t.Fatalf("%s picked %d, only index 1 is eligible", p.Name(), got)
-			}
-		}
-		all := []Candidate{
-			{Name: "http://w0", Draining: true},
-			{Name: "http://w1", Draining: true},
-		}
-		if got := p.Pick("megsim-abc", all); got != -1 {
-			t.Fatalf("%s picked %d from an all-draining fleet", p.Name(), got)
-		}
-		if got := p.Pick("megsim-abc", nil); got != -1 {
-			t.Fatalf("%s picked %d from an empty fleet", p.Name(), got)
-		}
-	}
-}
-
-// TestLeastLoadedPicksMinimum: strictly the lightest eligible worker,
-// deterministic tie-break by name.
-func TestLeastLoadedPicksMinimum(t *testing.T) {
-	p := NewLeastLoaded()
+	p := affinity{}
 	fleet := []Candidate{
-		{Name: "http://w0", Load: 3},
-		{Name: "http://w1", Load: 1},
-		{Name: "http://w2", Load: 2},
+		{Name: "http://w0", Draining: true},
+		{Name: "http://w1"},
+		{Name: "http://w2", Draining: true},
 	}
-	if got := p.Pick("any", fleet); got != 1 {
-		t.Fatalf("picked %d, want the Load=1 worker at index 1", got)
-	}
-	tie := []Candidate{
-		{Name: "http://wB", Load: 2},
-		{Name: "http://wA", Load: 2},
-	}
-	if got := p.Pick("any", tie); got != 1 {
-		t.Fatalf("tie broke to %d, want lexicographically-first name at index 1", got)
-	}
-}
-
-// TestRoundRobinCycles: over 3 eligible workers, 3k picks land k on
-// each.
-func TestRoundRobinCycles(t *testing.T) {
-	p := NewRoundRobin()
-	fleet := cands("http://w0", "http://w1", "http://w2")
-	counts := map[int]int{}
-	for i := 0; i < 30; i++ {
-		counts[p.Pick("ignored", fleet)]++
-	}
-	for i := 0; i < 3; i++ {
-		if counts[i] != 10 {
-			t.Fatalf("worker %d got %d of 30 picks, want 10 (counts %v)", i, counts[i], counts)
+	for i := 0; i < 16; i++ {
+		key := fmt.Sprintf("megsim-%024x", i)
+		if got := p.Pick(key, fleet); got != 1 {
+			t.Fatalf("picked %d, only index 1 is eligible", got)
 		}
+	}
+	all := []Candidate{
+		{Name: "http://w0", Draining: true},
+		{Name: "http://w1", Draining: true},
+	}
+	if got := p.Pick("megsim-abc", all); got != -1 {
+		t.Fatalf("picked %d from an all-draining fleet", got)
+	}
+	if got := p.Pick("megsim-abc", nil); got != -1 {
+		t.Fatalf("picked %d from an empty fleet", got)
 	}
 }

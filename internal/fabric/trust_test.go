@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,14 +20,29 @@ import (
 // order — deterministic primary/audit/arbiter seating for trust tests.
 type orderedPolicy struct{ order []string }
 
-func (*orderedPolicy) Name() string { return "ordered" }
-
 func (p *orderedPolicy) Pick(_ string, cands []Candidate) int {
 	for _, name := range p.order {
 		for i, c := range cands {
 			if c.Name == name && !c.Draining {
 				return i
 			}
+		}
+	}
+	return -1
+}
+
+// roundRobin cycles through eligible candidates, ignoring the key, so
+// a campaign's frames spread across the whole fleet.
+type roundRobin struct{ next atomic.Uint64 }
+
+func (p *roundRobin) Pick(_ string, cands []Candidate) int {
+	if len(cands) == 0 {
+		return -1
+	}
+	start := int((p.next.Add(1) - 1) % uint64(len(cands)))
+	for i := range cands {
+		if c := (start + i) % len(cands); !cands[c].Draining {
+			return c
 		}
 	}
 	return -1
@@ -244,64 +260,6 @@ func TestAuditMismatchWithoutArbiterRequeues(t *testing.T) {
 	}
 	if q := coord.Quarantined(); len(q) != 0 {
 		t.Fatalf("quarantined %v on a 1-vs-1 dispute with no majority", q)
-	}
-}
-
-// TestHedgedDispatchReclaimsStraggler: the primary worker stalls far
-// past the hedge deadline; the dispatch hedges to the next candidate
-// and the hedge's digest-valid result wins long before the straggler
-// would have answered.
-func TestHedgedDispatchReclaimsStraggler(t *testing.T) {
-	const stall = 30 * time.Second
-	stalled := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/fabric/v1/frames" {
-				// Drain the body first so the server's connection watcher
-				// runs and the coordinator's cancel actually unblocks us.
-				body, _ := io.ReadAll(r.Body)
-				select {
-				case <-time.After(stall):
-				case <-r.Context().Done():
-					return
-				}
-				r.Body = io.NopCloser(bytes.NewReader(body))
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
-	workers, urls := trustFleet(t, 2, map[int]func(http.Handler) http.Handler{0: stalled})
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:           urls,
-		Policy:            &orderedPolicy{order: urls},
-		HeartbeatInterval: -1,
-		HedgeAfter:        50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	u, _ := validWorkUnit(t, 0)
-	start := time.Now()
-	res, err := coord.Dispatch(context.Background(), u)
-	if err != nil {
-		t.Fatalf("Dispatch: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed >= stall {
-		t.Fatalf("dispatch waited out the straggler (%v)", elapsed)
-	}
-	if res.Digest != res.ComputeDigest() {
-		t.Fatal("hedged result fails digest verification")
-	}
-	if got := workerServed(workers[1]); got != 1 {
-		t.Fatalf("hedge target served %d frames, want 1", got)
-	}
-	snap := coord.reg.Snapshot()
-	if got := snap.Counters["fabric.dispatch.hedged"]; got != 1 {
-		t.Fatalf("fabric.dispatch.hedged = %d, want 1", got)
-	}
-	if got := snap.Counters["fabric.dispatch.hedge_wins"]; got != 1 {
-		t.Fatalf("fabric.dispatch.hedge_wins = %d, want 1", got)
 	}
 }
 

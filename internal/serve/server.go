@@ -84,14 +84,6 @@ type Config struct {
 	// Dispatcher, when non-nil, sources each campaign's frame function
 	// (coordinator mode); nil runs frames on the in-process simulator.
 	Dispatcher Dispatcher
-	// TenantRate enables per-tenant token-bucket admission: each tenant
-	// (the X-Megsim-Tenant header; empty = anonymous) refills at this
-	// many submissions per second, bursting to TenantBurst. Zero or
-	// negative disables tenant throttling.
-	TenantRate float64
-	// TenantBurst is the per-tenant bucket capacity (0 =
-	// DefaultTenantBurst). Only meaningful when TenantRate > 0.
-	TenantBurst int
 	// Obs is the service registry /metrics exports (nil = a fresh
 	// enabled metrics-only registry). Every job's observability merges
 	// into it.
@@ -108,13 +100,12 @@ const DefaultQueueCapacity = 64
 // Server is the campaign service. Create with New, expose via Handler,
 // stop with Drain.
 type Server struct {
-	cfg     Config
-	reg     *obs.Registry
-	cache   *Cache
-	store   *Store
-	queue   *admissionQueue
-	tenants *tenantLimiter
-	mux     *http.ServeMux
+	cfg   Config
+	reg   *obs.Registry
+	cache *Cache
+	store *Store
+	queue *admissionQueue
+	mux   *http.ServeMux
 
 	jobsCtx    context.Context
 	cancelJobs context.CancelFunc
@@ -124,7 +115,6 @@ type Server struct {
 	inflight atomic.Int64
 
 	submitted, deduped, rejected *obs.Counter
-	throttled                    *obs.Counter
 	executed, completed, failed  *obs.Counter
 	degradedJobs, interrupted    *obs.Counter
 }
@@ -149,13 +139,11 @@ func New(cfg Config) *Server {
 		cache:        NewCache(reg, cfg.MaxCachedFrames),
 		store:        NewStore(),
 		queue:        newAdmissionQueue(cfg.QueueCapacity),
-		tenants:      newTenantLimiter(cfg.TenantRate, cfg.TenantBurst, nil),
 		jobsCtx:      ctx,
 		cancelJobs:   cancel,
 		submitted:    reg.Counter("serve.jobs.submitted"),
 		deduped:      reg.Counter("serve.jobs.deduped"),
 		rejected:     reg.Counter("serve.jobs.rejected"),
-		throttled:    reg.Counter("serve.jobs.throttled"),
 		executed:     reg.Counter("serve.jobs.executed"),
 		completed:    reg.Counter("serve.jobs.completed"),
 		failed:       reg.Counter("serve.jobs.failed"),
@@ -386,16 +374,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "service is draining")
 		return
-	}
-	if s.tenants != nil {
-		tenant := r.Header.Get(TenantHeader)
-		if ok, retry := s.tenants.Admit(tenant); !ok {
-			s.throttled.Inc()
-			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			writeError(w, http.StatusTooManyRequests,
-				fmt.Sprintf("tenant %q over its submission rate; retry later", tenant))
-			return
-		}
 	}
 	req, err := DecodeCampaignRequest(r.Body)
 	if err != nil {

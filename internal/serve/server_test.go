@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -552,6 +553,57 @@ func TestBackpressure(t *testing.T) {
 	// Drain is idempotent.
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("second drain: %v", err)
+	}
+}
+
+// TestRetryAfterDerivedFromDepth pins the Retry-After contract: the
+// advice is a pure function of (depth, capacity, key), grows with queue
+// pressure, and spreads distinct campaigns so synchronized clients do
+// not re-stampede in lockstep.
+func TestRetryAfterDerivedFromDepth(t *testing.T) {
+	const capacity = 64
+	// Deterministic: same inputs, same advice.
+	for i := 0; i < 3; i++ {
+		if a, b := retryAfterSeconds(10, capacity, "cmp-a"), retryAfterSeconds(10, capacity, "cmp-a"); a != b {
+			t.Fatalf("retryAfterSeconds not deterministic: %d vs %d", a, b)
+		}
+	}
+	// Monotone (non-decreasing) in depth, and a full queue advises a
+	// strictly longer wait than an empty one.
+	prev := 0
+	for depth := 0; depth <= capacity; depth++ {
+		got := retryAfterSeconds(depth, capacity, "cmp-a")
+		if got < prev {
+			t.Fatalf("retryAfterSeconds(depth=%d) = %d < %d at depth-1", depth, got, prev)
+		}
+		prev = got
+	}
+	if empty, full := retryAfterSeconds(0, capacity, "cmp-a"), retryAfterSeconds(capacity, capacity, "cmp-a"); full <= empty {
+		t.Fatalf("full queue advice %ds not above empty queue advice %ds", full, empty)
+	}
+	// Bounded: at least 1s, and jitter adds at most 2s over the base.
+	for depth := 0; depth <= capacity; depth++ {
+		for _, key := range []string{"", "cmp-a", "cmp-b", "cmp-0123456789abcdef"} {
+			got := retryAfterSeconds(depth, capacity, key)
+			base := 1 + (4*depth)/capacity
+			if got < 1 || got < base || got > base+2 {
+				t.Fatalf("retryAfterSeconds(%d, %d, %q) = %d outside [max(1,%d), %d]",
+					depth, capacity, key, got, base, base+2)
+			}
+		}
+	}
+	// Spread: across many keys the jitter must actually use more than
+	// one offset — a constant would re-stampede every rejected client.
+	seen := map[int]bool{}
+	for i := 0; i < 64; i++ {
+		seen[retryAfterSeconds(5, capacity, "cmp-"+strconv.Itoa(i))] = true
+	}
+	if len(seen) < 2 {
+		t.Fatalf("jitter produced a single value %v across 64 keys", seen)
+	}
+	// Degenerate inputs must not panic or go below 1.
+	if got := retryAfterSeconds(-3, 0, "x"); got < 1 {
+		t.Fatalf("degenerate inputs gave %d, want >= 1", got)
 	}
 }
 

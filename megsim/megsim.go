@@ -38,8 +38,6 @@ type (
 	// Trace is a self-contained graphics workload: shader programs,
 	// meshes, textures and a per-frame command stream.
 	Trace = gltrace.Trace
-	// Mesh is an indexed triangle mesh resource.
-	Mesh = gltrace.Mesh
 	// Texture is a texture resource descriptor.
 	Texture = gltrace.Texture
 	// GPUConfig is the timing-simulator configuration (Table I).
@@ -71,8 +69,6 @@ type (
 	// histograms and timeline events, serializable as JSON or a Chrome
 	// trace (WriteChromeTrace).
 	ObsSnapshot = obs.Snapshot
-	// ObsEvent is one timeline entry of an ObsSnapshot.
-	ObsEvent = obs.Event
 )
 
 // NewObsRegistry returns an enabled observability registry with the
