@@ -2,7 +2,7 @@
 # workflow runs nothing else: vet (plus a gofmt check), build, every package's tests under
 # the race detector (the determinism, kill/resume, service, cluster,
 # streaming and chaos goldens included), the differential validation
-# oracle, the coverage floors, the tbr/cluster/funcsim/megsim bench regression
+# oracle, the coverage floors, the tbr/cluster/funcsim/megsim/workload bench regression
 # checks, a one-iteration bench smoke, megbench's self-tests (smoke run plus the
 # pinned seed-1 report digests) and short fuzz smokes of every fuzz
 # target.
@@ -82,7 +82,11 @@ cover-check:
 # megsim.FrameRunner (BenchmarkFrameRunner) on a warmed runner, so its
 # allocs/op is one frame's and stays fixed; a runner that built a
 # simulator per frame again would fail the alloc gate on any host.
-BENCH_LAYERS := tbr cluster funcsim megsim
+# workload builds the full-length pvz trace at DefaultScale
+# (BenchmarkGenerate), the trace every campaign holds in memory: its
+# allocs/op is two exact-size slices per frame plus fixed setup, so a
+# generator that grew frames by append again fails the alloc gate.
+BENCH_LAYERS := tbr cluster funcsim megsim workload
 BENCH_PKGS_tbr := ./internal/tbr/...
 BENCH_ARGS_tbr := -bench . -benchtime $(BENCHTIME)
 BENCH_PKGS_cluster := ./internal/cluster ./internal/core
@@ -91,6 +95,8 @@ BENCH_PKGS_funcsim := ./internal/funcsim
 BENCH_ARGS_funcsim := -bench '^BenchmarkCharacterize$$' -benchtime 1x
 BENCH_PKGS_megsim := ./megsim
 BENCH_ARGS_megsim := -bench '^BenchmarkFrameRunner$$' -benchtime $(BENCHTIME)
+BENCH_PKGS_workload := ./internal/workload
+BENCH_ARGS_workload := -bench '^BenchmarkGenerate$$' -benchtime $(BENCHTIME)
 
 # Per-layer gate flags for bench-check (see below).
 #
@@ -111,7 +117,7 @@ BENCH_ARGS_megsim := -bench '^BenchmarkFrameRunner$$' -benchtime $(BENCHTIME)
 # hot-path-only 2x regression still lands the ratio near 2x baseline,
 # well past the 1.5x limit.
 #
-# cluster, funcsim and megsim take benchjson's default gates: their allocs/op
+# cluster, funcsim, megsim and workload take benchjson's default gates: their allocs/op
 # repeat within a few per cent (1.10x + 1 allows for that) and they
 # have no same-run ratio pair, so wall clock gates on the 2.5x
 # absolute backstop alone.

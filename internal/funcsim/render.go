@@ -34,24 +34,27 @@ func RenderFrame(trace *gltrace.Trace, frame int) (*image.RGBA, error) {
 	clip := geom.AABB2{Max: geom.Vec2{X: float64(vp.Width), Y: float64(vp.Height)}}
 
 	curFS, curTex := 0, 0
+	draw := 0 // index of the next draw's transform in f.MVPs
 	var (
 		tris  []raster.ScreenTriangle
 		scr   raster.DrawScratch
 		quads raster.QuadBatch
 	)
-	for ci := range trace.Frames[frame].Commands {
-		cmd := &trace.Frames[frame].Commands[ci]
+	f := &trace.Frames[frame]
+	for ci := range f.Commands {
+		cmd := &f.Commands[ci]
 		switch cmd.Op {
 		case gltrace.CmdClear:
 			depth.Clear()
 		case gltrace.CmdBindProgram:
-			curFS = cmd.FS
+			curFS = int(cmd.FS)
 		case gltrace.CmdBindTexture:
 			if cmd.Unit == 0 {
-				curTex = cmd.Texture
+				curTex = int(cmd.Texture)
 			}
 		case gltrace.CmdDraw:
-			tris, _ = raster.ProcessDraw(&trace.Meshes[cmd.Mesh], cmd.MVP, vp, cmd.DepthBias, tris[:0], &scr)
+			tris, _ = raster.ProcessDraw(&trace.Meshes[cmd.Mesh], f.MVPs[draw], vp, cmd.DepthBias, tris[:0], &scr)
+			draw++
 			r, g, b := materialColor(curFS, curTex)
 			for t := range tris {
 				quads.Reset()

@@ -146,14 +146,15 @@ func (sc *frameScratch) profile(tr *gltrace.Trace, clip geom.AABB2, dst *FramePr
 
 	curVS, curFS := -1, -1
 	curTex := 0
+	draw := 0 // index of the next draw's transform in frame.MVPs
 	for ci := range frame.Commands {
 		cmd := &frame.Commands[ci]
 		switch cmd.Op {
 		case gltrace.CmdBindProgram:
-			curVS, curFS = cmd.VS, cmd.FS
+			curVS, curFS = int(cmd.VS), int(cmd.FS)
 		case gltrace.CmdBindTexture:
 			if cmd.Unit == 0 {
-				curTex = cmd.Texture
+				curTex = int(cmd.Texture)
 			}
 		case gltrace.CmdClear:
 			depth.Clear()
@@ -161,19 +162,22 @@ func (sc *frameScratch) profile(tr *gltrace.Trace, clip geom.AABB2, dst *FramePr
 			mesh := &tr.Meshes[cmd.Mesh]
 			dst.VSCount[curVS] += uint64(len(mesh.Vertices))
 
+			mvp := &frame.MVPs[draw]
+			draw++
+
 			// Functionally execute the bound programs once per draw
 			// with draw-derived inputs; lock-step warps make all
 			// invocations of a draw structurally identical, so one
 			// execution yields the per-draw functional digest.
 			vsOut := tr.VertexShaders[curVS].Exec(shader.Regs{
-				cmd.MVP[3], cmd.MVP[7], cmd.MVP[11], cmd.DepthBias,
+				mvp[3], mvp[7], mvp[11], cmd.DepthBias,
 			}, nil)
 			fsOut := tr.FragmentShaders[curFS].Exec(shader.Regs{
-				cmd.MVP[3], cmd.MVP[7], 0.5, 0.5,
+				mvp[3], mvp[7], 0.5, 0.5,
 			}, proceduralSampler{tex: curTex})
 			dst.Checksum = mixChecksum(dst.Checksum, vsOut.Regs, fsOut.Regs)
 
-			tris, gstats := raster.ProcessDraw(mesh, cmd.MVP, tr.Viewport, cmd.DepthBias, sc.tris[:0], &sc.draw)
+			tris, gstats := raster.ProcessDraw(mesh, *mvp, tr.Viewport, cmd.DepthBias, sc.tris[:0], &sc.draw)
 			sc.tris = tris
 			dst.PrimsIn += uint64(gstats.PrimsIn)
 			dst.PrimsVisible += uint64(gstats.Visible)

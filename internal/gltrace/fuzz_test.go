@@ -18,6 +18,13 @@ func addTraceSeed(f *testing.F, tr *gltrace.Trace) {
 	if err := tr.Validate(); err != nil {
 		f.Fatalf("seed trace invalid: %v", err)
 	}
+	addEncodedSeed(f, tr)
+}
+
+// addEncodedSeed serializes a trace without validating it, so a seed
+// can start mutation from a stream Load must reject.
+func addEncodedSeed(f *testing.F, tr *gltrace.Trace) {
+	f.Helper()
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		f.Fatal(err)
@@ -34,8 +41,8 @@ func seedShaders() (*shader.Program, *shader.Program) {
 // FuzzLoad feeds arbitrary bytes to the trace loader: it must reject
 // garbage with an error, never panic, and anything it accepts must
 // validate. The corpus seeds cover the structural edge cases mutation
-// starts from: empty frames, degenerate geometry, and a max-size
-// command stream.
+// starts from: empty frames, degenerate geometry, a max-size command
+// stream, and a frame whose transform count disagrees with its draws.
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte("garbage"))
 	f.Add([]byte{0x1f, 0x8b}) // gzip magic, truncated
@@ -87,12 +94,15 @@ func FuzzLoad(f *testing.F) {
 		VertexShaders:   []*shader.Program{vs},
 		FragmentShaders: []*shader.Program{fs},
 		Meshes:          []gltrace.Mesh{point, sliver, {Name: "empty"}},
-		Frames: []gltrace.Frame{{Commands: []gltrace.Command{
-			{Op: gltrace.CmdBindProgram},
-			{Op: gltrace.CmdDraw, Mesh: 0, MVP: geom.IdentityMat4()},
-			{Op: gltrace.CmdDraw, Mesh: 1, MVP: geom.IdentityMat4(), DepthBias: math.MaxFloat64},
-			{Op: gltrace.CmdDraw, Mesh: 2, MVP: geom.IdentityMat4(), DepthBias: -math.MaxFloat64},
-		}}},
+		Frames: []gltrace.Frame{{
+			Commands: []gltrace.Command{
+				{Op: gltrace.CmdBindProgram},
+				{Op: gltrace.CmdDraw, Mesh: 0},
+				{Op: gltrace.CmdDraw, Mesh: 1, DepthBias: math.MaxFloat64},
+				{Op: gltrace.CmdDraw, Mesh: 2, DepthBias: -math.MaxFloat64},
+			},
+			MVPs: []geom.Mat4{geom.IdentityMat4(), geom.IdentityMat4(), geom.IdentityMat4()},
+		}},
 	})
 
 	// Max-size command stream: one frame with hundreds of commands
@@ -105,16 +115,25 @@ func FuzzLoad(f *testing.F) {
 		Meshes:          []gltrace.Mesh{scene.Quad("q")},
 		Textures:        []gltrace.Texture{{Name: "t", Width: 16, Height: 16, BytesPerTexel: 4}},
 	}
-	cmds := []gltrace.Command{{Op: gltrace.CmdClear}}
+	frame := gltrace.Frame{Commands: []gltrace.Command{{Op: gltrace.CmdClear}}}
 	for i := 0; i < 512; i++ {
-		cmds = append(cmds,
+		frame.Commands = append(frame.Commands,
 			gltrace.Command{Op: gltrace.CmdBindProgram},
-			gltrace.Command{Op: gltrace.CmdBindTexture, Unit: i % 8, Texture: 0},
-			gltrace.Command{Op: gltrace.CmdDraw, Mesh: 0, MVP: geom.IdentityMat4(), DepthBias: float64(i) * 1e-6},
+			gltrace.Command{Op: gltrace.CmdBindTexture, Unit: int32(i % 8), Texture: 0},
+			gltrace.Command{Op: gltrace.CmdDraw, Mesh: 0, DepthBias: float64(i) * 1e-6},
 		)
+		frame.MVPs = append(frame.MVPs, geom.IdentityMat4())
 	}
-	big.Frames = []gltrace.Frame{{Commands: cmds}}
+	big.Frames = []gltrace.Frame{frame}
 	addTraceSeed(f, big)
+
+	// Mismatched transform count: a well-formed stream whose second
+	// frame lost a transform, as a trace saved before draws' transforms
+	// moved into Frame.MVPs decodes.
+	short := buildTestTrace(f)
+	short.Name = "mismatched"
+	short.Frames[1].MVPs = short.Frames[1].MVPs[:1]
+	addEncodedSeed(f, short)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := gltrace.Load(bytes.NewReader(data))

@@ -95,17 +95,20 @@ func (r *Recorder) UseProgram(p ProgramHandle) {
 	if int(p) < 0 || int(p) >= len(r.trace.VertexShaders) {
 		panic(fmt.Sprintf("gltrace: UseProgram(%d) with %d programs registered", p, len(r.trace.VertexShaders)))
 	}
-	r.frame.Commands = append(r.frame.Commands, Command{Op: CmdBindProgram, VS: int(p), FS: int(p)})
+	r.frame.Commands = append(r.frame.Commands, Command{Op: CmdBindProgram, VS: int32(p), FS: int32(p)})
 	r.bound = true
 }
 
-// BindTexture binds a texture to a sampler unit.
+// BindTexture binds a texture to a sampler unit in [0, 8).
 func (r *Recorder) BindTexture(unit int, t TextureHandle) {
 	r.mustBeInFrame("BindTexture")
 	if int(t) < 0 || int(t) >= len(r.trace.Textures) {
 		panic(fmt.Sprintf("gltrace: BindTexture(%d) with %d textures registered", t, len(r.trace.Textures)))
 	}
-	r.frame.Commands = append(r.frame.Commands, Command{Op: CmdBindTexture, Unit: unit, Texture: int(t)})
+	if unit < 0 || unit >= 8 {
+		panic(fmt.Sprintf("gltrace: BindTexture on sampler unit %d out of range", unit))
+	}
+	r.frame.Commands = append(r.frame.Commands, Command{Op: CmdBindTexture, Unit: int32(unit), Texture: int32(t)})
 }
 
 // Draw submits a mesh instance under the current state.
@@ -129,8 +132,9 @@ func (r *Recorder) DrawDepthBiased(m MeshHandle, mvp geom.Mat4, bias float64, bl
 		panic(fmt.Sprintf("gltrace: Draw(%d) with %d meshes registered", m, len(r.trace.Meshes)))
 	}
 	r.frame.Commands = append(r.frame.Commands, Command{
-		Op: CmdDraw, Mesh: int(m), MVP: mvp, DepthBias: bias, Blend: blend,
+		Op: CmdDraw, Mesh: int32(m), DepthBias: bias, Blend: blend,
 	})
+	r.frame.MVPs = append(r.frame.MVPs, mvp)
 }
 
 // EndFrame closes the current frame (the SwapBuffers moment).

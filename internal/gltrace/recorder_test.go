@@ -53,6 +53,11 @@ func TestRecorderCapturesValidTrace(t *testing.T) {
 	if !blended {
 		t.Fatal("DrawBlended lost the blend flag")
 	}
+	// Transforms are recorded per draw, in draw order.
+	mvps := tr.Frames[2].MVPs
+	if len(mvps) != 2 || mvps[0] != geom.IdentityMat4() || mvps[1] != geom.Translate(geom.Vec3{X: 0.2}) {
+		t.Fatalf("frame 2 transforms = %v, want identity then the translation", mvps)
+	}
 }
 
 func TestRecorderRejectsMismatchedPrograms(t *testing.T) {
@@ -97,6 +102,11 @@ func TestRecorderPanicsOnMisuse(t *testing.T) {
 		r.BeginFrame()
 		r.UseProgram(prog)
 		r.Draw(MeshHandle(99), geom.IdentityMat4())
+	})
+	check("bad sampler unit", func() {
+		r, _, tex, _ := newTestRecorder(t)
+		r.BeginFrame()
+		r.BindTexture(8, tex)
 	})
 	check("use after finish", func() {
 		r, _, _, _ := newTestRecorder(t)

@@ -55,7 +55,7 @@ type Texture struct {
 func (t *Texture) SizeBytes() int { return t.Width * t.Height * t.BytesPerTexel }
 
 // CmdOp enumerates trace commands.
-type CmdOp int
+type CmdOp int8
 
 const (
 	// CmdClear clears the color and depth buffers.
@@ -64,8 +64,9 @@ const (
 	CmdBindProgram
 	// CmdBindTexture binds a texture resource to a sampler unit.
 	CmdBindTexture
-	// CmdDraw renders a mesh instance with a model-view-projection
-	// transform under the currently bound state.
+	// CmdDraw renders a mesh instance under the currently bound state,
+	// with its model-view-projection transform taken from the frame's
+	// MVPs.
 	CmdDraw
 )
 
@@ -86,33 +87,36 @@ func (c CmdOp) String() string {
 }
 
 // Command is one entry of a frame's command stream. Fields are used
-// according to Op.
+// according to Op. A draw's transform lives in Frame.MVPs, not here:
+// only one command in three is a draw, and the 128-byte matrix would
+// otherwise inflate every bind. The layout packs to 32 bytes.
 type Command struct {
 	Op CmdOp
-
-	// CmdBindProgram: indices into Trace.VertexShaders and
-	// Trace.FragmentShaders.
-	VS, FS int
-
-	// CmdBindTexture: sampler unit and index into Trace.Textures.
-	Unit, Texture int
-
-	// CmdDraw: index into Trace.Meshes and the instance transform.
-	Mesh int
-	MVP  geom.Mat4
-	// Depth bias shifts the instance's depth range so layered 2D games
-	// draw back-to-front deterministically.
-	DepthBias float64
-	// Blend marks the draw as alpha-blended: its fragments are depth-
+	// Blend marks a CmdDraw as alpha-blended: its fragments are depth-
 	// tested against opaque geometry but never write depth, and the
 	// Blending Unit combines them with the framebuffer (Section II-A's
 	// transparent, non-occluded fragments).
 	Blend bool
+
+	// CmdBindProgram: indices into Trace.VertexShaders and
+	// Trace.FragmentShaders.
+	VS, FS int32
+
+	// CmdBindTexture: sampler unit and index into Trace.Textures.
+	Unit, Texture int32
+
+	// CmdDraw: index into Trace.Meshes.
+	Mesh int32
+	// DepthBias (CmdDraw) shifts the instance's depth range so layered
+	// 2D games draw back-to-front deterministically.
+	DepthBias float64
 }
 
-// Frame is the command stream of one rendered frame.
+// Frame is the command stream of one rendered frame plus one transform
+// per draw: the i-th CmdDraw of Commands uses MVPs[i].
 type Frame struct {
 	Commands []Command
+	MVPs     []geom.Mat4
 }
 
 // DrawCount returns the number of draw commands in the frame.
@@ -149,8 +153,9 @@ func (t *Trace) NumFrames() int { return len(t.Frames) }
 
 // Validate checks referential integrity of the whole trace: every
 // resource index used by a command must exist, every shader program must
-// itself validate, and draws must appear only with a program bound
-// earlier in the same frame (TBR drivers re-emit state per frame).
+// itself validate, draws must appear only with a program bound earlier
+// in the same frame (TBR drivers re-emit state per frame), and every
+// frame must carry exactly one transform per draw.
 func (t *Trace) Validate() error {
 	if t.Name == "" {
 		return fmt.Errorf("gltrace: trace has empty name")
@@ -188,36 +193,41 @@ func (t *Trace) Validate() error {
 	for fi := range t.Frames {
 		bound := false
 		cmds := t.Frames[fi].Commands
+		draws := 0
 		for ci := range cmds {
 			cmd := &cmds[ci]
 			switch cmd.Op {
 			case CmdBindProgram:
-				if cmd.VS < 0 || cmd.VS >= len(t.VertexShaders) {
+				if cmd.VS < 0 || int(cmd.VS) >= len(t.VertexShaders) {
 					return fmt.Errorf("gltrace %s: frame %d cmd %d binds missing vertex shader %d", t.Name, fi, ci, cmd.VS)
 				}
-				if cmd.FS < 0 || cmd.FS >= len(t.FragmentShaders) {
+				if cmd.FS < 0 || int(cmd.FS) >= len(t.FragmentShaders) {
 					return fmt.Errorf("gltrace %s: frame %d cmd %d binds missing fragment shader %d", t.Name, fi, ci, cmd.FS)
 				}
 				bound = true
 			case CmdBindTexture:
-				if cmd.Texture < 0 || cmd.Texture >= len(t.Textures) {
+				if cmd.Texture < 0 || int(cmd.Texture) >= len(t.Textures) {
 					return fmt.Errorf("gltrace %s: frame %d cmd %d binds missing texture %d", t.Name, fi, ci, cmd.Texture)
 				}
 				if cmd.Unit < 0 || cmd.Unit >= 8 {
 					return fmt.Errorf("gltrace %s: frame %d cmd %d binds sampler unit %d out of range", t.Name, fi, ci, cmd.Unit)
 				}
 			case CmdDraw:
-				if cmd.Mesh < 0 || cmd.Mesh >= len(t.Meshes) {
+				if cmd.Mesh < 0 || int(cmd.Mesh) >= len(t.Meshes) {
 					return fmt.Errorf("gltrace %s: frame %d cmd %d draws missing mesh %d", t.Name, fi, ci, cmd.Mesh)
 				}
 				if !bound {
 					return fmt.Errorf("gltrace %s: frame %d cmd %d draws with no program bound", t.Name, fi, ci)
 				}
+				draws++
 			case CmdClear:
 				// always valid
 			default:
 				return fmt.Errorf("gltrace %s: frame %d cmd %d has unknown op %d", t.Name, fi, ci, int(cmd.Op))
 			}
+		}
+		if n := len(t.Frames[fi].MVPs); n != draws {
+			return fmt.Errorf("gltrace %s: frame %d has %d transforms for %d draws (trace files written before per-frame transforms must be regenerated)", t.Name, fi, n, draws)
 		}
 	}
 	return nil
@@ -228,9 +238,10 @@ func (t *Trace) Validate() error {
 func (t *Trace) TotalPrimitives() int {
 	total := 0
 	for fi := range t.Frames {
-		for _, cmd := range t.Frames[fi].Commands {
-			if cmd.Op == CmdDraw {
-				total += t.Meshes[cmd.Mesh].TriangleCount()
+		cmds := t.Frames[fi].Commands
+		for ci := range cmds {
+			if cmds[ci].Op == CmdDraw {
+				total += t.Meshes[cmds[ci].Mesh].TriangleCount()
 			}
 		}
 	}

@@ -2,8 +2,11 @@ package gltrace_test
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 	. "repro/internal/gltrace"
@@ -27,13 +30,16 @@ func buildTestTrace(t testing.TB) *Trace {
 		Textures:        []Texture{{Name: "t0", Width: 64, Height: 64, BytesPerTexel: 4}},
 	}
 	for f := 0; f < 2; f++ {
-		tr.Frames = append(tr.Frames, Frame{Commands: []Command{
-			{Op: CmdClear},
-			{Op: CmdBindProgram, VS: 0, FS: 0},
-			{Op: CmdBindTexture, Unit: 0, Texture: 0},
-			{Op: CmdDraw, Mesh: 0, MVP: geom.IdentityMat4()},
-			{Op: CmdDraw, Mesh: 1, MVP: geom.IdentityMat4()},
-		}})
+		tr.Frames = append(tr.Frames, Frame{
+			Commands: []Command{
+				{Op: CmdClear},
+				{Op: CmdBindProgram, VS: 0, FS: 0},
+				{Op: CmdBindTexture, Unit: 0, Texture: 0},
+				{Op: CmdDraw, Mesh: 0},
+				{Op: CmdDraw, Mesh: 1},
+			},
+			MVPs: []geom.Mat4{geom.IdentityMat4(), geom.Translate(geom.Vec3{X: 0.25})},
+		})
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("test trace invalid: %v", err)
@@ -56,6 +62,7 @@ func TestValidateRejectsBadTraces(t *testing.T) {
 		"bad sampler unit": func(tr *Trace) { tr.Frames[0].Commands[2].Unit = 8 },
 		"draw before bind": func(tr *Trace) {
 			tr.Frames[0].Commands = []Command{{Op: CmdDraw, Mesh: 0}}
+			tr.Frames[0].MVPs = tr.Frames[0].MVPs[:1]
 		},
 		"ragged indices": func(tr *Trace) { tr.Meshes[0].Indices = tr.Meshes[0].Indices[:4] },
 		"oob mesh index": func(tr *Trace) { tr.Meshes[0].Indices[0] = 99 },
@@ -90,6 +97,53 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if got.TotalPrimitives() != tr.TotalPrimitives() {
 		t.Fatal("primitive counts not preserved")
+	}
+	for fi := range tr.Frames {
+		want, have := tr.Frames[fi].MVPs, got.Frames[fi].MVPs
+		if len(have) != len(want) {
+			t.Fatalf("frame %d: %d transforms after round trip, want %d", fi, len(have), len(want))
+		}
+		for i := range want {
+			if have[i] != want[i] {
+				t.Fatalf("frame %d draw %d: transform not preserved", fi, i)
+			}
+		}
+	}
+}
+
+// TestLoadRejectsMismatchedTransforms saves frames carrying too few and
+// too many transforms for their draws: Load must refuse both, naming
+// the frame and both counts and pointing at regeneration (a trace saved
+// before transforms moved into Frame.MVPs decodes with none).
+func TestLoadRejectsMismatchedTransforms(t *testing.T) {
+	for name, mvps := range map[string]int{"too few": 1, "too many": 3, "none": 0} {
+		tr := buildTestTrace(t)
+		mats := make([]geom.Mat4, mvps)
+		for i := range mats {
+			mats[i] = geom.IdentityMat4()
+		}
+		tr.Frames[1].MVPs = mats
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		if err == nil {
+			t.Fatalf("%s: Load accepted a frame with %d transforms for 2 draws", name, mvps)
+		}
+		want := fmt.Sprintf("frame 1 has %d transforms for 2 draws", mvps)
+		if msg := err.Error(); !strings.Contains(msg, want) || !strings.Contains(msg, "regenerated") {
+			t.Errorf("%s: error %q does not name the frame, both counts and regeneration", name, msg)
+		}
+	}
+}
+
+// TestCommandIsCompact pins the command layout: a transform-free
+// command packs to 32 bytes, so a draw with its two binds and its
+// transform costs 3*32+128 = 224 bytes of trace.
+func TestCommandIsCompact(t *testing.T) {
+	if got := unsafe.Sizeof(Command{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Command{}) = %d, want 32", got)
 	}
 }
 

@@ -40,9 +40,9 @@ func blendTrace(t *testing.T, blendFlags [3]bool) *gltrace.Trace {
 	// NDC z=0 maps to depth 0.5; DepthBias shifts it. Draw far-to-near.
 	for i, bias := range []float64{0.3, 0.0, -0.3} {
 		frame.Commands = append(frame.Commands, gltrace.Command{
-			Op: gltrace.CmdDraw, Mesh: 0, MVP: geom.IdentityMat4(),
-			DepthBias: bias, Blend: blendFlags[i],
+			Op: gltrace.CmdDraw, Mesh: 0, DepthBias: bias, Blend: blendFlags[i],
 		})
+		frame.MVPs = append(frame.MVPs, geom.IdentityMat4())
 	}
 	tr.Frames = []gltrace.Frame{frame}
 	if err := tr.Validate(); err != nil {

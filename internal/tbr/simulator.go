@@ -617,9 +617,10 @@ func (s *Simulator) geometryPass(st *FrameStats) uint64 {
 		plbAddr    = plbRegion
 		lastDone   uint64
 		tilingEnd  uint64 // completion of the last PLB write
-		curVS      = -1
-		curFS      = -1
+		curVS      int32  = -1
+		curFS      int32  = -1
 		curTex     int32
+		draw       int // index of the next draw's transform in frame.MVPs
 	)
 
 	for ci := range frame.Commands {
@@ -629,7 +630,7 @@ func (s *Simulator) geometryPass(st *FrameStats) uint64 {
 			curVS, curFS = cmd.VS, cmd.FS
 		case gltrace.CmdBindTexture:
 			if cmd.Unit == 0 {
-				curTex = int32(cmd.Texture)
+				curTex = cmd.Texture
 			}
 		case gltrace.CmdClear:
 			// On-chip tile buffers clear at tile start; no memory
@@ -673,7 +674,8 @@ func (s *Simulator) geometryPass(st *FrameStats) uint64 {
 			// Geometry processing (visibility) is computed by the
 			// shared rasterizer front end; timing is charged below.
 			s.triBuf = s.triBuf[:0]
-			tris, gstats := raster.ProcessDraw(mesh, cmd.MVP, vp, cmd.DepthBias, s.triBuf, &s.drawScratch)
+			tris, gstats := raster.ProcessDraw(mesh, frame.MVPs[draw], vp, cmd.DepthBias, s.triBuf, &s.drawScratch)
+			draw++
 			s.triBuf = tris[:0]
 			st.PrimsIn += uint64(gstats.PrimsIn)
 			st.PrimsVisible += uint64(gstats.Visible)
@@ -693,7 +695,7 @@ func (s *Simulator) geometryPass(st *FrameStats) uint64 {
 			// tiles, writing one record per (prim, tile) through L2.
 			for t := range tris {
 				triIdx := int32(len(s.tris))
-				s.tris = append(s.tris, boundTri{tri: tris[t], fs: int32(curFS), tex: curTex, blend: cmd.Blend})
+				s.tris = append(s.tris, boundTri{tri: tris[t], fs: curFS, tex: curTex, blend: cmd.Blend})
 				tx0, ty0, tx1, ty1, ok := tris[t].Tri.OverlappedTiles(s.cfg.TileSize, s.tilesX, s.tilesY)
 				if !ok {
 					continue

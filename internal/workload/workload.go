@@ -399,7 +399,7 @@ func frameSeed(seed uint64, frame int) uint64 {
 
 // material binds a shader pair and texture.
 type material struct {
-	vs, fs, tex int
+	vs, fs, tex int32
 }
 
 // Generate builds the complete trace for the profile at the given scale.
@@ -458,7 +458,7 @@ func Generate(p Profile, sc Scale) (*gltrace.Trace, error) {
 	}
 	materials := make([]material, numMaterials)
 	for i := range materials {
-		materials[i] = material{vs: i % p.NumVS, fs: i % p.NumFS, tex: i}
+		materials[i] = material{vs: int32(i % p.NumVS), fs: int32(i % p.NumFS), tex: int32(i)}
 	}
 
 	frames := p.Frames / sc.FrameDivisor
@@ -468,6 +468,7 @@ func Generate(p Profile, sc Scale) (*gltrace.Trace, error) {
 	schedule := buildSchedule(p, frames)
 	cam := cameraFor(p, sc)
 
+	tr.Frames = make([]gltrace.Frame, 0, frames)
 	b := &builder{
 		profile:   p,
 		scale:     sc,
@@ -582,6 +583,11 @@ type builder struct {
 	// event tracks a live event burst: frames remaining and its layer.
 	eventFrames int
 	eventLayer  Layer
+	// cmds and mvps are the frame under construction, reused across
+	// frames; emitFrame copies them into the trace at exact length so
+	// no append slack stays resident.
+	cmds []gltrace.Command
+	mvps []geom.Mat4
 }
 
 func (b *builder) emitFrame(f int, s slot) {
@@ -591,8 +597,8 @@ func (b *builder) emitFrame(f int, s slot) {
 	t := float64(f) / 60.0
 	vp := b.camera.ViewProjection(t)
 
-	frame := gltrace.Frame{}
-	frame.Commands = append(frame.Commands, gltrace.Command{Op: gltrace.CmdClear})
+	b.cmds = append(b.cmds[:0], gltrace.Command{Op: gltrace.CmdClear})
+	b.mvps = b.mvps[:0]
 
 	// Occurrence-specific variation: each repeat of a phase shifts
 	// which materials its layers use, so laps are similar to each
@@ -600,14 +606,14 @@ func (b *builder) emitFrame(f int, s slot) {
 	matShift := s.occurrence * 3
 
 	for li, layer := range ph.Layers {
-		b.emitLayer(&frame, layer, li, s, matShift, t, vp, rng)
+		b.emitLayer(layer, li, s, matShift, t, vp, rng)
 	}
 
 	// Event bursts add a short-lived extra layer with rare materials,
 	// creating outlier frames that should land in small clusters.
 	if b.eventFrames > 0 {
 		b.eventFrames--
-		b.emitLayer(&frame, b.eventLayer, 99, s, matShift, t, vp, rng)
+		b.emitLayer(b.eventLayer, 99, s, matShift, t, vp, rng)
 	} else if ph.EventRate > 0 && rng.Float64() < ph.EventRate {
 		b.eventFrames = 3 + rng.Intn(6)
 		b.eventLayer = Layer{
@@ -617,10 +623,16 @@ func (b *builder) emitFrame(f int, s slot) {
 		}
 	}
 
+	frame := gltrace.Frame{
+		Commands: make([]gltrace.Command, len(b.cmds)),
+		MVPs:     make([]geom.Mat4, len(b.mvps)),
+	}
+	copy(frame.Commands, b.cmds)
+	copy(frame.MVPs, b.mvps)
 	b.trace.Frames = append(b.trace.Frames, frame)
 }
 
-func (b *builder) emitLayer(frame *gltrace.Frame, layer Layer, li int, s slot, matShift int, t float64, vp geom.Mat4, rng *stats.RNG) {
+func (b *builder) emitLayer(layer Layer, li int, s slot, matShift int, t float64, vp geom.Mat4, rng *stats.RNG) {
 	p := b.profile
 	count := layer.BaseCount
 	if layer.CountAmp > 0 {
@@ -638,18 +650,17 @@ func (b *builder) emitLayer(frame *gltrace.Frame, layer Layer, li int, s slot, m
 			mi = (mi + matShift) % len(b.materials)
 		}
 		m := b.materials[mi]
-		frame.Commands = append(frame.Commands,
+		b.cmds = append(b.cmds,
 			gltrace.Command{Op: gltrace.CmdBindProgram, VS: m.vs, FS: m.fs},
 			gltrace.Command{Op: gltrace.CmdBindTexture, Unit: 0, Texture: m.tex},
+			gltrace.Command{
+				Op:        gltrace.CmdDraw,
+				Mesh:      int32(layer.Mesh),
+				DepthBias: layer.Depth,
+				Blend:     layer.Blend,
+			},
 		)
-		model := b.instanceModel(layer, li, i, s, t)
-		frame.Commands = append(frame.Commands, gltrace.Command{
-			Op:        gltrace.CmdDraw,
-			Mesh:      int(layer.Mesh),
-			MVP:       vp.Mul(model),
-			DepthBias: layer.Depth,
-			Blend:     layer.Blend,
-		})
+		b.mvps = append(b.mvps, vp.Mul(b.instanceModel(layer, li, i, s, t)))
 	}
 }
 
