@@ -5,9 +5,10 @@
 //
 // It has three parts:
 //
-//   - A differential oracle (RunOracle) that runs the full cycle-level
-//     simulation and the MEGsim-sampled simulation over randomized
-//     synthetic workloads and reports per-metric relative error
+//   - A differential oracle (RunOracle) that runs the study driver
+//     (harness.Run: full cycle-level simulation and MEGsim-sampled
+//     simulation) over randomized synthetic workloads and reports
+//     per-metric relative error
 //     (cycles, DRAM/L2/tile-cache accesses, per-stage energy) against
 //     configurable tolerance bands — the cross-validation discipline
 //     SimPoint-descendant sampling methodologies live or die on.

@@ -8,12 +8,13 @@ import (
 	"reflect"
 
 	"repro/internal/core"
-	"repro/internal/funcsim"
 	"repro/internal/gltrace"
+	"repro/internal/harness"
 	"repro/internal/power"
 	"repro/internal/stream"
 	"repro/internal/tbr"
 	"repro/internal/workload"
+	"repro/internal/xmath/stats"
 )
 
 // Tolerance is the per-metric acceptance band for the differential
@@ -80,17 +81,6 @@ type OracleConfig struct {
 	// (a re-simulation of one representative under different worker
 	// counts); the probe is cheap but not free.
 	SkipInvarianceProbe bool
-	// SkipStreamProbe disables the streaming-selection probe: by
-	// default every seed also runs the bounded-memory online stratifier
-	// (internal/stream) over the same characterization, estimates from
-	// its strata, and judges the result against the same tolerance
-	// bands ("stream-*" rows), reporting the Rand-index agreement
-	// between the streaming and batch partitions.
-	SkipStreamProbe bool
-	// Stream configures the streaming probe (zero value =
-	// stream.DefaultConfig with the seed and feature config aligned to
-	// the oracle's).
-	Stream stream.Config
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 }
@@ -130,9 +120,11 @@ type SeedResult struct {
 	// identical across tile-worker and frame-worker counts (true when
 	// the probe is skipped).
 	WorkerInvariance bool `json:"worker_invariance"`
-	// StreamStrata is the streaming probe's stratum count (0 when the
-	// probe is skipped); its estimate rows appear in Metrics with a
-	// "stream-" prefix, judged against the same bands as batch.
+	// StreamStrata is the streaming probe's stratum count: every seed
+	// also runs the bounded-memory online stratifier (internal/stream)
+	// over the same characterization; its estimate rows appear in
+	// Metrics with a "stream-" prefix, judged against the same bands as
+	// batch.
 	StreamStrata int `json:"stream_strata,omitempty"`
 	// StreamReduction is the streaming frames/strata reduction factor.
 	StreamReduction float64 `json:"stream_reduction,omitempty"`
@@ -203,9 +195,9 @@ func (c *OracleConfig) withDefaults() OracleConfig {
 	return out
 }
 
-// RunOracle executes the differential oracle: for every seed it builds
-// a randomized workload, runs the full cycle-level simulation (with
-// invariant checking armed) and the MEGsim-sampled simulation, and
+// RunOracle executes the differential oracle: for every seed it runs
+// the study driver (harness.Run) on a randomized workload, with
+// invariant checking armed in both the full and the sampled pass, and
 // reports per-metric relative error against the tolerance bands. The
 // returned report's Pass field is the statistical acceptance gate
 // `make validate` enforces.
@@ -238,57 +230,33 @@ func (c *OracleConfig) logf(format string, args ...any) {
 	}
 }
 
+// runSeed runs one seed's study through harness.Run, with faults and
+// the invariant hook armed in the GPU config, and adds the oracle's own
+// checks: rep isolation, the Fig. 7 and energy rows, the streaming and
+// worker-invariance probes, and the verdict.
 func (c *OracleConfig) runSeed(seed uint64) (*SeedResult, error) {
-	p := workload.RandomProfile(seed)
-	tr, err := workload.Generate(p, c.Scale)
-	if err != nil {
-		return nil, err
-	}
-	c.logf("[%s] %d frames, %d VS / %d FS (%s)", p.Alias, tr.NumFrames(), p.NumVS, p.NumFS, p.Type)
-
-	fr, err := funcsim.Run(context.Background(), tr, nil)
-	if err != nil {
-		return nil, err
-	}
-	fs, err := core.BuildFeatures(fr, c.MEGsim.Feature)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := core.Select(fs, c.MEGsim)
-	if err != nil {
-		return nil, err
-	}
-
 	gpu := c.GPU
 	gpu.Faults = c.Faults
 	gpu.Faults.Seed = seed
 	inv := NewInvariants(gpu)
 	gpu.Check = inv
 
-	full, err := tbr.SimulateFrames(context.Background(), gpu, tr, nil, c.Workers)
+	p := workload.RandomProfile(seed)
+	res, err := harness.Run(context.Background(), p, harness.Options{GPU: gpu, MEGsim: c.MEGsim, Scale: c.Scale, Workers: c.Workers})
 	if err != nil {
 		return nil, err
 	}
-	fullTotals := core.SumStats(full)
+	tr, sel := res.Trace, res.Selection
+	c.logf("[%s] %d frames, %d VS / %d FS (%s)", p.Alias, tr.NumFrames(), p.NumVS, p.NumFS, p.Type)
 
-	// Sampled pass: representatives standalone, exactly as a MEGsim
-	// user runs them. Frame isolation must make each bit-identical to
-	// the same frame inside the full run.
-	repFrames, err := tbr.SimulateFrames(context.Background(), gpu, tr, sel.Representatives, c.Workers)
-	if err != nil {
-		return nil, err
-	}
-	repStats := make(map[int]tbr.FrameStats, len(sel.Representatives))
+	// The representatives were simulated standalone, exactly as a
+	// MEGsim user runs them. Frame isolation must make each
+	// bit-identical to the same frame inside the full run.
 	isolation := true
-	for i, f := range sel.Representatives {
-		repStats[f] = repFrames[i]
-		if repFrames[i] != full[f] {
+	for _, f := range sel.Representatives {
+		if res.RepStats[f] != res.Full[f] {
 			isolation = false
 		}
-	}
-	estimate, err := sel.Estimate(repStats)
-	if err != nil {
-		return nil, err
 	}
 
 	sr := &SeedResult{
@@ -302,12 +270,12 @@ func (c *OracleConfig) runSeed(seed uint64) (*SeedResult, error) {
 		Violations:       inv.Violations(),
 	}
 
-	sr.Metrics = append(sr.Metrics, CompareRows(&estimate, &fullTotals, c.Tolerance)...)
+	sr.Metrics = append(sr.Metrics, CompareRows(&res.Estimate, &res.FullTotals, c.Tolerance)...)
 
 	// Per-stage energy: full-run sum vs the cluster-scaled estimate.
 	model := power.DefaultEnergyModel()
-	fullE := model.SequenceEnergy(full)
-	estE := estimateEnergy(model, sel, repStats)
+	fullE := model.SequenceEnergy(res.Full)
+	estE := estimateEnergy(model, sel, res.RepStats)
 	for _, row := range []struct {
 		name     string
 		est, act float64
@@ -317,13 +285,11 @@ func (c *OracleConfig) runSeed(seed uint64) (*SeedResult, error) {
 		{"energy-raster", estE.Raster, fullE.Raster},
 		{"energy-total", estE.Total(), fullE.Total()},
 	} {
-		sr.Metrics = append(sr.Metrics, metricRow(row.name, row.est, row.act, relErr(row.est, row.act), c.Tolerance.Energy))
+		sr.Metrics = append(sr.Metrics, metricRow(row.name, row.est, row.act, stats.RelativeError(row.est, row.act), c.Tolerance.Energy))
 	}
 
-	if !c.SkipStreamProbe {
-		if err := c.probeStreaming(seed, tr, fr, sel, full, fullTotals, sr); err != nil {
-			return nil, err
-		}
+	if err := c.probeStreaming(seed, res, sr); err != nil {
+		return nil, err
 	}
 
 	if !c.SkipInvarianceProbe && len(sel.Representatives) > 0 {
@@ -352,16 +318,13 @@ func (c *OracleConfig) runSeed(seed uint64) (*SeedResult, error) {
 // rep-isolation probe just verified), and appends "stream-*" accuracy
 // rows judged against the same tolerance bands. It also reports the
 // Rand-index agreement between the streaming and batch partitions.
-func (c *OracleConfig) probeStreaming(seed uint64, tr *gltrace.Trace, fr *funcsim.Result, sel *core.Selection, full []tbr.FrameStats, fullTotals tbr.FrameStats, sr *SeedResult) error {
-	scfg := c.Stream
-	if scfg.MaxStrata == 0 && scfg.ReservoirCap == 0 && scfg.Seed == 0 {
-		scfg = stream.DefaultConfig()
-		scfg.Seed = seed
-		scfg.Feature = c.MEGsim.Feature
-	}
+func (c *OracleConfig) probeStreaming(seed uint64, res *harness.BenchmarkResult, sr *SeedResult) error {
+	scfg := stream.DefaultConfig()
+	scfg.Seed = seed
+	scfg.Feature = c.MEGsim.Feature
 	scfg.TrackAssignments = true
-	ing := stream.NewIngestor(tr.Name, fr.VSStatic, fr.FSStatic, scfg)
-	if err := ing.AddChunk(fr.Profiles); err != nil {
+	ing := stream.NewIngestor(res.Trace.Name, res.Func.VSStatic, res.Func.FSStatic, scfg)
+	if err := ing.AddChunk(res.Func.Profiles); err != nil {
 		return err
 	}
 	ssel, err := ing.Finalize()
@@ -370,7 +333,7 @@ func (c *OracleConfig) probeStreaming(seed uint64, tr *gltrace.Trace, fr *funcsi
 	}
 	repStats := make(map[int]tbr.FrameStats, len(ssel.Strata))
 	for _, st := range ssel.Strata {
-		repStats[st.Representative] = full[st.Representative]
+		repStats[st.Representative] = res.Full[st.Representative]
 	}
 	est, err := ssel.Estimate(repStats)
 	if err != nil {
@@ -378,7 +341,7 @@ func (c *OracleConfig) probeStreaming(seed uint64, tr *gltrace.Trace, fr *funcsi
 	}
 	sr.StreamStrata = ssel.NumStrata()
 	sr.StreamReduction = ssel.ReductionFactor()
-	for _, row := range CompareRows(&est, &fullTotals, c.Tolerance) {
+	for _, row := range CompareRows(&est, &res.FullTotals, c.Tolerance) {
 		row.Name = "stream-" + row.Name
 		sr.Metrics = append(sr.Metrics, row)
 	}
@@ -386,7 +349,7 @@ func (c *OracleConfig) probeStreaming(seed uint64, tr *gltrace.Trace, fr *funcsi
 	if err != nil {
 		return err
 	}
-	sr.StreamAgreement = randIndex(sel.Clusters.Assign, assign)
+	sr.StreamAgreement = randIndex(res.Selection.Clusters.Assign, assign)
 	c.logf("[%s] stream: %d strata, agreement %.3f", sr.Alias, sr.StreamStrata, sr.StreamAgreement)
 	return nil
 }
@@ -460,7 +423,10 @@ func CompareRows(estimate, actual *tbr.FrameStats, tol Tolerance) []MetricError 
 
 // estimateEnergy extrapolates per-stage energy exactly as Estimate
 // extrapolates counters: each representative's frame energy scales by
-// its cluster size.
+// its cluster size. It cannot extrapolate the stats first and price
+// the result (core.Extrapolate): FrameEnergy splits DRAM energy by each
+// phase's L2 share, so energy is not linear in FrameStats, and pricing
+// an extrapolated frame would move the reported energy.
 func estimateEnergy(m power.EnergyModel, sel *core.Selection, repStats map[int]tbr.FrameStats) power.Breakdown {
 	var b power.Breakdown
 	for cl, rep := range sel.Representatives {
@@ -472,20 +438,6 @@ func estimateEnergy(m power.EnergyModel, sel *core.Selection, repStats map[int]t
 		b.Raster += e.Raster * n
 	}
 	return b
-}
-
-func relErr(est, act float64) float64 {
-	if act == 0 {
-		if est == 0 {
-			return 0
-		}
-		return 1
-	}
-	d := (est - act) / act
-	if d < 0 {
-		return -d
-	}
-	return d
 }
 
 func maxErrPct(rows []MetricError) float64 {

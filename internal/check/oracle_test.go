@@ -3,6 +3,9 @@ package check
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/gltrace"
@@ -70,21 +73,59 @@ func TestOracleBaseline(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite the oracle report goldens")
+
+// TestOracleDeterminism runs the oracle twice per input and requires
+// byte-identical reports, then compares the report against its golden
+// under testdata: a clean seed and a faulted seed, so both the baseline
+// and the fault-injected paths are pinned byte for byte. Regenerate
+// deliberately with `go test ./internal/check -run TestOracleDeterminism
+// -update` and review the diff.
 func TestOracleDeterminism(t *testing.T) {
-	run := func() []byte {
-		rep, err := RunOracle(testOracleConfig(7))
-		if err != nil {
-			t.Fatalf("RunOracle: %v", err)
-		}
-		b, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		return b
+	faulted := testOracleConfig(11)
+	faulted.Faults = tbr.FaultConfig{DRAMLatencyScale: 3, DropTileRate: 0.4}
+	cases := []struct {
+		golden string
+		cfg    OracleConfig
+	}{
+		{"oracle_seed7.json", testOracleConfig(7)},
+		{"oracle_seed11_faults.json", faulted},
 	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Errorf("two identical oracle runs produced different reports:\n%s\n---\n%s", a, b)
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			run := func() []byte {
+				rep, err := RunOracle(tc.cfg)
+				if err != nil {
+					t.Fatalf("RunOracle: %v", err)
+				}
+				var buf bytes.Buffer
+				if err := rep.WriteJSON(&buf); err != nil {
+					t.Fatalf("WriteJSON: %v", err)
+				}
+				return buf.Bytes()
+			}
+			a, b := run(), run()
+			if !bytes.Equal(a, b) {
+				t.Fatalf("two identical oracle runs produced different reports:\n%s\n---\n%s", a, b)
+			}
+			path := filepath.Join("testdata", tc.golden)
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, a, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden (regenerate with -update): %v", err)
+			}
+			if !bytes.Equal(a, want) {
+				t.Errorf("oracle report differs from %s:\n%s", path, a)
+			}
+		})
 	}
 }
 
@@ -219,20 +260,5 @@ func TestReportHelpers(t *testing.T) {
 	var back Report
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
-	}
-}
-
-func TestRelErr(t *testing.T) {
-	cases := []struct{ est, act, want float64 }{
-		{100, 100, 0},
-		{110, 100, 0.1},
-		{90, 100, 0.1},
-		{0, 0, 0},
-		{5, 0, 1},
-	}
-	for _, tc := range cases {
-		if got := relErr(tc.est, tc.act); got != tc.want {
-			t.Errorf("relErr(%v, %v) = %v, want %v", tc.est, tc.act, got, tc.want)
-		}
 	}
 }

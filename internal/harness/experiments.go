@@ -1,10 +1,10 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -46,7 +46,7 @@ func (s *Study) Result(alias string) (*BenchmarkResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := Run(p, s.Opts)
+	r, err := Run(context.Background(), p, s.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -322,19 +322,6 @@ func (s *Study) SpeedupTable() (*report.Table, error) {
 
 const msRound = 1e6 // time.Millisecond without importing time here
 
-// ClusterSummary reports the per-benchmark clustering shape (cluster
-// sizes, BIC search length) for diagnostics.
-func (s *Study) ClusterSummary(alias string) (string, error) {
-	r, err := s.Result(alias)
-	if err != nil {
-		return "", err
-	}
-	sizes := append([]int(nil), r.Selection.Clusters.Sizes...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return fmt.Sprintf("%s: k=%d explored=%d sizes=%v", alias,
-		r.Selection.Clusters.K, len(r.Selection.BICScores), sizes), nil
-}
-
 // GeoMeanReduction returns the geometric mean reduction factor across
 // benchmarks (a robust summary alongside the paper's arithmetic mean).
 func (s *Study) GeoMeanReduction() (float64, error) {
@@ -363,7 +350,7 @@ func (s *Study) VaryGPUConfig(alias string, gpu tbr.Config, groundTruth bool) (e
 	}
 	opts := s.Opts
 	opts.GPU = gpu
-	repStats, err := simulateReps(opts, r.Trace, r.Selection.Representatives)
+	repStats, err := simulateReps(context.Background(), opts, r.Trace, r.Selection.Representatives)
 	if err != nil {
 		return estimate, actual, err
 	}
@@ -372,7 +359,7 @@ func (s *Study) VaryGPUConfig(alias string, gpu tbr.Config, groundTruth bool) (e
 		return estimate, actual, err
 	}
 	if groundTruth {
-		full, err := tbr.SimulateFrames(opts.ctx(), gpu, r.Trace, nil, opts.Workers)
+		full, err := tbr.SimulateFrames(context.Background(), gpu, r.Trace, nil, opts.Workers)
 		if err != nil {
 			return estimate, actual, err
 		}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 func TestWriteFrameStatsCSV(t *testing.T) {
-	r, err := Run(workload.Profiles["hcr"], TestOptions())
+	r, err := Run(context.Background(), workload.Profiles["hcr"], TestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestWriteFrameStatsCSV(t *testing.T) {
 }
 
 func TestSelectionSummaryRoundTrip(t *testing.T) {
-	r, err := Run(workload.Profiles["jjo"], TestOptions())
+	r, err := Run(context.Background(), workload.Profiles["jjo"], TestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,18 +15,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/funcsim"
 	"repro/internal/gltrace"
-	"repro/internal/obs"
 	"repro/internal/tbr"
 	"repro/internal/workload"
 )
 
 // Options configures a study.
 type Options struct {
-	// Ctx, when non-nil, bounds the study: cancellation (or deadline
-	// expiry) stops functional characterization and the simulation
-	// passes at the next frame boundary and surfaces the context's
-	// error. Nil means context.Background().
-	Ctx context.Context
 	// GPU is the timing-simulator configuration (Table I defaults).
 	GPU tbr.Config
 	// MEGsim is the methodology configuration.
@@ -39,33 +33,6 @@ type Options struct {
 	Workers int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
-	// Obs, when non-nil and enabled, receives metrics and timeline
-	// spans from every study phase: functional characterization,
-	// cluster selection and cycle simulation. It is threaded into
-	// GPU.Obs and MEGsim.Search.Obs (without overriding registries the
-	// caller set there explicitly).
-	Obs *obs.Registry
-}
-
-// ctx returns the study context (Background when unset).
-func (o *Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
-}
-
-// wireObs propagates opts.Obs into the phase configurations.
-func (o *Options) wireObs() {
-	if !o.Obs.Enabled() {
-		return
-	}
-	if o.GPU.Obs == nil {
-		o.GPU.Obs = o.Obs
-	}
-	if o.MEGsim.Search.Obs == nil {
-		o.MEGsim.Search.Obs = o.Obs
-	}
 }
 
 // DefaultOptions returns paper-default settings at the experiment scale.
@@ -98,6 +65,9 @@ type BenchmarkResult struct {
 	Selection *core.Selection
 	// Full holds per-frame ground-truth stats from the cycle simulator.
 	Full []tbr.FrameStats
+	// RepStats holds the representatives' stats from the
+	// representative-only pass, keyed by frame.
+	RepStats map[int]tbr.FrameStats
 	// FullTotals is the summed ground truth.
 	FullTotals tbr.FrameStats
 	// Estimate is MEGsim's extrapolation from the representatives.
@@ -115,10 +85,13 @@ type BenchmarkResult struct {
 
 // Run executes the complete study for one benchmark: trace generation,
 // functional characterization, MEGsim selection, full-sequence ground
-// truth, representative-only simulation, and accuracy evaluation.
-func Run(p workload.Profile, opts Options) (*BenchmarkResult, error) {
-	opts.wireObs()
-	if err := opts.ctx().Err(); err != nil {
+// truth, representative-only simulation, and accuracy evaluation. It is
+// the one sampled-versus-full pipeline: the paper tables and the
+// differential oracle (internal/check) both run through it.
+// Cancelling ctx stops characterization and the simulation passes at
+// the next frame boundary and surfaces the context's error.
+func Run(ctx context.Context, p workload.Profile, opts Options) (*BenchmarkResult, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	res := &BenchmarkResult{Profile: p}
@@ -131,7 +104,7 @@ func Run(p workload.Profile, opts Options) (*BenchmarkResult, error) {
 
 	logf(opts.Log, "[%s] functional characterization of %d frames", p.Alias, tr.NumFrames())
 	t0 := time.Now()
-	fr, err := funcsim.Run(opts.ctx(), tr, opts.Obs)
+	fr, err := funcsim.Run(ctx, tr, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +121,7 @@ func Run(p workload.Profile, opts Options) (*BenchmarkResult, error) {
 
 	logf(opts.Log, "[%s] full-sequence cycle simulation", p.Alias)
 	t0 = time.Now()
-	res.Full, err = tbr.SimulateFrames(opts.ctx(), opts.GPU, tr, nil, opts.Workers)
+	res.Full, err = tbr.SimulateFrames(ctx, opts.GPU, tr, nil, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -159,12 +132,12 @@ func Run(p workload.Profile, opts Options) (*BenchmarkResult, error) {
 	// run it (same parallelism as the ground-truth pass so the
 	// reported time speedup is apples-to-apples).
 	t0 = time.Now()
-	repStats, err := simulateReps(opts, tr, res.Selection.Representatives)
+	res.RepStats, err = simulateReps(ctx, opts, tr, res.Selection.Representatives)
 	if err != nil {
 		return nil, err
 	}
 	res.SampledSimTime = time.Since(t0)
-	res.Estimate, err = res.Selection.Estimate(repStats)
+	res.Estimate, err = res.Selection.Estimate(res.RepStats)
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +149,8 @@ func Run(p workload.Profile, opts Options) (*BenchmarkResult, error) {
 }
 
 // simulateReps cycle-simulates exactly the representative frames.
-func simulateReps(opts Options, tr *gltrace.Trace, reps []int) (map[int]tbr.FrameStats, error) {
-	stats, err := tbr.SimulateFrames(opts.ctx(), opts.GPU, tr, reps, opts.Workers)
+func simulateReps(ctx context.Context, opts Options, tr *gltrace.Trace, reps []int) (map[int]tbr.FrameStats, error) {
+	stats, err := tbr.SimulateFrames(ctx, opts.GPU, tr, reps, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,14 @@ package harness
 import (
 	"bytes"
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/report"
 	"repro/internal/tbr"
 	"repro/internal/workload"
 	"repro/megsim"
@@ -21,7 +25,7 @@ func testStudy(t *testing.T) *Study {
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	r, err := Run(workload.Profiles["hcr"], TestOptions())
+	r, err := Run(context.Background(), workload.Profiles["hcr"], TestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +55,7 @@ func TestRunEndToEnd(t *testing.T) {
 // (megsim.SampleResilient) on the same trace and configuration.
 func TestSampledOnlyMatchesFullStudyEstimate(t *testing.T) {
 	opts := TestOptions()
-	full, err := Run(workload.Profiles["jjo"], opts)
+	full, err := Run(context.Background(), workload.Profiles["jjo"], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +74,11 @@ func TestTileWorkersOptionDoesNotAffectResults(t *testing.T) {
 	one.GPU.TileWorkers = 1
 	four := TestOptions()
 	four.GPU.TileWorkers = 4
-	a, err := Run(workload.Profiles["hcr"], one)
+	a, err := Run(context.Background(), workload.Profiles["hcr"], one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(workload.Profiles["hcr"], four)
+	b, err := Run(context.Background(), workload.Profiles["hcr"], four)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,52 +105,54 @@ func TestStudyCachesResults(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite the study-table golden")
+
+// TestStudyTables renders every deterministic study table of testStudy
+// and compares the bytes against testdata/study_tables.txt: Tables
+// II-IV (Table IV at TestStudyTableIV's reduced trial counts), Figs. 3,
+// 4 and 7, and the hcr ablation and GPU-preset tables. SpeedupTable
+// prints wall-clock times, so it is checked by row count only.
+// Regenerate deliberately with `go test ./internal/harness -run
+// TestStudyTables -update` and review the diff.
 func TestStudyTables(t *testing.T) {
 	s := testStudy(t)
+	var buf bytes.Buffer
+	render := func(tbl *report.Table, err error, rows int) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows >= 0 && tbl.NumRows() != rows {
+			t.Fatalf("%s: rows = %d, want %d", tbl.Title, tbl.NumRows(), rows)
+		}
+		if err := tbl.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteByte('\n')
+	}
 
 	t2, err := s.TableII()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t2.NumRows() != 2 {
-		t.Fatalf("Table II rows = %d", t2.NumRows())
-	}
-
+	render(t2, err, 2)
 	t3, err := s.TableIII()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t3.NumRows() != 3 { // 2 benchmarks + average
-		t.Fatalf("Table III rows = %d", t3.NumRows())
-	}
-
+	render(t3, err, 3) // 2 benchmarks + average
 	f3, err := s.Fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := f3.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
+	render(f3, err, 2)
 	if !strings.Contains(buf.String(), "VSCV") {
 		t.Fatal("Fig 3 table missing headers")
 	}
-
 	f4, err := s.Fig4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f4.NumRows() != 3 {
-		t.Fatalf("Fig 4 rows = %d", f4.NumRows())
-	}
-
+	render(f4, err, 3)
 	f7, err := s.Fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f7.NumRows() != 3 {
-		t.Fatalf("Fig 7 rows = %d", f7.NumRows())
-	}
+	render(f7, err, 3)
+	cfg := DefaultTableIVConfig()
+	cfg.RandomTrials = 100
+	cfg.MEGsimTrials = 5
+	t4, _, err := s.TableIV(cfg)
+	render(t4, err, 3)
+	ab, _, err := s.AblationTable("hcr")
+	render(ab, err, -1)
+	pt, err := s.PresetTable("hcr")
+	render(pt, err, 5) // lowend, mali450, highend, tbdr, tiled
 
 	sp, err := s.SpeedupTable()
 	if err != nil {
@@ -154,6 +160,24 @@ func TestStudyTables(t *testing.T) {
 	}
 	if sp.NumRows() != 2 {
 		t.Fatalf("speedup rows = %d", sp.NumRows())
+	}
+
+	path := filepath.Join("testdata", "study_tables.txt")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("study tables differ from %s:\n%s", path, buf.Bytes())
 	}
 }
 
@@ -210,17 +234,6 @@ func TestGeoMeanReduction(t *testing.T) {
 	}
 	if g <= 1 {
 		t.Fatalf("geomean reduction = %v", g)
-	}
-}
-
-func TestClusterSummary(t *testing.T) {
-	s := testStudy(t)
-	line, err := s.ClusterSummary("hcr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(line, "hcr: k=") {
-		t.Fatalf("summary = %q", line)
 	}
 }
 
@@ -295,38 +308,6 @@ func TestASSIStudy(t *testing.T) {
 	}
 	if tbl.NumRows() != 3 {
 		t.Fatalf("rows = %d", tbl.NumRows())
-	}
-}
-
-func TestClusterErrorTable(t *testing.T) {
-	s := testStudy(t)
-	tbl, rows, err := s.ClusterErrorTable("hcr", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 || tbl.NumRows() != len(rows) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	r, _ := s.Result("hcr")
-	// Contributions over ALL clusters must sum to the signed total
-	// estimation error.
-	_, all, err := s.ClusterErrorTable("hcr", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, row := range all {
-		sum += row.Contribution
-	}
-	signed := float64(r.Estimate.Cycles) - float64(r.FullTotals.Cycles)
-	if diff := sum - signed; diff > 1 || diff < -1 {
-		t.Fatalf("contributions sum to %v, want %v", sum, signed)
-	}
-	// Rows are sorted by magnitude.
-	for i := 1; i < len(all); i++ {
-		if abs64(all[i].Contribution) > abs64(all[i-1].Contribution)+1e-9 {
-			t.Fatal("rows not sorted by |contribution|")
-		}
 	}
 }
 
