@@ -16,21 +16,54 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/resilience"
 	"repro/internal/serve"
 	"repro/megsim"
 )
 
+// clusterWorkerCount is the fleet size the cluster tests run: the
+// smallest fleet where killing one worker still leaves a quorum to
+// exercise failover.
+const clusterWorkerCount = 3
+
+// clusterOptions are the settings distributed campaigns run under in
+// these tests. They must equal the serve tests' serviceOptions (the
+// test-scale workload with the tile-parallel raster stage on): a
+// distributed campaign must be byte-identical to a single-process one.
+func clusterOptions() harness.Options {
+	o := harness.TestOptions()
+	o.GPU.TileWorkers = 2
+	return o
+}
+
+// serviceResilience is the supervisor half of the service settings:
+// one retry per frame with backoff disabled, so tests exercise the
+// supervised path without sleeping on injected faults.
+func serviceResilience() resilience.Config {
+	return resilience.Config{MaxAttempts: 2, BackoffBase: -1}
+}
+
+// clusterResilience is serviceResilience plus a small worker-loss
+// requeue budget, so a dispatch stranded by a dying worker re-enters
+// the pool a bounded number of times without charging the frame's
+// attempts.
+func clusterResilience() resilience.Config {
+	cfg := serviceResilience()
+	cfg.MaxRequeues = 8
+	return cfg
+}
+
 // clusterCampaignBody is the canonical cluster-test campaign: the
-// harness `cluster` preset (identical to the `service` preset — that
-// identity is the whole point) as a submission document.
+// cluster settings (identical to the service settings — that identity
+// is the whole point) as a submission document.
 func clusterCampaignBody() string {
-	opts := harness.ClusterOptions()
+	opts := clusterOptions()
 	sc := opts.Scale
 	return fmt.Sprintf(
 		`{"workload":{"benchmark":"hcr","width":%d,"height":%d,"frame_div":%d,"detail_div":%d},`+
 			`"gpu":{"tile_workers":%d},"resilience":{"retries":%d}}`,
 		sc.Width, sc.Height, sc.FrameDivisor, sc.DetailDivisor,
-		opts.GPU.TileWorkers, harness.ServiceResilience().MaxAttempts)
+		opts.GPU.TileWorkers, serviceResilience().MaxAttempts)
 }
 
 // clusterGolden runs the canonical campaign once, in-process through
@@ -51,7 +84,7 @@ func clusterGolden(t *testing.T) []byte {
 			return
 		}
 		rrun, err := megsim.SampleResilient(context.Background(), tr,
-			req.MegsimConfig(), gpu, harness.ServiceResilience())
+			req.MegsimConfig(), gpu, serviceResilience())
 		if err != nil {
 			clusterGoldenErr = err
 			return
@@ -234,7 +267,7 @@ func workerServed(w *Worker) uint64 {
 // policy is a pure function, so the test computes which worker the
 // campaign lands on and arms exactly that one.
 func TestClusterKillWorkerMidCampaign(t *testing.T) {
-	workers, switches, urls := startFleet(t, harness.ClusterWorkerCount)
+	workers, switches, urls := startFleet(t, clusterWorkerCount)
 
 	// Compute the campaign's routing key (its run fingerprint) and the
 	// worker affinity will choose, then arm that worker to die after
@@ -341,7 +374,7 @@ func TestDistributedObsIdentity(t *testing.T) {
 
 	run := func(fn megsim.ResilientFrameFunc) (*megsim.ResilientRun, []byte) {
 		t.Helper()
-		rcfg := harness.ClusterResilience()
+		rcfg := clusterResilience()
 		rcfg.Obs = obs.NewWith(obs.Options{TraceCapacity: -1})
 		rrun, err := megsim.SampleResilientPrepared(context.Background(), tr, ch, sel, gpu, rcfg, fn)
 		if err != nil {
@@ -382,7 +415,7 @@ func TestDistributedObsIdentity(t *testing.T) {
 // state of record.
 func TestClusterDrainResumeAcrossCoordinators(t *testing.T) {
 	dir := t.TempDir()
-	_, _, urls := startFleet(t, harness.ClusterWorkerCount)
+	_, _, urls := startFleet(t, clusterWorkerCount)
 	body := clusterCampaignBody()
 
 	coordA, err := NewCoordinator(CoordinatorConfig{Workers: urls, HeartbeatInterval: -1})

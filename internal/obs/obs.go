@@ -111,13 +111,19 @@ type Histogram struct {
 func bucketOf(v uint64) int { return bits.Len64(v) }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil {
+func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v, leaving the histogram exactly
+// as n calls of Observe(v) would (sums wrap alike). n == 0 records
+// nothing. It lets a hot loop tally samples in a plain array and fold
+// them in once, off the per-event path.
+func (h *Histogram) ObserveN(v, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
-	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.buckets[bucketOf(v)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
 	for {
 		cur := h.min.Load()
 		if ^cur <= v || h.min.CompareAndSwap(cur, ^v) {

@@ -74,6 +74,31 @@ func TestCounterAndHistogramBasics(t *testing.T) {
 	}
 }
 
+// TestObserveNMatchesRepeatedObserve checks that ObserveN(v, n) leaves a
+// histogram exactly as n calls of Observe(v) do, wrapping sum included,
+// and that n == 0 records nothing (not even min/max).
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	samples := []struct{ v, n uint64 }{{7, 3}, {0, 2}, {1 << 40, 5}, {math.MaxUint64, 2}, {9, 0}, {3, 1}}
+	a, b := New().Histogram("a"), New().Histogram("b")
+	for _, s := range samples {
+		for i := uint64(0); i < s.n; i++ {
+			a.Observe(s.v)
+		}
+		b.ObserveN(s.v, s.n)
+	}
+	if sa, sb := a.snapshot(), b.snapshot(); !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("ObserveN %+v, repeated Observe %+v", sb, sa)
+	}
+
+	h := New().Histogram("empty")
+	h.ObserveN(5, 0)
+	if s := h.snapshot(); !reflect.DeepEqual(s, HistogramSnapshot{}) {
+		t.Fatalf("ObserveN(v, 0) recorded %+v", s)
+	}
+	var nilH *Histogram
+	nilH.ObserveN(1, 1)
+}
+
 func TestMergeSemantics(t *testing.T) {
 	parent := New()
 	parent.Counter("shared").Add(10)

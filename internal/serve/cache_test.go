@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/gltrace"
-	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/tbr"
 	"repro/megsim"
@@ -212,7 +211,7 @@ func TestCacheFrameKeyIncludesFingerprint(t *testing.T) {
 // runner is rebuilt on its next use with identical results.
 func TestCacheRunnerLayerBounded(t *testing.T) {
 	c := testCache()
-	tr := megsim.MustGenerateBenchmark("hcr", harness.ServiceOptions().Scale)
+	tr := megsim.MustGenerateBenchmark("hcr", serviceOptions().Scale)
 	var gpus []tbr.Config
 	for _, name := range []string{"mali450", "lowend", "highend", "tbdr"} {
 		for _, tw := range []int{0, 2} {
@@ -259,7 +258,7 @@ func TestCacheRunnerLayerBounded(t *testing.T) {
 // Their traces share a name and a frame count, so they share a run
 // fingerprint and are told apart only by the workload key.
 func viewportRequests() []CampaignRequest {
-	sc := harness.ServiceOptions().Scale
+	sc := serviceOptions().Scale
 	var reqs []CampaignRequest
 	for _, w := range []int{sc.Width, 2 * sc.Width} {
 		reqs = append(reqs, CampaignRequest{

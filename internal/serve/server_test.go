@@ -15,20 +15,39 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/resilience"
 	"repro/internal/workload"
 	"repro/megsim"
 )
 
-// serviceCampaignBody is the canonical test campaign: the harness
-// `service` preset (test-scale hcr, tiled raster, resilience on) as a
+// serviceOptions are the settings the service tests run campaigns
+// under: the small test-scale workload with the tile-parallel raster
+// stage on. The cache-identity tests compare daemon responses against a
+// direct megsim run under exactly these options, and the fabric tests'
+// clusterOptions must stay identical to them.
+func serviceOptions() harness.Options {
+	o := harness.TestOptions()
+	o.GPU.TileWorkers = 2
+	return o
+}
+
+// serviceResilience is the supervisor half of the service settings:
+// resilience on (one retry per frame) with backoff disabled, so tests
+// exercise the supervised path without sleeping on injected faults.
+func serviceResilience() resilience.Config {
+	return resilience.Config{MaxAttempts: 2, BackoffBase: -1}
+}
+
+// serviceCampaignBody is the canonical test campaign: the service
+// settings (test-scale hcr, tiled raster, resilience on) as a
 // submission document. extra is spliced into the resilience object.
 func serviceCampaignBody(tileWorkers int, extraResilience string) string {
-	sc := harness.ServiceOptions().Scale
+	sc := serviceOptions().Scale
 	return fmt.Sprintf(
 		`{"workload":{"benchmark":"hcr","width":%d,"height":%d,"frame_div":%d,"detail_div":%d},`+
 			`"gpu":{"tile_workers":%d},"resilience":{"retries":%d%s}}`,
 		sc.Width, sc.Height, sc.FrameDivisor, sc.DetailDivisor,
-		tileWorkers, harness.ServiceResilience().MaxAttempts, extraResilience)
+		tileWorkers, serviceResilience().MaxAttempts, extraResilience)
 }
 
 // streamCampaignBody is the canonical campaign in streaming mode, with
@@ -41,7 +60,7 @@ func streamCampaignBody(tileWorkers int) string {
 
 // directGolden runs the canonical campaign once, directly through
 // megsim.SampleResilient (batch) or megsim.SampleStreaming (stream)
-// under the same `service` preset — the ground truth every service
+// under the same service settings — the ground truth every service
 // response must match byte-for-byte (modulo wall clock). Each is
 // computed once and shared across tests.
 var (
@@ -55,7 +74,7 @@ func directGolden(t *testing.T) []byte {
 	goldenOnce.Do(func() {
 		goldenBytes, goldenErr = runDirect(func(tr *megsim.Trace, gpu megsim.GPUConfig) (*CampaignReport, error) {
 			rrun, err := megsim.SampleResilient(context.Background(), tr,
-				megsim.DefaultConfig(), gpu, harness.ServiceResilience())
+				megsim.DefaultConfig(), gpu, serviceResilience())
 			if err != nil {
 				return nil, err
 			}
@@ -75,7 +94,7 @@ func directStreamGolden(t *testing.T) []byte {
 			scfg := megsim.DefaultStreamConfig()
 			scfg.Seed = megsim.DefaultConfig().Seed
 			scfg.MaxStrata, scfg.ReservoirCap = 8, 4
-			opts := megsim.StreamingOptions{Stream: scfg, Resilience: harness.ServiceResilience()}
+			opts := megsim.StreamingOptions{Stream: scfg, Resilience: serviceResilience()}
 			srun, err := megsim.SampleStreaming(context.Background(), tr, opts, gpu)
 			if err != nil {
 				return nil, err
@@ -89,10 +108,10 @@ func directStreamGolden(t *testing.T) []byte {
 	return streamGolden
 }
 
-// runDirect generates the `service` preset workload and renders the
+// runDirect generates the service settings' workload and renders the
 // report of one in-process sampling run over it.
 func runDirect(sample func(*megsim.Trace, megsim.GPUConfig) (*CampaignReport, error)) ([]byte, error) {
-	opts := harness.ServiceOptions()
+	opts := serviceOptions()
 	p, err := workload.Get("hcr")
 	if err != nil {
 		return nil, err
@@ -614,7 +633,7 @@ func TestRetryAfterDerivedFromDepth(t *testing.T) {
 // frames).
 func TestDrainCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
-	sc := harness.ServiceOptions().Scale
+	sc := serviceOptions().Scale
 	bodyA := serviceCampaignBody(2, "")
 	bodyB := fmt.Sprintf(
 		`{"workload":{"benchmark":"jjo","width":%d,"height":%d,"frame_div":%d,"detail_div":%d},`+

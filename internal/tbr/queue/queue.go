@@ -48,14 +48,19 @@ type Queue struct {
 	Stats   Stats
 
 	// Observability handle, nil unless Instrument was called with an
-	// enabled registry. Only the occupancy distribution is sampled in
-	// the hot path (it cannot be derived from Stats afterwards); the
-	// additive Stats counters are exported at frame granularity by the
-	// simulator instead, so the uninstrumented Admit pays one nil check.
+	// enabled registry. The occupancy distribution is the one metric
+	// that cannot be derived from Stats afterwards, so each admit
+	// tallies its occupancy into tally (tally[k] counts admits that
+	// found k slots busy) and RecordOccupancy folds the tally into the
+	// histogram once per frame; the additive Stats counters are
+	// exported at frame granularity by the simulator. The
+	// uninstrumented Admit pays one nil check.
 	obsOccupancy *obs.Histogram
+	tally        []uint64
 
 	// checkInv arms the occupancy invariant in Admit (see
-	// EnableInvariantCheck). Off by default: the check walks every slot.
+	// EnableInvariantCheck). Off by default; the check reads only the
+	// head slot.
 	checkInv bool
 }
 
@@ -72,12 +77,34 @@ func New(name string, entries int) *Queue {
 func (q *Queue) Name() string { return q.name }
 
 // Instrument resolves a "queue.<name>.occupancy" histogram sampled at
-// each admit, replacing any earlier binding. With a nil or disabled
-// registry the queue is uninstrumented and Admit pays only a nil check.
+// each admit, replacing any earlier binding and discarding samples not
+// yet recorded, so nothing tallied for one registry reaches the next.
+// With a nil or disabled registry the queue is uninstrumented and Admit
+// pays only a nil check.
 func (q *Queue) Instrument(r *obs.Registry) {
 	q.obsOccupancy = nil
+	clear(q.tally)
 	if r.Enabled() {
 		q.obsOccupancy = r.Histogram("queue." + q.name + ".occupancy")
+		if q.tally == nil {
+			q.tally = make([]uint64, len(q.doneAt)+1)
+		}
+	}
+}
+
+// RecordOccupancy folds the occupancy samples tallied since the last
+// call into the histogram bound by Instrument, leaving it exactly as one
+// Observe per admit would, and clears the tally. The simulator calls it
+// once per frame; it is a no-op on an uninstrumented queue.
+func (q *Queue) RecordOccupancy() {
+	if q.obsOccupancy == nil {
+		return
+	}
+	for k, n := range q.tally {
+		if n != 0 {
+			q.obsOccupancy.ObserveN(uint64(k), n)
+			q.tally[k] = 0
+		}
 	}
 }
 
@@ -91,7 +118,7 @@ func (q *Queue) Admit(ready uint64) uint64 {
 	q.pending = true
 	q.Stats.Admitted++
 	if q.obsOccupancy != nil {
-		q.observeOccupancy(ready)
+		q.tallyOccupancy(ready)
 	}
 	free := q.doneAt[q.head]
 	enter := ready
@@ -111,16 +138,16 @@ func (q *Queue) panicPendingAdmit() {
 	panic(fmt.Sprintf("queue %q: Admit called with a Commit pending", q.name))
 }
 
-// observeOccupancy samples the occupancy at admit time: slots whose
-// occupant has not left by the cycle the new item is ready.
-func (q *Queue) observeOccupancy(ready uint64) {
+// tallyOccupancy counts the occupancy at admit time, the slots whose
+// occupant has not left by the cycle the new item is ready, into the
+// tally. The count is branch-free: with cycles far below 2^63, done >
+// ready exactly when ready-done wraps and sets the top bit.
+func (q *Queue) tallyOccupancy(ready uint64) {
 	occupied := uint64(0)
 	for _, done := range q.doneAt {
-		if done > ready {
-			occupied++
-		}
+		occupied += (ready - done) >> 63
 	}
-	q.obsOccupancy.Observe(occupied)
+	q.tally[occupied]++
 }
 
 // EnableInvariantCheck arms the occupancy invariant: every Admit

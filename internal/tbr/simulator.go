@@ -95,7 +95,7 @@ type Simulator struct {
 // stalls) are exported once per frame from the per-frame stat deltas the
 // simulator computes anyway, the stage-end markers are folded in at
 // tile/pass granularity, and the only per-event cost left is the
-// queues' occupancy nil check.
+// queues' occupancy tally, folded into its histogram at frame end.
 type simObs struct {
 	obs            *obs.Registry
 	cFrames        *obs.Counter
@@ -134,8 +134,9 @@ func (c *cacheObs) record(st mem.CacheStats) {
 	c.writebacks.Add(st.Writebacks)
 }
 
-// queueObs exports one queue's per-frame stat deltas as counters; start
-// snapshots the cumulative Stats at frame begin.
+// queueObs exports one queue's per-frame stat deltas as counters and
+// its occupancy tally as a histogram; start snapshots the cumulative
+// Stats at frame begin.
 type queueObs struct {
 	q                             *queue.Queue
 	start                         queue.Stats
@@ -143,7 +144,7 @@ type queueObs struct {
 }
 
 func newQueueObs(r *obs.Registry, q *queue.Queue) *queueObs {
-	q.Instrument(r) // occupancy histogram, sampled at each admit
+	q.Instrument(r) // occupancy histogram, tallied at each admit
 	return &queueObs{
 		q:           q,
 		admitted:    r.Counter("queue." + q.Name() + ".admitted"),
@@ -157,6 +158,7 @@ func (qo *queueObs) record() {
 	qo.admitted.Add(d.Admitted - qo.start.Admitted)
 	qo.stalls.Add(d.Stalls - qo.start.Stalls)
 	qo.stallCycles.Add(d.StallCycles - qo.start.StallCycles)
+	qo.q.RecordOccupancy()
 }
 
 // taggedQuads is a list of quads awaiting a later shade pass (the TBDR
@@ -358,6 +360,12 @@ func (s *Simulator) SetObs(r *obs.Registry) {
 	s.cfg.Obs = r
 	s.simObs = simObs{}
 	queues := []*queue.Queue{s.vertexQ, s.triangleQ, s.fragmentQ, s.colorQ}
+	// The tile workers' queues tally into the same histograms; their
+	// tallies are recorded at the tile-parallel fold.
+	for _, tw := range s.tileWorkers {
+		tw.ctx.fragmentQ.Instrument(r)
+		tw.ctx.colorQ.Instrument(r)
+	}
 	if !r.Enabled() {
 		for _, q := range queues {
 			q.Instrument(nil)

@@ -138,7 +138,8 @@ func (s *Simulator) rasterPassTiled(st *FrameStats, start uint64) uint64 {
 
 	// Fold the per-shard counters into the simulator's own units (in
 	// shard order) so the frame-delta accounting and the obs export in
-	// SimulateFrame see them exactly as in the serial mode.
+	// SimulateFrame see them exactly as in the serial mode; the worker
+	// queues' occupancy tallies go straight into the shared histograms.
 	for _, tw := range s.tileWorkers {
 		st.Add(&tw.partial)
 		ss := tw.shard.Stats()
@@ -153,6 +154,8 @@ func (s *Simulator) rasterPassTiled(st *FrameStats, start uint64) uint64 {
 		s.dram.Stats.Add(ss.DRAM)
 		s.fragmentQ.Stats.Add(tw.ctx.fragmentQ.Stats)
 		s.colorQ.Stats.Add(tw.ctx.colorQ.Stats)
+		tw.ctx.fragmentQ.RecordOccupancy()
+		tw.ctx.colorQ.RecordOccupancy()
 	}
 	return clock
 }
