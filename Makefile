@@ -31,9 +31,12 @@ COVER_PKGS := check resilience serve fabric stream chaos
 ci: vet build race validate cover-check bench-check bench-smoke bench-selftest fuzz-smoke
 
 # gofmt -l lists every file whose formatting differs; any output fails.
-# bench/ is its own module, so the root `go vet ./...` skips it.
+# bench/ is its own module, so the root `go vet ./...` skips it. The
+# arm64 pass builds the portable path: internal/raster's row kernel is
+# amd64 assembly, and every other architecture runs its Go loop.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	cd bench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; fi

@@ -6,6 +6,11 @@ import (
 	"repro/internal/xmath/stats"
 )
 
+// benchSeed seeds every op of the randomized benchmarks. One fixed
+// seed makes each op the same work, so ns/op does not depend on which
+// seeds a given b.N happens to run.
+const benchSeed = 1
+
 func benchData(n, d int) [][]float64 {
 	rng := stats.NewRNG(42)
 	data := make([][]float64, n)
@@ -23,7 +28,7 @@ func BenchmarkKMeans(b *testing.B) {
 	data := benchData(1000, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		KMeans(data, 8, stats.NewRNG(uint64(i)+1), 0)
+		KMeans(data, 8, stats.NewRNG(benchSeed), 0)
 	}
 }
 
@@ -32,7 +37,7 @@ func BenchmarkKMeansSeededWarmStart(b *testing.B) {
 	base := KMeans(data, 7, stats.NewRNG(1), 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		KMeansSeeded(data, 8, stats.NewRNG(uint64(i)+1), 0, base.Centroids)
+		KMeansSeeded(data, 8, stats.NewRNG(benchSeed), 0, base.Centroids)
 	}
 }
 
@@ -50,7 +55,7 @@ func BenchmarkSearch(b *testing.B) {
 	cfg := DefaultSearchConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Search(data, cfg, stats.NewRNG(uint64(i)+1)); err != nil {
+		if _, err := Search(data, cfg, stats.NewRNG(benchSeed)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,16 +15,16 @@ func (b AABB2) Empty() bool {
 // Intersect returns the intersection of b and o (possibly empty).
 func (b AABB2) Intersect(o AABB2) AABB2 {
 	return AABB2{
-		Min: Vec2{math.Max(b.Min.X, o.Min.X), math.Max(b.Min.Y, o.Min.Y)},
-		Max: Vec2{math.Min(b.Max.X, o.Max.X), math.Min(b.Max.Y, o.Max.Y)},
+		Min: Vec2{max(b.Min.X, o.Min.X), max(b.Min.Y, o.Min.Y)},
+		Max: Vec2{min(b.Max.X, o.Max.X), min(b.Max.Y, o.Max.Y)},
 	}
 }
 
 // Union returns the smallest box containing both b and o.
 func (b AABB2) Union(o AABB2) AABB2 {
 	return AABB2{
-		Min: Vec2{math.Min(b.Min.X, o.Min.X), math.Min(b.Min.Y, o.Min.Y)},
-		Max: Vec2{math.Max(b.Max.X, o.Max.X), math.Max(b.Max.Y, o.Max.Y)},
+		Min: Vec2{min(b.Min.X, o.Min.X), min(b.Min.Y, o.Min.Y)},
+		Max: Vec2{max(b.Max.X, o.Max.X), max(b.Max.Y, o.Max.Y)},
 	}
 }
 
@@ -35,10 +35,10 @@ type Triangle2 struct {
 
 // Bounds returns the 2D bounding box of the triangle.
 func (t Triangle2) Bounds() AABB2 {
-	minX := math.Min(t.V[0].X, math.Min(t.V[1].X, t.V[2].X))
-	minY := math.Min(t.V[0].Y, math.Min(t.V[1].Y, t.V[2].Y))
-	maxX := math.Max(t.V[0].X, math.Max(t.V[1].X, t.V[2].X))
-	maxY := math.Max(t.V[0].Y, math.Max(t.V[1].Y, t.V[2].Y))
+	minX := min(t.V[0].X, t.V[1].X, t.V[2].X)
+	minY := min(t.V[0].Y, t.V[1].Y, t.V[2].Y)
+	maxX := max(t.V[0].X, t.V[1].X, t.V[2].X)
+	maxY := max(t.V[0].Y, t.V[1].Y, t.V[2].Y)
 	return AABB2{Min: Vec2{minX, minY}, Max: Vec2{maxX, maxY}}
 }
 

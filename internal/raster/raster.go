@@ -137,21 +137,12 @@ func ProcessDraw(mesh *gltrace.Mesh, mvp geom.Mat4, vp geom.Viewport, depthBias 
 }
 
 func outsideSamePlane(a, b, c geom.Vec4) bool {
-	type test func(geom.Vec4) bool
-	tests := [...]test{
-		func(v geom.Vec4) bool { return v.X < -v.W },
-		func(v geom.Vec4) bool { return v.X > v.W },
-		func(v geom.Vec4) bool { return v.Y < -v.W },
-		func(v geom.Vec4) bool { return v.Y > v.W },
-		func(v geom.Vec4) bool { return v.Z < -v.W },
-		func(v geom.Vec4) bool { return v.Z > v.W },
-	}
-	for _, t := range tests {
-		if t(a) && t(b) && t(c) {
-			return true
-		}
-	}
-	return false
+	return a.X < -a.W && b.X < -b.W && c.X < -c.W ||
+		a.X > a.W && b.X > b.W && c.X > c.W ||
+		a.Y < -a.W && b.Y < -b.W && c.Y < -c.W ||
+		a.Y > a.W && b.Y > b.W && c.Y > c.W ||
+		a.Z < -a.W && b.Z < -b.W && c.Z < -c.W ||
+		a.Z > a.W && b.Z > b.W && c.Z > c.W
 }
 
 // sampleBias nudges sample points off exact pixel centers so that a

@@ -103,6 +103,24 @@ func setupTriangle(tri *ScreenTriangle, clip geom.AABB2) (s triSetup, ok bool) {
 	}, true
 }
 
+// rowConsts is what countRow reads of one quad row: the triangle's
+// walk constants and the row's centre and sample-row terms, each the
+// value CountTriangle's Go loop computes. Pairs the kernel loads as one
+// vector (e0x/e1x, cy0/cy1, negM0/negM1) are adjacent; the assembly
+// takes every offset from go_asm.h.
+type rowConsts struct {
+	x, bias             float64 // float64(x0) of the first quad; sampleBias
+	xC, e0x, e1x        float64
+	invDen              float64
+	cy0, cy1            float64 // e0y and e1y times the quad-centre dy
+	negM0, negM1, negM2 float64 // the negated centre-reject margins
+	minX, maxX          float64
+	rowT0, rowT1        float64 // e0y and e1y times the top sample row's dy
+	rowB0, rowB1        float64 // the same for the bottom sample row
+	z0, z1, z2          float64
+	blend               bool
+}
+
 // CountTriangle rasterizes tri within clip and early-Z tests every
 // covered sample in place, returning the number that survive. When
 // blend is false survivors write their depth (TestMask); when true the
@@ -116,6 +134,11 @@ func setupTriangle(tri *ScreenTriangle, clip geom.AABB2) (s triSetup, ok bool) {
 // matches testing the batch afterwards. Nothing is stored and no U/V is
 // interpolated; this is the walk functional characterization runs,
 // which needs only surviving-fragment counts.
+//
+// Where there is a row kernel (countRow, amd64), it runs each row whose
+// two sample rows lie inside the clip and the buffer and whose last
+// quad's right column lies inside the buffer, bit-identical to the Go
+// loop below, which runs every other row.
 func (d *DepthBuffer) CountTriangle(tri *ScreenTriangle, clip geom.AABB2, blend bool) uint64 {
 	ts, ok := setupTriangle(tri, clip)
 	if !ok {
@@ -131,6 +154,18 @@ func (d *DepthBuffer) CountTriangle(tri *ScreenTriangle, clip geom.AABB2, blend 
 	z0, z1, z2 := t.V[0].Z, t.V[1].Z, t.V[2].Z
 
 	w, h, zbuf := d.w, d.h, d.z
+	// The row kernel takes a row only when every quad's right column is
+	// inside the buffer, so it never bounds-checks a column.
+	xEnd := (x1 + 1) &^ 1
+	kernelCols := haveCountRow && xEnd <= w
+	k := rowConsts{
+		x: float64(x0), bias: sampleBias,
+		xC: xC, e0x: e0x, e1x: e1x, invDen: invDen,
+		negM0: -m0, negM1: -m1, negM2: -m2,
+		minX: minX, maxX: maxX,
+		z0: z0, z1: z1, z2: z2,
+		blend: blend,
+	}
 	var n uint64
 	for y := y0; y < y1; y += 2 {
 		pyT := float64(y) + 0.5 + sampleBias
@@ -154,6 +189,12 @@ func (d *DepthBuffer) CountTriangle(tri *ScreenTriangle, clip geom.AABB2, blend 
 		cy1 := e1y * dyc
 		baseT := y * w
 		baseB := baseT + w
+		if kernelCols && rowTIn && rowBIn {
+			k.cy0, k.cy1 = cy0, cy1
+			k.rowT0, k.rowT1, k.rowB0, k.rowB1 = rowT0, rowT1, rowB0, rowB1
+			n += countRow(&k, zbuf[baseT+x0:baseT+xEnd], zbuf[baseB+x0:baseB+xEnd])
+			continue
+		}
 
 		accepted := false
 		for x := x0; x < x1; x += 2 {

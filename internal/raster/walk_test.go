@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -79,7 +80,13 @@ func referenceQuads(tri *ScreenTriangle, clip geom.AABB2) []refQuad {
 }
 
 // walkClasses names the triangle shapes randomWalkCase draws.
-var walkClasses = []string{"generic", "subpixel", "thin", "axis-parallel", "huge", "off-clip", "near-degenerate", "grid"}
+//
+// "wide-row" spans a 320-px buffer, more than 64 quads per row, so whole
+// rows run CountTriangle's row kernel where there is one. "buffer-edge"
+// gives the buffer an odd width and height and crosses its right or
+// bottom edge, so the rows whose last quad's right column or bottom
+// sample row leaves the buffer take the Go loop beside kernel rows.
+var walkClasses = []string{"generic", "subpixel", "thin", "axis-parallel", "huge", "off-clip", "near-degenerate", "grid", "wide-row", "buffer-edge"}
 
 // randomWalkCase draws a triangle of the given class, a clip rect and a
 // depth buffer with a random prior state. The buffer may be smaller
@@ -90,12 +97,12 @@ func randomWalkCase(rng *rand.Rand, class int) (ScreenTriangle, geom.AABB2, *Dep
 	if rng.IntN(4) == 0 { // snap the clip to whole pixels, as tiles are
 		cx, cy, cw, ch = math.Floor(cx), math.Floor(cy), math.Ceil(cw), math.Ceil(ch)
 	}
-	clip := geom.AABB2{Min: geom.Vec2{X: cx, Y: cy}, Max: geom.Vec2{X: cx + cw, Y: cy + ch}}
 	in := func() (float64, float64) { // a point near the clip
 		return cx - 8 + rng.Float64()*(cw+16), cy - 8 + rng.Float64()*(ch+16)
 	}
 
 	var v [3][2]float64
+	w, h := 0, 0 // buffer size; drawn below unless the class sets it
 	switch walkClasses[class] {
 	case "generic":
 		for i := range v {
@@ -154,7 +161,37 @@ func randomWalkCase(rng *rand.Rand, class int) (ScreenTriangle, geom.AABB2, *Dep
 			x, y := in()
 			v[i] = [2]float64{math.Round(x*2) / 2, math.Round(y*2) / 2}
 		}
+	case "wide-row":
+		// The clip is the whole buffer width or a sub-pixel inset of it;
+		// two vertices lie past its sides and the third above or below.
+		w, h = 320, 8+rng.IntN(40)
+		cx, cy, cw, ch = 0, 0, float64(w), float64(h)
+		if rng.IntN(2) == 0 {
+			cx = rng.Float64()
+			cw -= cx + rng.Float64()
+		}
+		y := rng.Float64() * ch
+		apex := -rng.Float64() * 2 * ch
+		if rng.IntN(2) == 0 {
+			apex = ch + rng.Float64()*2*ch
+		}
+		v = [3][2]float64{{-rng.Float64() * 40, y}, {cw + rng.Float64()*40, y + rng.Float64()*8 - 4}, {rng.Float64() * cw, apex}}
+	case "buffer-edge":
+		// An odd-sized buffer inside a clip that overhangs it. The
+		// triangle crosses the buffer's right edge, or stays left of
+		// its last column and crosses only the bottom edge.
+		w, h = 2*(4+rng.IntN(40))+1, 2*(4+rng.IntN(40))+1
+		cx, cy, cw, ch = 0, 0, float64(w)+rng.Float64()*6, float64(h)+rng.Float64()*6
+		right := cw + 8
+		if rng.IntN(2) == 0 {
+			right = float64(w - 1)
+		}
+		for i := range v {
+			v[i] = [2]float64{rng.Float64() * right, rng.Float64() * (ch + 8)}
+		}
+		v[rng.IntN(3)][1] = ch + rng.Float64()*16
 	}
+	clip := geom.AABB2{Min: geom.Vec2{X: cx, Y: cy}, Max: geom.Vec2{X: cx + cw, Y: cy + ch}}
 
 	// A third of the triangles are flat, as every 2D layer is.
 	flat := rng.IntN(3) == 0
@@ -168,7 +205,9 @@ func randomWalkCase(rng *rand.Rand, class int) (ScreenTriangle, geom.AABB2, *Dep
 		tri.UV[i] = geom.Vec2{X: rng.Float64(), Y: rng.Float64()}
 	}
 
-	w, h := 1+rng.IntN(int(cx+cw)+8), 1+rng.IntN(int(cy+ch)+8)
+	if w == 0 {
+		w, h = 1+rng.IntN(int(cx+cw)+8), 1+rng.IntN(int(cy+ch)+8)
+	}
 	depth := NewDepthBuffer(w, h)
 	switch rng.IntN(4) {
 	case 0: // cleared
@@ -237,6 +276,54 @@ func checkQuadWalks(t *testing.T, seed uint64, class uint8, blend bool) {
 			t.Fatalf("%s blend=%v: depth at (%d,%d) = %v, AppendQuads+TestMask left %v",
 				ctx(), blend, i%depth.w, i/depth.w, depth.z[i], batched.z[i])
 		}
+	}
+}
+
+// TestWalkCorpusReachesBothRowKinds checks that FuzzQuadWalks' seed
+// corpus sends rows down both of CountTriangle's paths: whole rows of
+// more than 64 quads that the row kernel takes, and rows that must take
+// the Go loop because the last quad's right column or the bottom sample
+// row leaves the buffer. It replays CountTriangle's dispatch test
+// whether or not this architecture has the kernel.
+func TestWalkCorpusReachesBothRowKinds(t *testing.T) {
+	var wideKernelRows, edgeKernelRows, rightEdgeRows, bottomEdgeRows int
+	for _, name := range []string{"wide-row", "buffer-edge"} {
+		class := slices.Index(walkClasses, name)
+		for seed := uint64(0); seed < 64; seed++ {
+			rng := rand.New(rand.NewPCG(seed, uint64(class)))
+			tri, clip, depth := randomWalkCase(rng, class)
+			ts, ok := setupTriangle(&tri, clip)
+			if !ok {
+				continue
+			}
+			xEnd := (ts.x1 + 1) &^ 1
+			for y := ts.y0; y < ts.y1; y += 2 {
+				pyT := float64(y) + 0.5 + sampleBias
+				pyB := float64(y+1) + 0.5 + sampleBias
+				inClipT := pyT < ts.maxY && pyT >= ts.minY
+				inClipB := pyB < ts.maxY && pyB >= ts.minY
+				rowTIn := inClipT && y < depth.h
+				rowBIn := inClipB && y+1 < depth.h
+				switch {
+				case xEnd <= depth.w && rowTIn && rowBIn:
+					if name == "wide-row" && (xEnd-ts.x0)/2 > 64 {
+						wideKernelRows++
+					} else if name == "buffer-edge" {
+						edgeKernelRows++
+					}
+				case name != "buffer-edge":
+				case rowTIn && inClipB && !rowBIn:
+					bottomEdgeRows++
+				case rowTIn && rowBIn:
+					rightEdgeRows++
+				}
+			}
+		}
+	}
+	t.Logf("kernel rows: %d wide, %d buffer-edge; Go-loop rows at the buffer edge: %d right, %d bottom",
+		wideKernelRows, edgeKernelRows, rightEdgeRows, bottomEdgeRows)
+	if wideKernelRows == 0 || edgeKernelRows == 0 || rightEdgeRows == 0 || bottomEdgeRows == 0 {
+		t.Fatal("the seed corpus misses a kind of row")
 	}
 }
 
