@@ -32,8 +32,9 @@ ci: vet build race validate cover-check bench-check bench-smoke bench-selftest f
 
 # gofmt -l lists every file whose formatting differs; any output fails.
 # bench/ is its own module, so the root `go vet ./...` skips it. The
-# arm64 pass builds the portable path: internal/raster's row kernel is
-# amd64 assembly, and every other architecture runs its Go loop.
+# arm64 pass builds the portable path: internal/raster's triangle
+# kernels are amd64 assembly, and every other architecture runs its Go
+# walks.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...

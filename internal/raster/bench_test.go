@@ -1,6 +1,7 @@
 package raster
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/geom"
@@ -40,6 +41,55 @@ func BenchmarkRasterizeQuads64(b *testing.B) {
 		batch.Reset()
 		batch.AppendQuads(&tri, clip)
 		quads += batch.Len()
+	}
+	if quads == 0 {
+		b.Fatal("no quads")
+	}
+}
+
+// benchTiles is the fixed (triangle, tile clip) traffic
+// BenchmarkAppendQuadsTiles walks: 96 triangles of 4-64 px in a
+// 320x160 viewport, each paired with every 32-px tile its bounding box
+// overlaps, as the timing simulator bins them. Most calls walk 3-8
+// quad rows of a few quads each, the shape of validate-full's
+// AppendQuads calls.
+func benchTiles() (tris []ScreenTriangle, clips []geom.AABB2) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 96 {
+		size := 4 + rng.Float64()*60
+		x, y := rng.Float64()*(320-size), rng.Float64()*(160-size)
+		var tri ScreenTriangle
+		for i := range tri.Tri.V {
+			tri.Tri.V[i] = v3(x+rng.Float64()*size, y+rng.Float64()*size, rng.Float64())
+			tri.UV[i] = geom.Vec2{X: rng.Float64(), Y: rng.Float64()}
+		}
+		bb := tri.Tri.Bounds()
+		for ty := int(bb.Min.Y) / 32 * 32; float64(ty) < bb.Max.Y; ty += 32 {
+			for tx := int(bb.Min.X) / 32 * 32; float64(tx) < bb.Max.X; tx += 32 {
+				tris = append(tris, tri)
+				clips = append(clips, geom.AABB2{
+					Min: geom.Vec2{X: float64(tx), Y: float64(ty)},
+					Max: geom.Vec2{X: float64(tx + 32), Y: float64(ty + 32)},
+				})
+			}
+		}
+	}
+	return tris, clips
+}
+
+// BenchmarkAppendQuadsTiles times AppendQuads over benchTiles, one
+// reset batch per call as the timing simulator's tile loop runs it.
+func BenchmarkAppendQuadsTiles(b *testing.B) {
+	tris, clips := benchTiles()
+	var batch QuadBatch
+	b.ResetTimer()
+	quads := 0
+	for i := 0; i < b.N; i++ {
+		for j := range tris {
+			batch.Reset()
+			batch.AppendQuads(&tris[j], clips[j])
+			quads += batch.Len()
+		}
 	}
 	if quads == 0 {
 		b.Fatal("no quads")

@@ -50,33 +50,57 @@ func (b *QuadBatch) Reset() {
 // output equals an exhaustive per-sample walk of the bounding box.
 // CountTriangle shares the setup and the per-sample expressions.
 func (b *QuadBatch) AppendQuads(tri *ScreenTriangle, clip geom.AABB2) {
-	ts, ok := setupTriangle(tri, clip)
-	if !ok {
+	b.appendQuads(tri, clip, haveWalkKernels)
+}
+
+// appendQuads is AppendQuads with the kernel switched by kernel: the
+// triangle kernel (appendTri, amd64) walks every row in one call, and
+// appendRows, its Go reference, walks them on other architectures.
+// Tests run both on every architecture.
+func (b *QuadBatch) appendQuads(tri *ScreenTriangle, clip geom.AABB2, kernel bool) {
+	var s triSetup
+	if !setupTriangle(tri, clip, &s) {
 		return
 	}
-	x0, y0, x1, y1 := ts.x0, ts.y0, ts.x1, ts.y1
-	minX, minY, maxX, maxY := ts.minX, ts.minY, ts.maxX, ts.maxY
-	xC, yC := ts.xC, ts.yC
-	e0x, e0y, e1x, e1y := ts.e0x, ts.e0y, ts.e1x, ts.e1y
-	invDen := ts.invDen
-	m0, m1, m2 := ts.m0, ts.m1, ts.m2
-	t := &tri.Tri
-	z0, z1, z2 := t.V[0].Z, t.V[1].Z, t.V[2].Z
-	u0, u1, u2 := tri.UV[0].X, tri.UV[1].X, tri.UV[2].X
-	v0, v1, v2 := tri.UV[0].Y, tri.UV[1].Y, tri.UV[2].Y
 
 	// Extend the arrays to the bounding box's worst case once, then fill
 	// by index: one capacity check per triangle instead of six append
 	// bookkeeping sequences per emitted quad. The arrays are truncated to
 	// the emitted count at the end.
 	n := len(b.Mask)
-	maxQ := ((y1-y0+1)/2 + 1) * ((x1-x0+1)/2 + 1)
+	maxQ := ((s.y1-s.y0+1)/2 + 1) * ((s.x1-s.x0+1)/2 + 1)
 	b.X = extend(b.X, n+maxQ)
 	b.Y = extend(b.Y, n+maxQ)
 	b.Mask = extend(b.Mask, n+maxQ)
 	b.Depth = extend(b.Depth, (n+maxQ)*4)
 	b.U = extend(b.U, n+maxQ)
 	b.V = extend(b.V, n+maxQ)
+
+	if kernel {
+		n = appendTri(&s, b, n)
+	} else {
+		n = b.appendRows(&s, n)
+	}
+	b.X = b.X[:n]
+	b.Y = b.Y[:n]
+	b.Mask = b.Mask[:n]
+	b.Depth = b.Depth[:n*4]
+	b.U = b.U[:n]
+	b.V = b.V[:n]
+}
+
+// appendRows is AppendQuads' Go walk of every quad row of s, storing
+// from index n of the extended arrays; it returns the new quad count.
+func (b *QuadBatch) appendRows(s *triSetup, n int) int {
+	x0, y0, x1, y1 := s.x0, s.y0, s.x1, s.y1
+	minX, minY, maxX, maxY := s.minX, s.minY, s.maxX, s.maxY
+	xC, yC := s.xC, s.yC
+	e0x, e0y, e1x, e1y := s.e0x, s.e0y, s.e1x, s.e1y
+	invDen := s.invDen
+	negM0, negM1, negM2 := s.negM0, s.negM1, s.negM2
+	z0, z1, z2 := s.z0, s.z1, s.z2
+	u0, u1, u2 := s.u0, s.u1, s.u2
+	v0, v1, v2 := s.v0, s.v1, s.v2
 
 	for y := y0; y < y1; y += 2 {
 		// Sample rows of this quad row: py for samples 0,1 and 2,3.
@@ -106,7 +130,7 @@ func (b *QuadBatch) AppendQuads(tri *ScreenTriangle, clip geom.AABB2) {
 			l0c := (e0x*dxc + cy0) * invDen
 			l1c := (e1x*dxc + cy1) * invDen
 			l2c := 1 - l0c - l1c
-			if l0c < -m0 || l1c < -m1 || l2c < -m2 {
+			if l0c < negM0 || l1c < negM1 || l2c < negM2 {
 				if accepted {
 					break // the rest of the row is past the edge (setupTriangle)
 				}
@@ -176,12 +200,7 @@ func (b *QuadBatch) AppendQuads(tri *ScreenTriangle, clip geom.AABB2) {
 			n++
 		}
 	}
-	b.X = b.X[:n]
-	b.Y = b.Y[:n]
-	b.Mask = b.Mask[:n]
-	b.Depth = b.Depth[:n*4]
-	b.U = b.U[:n]
-	b.V = b.V[:n]
+	return n
 }
 
 // extend grows s to newLen entries (contents beyond the previous length

@@ -6,11 +6,15 @@ import (
 	"repro/internal/geom"
 )
 
-// triSetup is the per-triangle state both quad walks share:
+// triSetup is the per-triangle state both quad walks read:
 // QuadBatch.AppendQuads (the timing simulator and the frame renderer)
-// and characterization's DepthBuffer.CountTriangle. Computing it in one place keeps the two
-// walks' coverage decisions identical; their quad loops differ only in
-// what they do with a covered sample.
+// and characterization's DepthBuffer.CountTriangle, in Go and in their
+// amd64 kernels. Computing it in one place keeps the two walks'
+// coverage decisions identical; their quad loops differ only in what
+// they do with a covered sample. The kernels take every offset from
+// go_asm.h and load each pair they use as one vector ([e0x, e1x],
+// [e0y, e1y], [negM0, negM1] and the [u, v] of each vertex) from
+// adjacent fields.
 type triSetup struct {
 	// x0, y0 (even) and x1, y1 (max-exclusive) bound the quads to scan.
 	x0, y0, x1, y1 int
@@ -21,15 +25,21 @@ type triSetup struct {
 	xC, yC float64
 	// e0x, e0y and e1x, e1y are the px and py coefficients of the
 	// barycentric numerators l0 and l1.
-	e0x, e0y, e1x, e1y float64
+	e0x, e1x, e0y, e1y float64
 	invDen             float64
-	// m0, m1, m2 are the quad-center reject margins of l0, l1, l2.
-	m0, m1, m2 float64
+	// negM0, negM1, negM2 are the negated quad-center reject margins of
+	// l0, l1, l2.
+	negM0, negM1, negM2 float64
+	z0, z1, z2          float64 // the vertices' depths
+	u0, v0, u1, v1      float64 // the vertices' texture coordinates
+	u2, v2              float64
+	bias                float64 // sampleBias, which the kernels read here
 }
 
-// setupTriangle derives tri's walk state for clip (in pixels,
-// max-exclusive). ok is false when no sample can be covered: the
-// clipped bounding box is empty or the triangle is degenerate.
+// setupTriangle fills s with tri's walk state for clip (in pixels,
+// max-exclusive). It returns false, leaving s partly filled, when no
+// sample can be covered: the clipped bounding box is empty or the
+// triangle is degenerate.
 //
 // Conservative reject margins: a sample center is at most
 // r = 0.5 + sampleBias away from the quad center in each axis, so a
@@ -55,10 +65,10 @@ type triSetup struct {
 // quad in the row is uncovered at all four samples, by the same proof
 // that lets the margin skip the rejected quad itself, so ending the row
 // changes no coverage decision.
-func setupTriangle(tri *ScreenTriangle, clip geom.AABB2) (s triSetup, ok bool) {
+func setupTriangle(tri *ScreenTriangle, clip geom.AABB2, s *triSetup) bool {
 	bb := tri.Tri.Bounds().Intersect(clip)
 	if bb.Empty() {
-		return s, false
+		return false
 	}
 	x0 := int(math.Floor(bb.Min.X)) &^ 1
 	y0 := int(math.Floor(bb.Min.Y)) &^ 1
@@ -71,7 +81,7 @@ func setupTriangle(tri *ScreenTriangle, clip geom.AABB2) (s triSetup, ok bool) {
 		y0 = 0
 	}
 	if x1 <= x0 || y1 <= y0 {
-		return s, false
+		return false
 	}
 
 	t := &tri.Tri
@@ -80,7 +90,7 @@ func setupTriangle(tri *ScreenTriangle, clip geom.AABB2) (s triSetup, ok bool) {
 	xC, yC := t.V[2].X, t.V[2].Y
 	den := (yB-yC)*(xA-xC) + (xC-xB)*(yA-yC)
 	if math.Abs(den) < 1e-12 {
-		return s, false
+		return false
 	}
 	invDen := 1 / den
 
@@ -93,32 +103,18 @@ func setupTriangle(tri *ScreenTriangle, clip geom.AABB2) (s triSetup, ok bool) {
 	marginR := (0.5 + sampleBias) * 2 * math.Abs(invDen)
 	m0 := (math.Abs(e0x) + math.Abs(e0y)) * marginR
 	m1 := (math.Abs(e1x) + math.Abs(e1y)) * marginR
-	return triSetup{
-		x0: x0, y0: y0, x1: x1, y1: y1,
-		minX: bb.Min.X, minY: bb.Min.Y, maxX: bb.Max.X, maxY: bb.Max.Y,
-		xC: xC, yC: yC,
-		e0x: e0x, e0y: e0y, e1x: e1x, e1y: e1y,
-		invDen: invDen,
-		m0:     m0, m1: m1, m2: m0 + m1,
-	}, true
-}
-
-// rowConsts is what countRow reads of one quad row: the triangle's
-// walk constants and the row's centre and sample-row terms, each the
-// value CountTriangle's Go loop computes. Pairs the kernel loads as one
-// vector (e0x/e1x, cy0/cy1, negM0/negM1) are adjacent; the assembly
-// takes every offset from go_asm.h.
-type rowConsts struct {
-	x, bias             float64 // float64(x0) of the first quad; sampleBias
-	xC, e0x, e1x        float64
-	invDen              float64
-	cy0, cy1            float64 // e0y and e1y times the quad-centre dy
-	negM0, negM1, negM2 float64 // the negated centre-reject margins
-	minX, maxX          float64
-	rowT0, rowT1        float64 // e0y and e1y times the top sample row's dy
-	rowB0, rowB1        float64 // the same for the bottom sample row
-	z0, z1, z2          float64
-	blend               bool
+	s.x0, s.y0, s.x1, s.y1 = x0, y0, x1, y1
+	s.minX, s.minY, s.maxX, s.maxY = bb.Min.X, bb.Min.Y, bb.Max.X, bb.Max.Y
+	s.xC, s.yC = xC, yC
+	s.e0x, s.e1x, s.e0y, s.e1y = e0x, e1x, e0y, e1y
+	s.invDen = invDen
+	s.negM0, s.negM1, s.negM2 = -m0, -m1, -(m0 + m1)
+	s.z0, s.z1, s.z2 = t.V[0].Z, t.V[1].Z, t.V[2].Z
+	s.u0, s.v0 = tri.UV[0].X, tri.UV[0].Y
+	s.u1, s.v1 = tri.UV[1].X, tri.UV[1].Y
+	s.u2, s.v2 = tri.UV[2].X, tri.UV[2].Y
+	s.bias = sampleBias
+	return true
 }
 
 // CountTriangle rasterizes tri within clip and early-Z tests every
@@ -134,40 +130,48 @@ type rowConsts struct {
 // matches testing the batch afterwards. Nothing is stored and no U/V is
 // interpolated; this is the walk functional characterization runs,
 // which needs only surviving-fragment counts.
-//
-// Where there is a row kernel (countRow, amd64), it runs each row whose
-// two sample rows lie inside the clip and the buffer and whose last
-// quad's right column lies inside the buffer, bit-identical to the Go
-// loop below, which runs every other row.
 func (d *DepthBuffer) CountTriangle(tri *ScreenTriangle, clip geom.AABB2, blend bool) uint64 {
-	ts, ok := setupTriangle(tri, clip)
-	if !ok {
+	return d.countTriangle(tri, clip, blend, haveWalkKernels)
+}
+
+// countTriangle is CountTriangle with the kernel switched by kernel.
+// Where there is a triangle kernel (countTri, amd64) and every quad's
+// right column lies inside the buffer, the kernel takes the run of
+// rows from y0 whose bottom sample row lies inside the buffer, with
+// the sample rows outside the clip masked; countRows walks the rest.
+// Tests run both paths on every architecture.
+func (d *DepthBuffer) countTriangle(tri *ScreenTriangle, clip geom.AABB2, blend, kernel bool) uint64 {
+	var s triSetup
+	if !setupTriangle(tri, clip, &s) {
 		return 0
 	}
-	x0, y0, x1, y1 := ts.x0, ts.y0, ts.x1, ts.y1
-	minX, minY, maxX, maxY := ts.minX, ts.minY, ts.maxX, ts.maxY
-	xC, yC := ts.xC, ts.yC
-	e0x, e0y, e1x, e1y := ts.e0x, ts.e0y, ts.e1x, ts.e1y
-	invDen := ts.invDen
-	m0, m1, m2 := ts.m0, ts.m1, ts.m2
-	t := &tri.Tri
-	z0, z1, z2 := t.V[0].Z, t.V[1].Z, t.V[2].Z
+	y := s.y0
+	var n uint64
+	if kernel && (s.x1+1)&^1 <= d.w {
+		// Row y's bottom sample row is inside the buffer when y < h-1.
+		if rows := (min(s.y1, d.h-1) - y + 1) / 2; rows > 0 {
+			n = countTri(&s, d.z[y*d.w+s.x0:], d.w, rows, blend)
+			y += 2 * rows
+		}
+	}
+	return n + d.countRows(&s, y, blend)
+}
+
+// countRows is CountTriangle's Go walk of the quad rows from y, a row
+// of s's walk, to the end of the bounding box: the reference for
+// countTri and the whole walk on other architectures.
+func (d *DepthBuffer) countRows(s *triSetup, y int, blend bool) uint64 {
+	x0, y1, x1 := s.x0, s.y1, s.x1
+	minX, minY, maxX, maxY := s.minX, s.minY, s.maxX, s.maxY
+	xC, yC := s.xC, s.yC
+	e0x, e0y, e1x, e1y := s.e0x, s.e0y, s.e1x, s.e1y
+	invDen := s.invDen
+	negM0, negM1, negM2 := s.negM0, s.negM1, s.negM2
+	z0, z1, z2 := s.z0, s.z1, s.z2
 
 	w, h, zbuf := d.w, d.h, d.z
-	// The row kernel takes a row only when every quad's right column is
-	// inside the buffer, so it never bounds-checks a column.
-	xEnd := (x1 + 1) &^ 1
-	kernelCols := haveCountRow && xEnd <= w
-	k := rowConsts{
-		x: float64(x0), bias: sampleBias,
-		xC: xC, e0x: e0x, e1x: e1x, invDen: invDen,
-		negM0: -m0, negM1: -m1, negM2: -m2,
-		minX: minX, maxX: maxX,
-		z0: z0, z1: z1, z2: z2,
-		blend: blend,
-	}
 	var n uint64
-	for y := y0; y < y1; y += 2 {
+	for ; y < y1; y += 2 {
 		pyT := float64(y) + 0.5 + sampleBias
 		pyB := float64(y+1) + 0.5 + sampleBias
 		// A sample row takes part only if it is inside the clip and the
@@ -189,12 +193,6 @@ func (d *DepthBuffer) CountTriangle(tri *ScreenTriangle, clip geom.AABB2, blend 
 		cy1 := e1y * dyc
 		baseT := y * w
 		baseB := baseT + w
-		if kernelCols && rowTIn && rowBIn {
-			k.cy0, k.cy1 = cy0, cy1
-			k.rowT0, k.rowT1, k.rowB0, k.rowB1 = rowT0, rowT1, rowB0, rowB1
-			n += countRow(&k, zbuf[baseT+x0:baseT+xEnd], zbuf[baseB+x0:baseB+xEnd])
-			continue
-		}
 
 		accepted := false
 		for x := x0; x < x1; x += 2 {
@@ -203,7 +201,7 @@ func (d *DepthBuffer) CountTriangle(tri *ScreenTriangle, clip geom.AABB2, blend 
 			l0c := (e0x*dxc + cy0) * invDen
 			l1c := (e1x*dxc + cy1) * invDen
 			l2c := 1 - l0c - l1c
-			if l0c < -m0 || l1c < -m1 || l2c < -m2 {
+			if l0c < negM0 || l1c < negM1 || l2c < negM2 {
 				if accepted {
 					break // the rest of the row is past the edge (setupTriangle)
 				}

@@ -3,6 +3,7 @@ package raster
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -81,12 +82,15 @@ func referenceQuads(tri *ScreenTriangle, clip geom.AABB2) []refQuad {
 
 // walkClasses names the triangle shapes randomWalkCase draws.
 //
-// "wide-row" spans a 320-px buffer, more than 64 quads per row, so whole
-// rows run CountTriangle's row kernel where there is one. "buffer-edge"
-// gives the buffer an odd width and height and crosses its right or
-// bottom edge, so the rows whose last quad's right column or bottom
-// sample row leaves the buffer take the Go loop beside kernel rows.
-var walkClasses = []string{"generic", "subpixel", "thin", "axis-parallel", "huge", "off-clip", "near-degenerate", "grid", "wide-row", "buffer-edge"}
+// "wide-row" spans a 320-px buffer, more than 64 quads per row.
+// "buffer-edge" gives the buffer an odd width and height and crosses
+// its right or bottom edge, so CountTriangle's rows whose bottom sample
+// row leaves the buffer, and whole triangles whose last quad's right
+// column does, take the Go walk beside kernel rows. "tile" clips to one
+// 32-px tile of a 320x160 viewport, the timing simulator's traffic:
+// triangles cross the tile's borders, and half the clips end at an odd
+// y, so one sample row of the first or last quad row is outside.
+var walkClasses = []string{"generic", "subpixel", "thin", "axis-parallel", "huge", "off-clip", "near-degenerate", "grid", "wide-row", "buffer-edge", "tile"}
 
 // randomWalkCase draws a triangle of the given class, a clip rect and a
 // depth buffer with a random prior state. The buffer may be smaller
@@ -190,6 +194,19 @@ func randomWalkCase(rng *rand.Rand, class int) (ScreenTriangle, geom.AABB2, *Dep
 			v[i] = [2]float64{rng.Float64() * right, rng.Float64() * (ch + 8)}
 		}
 		v[rng.IntN(3)][1] = ch + rng.Float64()*16
+	case "tile":
+		w, h = 320, 160
+		cx, cy, cw, ch = float64(32*rng.IntN(10)), float64(32*rng.IntN(5)), 32, 32
+		switch rng.IntN(4) {
+		case 0: // odd top edge
+			cy++
+			ch--
+		case 1: // odd bottom edge
+			ch--
+		}
+		for i := range v { // within 24 px of the tile
+			v[i] = [2]float64{cx - 24 + rng.Float64()*(cw+48), cy - 24 + rng.Float64()*(ch+48)}
+		}
 	}
 	clip := geom.AABB2{Min: geom.Vec2{X: cx, Y: cy}, Max: geom.Vec2{X: cx + cw, Y: cy + ch}}
 
@@ -233,7 +250,8 @@ func randomWalkCase(rng *rand.Rand, class int) (ScreenTriangle, geom.AABB2, *Dep
 
 // checkQuadWalks asserts that AppendQuads equals referenceQuads quad
 // for quad, and that CountTriangle's count and final depth buffer equal
-// AppendQuads followed by TestMask (or TestMaskReadOnly when blend).
+// referenceQuads followed by TestMask (or TestMaskReadOnly when blend).
+// It checks the Go walks, and the triangle kernels where there are.
 func checkQuadWalks(t *testing.T, seed uint64, class uint8, blend bool) {
 	rng := rand.New(rand.NewPCG(seed, uint64(class)))
 	cls := int(class) % len(walkClasses)
@@ -242,87 +260,101 @@ func checkQuadWalks(t *testing.T, seed uint64, class uint8, blend bool) {
 		return fmt.Sprintf("%s triangle %v clip %v", walkClasses[cls], tri.Tri.V, clip)
 	}
 
-	var b QuadBatch
-	b.AppendQuads(&tri, clip)
 	want := referenceQuads(&tri, clip)
-	if b.Len() != len(want) {
-		t.Fatalf("%s: AppendQuads emitted %d quads, reference %d", ctx(), b.Len(), len(want))
-	}
-	for i := range want {
-		if got := batchQuad(&b, i); got != want[i] {
-			t.Fatalf("%s: quad %d = %+v, reference %+v", ctx(), i, got, want[i])
-		}
-	}
-
-	batched := &DepthBuffer{w: depth.w, h: depth.h, z: append([]float32(nil), depth.z...)}
+	batched := &DepthBuffer{w: depth.w, h: depth.h, z: slices.Clone(depth.z)}
 	var survivors uint64
-	for i := 0; i < b.Len(); i++ {
-		x, y, d, m := int(b.X[i]), int(b.Y[i]), b.Depth[i*4:i*4+4], b.Mask[i]
+	for _, q := range want {
 		var s uint8
 		if blend {
-			s = batched.TestMaskReadOnly(x, y, d, m)
+			s = batched.TestMaskReadOnly(q.X, q.Y, q.Depth[:], q.Mask)
 		} else {
-			s = batched.TestMask(x, y, d, m)
+			s = batched.TestMask(q.X, q.Y, q.Depth[:], q.Mask)
 		}
-		for ; s != 0; s &= s - 1 {
-			survivors++
+		survivors += uint64(bits.OnesCount8(s))
+	}
+
+	walks := []bool{false}
+	if haveWalkKernels {
+		walks = append(walks, true)
+	}
+	for _, kernel := range walks {
+		path := "Go walk"
+		if kernel {
+			path = "kernel"
 		}
-	}
-	if got := depth.CountTriangle(&tri, clip, blend); got != survivors {
-		t.Fatalf("%s blend=%v: CountTriangle = %d, AppendQuads+TestMask = %d", ctx(), blend, got, survivors)
-	}
-	for i := range depth.z {
-		if math.Float32bits(depth.z[i]) != math.Float32bits(batched.z[i]) {
-			t.Fatalf("%s blend=%v: depth at (%d,%d) = %v, AppendQuads+TestMask left %v",
-				ctx(), blend, i%depth.w, i/depth.w, depth.z[i], batched.z[i])
+		var b QuadBatch
+		b.appendQuads(&tri, clip, kernel)
+		if b.Len() != len(want) {
+			t.Fatalf("%s: AppendQuads (%s) emitted %d quads, reference %d", ctx(), path, b.Len(), len(want))
+		}
+		for i := range want {
+			if got := batchQuad(&b, i); got != want[i] {
+				t.Fatalf("%s: AppendQuads (%s) quad %d = %+v, reference %+v", ctx(), path, i, got, want[i])
+			}
+		}
+
+		d := &DepthBuffer{w: depth.w, h: depth.h, z: slices.Clone(depth.z)}
+		if got := d.countTriangle(&tri, clip, blend, kernel); got != survivors {
+			t.Fatalf("%s blend=%v: CountTriangle (%s) = %d, reference+TestMask = %d", ctx(), blend, path, got, survivors)
+		}
+		for i := range d.z {
+			if math.Float32bits(d.z[i]) != math.Float32bits(batched.z[i]) {
+				t.Fatalf("%s blend=%v: CountTriangle (%s) left depth %v at (%d,%d), reference+TestMask %v",
+					ctx(), blend, path, d.z[i], i%d.w, i/d.w, batched.z[i])
+			}
 		}
 	}
 }
 
 // TestWalkCorpusReachesBothRowKinds checks that FuzzQuadWalks' seed
-// corpus sends rows down both of CountTriangle's paths: whole rows of
-// more than 64 quads that the row kernel takes, and rows that must take
-// the Go loop because the last quad's right column or the bottom sample
-// row leaves the buffer. It replays CountTriangle's dispatch test
-// whether or not this architecture has the kernel.
+// corpus sends quad rows down every path of the two walks. The kernels
+// take clip-edge rows, where one sample row is outside the clip, beside
+// whole rows, among them rows of more than 64 quads. CountTriangle's Go
+// walk takes the rows whose bottom sample row leaves the buffer and
+// every row of a triangle whose last quad's right column does. The test
+// replays countTriangle's dispatch whether or not this architecture has
+// the kernels.
 func TestWalkCorpusReachesBothRowKinds(t *testing.T) {
-	var wideKernelRows, edgeKernelRows, rightEdgeRows, bottomEdgeRows int
-	for _, name := range []string{"wide-row", "buffer-edge"} {
-		class := slices.Index(walkClasses, name)
+	var kernelRows, clipEdgeRows, wideRows, bottomRows, rightRows int
+	for class := range walkClasses {
 		for seed := uint64(0); seed < 64; seed++ {
 			rng := rand.New(rand.NewPCG(seed, uint64(class)))
 			tri, clip, depth := randomWalkCase(rng, class)
-			ts, ok := setupTriangle(&tri, clip)
-			if !ok {
+			var ts triSetup
+			if !setupTriangle(&tri, clip, &ts) {
 				continue
 			}
-			xEnd := (ts.x1 + 1) &^ 1
+			inBuffer := (ts.x1+1)&^1 <= depth.w
 			for y := ts.y0; y < ts.y1; y += 2 {
 				pyT := float64(y) + 0.5 + sampleBias
 				pyB := float64(y+1) + 0.5 + sampleBias
 				inClipT := pyT < ts.maxY && pyT >= ts.minY
 				inClipB := pyB < ts.maxY && pyB >= ts.minY
-				rowTIn := inClipT && y < depth.h
-				rowBIn := inClipB && y+1 < depth.h
 				switch {
-				case xEnd <= depth.w && rowTIn && rowBIn:
-					if name == "wide-row" && (xEnd-ts.x0)/2 > 64 {
-						wideKernelRows++
-					} else if name == "buffer-edge" {
-						edgeKernelRows++
+				case !inClipT && !inClipB:
+				case !inBuffer:
+					if y < depth.h {
+						rightRows++
 					}
-				case name != "buffer-edge":
-				case rowTIn && inClipB && !rowBIn:
-					bottomEdgeRows++
-				case rowTIn && rowBIn:
-					rightEdgeRows++
+				case y+1 >= depth.h:
+					if inClipT && y < depth.h {
+						bottomRows++
+					}
+				default:
+					kernelRows++
+					if inClipT != inClipB {
+						clipEdgeRows++
+					}
+					if (ts.x1-ts.x0+1)/2 > 64 {
+						wideRows++
+					}
 				}
 			}
 		}
 	}
-	t.Logf("kernel rows: %d wide, %d buffer-edge; Go-loop rows at the buffer edge: %d right, %d bottom",
-		wideKernelRows, edgeKernelRows, rightEdgeRows, bottomEdgeRows)
-	if wideKernelRows == 0 || edgeKernelRows == 0 || rightEdgeRows == 0 || bottomEdgeRows == 0 {
+	t.Logf("kernel rows: %d, of which %d clip-edge and %d wide; Go-walk rows: %d at the buffer bottom, %d past its right edge",
+		kernelRows, clipEdgeRows, wideRows, bottomRows, rightRows)
+	if kernelRows == 0 || clipEdgeRows == 0 || wideRows == 0 || bottomRows == 0 || rightRows == 0 {
 		t.Fatal("the seed corpus misses a kind of row")
 	}
 }

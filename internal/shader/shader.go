@@ -320,10 +320,3 @@ func (p *Program) validate(code []Instr, depth int) error {
 	}
 	return nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

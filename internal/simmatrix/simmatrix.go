@@ -133,10 +133,3 @@ func abs(a int) int {
 	}
 	return a
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -79,7 +79,7 @@ func EstimatePipelinedCycles(frames []FrameStats) uint64 {
 	}
 	total := frames[0].GeometryCycles
 	for i := 0; i < len(frames)-1; i++ {
-		total += maxU(frames[i].RasterCycles, frames[i+1].GeometryCycles)
+		total += max(frames[i].RasterCycles, frames[i+1].GeometryCycles)
 	}
 	total += frames[len(frames)-1].RasterCycles
 	return total

@@ -428,13 +428,6 @@ func texFetches(p *shader.Program, numTextureCaches int) []texFetch {
 	return out
 }
 
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SimulateFrame runs the timing model for frame f (0-based) and returns
 // its statistics. With FlushCachesPerFrame set (the default), the result
 // is independent of which frames were simulated before — the property
@@ -477,19 +470,19 @@ func (s *Simulator) SimulateFrame(f int) FrameStats {
 	// contents stay resident so the next frame can hit on them.
 	flushEnd := rasterEnd
 	if s.cfg.FlushCachesPerFrame {
-		flushEnd = maxU(flushEnd, s.tilecache.Flush(rasterEnd))
-		flushEnd = maxU(flushEnd, s.vcache.Flush(rasterEnd))
+		flushEnd = max(flushEnd, s.tilecache.Flush(rasterEnd))
+		flushEnd = max(flushEnd, s.vcache.Flush(rasterEnd))
 		for _, c := range s.tcaches {
-			flushEnd = maxU(flushEnd, c.Flush(rasterEnd))
+			flushEnd = max(flushEnd, c.Flush(rasterEnd))
 		}
-		flushEnd = maxU(flushEnd, s.l2.Flush(flushEnd))
+		flushEnd = max(flushEnd, s.l2.Flush(flushEnd))
 	} else {
-		flushEnd = maxU(flushEnd, s.tilecache.WritebackAll(rasterEnd))
-		flushEnd = maxU(flushEnd, s.vcache.WritebackAll(rasterEnd))
+		flushEnd = max(flushEnd, s.tilecache.WritebackAll(rasterEnd))
+		flushEnd = max(flushEnd, s.vcache.WritebackAll(rasterEnd))
 		for _, c := range s.tcaches {
-			flushEnd = maxU(flushEnd, c.WritebackAll(rasterEnd))
+			flushEnd = max(flushEnd, c.WritebackAll(rasterEnd))
 		}
-		flushEnd = maxU(flushEnd, s.l2.WritebackAll(flushEnd))
+		flushEnd = max(flushEnd, s.l2.WritebackAll(flushEnd))
 	}
 
 	st.GeometryCycles = geomEnd
@@ -666,7 +659,7 @@ func (s *Simulator) geometryPass(st *FrameStats) uint64 {
 						vpi = i
 					}
 				}
-				start := maxU(enter, s.vpFree[vpi])
+				start := max(enter, s.vpFree[vpi])
 				done := start + uint64(vsCost.Instructions)
 				st.VPBusyCycles += uint64(vsCost.Instructions)
 				s.vpFree[vpi] = done
@@ -692,8 +685,8 @@ func (s *Simulator) geometryPass(st *FrameStats) uint64 {
 			// vertex/cycle; clipping 1 prim/cycle.
 			visIdx := 0
 			for p := 0; p < gstats.PrimsIn; p++ {
-				paClock = maxU(paClock+3, drawShaded)
-				clipClock = maxU(clipClock+1, paClock)
+				paClock = max(paClock+3, drawShaded)
+				clipClock = max(clipClock+1, paClock)
 			}
 			if clipClock > lastDone {
 				lastDone = clipClock
@@ -714,7 +707,7 @@ func (s *Simulator) geometryPass(st *FrameStats) uint64 {
 						s.bins[bin] = append(s.bins[bin], triIdx)
 						s.binRec[bin] = append(s.binRec[bin], plbAddr)
 						st.TileEntries++
-						enter := s.triangleQ.Admit(maxU(plbClock+1, clipClock))
+						enter := s.triangleQ.Admit(max(plbClock+1, clipClock))
 						plbClock = enter
 						done := s.l2.Access(enter, plbAddr, true)
 						s.triangleQ.Commit(done)
@@ -732,11 +725,11 @@ func (s *Simulator) geometryPass(st *FrameStats) uint64 {
 		}
 	}
 	s.frameTilingEnd = tilingEnd
-	end := maxU(fetchClock, maxU(paClock, maxU(clipClock, plbClock)))
+	end := max(fetchClock, max(paClock, max(clipClock, plbClock)))
 	for _, v := range s.vpFree {
-		end = maxU(end, v)
+		end = max(end, v)
 	}
-	return maxU(end, lastDone)
+	return max(end, lastDone)
 }
 
 // rasterPass simulates the Raster Pipeline and returns the completion
@@ -800,9 +793,9 @@ func (c *rasterCtx) runTile(st *FrameStats, bin, tx, ty int, clock uint64) uint6
 		}
 	}
 	if fl := &s.cfg.Faults; fl.CacheFlushRate > 0 && fl.roll(st.Frame, bin, faultClassFlush) < fl.CacheFlushRate {
-		tileDone = maxU(tileDone, c.tilecache.Flush(tileDone))
+		tileDone = max(tileDone, c.tilecache.Flush(tileDone))
 		for _, tc := range c.tcaches {
-			tileDone = maxU(tileDone, tc.Flush(tileDone))
+			tileDone = max(tileDone, tc.Flush(tileDone))
 		}
 	}
 
@@ -822,7 +815,7 @@ func (c *rasterCtx) runTile(st *FrameStats, bin, tx, ty int, clock uint64) uint6
 			tileDone = done
 		}
 	}
-	return maxU(tileDone, wClock)
+	return max(tileDone, wClock)
 }
 
 // immediateTile processes one tile in the classic TBR order: each
@@ -857,10 +850,10 @@ func (c *rasterCtx) immediateTile(st *FrameStats, bin int, clip geom.AABB2, cloc
 		b.AppendQuads(&bt.tri, clip)
 		for qi, n := 0, b.Len(); qi < n; qi++ {
 			st.QuadsRasterized++
-			rastClock = maxU(rastClock+1, listDone)
+			rastClock = max(rastClock+1, listDone)
 			// Early Z at 1 quad/cycle; back-pressure comes from the
 			// fragment queue below.
-			ezClock = maxU(ezClock+1, rastClock)
+			ezClock = max(ezClock+1, rastClock)
 			mask := b.Mask[qi]
 			covered := bits.OnesCount8(mask)
 			depth := b.Depth[qi*4 : qi*4+4]
@@ -878,7 +871,7 @@ func (c *rasterCtx) immediateTile(st *FrameStats, bin int, clip geom.AABB2, cloc
 			fpDone := c.shadeQuad(st, bt, b.U[qi], b.V[qi], ezClock, alive)
 			// Blending into the on-chip color buffer.
 			cEnter := c.colorQ.Admit(fpDone)
-			blendClock = maxU(blendClock+1, cEnter)
+			blendClock = max(blendClock+1, cEnter)
 			c.colorQ.Commit(blendClock)
 			st.BlendOps++
 			if blendClock > tileDone {
@@ -889,9 +882,9 @@ func (c *rasterCtx) immediateTile(st *FrameStats, bin int, clip geom.AABB2, cloc
 
 	c.noteFPEnd(st.FragmentsShaded - shaded0)
 	for _, v := range c.fpFree {
-		tileDone = maxU(tileDone, v)
+		tileDone = max(tileDone, v)
 	}
-	return maxU(tileDone, maxU(rastClock, maxU(ezClock, blendClock)))
+	return max(tileDone, max(rastClock, max(ezClock, blendClock)))
 }
 
 // deferredTile processes one tile TBDR-style: a Hidden Surface Removal
@@ -927,8 +920,8 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 		b.AppendQuads(&bt.tri, clip)
 		for qi, n := 0, b.Len(); qi < n; qi++ {
 			st.QuadsRasterized++
-			rastClock = maxU(rastClock+1, listDone)
-			ezClock = maxU(ezClock+1, rastClock)
+			rastClock = max(rastClock+1, listDone)
+			ezClock = max(ezClock+1, rastClock)
 			mask := b.Mask[qi]
 			covered += uint64(bits.OnesCount8(mask))
 			if bt.blend {
@@ -944,7 +937,7 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 			c.deferred.appendFrom(b, qi, triIdx)
 		}
 	}
-	hsrDone := maxU(rastClock, ezClock)
+	hsrDone := max(rastClock, ezClock)
 
 	// Pass 2: shade only quads whose samples own the final depth value.
 	// shadedPix guards against double-shading when two fragments tie.
@@ -992,7 +985,7 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 		issue++
 		fpDone := c.shadeQuad(st, bt, c.deferred.U[di], c.deferred.V[di], issue, alive)
 		cEnter := c.colorQ.Admit(fpDone)
-		blendClock = maxU(blendClock+1, cEnter)
+		blendClock = max(blendClock+1, cEnter)
 		c.colorQ.Commit(blendClock)
 		st.BlendOps++
 		if blendClock > tileDone {
@@ -1014,7 +1007,7 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 		issue++
 		fpDone := c.shadeQuad(st, bt, c.transparent.U[di], c.transparent.V[di], issue, alive)
 		cEnter := c.colorQ.Admit(fpDone)
-		blendClock = maxU(blendClock+1, cEnter)
+		blendClock = max(blendClock+1, cEnter)
 		c.colorQ.Commit(blendClock)
 		st.BlendOps++
 		if blendClock > tileDone {
@@ -1025,9 +1018,9 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 
 	c.noteFPEnd(st.FragmentsShaded - shaded0)
 	for _, v := range c.fpFree {
-		tileDone = maxU(tileDone, v)
+		tileDone = max(tileDone, v)
 	}
-	return maxU(tileDone, maxU(hsrDone, blendClock))
+	return max(tileDone, max(hsrDone, blendClock))
 }
 
 // shadeQuad dispatches one surviving quad to the least-loaded fragment
@@ -1092,7 +1085,7 @@ func (c *rasterCtx) shadeQuad(st *FrameStats, bt *boundTri, u, v float64, ready 
 			}
 		}
 	}
-	fpStart := maxU(enter, minFree)
+	fpStart := max(enter, minFree)
 
 	// Texture fetches: taps coalesce to distinct cache lines within the
 	// quad's footprint.
@@ -1101,7 +1094,7 @@ func (c *rasterCtx) shadeQuad(st *FrameStats, bt *boundTri, u, v float64, ready 
 		texDone = c.textureChain(fpStart, bt.tex, tab.tex, u, v, st)
 	}
 	aluDone := fpStart + tab.instrs
-	fpDone := maxU(aluDone, texDone)
+	fpDone := max(aluDone, texDone)
 	st.FPBusyCycles += fpDone - fpStart
 	fp[fpi] = fpDone
 	c.fragmentQ.Commit(fpDone)
@@ -1222,11 +1215,4 @@ func (c *rasterCtx) textureChain(start uint64, tex int32, fetches []texFetch, qu
 		cur = cache.AccessChain(cur, lines[:n], false)
 	}
 	return cur
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

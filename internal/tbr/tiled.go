@@ -69,7 +69,7 @@ func (tw *tileWorker) runTileIsolated(s *Simulator, t int, start uint64) {
 	tx, ty := t%s.tilesX, t/s.tilesX
 	tileDone := tw.ctx.runTile(&tw.partial, t, tx, ty, start)
 	flushDone := tw.shard.Flush(tileDone)
-	s.tileDurs[t] = maxU(flushDone, tileDone) - start
+	s.tileDurs[t] = max(flushDone, tileDone) - start
 	if tw.ctx.fpEnd > start {
 		s.tileFPEnds[t] = tw.ctx.fpEnd - start
 	} else {
