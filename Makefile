@@ -106,27 +106,23 @@ BENCH_ARGS_workload := -bench '^BenchmarkGenerate$$' -benchtime $(BENCHTIME)
 #
 # tbr -max-alloc-growth 2.0: the frame benchmarks' allocs/op is fixed
 # setup amortized over a small, benchtime-dependent b.N, so it jitters
-# ~50-80; losing arena reuse jumps it to several hundred (the
-# pre-arena path measured ~547/op at tile-workers=4), which 2x of a
+# ~50-80; losing arena reuse jumps it to several hundred, which 2x of a
 # ~50-70 baseline still catches with an order of magnitude to spare.
 #
-# tbr ratio gate: tile-workers=4 over serial, measured within the SAME
-# run, cancels host-speed variation (shared CI hosts have been observed
-# to swing near 2x on an identical binary). benchjson judges every
-# ratio at the baseline's highest GOMAXPROCS (2 here), where losing the
-# tile parallelism shows; at 1 the two are nearly equal by construction. -max-ratio-growth 1.5: serial
-# and tile-workers=4 run about a minute apart inside one `go test`
-# invocation, so the machine-weather window can shift between them;
-# +-25% ratio jitter has been observed on an otherwise idle host. A
-# hot-path-only 2x regression still lands the ratio near 2x baseline,
-# well past the 1.5x limit.
+# tbr counter gate: the frame benchmarks report cycles/op,
+# dram-accesses/op, l2-accesses/op and tile-accesses/op from the
+# FrameStats they simulate. These are pure functions of the trace and
+# the configuration, so benchjson gates every such */op unit for exact
+# equality with the baseline median on any host, and a count missing
+# on either side fails. It needs no flag: a change that moves what the
+# simulator computes fails it, a change that only moves wall clock
+# meets the 2.5x backstop.
 #
 # cluster, funcsim, megsim and workload take benchjson's default gates: their allocs/op
 # repeat within a few per cent (1.10x + 1 allows for that) and they
-# have no same-run ratio pair, so wall clock gates on the 2.5x
-# absolute backstop alone.
-BENCH_GATE_tbr := -max-alloc-growth 2.0 -max-ratio-growth 1.5 \
-	-ratio 'BenchmarkTileParallelRaster/tile-workers=4:BenchmarkTileParallelRaster/serial'
+# report no work counts, so wall clock gates on the 2.5x absolute
+# backstop alone.
+BENCH_GATE_tbr := -max-alloc-growth 2.0
 
 bench: $(addprefix bench-,$(BENCH_LAYERS))
 
@@ -140,9 +136,10 @@ bench-%:
 # cmd/benchjson -check, procs by procs (a baseline that lacks the fresh
 # run's GOMAXPROCS is refused). Allocation counts gate tightly (they
 # are deterministic — a reintroduced per-tile allocation fails
-# regardless of machine weather); wall clock gates through the layer's
-# same-run ratio pairs, if any, plus a deliberately generous absolute
-# backstop (-max-slowdown, default 2.5x) for gross regressions. The
+# regardless of machine weather), work counts (any other */op unit but
+# ns/op and B/op) must match exactly, and wall clock gates on a
+# deliberately generous absolute backstop (-max-slowdown, default 2.5x)
+# for gross regressions. The
 # fresh runs are left in results/BENCH_<layer>.new.txt for benchstat
 # comparison against `jq -r '.raw[]' results/BENCH_<layer>.json`.
 bench-check: $(addprefix bench-check-,$(BENCH_LAYERS))

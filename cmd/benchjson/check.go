@@ -6,25 +6,26 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // Regression-check mode (-check): compare a fresh benchmark run against
-// a committed JSON baseline and fail on hot-path slowdowns.
+// a committed JSON baseline and fail on regressions.
 //
 // Wall-clock numbers on shared CI hosts are noisy — the same binary has
 // been observed to swing close to 2x between runs with no local load —
 // so the gate layers three checks from most to least trustworthy:
 //
-//  1. allocs/op: allocation counts are deterministic, so the tightest
+//  1. work counts: every reported unit ending in /op other than ns/op,
+//     B/op and allocs/op (cycles/op, dram-accesses/op, ...) is a count
+//     of simulated work, a pure function of the benchmark's inputs. It
+//     must equal the baseline exactly, and a count present on one side
+//     only fails. A change that alters what the simulator computes
+//     fails here on any host.
+//  2. allocs/op: allocation counts are nearly deterministic, so a tight
 //     tolerance applies. A reintroduced per-tile allocation fails here
-//     immediately, regardless of host noise.
-//  2. ratio pairs (-ratio num:den): the ratio of two benchmarks from
-//     the SAME run (e.g. tile-workers=4 over serial) cancels host-speed
-//     variation, because both sides see the same machine weather. This
-//     is the primary wall-clock gate. It is judged at the baseline's
-//     highest GOMAXPROCS, the only one where a workers-over-serial
-//     pair measures parallelism.
+//     regardless of host noise.
 //  3. absolute ns/op: a deliberately generous factor that only catches
 //     gross regressions (an accidentally quadratic loop), not noise.
 //
@@ -43,39 +44,41 @@ type benchKey struct {
 
 func (k benchKey) String() string { return fmt.Sprintf("%s-%d", k.name, k.procs) }
 
-// ratioList collects repeatable -ratio num:den flag values.
-type ratioList []ratioPair
-
-type ratioPair struct{ num, den string }
-
-func (r *ratioList) String() string {
-	parts := make([]string, len(*r))
-	for i, p := range *r {
-		parts[i] = p.num + ":" + p.den
-	}
-	return strings.Join(parts, ",")
-}
-
-func (r *ratioList) Set(v string) error {
-	num, den, ok := strings.Cut(v, ":")
-	if !ok || num == "" || den == "" {
-		return fmt.Errorf("ratio must be <numerator>:<denominator>, got %q", v)
-	}
-	*r = append(*r, ratioPair{num: num, den: den})
-	return nil
-}
-
 // checkLimits holds the gate tolerances.
 type checkLimits struct {
 	// maxSlowdown is the absolute per-benchmark ns/op factor.
 	maxSlowdown float64
-	// maxRatioGrowth bounds how much a -ratio pair may grow relative to
-	// the baseline's ratio.
-	maxRatioGrowth float64
 	// maxAllocGrowth is the allocs/op factor (plus one alloc of slack
 	// for go test's rounding of the per-op mean).
 	maxAllocGrowth float64
 }
+
+// isCount reports whether unit is a work count gated for exact
+// equality: a per-op unit other than time and memory.
+func isCount(unit string) bool {
+	return strings.HasSuffix(unit, "/op") && unit != "ns/op" && unit != "B/op" && unit != "allocs/op"
+}
+
+// countUnits returns the sorted work-count units reported in f or g.
+func countUnits(f, g *File) []string {
+	seen := map[string]bool{}
+	var units []string
+	for _, file := range []*File{f, g} {
+		for _, b := range file.Benchmarks {
+			for u := range b.Metrics {
+				if isCount(u) && !seen[u] {
+					seen[u] = true
+					units = append(units, u)
+				}
+			}
+		}
+	}
+	sort.Strings(units)
+	return units
+}
+
+// count formats a work count exactly, without an exponent.
+func count(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
 // medians reduces repeated benchmark lines (from -count N) to one
 // median value per (name, GOMAXPROCS) for the given metric. Benchmarks
@@ -104,7 +107,7 @@ func medians(f *File, metric string) map[benchKey]float64 {
 // runCheck compares fresh against the baseline file under limits,
 // writing one line per comparison to w. It returns an error naming
 // every failed gate, or nil if all pass.
-func runCheck(baselinePath string, fresh *File, pairs []ratioPair, lim checkLimits, w io.Writer) error {
+func runCheck(baselinePath string, fresh *File, lim checkLimits, w io.Writer) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("reading baseline: %w", err)
@@ -120,10 +123,8 @@ func runCheck(baselinePath string, fresh *File, pairs []ratioPair, lim checkLimi
 	freshAllocs := medians(fresh, "allocs/op")
 
 	baseProcs := map[int]bool{}
-	topProcs := 0
 	for k := range baseNS {
 		baseProcs[k.procs] = true
-		topProcs = max(topProcs, k.procs)
 	}
 	for _, k := range sortedKeys(freshNS) {
 		if !baseProcs[k.procs] {
@@ -136,7 +137,32 @@ func runCheck(baselinePath string, fresh *File, pairs []ratioPair, lim checkLimi
 		failures = append(failures, fmt.Sprintf(format, args...))
 	}
 
-	// Deterministic gate first: allocation counts.
+	// Exact gate first: work counts.
+	for _, unit := range countUnits(&base, fresh) {
+		baseC, freshC := medians(&base, unit), medians(fresh, unit)
+		keys := sortedKeys(baseC)
+		for _, k := range sortedKeys(freshC) {
+			if _, ok := baseC[k]; !ok {
+				keys = append(keys, k)
+			}
+		}
+		for _, name := range keys {
+			b, inBase := baseC[name]
+			f, inFresh := freshC[name]
+			status := "ok"
+			switch {
+			case !inBase || !inFresh:
+				status = "FAIL"
+				fail("%s: %s reported on one side only (in baseline %v, in fresh run %v): refresh the baseline", name, unit, inBase, inFresh)
+			case f != b:
+				status = "FAIL"
+				fail("%s: %s %s differs from baseline %s", name, unit, count(f), count(b))
+			}
+			fmt.Fprintf(w, "%-4s %s: %s %s (baseline %s, exact)\n", status, name, unit, count(f), count(b))
+		}
+	}
+
+	// Allocation counts.
 	for _, name := range sortedKeys(baseAllocs) {
 		b := baseAllocs[name]
 		f, ok := freshAllocs[name]
@@ -168,29 +194,6 @@ func runCheck(baselinePath string, fresh *File, pairs []ratioPair, lim checkLimi
 			fail("%s: %.0f ns/op exceeds %.2fx baseline (%.0f ns/op)", name, f, lim.maxSlowdown, b)
 		}
 		fmt.Fprintf(w, "%-4s %s: %.0f ns/op (baseline %.0f, %.2fx of limit)\n", status, name, f, b, f/limit)
-	}
-
-	// Same-run ratio gate: host speed cancels. A ratio is judged at the
-	// baseline's highest GOMAXPROCS, where a pair that measures
-	// parallelism (workers over serial) shows its speed-up; at lower
-	// procs the two sides converge and the ratio only carries noise.
-	for _, p := range pairs {
-		num, den := benchKey{p.num, topProcs}, benchKey{p.den, topProcs}
-		fNum, fDen := freshNS[num], freshNS[den]
-		bNum, bDen := baseNS[num], baseNS[den]
-		if fNum == 0 || fDen == 0 || bNum == 0 || bDen == 0 {
-			fail("ratio %s:%s: benchmark missing from fresh run or baseline", num, den)
-			fmt.Fprintf(w, "FAIL ratio %s / %s: missing data\n", num, den)
-			continue
-		}
-		fr, br := fNum/fDen, bNum/bDen
-		limit := br * lim.maxRatioGrowth
-		status := "ok"
-		if fr > limit {
-			status = "FAIL"
-			fail("ratio %s / %s: %.3f exceeds limit %.3f (baseline %.3f)", num, den, fr, limit, br)
-		}
-		fmt.Fprintf(w, "%-4s ratio %s / %s: %.3f (baseline %.3f, limit %.3f)\n", status, num, den, fr, br, limit)
 	}
 
 	if len(failures) > 0 {

@@ -47,7 +47,7 @@ type entry = struct {
 	allocs float64
 }
 
-var defaultLimits = checkLimits{maxSlowdown: 2.5, maxRatioGrowth: 1.25, maxAllocGrowth: 1.10}
+var defaultLimits = checkLimits{maxSlowdown: 2.5, maxAllocGrowth: 1.10}
 
 func TestCheckPassesIdenticalRun(t *testing.T) {
 	base := benchFile(t, map[string]entry{
@@ -56,46 +56,8 @@ func TestCheckPassesIdenticalRun(t *testing.T) {
 	})
 	path := writeBaseline(t, base)
 	var out bytes.Buffer
-	pairs := []ratioPair{{num: "BenchmarkA/par", den: "BenchmarkA/serial"}}
-	if err := runCheck(path, base, pairs, defaultLimits, &out); err != nil {
+	if err := runCheck(path, base, defaultLimits, &out); err != nil {
 		t.Fatalf("identical run failed check: %v\n%s", err, out.String())
-	}
-}
-
-// A uniformly slower host must pass: both sides of the ratio pair see
-// the same slowdown, and 2x is inside the generous absolute gate.
-func TestCheckRatioGateCancelsHostNoise(t *testing.T) {
-	base := benchFile(t, map[string]entry{
-		"BenchmarkA/serial": {ns: []float64{1000}, allocs: 40},
-		"BenchmarkA/par":    {ns: []float64{500}, allocs: 40},
-	})
-	fresh := benchFile(t, map[string]entry{
-		"BenchmarkA/serial": {ns: []float64{2000}, allocs: 40},
-		"BenchmarkA/par":    {ns: []float64{1000}, allocs: 40},
-	})
-	path := writeBaseline(t, base)
-	pairs := []ratioPair{{num: "BenchmarkA/par", den: "BenchmarkA/serial"}}
-	if err := runCheck(path, fresh, pairs, defaultLimits, &bytes.Buffer{}); err != nil {
-		t.Fatalf("uniform 2x host slowdown should pass: %v", err)
-	}
-}
-
-// The parallel path regressing while serial holds shifts the ratio and
-// must fail even though the absolute numbers stay under the 2.5x gate.
-func TestCheckRatioGateCatchesHotPathRegression(t *testing.T) {
-	base := benchFile(t, map[string]entry{
-		"BenchmarkA/serial": {ns: []float64{1000}, allocs: 40},
-		"BenchmarkA/par":    {ns: []float64{500}, allocs: 40},
-	})
-	fresh := benchFile(t, map[string]entry{
-		"BenchmarkA/serial": {ns: []float64{1000}, allocs: 40},
-		"BenchmarkA/par":    {ns: []float64{900}, allocs: 40}, // 1.8x slower, ratio 0.9 vs 0.5
-	})
-	path := writeBaseline(t, base)
-	pairs := []ratioPair{{num: "BenchmarkA/par", den: "BenchmarkA/serial"}}
-	err := runCheck(path, fresh, pairs, defaultLimits, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "ratio") {
-		t.Fatalf("want ratio failure, got %v", err)
 	}
 }
 
@@ -107,7 +69,7 @@ func TestCheckAbsoluteGateCatchesGrossSlowdown(t *testing.T) {
 		"BenchmarkA": {ns: []float64{3000}, allocs: 0},
 	})
 	path := writeBaseline(t, base)
-	err := runCheck(path, fresh, nil, defaultLimits, &bytes.Buffer{})
+	err := runCheck(path, fresh, defaultLimits, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "ns/op exceeds") {
 		t.Fatalf("want absolute ns/op failure, got %v", err)
 	}
@@ -124,7 +86,7 @@ func TestCheckAllocGateIsTight(t *testing.T) {
 		"BenchmarkA": {ns: []float64{1000}, allocs: 60},
 	})
 	path := writeBaseline(t, base)
-	err := runCheck(path, fresh, nil, defaultLimits, &bytes.Buffer{})
+	err := runCheck(path, fresh, defaultLimits, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "allocs/op") {
 		t.Fatalf("want allocs/op failure, got %v", err)
 	}
@@ -133,7 +95,7 @@ func TestCheckAllocGateIsTight(t *testing.T) {
 	ok := benchFile(t, map[string]entry{
 		"BenchmarkA": {ns: []float64{1000}, allocs: 45},
 	})
-	if err := runCheck(path, ok, nil, defaultLimits, &bytes.Buffer{}); err != nil {
+	if err := runCheck(path, ok, defaultLimits, &bytes.Buffer{}); err != nil {
 		t.Fatalf("45 allocs within 1.10x+1 of 40 should pass: %v", err)
 	}
 }
@@ -147,7 +109,7 @@ func TestCheckMissingBenchmarkFails(t *testing.T) {
 		"BenchmarkA": {ns: []float64{1000}, allocs: 0},
 	})
 	path := writeBaseline(t, base)
-	err := runCheck(path, fresh, nil, defaultLimits, &bytes.Buffer{})
+	err := runCheck(path, fresh, defaultLimits, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "missing from fresh run") {
 		t.Fatalf("want missing-benchmark failure, got %v", err)
 	}
@@ -163,24 +125,8 @@ func TestCheckUsesMedianNotMean(t *testing.T) {
 		"BenchmarkA": {ns: []float64{900, 1000, 100000}, allocs: 0},
 	})
 	path := writeBaseline(t, base)
-	if err := runCheck(path, fresh, nil, defaultLimits, &bytes.Buffer{}); err != nil {
+	if err := runCheck(path, fresh, defaultLimits, &bytes.Buffer{}); err != nil {
 		t.Fatalf("outlier repetition should be absorbed by the median: %v", err)
-	}
-}
-
-func TestRatioListParsing(t *testing.T) {
-	var r ratioList
-	if err := r.Set("BenchmarkA/par:BenchmarkA/serial"); err != nil {
-		t.Fatal(err)
-	}
-	if len(r) != 1 || r[0].num != "BenchmarkA/par" || r[0].den != "BenchmarkA/serial" {
-		t.Fatalf("parsed %+v", r)
-	}
-	for _, bad := range []string{"", "noseparator", ":den", "num:"} {
-		var r2 ratioList
-		if err := r2.Set(bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
 	}
 }
 
@@ -199,7 +145,7 @@ func procsFile(results map[benchKey]float64) *File {
 func TestCheckRefusesBaselineWithoutMatchingProcs(t *testing.T) {
 	path := writeBaseline(t, procsFile(map[benchKey]float64{{"BenchmarkA", 1}: 1000}))
 	fresh := procsFile(map[benchKey]float64{{"BenchmarkA", 1}: 1000, {"BenchmarkA", 2}: 600})
-	err := runCheck(path, fresh, nil, defaultLimits, &bytes.Buffer{})
+	err := runCheck(path, fresh, defaultLimits, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "no results at GOMAXPROCS=2") {
 		t.Fatalf("want refusal of a procs-1-only baseline, got %v", err)
 	}
@@ -211,38 +157,76 @@ func TestCheckRefusesBaselineWithoutMatchingProcs(t *testing.T) {
 func TestCheckComparesLikeProcs(t *testing.T) {
 	path := writeBaseline(t, procsFile(map[benchKey]float64{{"BenchmarkA", 1}: 1000, {"BenchmarkA", 2}: 500}))
 	ok := procsFile(map[benchKey]float64{{"BenchmarkA", 1}: 1000, {"BenchmarkA", 2}: 600})
-	if err := runCheck(path, ok, nil, defaultLimits, &bytes.Buffer{}); err != nil {
+	if err := runCheck(path, ok, defaultLimits, &bytes.Buffer{}); err != nil {
 		t.Fatalf("within-limit run failed: %v", err)
 	}
 	slow := procsFile(map[benchKey]float64{{"BenchmarkA", 1}: 1000, {"BenchmarkA", 2}: 1400})
-	err := runCheck(path, slow, nil, defaultLimits, &bytes.Buffer{})
+	err := runCheck(path, slow, defaultLimits, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "BenchmarkA-2") {
 		t.Fatalf("want BenchmarkA-2 failure, got %v", err)
 	}
 }
 
-// A ratio is judged at the baseline's highest GOMAXPROCS only: the
-// procs-1 ratio may move freely, a serialized procs-2 run fails.
-func TestCheckRatioAtTopProcs(t *testing.T) {
-	base := procsFile(map[benchKey]float64{
-		{"BenchmarkA/serial", 1}: 1000, {"BenchmarkA/par", 1}: 1000,
-		{"BenchmarkA/serial", 2}: 1000, {"BenchmarkA/par", 2}: 500,
-	})
-	path := writeBaseline(t, base)
-	pairs := []ratioPair{{num: "BenchmarkA/par", den: "BenchmarkA/serial"}}
-	drift := procsFile(map[benchKey]float64{
-		{"BenchmarkA/serial", 1}: 800, {"BenchmarkA/par", 1}: 1300,
-		{"BenchmarkA/serial", 2}: 1000, {"BenchmarkA/par", 2}: 520,
-	})
-	if err := runCheck(path, drift, pairs, defaultLimits, &bytes.Buffer{}); err != nil {
-		t.Fatalf("procs-1 ratio drift tripped the ratio gate: %v", err)
+// countFile builds a File of one benchmark, repeated once per entry of
+// ns, that reports the given work counts alongside ns/op.
+func countFile(ns []float64, counts map[string]float64) *File {
+	f := &File{}
+	for _, v := range ns {
+		m := map[string]float64{"ns/op": v, "B/op": 64, "allocs/op": 2}
+		for u, c := range counts {
+			m[u] = c
+		}
+		f.Benchmarks = append(f.Benchmarks, Result{Name: "BenchmarkSim", Procs: 1, Metrics: m})
 	}
-	serialized := procsFile(map[benchKey]float64{
-		{"BenchmarkA/serial", 1}: 1000, {"BenchmarkA/par", 1}: 1000,
-		{"BenchmarkA/serial", 2}: 1000, {"BenchmarkA/par", 2}: 1000,
-	})
-	err := runCheck(path, serialized, pairs, defaultLimits, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "ratio BenchmarkA/par-2") {
-		t.Fatalf("want procs-2 ratio failure, got %v", err)
+	return f
+}
+
+// Work counts are exact: a uniformly 2x slower host passes, one extra
+// DRAM access in a million-cycle frame fails.
+func TestCheckCountGateIsExact(t *testing.T) {
+	counts := map[string]float64{"cycles/op": 1002298, "dram-accesses/op": 73825}
+	path := writeBaseline(t, countFile([]float64{1000, 1100, 1050}, counts))
+	if err := runCheck(path, countFile([]float64{2000, 2200, 2100}, counts), defaultLimits, &bytes.Buffer{}); err != nil {
+		t.Fatalf("equal counts on a 2x slower host should pass: %v", err)
+	}
+	moved := map[string]float64{"cycles/op": 1002298, "dram-accesses/op": 73826}
+	err := runCheck(path, countFile([]float64{1000, 1100, 1050}, moved), defaultLimits, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "dram-accesses/op 73826 differs from baseline 73825") {
+		t.Fatalf("want dram-accesses/op failure, got %v", err)
+	}
+	if strings.Contains(err.Error(), "cycles/op") {
+		t.Fatalf("unchanged cycles/op reported as failing: %v", err)
+	}
+}
+
+// A count present on only one side fails in both directions: a
+// dropped counter must not pass silently, and a new one needs a
+// re-recorded baseline.
+func TestCheckCountMissingFails(t *testing.T) {
+	both := map[string]float64{"cycles/op": 10, "l2-accesses/op": 5}
+	one := map[string]float64{"cycles/op": 10}
+	for _, c := range []struct {
+		name        string
+		base, fresh map[string]float64
+	}{
+		{"missing from fresh run", both, one},
+		{"missing from baseline", one, both},
+	} {
+		path := writeBaseline(t, countFile([]float64{1000}, c.base))
+		err := runCheck(path, countFile([]float64{1000}, c.fresh), defaultLimits, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "l2-accesses/op reported on one side only") {
+			t.Errorf("%s: want l2-accesses/op failure, got %v", c.name, err)
+		}
+	}
+}
+
+func TestIsCount(t *testing.T) {
+	for unit, want := range map[string]bool{
+		"cycles/op": true, "tile-accesses/op": true,
+		"ns/op": false, "B/op": false, "allocs/op": false, "MB/s": false, "frames": false,
+	} {
+		if got := isCount(unit); got != want {
+			t.Errorf("isCount(%q) = %v, want %v", unit, got, want)
+		}
 	}
 }

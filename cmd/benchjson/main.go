@@ -10,10 +10,17 @@
 // while the parsed "benchmarks" array makes the numbers scriptable
 // (regression gates, plots) without re-parsing the text format.
 //
+// With -check it gates a fresh run against a committed baseline
+// instead (see check.go): every unit ending in /op other than ns/op,
+// B/op and allocs/op is a work count (b.ReportMetric's cycles/op,
+// dram-accesses/op, ...) and must equal the baseline median exactly;
+// allocs/op gets a tight tolerance and ns/op a generous backstop.
+//
 // Usage:
 //
 //	go test -run '^$' -bench . ./internal/cluster | benchjson -out BENCH_cluster.json
 //	benchjson -in bench.txt -out BENCH_tbr.json
+//	benchjson -check -baseline BENCH_tbr.json -in new.txt
 package main
 
 import (
@@ -63,11 +70,8 @@ func main() {
 		baseline = flag.String("baseline", "", "committed JSON baseline to compare against (required with -check)")
 
 		maxSlowdown    = flag.Float64("max-slowdown", 2.5, "absolute ns/op gate: fail a benchmark above this factor of its baseline (generous: shared hosts are noisy)")
-		maxRatioGrowth = flag.Float64("max-ratio-growth", 1.25, "ratio gate: fail a -ratio pair whose same-run ratio grows above this factor of the baseline ratio")
 		maxAllocGrowth = flag.Float64("max-alloc-growth", 1.10, "allocs/op gate: fail a benchmark above this factor of its baseline (+1 alloc slack)")
-		ratios         ratioList
 	)
-	flag.Var(&ratios, "ratio", "hot-path ratio pair <numerator>:<denominator> checked against the baseline's ratio (repeatable; noise-immune primary gate)")
 	flag.Parse()
 
 	r := io.Reader(os.Stdin)
@@ -91,12 +95,8 @@ func main() {
 		if *baseline == "" {
 			fatal(fmt.Errorf("-check requires -baseline"))
 		}
-		lim := checkLimits{
-			maxSlowdown:    *maxSlowdown,
-			maxRatioGrowth: *maxRatioGrowth,
-			maxAllocGrowth: *maxAllocGrowth,
-		}
-		if err := runCheck(*baseline, file, ratios, lim, os.Stdout); err != nil {
+		lim := checkLimits{maxSlowdown: *maxSlowdown, maxAllocGrowth: *maxAllocGrowth}
+		if err := runCheck(*baseline, file, lim, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return

@@ -19,13 +19,12 @@ import (
 func runValidate(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments validate", flag.ContinueOnError)
 	var (
-		seeds       = fs.String("seeds", "1,2,3", "comma-separated workload seeds")
-		out         = fs.String("out", "", "write the JSON accuracy report to this file")
-		frameDiv    = fs.Int("frame-div", 0, "override the oracle scale's frame divisor")
-		workers     = fs.Int("workers", 0, "simulation worker goroutines (0 = all cores)")
-		tileWorkers = fs.Int("tile-workers", 0, "tile-parallel raster workers per frame")
-		tolScale    = fs.Float64("tol", 1, "scale factor on the default tolerance bands")
-		quiet       = fs.Bool("quiet", false, "suppress progress logging")
+		seeds    = fs.String("seeds", "1,2,3", "comma-separated workload seeds")
+		out      = fs.String("out", "", "write the JSON accuracy report to this file")
+		frameDiv = fs.Int("frame-div", 0, "override the oracle scale's frame divisor")
+		workers  = fs.Int("workers", 0, "simulation worker goroutines (0 = all cores)")
+		tolScale = fs.Float64("tol", 1, "scale factor on the default tolerance bands")
+		quiet    = fs.Bool("quiet", false, "suppress progress logging")
 
 		// Fault injection: perturb the simulated microarchitecture to
 		// measure graceful degradation (see internal/check).
@@ -54,10 +53,6 @@ func runValidate(args []string, stdout io.Writer) error {
 			CorruptStats:      *faultCorrupt,
 		},
 	}
-	if *tileWorkers > 0 {
-		cfg.GPU = tbr.DefaultConfig()
-		cfg.GPU.TileWorkers = *tileWorkers
-	}
 	if *frameDiv > 0 {
 		cfg.Scale = check.DefaultOracleScale
 		cfg.Scale.FrameDivisor = *frameDiv
@@ -76,9 +71,9 @@ func runValidate(args []string, stdout io.Writer) error {
 	}
 
 	for _, sr := range rep.Seeds {
-		fmt.Fprintf(stdout, "seed %-4d %-14s %4d frames, %3d reps (%.0fx), isolation=%v invariance=%v violations=%d\n",
+		fmt.Fprintf(stdout, "seed %-4d %-14s %4d frames, %3d reps (%.0fx), isolation=%v violations=%d\n",
 			sr.Seed, sr.Alias, sr.Frames, sr.Representatives, sr.Reduction,
-			sr.RepIsolation, sr.WorkerInvariance, len(sr.Violations))
+			sr.RepIsolation, len(sr.Violations))
 		for _, m := range sr.Metrics {
 			verdict := "ok"
 			if !m.Pass {

@@ -15,7 +15,6 @@
 //	gpusim -trace bbr1.trace            # simulate a saved trace
 //	gpusim -benchmark hcr               # generate + simulate
 //	gpusim -benchmark hcr -frames 0:100 # a frame range only
-//	gpusim -benchmark hcr -tile-workers 4
 //	gpusim -benchmark hcr -checkpoint run.ckpt          # interrupt freely…
 //	gpusim -benchmark hcr -checkpoint run.ckpt -resume  # …and pick up here
 package main
@@ -64,7 +63,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		frameDiv     = fs.Int("frame-div", 1, "frame divisor when generating (needs -benchmark)")
 		perFrame     = fs.Bool("per-frame", false, "print one line per frame")
 		tbdr         = fs.Bool("tbdr", false, "simulate a TBDR GPU (hidden surface removal)")
-		tileWorkers  = fs.Int("tile-workers", 0, "tile-parallel raster workers per frame (0 = serial raster stage)")
 		csvPath      = fs.String("csv", "", "write per-frame statistics as CSV to this file")
 		watts        = fs.Bool("watts", false, "report estimated average power (1 energy unit = 1 pJ)")
 		metricsOut   = fs.String("metrics-out", "", "write observability metrics (counters/histograms) as JSON to this file")
@@ -117,7 +115,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	gpu := megsim.DefaultGPUConfig()
 	gpu.DeferredShading = *tbdr
-	gpu.TileWorkers = *tileWorkers
 	var reg *megsim.ObsRegistry
 	if *metricsOut != "" || *traceOut != "" {
 		reg = megsim.NewObsRegistry(0)

@@ -88,8 +88,8 @@ func mustValidJSON(t *testing.T, path string) {
 }
 
 // TestRunWritesObsOutputs exercises the happy path end to end: a tiny
-// generated benchmark with the tile-parallel raster stage enabled must
-// leave well-formed metrics and Chrome-trace files behind.
+// generated benchmark must leave well-formed metrics and Chrome-trace
+// files behind.
 func TestRunWritesObsOutputs(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.json")
@@ -97,7 +97,6 @@ func TestRunWritesObsOutputs(t *testing.T) {
 	var out strings.Builder
 	err := run(context.Background(), []string{
 		"-benchmark", "hcr", "-frame-div", "100", "-frames", "0:2",
-		"-tile-workers", "2",
 		"-metrics-out", metrics, "-trace-out", trace,
 	}, &out)
 	if err != nil {
@@ -111,22 +110,22 @@ func TestRunWritesObsOutputs(t *testing.T) {
 }
 
 // TestRunFlushesObsOnError: a failure after the registry is attached
-// (here: an invalid tile-worker count rejected by config validation)
-// used to os.Exit past the flush, losing the -metrics-out/-trace-out
-// files entirely. The error must surface AND the files must exist.
+// (here: a -csv file that cannot be created) used to os.Exit past the
+// flush, losing the -metrics-out/-trace-out files entirely. The error
+// must surface AND the files must exist.
 func TestRunFlushesObsOnError(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.json")
 	trace := filepath.Join(dir, "trace.json")
 	err := run(context.Background(), []string{
-		"-benchmark", "hcr", "-frame-div", "100",
-		"-tile-workers", "-1",
+		"-benchmark", "hcr", "-frame-div", "100", "-frames", "0:2",
+		"-csv", filepath.Join(dir, "missing", "frames.csv"),
 		"-metrics-out", metrics, "-trace-out", trace,
 	}, io.Discard)
 	if err == nil {
-		t.Fatal("invalid -tile-workers accepted")
+		t.Fatal("uncreatable -csv file accepted")
 	}
-	if !strings.Contains(err.Error(), "TileWorkers") {
+	if !strings.Contains(err.Error(), "frames.csv") {
 		t.Fatalf("error lost the cause: %v", err)
 	}
 	mustValidJSON(t, metrics)

@@ -22,7 +22,6 @@
 //	megsim -trace bbr1.trace -validate
 //	megsim -benchmark hcr -validate -tol 2 -validate-out report.json
 //	megsim -benchmark jjo -threshold 0.95 -seed 7
-//	megsim -benchmark hcr -tile-workers 4
 //	megsim -benchmark hcr -checkpoint run.ckpt          # interrupt freely…
 //	megsim -benchmark hcr -checkpoint run.ckpt -resume  # …and pick up here
 //	megsim -benchmark hcr -stream                       # bounded-memory streaming mode
@@ -92,7 +91,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		seed         = fs.Uint64("seed", 1, "k-means initialization seed")
 		validate     = fs.Bool("validate", false, "also run the full simulation and report relative errors")
 		tbdr         = fs.Bool("tbdr", false, "simulate a TBDR GPU (hidden surface removal)")
-		tileWorkers  = fs.Int("tile-workers", 0, "tile-parallel raster workers per frame (0 = serial raster stage)")
 		jsonOut      = fs.Bool("json", false, "print machine-readable JSON instead of text")
 		saveSel      = fs.String("save-selection", "", "write the frame selection as JSON to this file")
 		tolScale     = fs.Float64("tol", 1, "scale factor on the default -validate tolerance bands (needs -validate)")
@@ -142,7 +140,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Workload:  serve.WorkloadSpec{Benchmark: *benchmark, FrameDiv: *frameDiv},
 		Threshold: *threshold,
 		Seed:      *seed,
-		GPU:       serve.GPUSpec{TBDR: *tbdr, TileWorkers: *tileWorkers},
+		GPU:       serve.GPUSpec{TBDR: *tbdr},
 		Resilience: serve.ResilienceSpec{
 			Retries:        *retries,
 			Quarantine:     preQuarantine,

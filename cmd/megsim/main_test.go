@@ -16,7 +16,7 @@ import (
 // TestValidateWithinBandAcrossSeeds is the CLI half of the acceptance
 // gate: `megsim -validate` on three fixed clustering seeds must report
 // every metric's sampled-vs-full relative error within the configured
-// band, for both raster-stage modes.
+// band, in both shading models (seed 2 runs -tbdr).
 func TestValidateWithinBandAcrossSeeds(t *testing.T) {
 	outPath := filepath.Join(t.TempDir(), "report.json")
 	for _, seed := range []uint64{1, 2, 3} {
@@ -27,7 +27,7 @@ func TestValidateWithinBandAcrossSeeds(t *testing.T) {
 			"-validate-out", outPath,
 		}
 		if seed == 2 {
-			args = append(args, "-tile-workers", "2")
+			args = append(args, "-tbdr")
 		}
 		if err := run(context.Background(), args, &buf); err != nil {
 			t.Fatalf("seed %d: %v\noutput:\n%s", seed, err, buf.String())

@@ -43,7 +43,7 @@ var (
 // sampled-run field allowed to differ.
 func TestServerModeMatchesLocal(t *testing.T) {
 	ts := startDaemon(t)
-	base := []string{"-benchmark", "hcr", "-frame-div", "40", "-tile-workers", "2", "-retries", "2"}
+	base := []string{"-benchmark", "hcr", "-frame-div", "40", "-retries", "2"}
 	ctx := context.Background()
 
 	localArgs := append([]string{}, base...)

@@ -17,7 +17,7 @@ import (
 // TestStreamValidateWithinBand is the streaming half of the acceptance
 // gate: `megsim -stream -validate` must land every metric inside the
 // same tolerance bands the batch path is held to, across the oracle
-// seeds and both raster-stage modes.
+// seeds and both shading models (seed 2 runs -tbdr).
 func TestStreamValidateWithinBand(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		var buf bytes.Buffer
@@ -26,7 +26,7 @@ func TestStreamValidateWithinBand(t *testing.T) {
 			"-stream", "-validate", "-seed", strconv.FormatUint(seed, 10),
 		}
 		if seed == 2 {
-			args = append(args, "-tile-workers", "4")
+			args = append(args, "-tbdr")
 		}
 		if err := run(context.Background(), args, &buf); err != nil {
 			t.Fatalf("seed %d: %v\noutput:\n%s", seed, err, buf.String())

@@ -51,7 +51,7 @@ func TestClusterDaemonLifecycle(t *testing.T) {
 		t.Fatalf("coordinator did not report its fleet:\n%s", out.String())
 	}
 
-	campaign := `{"workload":{"benchmark":"hcr","width":128,"height":64,"frame_div":20,"detail_div":2},"gpu":{"tile_workers":2}}`
+	campaign := `{"workload":{"benchmark":"hcr","width":128,"height":64,"frame_div":20,"detail_div":2}}`
 	resp, body, err := post(base+"/api/v1/campaigns", campaign)
 	if err != nil {
 		t.Fatal(err)

@@ -151,27 +151,29 @@ func TestViolationString(t *testing.T) {
 
 // TestCheckerWiredIntoSimulator runs a real simulation with the checker
 // attached and asserts it sees every frame without violations — the
-// non-firing half of the acceptance criterion, over all three raster
-// modes.
+// non-firing half of the acceptance criterion, in both shading models
+// and at one and two frame workers.
 func TestCheckerWiredIntoSimulator(t *testing.T) {
 	tr := smallTrace(t, 5)
-	for _, tw := range []int{0, 1, 2} {
-		cfg := tbr.DefaultConfig()
-		cfg.TileWorkers = tw
-		iv := NewInvariants(cfg).Strict()
-		cfg.Check = iv
-		stats, err := tbr.SimulateFrames(context.Background(), cfg, tr, nil, 2)
-		if err != nil {
-			t.Fatalf("TileWorkers=%d: %v", tw, err)
-		}
-		if len(stats) != tr.NumFrames() {
-			t.Fatalf("TileWorkers=%d: simulated %d frames, want %d", tw, len(stats), tr.NumFrames())
-		}
-		if iv.Frames() != tr.NumFrames() {
-			t.Errorf("TileWorkers=%d: checker saw %d frames, want %d", tw, iv.Frames(), tr.NumFrames())
-		}
-		if v := iv.Violations(); len(v) != 0 {
-			t.Errorf("TileWorkers=%d: clean simulation violated invariants: %v", tw, v)
+	for _, deferred := range []bool{false, true} {
+		for _, fw := range []int{1, 2} {
+			cfg := tbr.DefaultConfig()
+			cfg.DeferredShading = deferred
+			iv := NewInvariants(cfg).Strict()
+			cfg.Check = iv
+			stats, err := tbr.SimulateFrames(context.Background(), cfg, tr, nil, fw)
+			if err != nil {
+				t.Fatalf("deferred=%v fw=%d: %v", deferred, fw, err)
+			}
+			if len(stats) != tr.NumFrames() {
+				t.Fatalf("deferred=%v fw=%d: simulated %d frames, want %d", deferred, fw, len(stats), tr.NumFrames())
+			}
+			if iv.Frames() != tr.NumFrames() {
+				t.Errorf("deferred=%v fw=%d: checker saw %d frames, want %d", deferred, fw, iv.Frames(), tr.NumFrames())
+			}
+			if v := iv.Violations(); len(v) != 0 {
+				t.Errorf("deferred=%v fw=%d: clean simulation violated invariants: %v", deferred, fw, v)
+			}
 		}
 	}
 }

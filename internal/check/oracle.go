@@ -8,7 +8,6 @@ import (
 	"reflect"
 
 	"repro/internal/core"
-	"repro/internal/gltrace"
 	"repro/internal/harness"
 	"repro/internal/power"
 	"repro/internal/stream"
@@ -77,10 +76,6 @@ type OracleConfig struct {
 	// Tolerance is the acceptance band. Zero value means
 	// DefaultTolerance.
 	Tolerance Tolerance
-	// SkipInvarianceProbe disables the cross-worker determinism probe
-	// (a re-simulation of one representative under different worker
-	// counts); the probe is cheap but not free.
-	SkipInvarianceProbe bool
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 }
@@ -116,10 +111,6 @@ type SeedResult struct {
 	// standalone was bit-identical to the same frame inside the full
 	// run — the frame-isolation property the methodology rests on.
 	RepIsolation bool `json:"rep_isolation"`
-	// WorkerInvariance reports whether a probe frame's stats were
-	// identical across tile-worker and frame-worker counts (true when
-	// the probe is skipped).
-	WorkerInvariance bool `json:"worker_invariance"`
 	// StreamStrata is the streaming probe's stratum count: every seed
 	// also runs the bounded-memory online stratifier (internal/stream)
 	// over the same characterization; its estimate rows appear in
@@ -138,7 +129,7 @@ type SeedResult struct {
 	// broken).
 	Violations []Violation `json:"violations,omitempty"`
 	// Pass is the seed's aggregate verdict: all metric rows in band,
-	// isolation and invariance held, no invariant violations.
+	// isolation held, no invariant violations.
 	Pass bool `json:"pass"`
 }
 
@@ -232,8 +223,8 @@ func (c *OracleConfig) logf(format string, args ...any) {
 
 // runSeed runs one seed's study through harness.Run, with faults and
 // the invariant hook armed in the GPU config, and adds the oracle's own
-// checks: rep isolation, the Fig. 7 and energy rows, the streaming and
-// worker-invariance probes, and the verdict.
+// checks: rep isolation, the Fig. 7 and energy rows, the streaming
+// probe, and the verdict.
 func (c *OracleConfig) runSeed(seed uint64) (*SeedResult, error) {
 	gpu := c.GPU
 	gpu.Faults = c.Faults
@@ -260,14 +251,13 @@ func (c *OracleConfig) runSeed(seed uint64) (*SeedResult, error) {
 	}
 
 	sr := &SeedResult{
-		Seed:             seed,
-		Alias:            p.Alias,
-		Frames:           tr.NumFrames(),
-		Representatives:  sel.NumRepresentatives(),
-		Reduction:        sel.ReductionFactor(),
-		RepIsolation:     isolation,
-		WorkerInvariance: true,
-		Violations:       inv.Violations(),
+		Seed:            seed,
+		Alias:           p.Alias,
+		Frames:          tr.NumFrames(),
+		Representatives: sel.NumRepresentatives(),
+		Reduction:       sel.ReductionFactor(),
+		RepIsolation:    isolation,
+		Violations:      inv.Violations(),
 	}
 
 	sr.Metrics = append(sr.Metrics, CompareRows(&res.Estimate, &res.FullTotals, c.Tolerance)...)
@@ -292,15 +282,7 @@ func (c *OracleConfig) runSeed(seed uint64) (*SeedResult, error) {
 		return nil, err
 	}
 
-	if !c.SkipInvarianceProbe && len(sel.Representatives) > 0 {
-		ok, err := c.probeWorkerInvariance(gpu, tr, sel.Representatives[0])
-		if err != nil {
-			return nil, err
-		}
-		sr.WorkerInvariance = ok
-	}
-
-	sr.Pass = sr.RepIsolation && sr.WorkerInvariance && len(sr.Violations) == 0
+	sr.Pass = sr.RepIsolation && len(sr.Violations) == 0
 	for _, m := range sr.Metrics {
 		if !m.Pass {
 			sr.Pass = false
@@ -371,31 +353,6 @@ func randIndex(a, b []int) float64 {
 		}
 	}
 	return float64(agree) / float64(pairs)
-}
-
-// probeWorkerInvariance re-simulates one representative frame under
-// differing tile-worker counts and checks the statistics are
-// byte-identical — the determinism contract of the sharded raster
-// stage. TileWorkers 0 (serial warm-cache mode) is a different model
-// and is deliberately never compared against >= 1.
-func (c *OracleConfig) probeWorkerInvariance(gpu tbr.Config, tr *gltrace.Trace, frame int) (bool, error) {
-	var base *tbr.FrameStats
-	for _, tw := range []int{1, 2, 4} {
-		g := gpu
-		g.TileWorkers = tw
-		g.Check = nil // the probe measures determinism, not invariants
-		stats, err := tbr.SimulateFrames(context.Background(), g, tr, []int{frame}, 1)
-		if err != nil {
-			return false, err
-		}
-		if base == nil {
-			st := stats[0]
-			base = &st
-		} else if stats[0] != *base {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 func metricRow(name string, est, act, rel, tol float64) MetricError {

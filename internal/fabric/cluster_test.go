@@ -26,16 +26,6 @@ import (
 // exercise failover.
 const clusterWorkerCount = 3
 
-// clusterOptions are the settings distributed campaigns run under in
-// these tests. They must equal the serve tests' serviceOptions (the
-// test-scale workload with the tile-parallel raster stage on): a
-// distributed campaign must be byte-identical to a single-process one.
-func clusterOptions() harness.Options {
-	o := harness.TestOptions()
-	o.GPU.TileWorkers = 2
-	return o
-}
-
 // serviceResilience is the supervisor half of the service settings:
 // one retry per frame with backoff disabled, so tests exercise the
 // supervised path without sleeping on injected faults.
@@ -54,16 +44,17 @@ func clusterResilience() resilience.Config {
 }
 
 // clusterCampaignBody is the canonical cluster-test campaign: the
-// cluster settings (identical to the service settings — that identity
-// is the whole point) as a submission document.
+// harness.TestOptions workload under the service resilience settings
+// (identical to the serve tests' campaign — that identity is the whole
+// point, a distributed campaign must be byte-identical to a
+// single-process one) as a submission document.
 func clusterCampaignBody() string {
-	opts := clusterOptions()
-	sc := opts.Scale
+	sc := harness.TestOptions().Scale
 	return fmt.Sprintf(
 		`{"workload":{"benchmark":"hcr","width":%d,"height":%d,"frame_div":%d,"detail_div":%d},`+
-			`"gpu":{"tile_workers":%d},"resilience":{"retries":%d}}`,
+			`"resilience":{"retries":%d}}`,
 		sc.Width, sc.Height, sc.FrameDivisor, sc.DetailDivisor,
-		opts.GPU.TileWorkers, serviceResilience().MaxAttempts)
+		serviceResilience().MaxAttempts)
 }
 
 // clusterGolden runs the canonical campaign once, in-process through

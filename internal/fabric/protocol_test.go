@@ -9,7 +9,7 @@ import (
 // fingerprint is syntactically valid but arbitrary (protocol validation
 // never simulates).
 const validUnit = `{"fingerprint":"megsim-0123456789abcdef01234567","frame":3,` +
-	`"workload":{"benchmark":"hcr","width":64,"height":32},"gpu":{"tile_workers":2},"obs":true}`
+	`"workload":{"benchmark":"hcr","width":64,"height":32},"gpu":{"preset":"tbdr"},"obs":true}`
 
 func TestDecodeWorkUnit(t *testing.T) {
 	cases := []struct {
@@ -48,6 +48,17 @@ func TestDecodeWorkUnit(t *testing.T) {
 				t.Fatal("nil unit without error")
 			}
 		})
+	}
+}
+
+// TestDecodeWorkUnitRejectsRemovedGPUField: the raster stage has one
+// timing model and no tile-worker knob, so a unit carrying the removed
+// field is refused with an error that names it.
+func TestDecodeWorkUnitRejectsRemovedGPUField(t *testing.T) {
+	const field = `unknown field "tile_workers"`
+	body := `{"fingerprint":"megsim-ff","frame":0,"workload":{"benchmark":"asp"},"gpu":{"tile_workers":4}}`
+	if _, err := DecodeWorkUnit(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), field) {
+		t.Fatalf("DecodeWorkUnit(%s) = %v, want an error containing %s", body, err, field)
 	}
 }
 

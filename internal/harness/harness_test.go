@@ -68,25 +68,6 @@ func TestSampledOnlyMatchesFullStudyEstimate(t *testing.T) {
 	}
 }
 
-func TestTileWorkersOptionDoesNotAffectResults(t *testing.T) {
-	// Any tile-worker count >= 1 must produce identical estimates.
-	one := TestOptions()
-	one.GPU.TileWorkers = 1
-	four := TestOptions()
-	four.GPU.TileWorkers = 4
-	a, err := Run(context.Background(), workload.Profiles["hcr"], one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), workload.Profiles["hcr"], four)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Estimate != b.Estimate {
-		t.Fatalf("estimate depends on tile-worker count:\n1: %+v\n4: %+v", a.Estimate, b.Estimate)
-	}
-}
-
 func TestStudyCachesResults(t *testing.T) {
 	s := testStudy(t)
 	a, err := s.Result("hcr")
@@ -152,7 +133,7 @@ func TestStudyTables(t *testing.T) {
 	ab, _, err := s.AblationTable("hcr")
 	render(ab, err, -1)
 	pt, err := s.PresetTable("hcr")
-	render(pt, err, 5) // lowend, mali450, highend, tbdr, tiled
+	render(pt, err, 4) // lowend, mali450, highend, tbdr
 
 	sp, err := s.SpeedupTable()
 	if err != nil {
@@ -317,7 +298,7 @@ func TestPresetTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.NumRows() != 5 { // lowend, mali450, highend, tbdr, tiled
+	if tbl.NumRows() != 4 { // lowend, mali450, highend, tbdr
 		t.Fatalf("rows = %d", tbl.NumRows())
 	}
 }

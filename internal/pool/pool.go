@@ -1,6 +1,5 @@
 // Package pool holds the one work-distribution primitive every parallel
-// layer shares: the frame driver and tile-parallel raster stage of
-// internal/tbr, the frame-parallel functional characterization of
+// layer shares: the frame driver of internal/tbr, the frame-parallel functional characterization of
 // internal/funcsim, the chunked k-means steps of internal/cluster and
 // the per-frame attempt loops of the internal/resilience supervisor.
 //

@@ -18,10 +18,11 @@ import (
 // killed at a frame boundary and resumed from its checkpoint produces
 // byte-identical frame statistics, a byte-identical final checkpoint
 // file, and an identical merged observability snapshot to an
-// uninterrupted run — at tile-workers 1, 2 and 4, under injected
-// microarchitectural faults (tbr.FaultConfig stalls and dropped tiles)
-// and deterministic first-attempt panics, with the kill point and the
-// supervisor worker count varied between the killed and resumed halves.
+// uninterrupted run — at supervisor worker counts 1, 2 and 4, each
+// with its own kill point, under injected microarchitectural faults
+// (tbr.FaultConfig stalls and dropped tiles) and deterministic
+// first-attempt panics, with the supervisor worker count varied
+// between the killed and resumed halves.
 func TestGoldenKillAndResume(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["bbr1"], workload.TestScale)
 	frames := make([]int, 0, 12)
@@ -35,8 +36,8 @@ func TestGoldenKillAndResume(t *testing.T) {
 	// Deterministic fault injection: stalled shader cores and dropped
 	// tiles, keyed by (seed, frame, tile) — identical however the frames
 	// are scheduled.
-	baseGPU := tbr.DefaultConfig()
-	baseGPU.Faults = tbr.FaultConfig{Seed: 7, StallRate: 0.05, StallCycles: 64, DropTileRate: 0.02}
+	gpu := tbr.DefaultConfig()
+	gpu.Faults = tbr.FaultConfig{Seed: 7, StallRate: 0.05, StallCycles: 64, DropTileRate: 0.02}
 
 	// mkFn simulates one frame on its own simulator instance, recording
 	// into the supervisor's per-frame registry. When flaky, every frame
@@ -61,24 +62,22 @@ func TestGoldenKillAndResume(t *testing.T) {
 		stats map[int]tbr.FrameStats
 		snap  *obs.Snapshot
 	}
-	var crossTW *golden
+	var crossWorkers *golden
 
-	for i, tw := range []int{1, 2, 4} {
-		gpu := baseGPU
-		gpu.TileWorkers = tw
+	for i, workers := range []int{1, 2, 4} {
 		dir := t.TempDir()
 		fp := "golden-fp"
 
 		// Uninterrupted reference run.
 		refPath := filepath.Join(dir, "ref.ckpt")
 		refObs := obs.New()
-		refCfg := noBackoff(Config{Workers: 2, Obs: refObs, CheckpointPath: refPath, Fingerprint: fp, Seed: 1})
+		refCfg := noBackoff(Config{Workers: workers, Obs: refObs, CheckpointPath: refPath, Fingerprint: fp, Seed: 1})
 		refRes, err := Run(context.Background(), frames, mkFn(gpu, newAttemptTracker()), refCfg)
 		if err != nil {
-			t.Fatalf("tw=%d: reference run: %v", tw, err)
+			t.Fatalf("workers=%d: reference run: %v", workers, err)
 		}
 		if len(refRes.Stats) != len(frames) {
-			t.Fatalf("tw=%d: reference incomplete: %d frames", tw, len(refRes.Stats))
+			t.Fatalf("workers=%d: reference incomplete: %d frames", workers, len(refRes.Stats))
 		}
 		refSnap := refObs.Snapshot()
 		refBytes, err := os.ReadFile(refPath)
@@ -86,7 +85,7 @@ func TestGoldenKillAndResume(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Killed run: cancel after a tile-worker-dependent number of
+		// Killed run: cancel after a worker-count-dependent number of
 		// completed frames — a different "random" kill boundary per
 		// configuration.
 		killAfter := int64(3 + 2*i)
@@ -94,7 +93,7 @@ func TestGoldenKillAndResume(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var completions atomic.Int64
 		killObs := obs.New()
-		killCfg := noBackoff(Config{Workers: 2, Obs: killObs, CheckpointPath: killPath, Fingerprint: fp, Seed: 1})
+		killCfg := noBackoff(Config{Workers: workers, Obs: killObs, CheckpointPath: killPath, Fingerprint: fp, Seed: 1})
 		inner := mkFn(gpu, newAttemptTracker())
 		_, err = Run(ctx, frames, func(c context.Context, frame int, reg *obs.Registry) (tbr.FrameStats, error) {
 			st, err := inner(c, frame, reg)
@@ -105,7 +104,7 @@ func TestGoldenKillAndResume(t *testing.T) {
 		}, killCfg)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("tw=%d: killed run: err = %v, want context.Canceled", tw, err)
+			t.Fatalf("workers=%d: killed run: err = %v, want context.Canceled", workers, err)
 		}
 
 		// Resume under a different supervisor worker count.
@@ -113,39 +112,39 @@ func TestGoldenKillAndResume(t *testing.T) {
 		resCfg := noBackoff(Config{Workers: 3, Obs: resObs, CheckpointPath: killPath, Fingerprint: fp, Seed: 1, Resume: true})
 		resRes, err := Run(context.Background(), frames, mkFn(gpu, newAttemptTracker()), resCfg)
 		if err != nil {
-			t.Fatalf("tw=%d: resumed run: %v", tw, err)
+			t.Fatalf("workers=%d: resumed run: %v", workers, err)
 		}
 		if resRes.ResumeErr != nil {
-			t.Fatalf("tw=%d: resumed run: ResumeErr = %v", tw, resRes.ResumeErr)
+			t.Fatalf("workers=%d: resumed run: ResumeErr = %v", workers, resRes.ResumeErr)
 		}
 		if len(resRes.Resumed) == 0 {
-			t.Fatalf("tw=%d: resume adopted nothing (kill landed after completion?)", tw)
+			t.Fatalf("workers=%d: resume adopted nothing (kill landed after completion?)", workers)
 		}
 
 		if !reflect.DeepEqual(resRes.Stats, refRes.Stats) {
-			t.Fatalf("tw=%d: resumed stats differ from uninterrupted run", tw)
+			t.Fatalf("workers=%d: resumed stats differ from uninterrupted run", workers)
 		}
 		if snap := resObs.Snapshot(); !reflect.DeepEqual(snap, refSnap) {
-			t.Fatalf("tw=%d: resumed obs snapshot differs from uninterrupted run", tw)
+			t.Fatalf("workers=%d: resumed obs snapshot differs from uninterrupted run", workers)
 		}
 		resBytes, err := os.ReadFile(killPath)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(resBytes) != string(refBytes) {
-			t.Fatalf("tw=%d: final checkpoint bytes differ between killed+resumed and uninterrupted runs", tw)
+			t.Fatalf("workers=%d: final checkpoint bytes differ between killed+resumed and uninterrupted runs", workers)
 		}
 
-		// Worker invariance across the raster-stage shard counts: every
-		// tile-worker configuration produces the same statistics and obs.
-		if crossTW == nil {
-			crossTW = &golden{stats: refRes.Stats, snap: refSnap}
+		// Worker invariance: every supervisor worker count produces the
+		// same statistics and obs.
+		if crossWorkers == nil {
+			crossWorkers = &golden{stats: refRes.Stats, snap: refSnap}
 		} else {
-			if !reflect.DeepEqual(refRes.Stats, crossTW.stats) {
-				t.Fatalf("tw=%d: stats differ from tile-workers=1", tw)
+			if !reflect.DeepEqual(refRes.Stats, crossWorkers.stats) {
+				t.Fatalf("workers=%d: stats differ from workers=1", workers)
 			}
-			if !reflect.DeepEqual(refSnap, crossTW.snap) {
-				t.Fatalf("tw=%d: obs snapshot differs from tile-workers=1", tw)
+			if !reflect.DeepEqual(refSnap, crossWorkers.snap) {
+				t.Fatalf("workers=%d: obs snapshot differs from workers=1", workers)
 			}
 		}
 	}

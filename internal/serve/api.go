@@ -29,8 +29,6 @@ const (
 	maxPixels = 1 << 22
 	// maxDivisor bounds the frame/detail divisors.
 	maxDivisor = 1 << 20
-	// maxTileWorkers bounds the per-frame tile pool.
-	maxTileWorkers = 1024
 	// maxRetries bounds per-frame attempts.
 	maxRetries = 100
 	// maxQuarantine bounds the pre-quarantine list length.
@@ -69,10 +67,6 @@ type GPUSpec struct {
 	Preset string `json:"preset,omitempty"`
 	// TBDR enables PowerVR-style hidden surface removal.
 	TBDR bool `json:"tbdr,omitempty"`
-	// TileWorkers sets the tile-parallel raster pool. Any value >= 1 is
-	// byte-identical to 1 (only wall clock changes), so it is
-	// normalized out of the campaign fingerprint.
-	TileWorkers int `json:"tile_workers,omitempty"`
 }
 
 // ResilienceSpec carries the per-job supervisor options. Only
@@ -172,9 +166,6 @@ func (c *CampaignRequest) Validate() error {
 			return fmt.Errorf("gpu: %w", err)
 		}
 	}
-	if c.GPU.TileWorkers < 0 || c.GPU.TileWorkers > maxTileWorkers {
-		return fmt.Errorf("gpu: tile_workers %d out of [0, %d]", c.GPU.TileWorkers, maxTileWorkers)
-	}
 	r := &c.Resilience
 	if r.Retries < 0 || r.Retries > maxRetries {
 		return fmt.Errorf("resilience: retries %d out of [0, %d]", r.Retries, maxRetries)
@@ -247,17 +238,12 @@ func (c *CampaignRequest) exploreKey() string {
 }
 
 // Fingerprint content-addresses the campaign's result: the resolved
-// workload, methodology settings, the result-affecting GPU settings
-// (tile_workers normalized — every count >= 1 is byte-identical) and
-// the sorted pre-quarantine set. Two requests with equal fingerprints
+// workload, methodology settings, the GPU settings and the sorted
+// pre-quarantine set. Two requests with equal fingerprints
 // are guaranteed the identical report, so the service deduplicates and
 // caches on this key. Execution-shaping knobs (retries, watchdog)
 // never enter the hash.
 func (c *CampaignRequest) Fingerprint() string {
-	tw := c.GPU.TileWorkers
-	if tw > 1 {
-		tw = 1
-	}
 	quarantine := append([]int(nil), c.Resilience.Quarantine...)
 	sort.Ints(quarantine)
 	if c.Stream != nil {
@@ -271,9 +257,8 @@ func (c *CampaignRequest) Fingerprint() string {
 			ReservoirCap int
 			Preset       string
 			TBDR         bool
-			TileW        int
 			Quarantine   []int
-		}{c.resolveWorkload(), scfg.Seed, scfg.MaxStrata, scfg.ReservoirCap, c.GPU.Preset, c.GPU.TBDR, tw, quarantine})
+		}{c.resolveWorkload(), scfg.Seed, scfg.MaxStrata, scfg.ReservoirCap, c.GPU.Preset, c.GPU.TBDR, quarantine})
 	}
 	return hashKey("cmp", struct {
 		Workload   resolvedWorkload
@@ -281,9 +266,8 @@ func (c *CampaignRequest) Fingerprint() string {
 		Seed       uint64
 		Preset     string
 		TBDR       bool
-		TileW      int
 		Quarantine []int
-	}{c.resolveWorkload(), c.threshold(), c.seed(), c.GPU.Preset, c.GPU.TBDR, tw, quarantine})
+	}{c.resolveWorkload(), c.threshold(), c.seed(), c.GPU.Preset, c.GPU.TBDR, quarantine})
 }
 
 // StreamConfig resolves the streaming stratifier configuration (the
@@ -365,7 +349,6 @@ func (c *CampaignRequest) GPUConfig() (megsim.GPUConfig, error) {
 	if c.GPU.TBDR {
 		gpu.DeferredShading = true
 	}
-	gpu.TileWorkers = c.GPU.TileWorkers
 	return gpu, nil
 }
 

@@ -37,7 +37,7 @@ import (
 //     viewport or detail.
 //
 // A fifth, small layer keeps megsim.FrameRunners by the same run key
-// plus the tile-worker count (maxRunners entries), so the idle
+// (maxRunners entries), so the idle
 // simulators a runner keeps — each built once, with one whole-trace
 // validation — serve every later work unit of the same run instead of
 // being rebuilt per unit. The fabric worker uses it; the daemon builds
@@ -130,12 +130,9 @@ func (c *Cache) Exploration(ctx context.Context, key string, build func() (*clus
 
 // Runner returns the cached megsim.FrameRunner(tr, gpu) of the run
 // (wkey, fp), creating it on a miss: wkey is the WorkloadKey tr was
-// built from and fp is megsim.RunFingerprint(tr, gpu). The key adds the
-// tile-worker count, which the fingerprint leaves out because it never
-// changes a result, so a unit always runs at the tile parallelism it
-// asked for.
+// built from and fp is megsim.RunFingerprint(tr, gpu).
 func (c *Cache) Runner(wkey, fp string, tr *gltrace.Trace, gpu tbr.Config) megsim.ResilientFrameFunc {
-	key := fmt.Sprintf("%s/%s/tw%d", wkey, fp, gpu.TileWorkers)
+	key := wkey + "/" + fp
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if fn, ok := c.runners.get(key); ok {

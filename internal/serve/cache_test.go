@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/gltrace"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/tbr"
 	"repro/megsim"
@@ -211,15 +212,15 @@ func TestCacheFrameKeyIncludesFingerprint(t *testing.T) {
 // runner is rebuilt on its next use with identical results.
 func TestCacheRunnerLayerBounded(t *testing.T) {
 	c := testCache()
-	tr := megsim.MustGenerateBenchmark("hcr", serviceOptions().Scale)
+	tr := megsim.MustGenerateBenchmark("hcr", harness.TestOptions().Scale)
 	var gpus []tbr.Config
 	for _, name := range []string{"mali450", "lowend", "highend", "tbdr"} {
-		for _, tw := range []int{0, 2} {
+		for _, tile := range []int{32, 16} {
 			g, err := tbr.Preset(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.TileWorkers = tw
+			g.TileSize = tile
 			gpus = append(gpus, g)
 		}
 	}
@@ -258,7 +259,7 @@ func TestCacheRunnerLayerBounded(t *testing.T) {
 // Their traces share a name and a frame count, so they share a run
 // fingerprint and are told apart only by the workload key.
 func viewportRequests() []CampaignRequest {
-	sc := serviceOptions().Scale
+	sc := harness.TestOptions().Scale
 	var reqs []CampaignRequest
 	for _, w := range []int{sc.Width, 2 * sc.Width} {
 		reqs = append(reqs, CampaignRequest{

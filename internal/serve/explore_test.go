@@ -184,7 +184,7 @@ func TestExploreKeyIgnoresThresholdAndGPU(t *testing.T) {
 	same := []CampaignRequest{base}
 	other := base
 	other.Threshold = 0.5
-	other.GPU = GPUSpec{Preset: "tbdr", TBDR: true, TileWorkers: 4}
+	other.GPU = GPUSpec{Preset: "tbdr", TBDR: true}
 	same = append(same, other)
 	for i, req := range same {
 		if req.exploreKey() != base.exploreKey() {

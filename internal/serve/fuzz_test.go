@@ -13,11 +13,11 @@ import (
 func FuzzDecodeCampaignRequest(f *testing.F) {
 	seeds := []string{
 		minimalCampaign,
-		serviceCampaignBody(2, ""),
+		serviceCampaignBody(""),
 		`{"workload":{"random_seed":42}}`,
 		`{"workload":{"random_seed":18446744073709551615}}`,
 		`{"workload":{"benchmark":"asp","width":64,"height":32},"threshold":0.5,"seed":9,` +
-			`"gpu":{"preset":"tbdr","tbdr":true,"tile_workers":8},` +
+			`"gpu":{"preset":"tbdr","tbdr":true},` +
 			`"resilience":{"retries":3,"quarantine":[5,1,5],"stall_timeout_ms":250}}`,
 		``,
 		`{`,
@@ -33,7 +33,7 @@ func FuzzDecodeCampaignRequest(f *testing.F) {
 		`{"workload":{"benchmark":"hcr","frame_div":-9223372036854775808}}`,
 		`{"workload":{"benchmark":"` + strings.Repeat("a", 4096) + `"}}`,
 		`{"workload":{"benchmark":"hcr"},"resilience":{"quarantine":[-1,0,1]}}`,
-		`{"workload":{"benchmark":"hcr"},"gpu":{"tile_workers":99999}}`,
+		`{"workload":{"benchmark":"hcr"},"gpu":{"preset":"tiled"}}`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -20,17 +20,6 @@ import (
 	"repro/megsim"
 )
 
-// serviceOptions are the settings the service tests run campaigns
-// under: the small test-scale workload with the tile-parallel raster
-// stage on. The cache-identity tests compare daemon responses against a
-// direct megsim run under exactly these options, and the fabric tests'
-// clusterOptions must stay identical to them.
-func serviceOptions() harness.Options {
-	o := harness.TestOptions()
-	o.GPU.TileWorkers = 2
-	return o
-}
-
 // serviceResilience is the supervisor half of the service settings:
 // resilience on (one retry per frame) with backoff disabled, so tests
 // exercise the supervised path without sleeping on injected faults.
@@ -39,22 +28,25 @@ func serviceResilience() resilience.Config {
 }
 
 // serviceCampaignBody is the canonical test campaign: the service
-// settings (test-scale hcr, tiled raster, resilience on) as a
-// submission document. extra is spliced into the resilience object.
-func serviceCampaignBody(tileWorkers int, extraResilience string) string {
-	sc := serviceOptions().Scale
+// settings (the harness.TestOptions workload, resilience on) as a
+// submission document. The cache-identity tests compare daemon
+// responses against a direct megsim run under exactly these settings,
+// and the fabric tests' campaign must stay identical to it. extra is
+// spliced into the resilience object.
+func serviceCampaignBody(extraResilience string) string {
+	sc := harness.TestOptions().Scale
 	return fmt.Sprintf(
 		`{"workload":{"benchmark":"hcr","width":%d,"height":%d,"frame_div":%d,"detail_div":%d},`+
-			`"gpu":{"tile_workers":%d},"resilience":{"retries":%d%s}}`,
+			`"resilience":{"retries":%d%s}}`,
 		sc.Width, sc.Height, sc.FrameDivisor, sc.DetailDivisor,
-		tileWorkers, serviceResilience().MaxAttempts, extraResilience)
+		serviceResilience().MaxAttempts, extraResilience)
 }
 
 // streamCampaignBody is the canonical campaign in streaming mode, with
 // a small stratum budget so the test workload settles into several
 // strata.
-func streamCampaignBody(tileWorkers int) string {
-	return strings.TrimSuffix(serviceCampaignBody(tileWorkers, ""), "}") +
+func streamCampaignBody(extraResilience string) string {
+	return strings.TrimSuffix(serviceCampaignBody(extraResilience), "}") +
 		`,"stream":{"max_strata":8,"reservoir_cap":4}}`
 }
 
@@ -111,18 +103,15 @@ func directStreamGolden(t *testing.T) []byte {
 // runDirect generates the service settings' workload and renders the
 // report of one in-process sampling run over it.
 func runDirect(sample func(*megsim.Trace, megsim.GPUConfig) (*CampaignReport, error)) ([]byte, error) {
-	opts := serviceOptions()
 	p, err := workload.Get("hcr")
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workload.Generate(p, opts.Scale)
+	tr, err := workload.Generate(p, harness.TestOptions().Scale)
 	if err != nil {
 		return nil, err
 	}
-	gpu := megsim.DefaultGPUConfig()
-	gpu.TileWorkers = opts.GPU.TileWorkers
-	rep, err := sample(tr, gpu)
+	rep, err := sample(tr, megsim.DefaultGPUConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -250,12 +239,12 @@ func counter(s *Server, name string) uint64 {
 
 // TestCampaignCacheIdentity is the service's golden contract, for a
 // batch and a streaming campaign: N concurrent identical submissions
-// (across tile-worker counts, which normalize to one fingerprint) run
+// (across watchdog timeouts, which never enter the fingerprint) run
 // ONE simulation, every poller reads byte-identical bytes, and those
 // bytes match a direct in-process run of the same campaign.
 func TestCampaignCacheIdentity(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueCapacity: 16})
-	batchID, r1 := requireOneJob(t, s, ts, func(tw int) string { return serviceCampaignBody(tw, "") }, directGolden(t))
+	batchID, r1 := requireOneJob(t, s, ts, serviceCampaignBody, directGolden(t))
 	requireOneJob(t, s, ts, streamCampaignBody, directStreamGolden(t))
 	if got := counter(s, "serve.jobs.completed"); got != 2 {
 		t.Fatalf("serve.jobs.completed = %d, want 2", got)
@@ -284,7 +273,7 @@ func TestCampaignCacheIdentity(t *testing.T) {
 		t.Skip("every frame is a representative at this scale")
 	}
 	frameMissBefore := counter(s, "serve.cache.frame.miss")
-	sub2 := submitOK(t, ts, serviceCampaignBody(2, fmt.Sprintf(`,"quarantine":[%d]`, nonRep)))
+	sub2 := submitOK(t, ts, serviceCampaignBody(fmt.Sprintf(`,"quarantine":[%d]`, nonRep)))
 	if sub2.Deduped || sub2.JobID == batchID {
 		t.Fatalf("distinct campaign was deduped: %+v", sub2)
 	}
@@ -319,7 +308,7 @@ func TestCampaignCacheIdentity(t *testing.T) {
 	// Third campaign: quarantine a REPRESENTATIVE — the service must
 	// degrade gracefully (substitute or lost cluster), succeed, and flag
 	// the job as degraded everywhere.
-	subDeg := submitOK(t, ts, serviceCampaignBody(2, fmt.Sprintf(`,"quarantine":[%d]`, rep.Representatives[0])))
+	subDeg := submitOK(t, ts, serviceCampaignBody(fmt.Sprintf(`,"quarantine":[%d]`, rep.Representatives[0])))
 	stDeg := waitTerminal(t, ts, subDeg.JobID)
 	if stDeg.State != JobSucceeded {
 		t.Fatalf("degraded campaign ended %s: %s", stDeg.State, stDeg.Error)
@@ -361,12 +350,19 @@ func TestCampaignCacheIdentity(t *testing.T) {
 	}
 }
 
-// requireOneJob submits N concurrent copies of the campaign body(tw)
-// for tile-worker counts 1..3, asserts they attach to one job that
+// watchdog returns a resilience extra arming the stall watchdog at n
+// minutes: long enough never to fire on a test frame.
+func watchdog(n int) string {
+	return fmt.Sprintf(`,"stall_timeout_ms":%d`, n*60000)
+}
+
+// requireOneJob submits N concurrent copies of the campaign body(extra)
+// for three stall-watchdog timeouts (an execution-shaping knob, so one
+// campaign fingerprint), asserts they attach to one job that
 // runs one simulation and succeeds, that a late resubmission dedups
 // onto it, and that its result equals want modulo the wall-clock
 // field. It returns the job's ID and result bytes.
-func requireOneJob(t *testing.T, s *Server, ts *httptest.Server, body func(tw int) string, want []byte) (string, []byte) {
+func requireOneJob(t *testing.T, s *Server, ts *httptest.Server, body func(extraResilience string) string, want []byte) (string, []byte) {
 	t.Helper()
 	const N = 6
 	executed, deduped := counter(s, "serve.jobs.executed"), counter(s, "serve.jobs.deduped")
@@ -377,8 +373,7 @@ func requireOneJob(t *testing.T, s *Server, ts *httptest.Server, body func(tw in
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// tile_workers 1, 2, 3 — all the same campaign fingerprint.
-			subs[i], errs[i] = trySubmit(ts, body(1+i%3))
+			subs[i], errs[i] = trySubmit(ts, body(watchdog(1+i%3)))
 		}(i)
 	}
 	wg.Wait()
@@ -417,7 +412,7 @@ func requireOneJob(t *testing.T, s *Server, ts *httptest.Server, body func(tw in
 	}
 
 	// Resubmitting after completion is a pure cache hit on the same job.
-	late := submitOK(t, ts, body(2))
+	late := submitOK(t, ts, body(watchdog(2)))
 	if !late.Deduped || late.JobID != subs[0].JobID {
 		t.Fatalf("post-completion resubmission not deduped: %+v", late)
 	}
@@ -633,11 +628,11 @@ func TestRetryAfterDerivedFromDepth(t *testing.T) {
 // frames).
 func TestDrainCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
-	sc := serviceOptions().Scale
-	bodyA := serviceCampaignBody(2, "")
+	sc := harness.TestOptions().Scale
+	bodyA := serviceCampaignBody("")
 	bodyB := fmt.Sprintf(
 		`{"workload":{"benchmark":"jjo","width":%d,"height":%d,"frame_div":%d,"detail_div":%d},`+
-			`"gpu":{"tile_workers":2},"resilience":{"retries":2}}`,
+			`"resilience":{"retries":2}}`,
 		sc.Width, sc.Height, sc.FrameDivisor, sc.DetailDivisor)
 
 	sA := New(Config{Workers: 1, QueueCapacity: 8, CheckpointDir: dir})
@@ -710,7 +705,7 @@ func TestJobFailure(t *testing.T) {
 	for i := range quarantine {
 		quarantine[i] = fmt.Sprint(i)
 	}
-	body := serviceCampaignBody(2, `,"quarantine":[`+strings.Join(quarantine, ",")+`]`)
+	body := serviceCampaignBody(`,"quarantine":[` + strings.Join(quarantine, ",") + `]`)
 	sub := submitOK(t, ts, body)
 	st := waitTerminal(t, ts, sub.JobID)
 	if st.State != JobFailed {

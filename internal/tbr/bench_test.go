@@ -2,13 +2,23 @@ package tbr_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/tbr"
 	"repro/internal/workload"
 )
+
+// reportWork reports the work counts of one op: with FlushCachesPerFrame
+// (the default) they are a pure function of the trace, the frames and
+// the configuration, so cmd/benchjson -check gates every such */op unit
+// for exact equality with the baseline, on any host.
+func reportWork(b *testing.B, st *tbr.FrameStats) {
+	b.ReportMetric(float64(st.Cycles), "cycles/op")
+	b.ReportMetric(float64(st.DRAM.Accesses), "dram-accesses/op")
+	b.ReportMetric(float64(st.L2.Accesses), "l2-accesses/op")
+	b.ReportMetric(float64(st.TileCache.Accesses), "tile-accesses/op")
+}
 
 // BenchmarkSimulateFrameObs measures the observability layer's overhead
 // on the cycle simulator's hot path: "off" is the nil-registry default
@@ -42,73 +52,68 @@ func BenchmarkSimulateFrameObs(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			var st tbr.FrameStats
 			for i := 0; i < b.N; i++ {
-				sim.SimulateFrame(frame)
+				st = sim.SimulateFrame(frame)
 			}
+			reportWork(b, &st)
 		})
 	}
 }
 
-// BenchmarkTileParallelRaster demonstrates the tile-parallel raster
-// stage on the large (highend) preset with a raster-heavy frame:
-// "serial" is the legacy warm-cache model (TileWorkers = 0), the
-// tile-workers=N entries run the sharded model. The acceptance bar is
-// >= 1.5x speedup of tile-workers=4 over tile-workers=1 (every
-// TileWorkers >= 1 setting computes byte-identical results, so the
-// ratio is pure wall-clock). On a single-CPU host the multi-worker
-// entries collapse to tile-workers=1 time: the per-tile work is
-// lock-free and evenly claimable, so scaling is bounded only by
-// GOMAXPROCS.
-func BenchmarkTileParallelRaster(b *testing.B) {
+// BenchmarkSimulateFrameHighend simulates one raster-heavy frame (hcr
+// at 1024x512) on the highend preset, the largest machine the presets
+// describe. Construction stays outside the timed region, and allocs/op
+// and the frame's work counts are reported: both are part of the
+// bench-check regression gate.
+func BenchmarkSimulateFrameHighend(b *testing.B) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"],
 		workload.Scale{Width: 1024, Height: 512, FrameDivisor: 8, DetailDivisor: 1})
 	frame := tr.NumFrames() / 2
-	for _, tw := range []int{0, 1, 2, 4} {
-		name := fmt.Sprintf("tile-workers=%d", tw)
-		if tw == 0 {
-			name = "serial"
-		}
-		b.Run(name, func(b *testing.B) {
-			// Simulator construction (cache arenas, shard contexts) stays
-			// outside the timed region, and allocs/op is reported: the
-			// arena-reused hot path's allocation budget is part of the
-			// bench-check regression gate.
-			cfg, err := tbr.Preset("highend")
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg.TileWorkers = tw
-			sim, err := tbr.New(cfg, tr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.SimulateFrame(frame)
-			}
-		})
+	cfg, err := tbr.Preset("highend")
+	if err != nil {
+		b.Fatal(err)
 	}
+	sim, err := tbr.New(cfg, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st tbr.FrameStats
+	for i := 0; i < b.N; i++ {
+		st = sim.SimulateFrame(frame)
+	}
+	reportWork(b, &st)
 }
 
 // BenchmarkSimulateFramesObs measures the worker-local-registry
-// merge pattern end to end at full parallelism.
+// merge pattern end to end at full parallelism. Its work counts are
+// summed over the trace's frames.
 func BenchmarkSimulateFramesObs(b *testing.B) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
+			var stats []tbr.FrameStats
 			for i := 0; i < b.N; i++ {
 				cfg := tbr.DefaultConfig()
 				if mode == "on" {
 					cfg.Obs = obs.New()
 				}
-				if _, err := tbr.SimulateFrames(context.Background(), cfg, tr, nil, 0); err != nil {
+				var err error
+				if stats, err = tbr.SimulateFrames(context.Background(), cfg, tr, nil, 0); err != nil {
 					b.Fatal(err)
 				}
 				if cfg.Obs != nil {
 					cfg.Obs.Snapshot()
 				}
 			}
+			b.StopTimer()
+			var total tbr.FrameStats
+			for i := range stats {
+				total.Add(&stats[i])
+			}
+			reportWork(b, &total)
 		})
 	}
 }

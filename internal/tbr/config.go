@@ -72,21 +72,6 @@ type Config struct {
 	// image problem of sampled simulation.
 	FlushCachesPerFrame bool
 
-	// TileWorkers selects the raster-stage execution mode. 0 (the
-	// default) keeps the classic serial model: tiles are processed one
-	// after another on the simulator's own raster caches, which stay
-	// warm across tiles. Any value >= 1 switches to the sharded model:
-	// the frame's tile list is partitioned across TileWorkers workers,
-	// each owning a private mem.Shard (tile cache, texture caches, L2,
-	// DRAM) that cold-starts before every tile, so each tile's timing
-	// and counters are a pure function of its own primitive list. The
-	// per-tile results compose serially at frame end, which makes every
-	// TileWorkers >= 1 setting produce byte-identical FrameStats and
-	// obs snapshots — only wall-clock time changes with the worker
-	// count. Tile-parallelism composes with the frame-parallel driver,
-	// SimulateFrames (each frame worker runs its own tile pool).
-	TileWorkers int
-
 	// Obs, when non-nil and enabled, receives metrics and per-stage
 	// timeline spans from the simulator (package obs). SimulateFrames
 	// gives each worker a local registry and merges them into this one
@@ -164,9 +149,6 @@ func (c Config) Validate() error {
 	}
 	if c.EarlyZInFlight <= 0 {
 		return fmt.Errorf("tbr: EarlyZInFlight must be positive")
-	}
-	if c.TileWorkers < 0 {
-		return fmt.Errorf("tbr: TileWorkers %d must be >= 0 (0 = serial raster stage)", c.TileWorkers)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err

@@ -111,82 +111,6 @@ func TestGoldenDeterminismFrameSubset(t *testing.T) {
 	}
 }
 
-// TestGoldenDeterminismTileParallel is the golden determinism test for
-// the sharded raster stage: every TileWorkers >= 1 setting must produce
-// byte-identical per-frame statistics AND identical obs snapshots —
-// each tile is a pure function of its primitive list, and the frame-end
-// folds are order-independent sums — and tile-parallelism must compose
-// with the frame-parallel driver. Covered for both shading models and
-// for a worker count exceeding the tile count.
-func TestGoldenDeterminismTileParallel(t *testing.T) {
-	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
-
-	for _, deferred := range []bool{false, true} {
-		name := "immediate"
-		if deferred {
-			name = "deferred"
-		}
-		t.Run(name, func(t *testing.T) {
-			run := func(tileWorkers, frameWorkers int) ([]tbr.FrameStats, *obs.Snapshot) {
-				t.Helper()
-				cfg := tbr.DefaultConfig()
-				cfg.DeferredShading = deferred
-				cfg.TileWorkers = tileWorkers
-				cfg.Obs = obs.New()
-				var stats []tbr.FrameStats
-				if frameWorkers == 0 {
-					sim, err := tbr.New(cfg, tr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					stats = sim.SimulateAll(nil)
-				} else {
-					var err error
-					stats, err = tbr.SimulateFrames(context.Background(), cfg, tr, nil, frameWorkers)
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				return stats, cfg.Obs.Snapshot()
-			}
-
-			goldStats, goldSnap := run(1, 0) // one tile worker, sequential frames
-
-			cases := []struct {
-				label  string
-				tw, fw int
-			}{
-				{"tile-workers=2", 2, 0},
-				{"tile-workers=4", 4, 0},
-				{"tile-workers=64", 64, 0}, // more workers than tiles
-				{"tile-workers=2/frame-workers=2", 2, 2},
-				{"tile-workers=4/frame-workers=max", 4, runtime.GOMAXPROCS(0)},
-			}
-			for _, c := range cases {
-				t.Run(c.label, func(t *testing.T) {
-					stats, snap := run(c.tw, c.fw)
-					if !reflect.DeepEqual(stats, goldStats) {
-						for i := range goldStats {
-							if stats[i] != goldStats[i] {
-								t.Fatalf("frame %d stats differ from tile-workers=1 run:\n%+v\nvs\n%+v",
-									i, stats[i], goldStats[i])
-							}
-						}
-						t.Fatal("frame stats differ from tile-workers=1 run")
-					}
-					if snap.DroppedEvents != 0 || goldSnap.DroppedEvents != 0 {
-						t.Fatalf("ring overflowed (dropped %d/%d)", snap.DroppedEvents, goldSnap.DroppedEvents)
-					}
-					if !reflect.DeepEqual(snap, goldSnap) {
-						t.Fatalf("obs snapshot differs from tile-workers=1 run:\ncounters %v\nvs\n%v",
-							snap.Counters, goldSnap.Counters)
-					}
-				})
-			}
-		})
-	}
-}
-
 // TestObsSpansCoverEveryFrame checks the tracing contract the -trace-out
 // flag relies on: one frame/geometry/raster span per simulated frame.
 func TestObsSpansCoverEveryFrame(t *testing.T) {

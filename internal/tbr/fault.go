@@ -10,8 +10,8 @@ import (
 // validation subsystem (internal/check). Each fault class perturbs one
 // aspect of the simulated microarchitecture; all rolls derive from
 // (Seed, frame, tile, class), so an injected fault pattern is a pure
-// function of the workload position — identical for every TileWorkers
-// and frame-worker count, and identical whether a frame is simulated
+// function of the workload position — identical for every
+// frame-worker count, and identical whether a frame is simulated
 // standalone (as a MEGsim representative) or mid-sequence. The zero
 // value injects nothing and costs one Enabled() branch per tile.
 //

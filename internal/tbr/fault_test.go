@@ -95,8 +95,8 @@ func TestFaultRollDeterministicAndSeedSensitive(t *testing.T) {
 
 // TestFaultInjectionWorkerInvariant is the determinism contract of the
 // fault layer: injection is keyed by (seed, frame, tile, class), never
-// by execution order, so identical faults land regardless of how tiles
-// and frames are spread over workers.
+// by execution order, so identical faults land regardless of how
+// frames are spread over workers.
 func TestFaultInjectionWorkerInvariant(t *testing.T) {
 	tr := faultTestTrace(t)
 	base := DefaultConfig()
@@ -111,14 +111,10 @@ func TestFaultInjectionWorkerInvariant(t *testing.T) {
 	}
 
 	var ref []FrameStats
-	for _, mode := range []struct {
-		tileWorkers, frameWorkers int
-	}{{1, 1}, {2, 1}, {4, 2}, {1, 3}} {
-		cfg := base
-		cfg.TileWorkers = mode.tileWorkers
-		got, err := SimulateFrames(context.Background(), cfg, tr, nil, mode.frameWorkers)
+	for _, frameWorkers := range []int{1, 2, 3, 4} {
+		got, err := SimulateFrames(context.Background(), base, tr, nil, frameWorkers)
 		if err != nil {
-			t.Fatalf("tw=%d fw=%d: %v", mode.tileWorkers, mode.frameWorkers, err)
+			t.Fatalf("fw=%d: %v", frameWorkers, err)
 		}
 		if ref == nil {
 			ref = got
@@ -126,8 +122,8 @@ func TestFaultInjectionWorkerInvariant(t *testing.T) {
 		}
 		for f := range got {
 			if got[f] != ref[f] {
-				t.Errorf("tw=%d fw=%d: frame %d stats differ under identical faults",
-					mode.tileWorkers, mode.frameWorkers, f)
+				t.Errorf("fw=%d: frame %d stats differ under identical faults",
+					frameWorkers, f)
 			}
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // updateBatchedGoldens regenerates testdata/golden_batched.json from the
 // current simulator. It must only ever be run on a revision whose output
 // is known-good: the committed digests are the contract that hot-path
-// refactors (SoA fragment state, arena-reused shards, batched probes)
+// refactors (SoA fragment state, arena-reused caches, batched probes)
 // change *how* the numbers are computed, never the numbers themselves.
 var updateBatchedGoldens = flag.Bool("update-batched-goldens", false,
 	"regenerate testdata/golden_batched.json from the current simulator output")
@@ -30,11 +30,10 @@ const batchedGoldenPath = "testdata/golden_batched.json"
 // digests of everything downstream consumers observe: the per-frame
 // statistics, the obs snapshot (counters, histograms, canonical
 // timeline), and the checkpoint bytes a resilient run would persist.
-func batchedGoldenRun(t *testing.T, profile string, tileWorkers int, deferred bool) (stats, snap, checkpoint string) {
+func batchedGoldenRun(t *testing.T, profile string, deferred bool) (stats, snap, checkpoint string) {
 	t.Helper()
 	tr := workload.MustGenerate(workload.Profiles[profile], workload.TestScale)
 	cfg := tbr.DefaultConfig()
-	cfg.TileWorkers = tileWorkers
 	cfg.DeferredShading = deferred
 	cfg.Obs = obs.New()
 	sim, err := tbr.New(cfg, tr)
@@ -57,8 +56,6 @@ func batchedGoldenRun(t *testing.T, profile string, tileWorkers int, deferred bo
 	// supervisor would persist them mid-run. The envelope is canonical
 	// (frames sorted, checksummed body), so the digest pins the on-disk
 	// format as well as the values.
-	// The fingerprint deliberately excludes the worker count: checkpoint
-	// bytes, like every other output, must not depend on it.
 	cp := &resilience.Checkpoint{Fingerprint: fmt.Sprintf("golden-%s-def%v", profile, deferred)}
 	for i := range frames {
 		cp.Frames = append(cp.Frames, resilience.FrameRecord{Frame: frames[i].Frame, Attempts: 1, Stats: frames[i]})
@@ -76,8 +73,7 @@ func batchedGoldenRun(t *testing.T, profile string, tileWorkers int, deferred bo
 // statistics, obs snapshots and checkpoint bytes — to digests captured
 // before the batched/arena hot-path refactor. Any change to what the
 // simulator computes (as opposed to how fast it computes it) fails here
-// first, across the serial raster stage and tile-workers 1/2/4/64 in
-// both shading models.
+// first, in both shading models.
 func TestGoldenBatchedPath(t *testing.T) {
 	type entry struct {
 		Stats      string `json:"stats"`
@@ -88,26 +84,8 @@ func TestGoldenBatchedPath(t *testing.T) {
 
 	for _, profile := range []string{"hcr", "pvz"} {
 		for _, deferred := range []bool{false, true} {
-			for _, tw := range []int{0, 1, 2, 4, 64} {
-				name := fmt.Sprintf("%s/tile-workers=%d/deferred=%v", profile, tw, deferred)
-				st, sn, cp := batchedGoldenRun(t, profile, tw, deferred)
-				got[name] = entry{Stats: st, Obs: sn, Checkpoint: cp}
-			}
-		}
-	}
-
-	// Every tile-parallel worker count must agree before any comparison
-	// with the committed file: the sharded raster stage's contract is
-	// that worker count is invisible in the output.
-	for _, profile := range []string{"hcr", "pvz"} {
-		for _, deferred := range []bool{false, true} {
-			ref := got[fmt.Sprintf("%s/tile-workers=1/deferred=%v", profile, deferred)]
-			for _, tw := range []int{2, 4, 64} {
-				name := fmt.Sprintf("%s/tile-workers=%d/deferred=%v", profile, tw, deferred)
-				if got[name] != ref {
-					t.Fatalf("%s diverges from tile-workers=1: %+v vs %+v", name, got[name], ref)
-				}
-			}
+			st, sn, cp := batchedGoldenRun(t, profile, deferred)
+			got[fmt.Sprintf("%s/deferred=%v", profile, deferred)] = entry{Stats: st, Obs: sn, Checkpoint: cp}
 		}
 	}
 

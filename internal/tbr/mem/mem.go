@@ -66,15 +66,6 @@ type CacheStats struct {
 	Writebacks uint64
 }
 
-// Add accumulates o into s. Keep this in sync with the field list — the
-// reflection test in mem_test.go asserts every exported field is summed.
-func (s *CacheStats) Add(o CacheStats) {
-	s.Accesses += o.Accesses
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Writebacks += o.Writebacks
-}
-
 // HitRate returns hits/accesses, or 0 with no accesses.
 func (s CacheStats) HitRate() float64 {
 	if s.Accesses == 0 {
@@ -95,9 +86,8 @@ type cacheLine struct {
 	// (bit 0). A line is live only when meta>>1 matches the cache's
 	// epoch; the cache epoch starts at 1 so zero-value lines are dead.
 	// Bumping the cache epoch invalidates every line in O(1) — the
-	// operation ColdStart performs once per isolated unit of work
-	// (frame or tile), where a full array wipe would dominate the
-	// simulation.
+	// operation ColdStart performs once per frame simulated in
+	// isolation, where a full array wipe would dominate the simulation.
 	meta uint64
 }
 
@@ -106,7 +96,7 @@ type cacheLine struct {
 // The line array is one flat arena (set-major, way-minor) allocated at
 // construction and never reallocated: ColdStart, Reset, Flush and
 // WritebackAll all operate in place (epoch bumps and bitset scans), so
-// a cache reused across thousands of isolated tiles performs zero
+// a cache reused across thousands of isolated frames performs zero
 // allocations after NewCache.
 type Cache struct {
 	cfg       CacheConfig
@@ -132,8 +122,8 @@ type Cache struct {
 	// they pass it.
 	dirty []uint64
 	// dirtySum is a second-level bitset (one bit per dirty word), so a
-	// drain over a mostly-clean cache — every per-tile flush of the
-	// sharded raster stage — skips zero words without loading them.
+	// drain over a mostly-clean cache — the per-tile flush of the tile
+	// and texture caches — skips zero words without loading them.
 	dirtySum []uint64
 	Stats    CacheStats
 }
@@ -280,15 +270,11 @@ func (c *Cache) Reset() {
 	c.stamp = 0
 }
 
-// ResetStats zeroes counters but keeps cache contents.
-func (c *Cache) ResetStats() { c.Stats = CacheStats{} }
-
 // ColdStart invalidates every line without writebacks and rewinds the
 // LRU clock while keeping the cumulative statistics — the state of a
-// cache at the start of an isolated unit of work (a frame simulated in
-// isolation, or one tile of the sharded raster stage). O(1): the epoch
-// bump invalidates lazily and nothing is reallocated, so a shard can be
-// reused for every tile of a campaign without a single allocation.
+// cache at the start of a frame simulated in isolation. O(1): the epoch
+// bump invalidates lazily and nothing is reallocated, so a cache can be
+// reused for every frame of a campaign without a single allocation.
 func (c *Cache) ColdStart() {
 	c.epoch++
 	c.stamp = 0
@@ -505,17 +491,6 @@ type DRAM struct {
 	Stats     DRAMStats
 }
 
-// Add accumulates o into s. Keep in sync with the field list — the
-// reflection test in mem_test.go asserts every exported field is summed.
-func (s *DRAMStats) Add(o DRAMStats) {
-	s.Accesses += o.Accesses
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.RowHits += o.RowHits
-	s.RowMisses += o.RowMisses
-	s.BusyCycles += o.BusyCycles
-}
-
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
 func log2u(v int) uint {
@@ -561,9 +536,6 @@ func (d *DRAM) Reset() {
 	}
 	d.Stats = DRAMStats{}
 }
-
-// ResetStats zeroes counters but keeps row-buffer state.
-func (d *DRAM) ResetStats() { d.Stats = DRAMStats{} }
 
 // ResetTime rewinds the bus-availability clocks and closes all rows but
 // keeps statistics. Used at frame boundaries, where unit clocks restart

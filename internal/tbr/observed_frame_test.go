@@ -18,14 +18,12 @@ const observedFramePath = "testdata/observed_frame.json"
 // queueNames are the four pipeline queues the simulator instruments.
 var queueNames = []string{"vertex", "triangle", "fragment", "color"}
 
-// observeFrame simulates the middle hcr frame at TestScale with the
-// given tile-worker count into a fresh registry and returns the
-// registry's snapshot.
-func observeFrame(t *testing.T, tileWorkers int) *obs.Snapshot {
+// observeFrame simulates the middle hcr frame at TestScale into a fresh
+// registry and returns the registry's snapshot.
+func observeFrame(t *testing.T) *obs.Snapshot {
 	t.Helper()
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
 	cfg := tbr.DefaultConfig()
-	cfg.TileWorkers = tileWorkers
 	cfg.Obs = obs.New()
 	sim, err := tbr.New(cfg, tr)
 	if err != nil {
@@ -64,7 +62,7 @@ func checkOccupancySampled(t *testing.T, s *obs.Snapshot, queues []string) {
 // it records. Regenerate with `go test ./internal/tbr -run
 // TestObservedFrameGolden -update` and review the diff.
 func TestObservedFrameGolden(t *testing.T) {
-	snap := observeFrame(t, 0)
+	snap := observeFrame(t)
 	checkOccupancySampled(t, snap, queueNames)
 	got := snapshotJSON(t, snap)
 	if *updateObservedFrame {
@@ -79,23 +77,5 @@ func TestObservedFrameGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("observed-frame snapshot differs from %s (regenerate with -update if intended):\n%s", observedFramePath, got)
-	}
-}
-
-// TestTileParallelOccupancy checks that the tile-parallel raster stage
-// records the fragment and colour queue occupancy of its per-worker
-// queues, one sample per admitted item, and that the observed frame is
-// byte-identical at every tile-worker count.
-func TestTileParallelOccupancy(t *testing.T) {
-	var ref []byte
-	for _, tw := range []int{1, 2, 4} {
-		snap := observeFrame(t, tw)
-		checkOccupancySampled(t, snap, queueNames)
-		got := snapshotJSON(t, snap)
-		if ref == nil {
-			ref = got
-		} else if !bytes.Equal(got, ref) {
-			t.Errorf("tile-workers=%d: snapshot differs from tile-workers=1:\n%s\nvs\n%s", tw, got, ref)
-		}
 	}
 }

@@ -27,8 +27,8 @@ func setTestWorkerHook(h func(item int)) {
 }
 
 // claimPool is the shared claim primitive (pool.Claim) used by
-// SimulateFrames and the tile-parallel raster stage, with the test
-// worker hook spliced in before every claimed item.
+// SimulateFrames, with the test worker hook spliced in before every
+// claimed item.
 func claimPool(ctx context.Context, workers, n int, setup func(w int) (fn func(i int), err error)) (failed []bool, firstErr error) {
 	return pool.Claim(ctx, workers, n, func(w int) (func(i int), error) {
 		fn, err := setup(w)

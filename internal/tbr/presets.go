@@ -9,8 +9,8 @@ import (
 // studies. "mali450" is the paper's Table I machine (DefaultConfig);
 // the others bracket it: a low-end part with half the processors and
 // caches, and a high-end part with twice the processors, a larger L2
-// and a faster clock. "tiled" is the Table I machine with the sharded
-// tile-parallel raster stage at 4 workers (TileWorkers).
+// and a faster clock. "tbdr" is the Table I machine with deferred
+// shading.
 func Presets() map[string]Config {
 	mali := DefaultConfig()
 
@@ -38,15 +38,11 @@ func Presets() map[string]Config {
 	tbdr := DefaultConfig()
 	tbdr.DeferredShading = true
 
-	tiled := DefaultConfig()
-	tiled.TileWorkers = 4
-
 	return map[string]Config{
 		"mali450": mali,
 		"lowend":  low,
 		"highend": high,
 		"tbdr":    tbdr,
-		"tiled":   tiled,
 	}
 }
 

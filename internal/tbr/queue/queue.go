@@ -29,16 +29,6 @@ type Stats struct {
 	StallCycles uint64
 }
 
-// Add accumulates o into s. Every exported field must be summed here:
-// the tile-parallel raster fold merges per-worker queue counters through
-// this method, so a field omitted from Add would silently vanish from
-// frame statistics (a reflection test enforces the invariant).
-func (s *Stats) Add(o Stats) {
-	s.Admitted += o.Admitted
-	s.Stalls += o.Stalls
-	s.StallCycles += o.StallCycles
-}
-
 // Queue is a bounded FIFO of in-flight pipeline items.
 type Queue struct {
 	name    string

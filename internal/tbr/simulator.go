@@ -71,17 +71,9 @@ type Simulator struct {
 	triBuf      []raster.ScreenTriangle
 	drawScratch raster.DrawScratch
 
-	// serial is the raster execution context of the classic
-	// one-tile-at-a-time mode (TileWorkers == 0), wired to the
-	// simulator's own caches and queues.
+	// serial is the raster execution context, wired to the simulator's
+	// own caches and queues.
 	serial rasterCtx
-
-	// Tile-parallel raster stage (TileWorkers >= 1): per-worker shard
-	// contexts plus the per-tile result slices the deterministic
-	// frame-end fold consumes (see tiled.go).
-	tileWorkers []*tileWorker
-	tileDurs    []uint64
-	tileFPEnds  []uint64
 
 	// Observability (package obs), rebound by SetObs.
 	simObs
@@ -187,15 +179,12 @@ func (l *taggedQuads) appendFrom(b *raster.QuadBatch, i int, tri int32) {
 }
 
 // rasterCtx is the execution context of the Raster Pipeline: the units
-// and buffers one raster-stage executor owns exclusively. The serial
-// mode builds a single context over the simulator's own caches and
-// queues; the tile-parallel mode builds one per worker over a private
-// mem.Shard, so concurrent tiles never share mutable timing state. The
-// frame state read through sim (bins, tris, shader costs, trace) is
-// written only by the geometry pass, which completes before any tile
-// runs; the depth buffer is shared but tiles write disjoint pixels
-// (quads are 2x2-aligned, TileSize is validated even, and samples are
-// clipped to the tile AABB).
+// and buffers the raster stage owns, built once over the simulator's own
+// caches and queues. The frame state read through sim (bins, tris,
+// shader costs, trace) is written only by the geometry pass, which
+// completes before any tile runs; tiles write disjoint pixels of the
+// depth buffer (quads are 2x2-aligned, TileSize is validated even, and
+// samples are clipped to the tile AABB).
 type rasterCtx struct {
 	sim       *Simulator
 	tilecache *mem.Cache
@@ -338,9 +327,6 @@ func New(cfg Config, trace *gltrace.Trace) (*Simulator, error) {
 		colorQ:    s.colorQ,
 		fpFree:    make([]uint64, cfg.NumFragmentProcessors),
 	}
-	if cfg.TileWorkers > 0 {
-		s.initTileWorkers()
-	}
 
 	s.SetObs(cfg.Obs)
 	return s, nil
@@ -360,12 +346,6 @@ func (s *Simulator) SetObs(r *obs.Registry) {
 	s.cfg.Obs = r
 	s.simObs = simObs{}
 	queues := []*queue.Queue{s.vertexQ, s.triangleQ, s.fragmentQ, s.colorQ}
-	// The tile workers' queues tally into the same histograms; their
-	// tallies are recorded at the tile-parallel fold.
-	for _, tw := range s.tileWorkers {
-		tw.ctx.fragmentQ.Instrument(r)
-		tw.ctx.colorQ.Instrument(r)
-	}
 	if !r.Enabled() {
 		for _, q := range queues {
 			q.Instrument(nil)
@@ -733,13 +713,9 @@ func (s *Simulator) geometryPass(st *FrameStats) uint64 {
 }
 
 // rasterPass simulates the Raster Pipeline and returns the completion
-// cycle. With TileWorkers == 0 tiles are processed one at a time on the
-// simulator's own units; otherwise the sharded tile-parallel driver in
-// tiled.go takes over.
+// cycle. Tiles are processed one at a time on the simulator's own units,
+// whose caches stay warm across tiles.
 func (s *Simulator) rasterPass(st *FrameStats, start uint64) uint64 {
-	if s.cfg.TileWorkers > 0 {
-		return s.rasterPassTiled(st, start)
-	}
 	s.depth.Clear()
 	c := &s.serial
 	c.fpEnd = 0

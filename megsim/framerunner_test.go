@@ -69,8 +69,8 @@ func (c failOn) CheckFrame(st *tbr.FrameStats) error {
 }
 
 // reuseConfigs are the GPU configurations FrameRunner's reuse must be
-// invisible under: both raster models, the tile-parallel stage, an
-// armed invariant checker and fault injection.
+// invisible under: both shading models, an armed invariant checker and
+// fault injection.
 func reuseConfigs(t *testing.T) map[string]GPUConfig {
 	t.Helper()
 	preset := func(name string) GPUConfig {
@@ -80,8 +80,6 @@ func reuseConfigs(t *testing.T) map[string]GPUConfig {
 		}
 		return g
 	}
-	tiled := preset("mali450")
-	tiled.TileWorkers = 3
 	checked := preset("mali450")
 	checked.Check = check.NewInvariants(checked).Strict()
 	faulty := preset("mali450")
@@ -92,7 +90,6 @@ func reuseConfigs(t *testing.T) map[string]GPUConfig {
 	return map[string]GPUConfig{
 		"mali450": preset("mali450"),
 		"tbdr":    preset("tbdr"),
-		"tiled":   tiled,
 		"checked": checked,
 		"faults":  faulty,
 	}

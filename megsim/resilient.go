@@ -70,17 +70,12 @@ func (r *ResilientRun) Degraded() bool { return r.Degradation.Degraded() }
 // RunFingerprint identifies a (workload, GPU configuration) pair for
 // checkpoint compatibility: resuming is only allowed when the trace and
 // every result-affecting GPU setting match. Knobs that never affect
-// per-frame results — observability, invariant checkers, and the
-// tile-worker count (any TileWorkers >= 1 is byte-identical) — are
-// excluded, so a run checkpointed on 4 tile workers resumes cleanly on
-// 1.
+// per-frame results — observability and invariant checkers — are
+// excluded.
 func RunFingerprint(tr *Trace, gpu GPUConfig) string {
 	g := gpu
 	g.Obs = nil
 	g.Check = nil
-	if g.TileWorkers > 1 {
-		g.TileWorkers = 1
-	}
 	b, err := json.Marshal(struct {
 		Trace  string     `json:"trace"`
 		Frames int        `json:"frames"`

@@ -121,31 +121,6 @@ func TestSampleStreamingKillResume(t *testing.T) {
 	}
 }
 
-// TestSampleStreamingTileWorkersInvariant: the streaming estimate is
-// identical at tile-workers 1 and 4 — the sharded raster stage cannot
-// leak nondeterminism into the streaming flow. Runs under -race in the
-// dedicated stream CI job.
-func TestSampleStreamingTileWorkersInvariant(t *testing.T) {
-	tr := megsim.MustGenerateBenchmark("hcr", testScale())
-
-	runs := make([]*megsim.StreamingRun, 0, 2)
-	for _, tw := range []int{1, 4} {
-		gpu := megsim.DefaultGPUConfig()
-		gpu.TileWorkers = tw
-		srun, err := megsim.SampleStreaming(context.Background(), tr, megsim.StreamingOptions{}, gpu)
-		if err != nil {
-			t.Fatalf("tile-workers %d: %v", tw, err)
-		}
-		runs = append(runs, srun)
-	}
-	if runs[0].Estimate != runs[1].Estimate {
-		t.Fatalf("estimate depends on tile-workers:\n tw=1 %+v\n tw=4 %+v", runs[0].Estimate, runs[1].Estimate)
-	}
-	if !reflect.DeepEqual(runs[0].Selection, runs[1].Selection) {
-		t.Fatal("selection depends on tile-workers")
-	}
-}
-
 // TestSampleStreamingQuarantineDegrades: quarantining a streaming
 // representative drives the substitution ladder end to end and is
 // reported loudly.
