@@ -118,10 +118,17 @@ BENCH_ARGS_workload := -bench '^BenchmarkGenerate$$' -benchtime $(BENCHTIME)
 # simulator computes fails it, a change that only moves wall clock
 # meets the 2.5x backstop.
 #
+# cluster counter gate: BenchmarkKMeans and BenchmarkKMeansSeededWarmStart
+# report iterations/op, BenchmarkSearch explored-k/op and iterations/op,
+# and BenchmarkSelect (internal/core) explored-k/op and
+# representatives/op. Every op runs one fixed seed, so these counts are
+# exact and benchjson gates them like the tbr counters: an extra Lloyd
+# pass or k creeping up fails on any host.
+#
 # cluster, funcsim, megsim and workload take benchjson's default gates: their allocs/op
-# repeat within a few per cent (1.10x + 1 allows for that) and they
-# report no work counts, so wall clock gates on the 2.5x absolute
-# backstop alone.
+# repeat within a few per cent (1.10x + 1 allows for that); funcsim,
+# megsim and workload report no work counts, so their wall clock gates
+# on the 2.5x absolute backstop alone.
 BENCH_GATE_tbr := -max-alloc-growth 2.0
 
 bench: $(addprefix bench-,$(BENCH_LAYERS))

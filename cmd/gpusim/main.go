@@ -2,13 +2,13 @@
 // (from a file or generated on the fly) and prints the simulation
 // statistics — the expensive baseline that MEGsim accelerates.
 //
-// SIGINT/SIGTERM cancel the run at the next frame boundary; the
-// observability outputs are still flushed and, when -checkpoint is set,
-// a final checkpoint is written so the run resumes with -resume and
-// produces byte-identical statistics to an uninterrupted run. With
-// -checkpoint the frame loop runs under the resilience supervisor:
-// frames that fail are retried with capped backoff and quarantined when
-// they keep failing, and the summary reports the loss loudly.
+// The frame loop runs under the resilience supervisor: frames that fail
+// are retried with capped backoff and quarantined when they keep
+// failing, and the summary reports the loss loudly. SIGINT/SIGTERM
+// cancel the run at the next frame boundary; the observability outputs
+// are still flushed and, when -checkpoint is set, a final checkpoint is
+// written so the run resumes with -resume and produces byte-identical
+// statistics to an uninterrupted run.
 //
 // Usage:
 //
@@ -67,12 +67,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		watts        = fs.Bool("watts", false, "report estimated average power (1 energy unit = 1 pJ)")
 		metricsOut   = fs.String("metrics-out", "", "write observability metrics (counters/histograms) as JSON to this file")
 		traceOut     = fs.String("trace-out", "", "write a Chrome-trace JSON timeline (chrome://tracing, Perfetto) to this file")
-		checkpoint   = fs.String("checkpoint", "", "checkpoint progress at frame granularity to this file (enables the supervised frame loop)")
+		checkpoint   = fs.String("checkpoint", "", "checkpoint progress at frame granularity to this file")
 		resume       = fs.Bool("resume", false, "resume completed frames from -checkpoint instead of re-simulating (needs -checkpoint)")
-		retries      = fs.Int("retries", 0, "attempts per frame before quarantine under -checkpoint (0 = default)")
-		workers      = fs.Int("workers", 1, "supervised frame-loop workers under -checkpoint (frame isolation keeps results identical)")
+		retries      = fs.Int("retries", 0, "attempts per frame before quarantine (0 = default)")
+		workers      = fs.Int("workers", 1, "frame-loop workers (frame isolation keeps results identical)")
 		runTimeout   = fs.Duration("run-timeout", 0, "overall wall-clock deadline for the run (0 = none)")
-		stallTimeout = fs.Duration("stall-timeout", 0, "flag a worker stuck on one frame longer than this under -checkpoint (0 = off)")
+		stallTimeout = fs.Duration("stall-timeout", 0, "flag a worker stuck on one frame longer than this (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -83,20 +83,16 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		defer cancel()
 	}
 	// A flag that only refines another does nothing without it: refuse
-	// it instead of silently ignoring it. The supervisor's knobs need
-	// -checkpoint; the generator's divisor needs -benchmark.
-	var supervisorFlags []string
+	// it instead of silently ignoring it. -resume needs -checkpoint; the
+	// generator's divisor needs -benchmark.
 	frameDivSet := false
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "resume", "retries", "workers", "stall-timeout":
-			supervisorFlags = append(supervisorFlags, "-"+f.Name)
-		case "frame-div":
+		if f.Name == "frame-div" {
 			frameDivSet = true
 		}
 	})
-	if *checkpoint == "" && len(supervisorFlags) > 0 {
-		return fmt.Errorf("%s require -checkpoint", strings.Join(supervisorFlags, ", "))
+	if *checkpoint == "" && *resume {
+		return errors.New("-resume requires -checkpoint")
 	}
 	if *benchmark == "" && frameDivSet {
 		return errors.New("-frame-div needs -benchmark")
@@ -135,31 +131,16 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	defer flush()
 
-	var (
-		series      []megsim.FrameStats
-		quarantined []megsim.QuarantineRecord
-		resumed     int
-		start       = time.Now()
-	)
-	if *checkpoint != "" {
-		series, quarantined, resumed, err = runSupervised(ctx, tr, gpu, lo, hi, supervisedOpts{
-			checkpoint: *checkpoint, resume: *resume, retries: *retries,
-			workers: *workers, stallTimeout: *stallTimeout, log: stdout,
-		})
-		if err != nil {
-			return fmt.Errorf("%w (progress checkpointed to %s; rerun with -resume)", err, *checkpoint)
+	start := time.Now()
+	series, quarantined, resumed, err := runSupervised(ctx, tr, gpu, lo, hi, supervisedOpts{
+		checkpoint: *checkpoint, resume: *resume, retries: *retries,
+		workers: *workers, stallTimeout: *stallTimeout, log: stdout,
+	})
+	if err != nil {
+		if *checkpoint == "" {
+			return fmt.Errorf("%w (use -checkpoint to make runs resumable)", err)
 		}
-	} else {
-		sim, err := megsim.NewSimulator(gpu, tr)
-		if err != nil {
-			return err
-		}
-		for f := lo; f < hi; f++ {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("%w after %d of %d frames (use -checkpoint to make runs resumable)", err, f-lo, hi-lo)
-			}
-			series = append(series, sim.SimulateFrame(f))
-		}
+		return fmt.Errorf("%w (progress checkpointed to %s; rerun with -resume)", err, *checkpoint)
 	}
 	elapsed := time.Since(start)
 
@@ -244,10 +225,11 @@ type supervisedOpts struct {
 }
 
 // runSupervised runs the frame loop under the resilience supervisor:
-// retry + quarantine per frame, frame-granularity checkpointing, resume,
-// watchdog. Frame isolation makes each frame a pure function of its
-// index, so the returned per-frame series is byte-identical to the
-// serial loop whatever the worker count, retry history or resume point.
+// retry + quarantine per frame, frame-granularity checkpointing (none
+// when o.checkpoint is empty), resume, watchdog. Frame isolation makes
+// each frame a pure function of its index, so the returned per-frame
+// series is byte-identical to a serial loop whatever the worker count,
+// retry history or resume point.
 func runSupervised(ctx context.Context, tr *megsim.Trace, gpu megsim.GPUConfig, lo, hi int, o supervisedOpts) (series []megsim.FrameStats, quarantined []megsim.QuarantineRecord, resumed int, err error) {
 	frames := make([]int, 0, hi-lo)
 	for f := lo; f < hi; f++ {
@@ -269,7 +251,7 @@ func runSupervised(ctx context.Context, tr *megsim.Trace, gpu megsim.GPUConfig, 
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	// Ascending frame order, exactly like the serial loop; quarantined
+	// Ascending frame order, exactly like a serial loop; quarantined
 	// frames are absent from Stats and reported separately.
 	for _, f := range frames {
 		if st, ok := res.Stats[f]; ok {

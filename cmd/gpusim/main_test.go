@@ -257,8 +257,8 @@ func TestRunCorruptCheckpointFallsBack(t *testing.T) {
 }
 
 // TestRunTimeoutIsResumable: a deadline that fires before the first
-// frame completes must fail with a resume hint, and the serial loop
-// (no -checkpoint) must point at -checkpoint instead.
+// frame completes must fail with a resume hint, and a run without
+// -checkpoint must point at -checkpoint instead.
 func TestRunTimeoutIsResumable(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	err := run(context.Background(), []string{
@@ -273,25 +273,50 @@ func TestRunTimeoutIsResumable(t *testing.T) {
 		"-benchmark", "hcr", "-frame-div", "100", "-run-timeout", "1ns",
 	}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
-		t.Fatalf("serial timeout error has no checkpoint hint: %v", err)
+		t.Fatalf("timeout error without -checkpoint has no checkpoint hint: %v", err)
 	}
 }
 
 func TestSupervisedFlagsRequireCheckpoint(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-resume"}, "-resume"},
-		{[]string{"-retries", "5"}, "-retries"},
-		{[]string{"-workers", "4"}, "-workers"},
-		{[]string{"-stall-timeout", "1s"}, "-stall-timeout"},
-		{[]string{"-workers", "4", "-stall-timeout", "1s"}, "-stall-timeout, -workers require -checkpoint"},
-	} {
-		args := append([]string{"-benchmark", "hcr", "-frame-div", "200"}, tc.args...)
-		err := run(context.Background(), args, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%v without -checkpoint: error %v, want mention of %q", tc.args, err, tc.want)
+	args := []string{"-benchmark", "hcr", "-frame-div", "200", "-resume"}
+	err := run(context.Background(), args, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-resume requires -checkpoint") {
+		t.Errorf("-resume without -checkpoint: error %v, want mention of -checkpoint", err)
+	}
+}
+
+// TestSupervisorFlagsWithoutCheckpoint: the frame loop is always
+// supervised, so -workers and -retries work without -checkpoint and
+// give the same per-frame CSV and summary as the default run.
+func TestSupervisorFlagsWithoutCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-benchmark", "hcr", "-frame-div", "100", "-frames", "0:4"}
+	outputs := func(name string, extra ...string) (string, string) {
+		csv := filepath.Join(dir, name+".csv")
+		var out strings.Builder
+		args := append(append(append([]string{}, base...), "-csv", csv), extra...)
+		if err := run(context.Background(), args, &out); err != nil {
+			t.Fatalf("%v: %v\n%s", extra, err, out.String())
 		}
+		data, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data), statLines(out.String())
+	}
+	refCSV, refStats := outputs("ref")
+	csv, stats := outputs("supervised", "-workers", "2", "-retries", "1")
+	if csv != refCSV {
+		t.Fatalf("per-frame CSV differs:\n%s\nvs\n%s", csv, refCSV)
+	}
+	if stats != refStats {
+		t.Fatalf("summaries differ:\n%s\nvs\n%s", stats, refStats)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("run without -checkpoint left %d files, want the two CSVs", len(entries))
 	}
 }

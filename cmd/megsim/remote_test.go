@@ -115,7 +115,7 @@ func TestServerModeRefusesOversizedResult(t *testing.T) {
 		switch r.URL.Path {
 		case "/api/v1/campaigns":
 			w.WriteHeader(http.StatusAccepted)
-			json.NewEncoder(w).Encode(serve.SubmitResponse{JobID: "job-1", State: serve.JobQueued})
+			json.NewEncoder(w).Encode(serve.SubmitResponse{JobID: "job-1", State: serve.JobState("queued")})
 		case "/api/v1/jobs/job-1":
 			json.NewEncoder(w).Encode(serve.JobStatus{ID: "job-1", State: serve.JobSucceeded})
 		case "/api/v1/jobs/job-1/result":

@@ -26,62 +26,62 @@ import (
 	"time"
 )
 
-// Class is one fault family. Each class draws an independent
+// faultClass is one fault family. Each class draws an independent
 // deterministic roll stream, so enabling one fault never shifts
 // another's pattern (the same property tbr.FaultConfig keeps per tile).
-type Class int
+type faultClass int
 
 const (
-	// ClassDrop drops the request before it is sent: the worker never
+	// classDrop drops the request before it is sent: the worker never
 	// sees it and the client gets a transport error — a lost packet.
-	ClassDrop Class = iota
-	// ClassDelay holds the request for Config.Delay before sending —
+	classDrop faultClass = iota
+	// classDelay holds the request for Config.Delay before sending —
 	// ordinary network jitter, short next to any client timeout.
-	ClassDelay
-	// ClassDuplicate delivers the request twice and returns the second
+	classDelay
+	// classDuplicate delivers the request twice and returns the second
 	// response — a retransmitted POST reaching an at-least-once worker.
-	ClassDuplicate
-	// ClassTruncate cuts the response body short — a connection torn
+	classDuplicate
+	// classTruncate cuts the response body short — a connection torn
 	// down mid-transfer.
-	ClassTruncate
-	// ClassCorrupt flips one bit of the response body — wire or memory
+	classTruncate
+	// classCorrupt flips one bit of the response body — wire or memory
 	// corruption that checksums exist to catch.
-	ClassCorrupt
-	// ClassStall holds the request for Config.StallDelay — a straggler
+	classCorrupt
+	// classStall holds the request for Config.StallDelay — a straggler
 	// worker that answers late but inside the client timeout.
-	ClassStall
-	// ClassPartition makes a worker unreachable for a whole window of
+	classStall
+	// classPartition makes a worker unreachable for a whole window of
 	// consecutive requests — a partial network partition: some peers
 	// cut off while the rest of the fleet stays healthy.
-	ClassPartition
+	classPartition
 
 	numClasses
 )
 
 // String names the class the way the event log spells it.
-func (c Class) String() string {
+func (c faultClass) String() string {
 	switch c {
-	case ClassDrop:
+	case classDrop:
 		return "drop"
-	case ClassDelay:
+	case classDelay:
 		return "delay"
-	case ClassDuplicate:
+	case classDuplicate:
 		return "duplicate"
-	case ClassTruncate:
+	case classTruncate:
 		return "truncate"
-	case ClassCorrupt:
+	case classCorrupt:
 		return "corrupt"
-	case ClassStall:
+	case classStall:
 		return "stall"
-	case ClassPartition:
+	case classPartition:
 		return "partition"
 	}
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// DefaultPartitionWindow is how many consecutive requests to one host
+// defaultPartitionWindow is how many consecutive requests to one host
 // a single partition roll covers when Config leaves it zero.
-const DefaultPartitionWindow = 4
+const defaultPartitionWindow = 4
 
 // Config configures the chaos transport. The zero value injects
 // nothing. Rates are per-request probabilities in [0, 1]; all rolls
@@ -123,8 +123,8 @@ type Config struct {
 	PartitionWindow int
 }
 
-// Enabled reports whether any fault class can fire.
-func (c *Config) Enabled() bool {
+// enabled reports whether any fault class can fire.
+func (c *Config) enabled() bool {
 	return c.DropRate > 0 ||
 		(c.DelayRate > 0 && c.Delay > 0) ||
 		c.DuplicateRate > 0 ||
@@ -134,8 +134,8 @@ func (c *Config) Enabled() bool {
 		c.PartitionRate > 0
 }
 
-// Validate reports configuration errors.
-func (c *Config) Validate() error {
+// validate reports configuration errors.
+func (c *Config) validate() error {
 	for _, r := range []struct {
 		name string
 		v    float64
@@ -160,7 +160,7 @@ func (c *Config) Validate() error {
 
 func (c *Config) partitionWindow() int {
 	if c.PartitionWindow <= 0 {
-		return DefaultPartitionWindow
+		return defaultPartitionWindow
 	}
 	return c.PartitionWindow
 }
@@ -185,13 +185,13 @@ func StagingProfile(seed uint64) Config {
 	}
 }
 
-// Roll returns the deterministic fault roll in [0, 1) for (seed, key,
+// roll returns the deterministic fault roll in [0, 1) for (seed, key,
 // attempt, class): FNV-1a over the key mixed with the attempt and class
 // through a splitmix64 finalizer — the same construction as
 // tbr.FaultConfig.roll, with the string key hashed first. Pure
 // function; exported so tests (and operators replaying an incident) can
 // predict a chaos run without an HTTP stack.
-func Roll(seed uint64, key string, attempt int, class Class) float64 {
+func roll(seed uint64, key string, attempt int, class faultClass) float64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	x := seed ^ h.Sum64() ^
@@ -205,8 +205,8 @@ func Roll(seed uint64, key string, attempt int, class Class) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// Decision is the full set of faults one request attempt draws.
-type Decision struct {
+// decision is the full set of faults one request attempt draws.
+type decision struct {
 	// Key is the request's chaos identity (see Key).
 	Key string
 	// Attempt is the 1-based occurrence count of Key.
@@ -222,30 +222,30 @@ type Decision struct {
 }
 
 // Faults lists the drawn fault classes in class order.
-func (d *Decision) Faults() []Class {
-	var out []Class
+func (d *decision) Faults() []faultClass {
+	var out []faultClass
 	for class, on := range []bool{d.Drop, d.Delay, d.Duplicate, d.Truncate, d.Corrupt, d.Stall, d.Partitioned} {
 		if on {
-			out = append(out, []Class{ClassDrop, ClassDelay, ClassDuplicate, ClassTruncate, ClassCorrupt, ClassStall, ClassPartition}[class])
+			out = append(out, []faultClass{classDrop, classDelay, classDuplicate, classTruncate, classCorrupt, classStall, classPartition}[class])
 		}
 	}
 	return out
 }
 
-// Decide draws every fault class for one attempt of one request — a
+// decide draws every fault class for one attempt of one request — a
 // pure function of the config, the request key, the per-key attempt
 // number, and (for partitions) the host's request sequence number.
-func (c *Config) Decide(key, host string, attempt, hostSeq int) Decision {
-	d := Decision{Key: key, Attempt: attempt}
+func (c *Config) decide(key, host string, attempt, hostSeq int) decision {
+	d := decision{Key: key, Attempt: attempt}
 	if c.PartitionRate > 0 {
 		window := hostSeq / c.partitionWindow()
-		d.Partitioned = Roll(c.Seed, "host|"+host, window, ClassPartition) < c.PartitionRate
+		d.Partitioned = roll(c.Seed, "host|"+host, window, classPartition) < c.PartitionRate
 	}
-	d.Drop = c.DropRate > 0 && Roll(c.Seed, key, attempt, ClassDrop) < c.DropRate
-	d.Delay = c.DelayRate > 0 && c.Delay > 0 && Roll(c.Seed, key, attempt, ClassDelay) < c.DelayRate
-	d.Duplicate = c.DuplicateRate > 0 && Roll(c.Seed, key, attempt, ClassDuplicate) < c.DuplicateRate
-	d.Truncate = c.TruncateRate > 0 && Roll(c.Seed, key, attempt, ClassTruncate) < c.TruncateRate
-	d.Corrupt = c.CorruptRate > 0 && Roll(c.Seed, key, attempt, ClassCorrupt) < c.CorruptRate
-	d.Stall = c.StallRate > 0 && c.StallDelay > 0 && Roll(c.Seed, key, attempt, ClassStall) < c.StallRate
+	d.Drop = c.DropRate > 0 && roll(c.Seed, key, attempt, classDrop) < c.DropRate
+	d.Delay = c.DelayRate > 0 && c.Delay > 0 && roll(c.Seed, key, attempt, classDelay) < c.DelayRate
+	d.Duplicate = c.DuplicateRate > 0 && roll(c.Seed, key, attempt, classDuplicate) < c.DuplicateRate
+	d.Truncate = c.TruncateRate > 0 && roll(c.Seed, key, attempt, classTruncate) < c.TruncateRate
+	d.Corrupt = c.CorruptRate > 0 && roll(c.Seed, key, attempt, classCorrupt) < c.CorruptRate
+	d.Stall = c.StallRate > 0 && c.StallDelay > 0 && roll(c.Seed, key, attempt, classStall) < c.StallRate
 	return d
 }

@@ -52,7 +52,7 @@ func get(t *testing.T, tr *Transport, url string) (string, error) {
 
 func TestValidate(t *testing.T) {
 	good := Config{Seed: 1, DropRate: 0.5, PartitionWindow: 3}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	for name, cfg := range map[string]Config{
@@ -61,7 +61,7 @@ func TestValidate(t *testing.T) {
 		"negative window":  {PartitionWindow: -1},
 		"stall rate range": {StallRate: 2},
 	} {
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -88,15 +88,15 @@ func TestEnabled(t *testing.T) {
 		{Config{PartitionRate: 0.1}, true},
 	}
 	for i, c := range cases {
-		if got := c.cfg.Enabled(); got != c.want {
+		if got := c.cfg.enabled(); got != c.want {
 			t.Errorf("case %d: Enabled() = %v, want %v", i, got, c.want)
 		}
 	}
 	sp := StagingProfile(42)
-	if !sp.Enabled() {
+	if !sp.enabled() {
 		t.Fatal("StagingProfile not enabled")
 	}
-	if err := sp.Validate(); err != nil {
+	if err := sp.validate(); err != nil {
 		t.Fatalf("StagingProfile invalid: %v", err)
 	}
 	if sp.Seed != 42 {
@@ -105,46 +105,46 @@ func TestEnabled(t *testing.T) {
 }
 
 func TestRollDeterministicAndDistinct(t *testing.T) {
-	r1 := Roll(7, "w1|fp#3", 1, ClassDrop)
-	if r2 := Roll(7, "w1|fp#3", 1, ClassDrop); r1 != r2 {
+	r1 := roll(7, "w1|fp#3", 1, classDrop)
+	if r2 := roll(7, "w1|fp#3", 1, classDrop); r1 != r2 {
 		t.Fatalf("Roll not deterministic: %v vs %v", r1, r2)
 	}
 	if r1 < 0 || r1 >= 1 {
 		t.Fatalf("Roll out of [0,1): %v", r1)
 	}
 	// Different coordinates draw independent values.
-	if Roll(7, "w1|fp#3", 1, ClassDrop) == Roll(7, "w1|fp#3", 2, ClassDrop) {
+	if roll(7, "w1|fp#3", 1, classDrop) == roll(7, "w1|fp#3", 2, classDrop) {
 		t.Fatal("attempt did not change the roll")
 	}
-	if Roll(7, "w1|fp#3", 1, ClassDrop) == Roll(7, "w1|fp#3", 1, ClassDelay) {
+	if roll(7, "w1|fp#3", 1, classDrop) == roll(7, "w1|fp#3", 1, classDelay) {
 		t.Fatal("class did not change the roll")
 	}
-	if Roll(7, "w1|fp#3", 1, ClassDrop) == Roll(8, "w1|fp#3", 1, ClassDrop) {
+	if roll(7, "w1|fp#3", 1, classDrop) == roll(8, "w1|fp#3", 1, classDrop) {
 		t.Fatal("seed did not change the roll")
 	}
-	if Roll(7, "w1|fp#3", 1, ClassDrop) == Roll(7, "w2|fp#3", 1, ClassDrop) {
+	if roll(7, "w1|fp#3", 1, classDrop) == roll(7, "w2|fp#3", 1, classDrop) {
 		t.Fatal("key did not change the roll")
 	}
 }
 
 func TestClassString(t *testing.T) {
-	want := map[Class]string{
-		ClassDrop:      "drop",
-		ClassDelay:     "delay",
-		ClassDuplicate: "duplicate",
-		ClassTruncate:  "truncate",
-		ClassCorrupt:   "corrupt",
-		ClassStall:     "stall",
-		ClassPartition: "partition",
-		Class(99):      "class(99)",
+	want := map[faultClass]string{
+		classDrop:      "drop",
+		classDelay:     "delay",
+		classDuplicate: "duplicate",
+		classTruncate:  "truncate",
+		classCorrupt:   "corrupt",
+		classStall:     "stall",
+		classPartition: "partition",
+		faultClass(99): "class(99)",
 	}
 	for c, name := range want {
 		if got := c.String(); got != name {
 			t.Errorf("Class(%d).String() = %q, want %q", int(c), got, name)
 		}
 	}
-	d := Decision{Drop: true, Stall: true}
-	if got := d.Faults(); !reflect.DeepEqual(got, []Class{ClassDrop, ClassStall}) {
+	d := decision{Drop: true, Stall: true}
+	if got := d.Faults(); !reflect.DeepEqual(got, []faultClass{classDrop, classStall}) {
 		t.Fatalf("Faults = %v", got)
 	}
 }
@@ -152,24 +152,24 @@ func TestClassString(t *testing.T) {
 func TestKeyDerivation(t *testing.T) {
 	body := []byte(`{"fingerprint":"abc123","frame":7,"workload":{}}`)
 	req := httptest.NewRequest(http.MethodPost, "http://w1:8351/frame", bytes.NewReader(body))
-	if got, want := Key(req, body), "w1:8351|abc123#7"; got != want {
+	if got, want := key(req, body), "w1:8351|abc123#7"; got != want {
 		t.Fatalf("frame key = %q, want %q", got, want)
 	}
 	// Frame 0 is a real frame, not a missing field.
 	body0 := []byte(`{"fingerprint":"abc123","frame":0}`)
 	req0 := httptest.NewRequest(http.MethodPost, "http://w1:8351/frame", bytes.NewReader(body0))
-	if got, want := Key(req0, body0), "w1:8351|abc123#0"; got != want {
+	if got, want := key(req0, body0), "w1:8351|abc123#0"; got != want {
 		t.Fatalf("frame-0 key = %q, want %q", got, want)
 	}
 	// Non-frame requests key on method+path.
 	hb := httptest.NewRequest(http.MethodGet, "http://w1:8351/healthz", nil)
-	if got, want := Key(hb, nil), "w1:8351|GET /healthz"; got != want {
+	if got, want := key(hb, nil), "w1:8351|GET /healthz"; got != want {
 		t.Fatalf("probe key = %q, want %q", got, want)
 	}
 	// A POST with a non-unit body falls back to method+path.
 	junk := []byte(`{"other":true}`)
 	jr := httptest.NewRequest(http.MethodPost, "http://w1:8351/frame", bytes.NewReader(junk))
-	if got, want := Key(jr, junk), "w1:8351|POST /frame"; got != want {
+	if got, want := key(jr, junk), "w1:8351|POST /frame"; got != want {
 		t.Fatalf("junk-body key = %q, want %q", got, want)
 	}
 }
@@ -202,10 +202,10 @@ func TestDeterministicEventLog(t *testing.T) {
 		}
 	}
 
-	run := func() []Event {
+	run := func() []event {
 		tr := mustTransport(t, cfg)
 		plan(tr)
-		return tr.Events()
+		return tr.eventLog()
 	}
 	first, second := run(), run()
 	if len(first) == 0 {
@@ -218,7 +218,7 @@ func TestDeterministicEventLog(t *testing.T) {
 	cfg.Seed++
 	tr := mustTransport(t, cfg)
 	plan(tr)
-	if reflect.DeepEqual(first, tr.Events()) {
+	if reflect.DeepEqual(first, tr.eventLog()) {
 		t.Fatal("different seed produced identical fault log")
 	}
 }
@@ -245,7 +245,7 @@ func TestPartitionCoversWindow(t *testing.T) {
 	if *hits != 0 {
 		t.Fatalf("partitioned requests reached the server (%d hits)", *hits)
 	}
-	ev := tr.Events()
+	ev := tr.eventLog()
 	if len(ev) != 3 {
 		t.Fatalf("expected 3 partition events, got %d", len(ev))
 	}
@@ -356,7 +356,7 @@ func TestZeroConfigPassesThrough(t *testing.T) {
 	if *hits != 5 {
 		t.Fatalf("server saw %d hits, want 5", *hits)
 	}
-	if ev := tr.Events(); len(ev) != 0 {
+	if ev := tr.eventLog(); len(ev) != 0 {
 		t.Fatalf("zero config logged events: %+v", ev)
 	}
 }
@@ -375,7 +375,7 @@ func TestAttemptAxisAdvances(t *testing.T) {
 		// derive the runtime key the transport will use
 		u := srv.URL[len("http://"):]
 		key = u + "|fp#0"
-		if Roll(seed, key, 1, ClassDrop) < 0.5 && Roll(seed, key, 2, ClassDrop) >= 0.5 {
+		if roll(seed, key, 1, classDrop) < 0.5 && roll(seed, key, 2, classDrop) >= 0.5 {
 			break
 		}
 	}
@@ -396,7 +396,7 @@ func TestAttemptAxisAdvances(t *testing.T) {
 	if err := post(); err != nil {
 		t.Fatalf("attempt 2 should have succeeded: %v", err)
 	}
-	ev := tr.Events()
+	ev := tr.eventLog()
 	if len(ev) != 1 || ev[0].Attempt != 1 || ev[0].Key != key {
 		t.Fatalf("unexpected event log: %+v", ev)
 	}

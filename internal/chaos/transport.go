@@ -15,14 +15,14 @@ import (
 // this by the protocol's own limit.
 const maxKeyBody = 1 << 20
 
-// Event is one request's fault draw as it actually happened — the
+// event is one request's fault draw as it actually happened — the
 // replayable chaos log. Two runs of the same plan under the same seed
 // produce the same Events (in per-key order; cross-key interleaving
 // follows scheduling, which is why keys carry the identity).
-type Event struct {
+type event struct {
 	Key     string
 	Attempt int
-	Faults  []Class
+	Faults  []faultClass
 }
 
 // Transport is a deterministic fault-injecting http.RoundTripper. It
@@ -38,13 +38,13 @@ type Transport struct {
 	mu       sync.Mutex
 	attempts map[string]int // per-key occurrence count (1-based attempts)
 	hostSeq  map[string]int // per-host request sequence, drives partition windows
-	events   []Event
+	events   []event
 }
 
 // NewTransport wraps next (nil = http.DefaultTransport) with
 // deterministic fault injection under cfg.
 func NewTransport(cfg Config, next http.RoundTripper) (*Transport, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if next == nil {
@@ -58,23 +58,23 @@ func NewTransport(cfg Config, next http.RoundTripper) (*Transport, error) {
 	}, nil
 }
 
-// Events returns a copy of the fault log so far: every request that
+// eventLog returns a copy of the fault log so far: every request that
 // drew at least one fault, in arrival order.
-func (t *Transport) Events() []Event {
+func (t *Transport) eventLog() []event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, len(t.events))
+	out := make([]event, len(t.events))
 	copy(out, t.events)
 	return out
 }
 
-// Key derives a request's chaos identity. Frame dispatches — POSTs
+// key derives a request's chaos identity. Frame dispatches — POSTs
 // whose JSON body carries the fabric work-unit's fingerprint and frame
 // — key on host|fingerprint#frame, so a frame keeps its fault fate
 // across coordinator retries to the same worker while failover to
 // another host draws a fresh stream. Anything else (heartbeat probes,
 // health checks) keys on host|method path.
-func Key(req *http.Request, body []byte) string {
+func key(req *http.Request, body []byte) string {
 	host := req.URL.Host
 	if req.Method == http.MethodPost && len(body) > 0 {
 		var unit struct {
@@ -101,7 +101,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		req = req.Clone(req.Context())
 		req.Body = io.NopCloser(bytes.NewReader(body))
 	}
-	key := Key(req, body)
+	key := key(req, body)
 	host := req.URL.Host
 
 	t.mu.Lock()
@@ -109,9 +109,9 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	attempt := t.attempts[key]
 	seq := t.hostSeq[host]
 	t.hostSeq[host]++
-	d := t.cfg.Decide(key, host, attempt, seq)
+	d := t.cfg.decide(key, host, attempt, seq)
 	if faults := d.Faults(); len(faults) > 0 {
-		t.events = append(t.events, Event{Key: key, Attempt: attempt, Faults: faults})
+		t.events = append(t.events, event{Key: key, Attempt: attempt, Faults: faults})
 	}
 	t.mu.Unlock()
 
@@ -160,11 +160,11 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		// Cut strictly inside the body at a deterministic point so the
 		// result is a genuinely partial delivery, never a clean empty
 		// or complete read.
-		cut := 1 + int(Roll(t.cfg.Seed, key, attempt, ClassTruncate)*float64(len(raw)-1))
+		cut := 1 + int(roll(t.cfg.Seed, key, attempt, classTruncate)*float64(len(raw)-1))
 		raw = raw[:cut]
 	}
 	if d.Corrupt && len(raw) > 0 {
-		bit := int(Roll(t.cfg.Seed, key, attempt+int(numClasses), ClassCorrupt) * float64(len(raw)*8))
+		bit := int(roll(t.cfg.Seed, key, attempt+int(numClasses), classCorrupt) * float64(len(raw)*8))
 		if bit >= len(raw)*8 {
 			bit = len(raw)*8 - 1
 		}

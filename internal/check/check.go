@@ -88,14 +88,6 @@ func (iv *Invariants) Strict() *Invariants {
 	return iv
 }
 
-// WithEnergyModel replaces the energy model the checker evaluates the
-// energy invariants under (the default is power.DefaultEnergyModel).
-// Returns the receiver for chaining.
-func (iv *Invariants) WithEnergyModel(m power.EnergyModel) *Invariants {
-	iv.energy = m
-	return iv
-}
-
 // Violations returns a copy of the recorded violations.
 func (iv *Invariants) Violations() []Violation {
 	iv.mu.Lock()
@@ -103,13 +95,6 @@ func (iv *Invariants) Violations() []Violation {
 	out := make([]Violation, len(iv.violations))
 	copy(out, iv.violations)
 	return out
-}
-
-// Frames returns how many frames the checker has seen.
-func (iv *Invariants) Frames() int {
-	iv.mu.Lock()
-	defer iv.mu.Unlock()
-	return iv.frames
 }
 
 // CheckFrame implements tbr.FrameChecker: it verifies every per-frame

@@ -40,8 +40,8 @@ func TestInvariantsCleanFrame(t *testing.T) {
 	if v := iv.Violations(); len(v) != 0 {
 		t.Fatalf("valid stats produced violations: %v", v)
 	}
-	if iv.Frames() != 1 {
-		t.Fatalf("Frames() = %d, want 1", iv.Frames())
+	if iv.frames != 1 {
+		t.Fatalf("Frames() = %d, want 1", iv.frames)
 	}
 }
 
@@ -102,7 +102,8 @@ func TestInvariantEnergyRules(t *testing.T) {
 	// monotonicity check must fire.
 	m := power.DefaultEnergyModel()
 	m.FSInstr = -1e9
-	iv := NewInvariants(tbr.DefaultConfig()).WithEnergyModel(m)
+	iv := NewInvariants(tbr.DefaultConfig())
+	iv.energy = m
 	st := validStats()
 	st.FSInstrs = 1000
 	if err := iv.CheckFrame(&st); err != nil {
@@ -168,8 +169,8 @@ func TestCheckerWiredIntoSimulator(t *testing.T) {
 			if len(stats) != tr.NumFrames() {
 				t.Fatalf("deferred=%v fw=%d: simulated %d frames, want %d", deferred, fw, len(stats), tr.NumFrames())
 			}
-			if iv.Frames() != tr.NumFrames() {
-				t.Errorf("deferred=%v fw=%d: checker saw %d frames, want %d", deferred, fw, iv.Frames(), tr.NumFrames())
+			if iv.frames != tr.NumFrames() {
+				t.Errorf("deferred=%v fw=%d: checker saw %d frames, want %d", deferred, fw, iv.frames, tr.NumFrames())
 			}
 			if v := iv.Violations(); len(v) != 0 {
 				t.Errorf("deferred=%v fw=%d: clean simulation violated invariants: %v", deferred, fw, v)

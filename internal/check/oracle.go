@@ -152,20 +152,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// MaxRelErr returns the largest relative error across all seeds for
-// the named metric row (0 if the metric is absent).
-func (r *Report) MaxRelErr(name string) float64 {
-	max := 0.0
-	for _, s := range r.Seeds {
-		for _, m := range s.Metrics {
-			if m.Name == name && m.RelErr > max {
-				max = m.RelErr
-			}
-		}
-	}
-	return max
-}
-
 func (c *OracleConfig) withDefaults() OracleConfig {
 	out := *c
 	if reflect.DeepEqual(out.GPU, tbr.Config{}) {

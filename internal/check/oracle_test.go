@@ -241,12 +241,6 @@ func TestReportHelpers(t *testing.T) {
 		{Metrics: []MetricError{{Name: "cycles", RelErr: 0.02}}},
 		{Metrics: []MetricError{{Name: "cycles", RelErr: 0.05}}},
 	}}
-	if got := rep.MaxRelErr("cycles"); got != 0.05 {
-		t.Errorf("MaxRelErr = %v, want 0.05", got)
-	}
-	if got := rep.MaxRelErr("missing"); got != 0 {
-		t.Errorf("MaxRelErr(missing) = %v, want 0", got)
-	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)

@@ -10,7 +10,7 @@ import (
 	"repro/internal/xmath/stats"
 )
 
-// BIC computes the Bayesian Information Criterion score of a clustering
+// bic computes the Bayesian Information Criterion score of a clustering
 // using the x-means formulation the paper cites ([28], [29]), Eq. (5)-(6):
 //
 //	BIC(φ) = l̂(D) − (p/2)·log R
@@ -28,7 +28,7 @@ import (
 // parameters, so it must neither inflate the penalty term nor push the
 // variance denominator R-K to zero. That keeps the score defined for
 // singleton-cluster results such as K = R with one empty cluster.
-func BIC(data [][]float64, res Result) float64 {
+func bic(data [][]float64, res Result) float64 {
 	r := float64(len(data))
 	if len(data) == 0 || res.K <= 0 {
 		return math.Inf(-1)
@@ -255,7 +255,7 @@ func Explore(data [][]float64, cfg SearchConfig, rng *stats.RNG) (*Exploration, 
 		prev = best
 		step := explored{score: math.Inf(-1)}
 		if best != nil {
-			step = explored{centroids: best.Centroids, iterations: best.Iterations, score: BIC(data, best.Result)}
+			step = explored{centroids: best.Centroids, iterations: best.Iterations, score: bic(data, best.Result)}
 		}
 		ex.steps = append(ex.steps, step)
 		score := step.score

@@ -200,7 +200,7 @@ func TestBICPrefersTrueK(t *testing.T) {
 	var scores []float64
 	for k := 1; k <= 8; k++ {
 		res := KMeans(data, k, stats.NewRNG(7), 0)
-		scores = append(scores, BIC(data, res))
+		scores = append(scores, bic(data, res))
 	}
 	best := 0
 	for i, s := range scores {
@@ -216,16 +216,16 @@ func TestBICPrefersTrueK(t *testing.T) {
 func TestBICDegenerateCases(t *testing.T) {
 	data := [][]float64{{1, 1}, {2, 2}, {3, 3}}
 	res := KMeans(data, 3, stats.NewRNG(1), 0)
-	if !math.IsInf(BIC(data, res), -1) {
+	if !math.IsInf(bic(data, res), -1) {
 		t.Fatal("K == n must score -Inf")
 	}
-	if !math.IsInf(BIC(nil, Result{K: 1}), -1) {
+	if !math.IsInf(bic(nil, Result{K: 1}), -1) {
 		t.Fatal("empty data must score -Inf")
 	}
 	// Identical points: perfect fit at k=1.
 	same := [][]float64{{5, 5}, {5, 5}, {5, 5}, {5, 5}}
 	res1 := KMeans(same, 1, stats.NewRNG(1), 0)
-	if !math.IsInf(BIC(same, res1), 1) {
+	if !math.IsInf(bic(same, res1), 1) {
 		t.Fatal("zero-variance fit should score +Inf")
 	}
 }

@@ -57,7 +57,7 @@ func TestKMeansMultipleEmptyClustersGetDistinctReseeds(t *testing.T) {
 	}
 	// Convergence, not churn: the repair must not re-trigger `changed`
 	// every iteration once centroids stop moving.
-	if res.Iterations >= DefaultMaxIterations {
+	if res.Iterations >= defaultMaxIterations {
 		t.Fatalf("repair churned for all %d iterations", res.Iterations)
 	}
 }
@@ -81,7 +81,7 @@ func TestKMeansMoreClustersThanDistinctPoints(t *testing.T) {
 	if res.WCSS != 0 {
 		t.Fatalf("WCSS = %v, want 0 (both distinct locations coverable)", res.WCSS)
 	}
-	if res.Iterations >= DefaultMaxIterations {
+	if res.Iterations >= defaultMaxIterations {
 		t.Fatalf("unfillable clusters churned for all %d iterations", res.Iterations)
 	}
 	nonEmpty := 0
@@ -107,14 +107,14 @@ func TestBICDefinedWithEmptyClusters(t *testing.T) {
 		WCSS:      0.125,
 		Centroids: [][]float64{{0.25, 0}, {10, 10}, {0, 0}},
 	}
-	score := BIC(data, res)
+	score := bic(data, res)
 	if math.IsNaN(score) || math.IsInf(score, 0) {
 		t.Fatalf("score = %v, want finite for a singleton fit with an empty cluster", score)
 	}
 	// The effective-K score must match an explicit K=2 result over the
 	// same partition: the empty cluster carries no parameters.
 	two := Result{K: 2, Sizes: []int{2, 1}, WCSS: 0.125}
-	if got := BIC(data, two); got != score {
+	if got := bic(data, two); got != score {
 		t.Fatalf("empty cluster changed the score: %v vs %v", score, got)
 	}
 }
@@ -124,13 +124,13 @@ func TestBICDefinedWithEmptyClusters(t *testing.T) {
 // stays +Inf, and all-singleton clusterings stay -Inf.
 func TestBICGuardsNaNAndZeroVariance(t *testing.T) {
 	data := [][]float64{{1}, {2}, {3}, {4}}
-	if s := BIC(data, Result{K: 2, Sizes: []int{2, 2}, WCSS: math.NaN()}); !math.IsInf(s, -1) {
+	if s := bic(data, Result{K: 2, Sizes: []int{2, 2}, WCSS: math.NaN()}); !math.IsInf(s, -1) {
 		t.Fatalf("NaN WCSS scored %v, want -Inf", s)
 	}
-	if s := BIC(data, Result{K: 2, Sizes: []int{2, 2}, WCSS: 0}); !math.IsInf(s, 1) {
+	if s := bic(data, Result{K: 2, Sizes: []int{2, 2}, WCSS: 0}); !math.IsInf(s, 1) {
 		t.Fatalf("zero-variance fit scored %v, want +Inf", s)
 	}
-	if s := BIC(data, Result{K: 4, Sizes: []int{1, 1, 1, 1}, WCSS: 0.5}); !math.IsInf(s, -1) {
+	if s := bic(data, Result{K: 4, Sizes: []int{1, 1, 1, 1}, WCSS: 0.5}); !math.IsInf(s, -1) {
 		t.Fatalf("all-singleton fit scored %v, want -Inf", s)
 	}
 }

@@ -31,12 +31,12 @@ type Result struct {
 	Iterations int
 }
 
-// DefaultMaxIterations bounds Lloyd's algorithm.
-const DefaultMaxIterations = 100
+// defaultMaxIterations bounds Lloyd's algorithm.
+const defaultMaxIterations = 100
 
 // KMeans clusters data into k groups using k-means++ seeding and Lloyd
 // iterations, deterministically in rng. maxIter <= 0 selects
-// DefaultMaxIterations. It panics if k < 1, data is empty, k > len(data),
+// defaultMaxIterations. It panics if k < 1, data is empty, k > len(data),
 // or rows are ragged.
 func KMeans(data [][]float64, k int, rng *stats.RNG, maxIter int) Result {
 	return KMeansSeeded(data, k, rng, maxIter, nil)
@@ -92,7 +92,7 @@ type run struct {
 func lloyd(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds [][]float64, warm *run) run {
 	n, d := len(data), len(data[0])
 	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
+		maxIter = defaultMaxIterations
 	}
 	st := newNearest(n, d)
 	var centroids [][]float64

@@ -16,7 +16,7 @@ import (
 func refKMeansSeeded(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds [][]float64) Result {
 	n, d := len(data), len(data[0])
 	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
+		maxIter = defaultMaxIterations
 	}
 	var centroids [][]float64
 	if len(seeds) == 0 {
@@ -172,7 +172,7 @@ func refSearch(data [][]float64, cfg SearchConfig, rng *stats.RNG) SearchResult 
 			}
 		}
 		prevRes = best
-		score := BIC(data, best)
+		score := bic(data, best)
 		results = append(results, best)
 		scores = append(scores, score)
 		if math.IsInf(score, 1) {

@@ -51,7 +51,7 @@ func XMeans(data [][]float64, kMin, kMax int, rng *stats.RNG, maxIter int) (Resu
 			}
 			parent := KMeans(members, 1, rng.Split(), maxIter)
 			children := KMeans(members, 2, rng.Split(), maxIter)
-			if BIC(members, children) > BIC(members, parent) {
+			if bic(members, children) > bic(members, parent) {
 				accepted = append(accepted, split{cluster: c, centroids: children.Centroids})
 			}
 		}

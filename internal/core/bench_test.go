@@ -27,9 +27,12 @@ func BenchmarkSelect(b *testing.B) {
 	cfg := DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
+	var sel *Selection
 	for i := 0; i < b.N; i++ {
-		if _, err := Select(fs, cfg); err != nil {
+		if sel, err = Select(fs, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(sel.BICScores)), "explored-k/op")
+	b.ReportMetric(float64(len(sel.Representatives)), "representatives/op")
 }

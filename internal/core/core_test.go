@@ -56,8 +56,8 @@ func TestBuildFeaturesShape(t *testing.T) {
 	if len(fs.Vectors) != 60 {
 		t.Fatalf("rows = %d", len(fs.Vectors))
 	}
-	if fs.Dims() != 4+5+1 {
-		t.Fatalf("dims = %d", fs.Dims())
+	if fs.dims() != 4+5+1 {
+		t.Fatalf("dims = %d", fs.dims())
 	}
 	if !fs.HasPrim {
 		t.Fatal("PRIM missing")
@@ -118,8 +118,8 @@ func TestBuildFeaturesNoPrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Dims() != 4 || fs.HasPrim {
-		t.Fatalf("dims = %d, HasPrim = %v", fs.Dims(), fs.HasPrim)
+	if fs.dims() != 4 || fs.HasPrim {
+		t.Fatalf("dims = %d, HasPrim = %v", fs.dims(), fs.HasPrim)
 	}
 }
 
@@ -303,7 +303,7 @@ func TestAccuracyMetrics(t *testing.T) {
 	if math.Abs(acc.Percent(MetricDRAM)-1) > 1e-9 {
 		t.Fatalf("dram error %% = %v", acc.Percent(MetricDRAM))
 	}
-	if MetricCycles.String() != "cycles" || len(Metrics()) != int(NumMetrics) {
+	if MetricCycles.String() != "cycles" || len(Metrics()) != int(numMetrics) {
 		t.Fatal("metric metadata wrong")
 	}
 }
@@ -340,7 +340,7 @@ func TestCorrelationStudyValidation(t *testing.T) {
 
 func TestRandomSubsamplePartition(t *testing.T) {
 	rng := stats.NewRNG(5)
-	segs, err := RandomSubsample(100, 7, rng)
+	segs, err := randomSubsample(100, 7, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestRandomSubsamplePartition(t *testing.T) {
 func TestRandomSubsampleValidation(t *testing.T) {
 	rng := stats.NewRNG(1)
 	for _, bad := range [][2]int{{0, 1}, {10, 0}, {5, 6}} {
-		if _, err := RandomSubsample(bad[0], bad[1], rng); err == nil {
+		if _, err := randomSubsample(bad[0], bad[1], rng); err == nil {
 			t.Fatalf("accepted n=%d k=%d", bad[0], bad[1])
 		}
 	}
@@ -372,8 +372,8 @@ func TestRandomSubsampleValidation(t *testing.T) {
 
 func TestSubsampleEstimateExactWhenFullSampling(t *testing.T) {
 	perFrame := []float64{5, 7, 9, 11}
-	segs, _ := RandomSubsample(4, 4, stats.NewRNG(1))
-	if got := SubsampleEstimate(perFrame, segs); got != 32 {
+	segs, _ := randomSubsample(4, 4, stats.NewRNG(1))
+	if got := subsampleEstimate(perFrame, segs); got != 32 {
 		t.Fatalf("full sampling estimate = %v, want 32", got)
 	}
 }
@@ -440,7 +440,7 @@ func dramStats(accesses uint64) mem.DRAMStats {
 }
 
 func TestPeriodicSamplePartition(t *testing.T) {
-	segs, err := PeriodicSample(100, 7, 3)
+	segs, err := periodicSample(100, 7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,13 +457,13 @@ func TestPeriodicSamplePartition(t *testing.T) {
 		t.Fatalf("sizes sum to %d", total)
 	}
 	// Deterministic for the same offset, different for another offset.
-	again, _ := PeriodicSample(100, 7, 3)
+	again, _ := periodicSample(100, 7, 3)
 	for i := range segs {
 		if segs[i] != again[i] {
 			t.Fatal("PeriodicSample not deterministic")
 		}
 	}
-	other, _ := PeriodicSample(100, 7, 9)
+	other, _ := periodicSample(100, 7, 9)
 	same := true
 	for i := range segs {
 		if segs[i] != other[i] {
@@ -477,7 +477,7 @@ func TestPeriodicSamplePartition(t *testing.T) {
 
 func TestPeriodicSampleValidation(t *testing.T) {
 	for _, bad := range [][2]int{{0, 1}, {10, 0}, {5, 6}} {
-		if _, err := PeriodicSample(bad[0], bad[1], 0); err == nil {
+		if _, err := periodicSample(bad[0], bad[1], 0); err == nil {
 			t.Fatalf("accepted n=%d k=%d", bad[0], bad[1])
 		}
 	}

@@ -64,8 +64,8 @@ const (
 	MetricL2
 	// MetricTileCache is the number of L1 (tile cache) accesses.
 	MetricTileCache
-	// NumMetrics is the metric count.
-	NumMetrics
+	// numMetrics is the metric count.
+	numMetrics
 )
 
 // String names the metric as the paper does.
@@ -106,7 +106,7 @@ func Metrics() []Metric {
 }
 
 // Accuracy holds per-metric relative errors (fractions, not percent).
-type Accuracy [NumMetrics]float64
+type Accuracy [numMetrics]float64
 
 // Percent returns the metric's error as a percentage.
 func (a Accuracy) Percent(m Metric) float64 { return a[m] * 100 }

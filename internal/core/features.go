@@ -26,9 +26,9 @@ type PhaseWeights struct {
 	Tiling float64
 }
 
-// PaperWeights are the measured fractions the paper reports: Geometry
+// paperWeights are the measured fractions the paper reports: Geometry
 // 10.8%, Raster 74.5%, Tiling 14.7%.
-var PaperWeights = PhaseWeights{Geometry: 0.108, Raster: 0.745, Tiling: 0.147}
+var paperWeights = PhaseWeights{Geometry: 0.108, Raster: 0.745, Tiling: 0.147}
 
 // UniformWeights weight the three groups equally (ablation baseline).
 var UniformWeights = PhaseWeights{Geometry: 1.0 / 3, Raster: 1.0 / 3, Tiling: 1.0 / 3}
@@ -49,7 +49,7 @@ type FeatureConfig struct {
 // DefaultFeatureConfig returns the paper's configuration.
 func DefaultFeatureConfig() FeatureConfig {
 	return FeatureConfig{
-		Weights:           PaperWeights,
+		Weights:           paperWeights,
 		UseTextureWeights: true,
 		IncludePrim:       true,
 	}
@@ -66,8 +66,8 @@ type FeatureSet struct {
 	HasPrim bool
 }
 
-// Dims returns the vector length D.
-func (fs *FeatureSet) Dims() int {
+// dims returns the vector length D.
+func (fs *FeatureSet) dims() int {
 	d := fs.NumVS + fs.NumFS
 	if fs.HasPrim {
 		d++
@@ -92,7 +92,7 @@ func BuildFeatures(res *funcsim.Result, cfg FeatureConfig) (*FeatureSet, error) 
 	}
 	numVS, numFS := len(res.VSStatic), len(res.FSStatic)
 	fs := &FeatureSet{NumVS: numVS, NumFS: numFS, HasPrim: cfg.IncludePrim}
-	d := fs.Dims()
+	d := fs.dims()
 
 	vsInstr := InstrWeights(res.VSStatic, cfg.UseTextureWeights)
 	fsInstr := InstrWeights(res.FSStatic, cfg.UseTextureWeights)

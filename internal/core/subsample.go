@@ -6,34 +6,34 @@ import (
 	"repro/internal/xmath/stats"
 )
 
-// Segment is one range of a random sub-sampling partition: Rep is the
+// segment is one range of a random sub-sampling partition: Rep is the
 // randomly chosen representative frame, Size the number of frames it
 // stands for.
-type Segment struct {
+type segment struct {
 	Rep  int
 	Size int
 }
 
-// RandomSubsample implements the naive baseline of Section V-C: the N
+// randomSubsample implements the naive baseline of Section V-C: the N
 // frames are split into k equal ranges and one representative is drawn
 // uniformly from each range (so each representative stands for a fixed
 // range of frames, unlike MEGsim's variable-size clusters).
-func RandomSubsample(n, k int, rng *stats.RNG) ([]Segment, error) {
+func randomSubsample(n, k int, rng *stats.RNG) ([]segment, error) {
 	if n <= 0 || k <= 0 || k > n {
 		return nil, fmt.Errorf("core: RandomSubsample(n=%d, k=%d) out of range", n, k)
 	}
-	segs := make([]Segment, k)
+	segs := make([]segment, k)
 	for i := 0; i < k; i++ {
 		lo := i * n / k
 		hi := (i + 1) * n / k
-		segs[i] = Segment{Rep: lo + rng.Intn(hi-lo), Size: hi - lo}
+		segs[i] = segment{Rep: lo + rng.Intn(hi-lo), Size: hi - lo}
 	}
 	return segs, nil
 }
 
-// SubsampleEstimate extrapolates a per-frame metric from a partition:
+// subsampleEstimate extrapolates a per-frame metric from a partition:
 // each representative's value scaled by its range size.
-func SubsampleEstimate(perFrame []float64, segs []Segment) float64 {
+func subsampleEstimate(perFrame []float64, segs []segment) float64 {
 	total := 0.0
 	for _, s := range segs {
 		total += perFrame[s.Rep] * float64(s.Size)
@@ -55,29 +55,29 @@ func SubsampleMaxError(perFrame []float64, k, trials int, confidence float64, rn
 	actual := stats.Sum(perFrame)
 	errs := make([]float64, trials)
 	for t := 0; t < trials; t++ {
-		segs, err := RandomSubsample(len(perFrame), k, rng)
+		segs, err := randomSubsample(len(perFrame), k, rng)
 		if err != nil {
 			return 0, err
 		}
-		errs[t] = stats.RelativeError(SubsampleEstimate(perFrame, segs), actual)
+		errs[t] = stats.RelativeError(subsampleEstimate(perFrame, segs), actual)
 	}
 	return stats.MaxAtConfidence(errs, confidence), nil
 }
 
-// PeriodicSample implements SMARTS-style systematic sampling (the other
+// periodicSample implements SMARTS-style systematic sampling (the other
 // established sampling family the paper's Section II-C surveys): one
 // representative every n/k frames at a fixed phase offset, each standing
 // for its surrounding range. Deterministic given the offset.
-func PeriodicSample(n, k, offset int) ([]Segment, error) {
+func periodicSample(n, k, offset int) ([]segment, error) {
 	if n <= 0 || k <= 0 || k > n {
 		return nil, fmt.Errorf("core: PeriodicSample(n=%d, k=%d) out of range", n, k)
 	}
-	segs := make([]Segment, k)
+	segs := make([]segment, k)
 	for i := 0; i < k; i++ {
 		lo := i * n / k
 		hi := (i + 1) * n / k
 		rep := lo + offset%(hi-lo)
-		segs[i] = Segment{Rep: rep, Size: hi - lo}
+		segs[i] = segment{Rep: rep, Size: hi - lo}
 	}
 	return segs, nil
 }
@@ -108,11 +108,11 @@ func PeriodicMaxError(perFrame []float64, k, trials int, confidence float64) (fl
 	errs := make([]float64, 0, trials)
 	for o := 0; o < trials; o++ {
 		offset := o * period / trials
-		segs, err := PeriodicSample(n, k, offset)
+		segs, err := periodicSample(n, k, offset)
 		if err != nil {
 			return 0, err
 		}
-		errs = append(errs, stats.RelativeError(SubsampleEstimate(perFrame, segs), actual))
+		errs = append(errs, stats.RelativeError(subsampleEstimate(perFrame, segs), actual))
 	}
 	return stats.MaxAtConfidence(errs, confidence), nil
 }

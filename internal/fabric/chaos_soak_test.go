@@ -79,7 +79,7 @@ func TestChaosSoakByzantineKillRestart(t *testing.T) {
 	trigger := func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/fabric/v1/frames" {
-				if c := coordPtr.Load(); c != nil && len(c.Quarantined()) > 0 {
+				if c := coordPtr.Load(); c != nil && len(c.quarantinedNames()) > 0 {
 					fired := false
 					killOnce.Do(func() {
 						fired = true
@@ -164,7 +164,7 @@ func TestChaosSoakByzantineKillRestart(t *testing.T) {
 
 	// The byzantine worker — and only it — was quarantined, via the
 	// audit path.
-	if q := coord.Quarantined(); len(q) != 1 || q[0] != urls[0] {
+	if q := coord.quarantinedNames(); len(q) != 1 || q[0] != urls[0] {
 		t.Fatalf("Quarantined() = %v, want exactly the byzantine worker %s", q, urls[0])
 	}
 	snap := coord.reg.Snapshot()
@@ -248,7 +248,7 @@ func TestChaosFaultClassesPreserveReport(t *testing.T) {
 			if want := clusterGolden(t); !bytes.Equal(norm, want) {
 				t.Fatalf("report under %s chaos differs from single-process run:\n--- chaos ---\n%s\n--- direct ---\n%s", tc.name, norm, want)
 			}
-			if q := coord.Quarantined(); len(q) != 0 {
+			if q := coord.quarantinedNames(); len(q) != 0 {
 				t.Fatalf("%s chaos quarantined honest workers: %v", tc.name, q)
 			}
 			snap := coord.reg.Snapshot()
@@ -300,7 +300,7 @@ func TestClusterGoldenWithAuditAndHedging(t *testing.T) {
 	if got := snap.Counters["fabric.audit.mismatch"]; got != 0 {
 		t.Fatalf("clean fleet produced %d audit mismatches", got)
 	}
-	if q := coord.Quarantined(); len(q) != 0 {
+	if q := coord.quarantinedNames(); len(q) != 0 {
 		t.Fatalf("clean fleet quarantined workers: %v", q)
 	}
 }

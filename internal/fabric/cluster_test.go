@@ -247,7 +247,7 @@ func startFleet(t *testing.T, n int) ([]*Worker, []*killSwitch, []string) {
 }
 
 func workerServed(w *Worker) uint64 {
-	return w.Registry().Snapshot().Counters["fabric.frames.served"]
+	return w.reg.Snapshot().Counters["fabric.frames.served"]
 }
 
 // TestClusterKillWorkerMidCampaign is the fabric's headline contract:

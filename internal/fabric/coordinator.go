@@ -22,19 +22,19 @@ import (
 	"repro/internal/tbr"
 )
 
-// DefaultHeartbeatInterval is the worker-probe cadence when
+// defaultHeartbeatInterval is the worker-probe cadence when
 // CoordinatorConfig leaves it zero.
-const DefaultHeartbeatInterval = 2 * time.Second
+const defaultHeartbeatInterval = 2 * time.Second
 
 // maxResultBytes bounds a worker's frame-result body.
 const maxResultBytes = 32 << 20
 
-// DefaultDigestFailureLimit is how many digest-verification failures a
+// defaultDigestFailureLimit is how many digest-verification failures a
 // worker accumulates before quarantine when the config leaves the limit
 // zero. Transient wire corruption (which the chaos transport injects on
 // purpose) costs a failover, not a worker; a worker that persistently
 // delivers corrupt bytes is hardware-suspect and gets benched.
-const DefaultDigestFailureLimit = 3
+const defaultDigestFailureLimit = 3
 
 // CoordinatorConfig configures a Coordinator.
 type CoordinatorConfig struct {
@@ -54,7 +54,7 @@ type CoordinatorConfig struct {
 	// client with a 5-minute timeout; per-frame simulation is slow).
 	Client *http.Client
 	// HeartbeatInterval is the health-probe cadence (0 =
-	// DefaultHeartbeatInterval; negative disables the loop — workers are
+	// defaultHeartbeatInterval; negative disables the loop — workers are
 	// then only marked down by failed dispatches, and recover only via
 	// an explicit Probe).
 	HeartbeatInterval time.Duration
@@ -68,7 +68,7 @@ type CoordinatorConfig struct {
 	// AuditSeed keys the audit sampler (0 is a valid seed).
 	AuditSeed uint64
 	// DigestFailureLimit quarantines a worker after this many digest
-	// verification failures (0 = DefaultDigestFailureLimit).
+	// verification failures (0 = defaultDigestFailureLimit).
 	DigestFailureLimit int
 
 	// Log, when non-nil, receives coordinator log lines; it must
@@ -200,7 +200,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.live.Set(int64(len(c.members)))
 	interval := cfg.HeartbeatInterval
 	if interval == 0 {
-		interval = DefaultHeartbeatInterval
+		interval = defaultHeartbeatInterval
 	}
 	if interval > 0 {
 		c.wg.Add(1)
@@ -225,9 +225,9 @@ func (c *Coordinator) Workers() []string {
 	return names
 }
 
-// Quarantined returns the names of quarantined workers in routing
+// quarantinedNames returns the names of quarantined workers in routing
 // order.
-func (c *Coordinator) Quarantined() []string {
+func (c *Coordinator) quarantinedNames() []string {
 	var names []string
 	for _, m := range c.members {
 		if m.quarantined.Load() {
@@ -251,7 +251,7 @@ func (c *Coordinator) FrameRunner(fp string, req *serve.CampaignRequest) megsim.
 			GPU:         req.GPU,
 			Obs:         reg.Enabled(),
 		}
-		res, err := c.Dispatch(ctx, u)
+		res, err := c.dispatch(ctx, u)
 		if err != nil {
 			return tbr.FrameStats{}, err
 		}
@@ -264,7 +264,7 @@ func (c *Coordinator) FrameRunner(fp string, req *serve.CampaignRequest) megsim.
 
 var _ serve.Dispatcher = (*Coordinator)(nil)
 
-// Dispatch routes one work unit to a worker, failing over across the
+// dispatch routes one work unit to a worker, failing over across the
 // fleet as described on Coordinator, then applies the audit sampler:
 // sampled frames are re-dispatched to a second worker and the two
 // result digests must match byte for byte. On a mismatch a third worker
@@ -272,7 +272,7 @@ var _ serve.Dispatcher = (*Coordinator)(nil)
 // result is the answer. A sampled frame is never merged unaudited: when
 // the audit can't be seated, or a dispute finds no arbiter, the frame
 // comes back as resilience.WorkerLost and requeues.
-func (c *Coordinator) Dispatch(ctx context.Context, u *WorkUnit) (*WorkResult, error) {
+func (c *Coordinator) dispatch(ctx context.Context, u *WorkUnit) (*workResult, error) {
 	res, primary, err := c.dispatchOnce(ctx, u, nil)
 	if err != nil {
 		return nil, err
@@ -356,7 +356,7 @@ func (c *Coordinator) auditSample(u *WorkUnit) bool {
 // flight at a time. exclude lists member indexes this dispatch must not
 // use (audit re-dispatches exclude the workers already consulted).
 // Returns the member index that produced the result.
-func (c *Coordinator) dispatchOnce(ctx context.Context, u *WorkUnit, exclude map[int]bool) (*WorkResult, int, error) {
+func (c *Coordinator) dispatchOnce(ctx context.Context, u *WorkUnit, exclude map[int]bool) (*workResult, int, error) {
 	tried := make(map[int]bool, len(c.members))
 	for i := range exclude {
 		tried[i] = true
@@ -412,7 +412,7 @@ var errDigest = errors.New("fabric: result digest mismatch")
 // actually decoded and compares it to the digest the worker carried. A
 // mismatch (or a missing digest) fails verification, counts against the
 // worker's digest-failure budget, and quarantines it at the limit.
-func (c *Coordinator) verifyResult(m *member, u *WorkUnit, res *WorkResult) error {
+func (c *Coordinator) verifyResult(m *member, u *WorkUnit, res *workResult) error {
 	want := res.ComputeDigest()
 	if res.Digest == want {
 		return nil
@@ -420,7 +420,7 @@ func (c *Coordinator) verifyResult(m *member, u *WorkUnit, res *WorkResult) erro
 	c.digestFailed.Inc()
 	limit := int64(c.cfg.DigestFailureLimit)
 	if limit == 0 {
-		limit = DefaultDigestFailureLimit
+		limit = defaultDigestFailureLimit
 	}
 	if fails := m.digestFails.Add(1); fails >= limit {
 		c.quarantine(m, fmt.Errorf("%d results failed digest verification", fails))
@@ -476,7 +476,7 @@ var errDraining = errors.New("fabric: worker draining")
 // unit — 4xx); a dispatch error (the worker is unreachable, dying,
 // draining, or answered a body the coordinator won't trust — eligible
 // for failover).
-func (c *Coordinator) post(ctx context.Context, m *member, u *WorkUnit) (res *WorkResult, unitErr, dispErr error) {
+func (c *Coordinator) post(ctx context.Context, m *member, u *WorkUnit) (res *workResult, unitErr, dispErr error) {
 	m.inflight.Add(1)
 	m.load.Set(m.inflight.Load())
 	defer func() {
@@ -510,7 +510,7 @@ func (c *Coordinator) post(ctx context.Context, m *member, u *WorkUnit) (res *Wo
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		out := &WorkResult{}
+		out := &workResult{}
 		if err := json.Unmarshal(raw, out); err != nil {
 			return nil, nil, fmt.Errorf("malformed result from %s: %w", m.name, err)
 		}
@@ -547,13 +547,13 @@ func (c *Coordinator) markDown(m *member, cause error) {
 	c.refreshLive()
 }
 
-// Probe health-checks every member once, synchronously: a reachable
+// probe health-checks every member once, synchronously: a reachable
 // worker comes (back) up with its draining flag refreshed, an
 // unreachable one goes down. Quarantined workers are never probed and
 // never resurrected — quarantine is a trust verdict, not a liveness
 // one. The heartbeat loop calls this on its cadence; tests and a
 // heartbeat-disabled coordinator call it directly.
-func (c *Coordinator) Probe(ctx context.Context) {
+func (c *Coordinator) probe(ctx context.Context) {
 	for _, m := range c.members {
 		if m.quarantined.Load() {
 			continue
@@ -575,7 +575,7 @@ func (c *Coordinator) Probe(ctx context.Context) {
 	c.refreshLive()
 }
 
-func (c *Coordinator) probeOne(ctx context.Context, m *member) (*HealthStatus, error) {
+func (c *Coordinator) probeOne(ctx context.Context, m *member) (*healthStatus, error) {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.name+"/fabric/v1/healthz", nil)
@@ -590,7 +590,7 @@ func (c *Coordinator) probeOne(ctx context.Context, m *member) (*HealthStatus, e
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("healthz answered %d", resp.StatusCode)
 	}
-	h := &HealthStatus{}
+	h := &healthStatus{}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(h); err != nil {
 		return nil, fmt.Errorf("malformed healthz: %w", err)
 	}
@@ -616,7 +616,7 @@ func (c *Coordinator) heartbeatLoop(interval time.Duration) {
 		case <-c.ctx.Done():
 			return
 		case <-t.C:
-			c.Probe(c.ctx)
+			c.probe(c.ctx)
 		}
 	}
 }

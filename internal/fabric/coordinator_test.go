@@ -113,13 +113,13 @@ func TestDispatchServerErrorBuriesWorker(t *testing.T) {
 	defer coord.Close()
 
 	u, _ := validWorkUnit(t, 0)
-	if _, err := coord.Dispatch(context.Background(), u); !resilience.IsWorkerLost(err) {
+	if _, err := coord.dispatch(context.Background(), u); !resilience.IsWorkerLost(err) {
 		t.Fatalf("all-500 fleet error not classified as worker loss: %v", err)
 	}
 	if s := log.String(); !strings.Contains(s, "marked down") || !strings.Contains(s, "boom") {
 		t.Fatalf("markDown log missing the cause:\n%s", s)
 	}
-	coord.Probe(context.Background())
+	coord.probe(context.Background())
 	if live := coord.reg.Snapshot().Gauges["fabric.workers.live"]; live != 0 {
 		t.Fatalf("fabric.workers.live = %d after probing a broken healthz, want 0", live)
 	}
@@ -138,7 +138,7 @@ func TestDispatchAllWorkersDown(t *testing.T) {
 	defer coord.Close()
 
 	u, _ := validWorkUnit(t, 0)
-	_, err = coord.Dispatch(context.Background(), u)
+	_, err = coord.dispatch(context.Background(), u)
 	if err == nil {
 		t.Fatal("dispatch to a dead fleet succeeded")
 	}
@@ -147,7 +147,7 @@ func TestDispatchAllWorkersDown(t *testing.T) {
 	}
 	// The member is now buried; a second dispatch reports loss without
 	// touching the network.
-	if _, err := coord.Dispatch(context.Background(), u); !resilience.IsWorkerLost(err) {
+	if _, err := coord.dispatch(context.Background(), u); !resilience.IsWorkerLost(err) {
 		t.Fatalf("second dispatch: %v", err)
 	}
 	if got := coord.reg.Snapshot().Counters["fabric.dispatch.lost"]; got < 2 {
@@ -169,7 +169,7 @@ func TestDispatchDeterministicRefusalDoesNotFailover(t *testing.T) {
 
 	u, _ := validWorkUnit(t, 0)
 	u.Fingerprint = "megsim-deadbeefdeadbeefdeadbeef" // worker answers 409
-	_, err = coord.Dispatch(context.Background(), u)
+	_, err = coord.dispatch(context.Background(), u)
 	if err == nil {
 		t.Fatal("skewed unit dispatched successfully")
 	}
@@ -202,7 +202,7 @@ func TestProbeRecoversDownedWorker(t *testing.T) {
 
 	u, _ := validWorkUnit(t, 0)
 	switches[0].killed.Store(true) // transport down
-	if _, err := coord.Dispatch(context.Background(), u); !resilience.IsWorkerLost(err) {
+	if _, err := coord.dispatch(context.Background(), u); !resilience.IsWorkerLost(err) {
 		t.Fatalf("dispatch to killed worker: %v", err)
 	}
 	if live := coord.reg.Snapshot().Gauges["fabric.workers.live"]; live != 0 {
@@ -210,11 +210,11 @@ func TestProbeRecoversDownedWorker(t *testing.T) {
 	}
 
 	switches[0].killed.Store(false) // the worker process came back
-	coord.Probe(context.Background())
+	coord.probe(context.Background())
 	if live := coord.reg.Snapshot().Gauges["fabric.workers.live"]; live != 1 {
 		t.Fatalf("fabric.workers.live = %d after recovery probe, want 1", live)
 	}
-	res, err := coord.Dispatch(context.Background(), u)
+	res, err := coord.dispatch(context.Background(), u)
 	if err != nil {
 		t.Fatalf("dispatch after recovery: %v", err)
 	}
@@ -237,11 +237,11 @@ func TestProbeSeesDraining(t *testing.T) {
 	defer coord.Close()
 
 	workers[0].Drain()
-	coord.Probe(context.Background())
+	coord.probe(context.Background())
 
 	u, _ := validWorkUnit(t, 0)
 	for i := 0; i < 4; i++ {
-		if _, err := coord.Dispatch(context.Background(), u); err != nil {
+		if _, err := coord.dispatch(context.Background(), u); err != nil {
 			t.Fatalf("dispatch %d: %v", i, err)
 		}
 	}

@@ -9,7 +9,7 @@
 // The protocol is one request per frame: the coordinator POSTs a
 // WorkUnit (campaign fingerprint, frame index, and the workload/GPU
 // specs the worker needs to rebuild the trace) and the worker answers a
-// WorkResult (the frame's statistics plus its observability snapshot).
+// workResult (the frame's statistics plus its observability snapshot).
 // The worker recomputes megsim.RunFingerprint over what it built and
 // refuses mismatches, so version or configuration skew between peers
 // surfaces as a 409 instead of silently corrupting a campaign.
@@ -69,11 +69,11 @@ type WorkUnit struct {
 	Obs bool `json:"obs,omitempty"`
 }
 
-// WorkResult is the worker's answer: the frame statistics and, when
+// workResult is the worker's answer: the frame statistics and, when
 // requested, the frame's full observability snapshot — the coordinator
 // merges it into the supervisor's per-frame registry, so a distributed
 // campaign's merged observability is byte-identical to a local run's.
-type WorkResult struct {
+type workResult struct {
 	Frame int            `json:"frame"`
 	Stats tbr.FrameStats `json:"stats"`
 	Obs   *obs.Snapshot  `json:"obs,omitempty"`
@@ -92,7 +92,7 @@ type WorkResult struct {
 // shortest-form floats re-encode byte-identically — so worker-side and
 // coordinator-side digests agree exactly when, and only when, the
 // decoded content matches what the worker computed.
-func (r *WorkResult) ComputeDigest() string {
+func (r *workResult) ComputeDigest() string {
 	payload := struct {
 		Frame int            `json:"frame"`
 		Stats tbr.FrameStats `json:"stats"`
@@ -107,11 +107,11 @@ func (r *WorkResult) ComputeDigest() string {
 	return fmt.Sprintf("crc32:%08x", crc32.ChecksumIEEE(b))
 }
 
-// DecodeWorkUnit reads, decodes and validates one work unit. Every
+// decodeWorkUnit reads, decodes and validates one work unit. Every
 // failure — malformed JSON, unknown fields, trailing garbage, oversized
 // bodies, out-of-bounds fields — returns an error (the worker answers
 // 400); no input panics.
-func DecodeWorkUnit(r io.Reader) (*WorkUnit, error) {
+func decodeWorkUnit(r io.Reader) (*WorkUnit, error) {
 	body, err := io.ReadAll(io.LimitReader(r, MaxWorkUnitBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("decode work unit: %w", err)
@@ -128,17 +128,17 @@ func DecodeWorkUnit(r io.Reader) (*WorkUnit, error) {
 	if dec.More() {
 		return nil, errors.New("decode work unit: trailing data after unit")
 	}
-	if err := u.Validate(); err != nil {
+	if err := u.validate(); err != nil {
 		return nil, fmt.Errorf("invalid work unit: %w", err)
 	}
 	return u, nil
 }
 
-// Validate bounds-checks the unit without doing any heavy work. The
+// validate bounds-checks the unit without doing any heavy work. The
 // workload and GPU specs are checked by the exact rules the campaign
 // service applies at admission, so a worker never accepts a spec its
 // coordinator would have refused.
-func (u *WorkUnit) Validate() error {
+func (u *WorkUnit) validate() error {
 	if !strings.HasPrefix(u.Fingerprint, "megsim-") || len(u.Fingerprint) > maxFingerprint {
 		return fmt.Errorf("fingerprint %q is not a megsim run fingerprint", u.Fingerprint)
 	}

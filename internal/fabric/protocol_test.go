@@ -37,7 +37,7 @@ func TestDecodeWorkUnit(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			u, err := DecodeWorkUnit(strings.NewReader(tc.body))
+			u, err := decodeWorkUnit(strings.NewReader(tc.body))
 			if tc.ok && err != nil {
 				t.Fatalf("DecodeWorkUnit: %v", err)
 			}
@@ -57,7 +57,7 @@ func TestDecodeWorkUnit(t *testing.T) {
 func TestDecodeWorkUnitRejectsRemovedGPUField(t *testing.T) {
 	const field = `unknown field "tile_workers"`
 	body := `{"fingerprint":"megsim-ff","frame":0,"workload":{"benchmark":"asp"},"gpu":{"tile_workers":4}}`
-	if _, err := DecodeWorkUnit(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), field) {
+	if _, err := decodeWorkUnit(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), field) {
 		t.Fatalf("DecodeWorkUnit(%s) = %v, want an error containing %s", body, err, field)
 	}
 }
@@ -90,14 +90,14 @@ func FuzzDecodeWorkUnit(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		u, err := DecodeWorkUnit(strings.NewReader(body))
+		u, err := decodeWorkUnit(strings.NewReader(body))
 		if err != nil {
 			if u != nil {
 				t.Fatal("error with non-nil unit")
 			}
 			return
 		}
-		if err := u.Validate(); err != nil {
+		if err := u.validate(); err != nil {
 			t.Fatalf("decoded unit fails revalidation: %v", err)
 		}
 		// The specs must resolve exactly as the campaign service would

@@ -69,7 +69,7 @@ func byzantine(h http.Handler) http.Handler {
 			w.Write(rec.Body.Bytes())
 			return
 		}
-		var res WorkResult
+		var res workResult
 		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
 			w.WriteHeader(http.StatusInternalServerError)
 			return
@@ -110,12 +110,12 @@ func TestDigestFailureFailsOverThenQuarantines(t *testing.T) {
 	// doesn't verify; seat 1 is honest.
 	corrupt := func(http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			u, err := DecodeWorkUnit(r.Body)
+			u, err := decodeWorkUnit(r.Body)
 			if err != nil {
 				w.WriteHeader(http.StatusBadRequest)
 				return
 			}
-			writeJSON(w, http.StatusOK, &WorkResult{Frame: u.Frame, Digest: "crc32:deadbeef"})
+			writeJSON(w, http.StatusOK, &workResult{Frame: u.Frame, Digest: "crc32:deadbeef"})
 		})
 	}
 	workers, urls := trustFleet(t, 2, map[int]func(http.Handler) http.Handler{0: corrupt})
@@ -132,7 +132,7 @@ func TestDigestFailureFailsOverThenQuarantines(t *testing.T) {
 
 	for frame := 0; frame < 3; frame++ {
 		u, _ := validWorkUnit(t, frame)
-		res, err := coord.Dispatch(context.Background(), u)
+		res, err := coord.dispatch(context.Background(), u)
 		if err != nil {
 			t.Fatalf("frame %d: %v", frame, err)
 		}
@@ -146,7 +146,7 @@ func TestDigestFailureFailsOverThenQuarantines(t *testing.T) {
 		// Until the limit, the corrupt worker stays eligible (not down):
 		// a corrupt delivery is a failover, not a burial.
 		wantQuar := frame == 2
-		if gotQuar := len(coord.Quarantined()) == 1; gotQuar != wantQuar {
+		if gotQuar := len(coord.quarantinedNames()) == 1; gotQuar != wantQuar {
 			t.Fatalf("frame %d: quarantined=%v, want %v", frame, gotQuar, wantQuar)
 		}
 	}
@@ -154,7 +154,7 @@ func TestDigestFailureFailsOverThenQuarantines(t *testing.T) {
 	if got := snap.Gauges["fabric.workers.quarantined"]; got != 1 {
 		t.Fatalf("fabric.workers.quarantined = %d, want 1", got)
 	}
-	if q := coord.Quarantined(); len(q) != 1 || q[0] != urls[0] {
+	if q := coord.quarantinedNames(); len(q) != 1 || q[0] != urls[0] {
 		t.Fatalf("Quarantined() = %v, want [%s]", q, urls[0])
 	}
 	if got := workerServed(workers[1]); got != 3 {
@@ -163,12 +163,12 @@ func TestDigestFailureFailsOverThenQuarantines(t *testing.T) {
 
 	// Quarantine is terminal: the worker's server is reachable and
 	// healthy, but Probe must not resurrect it.
-	coord.Probe(context.Background())
-	if q := coord.Quarantined(); len(q) != 1 {
+	coord.probe(context.Background())
+	if q := coord.quarantinedNames(); len(q) != 1 {
 		t.Fatal("Probe resurrected a quarantined worker")
 	}
 	u, _ := validWorkUnit(t, 9)
-	if _, err := coord.Dispatch(context.Background(), u); err != nil {
+	if _, err := coord.dispatch(context.Background(), u); err != nil {
 		t.Fatalf("dispatch after quarantine: %v", err)
 	}
 	if got := workerServed(workers[0]); got != 0 {
@@ -195,7 +195,7 @@ func TestAuditCatchesByzantineWorker(t *testing.T) {
 	defer coord.Close()
 
 	u, _ := validWorkUnit(t, 0)
-	res, err := coord.Dispatch(context.Background(), u)
+	res, err := coord.dispatch(context.Background(), u)
 	if err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
@@ -210,7 +210,7 @@ func TestAuditCatchesByzantineWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hc.Close()
-	want, err := hc.Dispatch(context.Background(), u)
+	want, err := hc.dispatch(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestAuditCatchesByzantineWorker(t *testing.T) {
 	if got := snap.Counters["fabric.audit.mismatch"]; got != 1 {
 		t.Fatalf("fabric.audit.mismatch = %d, want 1", got)
 	}
-	if q := coord.Quarantined(); len(q) != 1 || q[0] != urls[0] {
+	if q := coord.quarantinedNames(); len(q) != 1 || q[0] != urls[0] {
 		t.Fatalf("Quarantined() = %v, want the byzantine worker %s", q, urls[0])
 	}
 	_ = workers
@@ -251,14 +251,14 @@ func TestAuditMismatchWithoutArbiterRequeues(t *testing.T) {
 	defer coord.Close()
 
 	u, _ := validWorkUnit(t, 0)
-	_, err = coord.Dispatch(context.Background(), u)
+	_, err = coord.dispatch(context.Background(), u)
 	if err == nil {
 		t.Fatal("disputed frame was merged")
 	}
 	if !resilience.IsWorkerLost(err) {
 		t.Fatalf("disputed frame failed with %v, want WorkerLost (requeue)", err)
 	}
-	if q := coord.Quarantined(); len(q) != 0 {
+	if q := coord.quarantinedNames(); len(q) != 0 {
 		t.Fatalf("quarantined %v on a 1-vs-1 dispute with no majority", q)
 	}
 }
@@ -291,7 +291,7 @@ func TestOversizedResultFailsOver(t *testing.T) {
 	defer coord.Close()
 
 	u, _ := validWorkUnit(t, 0)
-	res, err := coord.Dispatch(context.Background(), u)
+	res, err := coord.dispatch(context.Background(), u)
 	if err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}

@@ -34,7 +34,7 @@ type WorkerConfig struct {
 //
 // Endpoints:
 //
-//	POST /fabric/v1/frames  simulate one WorkUnit -> WorkResult
+//	POST /fabric/v1/frames  simulate one WorkUnit -> workResult
 //	GET  /fabric/v1/healthz liveness + draining flag (heartbeats)
 //	POST /fabric/v1/drain   stop accepting frames (in-flight ones finish)
 //	GET  /metrics           the worker registry in Prometheus format
@@ -75,27 +75,21 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // Handler returns the worker's HTTP handler.
 func (w *Worker) Handler() http.Handler { return w.mux }
 
-// Registry returns the worker's observability registry.
-func (w *Worker) Registry() *obs.Registry { return w.reg }
-
-// Draining reports whether the worker has been asked to drain.
-func (w *Worker) Draining() bool { return w.draining.Load() }
-
 // Drain stops frame admission; in-flight frames run to completion. The
 // coordinator sees the flag on its next heartbeat (and any frame POSTed
 // meanwhile gets 503, which fails over without marking the worker
 // down).
 func (w *Worker) Drain() { w.draining.Store(true) }
 
-// HealthStatus answers the worker health endpoint.
-type HealthStatus struct {
+// healthStatus answers the worker health endpoint.
+type healthStatus struct {
 	OK       bool  `json:"ok"`
 	Draining bool  `json:"draining"`
 	Inflight int64 `json:"inflight"`
 }
 
 func (w *Worker) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
-	writeJSON(rw, http.StatusOK, HealthStatus{
+	writeJSON(rw, http.StatusOK, healthStatus{
 		OK:       true,
 		Draining: w.draining.Load(),
 		Inflight: w.inflight.Load(),
@@ -120,7 +114,7 @@ func (w *Worker) handleFrame(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusServiceUnavailable, "worker is draining")
 		return
 	}
-	u, err := DecodeWorkUnit(r.Body)
+	u, err := decodeWorkUnit(r.Body)
 	if err != nil {
 		w.rejected.Inc()
 		writeError(rw, http.StatusBadRequest, err.Error())
@@ -147,7 +141,7 @@ func (w *Worker) handleFrame(rw http.ResponseWriter, r *http.Request) {
 // trace, verify the fingerprint, simulate the frame into a fresh
 // registry. Panics in the simulator surface as 500s — the worker
 // process survives any frame.
-func (w *Worker) simulate(ctx context.Context, u *WorkUnit) (res *WorkResult, code int, err error) {
+func (w *Worker) simulate(ctx context.Context, u *WorkUnit) (res *workResult, code int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, code, err = nil, http.StatusInternalServerError, fmt.Errorf("frame %d panicked: %v", u.Frame, r)
@@ -180,7 +174,7 @@ func (w *Worker) simulate(ctx context.Context, u *WorkUnit) (res *WorkResult, co
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("simulate frame %d: %w", u.Frame, err)
 	}
-	res = &WorkResult{Frame: u.Frame, Stats: stats}
+	res = &workResult{Frame: u.Frame, Stats: stats}
 	if u.Obs {
 		res.Obs = reg.Snapshot()
 	}

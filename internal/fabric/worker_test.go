@@ -68,7 +68,7 @@ func TestWorkerSimulatesFrame(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("valid unit: status %d: %s", code, raw)
 	}
-	var res WorkResult
+	var res workResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatalf("decode result: %v", err)
 	}
@@ -129,7 +129,7 @@ func TestWorkerRefusals(t *testing.T) {
 		t.Fatalf("malformed body: status %d, want 400", code)
 	}
 
-	if got := w.Registry().Snapshot().Counters["fabric.frames.rejected"]; got != 3 {
+	if got := w.reg.Snapshot().Counters["fabric.frames.rejected"]; got != 3 {
 		t.Fatalf("fabric.frames.rejected = %d, want 3", got)
 	}
 }
@@ -142,18 +142,18 @@ func TestWorkerDrain(t *testing.T) {
 	ts := httptest.NewServer(w.Handler())
 	defer ts.Close()
 
-	if w.Draining() {
+	if w.draining.Load() {
 		t.Fatal("fresh worker reports draining")
 	}
 
-	health := func() HealthStatus {
+	health := func() healthStatus {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/fabric/v1/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var h HealthStatus
+		var h healthStatus
 		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestWorkerDrain(t *testing.T) {
 	if h := health(); !h.Draining {
 		t.Fatalf("post-drain healthz = %+v, want draining", h)
 	}
-	if !w.Draining() {
+	if !w.draining.Load() {
 		t.Fatal("Draining() false after drain")
 	}
 	if !strings.Contains(log.String(), "worker draining") {
@@ -268,7 +268,7 @@ func TestWorkerReusesRunner(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("width %d frame %d: status %d: %s", u.Workload.Width, c.frame, code, raw)
 		}
-		var res WorkResult
+		var res workResult
 		if err := json.Unmarshal(raw, &res); err != nil {
 			t.Fatal(err)
 		}

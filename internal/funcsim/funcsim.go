@@ -116,8 +116,8 @@ func mixChecksum(sum uint64, regSets ...shader.Regs) uint64 {
 	return sum
 }
 
-// Validate checks internal consistency of a result against its trace.
-func (r *Result) Validate(trace *gltrace.Trace) error {
+// validate checks internal consistency of a result against its trace.
+func (r *Result) validate(trace *gltrace.Trace) error {
 	if r.Trace != trace.Name {
 		return fmt.Errorf("funcsim: result for %q validated against trace %q", r.Trace, trace.Name)
 	}

@@ -15,7 +15,7 @@ func run(t *testing.T, alias string) (*Result, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Validate(tr); err != nil {
+	if err := res.validate(tr); err != nil {
 		t.Fatal(err)
 	}
 	return res, tr.NumFrames()
@@ -121,12 +121,12 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Profiles[3].Frame = 99
-	if err := res.Validate(tr); err == nil {
+	if err := res.validate(tr); err == nil {
 		t.Fatal("Validate accepted corrupted profile")
 	}
 	res.Profiles[3].Frame = 3
 	res.Profiles[5].PrimsVisible = res.Profiles[5].PrimsIn + 1
-	if err := res.Validate(tr); err == nil {
+	if err := res.validate(tr); err == nil {
 		t.Fatal("Validate accepted impossible visibility")
 	}
 }

@@ -25,7 +25,7 @@ func TestVec3Basics(t *testing.T) {
 	if got := b.Sub(a); got != (Vec3{3, 3, 3}) {
 		t.Fatalf("Sub = %v", got)
 	}
-	if got := a.Dot(b); got != 32 {
+	if got := a.dot(b); got != 32 {
 		t.Fatalf("Dot = %v", got)
 	}
 	if got := a.Scale(2); got != (Vec3{2, 4, 6}) {
@@ -36,15 +36,15 @@ func TestVec3Basics(t *testing.T) {
 func TestVec3CrossOrthogonality(t *testing.T) {
 	x := Vec3{1, 0, 0}
 	y := Vec3{0, 1, 0}
-	if got := x.Cross(y); got != (Vec3{0, 0, 1}) {
+	if got := x.cross(y); got != (Vec3{0, 0, 1}) {
 		t.Fatalf("x cross y = %v, want z", got)
 	}
 	f := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
 		a := Vec3{r.Norm(0, 5), r.Norm(0, 5), r.Norm(0, 5)}
 		b := Vec3{r.Norm(0, 5), r.Norm(0, 5), r.Norm(0, 5)}
-		c := a.Cross(b)
-		return almostEqual(c.Dot(a), 0, 1e-6) && almostEqual(c.Dot(b), 0, 1e-6)
+		c := a.cross(b)
+		return almostEqual(c.dot(a), 0, 1e-6) && almostEqual(c.dot(b), 0, 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestViewportMapping(t *testing.T) {
 
 func TestTriangleArea(t *testing.T) {
 	tri := Triangle2{V: [3]Vec3{{0, 0, 0}, {10, 0, 0}, {0, 10, 0}}}
-	if got := tri.Area(); got != 50 {
+	if got := tri.area(); got != 50 {
 		t.Fatalf("Area = %v, want 50", got)
 	}
 	deg := Triangle2{V: [3]Vec3{{0, 0, 0}, {5, 5, 0}, {10, 10, 0}}}
@@ -171,13 +171,13 @@ func TestTriangleArea(t *testing.T) {
 
 func TestTriangleContains(t *testing.T) {
 	tri := Triangle2{V: [3]Vec3{{0, 0, 0}, {10, 0, 0}, {0, 10, 0}}}
-	if !tri.Contains(Vec2{2, 2}) {
+	if !tri.contains(Vec2{2, 2}) {
 		t.Fatal("(2,2) should be inside")
 	}
-	if tri.Contains(Vec2{8, 8}) {
+	if tri.contains(Vec2{8, 8}) {
 		t.Fatal("(8,8) should be outside")
 	}
-	if !tri.Contains(Vec2{0, 0}) {
+	if !tri.contains(Vec2{0, 0}) {
 		t.Fatal("vertex should count as inside")
 	}
 }
@@ -194,28 +194,11 @@ func TestBarycentricPartitionOfUnity(t *testing.T) {
 			return true
 		}
 		p := Vec2{r.Range(0, 100), r.Range(0, 100)}
-		l0, l1, l2, ok := tri.Barycentric(p)
+		l0, l1, l2, ok := tri.barycentric(p)
 		return ok && almostEqual(l0+l1+l2, 1, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDepthInterpolation(t *testing.T) {
-	tri := Triangle2{V: [3]Vec3{{0, 0, 0.0}, {10, 0, 1.0}, {0, 10, 0.5}}}
-	d, ok := tri.DepthAt(Vec2{0, 0})
-	if !ok || !almostEqual(d, 0, 1e-12) {
-		t.Fatalf("depth at v0 = %v", d)
-	}
-	d, ok = tri.DepthAt(Vec2{10, 0})
-	if !ok || !almostEqual(d, 1, 1e-12) {
-		t.Fatalf("depth at v1 = %v", d)
-	}
-	// Centroid depth should be the mean of vertex depths.
-	d, ok = tri.DepthAt(Vec2{10.0 / 3, 10.0 / 3})
-	if !ok || !almostEqual(d, 0.5, 1e-9) {
-		t.Fatalf("depth at centroid = %v, want 0.5", d)
 	}
 }
 
@@ -242,16 +225,12 @@ func TestOverlappedTilesClipping(t *testing.T) {
 	}
 }
 
-func TestAABBIntersectUnion(t *testing.T) {
+func TestAABBIntersect(t *testing.T) {
 	a := AABB2{Min: Vec2{0, 0}, Max: Vec2{10, 10}}
 	b := AABB2{Min: Vec2{5, 5}, Max: Vec2{15, 15}}
 	i := a.Intersect(b)
 	if i.Min != (Vec2{5, 5}) || i.Max != (Vec2{10, 10}) {
 		t.Fatalf("Intersect = %+v", i)
-	}
-	u := a.Union(b)
-	if u.Min != (Vec2{0, 0}) || u.Max != (Vec2{15, 15}) {
-		t.Fatalf("Union = %+v", u)
 	}
 	c := AABB2{Min: Vec2{20, 20}, Max: Vec2{30, 30}}
 	if !a.Intersect(c).Empty() {

@@ -88,8 +88,8 @@ func RotateY(angle float64) Mat4 {
 // center, with the given up direction.
 func LookAt(eye, center, up Vec3) Mat4 {
 	f := center.Sub(eye).Normalize()
-	s := f.Cross(up.Normalize()).Normalize()
-	u := s.Cross(f)
+	s := f.cross(up.Normalize()).Normalize()
+	u := s.cross(f)
 	rot := Mat4{
 		s.X, s.Y, s.Z, 0,
 		u.X, u.Y, u.Z, 0,

@@ -20,14 +20,6 @@ func (b AABB2) Intersect(o AABB2) AABB2 {
 	}
 }
 
-// Union returns the smallest box containing both b and o.
-func (b AABB2) Union(o AABB2) AABB2 {
-	return AABB2{
-		Min: Vec2{min(b.Min.X, o.Min.X), min(b.Min.Y, o.Min.Y)},
-		Max: Vec2{max(b.Max.X, o.Max.X), max(b.Max.Y, o.Max.Y)},
-	}
-}
-
 // Triangle2 is a screen-space triangle with per-vertex depth.
 type Triangle2 struct {
 	V [3]Vec3 // X, Y in pixels; Z is depth in [0, 1]
@@ -42,28 +34,28 @@ func (t Triangle2) Bounds() AABB2 {
 	return AABB2{Min: Vec2{minX, minY}, Max: Vec2{maxX, maxY}}
 }
 
-// SignedArea returns the signed area of the triangle in pixels^2. The
+// signedArea returns the signed area of the triangle in pixels^2. The
 // sign encodes winding: positive for counter-clockwise in a y-down
 // coordinate system.
-func (t Triangle2) SignedArea() float64 {
+func (t Triangle2) signedArea() float64 {
 	a := Vec2{t.V[1].X - t.V[0].X, t.V[1].Y - t.V[0].Y}
 	b := Vec2{t.V[2].X - t.V[0].X, t.V[2].Y - t.V[0].Y}
-	return a.Cross(b) / 2
+	return a.cross(b) / 2
 }
 
-// Area returns the absolute area in pixels^2.
-func (t Triangle2) Area() float64 {
-	return math.Abs(t.SignedArea())
+// area returns the absolute area in pixels^2.
+func (t Triangle2) area() float64 {
+	return math.Abs(t.signedArea())
 }
 
 // Degenerate reports whether the triangle has (near) zero area.
 func (t Triangle2) Degenerate() bool {
-	return t.Area() < 1e-9
+	return t.area() < 1e-9
 }
 
-// Barycentric returns the barycentric coordinates (l0, l1, l2) of point p
+// barycentric returns the barycentric coordinates (l0, l1, l2) of point p
 // with respect to the triangle, and ok=false for degenerate triangles.
-func (t Triangle2) Barycentric(p Vec2) (l0, l1, l2 float64, ok bool) {
+func (t Triangle2) barycentric(p Vec2) (l0, l1, l2 float64, ok bool) {
 	x0, y0 := t.V[0].X, t.V[0].Y
 	x1, y1 := t.V[1].X, t.V[1].Y
 	x2, y2 := t.V[2].X, t.V[2].Y
@@ -77,25 +69,15 @@ func (t Triangle2) Barycentric(p Vec2) (l0, l1, l2 float64, ok bool) {
 	return l0, l1, l2, true
 }
 
-// Contains reports whether point p lies inside (or on the boundary of)
+// contains reports whether point p lies inside (or on the boundary of)
 // the triangle.
-func (t Triangle2) Contains(p Vec2) bool {
-	l0, l1, l2, ok := t.Barycentric(p)
+func (t Triangle2) contains(p Vec2) bool {
+	l0, l1, l2, ok := t.barycentric(p)
 	if !ok {
 		return false
 	}
 	const eps = -1e-9
 	return l0 >= eps && l1 >= eps && l2 >= eps
-}
-
-// DepthAt interpolates the per-vertex depth at point p. ok is false for
-// degenerate triangles or points outside the plane parameterization.
-func (t Triangle2) DepthAt(p Vec2) (float64, bool) {
-	l0, l1, l2, ok := t.Barycentric(p)
-	if !ok {
-		return 0, false
-	}
-	return l0*t.V[0].Z + l1*t.V[1].Z + l2*t.V[2].Z, true
 }
 
 // OverlappedTiles returns the inclusive tile-coordinate range

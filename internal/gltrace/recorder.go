@@ -113,17 +113,6 @@ func (r *Recorder) BindTexture(unit int, t TextureHandle) {
 
 // Draw submits a mesh instance under the current state.
 func (r *Recorder) Draw(m MeshHandle, mvp geom.Mat4) {
-	r.DrawDepthBiased(m, mvp, 0, false)
-}
-
-// DrawBlended submits an alpha-blended mesh instance.
-func (r *Recorder) DrawBlended(m MeshHandle, mvp geom.Mat4) {
-	r.DrawDepthBiased(m, mvp, 0, true)
-}
-
-// DrawDepthBiased submits a draw with an explicit depth bias and blend
-// flag.
-func (r *Recorder) DrawDepthBiased(m MeshHandle, mvp geom.Mat4, bias float64, blend bool) {
 	r.mustBeInFrame("Draw")
 	if !r.bound {
 		panic("gltrace: Draw with no program bound")
@@ -131,9 +120,7 @@ func (r *Recorder) DrawDepthBiased(m MeshHandle, mvp geom.Mat4, bias float64, bl
 	if int(m) < 0 || int(m) >= len(r.trace.Meshes) {
 		panic(fmt.Sprintf("gltrace: Draw(%d) with %d meshes registered", m, len(r.trace.Meshes)))
 	}
-	r.frame.Commands = append(r.frame.Commands, Command{
-		Op: CmdDraw, Mesh: int32(m), DepthBias: bias, Blend: blend,
-	})
+	r.frame.Commands = append(r.frame.Commands, Command{Op: CmdDraw, Mesh: int32(m)})
 	r.frame.MVPs = append(r.frame.MVPs, mvp)
 }
 
@@ -143,9 +130,6 @@ func (r *Recorder) EndFrame() {
 	r.trace.Frames = append(r.trace.Frames, r.frame)
 	r.inFrame = false
 }
-
-// NumFrames returns the number of completed frames so far.
-func (r *Recorder) NumFrames() int { return len(r.trace.Frames) }
 
 // Finish validates and returns the captured trace. The recorder cannot
 // be used afterwards.

@@ -314,7 +314,7 @@ func (s *Study) SpeedupTable() (*report.Table, error) {
 			return nil, err
 		}
 		t.AddRow(a, r.FullSimTime.Round(msRound).String(), r.SampledSimTime.Round(msRound).String(),
-			fmt.Sprintf("%.0fx", r.SpeedupTime()), r.FuncSimTime.Round(msRound).String(),
+			fmt.Sprintf("%.0fx", r.speedupTime()), r.FuncSimTime.Round(msRound).String(),
 			r.SelectTime.Round(msRound).String())
 	}
 	return t, nil
@@ -338,12 +338,12 @@ func (s *Study) GeoMeanReduction() (float64, error) {
 	return math.Pow(prod, 1/float64(n)), nil
 }
 
-// VaryGPUConfig re-estimates one benchmark under a modified GPU
+// varyGPUConfig re-estimates one benchmark under a modified GPU
 // configuration using the SAME frame selection (MEGsim's
 // characterization is architecture-independent, so the design-space
 // exploration only re-simulates representatives). Returns estimated and
 // (optionally) ground-truth totals.
-func (s *Study) VaryGPUConfig(alias string, gpu tbr.Config, groundTruth bool) (estimate, actual tbr.FrameStats, err error) {
+func (s *Study) varyGPUConfig(alias string, gpu tbr.Config, groundTruth bool) (estimate, actual tbr.FrameStats, err error) {
 	r, err := s.Result(alias)
 	if err != nil {
 		return estimate, actual, err

@@ -180,9 +180,9 @@ func (r *BenchmarkResult) SpeedupFrames() float64 {
 	return r.Selection.ReductionFactor()
 }
 
-// SpeedupTime returns the measured wall-clock cycle-simulation speedup
+// speedupTime returns the measured wall-clock cycle-simulation speedup
 // (full pass vs representatives-only pass).
-func (r *BenchmarkResult) SpeedupTime() float64 {
+func (r *BenchmarkResult) speedupTime() float64 {
 	if r.SampledSimTime <= 0 {
 		return 0
 	}

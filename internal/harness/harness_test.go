@@ -222,7 +222,7 @@ func TestVaryGPUConfig(t *testing.T) {
 	s := testStudy(t)
 	gpu := tbr.DefaultConfig()
 	gpu.L2.SizeBytes = 64 << 10 // smaller L2
-	est, actual, err := s.VaryGPUConfig("hcr", gpu, true)
+	est, actual, err := s.varyGPUConfig("hcr", gpu, true)
 	if err != nil {
 		t.Fatal(err)
 	}

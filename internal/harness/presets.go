@@ -23,7 +23,7 @@ func (s *Study) PresetTable(alias string) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		est, _, err := s.VaryGPUConfig(alias, cfg, false)
+		est, _, err := s.varyGPUConfig(alias, cfg, false)
 		if err != nil {
 			return nil, err
 		}

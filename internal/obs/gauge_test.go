@@ -13,16 +13,16 @@ func TestGaugeBasics(t *testing.T) {
 		t.Fatal("enabled registry returned nil gauge")
 	}
 	g.Set(5)
-	g.Add(3)
-	g.Add(-2)
-	if got := g.Value(); got != 6 {
+	g.add(3)
+	g.add(-2)
+	if got := g.value(); got != 6 {
 		t.Fatalf("gauge value = %d, want 6", got)
 	}
 	if again := r.Gauge("pool.inflight"); again != g {
 		t.Fatal("same name resolved to a different gauge")
 	}
 	g.Set(-7)
-	if got := g.Value(); got != -7 {
+	if got := g.value(); got != -7 {
 		t.Fatalf("gauge holds %d, want -7 (gauges are signed)", got)
 	}
 }
@@ -35,14 +35,9 @@ func TestGaugeNilSafety(t *testing.T) {
 	}
 	// All no-ops, no panics.
 	g.Set(1)
-	g.Add(2)
-	if g.Value() != 0 {
+	g.add(2)
+	if g.value() != 0 {
 		t.Fatal("nil gauge has a value")
-	}
-	disabled := New()
-	disabled.SetEnabled(false)
-	if disabled.Gauge("x") != nil {
-		t.Fatal("disabled registry returned non-nil gauge")
 	}
 }
 
@@ -63,7 +58,7 @@ func TestGaugeSnapshotAndMerge(t *testing.T) {
 			t.Errorf("merged gauge %s = %d, want %d", name, got, v)
 		}
 	}
-	if names := s.GaugeNames(); len(names) != 3 || names[0] != "worker.0.inflight" {
+	if names := s.gaugeNames(); len(names) != 3 || names[0] != "worker.0.inflight" {
 		t.Fatalf("GaugeNames() = %v", names)
 	}
 
@@ -71,7 +66,7 @@ func TestGaugeSnapshotAndMerge(t *testing.T) {
 	c := New()
 	c.Gauge("workers.live").Set(4)
 	c.MergeSnapshot(s)
-	if got := c.Gauge("workers.live").Value(); got != 6 {
+	if got := c.Gauge("workers.live").value(); got != 6 {
 		t.Fatalf("MergeSnapshot gauge = %d, want 6", got)
 	}
 }

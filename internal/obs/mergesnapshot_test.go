@@ -17,7 +17,6 @@ func TestMergeSnapshotEquivalentToMerge(t *testing.T) {
 		r.Histogram("h").Observe(7)
 		r.Histogram("h").Observe(900)
 		r.Span("frame", 2, 100, 50, map[string]uint64{"cycles": 50})
-		r.Instant("mark", 1, 10, nil)
 		return r
 	}
 

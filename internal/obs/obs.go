@@ -6,11 +6,10 @@
 // The layer is disabled by default and costs the hot path almost
 // nothing when off: a nil *Registry is a fully functional no-op — every
 // method on a nil Registry, Counter or Histogram returns immediately,
-// so instrumentation points pay one predictable branch (at most one
-// atomic load) per event. Instrumented components resolve their
-// *Counter/*Histogram handles once at construction; when the registry
-// is nil or disabled the handles are nil and the per-access cost is a
-// nil check.
+// so instrumentation points pay one predictable branch per event.
+// Instrumented components resolve their *Counter/*Histogram handles
+// once at construction; when the registry is nil the handles are nil
+// and the per-access cost is a nil check.
 //
 // Concurrency model: a Registry is safe for concurrent use (counters
 // and histogram buckets are atomic; the timeline is mutex-guarded), but
@@ -75,16 +74,16 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
+// add adjusts the gauge by delta (negative to decrease).
+func (g *Gauge) add(delta int64) {
 	if g == nil {
 		return
 	}
 	g.v.Add(delta)
 }
 
-// Value returns the current level (0 on nil).
-func (g *Gauge) Value() int64 {
+// value returns the current level (0 on nil).
+func (g *Gauge) value() int64 {
 	if g == nil {
 		return 0
 	}
@@ -194,18 +193,17 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 type Options struct {
 	// TraceCapacity bounds the span/event ring buffer. Once full, new
 	// events overwrite the oldest and Snapshot reports the drop count.
-	// 0 selects DefaultTraceCapacity; negative disables the timeline.
+	// 0 selects defaultTraceCapacity; negative disables the timeline.
 	TraceCapacity int
 }
 
-// DefaultTraceCapacity is the default ring-buffer size (events).
-const DefaultTraceCapacity = 1 << 16
+// defaultTraceCapacity is the default ring-buffer size (events).
+const defaultTraceCapacity = 1 << 16
 
 // Registry holds named counters, histograms and the event timeline. The
 // zero value is not useful; use New or NewWith. A nil *Registry is the
 // disabled implementation: every method no-ops.
 type Registry struct {
-	enabled  atomic.Bool
 	traceCap int
 
 	mu       sync.Mutex
@@ -223,7 +221,7 @@ func NewWith(o Options) *Registry {
 	cap := o.TraceCapacity
 	switch {
 	case cap == 0:
-		cap = DefaultTraceCapacity
+		cap = defaultTraceCapacity
 	case cap < 0:
 		cap = 0
 	}
@@ -234,24 +232,15 @@ func NewWith(o Options) *Registry {
 		hists:    make(map[string]*Histogram),
 		trace:    traceRing{cap: cap},
 	}
-	r.enabled.Store(true)
 	return r
 }
 
 // Enabled reports whether the registry records anything. It is the
-// single hot-path gate: one nil check plus one atomic load.
-func (r *Registry) Enabled() bool { return r != nil && r.enabled.Load() }
-
-// SetEnabled toggles recording. Handles resolved while disabled are nil
-// and stay no-ops; resolve handles after enabling.
-func (r *Registry) SetEnabled(on bool) {
-	if r != nil {
-		r.enabled.Store(on)
-	}
-}
+// single hot-path gate: one nil check.
+func (r *Registry) Enabled() bool { return r != nil }
 
 // Counter returns the named counter, creating it on first use. Returns
-// nil (a no-op counter) when the registry is nil or disabled.
+// nil (a no-op counter) when the registry is nil.
 func (r *Registry) Counter(name string) *Counter {
 	if !r.Enabled() {
 		return nil
@@ -267,7 +256,7 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // Gauge returns the named gauge, creating it on first use. Returns nil
-// (a no-op gauge) when the registry is nil or disabled.
+// (a no-op gauge) when the registry is nil.
 func (r *Registry) Gauge(name string) *Gauge {
 	if !r.Enabled() {
 		return nil
@@ -283,7 +272,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it on first use.
-// Returns nil (a no-op histogram) when the registry is nil or disabled.
+// Returns nil (a no-op histogram) when the registry is nil.
 func (r *Registry) Histogram(name string) *Histogram {
 	if !r.Enabled() {
 		return nil
@@ -300,7 +289,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // NewLocal returns a fresh registry with the same configuration, for a
 // worker goroutine to record into without sharing. Returns nil when the
-// parent is nil or disabled, so the worker's instrumentation is free.
+// parent is nil, so the worker's instrumentation is free.
 func (r *Registry) NewLocal() *Registry {
 	if !r.Enabled() {
 		return nil
@@ -330,7 +319,7 @@ func (r *Registry) Merge(o *Registry) {
 	}
 	gauges := make(map[string]int64, len(o.gauges))
 	for name, g := range o.gauges {
-		gauges[name] = g.Value()
+		gauges[name] = g.value()
 	}
 	hists := make(map[string]*Histogram, len(o.hists))
 	for name, h := range o.hists {
@@ -346,7 +335,7 @@ func (r *Registry) Merge(o *Registry) {
 		r.Counter(name).Add(v)
 	}
 	for name, v := range gauges {
-		r.Gauge(name).Add(v)
+		r.Gauge(name).add(v)
 	}
 	for name, h := range hists {
 		r.Histogram(name).merge(h)
@@ -377,7 +366,7 @@ func (r *Registry) MergeSnapshot(s *Snapshot) {
 		r.Counter(name).Add(v)
 	}
 	for name, v := range s.Gauges {
-		r.Gauge(name).Add(v)
+		r.Gauge(name).add(v)
 	}
 	for name, hs := range s.Histograms {
 		r.Histogram(name).mergeSnapshot(hs)
@@ -436,7 +425,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		if s.Gauges == nil {
 			s.Gauges = map[string]int64{}
 		}
-		s.Gauges[name] = g.Value()
+		s.Gauges[name] = g.value()
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.snapshot()

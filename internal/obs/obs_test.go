@@ -19,28 +19,13 @@ func TestNilRegistryIsFreeNoOp(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Histogram("h").Observe(1)
 	r.Span("s", 0, 0, 10, nil)
-	r.Instant("i", 0, 0, nil)
 	r.Merge(New())
-	r.SetEnabled(true) // nil stays nil; must not panic
 	if r.NewLocal() != nil {
 		t.Fatal("nil registry produced a non-nil local")
 	}
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Events) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
-	}
-}
-
-func TestDisabledRegistryRecordsNothing(t *testing.T) {
-	r := New()
-	r.SetEnabled(false)
-	if c := r.Counter("x"); c != nil {
-		t.Fatal("disabled registry handed out a live counter")
-	}
-	r.Span("s", 0, 0, 10, nil)
-	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Events) != 0 {
-		t.Fatalf("disabled registry recorded: %+v", snap)
 	}
 }
 
@@ -205,7 +190,6 @@ func TestRingBufferDisabledTimeline(t *testing.T) {
 func TestChromeTraceRoundTrip(t *testing.T) {
 	r := New()
 	r.Span("geometry", 3, 100, 42, map[string]uint64{"vertices": 7})
-	r.Instant("marker", 3, 150, nil)
 	snap := r.Snapshot()
 
 	var buf bytes.Buffer
@@ -222,9 +206,6 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 	if got[0].Phase != "X" || got[0].Dur != 42 || got[0].Args["vertices"] != 7 {
 		t.Fatalf("span fields lost: %+v", got[0])
-	}
-	if got[1].Phase != "i" || got[1].TS != 150 {
-		t.Fatalf("instant fields lost: %+v", got[1])
 	}
 }
 

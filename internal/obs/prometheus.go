@@ -21,19 +21,19 @@ import (
 // mandatory `+Inf` bucket.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	for _, name := range s.CounterNames() {
-		pn := PrometheusName(name)
+		pn := prometheusName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, s.Counters[name]); err != nil {
 			return err
 		}
 	}
-	for _, name := range s.GaugeNames() {
-		pn := PrometheusName(name)
+	for _, name := range s.gaugeNames() {
+		pn := prometheusName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, s.Gauges[name]); err != nil {
 			return err
 		}
 	}
 	for _, name := range s.HistogramNames() {
-		if err := writePrometheusHistogram(w, PrometheusName(name), s.Histograms[name]); err != nil {
+		if err := writePrometheusHistogram(w, prometheusName(name), s.Histograms[name]); err != nil {
 			return err
 		}
 	}
@@ -68,12 +68,12 @@ func writePrometheusHistogram(w io.Writer, pn string, h HistogramSnapshot) error
 	return err
 }
 
-// PrometheusName sanitizes a registry metric name into the Prometheus
+// prometheusName sanitizes a registry metric name into the Prometheus
 // metric-name charset [a-zA-Z_:][a-zA-Z0-9_:]*. The registry's
 // dot-separated namespaces become underscore-separated; any other
 // illegal rune also maps to an underscore, and a leading digit gets an
 // underscore prefix.
-func PrometheusName(name string) string {
+func prometheusName(name string) string {
 	var b strings.Builder
 	b.Grow(len(name) + 1)
 	for i, r := range name {

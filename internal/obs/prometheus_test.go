@@ -81,7 +81,7 @@ func TestPrometheusName(t *testing.T) {
 		"":                  "_",
 	}
 	for in, want := range cases {
-		if got := PrometheusName(in); got != want {
+		if got := prometheusName(in); got != want {
 			t.Errorf("PrometheusName(%q) = %q, want %q", in, got, want)
 		}
 	}

@@ -46,8 +46,8 @@ func (s *Snapshot) CounterNames() []string {
 	return names
 }
 
-// GaugeNames returns the gauge names in sorted order.
-func (s *Snapshot) GaugeNames() []string {
+// gaugeNames returns the gauge names in sorted order.
+func (s *Snapshot) gaugeNames() []string {
 	names := make([]string, 0, len(s.Gauges))
 	for name := range s.Gauges {
 		names = append(names, name)

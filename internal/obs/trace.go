@@ -7,8 +7,7 @@ import (
 )
 
 // Event is one timeline entry in (a subset of) the Chrome trace event
-// format. Phase "X" is a complete span at TS lasting Dur; phase "i" is
-// an instant. Timestamps are in the producer's own timebase — the GPU
+// format: phase "X", a complete span at TS lasting Dur. Timestamps are in the producer's own timebase — the GPU
 // simulator emits simulated cycles, which trace viewers display as
 // microseconds.
 type Event struct {
@@ -60,11 +59,6 @@ func (t *traceRing) ordered() []Event {
 // duration, with optional arguments. No-op when disabled.
 func (r *Registry) Span(name string, tid, ts, dur uint64, args map[string]uint64) {
 	r.emit(Event{Name: name, Phase: "X", PID: 1, TID: tid, TS: ts, Dur: dur, Args: args})
-}
-
-// Instant records an instantaneous event. No-op when disabled.
-func (r *Registry) Instant(name string, tid, ts uint64, args map[string]uint64) {
-	r.emit(Event{Name: name, Phase: "i", PID: 1, TID: tid, TS: ts, Args: args})
 }
 
 func (r *Registry) emit(e Event) {

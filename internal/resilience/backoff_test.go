@@ -8,8 +8,8 @@ import (
 func TestBackoffDeterministic(t *testing.T) {
 	for frame := 0; frame < 8; frame++ {
 		for attempt := 1; attempt <= 6; attempt++ {
-			a := Backoff(0, 0, 42, frame, attempt)
-			b := Backoff(0, 0, 42, frame, attempt)
+			a := backoff(0, 0, 42, frame, attempt)
+			b := backoff(0, 0, 42, frame, attempt)
 			if a != b {
 				t.Fatalf("frame %d attempt %d: %v != %v", frame, attempt, a, b)
 			}
@@ -18,7 +18,7 @@ func TestBackoffDeterministic(t *testing.T) {
 	// A different seed reshapes the jitter somewhere in the grid.
 	same := true
 	for frame := 0; frame < 8 && same; frame++ {
-		if Backoff(0, 0, 1, frame, 1) != Backoff(0, 0, 2, frame, 1) {
+		if backoff(0, 0, 1, frame, 1) != backoff(0, 0, 2, frame, 1) {
 			same = false
 		}
 	}
@@ -32,7 +32,7 @@ func TestBackoffEnvelope(t *testing.T) {
 	for frame := 0; frame < 16; frame++ {
 		prevCeil := time.Duration(0)
 		for attempt := 1; attempt <= 8; attempt++ {
-			d := Backoff(base, cap, 7, frame, attempt)
+			d := backoff(base, cap, 7, frame, attempt)
 			ceil := base << (attempt - 1)
 			if ceil > cap || ceil <= 0 {
 				ceil = cap
@@ -52,15 +52,15 @@ func TestBackoffEnvelope(t *testing.T) {
 }
 
 func TestBackoffDisabledAndDefaults(t *testing.T) {
-	if d := Backoff(-1, 0, 0, 3, 2); d != 0 {
+	if d := backoff(-1, 0, 0, 3, 2); d != 0 {
 		t.Fatalf("negative base should disable backoff, got %v", d)
 	}
-	d := Backoff(0, 0, 0, 0, 1)
-	if d <= 0 || d > DefaultBackoffBase {
+	d := backoff(0, 0, 0, 0, 1)
+	if d <= 0 || d > defaultBackoffBase {
 		t.Fatalf("zero config should use defaults, got %v", d)
 	}
 	// Deep attempts saturate at the cap.
-	if d := Backoff(time.Millisecond, 8*time.Millisecond, 0, 0, 30); d > 8*time.Millisecond {
+	if d := backoff(time.Millisecond, 8*time.Millisecond, 0, 0, 30); d > 8*time.Millisecond {
 		t.Fatalf("cap not honored: %v", d)
 	}
 }

@@ -23,16 +23,16 @@ const (
 	checkpointVersion = 1
 )
 
-// ErrCorrupt marks a checkpoint file that failed structural validation:
+// errCorrupt marks a checkpoint file that failed structural validation:
 // empty, truncated, unparseable, wrong magic/version, or a CRC
 // mismatch. Callers fall back to a fresh run — the file's contents are
 // never partially trusted.
-var ErrCorrupt = errors.New("resilience: corrupt checkpoint")
+var errCorrupt = errors.New("resilience: corrupt checkpoint")
 
-// ErrFingerprint marks a structurally valid checkpoint recorded under a
+// errFingerprint marks a structurally valid checkpoint recorded under a
 // different run configuration; resuming from it would mix incompatible
 // statistics.
-var ErrFingerprint = errors.New("resilience: checkpoint fingerprint mismatch")
+var errFingerprint = errors.New("resilience: checkpoint fingerprint mismatch")
 
 // FrameRecord is one completed frame inside a checkpoint: its
 // statistics, its per-frame observability delta (nil when the run had
@@ -96,44 +96,44 @@ func EncodeCheckpoint(c *Checkpoint) ([]byte, error) {
 	}, "", " ")
 }
 
-// DecodeCheckpoint parses and validates checkpoint bytes. Anything
+// decodeCheckpoint parses and validates checkpoint bytes. Anything
 // structurally wrong — empty input, truncated JSON, wrong magic or
 // version, checksum mismatch, malformed payload — returns an error
 // wrapping ErrCorrupt with the specific cause.
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty file", ErrCorrupt)
+		return nil, fmt.Errorf("%w: empty file", errCorrupt)
 	}
 	var f checkpointFile
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
 	if f.Magic != checkpointMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrCorrupt, f.Magic)
+		return nil, fmt.Errorf("%w: magic %q", errCorrupt, f.Magic)
 	}
 	if f.Version != checkpointVersion {
-		return nil, fmt.Errorf("%w: version %d (want %d)", ErrCorrupt, f.Version, checkpointVersion)
+		return nil, fmt.Errorf("%w: version %d (want %d)", errCorrupt, f.Version, checkpointVersion)
 	}
 	// The envelope is written indented, which re-indents the embedded
 	// body, so the checksum is taken over the compacted bytes — the
 	// exact form it was computed over at encode time.
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, f.Body); err != nil {
-		return nil, fmt.Errorf("%w: body: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: body: %v", errCorrupt, err)
 	}
 	if got := crc32.ChecksumIEEE(compact.Bytes()); got != f.CRC32 {
-		return nil, fmt.Errorf("%w: crc32 %08x != %08x", ErrCorrupt, got, f.CRC32)
+		return nil, fmt.Errorf("%w: crc32 %08x != %08x", errCorrupt, got, f.CRC32)
 	}
 	var c Checkpoint
 	if err := json.Unmarshal(f.Body, &c); err != nil {
-		return nil, fmt.Errorf("%w: body: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: body: %v", errCorrupt, err)
 	}
 	for i, fr := range c.Frames {
 		if fr.Frame < 0 {
-			return nil, fmt.Errorf("%w: negative frame index %d", ErrCorrupt, fr.Frame)
+			return nil, fmt.Errorf("%w: negative frame index %d", errCorrupt, fr.Frame)
 		}
 		if i > 0 && c.Frames[i-1].Frame >= fr.Frame {
-			return nil, fmt.Errorf("%w: frames not strictly ascending at %d", ErrCorrupt, fr.Frame)
+			return nil, fmt.Errorf("%w: frames not strictly ascending at %d", errCorrupt, fr.Frame)
 		}
 	}
 	return &c, nil
@@ -214,12 +214,12 @@ func LoadCheckpoint(path, fingerprint string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resilience: read checkpoint: %w", err)
 	}
-	c, err := DecodeCheckpoint(data)
+	c, err := decodeCheckpoint(data)
 	if err != nil {
 		return nil, err
 	}
 	if c.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("%w: checkpoint %q vs run %q", ErrFingerprint, c.Fingerprint, fingerprint)
+		return nil, fmt.Errorf("%w: checkpoint %q vs run %q", errFingerprint, c.Fingerprint, fingerprint)
 	}
 	return c, nil
 }

@@ -35,7 +35,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := DecodeCheckpoint(data)
+	got, err := decodeCheckpoint(data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -94,8 +94,8 @@ func TestCheckpointDecodeRejectsDamage(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeCheckpoint(tc.data)
-			if !errors.Is(err, ErrCorrupt) {
+			_, err := decodeCheckpoint(tc.data)
+			if !errors.Is(err, errCorrupt) {
 				t.Fatalf("want ErrCorrupt, got %v", err)
 			}
 		})
@@ -116,11 +116,11 @@ func TestCheckpointDecodeRejectsBadFrames(t *testing.T) {
 	// Duplicate frame indices defeat the strictly-ascending canonical
 	// order; forge them by editing the encoded body.
 	forged := resealEnvelope(t, strings.Replace(string(data), `"frame": 5`, `"frame": 2`, 1))
-	if _, err := DecodeCheckpoint([]byte(forged)); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeCheckpoint([]byte(forged)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("duplicate frames: want ErrCorrupt, got %v", err)
 	}
 	forgedNeg := resealEnvelope(t, strings.Replace(string(data), `"frame": 2`, `"frame": -2`, 1))
-	if _, err := DecodeCheckpoint([]byte(forgedNeg)); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeCheckpoint([]byte(forgedNeg)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("negative frame: want ErrCorrupt, got %v", err)
 	}
 }
@@ -180,7 +180,7 @@ func TestSaveLoadCheckpoint(t *testing.T) {
 	}
 
 	// Fingerprint mismatch is its own loud error.
-	if _, err := LoadCheckpoint(path, "other-config"); !errors.Is(err, ErrFingerprint) {
+	if _, err := LoadCheckpoint(path, "other-config"); !errors.Is(err, errFingerprint) {
 		t.Fatalf("fingerprint mismatch: want ErrFingerprint, got %v", err)
 	}
 
@@ -188,13 +188,13 @@ func TestSaveLoadCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{trunca"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path, "fp-test"); !errors.Is(err, ErrCorrupt) {
+	if _, err := LoadCheckpoint(path, "fp-test"); !errors.Is(err, errCorrupt) {
 		t.Fatalf("damaged file: want ErrCorrupt, got %v", err)
 	}
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path, "fp-test"); !errors.Is(err, ErrCorrupt) {
+	if _, err := LoadCheckpoint(path, "fp-test"); !errors.Is(err, errCorrupt) {
 		t.Fatalf("empty file: want ErrCorrupt, got %v", err)
 	}
 }

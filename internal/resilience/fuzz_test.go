@@ -29,12 +29,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(`{"magic":"megsim-checkpoint","version":1,"crc32":0,"body":null}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeCheckpoint(data)
+		c, err := decodeCheckpoint(data)
 		if err != nil {
 			if c != nil {
 				t.Fatalf("decode returned both a checkpoint and an error: %v", err)
 			}
-			if !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, errCorrupt) {
 				t.Fatalf("rejection does not wrap ErrCorrupt: %v", err)
 			}
 			return
@@ -43,7 +43,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted checkpoint failed to re-encode: %v", err)
 		}
-		c2, err := DecodeCheckpoint(re)
+		c2, err := decodeCheckpoint(re)
 		if err != nil {
 			t.Fatalf("canonical re-encode failed to decode: %v", err)
 		}

@@ -49,7 +49,7 @@ import (
 type FrameFunc func(ctx context.Context, frame int, reg *obs.Registry) (tbr.FrameStats, error)
 
 // Config configures a supervised run. The zero value is usable: a
-// GOMAXPROCS-wide pool, DefaultMaxAttempts per frame, default backoff,
+// GOMAXPROCS-wide pool, defaultMaxAttempts per frame, default backoff,
 // no checkpointing, no watchdog.
 type Config struct {
 	// Workers bounds the worker goroutines (0 = GOMAXPROCS). Never
@@ -57,21 +57,21 @@ type Config struct {
 	Workers int
 
 	// MaxAttempts is how many times a frame is tried before quarantine
-	// (0 = DefaultMaxAttempts; 1 = no retry).
+	// (0 = defaultMaxAttempts; 1 = no retry).
 	MaxAttempts int
 
 	// MaxRequeues bounds how many times one frame may be requeued after
-	// worker-loss failures (errors matching ErrWorkerLost) before such
+	// worker-loss failures (errors matching errWorkerLost) before such
 	// failures start counting as ordinary attempts. A lost worker never
 	// gave the frame a fair try, so requeues are free — this cap only
 	// keeps a permanently dead fleet from looping forever.
-	// 0 = DefaultMaxRequeues; negative = no free requeues.
+	// 0 = defaultMaxRequeues; negative = no free requeues.
 	MaxRequeues int
 
 	// BackoffBase and BackoffCap shape the capped exponential backoff
 	// between attempts: attempt k sleeps ~Base*2^(k-1), jittered
 	// deterministically from (Seed, frame, attempt), capped at Cap.
-	// Zero values select DefaultBackoffBase / DefaultBackoffCap; a
+	// Zero values select defaultBackoffBase / defaultBackoffCap; a
 	// negative BackoffBase disables backoff entirely (tests).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
@@ -141,34 +141,34 @@ type Config struct {
 
 // Default retry/backoff parameters.
 const (
-	DefaultMaxAttempts = 3
-	DefaultBackoffBase = 5 * time.Millisecond
-	DefaultBackoffCap  = 500 * time.Millisecond
+	defaultMaxAttempts = 3
+	defaultBackoffBase = 5 * time.Millisecond
+	defaultBackoffCap  = 500 * time.Millisecond
 )
 
 func (c *Config) maxAttempts() int {
 	if c.MaxAttempts <= 0 {
-		return DefaultMaxAttempts
+		return defaultMaxAttempts
 	}
 	return c.MaxAttempts
 }
 
-// Backoff returns the jittered delay before retrying frame after
+// backoff returns the jittered delay before retrying frame after
 // `attempt` failed attempts (attempt >= 1): base*2^(attempt-1) scaled
 // by a deterministic jitter factor in [0.5, 1.0] drawn from
 // (seed, frame, attempt), capped. Deterministic jitter keeps retry
 // schedules reproducible across runs — the same flaky frame backs off
 // identically every time — while still decorrelating frames that fail
 // together.
-func Backoff(base, cap time.Duration, seed uint64, frame, attempt int) time.Duration {
+func backoff(base, cap time.Duration, seed uint64, frame, attempt int) time.Duration {
 	if base < 0 {
 		return 0
 	}
 	if base == 0 {
-		base = DefaultBackoffBase
+		base = defaultBackoffBase
 	}
 	if cap <= 0 {
-		cap = DefaultBackoffCap
+		cap = defaultBackoffCap
 	}
 	d := base
 	for i := 1; i < attempt && d < cap; i++ {

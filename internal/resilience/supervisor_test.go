@@ -183,7 +183,7 @@ func TestRunResumeRejectsDamagedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !errors.Is(res.ResumeErr, ErrCorrupt) {
+	if !errors.Is(res.ResumeErr, errCorrupt) {
 		t.Fatalf("ResumeErr = %v, want ErrCorrupt", res.ResumeErr)
 	}
 	if tr.total() != len(frames) {
@@ -208,7 +208,7 @@ func TestRunResumeRejectsDamagedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !errors.Is(res.ResumeErr, ErrFingerprint) {
+	if !errors.Is(res.ResumeErr, errFingerprint) {
 		t.Fatalf("ResumeErr = %v, want ErrFingerprint", res.ResumeErr)
 	}
 }

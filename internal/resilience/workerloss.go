@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// ErrWorkerLost classifies a frame failure caused by losing the worker
+// errWorkerLost classifies a frame failure caused by losing the worker
 // that was executing it — a dead fabric peer, a severed connection, a
 // drained pool — rather than by the frame itself. The supervisor treats
 // the two differently: an ordinary failure burns one of the frame's
@@ -14,23 +14,23 @@ import (
 // without charging an attempt, exactly as a quarantined frame's work
 // re-enters the pool — bounded by Config.MaxRequeues so a permanently
 // dead fleet still converges to quarantine instead of looping forever.
-var ErrWorkerLost = errors.New("resilience: worker lost")
+var errWorkerLost = errors.New("resilience: worker lost")
 
-// WorkerLost wraps err as a worker-loss failure (see ErrWorkerLost).
-// A nil err returns ErrWorkerLost itself.
+// WorkerLost wraps err as a worker-loss failure (see errWorkerLost).
+// A nil err returns errWorkerLost itself.
 func WorkerLost(err error) error {
 	if err == nil {
-		return ErrWorkerLost
+		return errWorkerLost
 	}
-	return fmt.Errorf("%w: %w", ErrWorkerLost, err)
+	return fmt.Errorf("%w: %w", errWorkerLost, err)
 }
 
 // IsWorkerLost reports whether err is classified as worker loss.
-func IsWorkerLost(err error) bool { return errors.Is(err, ErrWorkerLost) }
+func IsWorkerLost(err error) bool { return errors.Is(err, errWorkerLost) }
 
-// DefaultMaxRequeues bounds worker-loss requeues per frame when
+// defaultMaxRequeues bounds worker-loss requeues per frame when
 // Config.MaxRequeues is zero.
-const DefaultMaxRequeues = 16
+const defaultMaxRequeues = 16
 
 func (c *Config) maxRequeues() int {
 	switch {
@@ -39,6 +39,6 @@ func (c *Config) maxRequeues() int {
 	case c.MaxRequeues < 0:
 		return 0
 	default:
-		return DefaultMaxRequeues
+		return defaultMaxRequeues
 	}
 }

@@ -14,7 +14,7 @@ import (
 func TestWorkerLostClassification(t *testing.T) {
 	inner := errors.New("connection refused")
 	err := WorkerLost(inner)
-	if !IsWorkerLost(err) || !errors.Is(err, ErrWorkerLost) {
+	if !IsWorkerLost(err) || !errors.Is(err, errWorkerLost) {
 		t.Fatalf("WorkerLost(err) not classified: %v", err)
 	}
 	if !errors.Is(err, inner) {

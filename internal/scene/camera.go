@@ -43,14 +43,14 @@ func (c ChaseCamera) ViewProjection(t float64) geom.Mat4 {
 	return proj.Mul(view)
 }
 
-// Ortho2D is the fixed orthographic camera of 2D games: world units map
+// ortho2D is the fixed orthographic camera of 2D games: world units map
 // directly to the [0, W] x [0, H] screen plane.
-type Ortho2D struct {
+type ortho2D struct {
 	Width, Height float64
 }
 
 // ViewProjection implements Camera.
-func (c Ortho2D) ViewProjection(float64) geom.Mat4 {
+func (c ortho2D) ViewProjection(float64) geom.Mat4 {
 	return geom.Orthographic(0, c.Width, 0, c.Height, -10, 10)
 }
 

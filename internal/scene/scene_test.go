@@ -114,19 +114,6 @@ func TestChaseCameraFollowsPath(t *testing.T) {
 	}
 }
 
-func TestOrtho2DMapsScreenCorners(t *testing.T) {
-	cam := Ortho2D{Width: 320, Height: 180}
-	m := cam.ViewProjection(0)
-	bl := m.TransformPoint(geom.Vec3{X: 0, Y: 0})
-	tr := m.TransformPoint(geom.Vec3{X: 320, Y: 180})
-	if math.Abs(bl.X+1) > 1e-12 || math.Abs(bl.Y+1) > 1e-12 {
-		t.Fatalf("bottom-left NDC = %+v", bl)
-	}
-	if math.Abs(tr.X-1) > 1e-12 || math.Abs(tr.Y-1) > 1e-12 {
-		t.Fatalf("top-right NDC = %+v", tr)
-	}
-}
-
 func TestSideScrollerAdvances(t *testing.T) {
 	cam := SideScroller{Width: 320, Height: 180, Speed: 100}
 	p := geom.Vec3{X: 500, Y: 90}
@@ -179,5 +166,18 @@ func TestInstanceYawPreservesRadius(t *testing.T) {
 	}
 	if p0.Sub(p1).Len() < 1e-6 {
 		t.Fatal("yaw did not rotate the point")
+	}
+}
+
+func TestOrtho2DMapsScreenCorners(t *testing.T) {
+	cam := ortho2D{Width: 320, Height: 180}
+	m := cam.ViewProjection(0)
+	bl := m.TransformPoint(geom.Vec3{X: 0, Y: 0})
+	tr := m.TransformPoint(geom.Vec3{X: 320, Y: 180})
+	if math.Abs(bl.X+1) > 1e-12 || math.Abs(bl.Y+1) > 1e-12 {
+		t.Fatalf("bottom-left NDC = %+v", bl)
+	}
+	if math.Abs(tr.X-1) > 1e-12 || math.Abs(tr.Y-1) > 1e-12 {
+		t.Fatalf("top-right NDC = %+v", tr)
 	}
 }

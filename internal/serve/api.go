@@ -21,8 +21,8 @@ import (
 // Request limits. Campaigns are small JSON documents; anything past
 // these bounds is rejected at admission (HTTP 400), never simulated.
 const (
-	// MaxRequestBytes bounds the request body.
-	MaxRequestBytes = 1 << 20
+	// maxRequestBytes bounds the request body.
+	maxRequestBytes = 1 << 20
 	// maxDim bounds the render-target edge in pixels.
 	maxDim = 4096
 	// maxPixels bounds width*height.
@@ -114,12 +114,12 @@ type CampaignRequest struct {
 // garbage, absurd sizes, non-finite numbers, unknown benchmark or GPU
 // preset — returns an error (the server answers 400); no input panics.
 func DecodeCampaignRequest(r io.Reader) (*CampaignRequest, error) {
-	body, err := io.ReadAll(io.LimitReader(r, MaxRequestBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r, maxRequestBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("decode campaign: %w", err)
 	}
-	if len(body) > MaxRequestBytes {
-		return nil, fmt.Errorf("decode campaign: body exceeds %d bytes", MaxRequestBytes)
+	if len(body) > maxRequestBytes {
+		return nil, fmt.Errorf("decode campaign: body exceeds %d bytes", maxRequestBytes)
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -352,9 +352,9 @@ func (c *CampaignRequest) GPUConfig() (megsim.GPUConfig, error) {
 	return gpu, nil
 }
 
-// ResilienceConfig resolves the per-job supervisor configuration (the
+// resilienceConfig resolves the per-job supervisor configuration (the
 // server fills in checkpointing and observability).
-func (c *CampaignRequest) ResilienceConfig() megsim.ResilienceConfig {
+func (c *CampaignRequest) resilienceConfig() megsim.ResilienceConfig {
 	return megsim.ResilienceConfig{
 		MaxAttempts:  c.Resilience.Retries,
 		Quarantine:   append([]int(nil), c.Resilience.Quarantine...),

@@ -49,7 +49,7 @@ func TestDecodeCampaignRequestRejects(t *testing.T) {
 		{"wrong type", `[]`, "decode"},
 		{"unknown field", `{"workload":{"benchmark":"hcr"},"bogus":1}`, "unknown field"},
 		{"trailing data", minimalCampaign + `{"x":1}`, "trailing data"},
-		{"oversized body", `{"workload":{"benchmark":"` + strings.Repeat("x", MaxRequestBytes) + `"}}`, "exceeds"},
+		{"oversized body", `{"workload":{"benchmark":"` + strings.Repeat("x", maxRequestBytes) + `"}}`, "exceeds"},
 		{"no workload", `{}`, "benchmark or random_seed"},
 		{"benchmark and seed", `{"workload":{"benchmark":"hcr","random_seed":1}}`, "exclusive"},
 		{"unknown benchmark", `{"workload":{"benchmark":"doom"}}`, "workload"},

@@ -73,8 +73,8 @@ type Cache struct {
 
 // Default cache capacities (entries, FIFO-evicted).
 const (
-	DefaultMaxWorkloads = 32
-	DefaultMaxFrames    = 4096
+	defaultMaxWorkloads = 32
+	defaultMaxFrames    = 4096
 )
 
 // maxRunners bounds the runner layer. Each entry pins a trace and its
@@ -83,17 +83,17 @@ const (
 const maxRunners = 4
 
 // NewCache builds a cache recording hit/miss counters into reg.
-// maxFrames bounds the FrameStats layer (0 = DefaultMaxFrames); the
+// maxFrames bounds the FrameStats layer (0 = defaultMaxFrames); the
 // trace, characterization and exploration layers hold
-// DefaultMaxWorkloads entries each.
+// defaultMaxWorkloads entries each.
 func NewCache(reg *obs.Registry, maxFrames int) *Cache {
 	if maxFrames <= 0 {
-		maxFrames = DefaultMaxFrames
+		maxFrames = defaultMaxFrames
 	}
 	return &Cache{
-		traces:     newFifoMap[*gltrace.Trace](DefaultMaxWorkloads),
-		chars:      newFifoMap[*megsim.Characterization](DefaultMaxWorkloads),
-		explores:   newFifoMap[*cluster.Exploration](DefaultMaxWorkloads),
+		traces:     newFifoMap[*gltrace.Trace](defaultMaxWorkloads),
+		chars:      newFifoMap[*megsim.Characterization](defaultMaxWorkloads),
+		explores:   newFifoMap[*cluster.Exploration](defaultMaxWorkloads),
 		frames:     newFifoMap[tbr.FrameStats](maxFrames),
 		runners:    newFifoMap[megsim.ResilientFrameFunc](maxRunners),
 		flights:    map[string]*flight{},
@@ -116,15 +116,15 @@ func (c *Cache) Trace(ctx context.Context, key string, build func() (*gltrace.Tr
 	return cacheGet(ctx, c, c.traces, "trace:"+key, c.traceHit, c.traceMiss, build)
 }
 
-// Characterization returns the cached functional characterization for
+// characterization returns the cached functional characterization for
 // key, building (once, shared) on a miss.
-func (c *Cache) Characterization(ctx context.Context, key string, build func() (*megsim.Characterization, error)) (*megsim.Characterization, error) {
+func (c *Cache) characterization(ctx context.Context, key string, build func() (*megsim.Characterization, error)) (*megsim.Characterization, error) {
 	return cacheGet(ctx, c, c.chars, "char:"+key, c.charHit, c.charMiss, build)
 }
 
-// Exploration returns the cached cluster-count exploration for key,
+// exploration returns the cached cluster-count exploration for key,
 // building (once, shared) on a miss.
-func (c *Cache) Exploration(ctx context.Context, key string, build func() (*cluster.Exploration, error)) (*cluster.Exploration, error) {
+func (c *Cache) exploration(ctx context.Context, key string, build func() (*cluster.Exploration, error)) (*cluster.Exploration, error) {
 	return cacheGet(ctx, c, c.explores, "select:"+key, c.selectHit, c.selectMiss, build)
 }
 
@@ -145,7 +145,7 @@ func (c *Cache) Runner(wkey, fp string, tr *gltrace.Trace, gpu tbr.Config) megsi
 	return fn
 }
 
-// FrameRunner wraps a frame function with the per-representative
+// frameRunner wraps a frame function with the per-representative
 // result cache under the run (wkey, fp), as for Runner: hits return the
 // cached statistics without simulating (the supervisor still
 // checkpoints and counts them); misses simulate via fn and populate the
@@ -153,7 +153,7 @@ func (c *Cache) Runner(wkey, fp string, tr *gltrace.Trace, gpu tbr.Config) megsi
 // contract — so SampleResilientPrepared's guarantees are unchanged. A
 // cache-hit frame records no observability delta (there was no
 // simulation); service-level metrics account for the hit instead.
-func (c *Cache) FrameRunner(wkey, fp string, fn megsim.ResilientFrameFunc) megsim.ResilientFrameFunc {
+func (c *Cache) frameRunner(wkey, fp string, fn megsim.ResilientFrameFunc) megsim.ResilientFrameFunc {
 	return func(ctx context.Context, frame int, reg *obs.Registry) (tbr.FrameStats, error) {
 		key := fmt.Sprintf("frame:%s/%s#%d", wkey, fp, frame)
 		return cacheGet(ctx, c, c.frames, key, c.frameHit, c.frameMiss, func() (tbr.FrameStats, error) {

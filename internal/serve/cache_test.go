@@ -153,7 +153,7 @@ func TestFifoMapEviction(t *testing.T) {
 func TestCacheFrameLayerBounded(t *testing.T) {
 	reg := obs.NewWith(obs.Options{TraceCapacity: -1})
 	c := NewCache(reg, 4)
-	fn := c.FrameRunner("wl", "fp", func(ctx context.Context, frame int, reg *obs.Registry) (tbr.FrameStats, error) {
+	fn := c.frameRunner("wl", "fp", func(ctx context.Context, frame int, reg *obs.Registry) (tbr.FrameStats, error) {
 		return tbr.FrameStats{}, nil
 	})
 	ctx := context.Background()
@@ -195,9 +195,9 @@ func TestCacheFrameKeyIncludesFingerprint(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	a := c.FrameRunner("wlA", "fpA", mk("A"))
-	b := c.FrameRunner("wlA", "fpB", mk("B"))
-	d := c.FrameRunner("wlB", "fpA", mk("D"))
+	a := c.frameRunner("wlA", "fpA", mk("A"))
+	b := c.frameRunner("wlA", "fpB", mk("B"))
+	d := c.frameRunner("wlB", "fpA", mk("D"))
 	a(ctx, 1, nil)
 	b(ctx, 1, nil)
 	d(ctx, 1, nil)

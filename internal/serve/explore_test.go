@@ -46,7 +46,7 @@ func localReport(t *testing.T, req CampaignRequest) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rrun, err := megsim.SampleResilient(context.Background(), tr, req.MegsimConfig(), gpu, req.ResilienceConfig())
+	rrun, err := megsim.SampleResilient(context.Background(), tr, req.MegsimConfig(), gpu, req.resilienceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

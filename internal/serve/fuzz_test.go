@@ -61,6 +61,6 @@ func FuzzDecodeCampaignRequest(f *testing.F) {
 			t.Fatalf("validated request has unusable GPU config: %v", err)
 		}
 		_ = req.MegsimConfig()
-		_ = req.ResilienceConfig()
+		_ = req.resilienceConfig()
 	})
 }

@@ -11,10 +11,10 @@ import (
 type JobState string
 
 const (
-	// JobQueued: admitted, waiting for a worker.
-	JobQueued JobState = "queued"
-	// JobRunning: a worker is executing the campaign.
-	JobRunning JobState = "running"
+	// jobQueued: admitted, waiting for a worker.
+	jobQueued JobState = "queued"
+	// jobRunning: a worker is executing the campaign.
+	jobRunning JobState = "running"
 	// JobSucceeded: the report is ready.
 	JobSucceeded JobState = "succeeded"
 	// JobFailed: the campaign errored; resubmitting retries it.
@@ -29,11 +29,11 @@ func (s JobState) terminal() bool {
 	return s == JobSucceeded || s == JobFailed || s == JobInterrupted
 }
 
-// Job is one admitted campaign. The submission's fingerprint is the
+// job is one admitted campaign. The submission's fingerprint is the
 // job's identity for deduplication: concurrent identical submissions
 // attach to one Job, and every client polling it reads the same
 // rendered report bytes.
-type Job struct {
+type job struct {
 	// ID is the service-assigned job identifier.
 	ID string
 	// Fingerprint is the campaign's content address.
@@ -52,25 +52,22 @@ type Job struct {
 }
 
 // State returns the current lifecycle state.
-func (j *Job) State() JobState {
+func (j *job) State() JobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
 }
 
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-func (j *Job) setRunning() {
+func (j *job) setRunning() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == JobQueued {
-		j.state = JobRunning
+	if j.state == jobQueued {
+		j.state = jobRunning
 	}
 }
 
 // complete stores the report and its rendered bytes and marks success.
-func (j *Job) complete(rep *CampaignReport, rendered []byte) {
+func (j *job) complete(rep *CampaignReport, rendered []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.terminal() {
@@ -85,7 +82,7 @@ func (j *Job) complete(rep *CampaignReport, rendered []byte) {
 // fail marks the job failed (or interrupted when the service was
 // draining — the distinction tells clients whether resubmitting will
 // resume from a checkpoint).
-func (j *Job) fail(state JobState, msg string) {
+func (j *job) fail(state JobState, msg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.terminal() {
@@ -97,7 +94,7 @@ func (j *Job) fail(state JobState, msg string) {
 }
 
 // Result returns the rendered report bytes once succeeded.
-func (j *Job) Result() ([]byte, bool) {
+func (j *job) Result() ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobSucceeded {
@@ -116,7 +113,7 @@ type JobStatus struct {
 }
 
 // Status snapshots the job for clients.
-func (j *Job) Status() JobStatus {
+func (j *job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{ID: j.ID, Fingerprint: j.Fingerprint, State: j.state, Error: j.errMsg}
@@ -126,18 +123,18 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Store is the in-memory job registry with a fingerprint index for
+// store is the in-memory job registry with a fingerprint index for
 // content-addressed deduplication.
-type Store struct {
+type store struct {
 	mu   sync.Mutex
 	seq  int
-	byID map[string]*Job
-	byFP map[string]*Job
+	byID map[string]*job
+	byFP map[string]*job
 }
 
-// NewStore returns an empty job store.
-func NewStore() *Store {
-	return &Store{byID: map[string]*Job{}, byFP: map[string]*Job{}}
+// newStore returns an empty job store.
+func newStore() *store {
+	return &store{byID: map[string]*job{}, byFP: map[string]*job{}}
 }
 
 // Submit returns the job for a campaign fingerprint. If a live or
@@ -146,7 +143,7 @@ func NewStore() *Store {
 // job-level singleflight AND the job-level result cache in one). A
 // failed or interrupted job is replaced by a fresh one, so resubmission
 // is the retry/resume path.
-func (s *Store) Submit(req *CampaignRequest, fp string, now time.Time) (j *Job, fresh bool) {
+func (s *store) Submit(req *CampaignRequest, fp string, now time.Time) (j *job, fresh bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j := s.byFP[fp]; j != nil {
@@ -155,12 +152,12 @@ func (s *Store) Submit(req *CampaignRequest, fp string, now time.Time) (j *Job, 
 		}
 	}
 	s.seq++
-	j = &Job{
+	j = &job{
 		ID:          fmt.Sprintf("job-%06d", s.seq),
 		Fingerprint: fp,
 		Req:         req,
 		Submitted:   now,
-		state:       JobQueued,
+		state:       jobQueued,
 		done:        make(chan struct{}),
 	}
 	s.byID[j.ID] = j
@@ -170,7 +167,7 @@ func (s *Store) Submit(req *CampaignRequest, fp string, now time.Time) (j *Job, 
 
 // Remove forgets a job (used when admission fails after registration —
 // the queue was full, so the job never existed as far as clients know).
-func (s *Store) Remove(j *Job) {
+func (s *store) Remove(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.byID, j.ID)
@@ -180,7 +177,7 @@ func (s *Store) Remove(j *Job) {
 }
 
 // Get returns a job by ID.
-func (s *Store) Get(id string) (*Job, bool) {
+func (s *store) Get(id string) (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.byID[id]
@@ -188,10 +185,10 @@ func (s *Store) Get(id string) (*Job, bool) {
 }
 
 // List returns every job, ascending by ID.
-func (s *Store) List() []*Job {
+func (s *store) List() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.byID))
+	out := make([]*job, 0, len(s.byID))
 	for _, j := range s.byID {
 		out = append(out, j)
 	}

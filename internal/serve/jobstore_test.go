@@ -6,7 +6,7 @@ import (
 )
 
 func TestStoreDedupAndRetry(t *testing.T) {
-	st := NewStore()
+	st := newStore()
 	req := &CampaignRequest{}
 
 	j1, fresh := st.Submit(req, "cmp-a", time.Time{})
@@ -22,13 +22,13 @@ func TestStoreDedupAndRetry(t *testing.T) {
 	}
 
 	select {
-	case <-j1.Done():
+	case <-j1.done:
 		t.Fatal("Done closed before completion")
 	default:
 	}
 	j1.complete(&CampaignReport{Cycles: 7}, []byte("bytes"))
 	select {
-	case <-j1.Done():
+	case <-j1.done:
 	default:
 		t.Fatal("Done not closed after completion")
 	}

@@ -8,17 +8,17 @@ import "sync"
 // submissions pile up unboundedly — backpressure is the contract.
 type admissionQueue struct {
 	mu     sync.Mutex
-	ch     chan *Job
+	ch     chan *job
 	closed bool
 }
 
 func newAdmissionQueue(capacity int) *admissionQueue {
-	return &admissionQueue{ch: make(chan *Job, capacity)}
+	return &admissionQueue{ch: make(chan *job, capacity)}
 }
 
 // TryEnqueue admits a job if there is room; it never blocks. Returns
 // false when the queue is full or closed (draining).
-func (q *admissionQueue) TryEnqueue(j *Job) bool {
+func (q *admissionQueue) TryEnqueue(j *job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {

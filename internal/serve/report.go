@@ -27,11 +27,11 @@ type ResilienceSummary struct {
 	ResumeError   string                    `json:"resume_error,omitempty"`
 }
 
-// NewResilienceSummary extracts the supervision summary of a batch or
+// newResilienceSummary extracts the supervision summary of a batch or
 // streaming run from its supervision record and degradation (nil when
 // the run carries no supervision record). Streaming strata report as
 // clusters.
-func NewResilienceSummary(sup *megsim.ResilienceResult, deg *megsim.Degradation) *ResilienceSummary {
+func newResilienceSummary(sup *megsim.ResilienceResult, deg *megsim.Degradation) *ResilienceSummary {
 	if sup == nil {
 		return nil
 	}
@@ -108,7 +108,7 @@ func NewCampaignReport(rrun *megsim.ResilientRun, sampled time.Duration) *Campai
 		DRAMAccesses:    run.Estimate.DRAM.Accesses,
 		L2Accesses:      run.Estimate.L2.Accesses,
 		TileAccesses:    run.Estimate.TileCache.Accesses,
-		Resilience:      NewResilienceSummary(rrun.Supervision, rrun.Degradation),
+		Resilience:      newResilienceSummary(rrun.Supervision, rrun.Degradation),
 	}
 }
 
@@ -134,7 +134,7 @@ func NewStreamingCampaignReport(srun *megsim.StreamingRun, sampled time.Duration
 		DRAMAccesses:    srun.Estimate.DRAM.Accesses,
 		L2Accesses:      srun.Estimate.L2.Accesses,
 		TileAccesses:    srun.Estimate.TileCache.Accesses,
-		Resilience:      NewResilienceSummary(srun.Supervision, srun.Degradation),
+		Resilience:      newResilienceSummary(srun.Supervision, srun.Degradation),
 		Streaming:       sum,
 	}
 }

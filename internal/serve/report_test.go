@@ -100,7 +100,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 }
 
 func TestNewResilienceSummaryNil(t *testing.T) {
-	if got := NewResilienceSummary(nil, nil); got != nil {
+	if got := newResilienceSummary(nil, nil); got != nil {
 		t.Fatalf("summary without supervision: %+v, want nil", got)
 	}
 }

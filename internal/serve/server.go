@@ -79,7 +79,7 @@ type Config struct {
 	// resubmitted (after a drain, a crash, or a restart).
 	CheckpointDir string
 	// MaxCachedFrames bounds the per-representative FrameStats cache
-	// (0 = DefaultMaxFrames).
+	// (0 = defaultMaxFrames).
 	MaxCachedFrames int
 	// Dispatcher, when non-nil, sources each campaign's frame function
 	// (coordinator mode); nil runs frames on the in-process simulator.
@@ -103,7 +103,7 @@ type Server struct {
 	cfg   Config
 	reg   *obs.Registry
 	cache *Cache
-	store *Store
+	store *store
 	queue *admissionQueue
 	mux   *http.ServeMux
 
@@ -137,7 +137,7 @@ func New(cfg Config) *Server {
 		cfg:          cfg,
 		reg:          reg,
 		cache:        NewCache(reg, cfg.MaxCachedFrames),
-		store:        NewStore(),
+		store:        newStore(),
 		queue:        newAdmissionQueue(cfg.QueueCapacity),
 		jobsCtx:      ctx,
 		cancelJobs:   cancel,
@@ -170,9 +170,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry returns the service observability registry (the one /metrics
 // exports).
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain gracefully stops the service: admission closes (submissions get
 // 503), in-flight jobs are cancelled so the resilience supervisor
@@ -212,7 +209,7 @@ func (s *Server) worker() {
 }
 
 // runJob executes one campaign and settles the job's terminal state.
-func (s *Server) runJob(j *Job) {
+func (s *Server) runJob(j *job) {
 	if s.jobsCtx.Err() != nil {
 		s.finishInterrupted(j, "service drained before the job started")
 		return
@@ -252,7 +249,7 @@ func (s *Server) runJob(j *Job) {
 	j.complete(rep, buf)
 }
 
-func (s *Server) finishInterrupted(j *Job, msg string) {
+func (s *Server) finishInterrupted(j *job, msg string) {
 	s.interrupted.Inc()
 	s.logf("serve: %s interrupted: %s", j.ID, msg)
 	j.fail(JobInterrupted, msg)
@@ -264,7 +261,7 @@ func (s *Server) finishInterrupted(j *Job, msg string) {
 // exploreKey, cut at the campaign's threshold; then the supervised
 // sampling run with the per-representative FrameStats cache wrapped
 // around the frame runner.
-func (s *Server) execute(ctx context.Context, j *Job) (*CampaignReport, error) {
+func (s *Server) execute(ctx context.Context, j *job) (*CampaignReport, error) {
 	req := j.Req
 	if req.Stream != nil {
 		return s.executeStreaming(ctx, j)
@@ -274,7 +271,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*CampaignReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build trace: %w", err)
 	}
-	ch, err := s.cache.Characterization(ctx, wkey, func() (*megsim.Characterization, error) {
+	ch, err := s.cache.characterization(ctx, wkey, func() (*megsim.Characterization, error) {
 		return megsim.Characterize(tr)
 	})
 	if err != nil {
@@ -285,7 +282,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*CampaignReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("select frames: %w", err)
 	}
-	ex, err := s.cache.Exploration(ctx, req.exploreKey(), func() (*cluster.Exploration, error) {
+	ex, err := s.cache.exploration(ctx, req.exploreKey(), func() (*cluster.Exploration, error) {
 		return core.Explore(fs, cfg)
 	})
 	if err != nil {
@@ -316,7 +313,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*CampaignReport, error) {
 // replaces batch characterization and selection, and phase 2 reuses the
 // same per-representative FrameStats cache (and dispatcher, in
 // coordinator mode) as batch campaigns.
-func (s *Server) executeStreaming(ctx context.Context, j *Job) (*CampaignReport, error) {
+func (s *Server) executeStreaming(ctx context.Context, j *job) (*CampaignReport, error) {
 	req := j.Req
 	tr, err := s.cache.Trace(ctx, req.WorkloadKey(), req.BuildTrace)
 	if err != nil {
@@ -343,13 +340,13 @@ func (s *Server) executeStreaming(ctx context.Context, j *Job) (*CampaignReport,
 // else the in-process simulator) behind the per-representative
 // FrameStats cache, and the resilience configuration, which records
 // into a fresh per-job registry and checkpoints under CheckpointDir.
-func (s *Server) supervision(j *Job, tr *megsim.Trace, gpu megsim.GPUConfig) (megsim.ResilientFrameFunc, megsim.ResilienceConfig) {
+func (s *Server) supervision(j *job, tr *megsim.Trace, gpu megsim.GPUConfig) (megsim.ResilientFrameFunc, megsim.ResilienceConfig) {
 	fp := megsim.RunFingerprint(tr, gpu)
 	inner := megsim.FrameRunner(tr, gpu)
 	if s.cfg.Dispatcher != nil {
 		inner = s.cfg.Dispatcher.FrameRunner(fp, j.Req)
 	}
-	rcfg := j.Req.ResilienceConfig()
+	rcfg := j.Req.resilienceConfig()
 	rcfg.Obs = obs.NewWith(obs.Options{TraceCapacity: -1})
 	rcfg.Fingerprint = fp
 	if s.cfg.CheckpointDir != "" {
@@ -357,7 +354,7 @@ func (s *Server) supervision(j *Job, tr *megsim.Trace, gpu megsim.GPUConfig) (me
 		rcfg.Resume = true // a missing checkpoint is a clean fresh start
 	}
 	rcfg.Log = s.cfg.Log
-	return s.cache.FrameRunner(j.Req.WorkloadKey(), fp, inner), rcfg
+	return s.cache.frameRunner(j.Req.WorkloadKey(), fp, inner), rcfg
 }
 
 // SubmitResponse answers POST /api/v1/campaigns.

@@ -513,7 +513,7 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("store holds %d jobs, want %d", len(list), K)
 	}
 	for _, st := range list {
-		if st.State != JobQueued {
+		if st.State != jobQueued {
 			t.Fatalf("job %s is %s, want queued (no workers)", st.ID, st.State)
 		}
 	}
@@ -698,7 +698,7 @@ func TestDrainCheckpointResume(t *testing.T) {
 func TestJobFailure(t *testing.T) {
 	var log bytes.Buffer
 	s, ts := newTestServer(t, Config{Workers: 1, QueueCapacity: 4, Log: &log})
-	if s.Draining() {
+	if s.draining.Load() {
 		t.Fatal("fresh server reports draining")
 	}
 	quarantine := make([]string, 2000)
@@ -773,7 +773,7 @@ func TestHandlerErrors(t *testing.T) {
 
 	// A queued submission reports its state in the submit response.
 	sub := submitOK(t, ts, `{"workload":{"random_seed":1}}`)
-	if sub.State != JobQueued || sub.Deduped || !strings.HasPrefix(sub.Fingerprint, "cmp-") {
+	if sub.State != jobQueued || sub.Deduped || !strings.HasPrefix(sub.Fingerprint, "cmp-") {
 		t.Fatalf("submit response: %+v", sub)
 	}
 }

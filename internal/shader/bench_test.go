@@ -9,7 +9,7 @@ import (
 func BenchmarkExecComplexFragment(b *testing.B) {
 	g := NewGenerator(stats.NewRNG(5))
 	p := g.Fragment(ComplexFragment)
-	s := ConstSampler(0.5)
+	s := constSampler(0.5)
 	in := Regs{0.3, 0.7, 0.1, 0.9}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,25 +9,25 @@ type Sampler interface {
 	Sample(unit int, u, v float64, filter FilterMode) float64
 }
 
-// SamplerFunc adapts a function to the Sampler interface.
-type SamplerFunc func(unit int, u, v float64, filter FilterMode) float64
+// samplerFunc adapts a function to the Sampler interface.
+type samplerFunc func(unit int, u, v float64, filter FilterMode) float64
 
 // Sample calls f.
-func (f SamplerFunc) Sample(unit int, u, v float64, filter FilterMode) float64 {
+func (f samplerFunc) Sample(unit int, u, v float64, filter FilterMode) float64 {
 	return f(unit, u, v, filter)
 }
 
-// ConstSampler returns v for every sample.
-func ConstSampler(v float64) Sampler {
-	return SamplerFunc(func(int, float64, float64, FilterMode) float64 { return v })
+// constSampler returns v for every sample.
+func constSampler(v float64) Sampler {
+	return samplerFunc(func(int, float64, float64, FilterMode) float64 { return v })
 }
 
 // Regs is a shader register file.
-type Regs [NumRegs]float64
+type Regs [numRegs]float64
 
-// TraceEvent records one texture access performed during execution; the
+// traceEvent records one texture access performed during execution; the
 // functional simulator forwards these to the cache models.
-type TraceEvent struct {
+type traceEvent struct {
 	Sampler int
 	U, V    float64
 	Filter  FilterMode
@@ -37,7 +37,7 @@ type TraceEvent struct {
 type ExecResult struct {
 	Regs Regs // final register file
 	Cost Cost // instructions actually executed (taken path only)
-	Tex  []TraceEvent
+	Tex  []traceEvent
 }
 
 // Exec functionally executes the program over the given initial register
@@ -46,10 +46,10 @@ type ExecResult struct {
 // warps execute both paths); the functional simulator uses Exec to
 // produce deterministic output values and texture access streams.
 //
-// A nil sampler behaves as ConstSampler(0).
+// A nil sampler behaves as constSampler(0).
 func (p *Program) Exec(in Regs, sampler Sampler) ExecResult {
 	if sampler == nil {
-		sampler = ConstSampler(0)
+		sampler = constSampler(0)
 	}
 	res := ExecResult{Regs: in}
 	execBlock(p.Code, &res, sampler, 0)
@@ -68,29 +68,29 @@ func execBlock(code []Instr, res *ExecResult, sampler Sampler, depth int) {
 		in := &code[i]
 		res.Cost.Instructions++
 		switch in.Op {
-		case OpMov:
+		case opMov:
 			if in.SrcA < 0 {
 				res.Regs[in.Dst] = in.Imm
 			} else {
 				res.Regs[in.Dst] = res.Regs[in.SrcA]
 			}
 			res.Cost.ALUOps++
-		case OpAdd:
+		case opAdd:
 			res.Regs[in.Dst] = res.Regs[in.SrcA] + res.Regs[in.SrcB]
 			res.Cost.ALUOps++
-		case OpMul:
+		case opMul:
 			res.Regs[in.Dst] = res.Regs[in.SrcA] * res.Regs[in.SrcB]
 			res.Cost.ALUOps++
-		case OpMad:
+		case opMad:
 			res.Regs[in.Dst] = res.Regs[in.SrcA]*res.Regs[in.SrcB] + res.Regs[in.Dst]
 			res.Cost.ALUOps++
-		case OpMin:
+		case opMin:
 			res.Regs[in.Dst] = math.Min(res.Regs[in.SrcA], res.Regs[in.SrcB])
 			res.Cost.ALUOps++
-		case OpMax:
+		case opMax:
 			res.Regs[in.Dst] = math.Max(res.Regs[in.SrcA], res.Regs[in.SrcB])
 			res.Cost.ALUOps++
-		case OpRsq:
+		case opRsq:
 			v := math.Abs(res.Regs[in.SrcA])
 			if v == 0 {
 				res.Regs[in.Dst] = 0
@@ -98,11 +98,11 @@ func execBlock(code []Instr, res *ExecResult, sampler Sampler, depth int) {
 				res.Regs[in.Dst] = 1 / math.Sqrt(v)
 			}
 			res.Cost.ALUOps++
-		case OpFrc:
+		case opFrc:
 			v := res.Regs[in.SrcA]
 			res.Regs[in.Dst] = v - math.Floor(v)
 			res.Cost.ALUOps++
-		case OpSin:
+		case opSin:
 			res.Regs[in.Dst] = math.Sin(res.Regs[in.SrcA])
 			res.Cost.ALUOps++
 		case OpTex:
@@ -110,7 +110,7 @@ func execBlock(code []Instr, res *ExecResult, sampler Sampler, depth int) {
 			res.Regs[in.Dst] = sampler.Sample(in.Sampler, u, v, in.Filter)
 			res.Cost.TexSamples++
 			res.Cost.TexMemAccesses += in.Filter.MemAccesses()
-			res.Tex = append(res.Tex, TraceEvent{Sampler: in.Sampler, U: u, V: v, Filter: in.Filter})
+			res.Tex = append(res.Tex, traceEvent{Sampler: in.Sampler, U: u, V: v, Filter: in.Filter})
 		case OpIf:
 			if res.Regs[in.SrcA] > 0 {
 				execBlock(in.Body, res, sampler, depth+1)

@@ -27,7 +27,7 @@ func FuzzGeneratedProgramExec(f *testing.F) {
 			g.Vertex(ComplexVertex),
 			g.Fragment(ComplexFragment),
 		} {
-			res := p.Exec(Regs{r0, r1, r2, r3}, ConstSampler(0.5))
+			res := p.Exec(Regs{r0, r1, r2, r3}, constSampler(0.5))
 			dyn := p.DynamicCost()
 			if res.Cost.Instructions > dyn.Instructions {
 				t.Fatalf("taken-path instrs %d exceed dynamic bound %d",
@@ -71,11 +71,11 @@ func FuzzValidateArbitraryPrograms(f *testing.F) {
 			case OpLoop:
 				in.Count = rng.Intn(4)
 				if rng.Float64() < 0.7 {
-					in.Body = []Instr{{Op: OpAdd, Dst: 4, SrcA: 0, SrcB: 1}}
+					in.Body = []Instr{{Op: opAdd, Dst: 4, SrcA: 0, SrcB: 1}}
 				}
 			case OpIf:
 				if rng.Float64() < 0.7 {
-					in.Body = []Instr{{Op: OpAdd, Dst: 4, SrcA: 0, SrcB: 1}}
+					in.Body = []Instr{{Op: opAdd, Dst: 4, SrcA: 0, SrcB: 1}}
 				}
 			case OpTex:
 				in.Sampler = rng.Intn(12) - 2
@@ -87,6 +87,6 @@ func FuzzValidateArbitraryPrograms(f *testing.F) {
 			return // rejected is fine
 		}
 		// Accepted programs must execute without panicking.
-		p.Exec(Regs{1, 2, 3, 4}, ConstSampler(1))
+		p.Exec(Regs{1, 2, 3, 4}, constSampler(1))
 	})
 }

@@ -88,7 +88,7 @@ var filterMix = []FilterMode{
 	FilterBilinear, FilterBilinear, FilterBilinear, FilterBilinear,
 	FilterLinear, FilterLinear,
 	FilterTrilinear,
-	FilterNearest,
+	filterNearest,
 }
 
 func (g *Generator) body(c Complexity, kind Kind) []Instr {
@@ -100,8 +100,8 @@ func (g *Generator) body(c Complexity, kind Kind) []Instr {
 	// Seed a few registers with immediates so arithmetic has varied
 	// inputs regardless of caller-provided registers.
 	code = append(code,
-		Instr{Op: OpMov, Dst: 8, SrcA: -1, Imm: g.rng.Range(0.1, 2.0)},
-		Instr{Op: OpMov, Dst: 9, SrcA: -1, Imm: g.rng.Range(-1.0, 1.0)},
+		Instr{Op: opMov, Dst: 8, SrcA: -1, Imm: g.rng.Range(0.1, 2.0)},
+		Instr{Op: opMov, Dst: 9, SrcA: -1, Imm: g.rng.Range(-1.0, 1.0)},
 	)
 	for i := 0; i < n; i++ {
 		code = append(code, g.aluInstr())
@@ -143,15 +143,15 @@ func (g *Generator) body(c Complexity, kind Kind) []Instr {
 }
 
 func (g *Generator) aluInstr() Instr {
-	ops := []Op{OpAdd, OpMul, OpMad, OpMin, OpMax, OpRsq, OpFrc, OpSin, OpMov}
+	ops := []Op{opAdd, opMul, opMad, opMin, opMax, opRsq, opFrc, opSin, opMov}
 	op := ops[g.rng.Intn(len(ops))]
 	in := Instr{
 		Op:   op,
-		Dst:  4 + g.rng.Intn(NumRegs-4), // keep inputs r0..r3 intact
-		SrcA: g.rng.Intn(NumRegs),
-		SrcB: g.rng.Intn(NumRegs),
+		Dst:  4 + g.rng.Intn(numRegs-4), // keep inputs r0..r3 intact
+		SrcA: g.rng.Intn(numRegs),
+		SrcB: g.rng.Intn(numRegs),
 	}
-	if op == OpMov && g.rng.Float64() < 0.3 {
+	if op == opMov && g.rng.Float64() < 0.3 {
 		in.SrcA = -1
 		in.Imm = g.rng.Range(-2, 2)
 	}

@@ -45,8 +45,8 @@ func (k Kind) String() string {
 type FilterMode int
 
 const (
-	// FilterNearest samples a single texel.
-	FilterNearest FilterMode = iota
+	// filterNearest samples a single texel.
+	filterNearest FilterMode = iota
 	// FilterLinear performs 2 memory accesses (paper weight 2).
 	FilterLinear
 	// FilterBilinear performs 4 memory accesses (paper weight 4).
@@ -60,7 +60,7 @@ const (
 // Section III-B.
 func (f FilterMode) MemAccesses() int {
 	switch f {
-	case FilterNearest:
+	case filterNearest:
 		return 1
 	case FilterLinear:
 		return 2
@@ -76,7 +76,7 @@ func (f FilterMode) MemAccesses() int {
 // String names the filter mode.
 func (f FilterMode) String() string {
 	switch f {
-	case FilterNearest:
+	case filterNearest:
 		return "nearest"
 	case FilterLinear:
 		return "linear"
@@ -93,24 +93,24 @@ func (f FilterMode) String() string {
 type Op int
 
 const (
-	// OpMov copies SrcA (or Imm when SrcA < 0) to Dst.
-	OpMov Op = iota
-	// OpAdd computes Dst = SrcA + SrcB.
-	OpAdd
-	// OpMul computes Dst = SrcA * SrcB.
-	OpMul
-	// OpMad computes Dst = SrcA * SrcB + Dst (multiply-accumulate).
-	OpMad
-	// OpMin computes Dst = min(SrcA, SrcB).
-	OpMin
-	// OpMax computes Dst = max(SrcA, SrcB).
-	OpMax
-	// OpRsq computes Dst = 1/sqrt(|SrcA|) (0 yields 0).
-	OpRsq
-	// OpFrc computes Dst = SrcA - floor(SrcA).
-	OpFrc
-	// OpSin computes Dst = sin(SrcA).
-	OpSin
+	// opMov copies SrcA (or Imm when SrcA < 0) to Dst.
+	opMov Op = iota
+	// opAdd computes Dst = SrcA + SrcB.
+	opAdd
+	// opMul computes Dst = SrcA * SrcB.
+	opMul
+	// opMad computes Dst = SrcA * SrcB + Dst (multiply-accumulate).
+	opMad
+	// opMin computes Dst = min(SrcA, SrcB).
+	opMin
+	// opMax computes Dst = max(SrcA, SrcB).
+	opMax
+	// opRsq computes Dst = 1/sqrt(|SrcA|) (0 yields 0).
+	opRsq
+	// opFrc computes Dst = SrcA - floor(SrcA).
+	opFrc
+	// opSin computes Dst = sin(SrcA).
+	opSin
 	// OpTex samples texture Sampler at coordinates (SrcA, SrcB) with
 	// Filter, writing the sampled value to Dst.
 	OpTex
@@ -130,9 +130,9 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
-// NumRegs is the size of the register file available to a shader
+// numRegs is the size of the register file available to a shader
 // invocation. Inputs are pre-loaded into low registers by the caller.
-const NumRegs = 16
+const numRegs = 16
 
 // Instr is a single shader instruction. Control-flow instructions (OpIf,
 // OpLoop) carry nested bodies; all others are flat register operations.
@@ -141,7 +141,7 @@ type Instr struct {
 	Dst     int        // destination register
 	SrcA    int        // first source register (-1 = use Imm)
 	SrcB    int        // second source register
-	Imm     float64    // immediate operand for OpMov with SrcA < 0
+	Imm     float64    // immediate operand for opMov with SrcA < 0
 	Sampler int        // texture unit, OpTex only
 	Filter  FilterMode // filtering mode, OpTex only
 	Count   int        // trip count, OpLoop only
@@ -172,23 +172,16 @@ type Cost struct {
 	TexMemAccesses int
 }
 
-// Weighted returns the MEGsim characterization weight of the program: the
-// instruction count with each texture instruction replaced by its
-// filter-mode memory-access weight (Section III-B).
-func (c Cost) Weighted() float64 {
-	return float64(c.Instructions-c.TexSamples) + float64(c.TexMemAccesses)
-}
-
-// Add accumulates o into c.
-func (c *Cost) Add(o Cost) {
+// add accumulates o into c.
+func (c *Cost) add(o Cost) {
 	c.Instructions += o.Instructions
 	c.ALUOps += o.ALUOps
 	c.TexSamples += o.TexSamples
 	c.TexMemAccesses += o.TexMemAccesses
 }
 
-// Scale returns c with every field multiplied by n.
-func (c Cost) Scale(n int) Cost {
+// scale returns c with every field multiplied by n.
+func (c Cost) scale(n int) Cost {
 	return Cost{
 		Instructions:   c.Instructions * n,
 		ALUOps:         c.ALUOps * n,
@@ -215,10 +208,10 @@ func staticCost(code []Instr) Cost {
 			c.TexSamples++
 			c.TexMemAccesses += in.Filter.MemAccesses()
 		case OpIf:
-			c.Add(staticCost(in.Body))
-			c.Add(staticCost(in.Else))
+			c.add(staticCost(in.Body))
+			c.add(staticCost(in.Else))
 		case OpLoop:
-			c.Add(staticCost(in.Body))
+			c.add(staticCost(in.Body))
 		default:
 			c.ALUOps++
 		}
@@ -246,12 +239,12 @@ func dynamicCost(code []Instr) Cost {
 			c.TexMemAccesses += in.Filter.MemAccesses()
 		case OpIf:
 			c.Instructions++ // the branch itself
-			c.Add(dynamicCost(in.Body))
-			c.Add(dynamicCost(in.Else))
+			c.add(dynamicCost(in.Body))
+			c.add(dynamicCost(in.Else))
 		case OpLoop:
 			c.Instructions++ // loop setup
 			body := dynamicCost(in.Body)
-			c.Add(body.Scale(max(in.Count, 0)))
+			c.add(body.scale(max(in.Count, 0)))
 		default:
 			c.Instructions++
 			c.ALUOps++
@@ -279,16 +272,16 @@ func (p *Program) validate(code []Instr, depth int) error {
 	}
 	for i := range code {
 		in := &code[i]
-		if in.Dst < 0 || in.Dst >= NumRegs {
+		if in.Dst < 0 || in.Dst >= numRegs {
 			return fmt.Errorf("shader %q: instr %d (%v) dst register %d out of range", p.Name, i, in.Op, in.Dst)
 		}
-		// SrcA == -1 selects the immediate operand, which only OpMov
+		// SrcA == -1 selects the immediate operand, which only opMov
 		// consumes; every other opcode reads SrcA as a register index.
 		minSrcA := 0
-		if in.Op == OpMov {
+		if in.Op == opMov {
 			minSrcA = -1
 		}
-		if in.SrcA < minSrcA || in.SrcA >= NumRegs || in.SrcB < 0 || in.SrcB >= NumRegs {
+		if in.SrcA < minSrcA || in.SrcA >= numRegs || in.SrcB < 0 || in.SrcB >= numRegs {
 			return fmt.Errorf("shader %q: instr %d (%v) src registers (%d,%d) out of range", p.Name, i, in.Op, in.SrcA, in.SrcB)
 		}
 		switch in.Op {

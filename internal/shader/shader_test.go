@@ -13,7 +13,7 @@ func TestFilterModeWeights(t *testing.T) {
 		f    FilterMode
 		want int
 	}{
-		{FilterNearest, 1},
+		{filterNearest, 1},
 		{FilterLinear, 2},
 		{FilterBilinear, 4},
 		{FilterTrilinear, 8},
@@ -29,17 +29,14 @@ func TestStaticCostFlat(t *testing.T) {
 	p := &Program{
 		ID: 1, Name: "flat", Kind: VertexKind,
 		Code: []Instr{
-			{Op: OpAdd, Dst: 4, SrcA: 0, SrcB: 1},
-			{Op: OpMul, Dst: 5, SrcA: 4, SrcB: 2},
-			{Op: OpMov, Dst: 6, SrcA: -1, Imm: 3},
+			{Op: opAdd, Dst: 4, SrcA: 0, SrcB: 1},
+			{Op: opMul, Dst: 5, SrcA: 4, SrcB: 2},
+			{Op: opMov, Dst: 6, SrcA: -1, Imm: 3},
 		},
 	}
 	c := p.StaticCost()
 	if c.Instructions != 3 || c.ALUOps != 3 || c.TexSamples != 0 {
 		t.Fatalf("static cost = %+v", c)
-	}
-	if c.Weighted() != 3 {
-		t.Fatalf("weighted = %v, want 3", c.Weighted())
 	}
 }
 
@@ -47,7 +44,7 @@ func TestStaticCostTextureWeighting(t *testing.T) {
 	p := &Program{
 		ID: 2, Name: "tex", Kind: FragmentKind,
 		Code: []Instr{
-			{Op: OpAdd, Dst: 4, SrcA: 0, SrcB: 1},
+			{Op: opAdd, Dst: 4, SrcA: 0, SrcB: 1},
 			{Op: OpTex, Dst: 5, SrcA: 0, SrcB: 1, Filter: FilterBilinear},
 			{Op: OpTex, Dst: 6, SrcA: 2, SrcB: 3, Filter: FilterTrilinear},
 		},
@@ -56,10 +53,6 @@ func TestStaticCostTextureWeighting(t *testing.T) {
 	if c.Instructions != 3 || c.TexSamples != 2 || c.TexMemAccesses != 12 {
 		t.Fatalf("static cost = %+v", c)
 	}
-	// Weighted: 1 ALU + 4 (bilinear) + 8 (trilinear) = 13.
-	if c.Weighted() != 13 {
-		t.Fatalf("weighted = %v, want 13", c.Weighted())
-	}
 }
 
 func TestDynamicCostBothBranchPathsCharged(t *testing.T) {
@@ -67,8 +60,8 @@ func TestDynamicCostBothBranchPathsCharged(t *testing.T) {
 		ID: 3, Name: "branchy", Kind: FragmentKind,
 		Code: []Instr{
 			{Op: OpIf, SrcA: 0,
-				Body: []Instr{{Op: OpAdd, Dst: 4, SrcA: 0, SrcB: 1}, {Op: OpAdd, Dst: 5, SrcA: 0, SrcB: 1}},
-				Else: []Instr{{Op: OpMul, Dst: 6, SrcA: 0, SrcB: 1}},
+				Body: []Instr{{Op: opAdd, Dst: 4, SrcA: 0, SrcB: 1}, {Op: opAdd, Dst: 5, SrcA: 0, SrcB: 1}},
+				Else: []Instr{{Op: opMul, Dst: 6, SrcA: 0, SrcB: 1}},
 			},
 		},
 	}
@@ -93,8 +86,8 @@ func TestDynamicCostLoopMultiplies(t *testing.T) {
 		ID: 4, Name: "loopy", Kind: VertexKind,
 		Code: []Instr{
 			{Op: OpLoop, Count: 5, Body: []Instr{
-				{Op: OpAdd, Dst: 4, SrcA: 4, SrcB: 8},
-				{Op: OpMul, Dst: 5, SrcA: 5, SrcB: 8},
+				{Op: opAdd, Dst: 4, SrcA: 4, SrcB: 8},
+				{Op: opMul, Dst: 5, SrcA: 5, SrcB: 8},
 			}},
 		},
 	}
@@ -111,12 +104,12 @@ func TestExecArithmetic(t *testing.T) {
 	p := &Program{
 		ID: 5, Name: "arith", Kind: VertexKind,
 		Code: []Instr{
-			{Op: OpMov, Dst: 4, SrcA: -1, Imm: 10},
-			{Op: OpAdd, Dst: 5, SrcA: 4, SrcB: 0}, // r5 = 10 + r0
-			{Op: OpMul, Dst: 6, SrcA: 5, SrcB: 1}, // r6 = r5 * r1
-			{Op: OpMad, Dst: 6, SrcA: 4, SrcB: 0}, // r6 += 10*r0
-			{Op: OpMin, Dst: 7, SrcA: 6, SrcB: 4}, // r7 = min(r6, 10)
-			{Op: OpMax, Dst: 8, SrcA: 6, SrcB: 4}, // r8 = max(r6, 10)
+			{Op: opMov, Dst: 4, SrcA: -1, Imm: 10},
+			{Op: opAdd, Dst: 5, SrcA: 4, SrcB: 0}, // r5 = 10 + r0
+			{Op: opMul, Dst: 6, SrcA: 5, SrcB: 1}, // r6 = r5 * r1
+			{Op: opMad, Dst: 6, SrcA: 4, SrcB: 0}, // r6 += 10*r0
+			{Op: opMin, Dst: 7, SrcA: 6, SrcB: 4}, // r7 = min(r6, 10)
+			{Op: opMax, Dst: 8, SrcA: 6, SrcB: 4}, // r8 = max(r6, 10)
 		},
 	}
 	res := p.Exec(Regs{2, 3}, nil) // r0=2 r1=3
@@ -134,7 +127,7 @@ func TestExecArithmetic(t *testing.T) {
 func TestExecRsqZero(t *testing.T) {
 	p := &Program{
 		ID: 6, Name: "rsq", Kind: VertexKind,
-		Code: []Instr{{Op: OpRsq, Dst: 4, SrcA: 0}},
+		Code: []Instr{{Op: opRsq, Dst: 4, SrcA: 0}},
 	}
 	res := p.Exec(Regs{}, nil)
 	if res.Regs[4] != 0 {
@@ -154,7 +147,7 @@ func TestExecTextureTrace(t *testing.T) {
 		},
 	}
 	sampled := false
-	s := SamplerFunc(func(unit int, u, v float64, f FilterMode) float64 {
+	s := samplerFunc(func(unit int, u, v float64, f FilterMode) float64 {
 		sampled = true
 		if unit != 2 || u != 0.25 || v != 0.75 || f != FilterTrilinear {
 			t.Errorf("sampler got unit=%d u=%v v=%v f=%v", unit, u, v, f)
@@ -193,10 +186,10 @@ func TestValidateCatchesBadPrograms(t *testing.T) {
 		p    *Program
 	}{
 		{"empty", &Program{ID: 1, Name: "e", Code: nil}},
-		{"no name", &Program{ID: 1, Code: []Instr{{Op: OpMov, Dst: 4, SrcA: -1}}}},
-		{"bad dst", &Program{ID: 1, Name: "d", Code: []Instr{{Op: OpMov, Dst: 99, SrcA: -1}}}},
-		{"bad src", &Program{ID: 1, Name: "s", Code: []Instr{{Op: OpAdd, Dst: 4, SrcA: 20, SrcB: 0}}}},
-		{"zero loop", &Program{ID: 1, Name: "l", Code: []Instr{{Op: OpLoop, Count: 0, Body: []Instr{{Op: OpMov, Dst: 4, SrcA: -1}}}}}},
+		{"no name", &Program{ID: 1, Code: []Instr{{Op: opMov, Dst: 4, SrcA: -1}}}},
+		{"bad dst", &Program{ID: 1, Name: "d", Code: []Instr{{Op: opMov, Dst: 99, SrcA: -1}}}},
+		{"bad src", &Program{ID: 1, Name: "s", Code: []Instr{{Op: opAdd, Dst: 4, SrcA: 20, SrcB: 0}}}},
+		{"zero loop", &Program{ID: 1, Name: "l", Code: []Instr{{Op: OpLoop, Count: 0, Body: []Instr{{Op: opMov, Dst: 4, SrcA: -1}}}}}},
 		{"empty if", &Program{ID: 1, Name: "i", Code: []Instr{{Op: OpIf, SrcA: 0}}}},
 		{"bad sampler", &Program{ID: 1, Name: "t", Code: []Instr{{Op: OpTex, Dst: 4, SrcA: 0, SrcB: 1, Sampler: 9}}}},
 	}
@@ -234,7 +227,7 @@ func TestGeneratorProgramsValid(t *testing.T) {
 			}
 			// Dynamic cost always >= static ALU portion must hold, and
 			// execution must not produce runaway instruction counts.
-			res := p.Exec(Regs{0.5, 0.5, 0.5, 0.5}, ConstSampler(1))
+			res := p.Exec(Regs{0.5, 0.5, 0.5, 0.5}, constSampler(1))
 			if res.Cost.Instructions <= 0 || res.Cost.Instructions > 10000 {
 				return false
 			}
@@ -274,11 +267,11 @@ func TestGeneratorIDsUnique(t *testing.T) {
 func TestCostAddScale(t *testing.T) {
 	a := Cost{Instructions: 10, ALUOps: 7, TexSamples: 2, TexMemAccesses: 8}
 	b := a
-	b.Add(a)
+	b.add(a)
 	if b.Instructions != 20 || b.TexMemAccesses != 16 {
 		t.Fatalf("Add = %+v", b)
 	}
-	s := a.Scale(3)
+	s := a.scale(3)
 	if s.Instructions != 30 || s.ALUOps != 21 || s.TexSamples != 6 || s.TexMemAccesses != 24 {
 		t.Fatalf("Scale = %+v", s)
 	}
@@ -288,7 +281,7 @@ func TestKindAndOpStrings(t *testing.T) {
 	if VertexKind.String() != "vertex" || FragmentKind.String() != "fragment" {
 		t.Fatal("Kind.String wrong")
 	}
-	if OpTex.String() != "tex" || OpMad.String() != "mad" {
+	if OpTex.String() != "tex" || opMad.String() != "mad" {
 		t.Fatal("Op.String wrong")
 	}
 	if FilterBilinear.String() != "bilinear" {

@@ -9,8 +9,8 @@ import (
 
 func TestEmptyMatrix(t *testing.T) {
 	m := New(nil)
-	if m.N() != 0 || m.MaxDistance() != 0 {
-		t.Fatalf("empty matrix: N=%d max=%v", m.N(), m.MaxDistance())
+	if m.N() != 0 || m.max != 0 {
+		t.Fatalf("empty matrix: N=%d max=%v", m.N(), m.max)
 	}
 	var pgm bytes.Buffer
 	if err := m.WritePGM(&pgm); err != nil {
@@ -30,8 +30,8 @@ func TestEmptyMatrix(t *testing.T) {
 
 func TestSingleFrameMatrix(t *testing.T) {
 	m := New([][]float64{{1, 2, 3}})
-	if m.N() != 1 || m.At(0, 0) != 0 || m.MaxDistance() != 0 {
-		t.Fatalf("single-frame matrix: N=%d At=%v max=%v", m.N(), m.At(0, 0), m.MaxDistance())
+	if m.N() != 1 || m.at(0, 0) != 0 || m.max != 0 {
+		t.Fatalf("single-frame matrix: N=%d At=%v max=%v", m.N(), m.at(0, 0), m.max)
 	}
 	var buf bytes.Buffer
 	if err := m.WritePGM(&buf); err != nil {

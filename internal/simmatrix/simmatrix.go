@@ -40,9 +40,6 @@ func New(vectors [][]float64) *Matrix {
 // N returns the number of frames.
 func (m *Matrix) N() int { return m.n }
 
-// MaxDistance returns the largest pairwise distance.
-func (m *Matrix) MaxDistance() float64 { return m.max }
-
 func (m *Matrix) index(x, y int) int {
 	if y < x {
 		x, y = y, x
@@ -52,8 +49,8 @@ func (m *Matrix) index(x, y int) int {
 	return x*m.n - x*(x-1)/2 + (y - x)
 }
 
-// At returns the distance between frames x and y (symmetric).
-func (m *Matrix) At(x, y int) float64 {
+// at returns the distance between frames x and y (symmetric).
+func (m *Matrix) at(x, y int) float64 {
 	if x < 0 || y < 0 || x >= m.n || y >= m.n {
 		panic(fmt.Sprintf("simmatrix: index (%d,%d) out of range for %d frames", x, y, m.n))
 	}
@@ -74,7 +71,7 @@ func (m *Matrix) WritePGM(w io.Writer) error {
 	}
 	for y := 0; y < m.n; y++ {
 		for x := 0; x < m.n; x++ {
-			v := byte(m.At(x, y) * scale)
+			v := byte(m.at(x, y) * scale)
 			if err := bw.WriteByte(v); err != nil {
 				return fmt.Errorf("simmatrix: writing PGM data: %w", err)
 			}
@@ -116,7 +113,7 @@ func (m *Matrix) WritePPM(w io.Writer, assign []int, diagBand int) error {
 				c := clusterPalette[assign[min(x, y)]%len(clusterPalette)]
 				px = c
 			} else {
-				v := byte(m.At(x, y) * scale)
+				v := byte(m.at(x, y) * scale)
 				px = [3]byte{v, v, v}
 			}
 			if _, err := bw.Write(px[:]); err != nil {

@@ -23,8 +23,8 @@ func randomVectors(rng *stats.RNG, n, d int) [][]float64 {
 func TestDiagonalIsZero(t *testing.T) {
 	m := New(randomVectors(stats.NewRNG(1), 20, 4))
 	for i := 0; i < m.N(); i++ {
-		if m.At(i, i) != 0 {
-			t.Fatalf("At(%d,%d) = %v", i, i, m.At(i, i))
+		if m.at(i, i) != 0 {
+			t.Fatalf("At(%d,%d) = %v", i, i, m.at(i, i))
 		}
 	}
 }
@@ -36,7 +36,7 @@ func TestSymmetry(t *testing.T) {
 		m := New(randomVectors(rng, n, 3))
 		for x := 0; x < n; x++ {
 			for y := 0; y < n; y++ {
-				if m.At(x, y) != m.At(y, x) {
+				if m.at(x, y) != m.at(y, x) {
 					return false
 				}
 			}
@@ -50,14 +50,14 @@ func TestSymmetry(t *testing.T) {
 
 func TestKnownDistances(t *testing.T) {
 	m := New([][]float64{{0, 0}, {3, 4}, {0, 0}})
-	if m.At(0, 1) != 5 {
-		t.Fatalf("At(0,1) = %v, want 5", m.At(0, 1))
+	if m.at(0, 1) != 5 {
+		t.Fatalf("At(0,1) = %v, want 5", m.at(0, 1))
 	}
-	if m.At(0, 2) != 0 {
-		t.Fatalf("At(0,2) = %v, want 0 (identical frames)", m.At(0, 2))
+	if m.at(0, 2) != 0 {
+		t.Fatalf("At(0,2) = %v, want 0 (identical frames)", m.at(0, 2))
 	}
-	if m.MaxDistance() != 5 {
-		t.Fatalf("MaxDistance = %v", m.MaxDistance())
+	if m.max != 5 {
+		t.Fatalf("MaxDistance = %v", m.max)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.At(0, 2)
+	m.at(0, 2)
 }
 
 func TestWritePGMFormat(t *testing.T) {
@@ -133,7 +133,7 @@ func TestWritePPMValidatesAssignLength(t *testing.T) {
 func TestUniformVectorsZeroMatrix(t *testing.T) {
 	vecs := [][]float64{{2, 2}, {2, 2}, {2, 2}}
 	m := New(vecs)
-	if m.MaxDistance() != 0 {
+	if m.max != 0 {
 		t.Fatal("identical vectors should give zero matrix")
 	}
 	var buf bytes.Buffer
@@ -150,8 +150,8 @@ func TestTriangleIndexCoversAllPairs(t *testing.T) {
 	for x := 0; x < n; x++ {
 		for y := x; y < n; y++ {
 			want := math.Sqrt(sq(vecs[x], vecs[y]))
-			if math.Abs(m.At(x, y)-want) > 1e-12 {
-				t.Fatalf("At(%d,%d) = %v, want %v", x, y, m.At(x, y), want)
+			if math.Abs(m.at(x, y)-want) > 1e-12 {
+				t.Fatalf("At(%d,%d) = %v, want %v", x, y, m.at(x, y), want)
 			}
 		}
 	}

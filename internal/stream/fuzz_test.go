@@ -90,7 +90,7 @@ func FuzzStreamIngest(f *testing.F) {
 				t.Fatalf("well-formed profile rejected: %v", err)
 			}
 
-			if got := in.NumStrata(); got < 1 || got > cfg.MaxStrata {
+			if got := len(in.strata); got < 1 || got > cfg.MaxStrata {
 				t.Fatalf("strata count %d outside [1,%d]", got, cfg.MaxStrata)
 			}
 			for _, st := range in.strata {
@@ -98,9 +98,9 @@ func FuzzStreamIngest(f *testing.F) {
 					t.Fatalf("reservoir %d exceeds cap %d", len(st.res), cfg.ReservoirCap)
 				}
 			}
-			if in.LiveVectors() > in.VectorBudget() || in.PeakVectors() > in.VectorBudget() {
+			if in.alloc.live > vectorBudget(in) || in.PeakVectors() > vectorBudget(in) {
 				t.Fatalf("vector account live=%d peak=%d exceeds budget %d",
-					in.LiveVectors(), in.PeakVectors(), in.VectorBudget())
+					in.alloc.live, in.PeakVectors(), vectorBudget(in))
 			}
 		}
 
@@ -126,9 +126,9 @@ func FuzzStreamIngest(f *testing.F) {
 			if err != nil {
 				t.Fatalf("finalize: %v", err)
 			}
-			if sel.Frames != in.Frames() || len(sel.Strata) != in.NumStrata() {
+			if sel.Frames != in.Frames() || len(sel.Strata) != len(in.strata) {
 				t.Fatalf("selection inconsistent with ingestor: frames %d/%d strata %d/%d",
-					sel.Frames, in.Frames(), len(sel.Strata), in.NumStrata())
+					sel.Frames, in.Frames(), len(sel.Strata), len(in.strata))
 			}
 		}
 

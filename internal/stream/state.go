@@ -42,12 +42,12 @@ type resState struct {
 	Vec   []float64 `json:"vec"`
 }
 
-// ConfigHash fingerprints everything that must match for a snapshot to
+// configHash fingerprints everything that must match for a snapshot to
 // be resumable: the capacity/seed/feature configuration and the static
 // shader weights of the workload. A snapshot taken under any other
 // hash is rejected — resuming it would silently mix incompatible
 // characterizations.
-func (in *Ingestor) ConfigHash() string {
+func (in *Ingestor) configHash() string {
 	b, err := json.Marshal(struct {
 		Name             string
 		MaxStrata        int
@@ -73,7 +73,7 @@ func (in *Ingestor) ConfigHash() string {
 func (in *Ingestor) Snapshot() ([]byte, error) {
 	st := state{
 		Version:    stateVersion,
-		ConfigHash: in.ConfigHash(),
+		ConfigHash: in.configHash(),
 		N:          in.n,
 		GroupSum:   in.groupSum,
 		SpawnR:     in.spawnR,
@@ -117,7 +117,7 @@ func (in *Ingestor) Restore(data []byte) error {
 	if st.Version != stateVersion {
 		return fmt.Errorf("stream: snapshot version %d (want %d)", st.Version, stateVersion)
 	}
-	if want := in.ConfigHash(); st.ConfigHash != want {
+	if want := in.configHash(); st.ConfigHash != want {
 		return fmt.Errorf("stream: snapshot config %q does not match ingestor %q", st.ConfigHash, want)
 	}
 	if st.N < 0 || st.NextLabel < 0 || st.Merges < 0 {

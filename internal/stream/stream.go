@@ -39,18 +39,18 @@ import (
 // and a reservoir deep enough to survive representative quarantine
 // with in-stratum substitutes.
 const (
-	DefaultMaxStrata    = 32
-	DefaultReservoirCap = 8
+	defaultMaxStrata    = 32
+	defaultReservoirCap = 8
 )
 
 // Config parameterizes the streaming first phase.
 type Config struct {
-	// MaxStrata bounds the number of strata (0 = DefaultMaxStrata).
+	// MaxStrata bounds the number of strata (0 = defaultMaxStrata).
 	// When a new frame needs a stratum beyond the cap, the two closest
 	// existing strata merge first.
 	MaxStrata int
 	// ReservoirCap bounds each stratum's reservoir of candidate
-	// representative frames (0 = DefaultReservoirCap).
+	// representative frames (0 = defaultReservoirCap).
 	ReservoirCap int
 	// Seed drives the reservoir hash priorities. Same seed, same
 	// stream, same result — regardless of chunking.
@@ -67,8 +67,8 @@ type Config struct {
 // DefaultConfig returns the paper-faithful streaming configuration.
 func DefaultConfig() Config {
 	return Config{
-		MaxStrata:    DefaultMaxStrata,
-		ReservoirCap: DefaultReservoirCap,
+		MaxStrata:    defaultMaxStrata,
+		ReservoirCap: defaultReservoirCap,
 		Seed:         1,
 		Feature:      core.DefaultFeatureConfig(),
 	}
@@ -77,10 +77,10 @@ func DefaultConfig() Config {
 // withDefaults fills zero-valued fields.
 func (c Config) withDefaults() Config {
 	if c.MaxStrata <= 0 {
-		c.MaxStrata = DefaultMaxStrata
+		c.MaxStrata = defaultMaxStrata
 	}
 	if c.ReservoirCap <= 0 {
-		c.ReservoirCap = DefaultReservoirCap
+		c.ReservoirCap = defaultReservoirCap
 	}
 	if c.Feature == (core.FeatureConfig{}) {
 		c.Feature = core.DefaultFeatureConfig()
@@ -172,34 +172,16 @@ func NewIngestor(name string, vsStatic, fsStatic []shader.Cost, cfg Config) *Ing
 	return in
 }
 
-// Name returns the workload name the ingestor was built for.
-func (in *Ingestor) Name() string { return in.name }
-
 // Frames returns how many frames have been ingested. The next frame's
 // identity is this value — frames are identified by arrival position,
 // never by the profile's own Frame field (a hostile stream can repeat
 // or shuffle those freely).
 func (in *Ingestor) Frames() int { return in.n }
 
-// NumStrata returns the current stratum count.
-func (in *Ingestor) NumStrata() int { return len(in.strata) }
-
-// Merges returns how many forced stratum merges have happened.
-func (in *Ingestor) Merges() int { return in.merges }
-
-// LiveVectors and PeakVectors expose the allocator accounting the
-// bounded-memory tests assert on: the number of feature vectors
-// currently (and maximally ever) alive inside the ingestor.
-func (in *Ingestor) LiveVectors() int { return in.alloc.live }
+// PeakVectors exposes the allocator accounting the bounded-memory
+// tests assert on: the largest number of feature vectors ever alive
+// inside the ingestor.
 func (in *Ingestor) PeakVectors() int { return in.alloc.peak }
-
-// VectorBudget is the allocator ceiling implied by the configuration:
-// one sum and up to ReservoirCap members per stratum, one scratch
-// vector in flight, and one transient sum during a merge. Ingest never
-// exceeds it, no matter how long the stream runs.
-func (in *Ingestor) VectorBudget() int {
-	return in.cfg.MaxStrata*(in.cfg.ReservoirCap+1) + 2
-}
 
 // Add ingests one frame profile. The profile's count-vector shape must
 // match the static costs the ingestor was built with; a mismatched

@@ -137,7 +137,7 @@ func TestCapacityBounds(t *testing.T) {
 			}
 		}
 	}
-	if in.Merges() == 0 {
+	if in.merges == 0 {
 		t.Fatalf("tiny caps on %d frames should force merges", len(d.fr.Profiles))
 	}
 }
@@ -157,7 +157,7 @@ func TestBoundedMemory(t *testing.T) {
 		t.Fatalf("need a stream >= %d frames (10x the stratum budget), got %d", want, len(d.fr.Profiles))
 	}
 	in := newTestIngestor(d, cfg)
-	budget := in.VectorBudget()
+	budget := vectorBudget(in)
 	for i := range d.fr.Profiles {
 		if err := in.Add(&d.fr.Profiles[i]); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
@@ -172,8 +172,8 @@ func TestBoundedMemory(t *testing.T) {
 	for _, st := range in.strata {
 		want += 1 + len(st.res)
 	}
-	if in.LiveVectors() != want {
-		t.Fatalf("live vectors %d, structure holds %d", in.LiveVectors(), want)
+	if in.alloc.live != want {
+		t.Fatalf("live vectors %d, structure holds %d", in.alloc.live, want)
 	}
 	t.Logf("%d frames: peak %d vectors (budget %d)", len(d.fr.Profiles), in.PeakVectors(), budget)
 }
@@ -602,11 +602,11 @@ func TestSingleStratumCap(t *testing.T) {
 	}
 
 	in, ref := ingest(len(d.fr.Profiles))
-	if got := in.NumStrata(); got != 1 {
+	if got := len(in.strata); got != 1 {
 		t.Fatalf("%d strata under a cap of 1", got)
 	}
-	if in.Merges() != 0 {
-		t.Fatalf("%d merges recorded with a single stratum", in.Merges())
+	if in.merges != 0 {
+		t.Fatalf("%d merges recorded with a single stratum", in.merges)
 	}
 	if got := len(in.strata[0].res); got == 0 || got > cfg.ReservoirCap {
 		t.Fatalf("reservoir size %d out of [1,%d]", got, cfg.ReservoirCap)
@@ -623,4 +623,12 @@ func TestSingleStratumCap(t *testing.T) {
 			t.Errorf("chunk size %d: snapshot differs from all-at-once", chunk)
 		}
 	}
+}
+
+// vectorBudget is the allocator ceiling implied by the ingestor's
+// configuration: one sum and up to ReservoirCap members per stratum,
+// one scratch vector in flight, and one transient sum during a merge.
+// Ingest never exceeds it, no matter how long the stream runs.
+func vectorBudget(in *Ingestor) int {
+	return in.cfg.MaxStrata*(in.cfg.ReservoirCap+1) + 2
 }

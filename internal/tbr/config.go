@@ -132,8 +132,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
+// validate reports configuration errors.
+func (c Config) validate() error {
 	if c.TileSize <= 0 || c.TileSize%2 != 0 {
 		return fmt.Errorf("tbr: tile size %d must be positive and even", c.TileSize)
 	}
@@ -150,7 +150,7 @@ func (c Config) Validate() error {
 	if c.EarlyZInFlight <= 0 {
 		return fmt.Errorf("tbr: EarlyZInFlight must be positive")
 	}
-	if err := c.Faults.Validate(); err != nil {
+	if err := c.Faults.validate(); err != nil {
 		return err
 	}
 	for _, cc := range []mem.CacheConfig{c.VertexCache, c.TextureCache, c.TileCache, c.L2} {

@@ -62,25 +62,3 @@ func (c Config) FrameSeconds(cycles uint64) float64 {
 	}
 	return float64(cycles) / (float64(c.FrequencyMHz) * 1e6)
 }
-
-// EstimatePipelinedCycles models cross-frame pipelining: real TBR GPUs
-// overlap the geometry+binning pass of frame N+1 with the raster pass
-// of frame N (they touch disjoint hardware). Given per-frame stats from
-// the sequential model (geometry and raster strictly serialized), it
-// returns the total cycle count with perfect double-buffered overlap:
-//
-//	total = geom_0 + sum_i max(raster_i, geom_{i+1}) + raster_last's tail
-//
-// This is an analytic bound, not a simulation — useful to estimate how
-// much the two-pass serialization in the frame model overstates time.
-func EstimatePipelinedCycles(frames []FrameStats) uint64 {
-	if len(frames) == 0 {
-		return 0
-	}
-	total := frames[0].GeometryCycles
-	for i := 0; i < len(frames)-1; i++ {
-		total += max(frames[i].RasterCycles, frames[i+1].GeometryCycles)
-	}
-	total += frames[len(frames)-1].RasterCycles
-	return total
-}

@@ -81,49 +81,6 @@ func TestFrameSecondsZeroFrequency(t *testing.T) {
 	}
 }
 
-func TestEstimatePipelinedCycles(t *testing.T) {
-	frames := []tbr.FrameStats{
-		{GeometryCycles: 10, RasterCycles: 100},
-		{GeometryCycles: 20, RasterCycles: 100},
-		{GeometryCycles: 30, RasterCycles: 100},
-	}
-	// 10 + max(100,20) + max(100,30) + 100 = 310.
-	if got := tbr.EstimatePipelinedCycles(frames); got != 310 {
-		t.Fatalf("pipelined = %d, want 310", got)
-	}
-	// Serialized total is 360; overlap can only help.
-	serial := uint64(0)
-	for _, f := range frames {
-		serial += f.GeometryCycles + f.RasterCycles
-	}
-	if got := tbr.EstimatePipelinedCycles(frames); got > serial {
-		t.Fatalf("pipelined %d > serialized %d", got, serial)
-	}
-	if tbr.EstimatePipelinedCycles(nil) != 0 {
-		t.Fatal("empty input should be 0")
-	}
-}
-
-func TestPipelinedBoundOnRealWorkload(t *testing.T) {
-	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
-	sim, err := tbr.New(tbr.DefaultConfig(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := sim.SimulateAll(nil)
-	var serial uint64
-	for i := range frames {
-		serial += frames[i].Cycles
-	}
-	piped := tbr.EstimatePipelinedCycles(frames)
-	if piped > serial {
-		t.Fatalf("pipelined estimate %d exceeds serialized %d", piped, serial)
-	}
-	if piped < serial/2 {
-		t.Fatalf("pipelined estimate %d implausibly low vs %d", piped, serial)
-	}
-}
-
 func TestDVFSExtremeClockStillMonotone(t *testing.T) {
 	// 4800 MHz is an 8x clock: bytes/GPU-cycle drops below 1 and the
 	// residual-transfer path engages. Cycles must keep growing.

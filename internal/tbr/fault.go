@@ -76,8 +76,8 @@ func (f *FaultConfig) dramPerturbed() bool {
 	return f.DRAMLatencyScale > 0 && f.DRAMLatencyScale != 1
 }
 
-// Validate reports configuration errors.
-func (f *FaultConfig) Validate() error {
+// validate reports configuration errors.
+func (f *FaultConfig) validate() error {
 	for _, r := range []struct {
 		name string
 		v    float64

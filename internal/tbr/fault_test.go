@@ -27,7 +27,7 @@ func TestFaultConfigValidate(t *testing.T) {
 		{StallRate: 0.2, StallCycles: 100},
 	}
 	for _, f := range good {
-		if err := f.Validate(); err != nil {
+		if err := f.validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", f, err)
 		}
 	}
@@ -40,7 +40,7 @@ func TestFaultConfigValidate(t *testing.T) {
 		{DRAMLatencyScale: -1},
 	}
 	for _, f := range bad {
-		if err := f.Validate(); err == nil {
+		if err := f.validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", f)
 		}
 	}

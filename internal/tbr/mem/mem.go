@@ -94,7 +94,7 @@ type cacheLine struct {
 // Cache is a set-associative, write-back, write-allocate cache.
 //
 // The line array is one flat arena (set-major, way-minor) allocated at
-// construction and never reallocated: ColdStart, Reset, Flush and
+// construction and never reallocated: ColdStart, Flush and
 // WritebackAll all operate in place (epoch bumps and bitset scans), so
 // a cache reused across thousands of isolated frames performs zero
 // allocations after NewCache.
@@ -186,8 +186,16 @@ func (c *Cache) nextAccess(now uint64, addr uint64, write bool) uint64 {
 // Name implements Level.
 func (c *Cache) Name() string { return c.cfg.Name }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
+// reset invalidates every line without writing anything back and zeroes
+// the statistics. Used at frame boundaries when simulating frames as
+// independent units. Stale dirty bits are discarded lazily by the next
+// drain (the epoch check rejects them), so reset never touches the
+// line arena.
+func (c *Cache) reset() {
+	c.epoch++
+	c.Stats = CacheStats{}
+	c.stamp = 0
+}
 
 // noteDirty records a flat line index as a flush/writeback candidate.
 func (c *Cache) noteDirty(idx int) {
@@ -257,17 +265,6 @@ func (c *Cache) Flush(now uint64) uint64 {
 // behaviour when caches stay warm across frames.
 func (c *Cache) WritebackAll(now uint64) uint64 {
 	return c.drainDirty(now)
-}
-
-// Reset invalidates every line without writing anything back and zeroes
-// the statistics. Used at frame boundaries when simulating frames as
-// independent units. Stale dirty bits are discarded lazily by the next
-// drain (the epoch check rejects them), so Reset never touches the
-// line arena.
-func (c *Cache) Reset() {
-	c.epoch++
-	c.Stats = CacheStats{}
-	c.stamp = 0
 }
 
 // ColdStart invalidates every line without writebacks and rewinds the
@@ -522,9 +519,6 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 
 // Name implements Level.
 func (d *DRAM) Name() string { return "dram" }
-
-// Config returns the DRAM geometry.
-func (d *DRAM) Config() DRAMConfig { return d.cfg }
 
 // Reset clears open rows, bus state and statistics.
 func (d *DRAM) Reset() {

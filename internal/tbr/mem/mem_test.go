@@ -123,7 +123,7 @@ func TestCacheResetClearsStatsAndContents(t *testing.T) {
 	next := &flatMem{latency: 10}
 	c := newTestCache(1024, 64, 2, next)
 	c.Access(0, 0x00, true)
-	c.Reset()
+	c.reset()
 	if c.Stats != (CacheStats{}) {
 		t.Fatalf("stats not cleared: %+v", c.Stats)
 	}
@@ -217,8 +217,8 @@ func TestDRAMRowHitFasterThanMiss(t *testing.T) {
 }
 
 func TestDRAMChannelContention(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
-	cfg := d.Config()
+	cfg := DefaultDRAMConfig()
+	d := NewDRAM(cfg)
 	transfer := uint64(cfg.LineBytes / cfg.BytesPerCycle)
 	// Two accesses issued at cycle 0 to the same channel: the second
 	// must queue behind the first transfer on the data bus.

@@ -5,13 +5,13 @@ import (
 	"sort"
 )
 
-// Presets returns named GPU configurations for quick design-space
+// presets returns named GPU configurations for quick design-space
 // studies. "mali450" is the paper's Table I machine (DefaultConfig);
 // the others bracket it: a low-end part with half the processors and
 // caches, and a high-end part with twice the processors, a larger L2
 // and a faster clock. "tbdr" is the Table I machine with deferred
 // shading.
-func Presets() map[string]Config {
+func presets() map[string]Config {
 	mali := DefaultConfig()
 
 	low := DefaultConfig()
@@ -48,7 +48,7 @@ func Presets() map[string]Config {
 
 // PresetNames returns the preset names in sorted order.
 func PresetNames() []string {
-	m := Presets()
+	m := presets()
 	names := make([]string, 0, len(m))
 	for n := range m {
 		names = append(names, n)
@@ -59,7 +59,7 @@ func PresetNames() []string {
 
 // Preset returns a named configuration or an error listing valid names.
 func Preset(name string) (Config, error) {
-	cfg, ok := Presets()[name]
+	cfg, ok := presets()[name]
 	if !ok {
 		return Config{}, fmt.Errorf("tbr: unknown preset %q (valid: %v)", name, PresetNames())
 	}

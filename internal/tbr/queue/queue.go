@@ -69,7 +69,7 @@ func (q *Queue) Name() string { return q.name }
 // Instrument resolves a "queue.<name>.occupancy" histogram sampled at
 // each admit, replacing any earlier binding and discarding samples not
 // yet recorded, so nothing tallied for one registry reaches the next.
-// With a nil or disabled registry the queue is uninstrumented and Admit
+// With a nil registry the queue is uninstrumented and Admit
 // pays only a nil check.
 func (q *Queue) Instrument(r *obs.Registry) {
 	q.obsOccupancy = nil
@@ -178,8 +178,8 @@ func (q *Queue) panicCommitWithoutAdmit() {
 	panic(fmt.Sprintf("queue %q: Commit without Admit", q.name))
 }
 
-// Reset empties the queue and zeroes statistics.
-func (q *Queue) Reset() {
+// reset empties the queue and zeroes statistics.
+func (q *Queue) reset() {
 	for i := range q.doneAt {
 		q.doneAt[i] = 0
 	}

@@ -58,7 +58,7 @@ func TestQueueReset(t *testing.T) {
 	q := New("q", 1)
 	q.Admit(0)
 	q.Commit(1000)
-	q.Reset()
+	q.reset()
 	if at := q.Admit(0); at != 0 {
 		t.Fatalf("Admit after Reset = %d", at)
 	}

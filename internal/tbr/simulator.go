@@ -71,9 +71,33 @@ type Simulator struct {
 	triBuf      []raster.ScreenTriangle
 	drawScratch raster.DrawScratch
 
-	// serial is the raster execution context, wired to the simulator's
-	// own caches and queues.
-	serial rasterCtx
+	// Raster Pipeline state: the fragment processors' free cycles and
+	// the buffers the raster stage reuses for every tile.
+	fpFree []uint64
+
+	// batch is the per-triangle rasterization scratch: AppendQuads fills
+	// it, the fragment loop iterates its flat slices, and the backing
+	// arrays are reused for every triangle of every tile.
+	batch raster.QuadBatch
+
+	// Deferred-shading (TBDR) buffers, reused per tile.
+	deferred    taggedQuads
+	transparent taggedQuads
+	shadedPix   []bool
+
+	// texMemo caches the per-texture constants textureChain derives
+	// from the bound texture. A draw binds one texture, so consecutive
+	// quads nearly always hit; the values are pure functions of the
+	// immutable trace, so the memo survives tile and frame boundaries.
+	texMemo struct {
+		ok     bool
+		tex    int32
+		base   uint64
+		mip    uint64 // second mip level base (past the base image)
+		w, h   int
+		fw, fh float64
+		bpt    int
+	}
 
 	// Observability (package obs), rebound by SetObs.
 	simObs
@@ -178,51 +202,6 @@ func (l *taggedQuads) appendFrom(b *raster.QuadBatch, i int, tri int32) {
 	l.tri = append(l.tri, tri)
 }
 
-// rasterCtx is the execution context of the Raster Pipeline: the units
-// and buffers the raster stage owns, built once over the simulator's own
-// caches and queues. The frame state read through sim (bins, tris,
-// shader costs, trace) is written only by the geometry pass, which
-// completes before any tile runs; tiles write disjoint pixels of the
-// depth buffer (quads are 2x2-aligned, TileSize is validated even, and
-// samples are clipped to the tile AABB).
-type rasterCtx struct {
-	sim       *Simulator
-	tilecache *mem.Cache
-	tcaches   []*mem.Cache
-	fbmem     *mem.Cache // level the framebuffer writeback streams through (an L2)
-	fragmentQ *queue.Queue
-	colorQ    *queue.Queue
-	fpFree    []uint64
-
-	// batch is the per-triangle rasterization scratch: AppendQuads fills
-	// it, the fragment loop iterates its flat slices, and the backing
-	// arrays are reused for every triangle of every tile.
-	batch raster.QuadBatch
-
-	// Deferred-shading (TBDR) buffers, reused per tile.
-	deferred    taggedQuads
-	transparent taggedQuads
-	shadedPix   []bool
-
-	// fpEnd is the completion cycle of the latest shaded quad seen on
-	// this context since it was last rewound.
-	fpEnd uint64
-
-	// texMemo caches the per-texture constants textureChain derives
-	// from the bound texture. A draw binds one texture, so consecutive
-	// quads nearly always hit; the values are pure functions of the
-	// immutable trace, so the memo survives tile and frame boundaries.
-	texMemo struct {
-		ok     bool
-		tex    int32
-		base   uint64
-		mip    uint64 // second mip level base (past the base image)
-		w, h   int
-		fw, fh float64
-		bpt    int
-	}
-}
-
 // boundTri is a visible screen triangle with the state it was drawn
 // under.
 type boundTri struct {
@@ -253,7 +232,7 @@ type fsTable struct {
 
 // New builds a simulator for the trace. The trace must validate.
 func New(cfg Config, trace *gltrace.Trace) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if err := trace.Validate(); err != nil {
@@ -318,24 +297,13 @@ func New(cfg Config, trace *gltrace.Trace) (*Simulator, error) {
 	s.bins = make([][]int32, s.tilesX*s.tilesY)
 	s.binRec = make([][]uint64, s.tilesX*s.tilesY)
 	s.vpFree = make([]uint64, cfg.NumVertexProcessors)
-	s.serial = rasterCtx{
-		sim:       s,
-		tilecache: s.tilecache,
-		tcaches:   s.tcaches,
-		fbmem:     s.l2,
-		fragmentQ: s.fragmentQ,
-		colorQ:    s.colorQ,
-		fpFree:    make([]uint64, cfg.NumFragmentProcessors),
-	}
+	s.fpFree = make([]uint64, cfg.NumFragmentProcessors)
 
 	s.SetObs(cfg.Obs)
 	return s, nil
 }
 
-// Config returns the simulator's configuration.
-func (s *Simulator) Config() Config { return s.cfg }
-
-// SetObs rebinds the simulator's instrumentation to r (nil or disabled
+// SetObs rebinds the simulator's instrumentation to r (nil
 // turns it off), exactly as if it had been built with Config.Obs = r.
 // Later frames record into r only; nothing already recorded moves.
 // With FlushCachesPerFrame every frame cold-starts, so a simulator
@@ -717,16 +685,11 @@ func (s *Simulator) geometryPass(st *FrameStats) uint64 {
 // whose caches stay warm across tiles.
 func (s *Simulator) rasterPass(st *FrameStats, start uint64) uint64 {
 	s.depth.Clear()
-	c := &s.serial
-	c.fpEnd = 0
 	clock := start
 	for ty := 0; ty < s.tilesY; ty++ {
 		for tx := 0; tx < s.tilesX; tx++ {
-			clock = c.runTile(st, ty*s.tilesX+tx, tx, ty, clock)
+			clock = s.runTile(st, ty*s.tilesX+tx, tx, ty, clock)
 		}
-	}
-	if c.fpEnd > s.frameFPEnd {
-		s.frameFPEnd = c.fpEnd
 	}
 	return clock
 }
@@ -735,8 +698,7 @@ func (s *Simulator) rasterPass(st *FrameStats, start uint64) uint64 {
 // framebuffer writeback — starting at cycle clock, and returns its
 // completion cycle. Within the tile the rasterizer, Early-Z, the
 // fragment processors and the blender run as a pipeline.
-func (c *rasterCtx) runTile(st *FrameStats, bin, tx, ty int, clock uint64) uint64 {
-	s := c.sim
+func (s *Simulator) runTile(st *FrameStats, bin, tx, ty int, clock uint64) uint64 {
 	vp := s.trace.Viewport
 	clip := geom.AABB2{
 		Min: geom.Vec2{X: float64(tx * s.cfg.TileSize), Y: float64(ty * s.cfg.TileSize)},
@@ -763,14 +725,14 @@ func (c *rasterCtx) runTile(st *FrameStats, bin, tx, ty int, clock uint64) uint6
 	tileDone := clock
 	for p := 0; p < passes; p++ {
 		if s.cfg.DeferredShading {
-			tileDone = c.deferredTile(st, bin, clip, tileDone)
+			tileDone = s.deferredTile(st, bin, clip, tileDone)
 		} else {
-			tileDone = c.immediateTile(st, bin, clip, tileDone)
+			tileDone = s.immediateTile(st, bin, clip, tileDone)
 		}
 	}
 	if fl := &s.cfg.Faults; fl.CacheFlushRate > 0 && fl.roll(st.Frame, bin, faultClassFlush) < fl.CacheFlushRate {
-		tileDone = max(tileDone, c.tilecache.Flush(tileDone))
-		for _, tc := range c.tcaches {
+		tileDone = max(tileDone, s.tilecache.Flush(tileDone))
+		for _, tc := range s.tcaches {
 			tileDone = max(tileDone, tc.Flush(tileDone))
 		}
 	}
@@ -785,7 +747,7 @@ func (c *rasterCtx) runTile(st *FrameStats, bin, tx, ty int, clock uint64) uint6
 	wClock := tileDone
 	for l := uint64(0); l < tileLines; l++ {
 		wClock++
-		done := c.fbmem.Access(wClock, fbAddr+l*uint64(s.cfg.L2.LineBytes), true)
+		done := s.l2.Access(wClock, fbAddr+l*uint64(s.cfg.L2.LineBytes), true)
 		st.FramebufferLines++
 		if done > tileDone {
 			tileDone = done
@@ -798,8 +760,7 @@ func (c *rasterCtx) runTile(st *FrameStats, bin, tx, ty int, clock uint64) uint6
 // primitive's quads go through Early-Z and, when any sample survives,
 // straight to the fragment processors. Returns the tile completion
 // cycle.
-func (c *rasterCtx) immediateTile(st *FrameStats, bin int, clip geom.AABB2, clock uint64) uint64 {
-	s := c.sim
+func (s *Simulator) immediateTile(st *FrameStats, bin int, clip geom.AABB2, clock uint64) uint64 {
 	var (
 		listClock  = clock
 		rastClock  = clock
@@ -808,16 +769,16 @@ func (c *rasterCtx) immediateTile(st *FrameStats, bin int, clip geom.AABB2, cloc
 		tileDone   = clock
 	)
 	shaded0 := st.FragmentsShaded
-	for i := range c.fpFree {
-		c.fpFree[i] = clock
+	for i := range s.fpFree {
+		s.fpFree[i] = clock
 	}
 
-	b := &c.batch
+	b := &s.batch
 	for bi, triIdx := range s.bins[bin] {
 		bt := &s.tris[triIdx]
 		// Read the primitive record through the tile cache.
 		listClock++
-		listDone := c.tilecache.Access(listClock, s.binRec[bin][bi], false)
+		listDone := s.tilecache.Access(listClock, s.binRec[bin][bi], false)
 
 		// Rasterize the triangle's quads into the SoA batch (pure
 		// arithmetic, no timing state), then run the fragment pipeline
@@ -844,11 +805,11 @@ func (c *rasterCtx) immediateTile(st *FrameStats, bin int, clip geom.AABB2, cloc
 			if alive == 0 {
 				continue
 			}
-			fpDone := c.shadeQuad(st, bt, b.U[qi], b.V[qi], ezClock, alive)
+			fpDone := s.shadeQuad(st, bt, b.U[qi], b.V[qi], ezClock, alive)
 			// Blending into the on-chip color buffer.
-			cEnter := c.colorQ.Admit(fpDone)
+			cEnter := s.colorQ.Admit(fpDone)
 			blendClock = max(blendClock+1, cEnter)
-			c.colorQ.Commit(blendClock)
+			s.colorQ.Commit(blendClock)
 			st.BlendOps++
 			if blendClock > tileDone {
 				tileDone = blendClock
@@ -856,8 +817,8 @@ func (c *rasterCtx) immediateTile(st *FrameStats, bin int, clip geom.AABB2, cloc
 		}
 	}
 
-	c.noteFPEnd(st.FragmentsShaded - shaded0)
-	for _, v := range c.fpFree {
+	s.noteFPEnd(st.FragmentsShaded - shaded0)
+	for _, v := range s.fpFree {
 		tileDone = max(tileDone, v)
 	}
 	return max(tileDone, max(rastClock, max(ezClock, blendClock)))
@@ -866,8 +827,7 @@ func (c *rasterCtx) immediateTile(st *FrameStats, bin int, clip geom.AABB2, cloc
 // deferredTile processes one tile TBDR-style: a Hidden Surface Removal
 // pass depth-resolves every primitive first, then only the fragments
 // that ended up visible are shaded. Returns the tile completion cycle.
-func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock uint64) uint64 {
-	s := c.sim
+func (s *Simulator) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock uint64) uint64 {
 	var (
 		listClock  = clock
 		rastClock  = clock
@@ -876,22 +836,22 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 		tileDone   = clock
 	)
 	shaded0 := st.FragmentsShaded
-	for i := range c.fpFree {
-		c.fpFree[i] = clock
+	for i := range s.fpFree {
+		s.fpFree[i] = clock
 	}
-	c.deferred.reset()
-	c.transparent.reset()
+	s.deferred.reset()
+	s.transparent.reset()
 
 	// Pass 1: HSR — rasterize and depth-test all opaque geometry; no
 	// shading. Alpha-blended quads cannot participate in hidden-surface
 	// removal (they do not occlude); they are queued for the
 	// transparency pass after the opaque depth is resolved.
 	var covered uint64
-	b := &c.batch
+	b := &s.batch
 	for bi, triIdx := range s.bins[bin] {
 		bt := &s.tris[triIdx]
 		listClock++
-		listDone := c.tilecache.Access(listClock, s.binRec[bin][bi], false)
+		listDone := s.tilecache.Access(listClock, s.binRec[bin][bi], false)
 		b.Reset()
 		b.AppendQuads(&bt.tri, clip)
 		for qi, n := 0, b.Len(); qi < n; qi++ {
@@ -901,7 +861,7 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 			mask := b.Mask[qi]
 			covered += uint64(bits.OnesCount8(mask))
 			if bt.blend {
-				c.transparent.appendFrom(b, qi, triIdx)
+				s.transparent.appendFrom(b, qi, triIdx)
 				continue
 			}
 			depth := b.Depth[qi*4 : qi*4+4]
@@ -910,17 +870,17 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 			}
 			// Stored with the full rasterized mask: pass 2 re-derives
 			// visibility from the resolved depth, as before.
-			c.deferred.appendFrom(b, qi, triIdx)
+			s.deferred.appendFrom(b, qi, triIdx)
 		}
 	}
 	hsrDone := max(rastClock, ezClock)
 
 	// Pass 2: shade only quads whose samples own the final depth value.
 	// shadedPix guards against double-shading when two fragments tie.
-	if cap(c.shadedPix) < s.cfg.TileSize*s.cfg.TileSize {
-		c.shadedPix = make([]bool, s.cfg.TileSize*s.cfg.TileSize)
+	if cap(s.shadedPix) < s.cfg.TileSize*s.cfg.TileSize {
+		s.shadedPix = make([]bool, s.cfg.TileSize*s.cfg.TileSize)
 	}
-	shaded := c.shadedPix[:s.cfg.TileSize*s.cfg.TileSize]
+	shaded := s.shadedPix[:s.cfg.TileSize*s.cfg.TileSize]
 	for i := range shaded {
 		shaded[i] = false
 	}
@@ -929,12 +889,12 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 
 	issue := hsrDone
 	var shadedFrags uint64
-	for di, n := 0, c.deferred.Len(); di < n; di++ {
-		bt := &s.tris[c.deferred.tri[di]]
-		qx := int(c.deferred.X[di])
-		qy := int(c.deferred.Y[di])
-		mask := c.deferred.Mask[di]
-		depth := c.deferred.Depth[di*4 : di*4+4]
+	for di, n := 0, s.deferred.Len(); di < n; di++ {
+		bt := &s.tris[s.deferred.tri[di]]
+		qx := int(s.deferred.X[di])
+		qy := int(s.deferred.Y[di])
+		mask := s.deferred.Mask[di]
+		depth := s.deferred.Depth[di*4 : di*4+4]
 		var visible uint8
 		for smp := 0; smp < 4; smp++ {
 			if mask&(1<<smp) == 0 {
@@ -959,10 +919,10 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 		alive := bits.OnesCount8(visible)
 		shadedFrags += uint64(alive)
 		issue++
-		fpDone := c.shadeQuad(st, bt, c.deferred.U[di], c.deferred.V[di], issue, alive)
-		cEnter := c.colorQ.Admit(fpDone)
+		fpDone := s.shadeQuad(st, bt, s.deferred.U[di], s.deferred.V[di], issue, alive)
+		cEnter := s.colorQ.Admit(fpDone)
 		blendClock = max(blendClock+1, cEnter)
-		c.colorQ.Commit(blendClock)
+		s.colorQ.Commit(blendClock)
 		st.BlendOps++
 		if blendClock > tileDone {
 			tileDone = blendClock
@@ -971,20 +931,20 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 	// Pass 3: transparency — blended quads test against the final
 	// opaque depth (read-only) and shade in submission order; multiple
 	// transparent layers over a pixel all shade (they stack).
-	for di, n := 0, c.transparent.Len(); di < n; di++ {
-		bt := &s.tris[c.transparent.tri[di]]
-		depth := c.transparent.Depth[di*4 : di*4+4]
-		visible := s.depth.TestMaskReadOnly(int(c.transparent.X[di]), int(c.transparent.Y[di]), depth, c.transparent.Mask[di])
+	for di, n := 0, s.transparent.Len(); di < n; di++ {
+		bt := &s.tris[s.transparent.tri[di]]
+		depth := s.transparent.Depth[di*4 : di*4+4]
+		visible := s.depth.TestMaskReadOnly(int(s.transparent.X[di]), int(s.transparent.Y[di]), depth, s.transparent.Mask[di])
 		if visible == 0 {
 			continue
 		}
 		alive := bits.OnesCount8(visible)
 		shadedFrags += uint64(alive)
 		issue++
-		fpDone := c.shadeQuad(st, bt, c.transparent.U[di], c.transparent.V[di], issue, alive)
-		cEnter := c.colorQ.Admit(fpDone)
+		fpDone := s.shadeQuad(st, bt, s.transparent.U[di], s.transparent.V[di], issue, alive)
+		cEnter := s.colorQ.Admit(fpDone)
 		blendClock = max(blendClock+1, cEnter)
-		c.colorQ.Commit(blendClock)
+		s.colorQ.Commit(blendClock)
 		st.BlendOps++
 		if blendClock > tileDone {
 			tileDone = blendClock
@@ -992,8 +952,8 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 	}
 	st.FragmentsOccluded += covered - shadedFrags
 
-	c.noteFPEnd(st.FragmentsShaded - shaded0)
-	for _, v := range c.fpFree {
+	s.noteFPEnd(st.FragmentsShaded - shaded0)
+	for _, v := range s.fpFree {
 		tileDone = max(tileDone, v)
 	}
 	return max(tileDone, max(hsrDone, blendClock))
@@ -1003,8 +963,7 @@ func (c *rasterCtx) deferredTile(st *FrameStats, bin int, clip geom.AABB2, clock
 // processor, charging ALU time and the texture-fetch chain, and returns
 // the completion cycle. u, v are the quad-center texture coordinates;
 // alive is the quad's covered-fragment count.
-func (c *rasterCtx) shadeQuad(st *FrameStats, bt *boundTri, u, v float64, ready uint64, alive int) uint64 {
-	s := c.sim
+func (s *Simulator) shadeQuad(st *FrameStats, bt *boundTri, u, v float64, ready uint64, alive int) uint64 {
 	tab := &s.fsTab[bt.fs]
 	st.FragmentsShaded += uint64(alive)
 	// Each live fragment executes the program on its own SIMD lane; the
@@ -1012,11 +971,11 @@ func (c *rasterCtx) shadeQuad(st *FrameStats, bt *boundTri, u, v float64, ready 
 	// coverage.
 	st.FSInstrs += uint64(alive) * tab.instrs
 
-	enter := c.fragmentQ.Admit(ready)
+	enter := s.fragmentQ.Admit(ready)
 	// Least-loaded dispatch: argmin with lowest-index tie-break, the
 	// min carried in a register so the scan has no serial memory
 	// dependence through fpi.
-	fp := c.fpFree
+	fp := s.fpFree
 	var fpi int
 	var minFree uint64
 	if len(fp) == 8 {
@@ -1067,13 +1026,13 @@ func (c *rasterCtx) shadeQuad(st *FrameStats, bt *boundTri, u, v float64, ready 
 	// quad's footprint.
 	texDone := fpStart
 	if len(tab.tex) > 0 {
-		texDone = c.textureChain(fpStart, bt.tex, tab.tex, u, v, st)
+		texDone = s.textureChain(fpStart, bt.tex, tab.tex, u, v, st)
 	}
 	aluDone := fpStart + tab.instrs
 	fpDone := max(aluDone, texDone)
 	st.FPBusyCycles += fpDone - fpStart
 	fp[fpi] = fpDone
-	c.fragmentQ.Commit(fpDone)
+	s.fragmentQ.Commit(fpDone)
 	return fpDone
 }
 
@@ -1081,18 +1040,18 @@ func (c *rasterCtx) shadeQuad(st *FrameStats, bt *boundTri, u, v float64, ready 
 // once per tile (shaded counts quads issued there): every fpFree entry
 // is either the tile-start clock or some quad's completion, so when the
 // tile shaded at least one quad, max(fpFree) is the latest completion.
-func (c *rasterCtx) noteFPEnd(shaded uint64) {
+func (s *Simulator) noteFPEnd(shaded uint64) {
 	if shaded == 0 {
 		return
 	}
 	end := uint64(0)
-	for _, v := range c.fpFree {
+	for _, v := range s.fpFree {
 		if v > end {
 			end = v
 		}
 	}
-	if end > c.fpEnd {
-		c.fpEnd = end
+	if end > s.frameFPEnd {
+		s.frameFPEnd = end
 	}
 }
 
@@ -1132,9 +1091,8 @@ func addLine(lines *[3]uint64, n int, ln uint64) int {
 // deduplicated line set is probed in one batched AccessChain call per
 // fetch; per-fetch constants (cache unit, UV offsets, tap counts) come
 // precomputed from the shader's cost table.
-func (c *rasterCtx) textureChain(start uint64, tex int32, fetches []texFetch, qu, qv float64, st *FrameStats) uint64 {
-	s := c.sim
-	m := &c.texMemo
+func (s *Simulator) textureChain(start uint64, tex int32, fetches []texFetch, qu, qv float64, st *FrameStats) uint64 {
+	m := &s.texMemo
 	if !m.ok || m.tex != tex {
 		texture := &s.trace.Textures[tex]
 		m.ok = true
@@ -1154,7 +1112,7 @@ func (c *rasterCtx) textureChain(start uint64, tex int32, fetches []texFetch, qu
 	for fi := range fetches {
 		f := &fetches[fi]
 		st.TexAccesses += f.taps
-		cache := c.tcaches[f.unit]
+		cache := s.tcaches[f.unit]
 
 		// Wrap UVs and locate the base texel. Different samplers
 		// perturb coordinates so multi-layer materials touch

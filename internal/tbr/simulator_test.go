@@ -1,21 +1,20 @@
-package tbr_test
+package tbr
 
 import (
 	"testing"
 
-	"repro/internal/tbr"
 	"repro/internal/workload"
 )
 
 // testTrace generates a short hcr trace shared by the tests.
-func testConfig() tbr.Config {
-	cfg := tbr.DefaultConfig()
+func testConfig() Config {
+	cfg := DefaultConfig()
 	cfg.TileSize = 16
 	return cfg
 }
 
 func TestDefaultConfigMatchesTableI(t *testing.T) {
-	cfg := tbr.DefaultConfig()
+	cfg := DefaultConfig()
 	if cfg.FrequencyMHz != 600 || cfg.TileSize != 32 {
 		t.Fatalf("frequency/tile: %d/%d", cfg.FrequencyMHz, cfg.TileSize)
 	}
@@ -38,24 +37,24 @@ func TestDefaultConfigMatchesTableI(t *testing.T) {
 	if cfg.DRAM.Channels != 2 || cfg.DRAM.LineBytes != 64 || cfg.DRAM.BytesPerCycle != 4 {
 		t.Fatal("DRAM config")
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
 }
 
 func TestConfigValidateCatchesErrors(t *testing.T) {
-	mutations := map[string]func(*tbr.Config){
-		"odd tile":     func(c *tbr.Config) { c.TileSize = 15 },
-		"zero vps":     func(c *tbr.Config) { c.NumVertexProcessors = 0 },
-		"zero fq":      func(c *tbr.Config) { c.FragmentQueueEntries = 0 },
-		"zero ez":      func(c *tbr.Config) { c.EarlyZInFlight = 0 },
-		"zero tcaches": func(c *tbr.Config) { c.NumTextureCaches = 0 },
-		"bad cache":    func(c *tbr.Config) { c.L2.SizeBytes = 100 },
+	mutations := map[string]func(*Config){
+		"odd tile":     func(c *Config) { c.TileSize = 15 },
+		"zero vps":     func(c *Config) { c.NumVertexProcessors = 0 },
+		"zero fq":      func(c *Config) { c.FragmentQueueEntries = 0 },
+		"zero ez":      func(c *Config) { c.EarlyZInFlight = 0 },
+		"zero tcaches": func(c *Config) { c.NumTextureCaches = 0 },
+		"bad cache":    func(c *Config) { c.L2.SizeBytes = 100 },
 	}
 	for name, mutate := range mutations {
-		cfg := tbr.DefaultConfig()
+		cfg := DefaultConfig()
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("%s: validated", name)
 		}
 	}
@@ -63,7 +62,7 @@ func TestConfigValidateCatchesErrors(t *testing.T) {
 
 func TestSimulateFrameProducesActivity(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
-	sim, err := tbr.New(testConfig(), tr)
+	sim, err := New(testConfig(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +95,13 @@ func TestFrameIsolation(t *testing.T) {
 	// exactly the same stats as simulating it after other frames —
 	// the property MEGsim needs to simulate only representatives.
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
-	simA, err := tbr.New(testConfig(), tr)
+	simA, err := New(testConfig(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct := simA.SimulateFrame(42)
 
-	simB, err := tbr.New(testConfig(), tr)
+	simB, err := New(testConfig(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +117,8 @@ func TestFrameIsolation(t *testing.T) {
 
 func TestSimulateDeterminism(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["jjo"], workload.TestScale)
-	s1, _ := tbr.New(testConfig(), tr)
-	s2, _ := tbr.New(testConfig(), tr)
+	s1, _ := New(testConfig(), tr)
+	s2, _ := New(testConfig(), tr)
 	for _, f := range []int{0, 10, 100} {
 		a, b := s1.SimulateFrame(f), s2.SimulateFrame(f)
 		if a != b {
@@ -131,7 +130,7 @@ func TestSimulateDeterminism(t *testing.T) {
 func TestSimulateAllOrdersFrames(t *testing.T) {
 	p := workload.Profiles["hcr"]
 	tr := workload.MustGenerate(p, workload.Scale{Width: 96, Height: 48, FrameDivisor: 100, DetailDivisor: 2})
-	sim, _ := tbr.New(testConfig(), tr)
+	sim, _ := New(testConfig(), tr)
 	calls := 0
 	all := sim.SimulateAll(func(int) { calls++ })
 	if len(all) != tr.NumFrames() || calls != tr.NumFrames() {
@@ -150,7 +149,7 @@ func TestSimulateAllOrdersFrames(t *testing.T) {
 func TestHeavierFramesCostMoreCycles(t *testing.T) {
 	// A 3D racing frame must cost far more than a 2D menu frame.
 	tr := workload.MustGenerate(workload.Profiles["bbr1"], workload.TestScale)
-	sim, _ := tbr.New(testConfig(), tr)
+	sim, _ := New(testConfig(), tr)
 	menu := sim.SimulateFrame(0)                  // menu phase opens the sequence
 	race := sim.SimulateFrame(tr.NumFrames() / 2) // mid-sequence gameplay
 	if race.PrimsVisible <= menu.PrimsVisible {
@@ -164,7 +163,7 @@ func TestHeavierFramesCostMoreCycles(t *testing.T) {
 
 func TestEarlyZCullsOverdraw(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["bbr1"], workload.TestScale)
-	sim, _ := tbr.New(testConfig(), tr)
+	sim, _ := New(testConfig(), tr)
 	var occluded uint64
 	for f := 0; f < 10; f++ {
 		st := sim.SimulateFrame(tr.NumFrames()/2 + f)
@@ -177,13 +176,13 @@ func TestEarlyZCullsOverdraw(t *testing.T) {
 
 func TestScaleAndAdd(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
-	sim, _ := tbr.New(testConfig(), tr)
+	sim, _ := New(testConfig(), tr)
 	st := sim.SimulateFrame(5)
 	scaled := st.Scale(3)
 	if scaled.Cycles != 3*st.Cycles || scaled.DRAM.Accesses != 3*st.DRAM.Accesses {
 		t.Fatal("Scale wrong")
 	}
-	var sum tbr.FrameStats
+	var sum FrameStats
 	sum.Add(&st)
 	sum.Add(&st)
 	sum.Add(&st)
@@ -195,20 +194,20 @@ func TestScaleAndAdd(t *testing.T) {
 
 func TestNewRejectsBadInput(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
-	bad := tbr.DefaultConfig()
+	bad := DefaultConfig()
 	bad.TileSize = 0
-	if _, err := tbr.New(bad, tr); err == nil {
+	if _, err := New(bad, tr); err == nil {
 		t.Fatal("accepted invalid config")
 	}
 	tr.Name = ""
-	if _, err := tbr.New(tbr.DefaultConfig(), tr); err == nil {
+	if _, err := New(DefaultConfig(), tr); err == nil {
 		t.Fatal("accepted invalid trace")
 	}
 }
 
 func TestSimulateFramePanicsOutOfRange(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"], workload.TestScale)
-	sim, _ := tbr.New(testConfig(), tr)
+	sim, _ := New(testConfig(), tr)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -219,7 +218,7 @@ func TestSimulateFramePanicsOutOfRange(t *testing.T) {
 
 func TestTextureTrafficReachesMemory(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["asp"], workload.TestScale)
-	sim, _ := tbr.New(testConfig(), tr)
+	sim, _ := New(testConfig(), tr)
 	st := sim.SimulateFrame(tr.NumFrames() / 2)
 	if st.TexAccesses == 0 {
 		t.Fatal("no texture accesses in a 3D frame")
@@ -233,20 +232,20 @@ func TestTextureTrafficReachesMemory(t *testing.T) {
 }
 
 func TestPresets(t *testing.T) {
-	names := tbr.PresetNames()
+	names := PresetNames()
 	if len(names) < 4 {
 		t.Fatalf("presets = %v", names)
 	}
 	for _, n := range names {
-		cfg, err := tbr.Preset(n)
+		cfg, err := Preset(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cfg.Validate(); err != nil {
+		if err := cfg.validate(); err != nil {
 			t.Errorf("preset %s invalid: %v", n, err)
 		}
 	}
-	if _, err := tbr.Preset("nope"); err == nil {
+	if _, err := Preset("nope"); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
 	// The preset machines must order sensibly on a real frame.
@@ -254,17 +253,17 @@ func TestPresets(t *testing.T) {
 	frame := tr.NumFrames() / 2
 	cycles := map[string]uint64{}
 	for _, n := range []string{"lowend", "mali450", "highend"} {
-		cfg, _ := tbr.Preset(n)
-		sim, err := tbr.New(cfg, tr)
+		cfg, _ := Preset(n)
+		sim, err := New(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cycles[n] = sim.SimulateFrame(frame).Cycles
 	}
 	// Wall-clock per frame must improve with the bigger machine.
-	low, _ := tbr.Preset("lowend")
-	mid, _ := tbr.Preset("mali450")
-	high, _ := tbr.Preset("highend")
+	low, _ := Preset("lowend")
+	mid, _ := Preset("mali450")
+	high, _ := Preset("highend")
 	tl := low.FrameSeconds(cycles["lowend"])
 	tm := mid.FrameSeconds(cycles["mali450"])
 	th := high.FrameSeconds(cycles["highend"])
@@ -275,7 +274,7 @@ func TestPresets(t *testing.T) {
 
 func TestUtilizationStats(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["bbr1"], workload.TestScale)
-	sim, err := tbr.New(tbr.DefaultConfig(), tr)
+	sim, err := New(DefaultConfig(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +291,7 @@ func TestUtilizationStats(t *testing.T) {
 	if fu <= vu {
 		t.Fatalf("FP utilization %v should exceed VP %v", fu, vu)
 	}
-	if st.VPUtilization(0) != 0 || (&tbr.FrameStats{}).FPUtilization(4) != 0 {
+	if st.VPUtilization(0) != 0 || (&FrameStats{}).FPUtilization(4) != 0 {
 		t.Fatal("degenerate utilization should be 0")
 	}
 }

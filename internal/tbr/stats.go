@@ -172,15 +172,15 @@ func (s *FrameStats) FPUtilization(numFP int) float64 {
 	return float64(s.FPBusyCycles) / float64(s.Cycles) / float64(numFP)
 }
 
-// Instructions returns the total shader instructions executed.
-func (s *FrameStats) Instructions() uint64 { return s.VSInstrs + s.FSInstrs }
+// instructions returns the total shader instructions executed.
+func (s *FrameStats) instructions() uint64 { return s.VSInstrs + s.FSInstrs }
 
 // IPC returns shader instructions per cycle across all processors.
 func (s *FrameStats) IPC() float64 {
 	if s.Cycles == 0 {
 		return 0
 	}
-	return float64(s.Instructions()) / float64(s.Cycles)
+	return float64(s.instructions()) / float64(s.Cycles)
 }
 
 func addCache(dst *mem.CacheStats, src mem.CacheStats) {

@@ -32,7 +32,7 @@ func RandomProfile(seed uint64) Profile {
 		p.NumFS = 3 + rng.Intn(5)
 		p.Detail = rng.Range(0.55, 0.85)
 	} else {
-		p.Type = Game3D
+		p.Type = game3D
 		p.NumVS = 8 + rng.Intn(20)
 		p.NumFS = 8 + rng.Intn(24)
 		p.Detail = rng.Range(0.7, 1.1)
@@ -65,7 +65,7 @@ func randomGameplayPhase(rng *stats.RNG, t GameType, idx int, weight float64) Ph
 }
 
 func randomLayer(rng *stats.RNG, t GameType, idx int) Layer {
-	anims := []AnimKind{AnimStatic, AnimSpin, AnimBob, AnimScroll}
+	anims := []AnimKind{animStatic, animSpin, AnimBob, AnimScroll}
 	ly := Layer{
 		Name:      fmt.Sprintf("layer-%d", idx),
 		Material:  -1,
@@ -80,21 +80,21 @@ func randomLayer(rng *stats.RNG, t GameType, idx int) Layer {
 	}
 	if t == Game2D {
 		ly.Mesh = MeshQuad
-		ly.Anim = []AnimKind{AnimStatic, AnimBob, AnimScroll}[rng.Intn(3)]
+		ly.Anim = []AnimKind{animStatic, AnimBob, AnimScroll}[rng.Intn(3)]
 		ly.SizeMin = rng.Range(0.03, 0.08)
 		ly.SizeMax = ly.SizeMin + rng.Range(0.02, 0.25)
 		ly.Depth = rng.Range(0.1, 0.9)
 		ly.Spread = rng.Range(0.5, 1)
 	} else {
-		meshes := []MeshKind{MeshQuad, MeshBox, MeshSphere, MeshTerrain, MeshRoad}
+		meshes := []MeshKind{MeshQuad, meshBox, meshSphere, meshTerrain, meshRoad}
 		ly.Mesh = meshes[rng.Intn(len(meshes))]
 		ly.SizeMin = rng.Range(0.2, 1.5)
 		ly.SizeMax = ly.SizeMin + rng.Range(0.1, 2.5)
-		if ly.Mesh == MeshTerrain || ly.Mesh == MeshRoad {
+		if ly.Mesh == meshTerrain || ly.Mesh == meshRoad {
 			// Large static ground geometry, like the hand-written tracks.
 			ly.BaseCount = 1 + rng.Intn(3)
 			ly.SizeMin, ly.SizeMax = 5, 8
-			ly.Anim = AnimStatic
+			ly.Anim = animStatic
 		}
 	}
 	return ly

@@ -74,7 +74,7 @@ func TestRandomProfileCoversBothGameTypes(t *testing.T) {
 		switch RandomProfile(seed).Type {
 		case Game2D:
 			saw2D = true
-		case Game3D:
+		case game3D:
 			saw3D = true
 		default:
 			t.Fatalf("seed %d: unknown game type", seed)

@@ -61,8 +61,8 @@ type GameType int
 const (
 	// Game2D renders layered orthographic sprites.
 	Game2D GameType = iota
-	// Game3D renders perspective scenes with terrain and models.
-	Game3D
+	// game3D renders perspective scenes with terrain and models.
+	game3D
 )
 
 // String returns "2D" or "3D".
@@ -123,10 +123,10 @@ type Phase struct {
 type AnimKind int
 
 const (
-	// AnimStatic leaves instances fixed for the phase.
-	AnimStatic AnimKind = iota
-	// AnimSpin rotates instances about Y.
-	AnimSpin
+	// animStatic leaves instances fixed for the phase.
+	animStatic AnimKind = iota
+	// animSpin rotates instances about Y.
+	animSpin
 	// AnimBob oscillates instances vertically.
 	AnimBob
 	// AnimScroll translates instances along -X over time (2D scrolling
@@ -140,14 +140,14 @@ type MeshKind int
 const (
 	// MeshQuad is a 2-triangle sprite quad.
 	MeshQuad MeshKind = iota
-	// MeshBox is a 12-triangle cube.
-	MeshBox
-	// MeshSphere is a ~96-triangle UV sphere.
-	MeshSphere
-	// MeshTerrain is a 128-triangle height-mapped grid.
-	MeshTerrain
-	// MeshRoad is an 80-triangle curved road strip.
-	MeshRoad
+	// meshBox is a 12-triangle cube.
+	meshBox
+	// meshSphere is a ~96-triangle UV sphere.
+	meshSphere
+	// meshTerrain is a 128-triangle height-mapped grid.
+	meshTerrain
+	// meshRoad is an 80-triangle curved road strip.
+	meshRoad
 	numMeshKinds int = iota
 )
 
@@ -213,11 +213,11 @@ func Get(alias string) (Profile, error) {
 
 func racingLayers(detailedCars int) []Layer {
 	return []Layer{
-		{Name: "terrain", Mesh: MeshTerrain, Material: 0, BaseCount: 2, Spread: 6, SizeMin: 8, SizeMax: 8},
-		{Name: "road", Mesh: MeshRoad, Material: 1, BaseCount: 2, Spread: 4, SizeMin: 6, SizeMax: 6},
-		{Name: "cars", Mesh: MeshBox, Material: -1, BaseCount: detailedCars, CountAmp: detailedCars / 3, CountFreq: 2, Spread: 4, SizeMin: 0.4, SizeMax: 0.8, Anim: AnimSpin},
-		{Name: "scenery", Mesh: MeshSphere, Material: -1, BaseCount: detailedCars + 2, CountAmp: 3, CountFreq: 3, Spread: 8, SizeMin: 0.5, SizeMax: 2.2},
-		{Name: "pickups", Mesh: MeshSphere, Material: -1, BaseCount: 4, CountAmp: 2, CountFreq: 5, Spread: 3, SizeMin: 0.2, SizeMax: 0.35, Anim: AnimBob},
+		{Name: "terrain", Mesh: meshTerrain, Material: 0, BaseCount: 2, Spread: 6, SizeMin: 8, SizeMax: 8},
+		{Name: "road", Mesh: meshRoad, Material: 1, BaseCount: 2, Spread: 4, SizeMin: 6, SizeMax: 6},
+		{Name: "cars", Mesh: meshBox, Material: -1, BaseCount: detailedCars, CountAmp: detailedCars / 3, CountFreq: 2, Spread: 4, SizeMin: 0.4, SizeMax: 0.8, Anim: animSpin},
+		{Name: "scenery", Mesh: meshSphere, Material: -1, BaseCount: detailedCars + 2, CountAmp: 3, CountFreq: 3, Spread: 8, SizeMin: 0.5, SizeMax: 2.2},
+		{Name: "pickups", Mesh: meshSphere, Material: -1, BaseCount: 4, CountAmp: 2, CountFreq: 5, Spread: 3, SizeMin: 0.2, SizeMax: 0.35, Anim: AnimBob},
 		{Name: "hud", Mesh: MeshQuad, Material: -1, BaseCount: 5, Spread: 0.8, SizeMin: 0.05, SizeMax: 0.12, Depth: 0.05, Blend: true},
 	}
 }
@@ -232,13 +232,13 @@ func menuLayers() []Layer {
 
 func aspProfile() Profile {
 	return Profile{
-		Alias: "asp", Title: "Asphalt 9: Legends", Genre: "Racing", Type: Game3D,
+		Alias: "asp", Title: "Asphalt 9: Legends", Genre: "Racing", Type: game3D,
 		Frames: 4000, NumVS: 42, NumFS: 45, Seed: 0xa59, Detail: 1.4,
 		Phases: []Phase{
 			{Name: "menu", Weight: 0.06, Layers: menuLayers()},
 			{Name: "garage", Weight: 0.06, Layers: []Layer{
-				{Name: "car", Mesh: MeshSphere, Material: 2, BaseCount: 6, Spread: 1, SizeMin: 1, SizeMax: 1.5, Anim: AnimSpin},
-				{Name: "floor", Mesh: MeshTerrain, Material: 3, BaseCount: 1, SizeMin: 6, SizeMax: 6},
+				{Name: "car", Mesh: meshSphere, Material: 2, BaseCount: 6, Spread: 1, SizeMin: 1, SizeMax: 1.5, Anim: animSpin},
+				{Name: "floor", Mesh: meshTerrain, Material: 3, BaseCount: 1, SizeMin: 6, SizeMax: 6},
 				{Name: "ui", Mesh: MeshQuad, Material: -1, BaseCount: 10, Spread: 0.8, SizeMin: 0.05, SizeMax: 0.15, Depth: 0.1, Blend: true},
 			}},
 			{Name: "race", Weight: 0.68, Repeat: 3, EventRate: 0.02, Layers: racingLayers(14)},
@@ -251,15 +251,15 @@ func aspProfile() Profile {
 
 func bbrProfile(alias string, frames, vs, fs int, seed uint64) Profile {
 	return Profile{
-		Alias: alias, Title: "Beach Buggy Racing", Genre: "Racing", Type: Game3D,
+		Alias: alias, Title: "Beach Buggy Racing", Genre: "Racing", Type: game3D,
 		Frames: frames, NumVS: vs, NumFS: fs, Seed: seed, Detail: 1.1,
 		Phases: []Phase{
 			{Name: "menu", Weight: 0.08, Layers: menuLayers()},
 			{Name: "beach-lap", Weight: 0.30, Repeat: 2, EventRate: 0.02, Layers: racingLayers(10)},
 			{Name: "jungle-lap", Weight: 0.28, Repeat: 2, EventRate: 0.03, Layers: append(racingLayers(10),
-				Layer{Name: "foliage", Mesh: MeshSphere, Material: -1, BaseCount: 10, CountAmp: 4, CountFreq: 4, Spread: 6, SizeMin: 0.8, SizeMax: 2.5})},
+				Layer{Name: "foliage", Mesh: meshSphere, Material: -1, BaseCount: 10, CountAmp: 4, CountFreq: 4, Spread: 6, SizeMin: 0.8, SizeMax: 2.5})},
 			{Name: "powerup-duel", Weight: 0.22, Repeat: 3, EventRate: 0.06, Layers: append(racingLayers(12),
-				Layer{Name: "projectiles", Mesh: MeshSphere, Material: -1, BaseCount: 6, CountAmp: 5, CountFreq: 8, Spread: 4, SizeMin: 0.15, SizeMax: 0.4, Anim: AnimBob, Blend: true})},
+				Layer{Name: "projectiles", Mesh: meshSphere, Material: -1, BaseCount: 6, CountAmp: 5, CountFreq: 8, Spread: 4, SizeMin: 0.15, SizeMax: 0.4, Anim: AnimBob, Blend: true})},
 			{Name: "results", Weight: 0.12, Layers: menuLayers()},
 		},
 	}
@@ -291,13 +291,13 @@ func hcrProfile() Profile {
 
 func hwhProfile() Profile {
 	return Profile{
-		Alias: "hwh", Title: "Hot Wheels", Genre: "Racing", Type: Game3D,
+		Alias: "hwh", Title: "Hot Wheels", Genre: "Racing", Type: game3D,
 		Frames: 4000, NumVS: 30, NumFS: 30, Seed: 0x3f1, Detail: 0.9,
 		Phases: []Phase{
 			{Name: "menu", Weight: 0.08, Layers: menuLayers()},
 			{Name: "track", Weight: 0.55, Repeat: 4, EventRate: 0.015, Layers: racingLayers(8)},
 			{Name: "loop-stunt", Weight: 0.25, Repeat: 5, EventRate: 0.04, Layers: append(racingLayers(8),
-				Layer{Name: "loop", Mesh: MeshRoad, Material: -1, BaseCount: 4, Spread: 3, SizeMin: 3, SizeMax: 5, Anim: AnimSpin})},
+				Layer{Name: "loop", Mesh: meshRoad, Material: -1, BaseCount: 4, Spread: 3, SizeMin: 3, SizeMax: 5, Anim: animSpin})},
 			{Name: "results", Weight: 0.12, Layers: menuLayers()},
 		},
 	}
@@ -359,27 +359,27 @@ func pvzProfile() Profile {
 
 func spdProfile() Profile {
 	return Profile{
-		Alias: "spd", Title: "Spider-Man Unlimited", Genre: "Side-scrolling endless runner", Type: Game3D,
+		Alias: "spd", Title: "Spider-Man Unlimited", Genre: "Side-scrolling endless runner", Type: game3D,
 		Frames: 5000, NumVS: 16, NumFS: 26, Seed: 0x5bd, Detail: 1.0,
 		Phases: []Phase{
 			{Name: "menu", Weight: 0.06, Layers: menuLayers()},
 			{Name: "street-run", Weight: 0.4, Repeat: 3, EventRate: 0.02, Layers: []Layer{
-				{Name: "city", Mesh: MeshBox, Material: -1, BaseCount: 16, CountAmp: 4, CountFreq: 2, Spread: 8, SizeMin: 1.5, SizeMax: 4},
-				{Name: "street", Mesh: MeshRoad, Material: 0, BaseCount: 3, Spread: 2, SizeMin: 5, SizeMax: 5},
-				{Name: "hero", Mesh: MeshSphere, Material: 1, BaseCount: 2, Spread: 0.3, SizeMin: 0.3, SizeMax: 0.5, Anim: AnimBob},
-				{Name: "pickups", Mesh: MeshSphere, Material: -1, BaseCount: 5, CountAmp: 4, CountFreq: 6, Spread: 3, SizeMin: 0.15, SizeMax: 0.3, Anim: AnimBob},
+				{Name: "city", Mesh: meshBox, Material: -1, BaseCount: 16, CountAmp: 4, CountFreq: 2, Spread: 8, SizeMin: 1.5, SizeMax: 4},
+				{Name: "street", Mesh: meshRoad, Material: 0, BaseCount: 3, Spread: 2, SizeMin: 5, SizeMax: 5},
+				{Name: "hero", Mesh: meshSphere, Material: 1, BaseCount: 2, Spread: 0.3, SizeMin: 0.3, SizeMax: 0.5, Anim: AnimBob},
+				{Name: "pickups", Mesh: meshSphere, Material: -1, BaseCount: 5, CountAmp: 4, CountFreq: 6, Spread: 3, SizeMin: 0.15, SizeMax: 0.3, Anim: AnimBob},
 				{Name: "hud", Mesh: MeshQuad, Material: -1, BaseCount: 4, Spread: 0.7, SizeMin: 0.04, SizeMax: 0.1, Depth: 0.1, Blend: true},
 			}},
 			{Name: "rooftop-swing", Weight: 0.34, Repeat: 4, EventRate: 0.03, Layers: []Layer{
-				{Name: "towers", Mesh: MeshBox, Material: -1, BaseCount: 22, CountAmp: 6, CountFreq: 3, Spread: 10, SizeMin: 2, SizeMax: 6},
-				{Name: "hero", Mesh: MeshSphere, Material: 1, BaseCount: 2, Spread: 0.3, SizeMin: 0.3, SizeMax: 0.5, Anim: AnimBob},
+				{Name: "towers", Mesh: meshBox, Material: -1, BaseCount: 22, CountAmp: 6, CountFreq: 3, Spread: 10, SizeMin: 2, SizeMax: 6},
+				{Name: "hero", Mesh: meshSphere, Material: 1, BaseCount: 2, Spread: 0.3, SizeMin: 0.3, SizeMax: 0.5, Anim: AnimBob},
 				{Name: "webs", Mesh: MeshQuad, Material: -1, BaseCount: 6, CountAmp: 3, CountFreq: 8, Spread: 4, SizeMin: 0.05, SizeMax: 0.4, Blend: true},
 				{Name: "hud", Mesh: MeshQuad, Material: -1, BaseCount: 4, Spread: 0.7, SizeMin: 0.04, SizeMax: 0.1, Depth: 0.1, Blend: true},
 			}},
 			{Name: "boss", Weight: 0.14, Repeat: 2, EventRate: 0.06, Layers: []Layer{
-				{Name: "arena", Mesh: MeshTerrain, Material: 0, BaseCount: 2, Spread: 2, SizeMin: 8, SizeMax: 8},
-				{Name: "boss", Mesh: MeshSphere, Material: 2, BaseCount: 4, Spread: 1, SizeMin: 0.8, SizeMax: 1.5, Anim: AnimSpin},
-				{Name: "hero", Mesh: MeshSphere, Material: 1, BaseCount: 2, Spread: 0.3, SizeMin: 0.3, SizeMax: 0.5, Anim: AnimBob},
+				{Name: "arena", Mesh: meshTerrain, Material: 0, BaseCount: 2, Spread: 2, SizeMin: 8, SizeMax: 8},
+				{Name: "boss", Mesh: meshSphere, Material: 2, BaseCount: 4, Spread: 1, SizeMin: 0.8, SizeMax: 1.5, Anim: animSpin},
+				{Name: "hero", Mesh: meshSphere, Material: 1, BaseCount: 2, Spread: 0.3, SizeMin: 0.3, SizeMax: 0.5, Anim: AnimBob},
 				{Name: "effects", Mesh: MeshQuad, Material: -1, BaseCount: 8, CountAmp: 6, CountFreq: 10, Spread: 3, SizeMin: 0.05, SizeMax: 0.5, Blend: true},
 			}},
 			{Name: "results", Weight: 0.06, Layers: menuLayers()},
@@ -422,14 +422,14 @@ func Generate(p Profile, sc Scale) (*gltrace.Trace, error) {
 	gen := shader.NewGenerator(rng.Split())
 	for i := 0; i < p.NumVS; i++ {
 		c := shader.SimpleVertex
-		if p.Type == Game3D && i%3 != 0 {
+		if p.Type == game3D && i%3 != 0 {
 			c = shader.ComplexVertex
 		}
 		tr.VertexShaders = append(tr.VertexShaders, gen.Vertex(c))
 	}
 	for i := 0; i < p.NumFS; i++ {
 		c := shader.SimpleFragment
-		if p.Type == Game3D && i%2 == 0 {
+		if p.Type == game3D && i%2 == 0 {
 			c = shader.ComplexFragment
 		}
 		tr.FragmentShaders = append(tr.FragmentShaders, gen.Fragment(c))
@@ -438,10 +438,10 @@ func Generate(p Profile, sc Scale) (*gltrace.Trace, error) {
 	// Mesh library, indexed by MeshKind.
 	tr.Meshes = []gltrace.Mesh{
 		MeshQuad:    scene.Quad("quad"),
-		MeshBox:     scene.Box("box"),
-		MeshSphere:  scene.Sphere("sphere", 6, 8),
-		MeshTerrain: terrainMesh(rng.Split()),
-		MeshRoad:    scene.RoadStrip("road", 20, 0.25),
+		meshBox:     scene.Box("box"),
+		meshSphere:  scene.Sphere("sphere", 6, 8),
+		meshTerrain: terrainMesh(rng.Split()),
+		meshRoad:    scene.RoadStrip("road", 20, 0.25),
 	}
 
 	// Textures: one per material slot, varied sizes.
@@ -506,7 +506,7 @@ func terrainMesh(rng *stats.RNG) gltrace.Mesh {
 func cameraFor(p Profile, sc Scale) scene.Camera {
 	aspect := float64(sc.Width) / float64(sc.Height)
 	switch p.Type {
-	case Game3D:
+	case game3D:
 		return scene.ChaseCamera{
 			Path:   scene.CircuitPath(12, 9, 25),
 			Height: 2.2, Back: 5,
@@ -710,7 +710,7 @@ func (b *builder) instanceModel(layer Layer, li, i int, s slot, t float64) geom.
 	}
 	inst := scene.Instance{Position: pos, Scale: geom.Vec3{X: size, Y: size, Z: size}}
 	switch layer.Anim {
-	case AnimSpin:
+	case animSpin:
 		inst.YawSpeed = 0.5 + float64(i%5)*0.3
 	case AnimBob:
 		inst.BobAmp = size * 0.2

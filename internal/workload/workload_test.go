@@ -14,14 +14,14 @@ func TestProfilesMatchTableII(t *testing.T) {
 		frames       int
 		numVS, numFS int
 	}{
-		{"asp", Game3D, 4000, 42, 45},
-		{"bbr1", Game3D, 2500, 73, 62},
-		{"bbr2", Game3D, 4000, 66, 59},
+		{"asp", game3D, 4000, 42, 45},
+		{"bbr1", game3D, 2500, 73, 62},
+		{"bbr2", game3D, 4000, 66, 59},
 		{"hcr", Game2D, 2000, 5, 5},
-		{"hwh", Game3D, 4000, 30, 30},
+		{"hwh", game3D, 4000, 30, 30},
 		{"jjo", Game2D, 5000, 4, 5},
 		{"pvz", Game2D, 5000, 4, 5},
-		{"spd", Game3D, 5000, 16, 26},
+		{"spd", game3D, 5000, 16, 26},
 	}
 	for _, w := range want {
 		p, err := Get(w.alias)
@@ -219,7 +219,7 @@ func TestBuildScheduleCoversAllFrames(t *testing.T) {
 }
 
 func TestGameTypeString(t *testing.T) {
-	if Game2D.String() != "2D" || Game3D.String() != "3D" {
+	if Game2D.String() != "2D" || game3D.String() != "3D" {
 		t.Fatal("GameType.String wrong")
 	}
 }

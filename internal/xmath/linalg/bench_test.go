@@ -6,9 +6,9 @@ import (
 	"repro/internal/xmath/stats"
 )
 
-func randomDominantMatrix(n int, seed uint64) *Matrix {
+func randomDominantMatrix(n int, seed uint64) *matrix {
 	rng := stats.NewRNG(seed)
-	m := NewMatrix(n, n)
+	m := newMatrix(n, n)
 	for i := 0; i < n; i++ {
 		rowSum := 0.0
 		for j := 0; j < n; j++ {

@@ -12,26 +12,26 @@ import (
 	"repro/internal/xmath/stats"
 )
 
-// ErrSingular is returned when a matrix cannot be inverted.
-var ErrSingular = errors.New("linalg: matrix is singular")
+// errSingular is returned when a matrix cannot be inverted.
+var errSingular = errors.New("linalg: matrix is singular")
 
-// Matrix is a dense row-major matrix.
-type Matrix struct {
+// matrix is a dense row-major matrix.
+type matrix struct {
 	Rows, Cols int
 	Data       []float64 // len == Rows*Cols, row-major
 }
 
-// NewMatrix returns a zeroed rows x cols matrix.
-func NewMatrix(rows, cols int) *Matrix {
+// newMatrix returns a zeroed rows x cols matrix.
+func newMatrix(rows, cols int) *matrix {
 	if rows < 0 || cols < 0 {
 		panic("linalg: negative matrix dimension")
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
+// identity returns the n x n identity matrix.
+func identity(n int) *matrix {
+	m := newMatrix(n, n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, 1)
 	}
@@ -39,64 +39,37 @@ func Identity(n int) *Matrix {
 }
 
 // At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 {
+func (m *matrix) At(i, j int) float64 {
 	m.check(i, j)
 	return m.Data[i*m.Cols+j]
 }
 
 // Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) {
+func (m *matrix) Set(i, j int, v float64) {
 	m.check(i, j)
 	m.Data[i*m.Cols+j] = v
 }
 
-func (m *Matrix) check(i, j int) {
+func (m *matrix) check(i, j int) {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
 		panic(fmt.Sprintf("linalg: index (%d,%d) out of bounds for %dx%d matrix", i, j, m.Rows, m.Cols))
 	}
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
+func (m *matrix) Clone() *matrix {
+	c := newMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
-// Transpose returns m transposed.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 // Mul returns the matrix product m * other. It panics on dimension
 // mismatch.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
+func (m *matrix) Mul(other *matrix) *matrix {
 	if m.Cols != other.Rows {
 		panic(fmt.Sprintf("linalg: Mul dimension mismatch: %dx%d * %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
 	}
-	out := NewMatrix(m.Rows, other.Cols)
+	out := newMatrix(m.Rows, other.Cols)
 	for i := 0; i < m.Rows; i++ {
 		for k := 0; k < m.Cols; k++ {
 			a := m.At(i, k)
@@ -113,7 +86,7 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 
 // MulVec returns the matrix-vector product m * v. It panics on dimension
 // mismatch.
-func (m *Matrix) MulVec(v []float64) []float64 {
+func (m *matrix) MulVec(v []float64) []float64 {
 	if m.Cols != len(v) {
 		panic("linalg: MulVec dimension mismatch")
 	}
@@ -129,14 +102,14 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 }
 
 // Inverse returns the inverse of m computed by Gauss-Jordan elimination
-// with partial pivoting. It returns ErrSingular when a pivot underflows.
-func (m *Matrix) Inverse() (*Matrix, error) {
+// with partial pivoting. It returns errSingular when a pivot underflows.
+func (m *matrix) Inverse() (*matrix, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("linalg: cannot invert non-square %dx%d matrix", m.Rows, m.Cols)
 	}
 	n := m.Rows
 	a := m.Clone()
-	inv := Identity(n)
+	inv := identity(n)
 	for col := 0; col < n; col++ {
 		// Partial pivoting: pick the largest-magnitude pivot in this column.
 		pivot := col
@@ -147,7 +120,7 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 		}
 		pv := a.At(pivot, col)
 		if math.Abs(pv) < 1e-12 {
-			return nil, ErrSingular
+			return nil, errSingular
 		}
 		if pivot != col {
 			a.swapRows(pivot, col)
@@ -177,7 +150,7 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 	return inv, nil
 }
 
-func (m *Matrix) swapRows(i, j int) {
+func (m *matrix) swapRows(i, j int) {
 	ri := m.Data[i*m.Cols : (i+1)*m.Cols]
 	rj := m.Data[j*m.Cols : (j+1)*m.Cols]
 	for k := range ri {
@@ -185,8 +158,8 @@ func (m *Matrix) swapRows(i, j int) {
 	}
 }
 
-// Dot returns the dot product of a and b. It panics on length mismatch.
-func Dot(a, b []float64) float64 {
+// dot returns the dot product of a and b. It panics on length mismatch.
+func dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("linalg: Dot length mismatch")
 	}
@@ -252,7 +225,7 @@ func MultipleCorrelation(predictors [][]float64, target []float64) (float64, err
 	for i, p := range kept {
 		c[i] = stats.Pearson(p, target)
 	}
-	rxx := NewMatrix(n, n)
+	rxx := newMatrix(n, n)
 	for i := 0; i < n; i++ {
 		rxx.Set(i, i, 1)
 		for j := i + 1; j < n; j++ {
@@ -272,7 +245,7 @@ func MultipleCorrelation(predictors [][]float64, target []float64) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	r2 := Dot(c, inv.MulVec(c))
+	r2 := dot(c, inv.MulVec(c))
 	if r2 < 0 {
 		r2 = 0
 	}

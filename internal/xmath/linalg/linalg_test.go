@@ -9,8 +9,8 @@ import (
 )
 
 // fromRows builds a matrix from equal-length row slices.
-func fromRows(rows [][]float64) *Matrix {
-	m := NewMatrix(len(rows), len(rows[0]))
+func fromRows(rows [][]float64) *matrix {
+	m := newMatrix(len(rows), len(rows[0]))
 	for i, r := range rows {
 		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
 	}
@@ -21,7 +21,7 @@ func almostEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
 
-func matricesAlmostEqual(a, b *Matrix, eps float64) bool {
+func matricesAlmostEqual(a, b *matrix, eps float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
@@ -34,7 +34,7 @@ func matricesAlmostEqual(a, b *Matrix, eps float64) bool {
 }
 
 func TestIdentityInverse(t *testing.T) {
-	id := Identity(5)
+	id := identity(5)
 	inv, err := id.Inverse()
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestInverseSingular(t *testing.T) {
 }
 
 func TestInverseNonSquare(t *testing.T) {
-	m := NewMatrix(2, 3)
+	m := newMatrix(2, 3)
 	if _, err := m.Inverse(); err == nil {
 		t.Fatal("expected error inverting non-square matrix")
 	}
@@ -83,7 +83,7 @@ func TestInverseRoundTripProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
 		n := 2 + r.Intn(6)
-		m := NewMatrix(n, n)
+		m := newMatrix(n, n)
 		// Diagonally dominant matrices are always invertible.
 		for i := 0; i < n; i++ {
 			rowSum := 0.0
@@ -101,7 +101,7 @@ func TestInverseRoundTripProperty(t *testing.T) {
 			return false
 		}
 		prod := m.Mul(inv)
-		return matricesAlmostEqual(prod, Identity(n), 1e-8)
+		return matricesAlmostEqual(prod, identity(n), 1e-8)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -139,39 +139,10 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	m := fromRows([][]float64{
-		{1, 2, 3},
-		{4, 5, 6},
-	})
-	tr := m.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 {
-		t.Fatalf("transpose dims %dx%d, want 3x2", tr.Rows, tr.Cols)
-	}
-	if tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Fatal("transpose values wrong")
-	}
-}
-
-func TestTransposeInvolutionProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := stats.NewRNG(seed)
-		rows, cols := 1+r.Intn(8), 1+r.Intn(8)
-		m := NewMatrix(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = r.Norm(0, 10)
-		}
-		return matricesAlmostEqual(m.Transpose().Transpose(), m, 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDotAndDistances(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
-	if d := Dot(a, b); d != 32 {
+	if d := dot(a, b); d != 32 {
 		t.Fatalf("Dot = %v, want 32", d)
 	}
 	if d := SquaredDistance(a, b); d != 27 {
@@ -310,16 +281,11 @@ func TestMultipleCorrelationBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestRowColClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	m := fromRows([][]float64{
 		{1, 2},
 		{3, 4},
 	})
-	r := m.Row(1)
-	c := m.Col(0)
-	if r[0] != 3 || r[1] != 4 || c[0] != 1 || c[1] != 3 {
-		t.Fatal("Row/Col wrong")
-	}
 	cl := m.Clone()
 	cl.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {

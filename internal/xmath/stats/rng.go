@@ -24,8 +24,8 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Uint64 returns the next 64 bits of the stream.
-func (r *RNG) Uint64() uint64 {
+// next returns the next 64 bits of the stream.
+func (r *RNG) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -38,12 +38,12 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("stats: Intn called with non-positive n")
 	}
-	return int(r.Uint64() % uint64(n))
+	return int(r.next() % uint64(n))
 }
 
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.next()>>11) / (1 << 53)
 }
 
 // Range returns a uniformly distributed float64 in [lo, hi).
@@ -63,8 +63,8 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
+// perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
+func (r *RNG) perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
 		p[i] = i
@@ -82,12 +82,12 @@ func (r *RNG) Sample(n, k int) []int {
 	if k < 0 || k > n {
 		panic("stats: Sample called with k out of range")
 	}
-	return r.Perm(n)[:k]
+	return r.perm(n)[:k]
 }
 
 // Split derives an independent child generator. The child stream is a
 // deterministic function of the parent state, and advancing the child does
 // not affect the parent (beyond the single draw consumed here).
 func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xd1b54a32d192ed03)
+	return NewRNG(r.next() ^ 0xd1b54a32d192ed03)
 }

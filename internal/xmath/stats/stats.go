@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
+// mean returns the arithmetic mean of xs, or 0 for an empty slice.
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -26,14 +26,14 @@ func Sum(xs []float64) float64 {
 	return sum
 }
 
-// Variance returns the population variance of xs (dividing by N, not N-1),
+// variance returns the population variance of xs (dividing by N, not N-1),
 // or 0 for slices with fewer than one element. The population form is what
 // the BIC likelihood of Eq. (6) in the paper uses.
-func Variance(xs []float64) float64 {
+func variance(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	m := Mean(xs)
+	m := mean(xs)
 	ss := 0.0
 	for _, x := range xs {
 		d := x - m
@@ -44,19 +44,19 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
+	return math.Sqrt(variance(xs))
 }
 
-// Covariance returns the population covariance of xs and ys. It panics if
+// covariance returns the population covariance of xs and ys. It panics if
 // the slices have different lengths; it returns 0 for empty input.
-func Covariance(xs, ys []float64) float64 {
+func covariance(xs, ys []float64) float64 {
 	if len(xs) != len(ys) {
 		panic("stats: Covariance called with mismatched lengths")
 	}
 	if len(xs) == 0 {
 		return 0
 	}
-	mx, my := Mean(xs), Mean(ys)
+	mx, my := mean(xs), mean(ys)
 	s := 0.0
 	for i := range xs {
 		s += (xs[i] - mx) * (ys[i] - my)
@@ -72,7 +72,7 @@ func Pearson(xs, ys []float64) float64 {
 	if sx == 0 || sy == 0 {
 		return 0
 	}
-	return Covariance(xs, ys) / (sx * sy)
+	return covariance(xs, ys) / (sx * sy)
 }
 
 // RelativeError returns |estimate-actual| / |actual| (as a fraction, not a
@@ -114,18 +114,10 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// MaxAtConfidence returns the maximum of xs after discarding the worst
-// (1-confidence) fraction of values, i.e. the `confidence`-quantile. This
-// is how the paper reports "maximum relative error in an interval of
-// confidence of 95%" in Table IV.
-func MaxAtConfidence(xs []float64, confidence float64) float64 {
-	return Percentile(xs, confidence*100)
-}
-
-// Min returns the minimum of xs. It panics on empty input.
-func Min(xs []float64) float64 {
+// minOf returns the minimum of xs. It panics on empty input.
+func minOf(xs []float64) float64 {
 	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
+		panic("stats: min of empty slice")
 	}
 	m := xs[0]
 	for _, x := range xs[1:] {
@@ -136,10 +128,10 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the maximum of xs. It panics on empty input.
-func Max(xs []float64) float64 {
+// maxOf returns the maximum of xs. It panics on empty input.
+func maxOf(xs []float64) float64 {
 	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
+		panic("stats: max of empty slice")
 	}
 	m := xs[0]
 	for _, x := range xs[1:] {
@@ -148,4 +140,12 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
+}
+
+// MaxAtConfidence returns the maximum of xs after discarding the worst
+// (1-confidence) fraction of values, i.e. the `confidence`-quantile. This
+// is how the paper reports "maximum relative error in an interval of
+// confidence of 95%" in Table IV.
+func MaxAtConfidence(xs []float64, confidence float64) float64 {
+	return Percentile(xs, confidence*100)
 }

@@ -14,7 +14,7 @@ func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.next() != b.next() {
 			t.Fatalf("streams diverged at draw %d", i)
 		}
 	}
@@ -25,7 +25,7 @@ func TestRNGDifferentSeedsDiffer(t *testing.T) {
 	b := NewRNG(2)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
+		if a.next() == b.next() {
 			same++
 		}
 	}
@@ -88,7 +88,7 @@ func TestRNGNorm(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.Norm(5, 2)
 	}
-	if m := Mean(xs); !almostEqual(m, 5, 0.05) {
+	if m := mean(xs); !almostEqual(m, 5, 0.05) {
 		t.Fatalf("Norm mean = %v, want ~5", m)
 	}
 	if s := StdDev(xs); !almostEqual(s, 2, 0.05) {
@@ -98,7 +98,7 @@ func TestRNGNorm(t *testing.T) {
 
 func TestRNGPermIsPermutation(t *testing.T) {
 	r := NewRNG(13)
-	p := r.Perm(50)
+	p := r.perm(50)
 	seen := make([]bool, 50)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {
@@ -128,12 +128,12 @@ func TestRNGSplitIndependence(t *testing.T) {
 	child := parent.Split()
 	// Drawing from child must not change the parent's subsequent stream.
 	ref := NewRNG(23)
-	ref.Uint64() // account for the draw consumed by Split
+	ref.next() // account for the draw consumed by Split
 	for i := 0; i < 100; i++ {
-		child.Uint64()
+		child.next()
 	}
 	for i := 0; i < 100; i++ {
-		if parent.Uint64() != ref.Uint64() {
+		if parent.next() != ref.next() {
 			t.Fatal("child draws perturbed parent stream")
 		}
 	}
@@ -141,10 +141,10 @@ func TestRNGSplitIndependence(t *testing.T) {
 
 func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
+	if m := mean(xs); m != 5 {
 		t.Fatalf("Mean = %v, want 5", m)
 	}
-	if v := Variance(xs); v != 4 {
+	if v := variance(xs); v != 4 {
 		t.Fatalf("Variance = %v, want 4", v)
 	}
 	if s := StdDev(xs); s != 2 {
@@ -153,7 +153,7 @@ func TestMeanVariance(t *testing.T) {
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || Sum(nil) != 0 {
+	if mean(nil) != 0 || variance(nil) != 0 || Sum(nil) != 0 {
 		t.Fatal("empty-slice statistics should be 0")
 	}
 }
@@ -249,7 +249,7 @@ func TestMaxAtConfidence(t *testing.T) {
 
 func TestMinMaxArg(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	if Min(xs) != 1 || Max(xs) != 9 {
+	if minOf(xs) != 1 || maxOf(xs) != 9 {
 		t.Fatal("Min/Max wrong")
 	}
 }
@@ -264,7 +264,7 @@ func TestCovarianceSymmetry(t *testing.T) {
 			xs[i] = r.Norm(0, 5)
 			ys[i] = r.Norm(0, 5)
 		}
-		return almostEqual(Covariance(xs, ys), Covariance(ys, xs), 1e-9)
+		return almostEqual(covariance(xs, ys), covariance(ys, xs), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.Norm(0, 100)
 		}
-		return Variance(xs) >= 0
+		return variance(xs) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ package megsim
 
 import (
 	"context"
-	"image"
 
 	"repro/internal/core"
 	"repro/internal/funcsim"
@@ -181,18 +180,8 @@ func (r *Run) Representatives() []int { return r.Selection.Representatives }
 // metric).
 func (r *Run) ReductionFactor() float64 { return r.Selection.ReductionFactor() }
 
-// GPUPresets returns named GPU configurations (mali450 = Table I,
-// lowend, highend, tbdr) for design-space studies.
-func GPUPresets() map[string]GPUConfig { return tbr.Presets() }
-
 // GPUPreset returns a named preset configuration.
 func GPUPreset(name string) (GPUConfig, error) { return tbr.Preset(name) }
-
-// RenderFrame rasterizes one frame of a trace to an image for visual
-// inspection (per-material colors, depth shading).
-func RenderFrame(tr *Trace, frame int) (*image.RGBA, error) {
-	return funcsim.RenderFrame(tr, frame)
-}
 
 // SumStats totals per-frame statistics.
 func SumStats(frames []FrameStats) FrameStats { return core.SumStats(frames) }

@@ -140,9 +140,6 @@ func TestFacadeWrappers(t *testing.T) {
 	}
 
 	// Presets resolve and validate.
-	if len(megsim.GPUPresets()) < 4 {
-		t.Fatal("missing presets")
-	}
 	cfg, err := megsim.GPUPreset("tbdr")
 	if err != nil || !cfg.DeferredShading {
 		t.Fatalf("tbdr preset: %+v, %v", cfg.DeferredShading, err)
@@ -150,23 +147,18 @@ func TestFacadeWrappers(t *testing.T) {
 	if _, err := megsim.GPUPreset("bogus"); err == nil {
 		t.Fatal("bogus preset accepted")
 	}
-
-	// Frame rendering through the facade.
-	img, err := megsim.RenderFrame(tr, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Bounds().Dx() != tr.Viewport.Width {
-		t.Fatalf("image width %d", img.Bounds().Dx())
-	}
 }
 
 func TestFacadeRecorderConstructs(t *testing.T) {
 	rec := megsim.NewRecorder("facade", 64, 64)
 	rec.BeginFrame()
 	rec.EndFrame()
-	if rec.NumFrames() != 1 {
-		t.Fatalf("frames = %d", rec.NumFrames())
+	tr, err := rec.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.NumFrames() != 1 {
+		t.Fatalf("frames = %d", tr.NumFrames())
 	}
 }
 

@@ -33,7 +33,7 @@ type StreamingOptions struct {
 	// the same CRC envelope, and Resume restarts mid-stream.
 	Resilience ResilienceConfig
 	// CheckpointEvery bounds how many ingested frames a crash can lose
-	// (0 = DefaultStreamCheckpointEvery; negative = checkpoint only at
+	// (0 = defaultStreamCheckpointEvery; negative = checkpoint only at
 	// phase boundaries). Ignored without a CheckpointPath.
 	CheckpointEvery int
 	// Runner overrides the phase-2 frame function (nil = the in-process
@@ -47,8 +47,8 @@ type StreamingOptions struct {
 	MaxFrames int
 }
 
-// DefaultStreamCheckpointEvery is the default ingest checkpoint cadence.
-const DefaultStreamCheckpointEvery = 16
+// defaultStreamCheckpointEvery is the default ingest checkpoint cadence.
+const defaultStreamCheckpointEvery = 16
 
 // streamWindow bounds how many frames SampleStreaming characterizes
 // ahead of ingest: enough to balance frames of uneven cost across
@@ -81,12 +81,6 @@ type StreamingRun struct {
 	// a performance note, not an accuracy one.
 	StreamResumeErr error
 }
-
-// Representatives returns the frames the final plan simulated.
-func (r *StreamingRun) Representatives() []int { return r.Selection.Representatives() }
-
-// ReductionFactor returns frames/strata.
-func (r *StreamingRun) ReductionFactor() float64 { return r.Selection.ReductionFactor() }
 
 // Degraded reports whether the estimate was computed from a degraded
 // plan.
@@ -125,7 +119,7 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 	hasCk := rcfg.CheckpointPath != ""
 	every := opts.CheckpointEvery
 	if every == 0 {
-		every = DefaultStreamCheckpointEvery
+		every = defaultStreamCheckpointEvery
 	}
 	runner := opts.Runner
 	if runner == nil {

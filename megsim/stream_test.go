@@ -28,8 +28,8 @@ func TestSampleStreamingHealthy(t *testing.T) {
 	if srun.Degraded() {
 		t.Fatalf("healthy streaming run degraded: %+v", srun.Degradation)
 	}
-	if len(srun.Representatives()) == 0 || srun.ReductionFactor() <= 1 {
-		t.Fatalf("selection: reps=%d reduction=%v", len(srun.Representatives()), srun.ReductionFactor())
+	if len(srun.Selection.Representatives()) == 0 || srun.Selection.ReductionFactor() <= 1 {
+		t.Fatalf("selection: reps=%d reduction=%v", len(srun.Selection.Representatives()), srun.Selection.ReductionFactor())
 	}
 	if srun.Estimate.Cycles == 0 {
 		t.Fatal("estimate has zero cycles")
@@ -110,7 +110,7 @@ func TestSampleStreamingKillResume(t *testing.T) {
 		if !reflect.DeepEqual(res.Selection, ref.Selection) {
 			t.Fatalf("kill=%d: selection diverged", kill)
 		}
-		for _, f := range res.Representatives() {
+		for _, f := range res.Selection.Representatives() {
 			if res.RepresentativeStats[f] != ref.RepresentativeStats[f] {
 				t.Fatalf("kill=%d: frame %d stats diverged", kill, f)
 			}
@@ -132,7 +132,7 @@ func TestSampleStreamingQuarantineDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := ref.Representatives()[0]
+	victim := ref.Selection.Representatives()[0]
 
 	srun, err := megsim.SampleStreaming(context.Background(), tr, megsim.StreamingOptions{
 		Resilience: megsim.ResilienceConfig{Quarantine: []int{victim}},
