@@ -108,6 +108,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *workerMode {
 		return runWorker(ctx, *addr, *drainTimeout, stdout)
 	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers %d: need 0 (GOMAXPROCS) or a positive pool size", *workers)
+	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			return fmt.Errorf("checkpoint dir: %w", err)

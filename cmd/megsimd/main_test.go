@@ -157,6 +157,7 @@ func TestDaemonBadFlags(t *testing.T) {
 		{[]string{"-heartbeat", "1s"}, "-heartbeat needs -coordinator"},
 		{[]string{"-audit-fraction", "0.5"}, "-audit-fraction needs -coordinator"},
 		{[]string{"-chaos-seed", "7"}, "-chaos-seed needs -coordinator"},
+		{[]string{"-workers", "-1"}, "-workers -1"},
 		{[]string{"-coordinator", "http://localhost:1", "-audit-fraction", "1.5"}, "audit"},
 	} {
 		var buf bytes.Buffer

@@ -123,17 +123,6 @@ type Config struct {
 	PartitionWindow int
 }
 
-// enabled reports whether any fault class can fire.
-func (c *Config) enabled() bool {
-	return c.DropRate > 0 ||
-		(c.DelayRate > 0 && c.Delay > 0) ||
-		c.DuplicateRate > 0 ||
-		c.TruncateRate > 0 ||
-		c.CorruptRate > 0 ||
-		(c.StallRate > 0 && c.StallDelay > 0) ||
-		c.PartitionRate > 0
-}
-
 // validate reports configuration errors.
 func (c *Config) validate() error {
 	for _, r := range []struct {

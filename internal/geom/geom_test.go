@@ -169,39 +169,6 @@ func TestTriangleArea(t *testing.T) {
 	}
 }
 
-func TestTriangleContains(t *testing.T) {
-	tri := Triangle2{V: [3]Vec3{{0, 0, 0}, {10, 0, 0}, {0, 10, 0}}}
-	if !tri.contains(Vec2{2, 2}) {
-		t.Fatal("(2,2) should be inside")
-	}
-	if tri.contains(Vec2{8, 8}) {
-		t.Fatal("(8,8) should be outside")
-	}
-	if !tri.contains(Vec2{0, 0}) {
-		t.Fatal("vertex should count as inside")
-	}
-}
-
-func TestBarycentricPartitionOfUnity(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := stats.NewRNG(seed)
-		tri := Triangle2{V: [3]Vec3{
-			{r.Range(0, 100), r.Range(0, 100), 0},
-			{r.Range(0, 100), r.Range(0, 100), 0},
-			{r.Range(0, 100), r.Range(0, 100), 0},
-		}}
-		if tri.Degenerate() {
-			return true
-		}
-		p := Vec2{r.Range(0, 100), r.Range(0, 100)}
-		l0, l1, l2, ok := tri.barycentric(p)
-		return ok && almostEqual(l0+l1+l2, 1, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOverlappedTiles(t *testing.T) {
 	// 4x4 grid of 32px tiles (128x128 screen).
 	tri := Triangle2{V: [3]Vec3{{10, 10, 0}, {70, 10, 0}, {10, 70, 0}}}

@@ -53,33 +53,6 @@ func (t Triangle2) Degenerate() bool {
 	return t.area() < 1e-9
 }
 
-// barycentric returns the barycentric coordinates (l0, l1, l2) of point p
-// with respect to the triangle, and ok=false for degenerate triangles.
-func (t Triangle2) barycentric(p Vec2) (l0, l1, l2 float64, ok bool) {
-	x0, y0 := t.V[0].X, t.V[0].Y
-	x1, y1 := t.V[1].X, t.V[1].Y
-	x2, y2 := t.V[2].X, t.V[2].Y
-	den := (y1-y2)*(x0-x2) + (x2-x1)*(y0-y2)
-	if math.Abs(den) < 1e-12 {
-		return 0, 0, 0, false
-	}
-	l0 = ((y1-y2)*(p.X-x2) + (x2-x1)*(p.Y-y2)) / den
-	l1 = ((y2-y0)*(p.X-x2) + (x0-x2)*(p.Y-y2)) / den
-	l2 = 1 - l0 - l1
-	return l0, l1, l2, true
-}
-
-// contains reports whether point p lies inside (or on the boundary of)
-// the triangle.
-func (t Triangle2) contains(p Vec2) bool {
-	l0, l1, l2, ok := t.barycentric(p)
-	if !ok {
-		return false
-	}
-	const eps = -1e-9
-	return l0 >= eps && l1 >= eps && l2 >= eps
-}
-
 // OverlappedTiles returns the inclusive tile-coordinate range
 // [tx0, tx1] x [ty0, ty1] of size tileSize covered by the triangle's
 // bounding box, clipped to a grid of tilesX x tilesY tiles. ok is false

@@ -8,22 +8,12 @@ import (
 func TestBackoffDeterministic(t *testing.T) {
 	for frame := 0; frame < 8; frame++ {
 		for attempt := 1; attempt <= 6; attempt++ {
-			a := backoff(0, 0, 42, frame, attempt)
-			b := backoff(0, 0, 42, frame, attempt)
+			a := backoff(0, backoffCap, frame, attempt)
+			b := backoff(0, backoffCap, frame, attempt)
 			if a != b {
 				t.Fatalf("frame %d attempt %d: %v != %v", frame, attempt, a, b)
 			}
 		}
-	}
-	// A different seed reshapes the jitter somewhere in the grid.
-	same := true
-	for frame := 0; frame < 8 && same; frame++ {
-		if backoff(0, 0, 1, frame, 1) != backoff(0, 0, 2, frame, 1) {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("seed does not influence jitter")
 	}
 }
 
@@ -32,7 +22,7 @@ func TestBackoffEnvelope(t *testing.T) {
 	for frame := 0; frame < 16; frame++ {
 		prevCeil := time.Duration(0)
 		for attempt := 1; attempt <= 8; attempt++ {
-			d := backoff(base, cap, 7, frame, attempt)
+			d := backoff(base, cap, frame, attempt)
 			ceil := base << (attempt - 1)
 			if ceil > cap || ceil <= 0 {
 				ceil = cap
@@ -52,15 +42,15 @@ func TestBackoffEnvelope(t *testing.T) {
 }
 
 func TestBackoffDisabledAndDefaults(t *testing.T) {
-	if d := backoff(-1, 0, 0, 3, 2); d != 0 {
+	if d := backoff(-1, backoffCap, 3, 2); d != 0 {
 		t.Fatalf("negative base should disable backoff, got %v", d)
 	}
-	d := backoff(0, 0, 0, 0, 1)
+	d := backoff(0, backoffCap, 0, 1)
 	if d <= 0 || d > defaultBackoffBase {
-		t.Fatalf("zero config should use defaults, got %v", d)
+		t.Fatalf("zero base should use the default, got %v", d)
 	}
 	// Deep attempts saturate at the cap.
-	if d := backoff(time.Millisecond, 8*time.Millisecond, 0, 0, 30); d > 8*time.Millisecond {
+	if d := backoff(time.Millisecond, 8*time.Millisecond, 0, 30); d > 8*time.Millisecond {
 		t.Fatalf("cap not honored: %v", d)
 	}
 }

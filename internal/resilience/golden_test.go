@@ -71,7 +71,7 @@ func TestGoldenKillAndResume(t *testing.T) {
 		// Uninterrupted reference run.
 		refPath := filepath.Join(dir, "ref.ckpt")
 		refObs := obs.New()
-		refCfg := noBackoff(Config{Workers: workers, Obs: refObs, CheckpointPath: refPath, Fingerprint: fp, Seed: 1})
+		refCfg := noBackoff(Config{Workers: workers, Obs: refObs, CheckpointPath: refPath, Fingerprint: fp})
 		refRes, err := Run(context.Background(), frames, mkFn(gpu, newAttemptTracker()), refCfg)
 		if err != nil {
 			t.Fatalf("workers=%d: reference run: %v", workers, err)
@@ -93,7 +93,7 @@ func TestGoldenKillAndResume(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var completions atomic.Int64
 		killObs := obs.New()
-		killCfg := noBackoff(Config{Workers: workers, Obs: killObs, CheckpointPath: killPath, Fingerprint: fp, Seed: 1})
+		killCfg := noBackoff(Config{Workers: workers, Obs: killObs, CheckpointPath: killPath, Fingerprint: fp})
 		inner := mkFn(gpu, newAttemptTracker())
 		_, err = Run(ctx, frames, func(c context.Context, frame int, reg *obs.Registry) (tbr.FrameStats, error) {
 			st, err := inner(c, frame, reg)
@@ -109,7 +109,7 @@ func TestGoldenKillAndResume(t *testing.T) {
 
 		// Resume under a different supervisor worker count.
 		resObs := obs.New()
-		resCfg := noBackoff(Config{Workers: 3, Obs: resObs, CheckpointPath: killPath, Fingerprint: fp, Seed: 1, Resume: true})
+		resCfg := noBackoff(Config{Workers: 3, Obs: resObs, CheckpointPath: killPath, Fingerprint: fp, Resume: true})
 		resRes, err := Run(context.Background(), frames, mkFn(gpu, newAttemptTracker()), resCfg)
 		if err != nil {
 			t.Fatalf("workers=%d: resumed run: %v", workers, err)

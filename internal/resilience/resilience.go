@@ -68,17 +68,13 @@ type Config struct {
 	// 0 = defaultMaxRequeues; negative = no free requeues.
 	MaxRequeues int
 
-	// BackoffBase and BackoffCap shape the capped exponential backoff
-	// between attempts: attempt k sleeps ~Base*2^(k-1), jittered
-	// deterministically from (Seed, frame, attempt), capped at Cap.
-	// Zero values select defaultBackoffBase / defaultBackoffCap; a
-	// negative BackoffBase disables backoff entirely (tests).
+	// BackoffBase shapes the capped exponential backoff between
+	// attempts: attempt k sleeps ~BackoffBase*2^(k-1), jittered
+	// deterministically from (frame, attempt), capped at
+	// backoffCap. Zero selects defaultBackoffBase; a negative value
+	// disables backoff entirely (tests). Backoff timing never affects
+	// results, only retry pacing.
 	BackoffBase time.Duration
-	BackoffCap  time.Duration
-
-	// Seed drives the deterministic backoff jitter. Backoff timing
-	// never affects results, only retry pacing.
-	Seed uint64
 
 	// CheckpointPath, when non-empty, enables frame-granularity
 	// checkpointing: after every completed frame the full progress
@@ -143,7 +139,7 @@ type Config struct {
 const (
 	defaultMaxAttempts = 3
 	defaultBackoffBase = 5 * time.Millisecond
-	defaultBackoffCap  = 500 * time.Millisecond
+	backoffCap         = 500 * time.Millisecond
 )
 
 func (c *Config) maxAttempts() int {
@@ -156,19 +152,16 @@ func (c *Config) maxAttempts() int {
 // backoff returns the jittered delay before retrying frame after
 // `attempt` failed attempts (attempt >= 1): base*2^(attempt-1) scaled
 // by a deterministic jitter factor in [0.5, 1.0] drawn from
-// (seed, frame, attempt), capped. Deterministic jitter keeps retry
-// schedules reproducible across runs — the same flaky frame backs off
+// (frame, attempt), capped. Deterministic jitter keeps retry schedules
+// reproducible across runs — the same flaky frame backs off
 // identically every time — while still decorrelating frames that fail
 // together.
-func backoff(base, cap time.Duration, seed uint64, frame, attempt int) time.Duration {
+func backoff(base, cap time.Duration, frame, attempt int) time.Duration {
 	if base < 0 {
 		return 0
 	}
 	if base == 0 {
 		base = defaultBackoffBase
-	}
-	if cap <= 0 {
-		cap = defaultBackoffCap
 	}
 	d := base
 	for i := 1; i < attempt && d < cap; i++ {
@@ -178,8 +171,8 @@ func backoff(base, cap time.Duration, seed uint64, frame, attempt int) time.Dura
 		d = cap
 	}
 	// splitmix64 finalizer over the mixed coordinates, as the fault
-	// layer does: jitter is a pure function of (seed, frame, attempt).
-	x := seed ^ uint64(frame)*0x9E3779B97F4A7C15 ^ uint64(attempt)*0xBF58476D1CE4E5B9
+	// layer does: jitter is a pure function of (frame, attempt).
+	x := uint64(frame)*0x9E3779B97F4A7C15 ^ uint64(attempt)*0xBF58476D1CE4E5B9
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27

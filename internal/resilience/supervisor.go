@@ -296,7 +296,7 @@ func Run(ctx context.Context, frames []int, fn FrameFunc, cfg Config) (*Result, 
 					requeues++
 					attempt--
 					state.requeue()
-					d := backoff(cfg.BackoffBase, cfg.BackoffCap, cfg.Seed, frame, requeues)
+					d := backoff(cfg.BackoffBase, backoffCap, frame, requeues)
 					logf(cfg.Log, "resilience: frame %d requeued after worker loss (%d/%d), retrying in %v: %v",
 						frame, requeues, maxRequeues, d, err)
 					if sleep(ctx, d) != nil {
@@ -310,7 +310,7 @@ func Run(ctx context.Context, frames []int, fn FrameFunc, cfg Config) (*Result, 
 					state.quarantine(q)
 					return
 				}
-				d := backoff(cfg.BackoffBase, cfg.BackoffCap, cfg.Seed, frame, attempt)
+				d := backoff(cfg.BackoffBase, backoffCap, frame, attempt)
 				logf(cfg.Log, "resilience: frame %d attempt %d failed (%v), retrying in %v", frame, attempt, err, d)
 				if sleep(ctx, d) != nil {
 					return

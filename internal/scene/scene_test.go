@@ -168,16 +168,3 @@ func TestInstanceYawPreservesRadius(t *testing.T) {
 		t.Fatal("yaw did not rotate the point")
 	}
 }
-
-func TestOrtho2DMapsScreenCorners(t *testing.T) {
-	cam := ortho2D{Width: 320, Height: 180}
-	m := cam.ViewProjection(0)
-	bl := m.TransformPoint(geom.Vec3{X: 0, Y: 0})
-	tr := m.TransformPoint(geom.Vec3{X: 320, Y: 180})
-	if math.Abs(bl.X+1) > 1e-12 || math.Abs(bl.Y+1) > 1e-12 {
-		t.Fatalf("bottom-left NDC = %+v", bl)
-	}
-	if math.Abs(tr.X-1) > 1e-12 || math.Abs(tr.Y-1) > 1e-12 {
-		t.Fatalf("top-right NDC = %+v", tr)
-	}
-}

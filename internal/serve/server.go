@@ -70,8 +70,7 @@ type Dispatcher interface {
 type Config struct {
 	// QueueCapacity bounds the admission queue (0 = DefaultQueueCapacity).
 	QueueCapacity int
-	// Workers is the job worker pool size (0 = GOMAXPROCS; negative =
-	// no workers, an admission-only server for backpressure tests).
+	// Workers is the job worker pool size (0 or negative = GOMAXPROCS).
 	Workers int
 	// CheckpointDir, when non-empty, gives every job a checkpoint file
 	// named by its campaign fingerprint, written at frame granularity
@@ -129,7 +128,7 @@ func New(cfg Config) *Server {
 		cfg.QueueCapacity = DefaultQueueCapacity
 	}
 	workers := cfg.Workers
-	if workers == 0 {
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -181,12 +180,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.queue.Close()
 	s.cancelJobs()
-	if s.cfg.Workers < 0 {
-		// Admission-only server: no workers will drain the queue.
-		for j := range s.queue.ch {
-			s.finishInterrupted(j, "service drained before the job started")
-		}
-	}
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()

@@ -24,10 +24,9 @@ import (
 // Config is the GPU configuration (Table I). DefaultConfig returns the
 // paper's values; experiments vary individual fields.
 type Config struct {
-	// FrequencyMHz and VoltageV are carried for reporting and the
-	// power model; they do not change cycle counts.
+	// FrequencyMHz is the GPU clock: it scales DRAM timing to GPU
+	// cycles and converts cycles to seconds.
 	FrequencyMHz int
-	VoltageV     float64
 
 	// TileSize is the square tile edge in pixels.
 	TileSize int
@@ -42,10 +41,6 @@ type Config struct {
 	TriangleQueueEntries int
 	FragmentQueueEntries int
 	ColorQueueEntries    int
-
-	// EarlyZInFlight is the number of in-flight quad-fragments in the
-	// Early Z-Test stage.
-	EarlyZInFlight int
 
 	// Caches. TextureCache is replicated NumTextureCaches times.
 	VertexCache      mem.CacheConfig
@@ -105,7 +100,6 @@ type FrameChecker interface {
 func DefaultConfig() Config {
 	return Config{
 		FrequencyMHz:          600,
-		VoltageV:              1.0,
 		TileSize:              32,
 		NumVertexProcessors:   4,
 		NumFragmentProcessors: 4,
@@ -113,7 +107,6 @@ func DefaultConfig() Config {
 		TriangleQueueEntries:  16,
 		FragmentQueueEntries:  64,
 		ColorQueueEntries:     64,
-		EarlyZInFlight:        8,
 		VertexCache: mem.CacheConfig{
 			Name: "vertex", SizeBytes: 4 << 10, LineBytes: 64, Ways: 2, Latency: 1, Banks: 1,
 		},
@@ -146,9 +139,6 @@ func (c Config) validate() error {
 	if c.VertexQueueEntries <= 0 || c.TriangleQueueEntries <= 0 ||
 		c.FragmentQueueEntries <= 0 || c.ColorQueueEntries <= 0 {
 		return fmt.Errorf("tbr: queue entries must be positive")
-	}
-	if c.EarlyZInFlight <= 0 {
-		return fmt.Errorf("tbr: EarlyZInFlight must be positive")
 	}
 	if err := c.Faults.validate(); err != nil {
 		return err

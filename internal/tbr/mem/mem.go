@@ -186,17 +186,6 @@ func (c *Cache) nextAccess(now uint64, addr uint64, write bool) uint64 {
 // Name implements Level.
 func (c *Cache) Name() string { return c.cfg.Name }
 
-// reset invalidates every line without writing anything back and zeroes
-// the statistics. Used at frame boundaries when simulating frames as
-// independent units. Stale dirty bits are discarded lazily by the next
-// drain (the epoch check rejects them), so reset never touches the
-// line arena.
-func (c *Cache) reset() {
-	c.epoch++
-	c.Stats = CacheStats{}
-	c.stamp = 0
-}
-
 // noteDirty records a flat line index as a flush/writeback candidate.
 func (c *Cache) noteDirty(idx int) {
 	w := idx >> 6

@@ -119,20 +119,6 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
-func TestCacheResetClearsStatsAndContents(t *testing.T) {
-	next := &flatMem{latency: 10}
-	c := newTestCache(1024, 64, 2, next)
-	c.Access(0, 0x00, true)
-	c.reset()
-	if c.Stats != (CacheStats{}) {
-		t.Fatalf("stats not cleared: %+v", c.Stats)
-	}
-	c.Access(0, 0x00, false)
-	if c.Stats.Misses != 1 {
-		t.Fatal("contents not cleared by Reset")
-	}
-}
-
 func TestCacheHitRate(t *testing.T) {
 	s := CacheStats{Accesses: 10, Hits: 7}
 	if s.HitRate() != 0.7 {

@@ -178,16 +178,6 @@ func (q *Queue) panicCommitWithoutAdmit() {
 	panic(fmt.Sprintf("queue %q: Commit without Admit", q.name))
 }
 
-// reset empties the queue and zeroes statistics.
-func (q *Queue) reset() {
-	for i := range q.doneAt {
-		q.doneAt[i] = 0
-	}
-	q.head = 0
-	q.pending = false
-	q.Stats = Stats{}
-}
-
 // ResetTime empties the queue (all slots free at cycle 0) but keeps
 // statistics. Used at frame boundaries.
 func (q *Queue) ResetTime() {

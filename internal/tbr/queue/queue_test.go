@@ -54,20 +54,6 @@ func TestQueueFIFOSlotOrder(t *testing.T) {
 	q.Commit(60)
 }
 
-func TestQueueReset(t *testing.T) {
-	q := New("q", 1)
-	q.Admit(0)
-	q.Commit(1000)
-	q.reset()
-	if at := q.Admit(0); at != 0 {
-		t.Fatalf("Admit after Reset = %d", at)
-	}
-	q.Commit(1)
-	if q.Stats.Admitted != 1 {
-		t.Fatalf("stats not reset: %+v", q.Stats)
-	}
-}
-
 func TestQueueResetTimeKeepsStats(t *testing.T) {
 	q := New("q", 1)
 	q.Admit(0)

@@ -31,8 +31,8 @@ func TestDefaultConfigMatchesTableI(t *testing.T) {
 	if cfg.L2.Banks != 8 || cfg.L2.Latency != 18 {
 		t.Fatal("L2 geometry")
 	}
-	if cfg.NumTextureCaches != 4 || cfg.EarlyZInFlight != 8 {
-		t.Fatal("texture caches / early-z")
+	if cfg.NumTextureCaches != 4 {
+		t.Fatal("texture caches")
 	}
 	if cfg.DRAM.Channels != 2 || cfg.DRAM.LineBytes != 64 || cfg.DRAM.BytesPerCycle != 4 {
 		t.Fatal("DRAM config")
@@ -47,7 +47,6 @@ func TestConfigValidateCatchesErrors(t *testing.T) {
 		"odd tile":     func(c *Config) { c.TileSize = 15 },
 		"zero vps":     func(c *Config) { c.NumVertexProcessors = 0 },
 		"zero fq":      func(c *Config) { c.FragmentQueueEntries = 0 },
-		"zero ez":      func(c *Config) { c.EarlyZInFlight = 0 },
 		"zero tcaches": func(c *Config) { c.NumTextureCaches = 0 },
 		"bad cache":    func(c *Config) { c.L2.SizeBytes = 100 },
 	}

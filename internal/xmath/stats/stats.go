@@ -114,34 +114,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// minOf returns the minimum of xs. It panics on empty input.
-func minOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// maxOf returns the maximum of xs. It panics on empty input.
-func maxOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // MaxAtConfidence returns the maximum of xs after discarding the worst
 // (1-confidence) fraction of values, i.e. the `confidence`-quantile. This
 // is how the paper reports "maximum relative error in an interval of

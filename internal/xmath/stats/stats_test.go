@@ -247,13 +247,6 @@ func TestMaxAtConfidence(t *testing.T) {
 	}
 }
 
-func TestMinMaxArg(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	if minOf(xs) != 1 || maxOf(xs) != 9 {
-		t.Fatal("Min/Max wrong")
-	}
-}
-
 func TestCovarianceSymmetry(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)
