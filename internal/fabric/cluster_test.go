@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,8 +16,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/serve"
 	"repro/megsim"
 )
@@ -26,40 +25,22 @@ import (
 // exercise failover.
 const clusterWorkerCount = 3
 
-// serviceResilience is the supervisor half of the service settings:
-// one retry per frame with backoff disabled, so tests exercise the
-// supervised path without sleeping on injected faults.
-func serviceResilience() resilience.Config {
-	return resilience.Config{MaxAttempts: 2, BackoffBase: -1}
-}
-
-// clusterResilience is serviceResilience plus a small worker-loss
-// requeue budget, so a dispatch stranded by a dying worker re-enters
-// the pool a bounded number of times without charging the frame's
-// attempts.
-func clusterResilience() resilience.Config {
-	cfg := serviceResilience()
-	cfg.MaxRequeues = 8
-	return cfg
-}
-
 // clusterCampaignBody is the canonical cluster-test campaign: the
-// harness.TestOptions workload under the service resilience settings
-// (identical to the serve tests' campaign — that identity is the whole
-// point, a distributed campaign must be byte-identical to a
-// single-process one) as a submission document.
+// harness.TestOptions workload with two attempts per frame (identical
+// to the serve tests' campaign — that identity is the whole point, a
+// distributed campaign must be byte-identical to a single-process one)
+// as a submission document.
 func clusterCampaignBody() string {
 	sc := harness.TestOptions().Scale
 	return fmt.Sprintf(
 		`{"workload":{"benchmark":"hcr","width":%d,"height":%d,"frame_div":%d,"detail_div":%d},`+
-			`"resilience":{"retries":%d}}`,
-		sc.Width, sc.Height, sc.FrameDivisor, sc.DetailDivisor,
-		serviceResilience().MaxAttempts)
+			`"resilience":{"retries":2}}`,
+		sc.Width, sc.Height, sc.FrameDivisor, sc.DetailDivisor)
 }
 
-// clusterGolden runs the canonical campaign once, in-process through
-// megsim.SampleResilient — the ground truth every distributed execution
-// must match byte-for-byte (modulo wall clock). Computed once.
+// clusterGolden runs the canonical campaign once, in process, as the
+// determinism property's reference does: the normalized report every
+// distributed execution must match byte for byte. Computed once.
 var (
 	clusterGoldenOnce sync.Once
 	clusterGoldenRaw  []byte
@@ -69,23 +50,17 @@ var (
 func clusterGolden(t *testing.T) []byte {
 	t.Helper()
 	clusterGoldenOnce.Do(func() {
-		req, tr, gpu, err := clusterRequest()
+		req, tr, _, err := clusterRequest()
 		if err != nil {
 			clusterGoldenErr = err
 			return
 		}
-		rrun, err := megsim.SampleResilient(context.Background(), tr,
-			req.MegsimConfig(), gpu, serviceResilience())
+		run, err := runLocal(req, tr, localOpts{ckpt: filepath.Join(t.TempDir(), "golden.ckpt"), kill: -1})
 		if err != nil {
 			clusterGoldenErr = err
 			return
 		}
-		raw, err := marshalReport(serve.NewCampaignReport(rrun, 0))
-		if err != nil {
-			clusterGoldenErr = err
-			return
-		}
-		clusterGoldenRaw, clusterGoldenErr = normalizeReport(raw, false)
+		clusterGoldenRaw, clusterGoldenErr = normalizeReport(run.report, false)
 	})
 	if clusterGoldenErr != nil {
 		t.Fatalf("cluster golden run: %v", clusterGoldenErr)
@@ -109,30 +84,6 @@ func clusterRequest() (*serve.CampaignRequest, *megsim.Trace, megsim.GPUConfig, 
 		return nil, nil, megsim.GPUConfig{}, err
 	}
 	return req, tr, gpu, nil
-}
-
-// marshalReport and normalizeReport mirror the serve test helpers: the
-// report rendered exactly as the service renders it, with wall clock
-// (and optionally resume accounting) normalized for byte comparison.
-func marshalReport(rep *serve.CampaignReport) ([]byte, error) {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-func normalizeReport(raw []byte, clearResume bool) ([]byte, error) {
-	var r serve.CampaignReport
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("normalize report: %w", err)
-	}
-	r.SampledMillis = 0
-	if clearResume && r.Resilience != nil {
-		r.Resilience.Resumed = nil
-		r.Resilience.Requeued = 0
-	}
-	return marshalReport(&r)
 }
 
 // --- minimal HTTP test plumbing against the campaign service ---
@@ -340,63 +291,6 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 	}
 	if live := snap.Gauges["fabric.workers.live"]; live != int64(len(workers)-1) {
 		t.Fatalf("fabric.workers.live = %d, want %d", live, len(workers)-1)
-	}
-}
-
-// TestDistributedObsIdentity is the observability half of the identity
-// contract, checked below the HTTP service: the same supervised run
-// with frames dispatched round-robin across two workers must leave the
-// supervisor's merged registry byte-identical to the in-process run —
-// snapshots, estimates, everything.
-func TestDistributedObsIdentity(t *testing.T) {
-	req, tr, gpu, err := clusterRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := megsim.Characterize(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := megsim.SelectFrames(ch, req.MegsimConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := megsim.RunFingerprint(tr, gpu)
-
-	run := func(fn megsim.ResilientFrameFunc) (*megsim.ResilientRun, []byte) {
-		t.Helper()
-		rcfg := clusterResilience()
-		rcfg.Obs = obs.NewWith(obs.Options{TraceCapacity: -1})
-		rrun, err := megsim.SampleResilientPrepared(context.Background(), tr, ch, sel, gpu, rcfg, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rcfg.Obs.Snapshot().WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return rrun, buf.Bytes()
-	}
-
-	local, localObs := run(megsim.FrameRunner(tr, gpu))
-
-	_, _, urls := startFleet(t, 2)
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:           urls,
-		Policy:            &roundRobin{}, // spread frames across both workers
-		HeartbeatInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	dist, distObs := run(coord.FrameRunner(fp, req))
-
-	if local.Estimate != dist.Estimate {
-		t.Fatalf("estimates differ:\nlocal: %+v\ndist:  %+v", local.Estimate, dist.Estimate)
-	}
-	if !bytes.Equal(localObs, distObs) {
-		t.Fatalf("merged observability differs:\n--- local ---\n%s\n--- distributed ---\n%s", localObs, distObs)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/resilience"
-	"repro/megsim"
 )
 
 // lockedBuf is a log sink safe for the heartbeat goroutine.
@@ -250,35 +249,5 @@ func TestProbeSeesDraining(t *testing.T) {
 	}
 	if got := workerServed(workers[1]); got != 4 {
 		t.Fatalf("live worker served %d frames, want 4", got)
-	}
-}
-
-// TestFrameRunnerIsADispatcher pins the compile-time contract with a
-// runtime check on one frame: the coordinator's frame function returns
-// the same stats the local runner does.
-func TestFrameRunnerDispatchesOneFrame(t *testing.T) {
-	req, tr, gpu, err := clusterRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, urls := startFleet(t, 1)
-	coord, err := NewCoordinator(CoordinatorConfig{Workers: urls, HeartbeatInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	fp := megsim.RunFingerprint(tr, gpu)
-	fn := coord.FrameRunner(fp, req)
-	got, err := fn(context.Background(), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := megsim.FrameRunner(tr, gpu)(context.Background(), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("dispatched stats %+v differ from local %+v", got, want)
 	}
 }

@@ -2,7 +2,6 @@ package megsim_test
 
 import (
 	"context"
-	"errors"
 	"path/filepath"
 	"testing"
 
@@ -113,43 +112,6 @@ func TestSampleResilientDegradationLoop(t *testing.T) {
 	// The quarantine is recorded and loud, never silent.
 	if len(rrun.Supervision.Quarantined) != 1 || rrun.Supervision.Quarantined[0].Frame != victim {
 		t.Fatalf("quarantine record: %+v", rrun.Supervision.Quarantined)
-	}
-}
-
-// TestSampleResilientCancelThenResume: cancellation surfaces as a
-// context error, and a later run resuming the checkpoint adopts the
-// completed representatives and matches an uninterrupted run exactly.
-func TestSampleResilientCancelThenResume(t *testing.T) {
-	tr := megsim.MustGenerateBenchmark("jjo", testScale())
-	cfg, gpu := megsim.DefaultConfig(), megsim.DefaultGPUConfig()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // killed before the first frame boundary
-	if _, err := megsim.SampleResilient(ctx, tr, cfg, gpu, megsim.ResilienceConfig{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run: err = %v", err)
-	}
-
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	ref, err := megsim.SampleResilient(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{CheckpointPath: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := megsim.SampleResilient(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{
-		CheckpointPath: ckpt,
-		Resume:         true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Supervision.ResumeErr != nil {
-		t.Fatalf("resume error: %v", res.Supervision.ResumeErr)
-	}
-	if len(res.Supervision.Resumed) == 0 {
-		t.Fatal("resume adopted nothing from the checkpoint")
-	}
-	if res.Estimate != ref.Estimate {
-		t.Fatalf("resumed estimate differs:\n got %+v\nwant %+v", res.Estimate, ref.Estimate)
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -58,67 +56,6 @@ func normalizeReport(rep *serve.CampaignReport) []byte {
 		panic(err)
 	}
 	return b
-}
-
-// TestSampleStreamingKillResume: a campaign killed mid-stream at varied
-// frame indices and resumed from its checkpoint must finish with a
-// report byte-identical (modulo provenance fields) to an uninterrupted
-// run — same strata, same representatives, same estimate. The kill is
-// modeled by truncating the stream with MaxFrames, which completes a
-// checkpoint whose strata snapshot sits at exactly the kill frame.
-func TestSampleStreamingKillResume(t *testing.T) {
-	tr := megsim.MustGenerateBenchmark("jjo", testScale())
-	gpu := megsim.DefaultGPUConfig()
-	n := tr.NumFrames()
-
-	ref, err := megsim.SampleStreaming(context.Background(), tr, megsim.StreamingOptions{}, gpu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refBytes := normalizeReport(serve.NewStreamingCampaignReport(ref, 0))
-
-	for _, kill := range []int{1, n / 3, 2 * n / 3} {
-		ckpt := filepath.Join(t.TempDir(), "stream.ckpt")
-
-		// Phase A: the doomed run — it gets through `kill` frames of
-		// ingest (and whatever phase 2 its partial strata wanted) before
-		// dying. Its checkpoint holds the strata snapshot at that frame.
-		if _, err := megsim.SampleStreaming(context.Background(), tr, megsim.StreamingOptions{
-			MaxFrames:  kill,
-			Resilience: megsim.ResilienceConfig{CheckpointPath: ckpt},
-		}, gpu); err != nil {
-			t.Fatalf("kill=%d: truncated run: %v", kill, err)
-		}
-
-		// Phase B: resume over the full stream.
-		res, err := megsim.SampleStreaming(context.Background(), tr, megsim.StreamingOptions{
-			Resilience: megsim.ResilienceConfig{CheckpointPath: ckpt, Resume: true},
-		}, gpu)
-		if err != nil {
-			t.Fatalf("kill=%d: resumed run: %v", kill, err)
-		}
-		if res.StreamResumeErr != nil {
-			t.Fatalf("kill=%d: stream resume fell back: %v", kill, res.StreamResumeErr)
-		}
-		if res.ResumedFrames != kill {
-			t.Fatalf("kill=%d: resumed %d ingest frames", kill, res.ResumedFrames)
-		}
-
-		if res.Estimate != ref.Estimate {
-			t.Fatalf("kill=%d: estimate diverged:\n got %+v\nwant %+v", kill, res.Estimate, ref.Estimate)
-		}
-		if !reflect.DeepEqual(res.Selection, ref.Selection) {
-			t.Fatalf("kill=%d: selection diverged", kill)
-		}
-		for _, f := range res.Selection.Representatives() {
-			if res.RepresentativeStats[f] != ref.RepresentativeStats[f] {
-				t.Fatalf("kill=%d: frame %d stats diverged", kill, f)
-			}
-		}
-		if got := normalizeReport(serve.NewStreamingCampaignReport(res, 0)); !bytes.Equal(got, refBytes) {
-			t.Fatalf("kill=%d: resumed report not byte-identical to uninterrupted run:\n%s\n---\n%s", kill, got, refBytes)
-		}
-	}
 }
 
 // TestSampleStreamingQuarantineDegrades: quarantining a streaming
@@ -184,46 +121,6 @@ func (c *cancelAfterErrCalls) Err() error {
 		c.cancel()
 	}
 	return err
-}
-
-// streamingAtProcs runs a checkpointed streaming campaign at GOMAXPROCS
-// procs and returns its normalized report and final checkpoint bytes.
-func streamingAtProcs(t *testing.T, procs int, tr *megsim.Trace, opts megsim.StreamingOptions) ([]byte, []byte) {
-	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	srun, err := megsim.SampleStreaming(context.Background(), tr, opts, megsim.DefaultGPUConfig())
-	if err != nil {
-		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
-	}
-	ck, err := os.ReadFile(opts.Resilience.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return normalizeReport(serve.NewStreamingCampaignReport(srun, 0)), ck
-}
-
-// TestSampleStreamingFrameParallelInvariant: characterization windows
-// run frame-parallel, yet the report and the checkpoint bytes are the
-// same at GOMAXPROCS 1 and 4, with a checkpoint cadence (7 over 40
-// frames) that leaves a shorter last window.
-func TestSampleStreamingFrameParallelInvariant(t *testing.T) {
-	tr := megsim.MustGenerateBenchmark("jjo", testScale())
-	var reports, ckpts [][]byte
-	for _, procs := range []int{1, 4} {
-		rep, ck := streamingAtProcs(t, procs, tr, megsim.StreamingOptions{
-			MaxFrames:       40,
-			CheckpointEvery: 7,
-			Resilience:      megsim.ResilienceConfig{CheckpointPath: filepath.Join(t.TempDir(), "stream.ckpt")},
-		})
-		reports = append(reports, rep)
-		ckpts = append(ckpts, ck)
-	}
-	if !bytes.Equal(reports[0], reports[1]) {
-		t.Fatalf("report depends on GOMAXPROCS:\n--- 1 ---\n%s\n--- 4 ---\n%s", reports[0], reports[1])
-	}
-	if !bytes.Equal(ckpts[0], ckpts[1]) {
-		t.Fatal("checkpoint bytes depend on GOMAXPROCS")
-	}
 }
 
 // TestSampleStreamingCancelMidWindowResumes: wherever a cancellation
