@@ -2,7 +2,7 @@
 # workflow runs nothing else: vet (plus a gofmt check), build, every package's tests under
 # the race detector (the cross-mode determinism property and the
 # kill/resume, service, cluster, streaming and chaos goldens included),
-# the differential validation oracle, the coverage floors, the tbr/cluster/funcsim/megsim/workload bench regression
+# the differential validation oracle, the coverage floors, the tbr/cluster/funcsim/raster/megsim/workload bench regression
 # checks, a one-iteration bench smoke, megbench's self-tests (smoke run plus the
 # pinned seed-1 report digests) and short fuzz smokes of every fuzz
 # target.
@@ -80,9 +80,17 @@ cover-check:
 # selection on the batch-cold template (BenchmarkSelect in
 # internal/core); it skips internal/cluster's Ablation benchmarks,
 # which compare the comparator algorithms kept in its test files and
-# are not part of any campaign. funcsim characterizes the batch-cold template trace:
-# each op profiles 1407 frames, so benchtime 1x per count is already a
-# stable measurement. megsim times one representative frame through
+# are not part of any campaign. funcsim characterizes the batch-cold
+# template trace: each op profiles 1407 frames, so two ops per count
+# are already a stable measurement. Not one: with -benchtime 1x the
+# testing package reports the first count of the first -cpu value from
+# its b.N=1 probe run, made at the GOMAXPROCS the test pass left behind
+# (the last -cpu value), so that -cpu 1 sample would be a GOMAXPROCS 2
+# one. raster times the two triangle walks on their own: AppendQuads
+# over tile-clipped triangles (BenchmarkAppendQuadsTiles) and over one
+# 64x64 triangle (BenchmarkRasterizeQuads64), and the count-only
+# CountTriangle (BenchmarkCountTriangle). megsim times one
+# representative frame through
 # megsim.FrameRunner (BenchmarkFrameRunner) on a warmed runner, so its
 # allocs/op is one frame's and stays fixed; a runner that built a
 # simulator per frame again would fail the alloc gate on any host.
@@ -90,13 +98,15 @@ cover-check:
 # (BenchmarkGenerate), the trace every campaign holds in memory: its
 # allocs/op is two exact-size slices per frame plus fixed setup, so a
 # generator that grew frames by append again fails the alloc gate.
-BENCH_LAYERS := tbr cluster funcsim megsim workload
+BENCH_LAYERS := tbr cluster funcsim raster megsim workload
 BENCH_PKGS_tbr := ./internal/tbr/...
 BENCH_ARGS_tbr := -bench . -benchtime $(BENCHTIME)
 BENCH_PKGS_cluster := ./internal/cluster ./internal/core
 BENCH_ARGS_cluster := -bench . -skip Ablation -benchtime $(BENCHTIME)
 BENCH_PKGS_funcsim := ./internal/funcsim
-BENCH_ARGS_funcsim := -bench '^BenchmarkCharacterize$$' -benchtime 1x
+BENCH_ARGS_funcsim := -bench '^BenchmarkCharacterize$$' -benchtime 2x
+BENCH_PKGS_raster := ./internal/raster
+BENCH_ARGS_raster := -bench '^Benchmark(AppendQuadsTiles|CountTriangle|RasterizeQuads64)$$' -benchtime $(BENCHTIME)
 BENCH_PKGS_megsim := ./megsim
 BENCH_ARGS_megsim := -bench '^BenchmarkFrameRunner$$' -benchtime $(BENCHTIME)
 BENCH_PKGS_workload := ./internal/workload
@@ -125,10 +135,16 @@ BENCH_ARGS_workload := -bench '^BenchmarkGenerate$$' -benchtime $(BENCHTIME)
 # exact and benchjson gates them like the tbr counters: an extra Lloyd
 # pass or k creeping up fails on any host.
 #
-# cluster, funcsim, megsim and workload take benchjson's default gates: their allocs/op
-# repeat within a few per cent (1.10x + 1 allows for that); funcsim,
-# megsim and workload report no work counts, so their wall clock gates
-# on the 2.5x absolute backstop alone.
+# funcsim and raster counter gates: BenchmarkCharacterize reports
+# fragments/op and prims-visible/op, summed over the op's frame
+# profiles, and the raster benchmarks quads/op (AppendQuads) and
+# survivors/op (CountTriangle). They are exact like the tbr counters: a
+# kernel that drops or adds one covered sample fails on any host.
+#
+# cluster, funcsim, raster, megsim and workload take benchjson's default gates: their allocs/op
+# repeat within a few per cent (1.10x + 1 allows for that); megsim and
+# workload report no work counts, so their wall clock gates on the 2.5x
+# absolute backstop alone.
 BENCH_GATE_tbr := -max-alloc-growth 2.0
 
 bench: $(addprefix bench-,$(BENCH_LAYERS))

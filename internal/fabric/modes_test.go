@@ -35,9 +35,9 @@ import (
 //
 // Every mode must render the reference's report bytes after
 // normalizeReport and leave the reference's final checkpoint bytes
-// (per-frame stats and observability deltas); a streaming campaign
-// killed mid-ingest is the exception for the checkpoint, which keeps
-// the records of the frames its truncated run simulated. Every cluster mode must
+// (per-frame stats and observability deltas), killed and resumed runs
+// included: resuming a streaming campaign killed mid-ingest drops the
+// records of the frames its truncated run simulated. Every cluster mode must
 // leave the honest-fleet trust record: no quarantine, no audit
 // mismatch, no recovery, every simulated frame audited once. These are
 // byte comparisons of values that do not depend on timing; nothing
@@ -178,11 +178,6 @@ func checkCampaignModes(t *testing.T, req *serve.CampaignRequest, kill int) {
 	}
 	if adopted := resumedWork(t, resumed.report); adopted != kill {
 		t.Fatalf("%s: resume adopted %d frames, killed at %d", body, adopted, kill)
-	}
-	if req.Stream != nil {
-		// The truncated run simulated its partial strata's
-		// representatives, and their records stay in the checkpoint.
-		resumed.ckpt = nil
 	}
 	same("killed+resumed", resumed, true)
 

@@ -56,6 +56,10 @@ func Claim(ctx context.Context, workers, n int, setup func(w int) (fn func(i int
 			}
 			defer func() {
 				if r := recover(); r != nil {
+					// Raise the flag before the panic value is
+					// formatted, which may run the value's own
+					// String method.
+					abort.Store(true)
 					fail(fmt.Errorf("pool: worker %d: %v", w, r))
 				}
 			}()

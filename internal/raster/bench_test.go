@@ -31,20 +31,21 @@ var bench64 = ScreenTriangle{
 var bench64Clip = geom.AABB2{Max: geom.Vec2{X: 64, Y: 64}}
 
 // BenchmarkRasterizeQuads64 times AppendQuads filling a reused batch,
-// the timing simulator's per-triangle raster step.
+// the timing simulator's per-triangle raster step. quads/op, like the
+// counts of the other raster benchmarks, is exact on any host, so
+// `make bench-check-raster` gates it for equality.
 func BenchmarkRasterizeQuads64(b *testing.B) {
 	tri, clip := bench64, bench64Clip
 	var batch QuadBatch
 	b.ResetTimer()
-	quads := 0
 	for i := 0; i < b.N; i++ {
 		batch.Reset()
 		batch.AppendQuads(&tri, clip)
-		quads += batch.Len()
 	}
-	if quads == 0 {
+	if batch.Len() == 0 {
 		b.Fatal("no quads")
 	}
+	b.ReportMetric(float64(batch.Len()), "quads/op")
 }
 
 // benchTiles is the fixed (triangle, tile clip) traffic
@@ -85,6 +86,7 @@ func BenchmarkAppendQuadsTiles(b *testing.B) {
 	b.ResetTimer()
 	quads := 0
 	for i := 0; i < b.N; i++ {
+		quads = 0
 		for j := range tris {
 			batch.Reset()
 			batch.AppendQuads(&tris[j], clips[j])
@@ -94,26 +96,34 @@ func BenchmarkAppendQuadsTiles(b *testing.B) {
 	if quads == 0 {
 		b.Fatal("no quads")
 	}
+	b.ReportMetric(float64(quads), "quads/op")
 }
 
 // BenchmarkCountTriangle is the count-only walk characterization runs
-// over the same triangle. After the first pass every sample ties the
-// stored depth and fails, so it times coverage plus the depth compare.
+// over the same triangle, flat, with depth writes. Each op draws it one
+// unit nearer than the last (z = -i, exact in float32 below 2^24), so
+// every covered sample survives and is stored on every op, and
+// survivors/op is the triangle's covered sample count.
 func BenchmarkCountTriangle(b *testing.B) {
 	tri, clip := bench64, bench64Clip
 	d := NewDepthBuffer(64, 64)
-	if d.CountTriangle(&tri, clip, false) == 0 {
-		b.Fatal("no fragments")
-	}
+	var survivors uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		countSink += d.CountTriangle(&tri, clip, false)
+		z := -float64(i % (1 << 23))
+		if z == 0 {
+			d.Clear()
+		}
+		for k := range tri.Tri.V {
+			tri.Tri.V[k].Z = z
+		}
+		survivors = d.CountTriangle(&tri, clip, false)
 	}
+	if survivors == 0 {
+		b.Fatal("no fragments")
+	}
+	b.ReportMetric(float64(survivors), "survivors/op")
 }
-
-// countSink keeps BenchmarkCountTriangle's calls from being optimized
-// away.
-var countSink uint64
 
 func BenchmarkDepthTestQuad(b *testing.B) {
 	d := NewDepthBuffer(64, 64)

@@ -54,9 +54,9 @@ func (b *QuadBatch) AppendQuads(tri *ScreenTriangle, clip geom.AABB2) {
 }
 
 // appendQuads is AppendQuads with the kernel switched by kernel: the
-// triangle kernel (appendTri, amd64) walks every row in one call, and
-// appendRows, its Go reference, walks them on other architectures.
-// Tests run both on every architecture.
+// triangle kernel (appendTri, amd64 with AVX) walks every row in one
+// call, and appendRows, its Go reference, walks them everywhere else.
+// Tests run both wherever the kernel runs.
 func (b *QuadBatch) appendQuads(tri *ScreenTriangle, clip geom.AABB2, kernel bool) {
 	var s triSetup
 	if !setupTriangle(tri, clip, &s) {

@@ -135,11 +135,11 @@ func (d *DepthBuffer) CountTriangle(tri *ScreenTriangle, clip geom.AABB2, blend 
 }
 
 // countTriangle is CountTriangle with the kernel switched by kernel.
-// Where there is a triangle kernel (countTri, amd64) and every quad's
-// right column lies inside the buffer, the kernel takes the run of
-// rows from y0 whose bottom sample row lies inside the buffer, with
+// Where the triangle kernel runs (countTri, amd64 with AVX) and every
+// quad's right column lies inside the buffer, the kernel takes the run
+// of rows from y0 whose bottom sample row lies inside the buffer, with
 // the sample rows outside the clip masked; countRows walks the rest.
-// Tests run both paths on every architecture.
+// Tests run both paths wherever the kernel runs.
 func (d *DepthBuffer) countTriangle(tri *ScreenTriangle, clip geom.AABB2, blend, kernel bool) uint64 {
 	var s triSetup
 	if !setupTriangle(tri, clip, &s) {

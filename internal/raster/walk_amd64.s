@@ -3,14 +3,15 @@
 
 // appendTri and countTri walk every quad row of one triangle call of
 // AppendQuads (appendRows, quadbatch.go) and CountTriangle (countRows,
-// walk.go) with the four samples of a quad in SSE2 lanes: [L, R] lanes
-// of float64 for each sample row, which countTri packs into [TL, TR,
-// BL, BR] lanes of float32 for the depth test. Both stash the
-// triangle's constants once per call (TRI_CONSTS), compute each row's
-// terms in one row prologue (ROW_PROLOGUE) and share the quad-centre
-// test (QUAD_CENTRE) and the per-sample evaluation (QUAD_SAMPLES); they
-// differ only in what they do with the covered samples. SSE2 is the
-// amd64 baseline, so no feature check guards them.
+// walk.go) with the four samples of a quad in the four float64 lanes of
+// one AVX register, [TL, TR, BL, BR]; countTri narrows them to four
+// float32 lanes for the depth test. Both stash the triangle's constants
+// once per call (TRI_CONSTS), compute each row's terms in one row
+// prologue (ROW_PROLOGUE) and share the quad-centre test (QUAD_CENTRE)
+// and the per-sample evaluation (QUAD_SAMPLES); they differ only in
+// what they do with the covered samples. They use AVX and POPCNT, so
+// walk_amd64.go selects them only when CPUID and XGETBV report both
+// (cpuid1ECX, xgetbv0 below); otherwise the Go walks run.
 //
 // Exactness contract: every value is bit-identical to the Go walk's.
 //   - Each lane runs the IEEE-754 operations of the Go expression in the
@@ -26,118 +27,122 @@
 //     e0y*((float64(y) + 1) - yC).
 //   - U and V are one lane pair, (l0c*[u0, v0] + l1c*[u1, v1]) +
 //     l2c*[u2, v2], Go's l0c*u0 + l1c*u1 + l2c*u2 in each lane.
-//   - No FMA: the Go compiler does not fuse on amd64.
-//   - Compares use ordered predicates, false on NaN like Go's < and >=:
-//     CMPPD $1 for < (the centre reject, px < maxX, py < maxY), CMPPD $2
-//     with 0 (or minX, minY) as the left operand for >=, CMPPS $1 for
-//     the depth test, and UCOMISD followed by JHI (taken only when
-//     ordered and greater) for the l2 centre reject.
-//   - CVTPD2PS rounds under the default MXCSR, as Go's float32() does
+//   - No FMA (no VFMADD*): the Go compiler does not fuse on amd64.
+//   - Compares use ordered quiet predicates, false on NaN like Go's <
+//     and >=: $0x11 (LT_OQ) for <, $0x1D (GE_OQ) for >=.
+//   - VCVTPD2PSY rounds under the default MXCSR, as Go's float32() does
 //     with CVTSD2SS.
 //   - x and x+1, y and y+1 advance by adding 2.0 to small integers,
 //     which is exact.
-//   - A sample row outside the clip is a row mask (R_TIN, R_BIN) ANDed
-//     into its lanes' coverage; a row with neither sample row inside is
+//   - A sample row outside the clip is a lane mask (R_IN) ANDed into
+//     its lanes' coverage; a row with neither sample row inside is
 //     skipped, as in Go.
 //   - Masked lanes never reach memory as anything but +0.0 or the old
-//     depth. appendTri ANDs each depth pair with its coverage, which
-//     gives the +0.0 of Go's zero-initialised depth array. countTri
-//     reads and writes depth pairs 8 bytes at a time as a blend of the
-//     new and old values, so lanes that fail keep their bits; nothing
-//     is written when blend is set or when no lane of the quad survives.
+//     depth. appendTri ANDs the depths with their coverage, which gives
+//     the +0.0 of Go's zero-initialised depth array. countTri reads and
+//     writes depth pairs 8 bytes at a time as a blend of the new and
+//     old values, so lanes that fail keep their bits; it counts
+//     survivors with POPCNT and, unless blend is set, stores every
+//     quad's blended pairs, without a branch on the survivors.
+//   - VZEROUPPER before RET, so the Go code that follows pays no
+//     AVX-to-SSE transition.
 // The row exit and the accepted flag follow the Go loop step by step.
 
-// Offsets into the 16-byte aligned local block. Triangle constants
-// (C_), set once per call, are broadcast to both float64 lanes except
-// the pairs [e0x, e1x], [e0y, e1y], [-m0, -m1], [x0, x0+1] and the
-// current row's [y, y+1]. Row terms (R_) are rewritten by each row's
-// prologue. A_ slots are appendTri's, K_ slots countTri's. The 464
-// bytes plus up to 15 of alignment slack fit the 480-byte frame.
-#define C_EX 0
-#define C_EY 16
-#define C_NEGM 32
-#define C_NEGM2 48
-#define C_HALF 64
-#define C_BIAS 80
-#define C_TWO 96
-#define C_MINX 112
-#define C_MAXX 128
-#define C_MINY 144
-#define C_MAXY 160
-#define C_YC 176
-#define C_Z0 192
-#define C_Z1 208
-#define C_Z2 224
-#define C_X0 240
-#define C_Y 256
-#define R_CY 272
-#define R_TIN 288
-#define R_BIN 304
-#define R_ROWT0 320
-#define R_ROWT1 336
-#define R_ROWB0 352
-#define R_ROWB1 368
-#define A_UV0 384
-#define A_UV1 400
-#define A_UV2 416
-#define A_LC 432
-#define A_L2C 448
-#define K_W4 384
-#define K_STRIDE 392
-#define K_ROWS 400
+// The read-only constants: 0.5, 2.0 and 1.0 in four float64 lanes.
+DATA walkConsts<>+0(SB)/8, $0.5
+DATA walkConsts<>+8(SB)/8, $0.5
+DATA walkConsts<>+16(SB)/8, $0.5
+DATA walkConsts<>+24(SB)/8, $0.5
+DATA walkConsts<>+32(SB)/8, $2.0
+DATA walkConsts<>+40(SB)/8, $2.0
+DATA walkConsts<>+48(SB)/8, $2.0
+DATA walkConsts<>+56(SB)/8, $2.0
+DATA walkConsts<>+64(SB)/8, $1.0
+GLOBL walkConsts<>(SB), RODATA|NOPTR, $72
 
-// BCAST loads the float64 at off(R12) into both lanes of X.
-#define BCAST(off, X) MOVSD off(R12), X; UNPCKLPD X, X
+#define HALF walkConsts<>+0(SB)
+#define TWO walkConsts<>+32(SB)
+#define ONE walkConsts<>+64(SB)
 
-// STASH broadcasts the float64 at off(R12) into the local slot slot(R8).
-#define STASH(off, slot) BCAST(off, X1); MOVAPD X1, slot(R8)
+// Offsets into the 32-byte aligned local block. Triangle constants
+// (C_), set once per call, are broadcast to every lane of their slot
+// except the pairs [e0x, e1x], [e0y, e1y], [-m0, -m1], the current
+// row's [y, y+1] and C_X0, [x0, x0+1, x0, x0+1]. Row terms (R_) are
+// rewritten by each row's prologue: R_IN is [rowTIn, rowTIn, rowBIn,
+// rowBIn] and R_CY the centre term pair. Slots below 384 are 32 bytes
+// wide, the rest 16. A_ slots are appendTri's, K_ slots countTri's. The
+// 576 bytes plus up to 31 of alignment slack fit the 608-byte frame.
+#define C_BIAS 0
+#define C_MINX 32
+#define C_MAXX 64
+#define C_Z0 96
+#define C_Z1 128
+#define C_Z2 160
+#define C_E0Y 192
+#define C_E1Y 224
+#define C_X0 256
+#define R_IN 288
+#define C_EX 384
+#define C_EY 400
+#define C_NEGM 416
+#define C_NEGM2 432
+#define C_MINY 448
+#define C_MAXY 464
+#define C_YC 480
+#define C_Y 496
+#define R_CY 512
+#define A_UV0 528
+#define A_UV1 544
+#define A_UV2 560
+#define K_W4 528
+#define K_STRIDE 536
+#define K_ROWS 544
 
-// PAIR copies the float64 pair at off(R12) into the local slot slot(R8).
-#define PAIR(off, slot) MOVUPD off(R12), X1; MOVAPD X1, slot(R8)
+// STASH4 broadcasts the float64 at off(R12) into the 32-byte slot
+// slot(R8), STASH2 into the 16-byte one; PAIR copies the float64 pair
+// at off(R12) into slot(R8).
+#define STASH4(off, slot) VBROADCASTSD off(R12), Y1; VMOVAPD Y1, slot(R8)
+#define STASH2(off, slot) VMOVDDUP off(R12), X1; VMOVAPD X1, slot(R8)
+#define PAIR(off, slot) VMOVUPD off(R12), X1; VMOVAPD X1, slot(R8)
 
 // TRI_CONSTS points R8 at the aligned local block and fills it from the
-// triSetup at R12, then sets the register constants: X8 xC, X9 e0x,
-// X10 e1x, X11 invDen, X12 1.0 and R13 the quads per row,
-// (x1 - x0 + 1) / 2. C_X0 is [float64(x0), float64(x0) + 1] and C_Y
-// the first row's [float64(y0), float64(y0) + 1].
+// triSetup at R12, then sets the register constants, each in every
+// lane: Y8 xC, Y9 e0x, Y10 e1x, Y11 invDen, Y12 1.0, Y15 0.0, and R13
+// the quads per row, (x1 - x0 + 1) / 2. C_Y is the first row's
+// [float64(y0), float64(y0) + 1].
 #define TRI_CONSTS \
-	LEAQ 15(SP), R8; \
-	ANDQ $~15, R8; \
+	LEAQ 31(SP), R8; \
+	ANDQ $~31, R8; \
+	STASH4(triSetup_bias, C_BIAS); \
+	STASH4(triSetup_minX, C_MINX); \
+	STASH4(triSetup_maxX, C_MAXX); \
+	STASH4(triSetup_z0, C_Z0); \
+	STASH4(triSetup_z1, C_Z1); \
+	STASH4(triSetup_z2, C_Z2); \
+	STASH4(triSetup_e0y, C_E0Y); \
+	STASH4(triSetup_e1y, C_E1Y); \
 	PAIR(triSetup_e0x, C_EX); \
 	PAIR(triSetup_e0y, C_EY); \
 	PAIR(triSetup_negM0, C_NEGM); \
-	STASH(triSetup_negM2, C_NEGM2); \
-	STASH(triSetup_bias, C_BIAS); \
-	STASH(triSetup_minX, C_MINX); \
-	STASH(triSetup_maxX, C_MAXX); \
-	STASH(triSetup_minY, C_MINY); \
-	STASH(triSetup_maxY, C_MAXY); \
-	STASH(triSetup_yC, C_YC); \
-	STASH(triSetup_z0, C_Z0); \
-	STASH(triSetup_z1, C_Z1); \
-	STASH(triSetup_z2, C_Z2); \
-	MOVSD $0.5, X1; \
-	UNPCKLPD X1, X1; \
-	MOVAPD X1, C_HALF(R8); \
-	MOVSD $2.0, X1; \
-	UNPCKLPD X1, X1; \
-	MOVAPD X1, C_TWO(R8); \
-	BCAST(triSetup_xC, X8); \
-	BCAST(triSetup_e0x, X9); \
-	BCAST(triSetup_e1x, X10); \
-	BCAST(triSetup_invDen, X11); \
-	MOVSD $1.0, X12; \
-	UNPCKLPD X12, X12; \
-	CVTSQ2SD triSetup_x0(R12), X1; \
-	MOVAPD X1, X2; \
-	ADDSD X12, X2; \
-	UNPCKLPD X2, X1; \
-	MOVAPD X1, C_X0(R8); \
-	CVTSQ2SD triSetup_y0(R12), X1; \
-	MOVAPD X1, X2; \
-	ADDSD X12, X2; \
-	UNPCKLPD X2, X1; \
-	MOVAPD X1, C_Y(R8); \
+	STASH2(triSetup_negM2, C_NEGM2); \
+	STASH2(triSetup_minY, C_MINY); \
+	STASH2(triSetup_maxY, C_MAXY); \
+	STASH2(triSetup_yC, C_YC); \
+	VBROADCASTSD triSetup_xC(R12), Y8; \
+	VBROADCASTSD triSetup_e0x(R12), Y9; \
+	VBROADCASTSD triSetup_e1x(R12), Y10; \
+	VBROADCASTSD triSetup_invDen(R12), Y11; \
+	VBROADCASTSD ONE, Y12; \
+	VXORPD Y15, Y15, Y15; \
+	VCVTSI2SDQ triSetup_x0(R12), X1, X1; \
+	VADDSD X12, X1, X2; \
+	VUNPCKLPD X2, X1, X1; \
+	VINSERTF128 $1, X1, Y1, Y1; \
+	VMOVAPD Y1, C_X0(R8); \
+	VCVTSI2SDQ triSetup_y0(R12), X1, X1; \
+	VADDSD X12, X1, X2; \
+	VUNPCKLPD X2, X1, X1; \
+	VMOVAPD X1, C_Y(R8); \
 	MOVQ triSetup_x1(R12), R13; \
 	SUBQ triSetup_x0(R12), R13; \
 	INCQ R13; \
@@ -145,156 +150,103 @@
 
 // ROW_PROLOGUE computes the row terms of the row at C_Y, jumping to
 // skip when neither sample row is inside the clip: X1 = [pyT, pyB],
-// X2 = [rowTIn, rowBIn], then R_TIN, R_BIN, R_ROWT0 = e0y*(pyT - yC)
-// and so on, and R_CY = [e0y, e1y]*((float64(y) + 1) - yC). It leaves
-// X0 at the first quad's [x, x+1], the accepted flag DX clear and the
-// quad counter R10 at R13. Clobbers AX and X1-X3.
+// X2 = [rowTIn, rowBIn], then R_IN, Y13 = e0y*([pyT, pyT, pyB, pyB] -
+// yC), Y14 the same with e1y, and R_CY = [e0y, e1y]*((float64(y) + 1)
+// - yC). It leaves Y0 at the first quad's [x, x+1, x, x+1], the
+// accepted flag DX clear and the quad counter R10 at R13. Clobbers AX
+// and Y1-Y3.
 #define ROW_PROLOGUE(skip) \
-	MOVAPD C_Y(R8), X1; \
-	ADDPD C_HALF(R8), X1; \
-	ADDPD C_BIAS(R8), X1; \
-	MOVAPD X1, X2; \
-	CMPPD C_MAXY(R8), X2, $1; \
-	MOVAPD C_MINY(R8), X3; \
-	CMPPD X1, X3, $2; \
-	ANDPD X3, X2; \
-	MOVMSKPD X2, AX; \
+	VMOVAPD C_Y(R8), X1; \
+	VADDPD HALF, X1, X1; \
+	VADDPD C_BIAS(R8), X1, X1; \
+	VCMPPD $0x11, C_MAXY(R8), X1, X2; \
+	VCMPPD $0x1D, C_MINY(R8), X1, X3; \
+	VANDPD X3, X2, X2; \
+	VMOVMSKPD X2, AX; \
 	TESTL AX, AX; \
 	JZ skip; \
-	MOVAPD X2, X3; \
-	UNPCKLPD X3, X3; \
-	MOVAPD X3, R_TIN(R8); \
-	UNPCKHPD X2, X2; \
-	MOVAPD X2, R_BIN(R8); \
-	SUBPD C_YC(R8), X1; \
-	MOVAPD X1, X2; \
-	UNPCKLPD X2, X2; \
-	MULPD C_EY(R8), X2; \
-	MOVAPD X2, X3; \
-	UNPCKLPD X3, X3; \
-	MOVAPD X3, R_ROWT0(R8); \
-	UNPCKHPD X2, X2; \
-	MOVAPD X2, R_ROWT1(R8); \
-	UNPCKHPD X1, X1; \
-	MULPD C_EY(R8), X1; \
-	MOVAPD X1, X3; \
-	UNPCKLPD X3, X3; \
-	MOVAPD X3, R_ROWB0(R8); \
-	UNPCKHPD X1, X1; \
-	MOVAPD X1, R_ROWB1(R8); \
-	MOVAPD C_Y(R8), X1; \
-	UNPCKHPD X1, X1; \
-	SUBPD C_YC(R8), X1; \
-	MULPD C_EY(R8), X1; \
-	MOVAPD X1, R_CY(R8); \
-	MOVAPD C_X0(R8), X0; \
+	VMOVDDUP X2, X3; \
+	VPERMILPD $3, X2, X2; \
+	VINSERTF128 $1, X2, Y3, Y3; \
+	VMOVAPD Y3, R_IN(R8); \
+	VSUBPD C_YC(R8), X1, X1; \
+	VMOVDDUP X1, X2; \
+	VPERMILPD $3, X1, X1; \
+	VINSERTF128 $1, X1, Y2, Y2; \
+	VMULPD C_E0Y(R8), Y2, Y13; \
+	VMULPD C_E1Y(R8), Y2, Y14; \
+	VPERMILPD $3, C_Y(R8), X1; \
+	VSUBPD C_YC(R8), X1, X1; \
+	VMULPD C_EY(R8), X1, X1; \
+	VMOVAPD X1, R_CY(R8); \
+	VMOVAPD C_X0(R8), Y0; \
 	XORL DX, DX; \
 	MOVQ R13, R10
 
 // NEXT_ROW advances C_Y to the next quad row.
 #define NEXT_ROW \
-	MOVAPD C_Y(R8), X1; \
-	ADDPD C_TWO(R8), X1; \
-	MOVAPD X1, C_Y(R8)
+	VMOVAPD C_Y(R8), X1; \
+	VADDPD TWO, X1, X1; \
+	VMOVAPD X1, C_Y(R8)
 
-// QUAD_CENTRE runs the centre test of the quad at X0, jumping to reject
+// QUAD_CENTRE runs the centre test of the quad at Y0, jumping to reject
 // when it fails and setting the accepted flag DX when it passes. It
-// leaves X1 = [l0c, l1c] and X2 = l2c in lane 0. Clobbers AX and X3.
+// leaves X1 = [l0c, l1c] and X2 = [l2c, 1.0]. The three rejects are
+// tested at once: Go's || of pure compares has the same outcome.
+// Clobbers AX, X3 and X4.
 #define QUAD_CENTRE(reject) \
-	MOVAPD X0, X1; \
-	UNPCKLPD X1, X1; \
-	ADDPD X12, X1; \
-	SUBPD X8, X1; \
-	MULPD C_EX(R8), X1; \
-	ADDPD R_CY(R8), X1; \
-	MULPD X11, X1; \
-	MOVAPD X12, X2; \
-	SUBSD X1, X2; \
-	MOVAPD X1, X3; \
-	UNPCKHPD X3, X3; \
-	SUBSD X3, X2; \
-	MOVSD C_NEGM2(R8), X3; \
-	UCOMISD X2, X3; \
-	JHI reject; \
-	MOVAPD X1, X3; \
-	CMPPD C_NEGM(R8), X3, $1; \
-	MOVMSKPD X3, AX; \
+	VPERMILPD $3, X0, X1; \
+	VSUBPD X8, X1, X1; \
+	VMULPD C_EX(R8), X1, X1; \
+	VADDPD R_CY(R8), X1, X1; \
+	VMULPD X11, X1, X1; \
+	VSUBSD X1, X12, X2; \
+	VPERMILPD $1, X1, X3; \
+	VSUBSD X3, X2, X2; \
+	VCMPPD $0x11, C_NEGM(R8), X1, X3; \
+	VCMPSD $0x11, C_NEGM2(R8), X2, X4; \
+	VORPD X4, X3, X3; \
+	VMOVMSKPD X3, AX; \
 	TESTL AX, AX; \
 	JNZ reject; \
 	MOVL $1, DX
 
-// QUAD_SAMPLES evaluates the four samples of the quad at X0: X7 and X4
-// are the top sample row's coverage mask and float64 depth, X14 and X5
-// the bottom's. Coverage includes the column and row clip masks.
-// Clobbers X1-X3, X6, X13 and X15.
+// QUAD_SAMPLES evaluates the four samples of the quad at Y0: Y7 is
+// their coverage mask, with the column and row clip masks, and Y4
+// their float64 depth. Clobbers Y1-Y3 and Y5.
 #define QUAD_SAMPLES \
-	MOVAPD X0, X1; \
-	ADDPD C_HALF(R8), X1; \
-	ADDPD C_BIAS(R8), X1; \
-	MOVAPD X1, X2; \
-	CMPPD C_MAXX(R8), X2, $1; \
-	MOVAPD C_MINX(R8), X3; \
-	CMPPD X1, X3, $2; \
-	ANDPD X3, X2; \
-	SUBPD X8, X1; \
-	MOVAPD X1, X3; \
-	MULPD X9, X1; \
-	MULPD X10, X3; \
-	MOVAPD X1, X4; \
-	ADDPD R_ROWT0(R8), X4; \
-	MULPD X11, X4; \
-	MOVAPD X3, X5; \
-	ADDPD R_ROWT1(R8), X5; \
-	MULPD X11, X5; \
-	MOVAPD X12, X6; \
-	SUBPD X4, X6; \
-	SUBPD X5, X6; \
-	MOVAPD R_TIN(R8), X7; \
-	ANDPD X2, X7; \
-	XORPD X13, X13; \
-	CMPPD X4, X13, $2; \
-	ANDPD X13, X7; \
-	XORPD X13, X13; \
-	CMPPD X5, X13, $2; \
-	ANDPD X13, X7; \
-	XORPD X13, X13; \
-	CMPPD X6, X13, $2; \
-	ANDPD X13, X7; \
-	MULPD C_Z0(R8), X4; \
-	MULPD C_Z1(R8), X5; \
-	ADDPD X5, X4; \
-	MULPD C_Z2(R8), X6; \
-	ADDPD X6, X4; \
-	MOVAPD X1, X5; \
-	ADDPD R_ROWB0(R8), X5; \
-	MULPD X11, X5; \
-	MOVAPD X3, X6; \
-	ADDPD R_ROWB1(R8), X6; \
-	MULPD X11, X6; \
-	MOVAPD X12, X13; \
-	SUBPD X5, X13; \
-	SUBPD X6, X13; \
-	MOVAPD R_BIN(R8), X14; \
-	ANDPD X2, X14; \
-	XORPD X15, X15; \
-	CMPPD X5, X15, $2; \
-	ANDPD X15, X14; \
-	XORPD X15, X15; \
-	CMPPD X6, X15, $2; \
-	ANDPD X15, X14; \
-	XORPD X15, X15; \
-	CMPPD X13, X15, $2; \
-	ANDPD X15, X14; \
-	MULPD C_Z0(R8), X5; \
-	MULPD C_Z1(R8), X6; \
-	ADDPD X6, X5; \
-	MULPD C_Z2(R8), X13; \
-	ADDPD X13, X5
+	VADDPD HALF, Y0, Y1; \
+	VADDPD C_BIAS(R8), Y1, Y1; \
+	VCMPPD $0x11, C_MAXX(R8), Y1, Y2; \
+	VCMPPD $0x1D, C_MINX(R8), Y1, Y3; \
+	VANDPD Y3, Y2, Y2; \
+	VANDPD R_IN(R8), Y2, Y7; \
+	VSUBPD Y8, Y1, Y1; \
+	VMULPD Y9, Y1, Y2; \
+	VMULPD Y10, Y1, Y3; \
+	VADDPD Y13, Y2, Y2; \
+	VMULPD Y11, Y2, Y2; \
+	VADDPD Y14, Y3, Y3; \
+	VMULPD Y11, Y3, Y3; \
+	VSUBPD Y2, Y12, Y4; \
+	VSUBPD Y3, Y4, Y4; \
+	VCMPPD $0x1D, Y15, Y2, Y5; \
+	VANDPD Y5, Y7, Y7; \
+	VCMPPD $0x1D, Y15, Y3, Y5; \
+	VANDPD Y5, Y7, Y7; \
+	VCMPPD $0x1D, Y15, Y4, Y5; \
+	VANDPD Y5, Y7, Y7; \
+	VMULPD C_Z0(R8), Y2, Y2; \
+	VMULPD C_Z1(R8), Y3, Y3; \
+	VADDPD Y3, Y2, Y2; \
+	VMULPD C_Z2(R8), Y4, Y4; \
+	VADDPD Y4, Y2, Y4
 
 // func appendTri(s *triSetup, b *QuadBatch, n int) int
 //
-// R9 = b, BX = n, CX = the quad's x, R11 = the row's y.
-TEXT ·appendTri(SB), NOSPLIT, $480-32
+// R9 = b, BX = n, CX = the quad's x, R11 = the row's y, X6 = the
+// quad's [U, V].
+TEXT ·appendTri(SB), NOSPLIT, $608-32
 	MOVQ s+0(FP), R12
 	MOVQ b+8(FP), R9
 	MOVQ n+16(FP), BX
@@ -310,17 +262,22 @@ arow:
 
 aloop:
 	QUAD_CENTRE(areject)
-	MOVAPD X1, A_LC(R8)
-	MOVSD X2, A_L2C(R8)
+	// [U, V] = (l0c*[u0, v0] + l1c*[u1, v1]) + l2c*[u2, v2].
+	VMOVDDUP X1, X3
+	VMULPD A_UV0(R8), X3, X3
+	VPERMILPD $3, X1, X4
+	VMULPD A_UV1(R8), X4, X4
+	VADDPD X4, X3, X3
+	VMOVDDUP X2, X4
+	VMULPD A_UV2(R8), X4, X4
+	VADDPD X4, X3, X6
 	QUAD_SAMPLES
-	// mask = top coverage | bottom coverage << 2, depth zero where masked.
-	ANDPD X7, X4
-	ANDPD X14, X5
-	MOVMSKPD X7, AX
-	MOVMSKPD X14, SI
-	SHLL $2, SI
-	ORL SI, AX
+	// The mask's bits are the lanes' sign bits, [TL, TR, BL, BR] as in
+	// QuadBatch.Mask; depth is zero where masked.
+	VMOVMSKPD Y7, AX
+	TESTL AX, AX
 	JZ anext
+	VANDPD Y7, Y4, Y4
 	MOVQ QuadBatch_X(R9), SI
 	MOVL CX, (SI)(BX*4)
 	MOVQ QuadBatch_Y(R9), SI
@@ -330,28 +287,15 @@ aloop:
 	MOVQ QuadBatch_Depth(R9), SI
 	MOVQ BX, DI
 	SHLQ $5, DI
-	MOVUPD X4, (SI)(DI*1)
-	MOVUPD X5, 16(SI)(DI*1)
-	// [U, V] = (l0c*[u0, v0] + l1c*[u1, v1]) + l2c*[u2, v2].
-	MOVAPD A_LC(R8), X1
-	MOVAPD X1, X2
-	UNPCKLPD X1, X1
-	UNPCKHPD X2, X2
-	MULPD A_UV0(R8), X1
-	MULPD A_UV1(R8), X2
-	ADDPD X2, X1
-	MOVSD A_L2C(R8), X2
-	UNPCKLPD X2, X2
-	MULPD A_UV2(R8), X2
-	ADDPD X2, X1
+	VMOVUPD Y4, (SI)(DI*1)
 	MOVQ QuadBatch_U(R9), SI
-	MOVSD X1, (SI)(BX*8)
+	VMOVSD X6, (SI)(BX*8)
 	MOVQ QuadBatch_V(R9), SI
-	MOVHPD X1, (SI)(BX*8)
+	VMOVHPD X6, (SI)(BX*8)
 	INCQ BX
 
 anext:
-	ADDPD C_TWO(R8), X0
+	VADDPD TWO, Y0, Y0
 	ADDQ $2, CX
 	DECQ R10
 	JNZ aloop
@@ -361,6 +305,7 @@ arowdone:
 	ADDQ $2, R11
 	CMPQ R11, triSetup_y1(R12)
 	JLT arow
+	VZEROUPPER
 	MOVQ BX, ret+24(FP)
 	RET
 
@@ -374,7 +319,7 @@ areject:
 //
 // BX = survivors, R11 = the row's top-left depth, DI and SI = the
 // quad's top and bottom depth pairs.
-TEXT ·countTri(SB), NOSPLIT, $480-64
+TEXT ·countTri(SB), NOSPLIT, $608-64
 	MOVQ s+0(FP), R12
 	MOVQ z_base+8(FP), R11
 	XORQ BX, BX
@@ -398,37 +343,28 @@ crow:
 cloop:
 	QUAD_CENTRE(creject)
 	QUAD_SAMPLES
-	CVTPD2PS X4, X4
-	CVTPD2PS X5, X5
-
-	// Early-Z over [TL, TR, BL, BR]: X7 = covered and z < stored.
-	MOVLHPS X5, X4
-	SHUFPS $0x88, X14, X7
-	MOVSD (DI), X5
-	MOVHPS (SI), X5
-	MOVAPS X4, X6
-	CMPPS X5, X6, $1
-	ANDPS X6, X7
-	MOVMSKPS X7, AX
-	TESTL AX, AX
-	JZ cnext
-	// Survivors += popcount of the 4-bit mask, from a nibble table.
-	MOVL AX, CX
-	SHLL $2, CX
-	MOVQ $0x4332322132212110, R9
-	SHRQ CX, R9
-	ANDL $15, R9
-	ADDQ R9, BX
+	// Early-Z over [TL, TR, BL, BR] in float32 lanes: X7 = covered
+	// (each 64-bit mask narrowed to its low half) and z < stored.
+	VCVTPD2PSY Y4, X4
+	VEXTRACTF128 $1, Y7, X5
+	VSHUFPS $0x88, X5, X7, X7
+	VMOVSD (DI), X5
+	VMOVHPS (SI), X5, X5
+	VCMPPS $0x11, X5, X4, X6
+	VANDPS X6, X7, X7
+	// Survivors += popcount of the 4-bit mask, which may be 0.
+	VMOVMSKPS X7, AX
+	POPCNTL AX, AX
+	ADDQ AX, BX
 	CMPB blend+48(FP), $0
 	JNE cnext
-	ANDPS X7, X4
-	ANDNPS X5, X7
-	ORPS X4, X7
-	MOVLPS X7, (DI)
-	MOVHPS X7, (SI)
+	// Survivors take the new depth, the other lanes keep their bits.
+	VBLENDVPS X7, X4, X5, X5
+	VMOVSD X5, (DI)
+	VMOVHPS X5, (SI)
 
 cnext:
-	ADDPD C_TWO(R8), X0
+	VADDPD TWO, Y0, Y0
 	ADDQ $8, DI
 	ADDQ $8, SI
 	DECQ R10
@@ -441,6 +377,7 @@ crowdone:
 	JNZ crow
 
 cdone:
+	VZEROUPPER
 	MOVQ BX, ret+56(FP)
 	RET
 
@@ -449,3 +386,18 @@ creject:
 	TESTL DX, DX
 	JNZ crowdone
 	JMP cnext
+
+// func cpuid1ECX() uint32
+TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	MOVL CX, ret+0(FP)
+	RET
+
+// func xgetbv0() uint32
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
+	RET

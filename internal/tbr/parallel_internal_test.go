@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -16,31 +17,59 @@ import (
 // path: a worker failure must raise the abort flag, and because workers
 // check it in the claim loop, the pool must stop well before draining
 // the item list.
+//
+// The order of claims after the failure is fixed, not left to the
+// scheduler. The third claim panics, and every later claim parks in
+// the hook until the pool formats the panic value (its String method),
+// which it does only after raising the abort flag. So each of the
+// other workers makes at most one claim after the failure, and it runs
+// that item after the flag is up.
 func TestParallelAbortsPromptlyOnWorkerFailure(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["hcr"],
 		workload.Scale{Width: 96, Height: 48, FrameDivisor: 100, DetailDivisor: 2})
 
-	const n = 64
+	const n, workers, failAt = 64, 4, 3
 	frames := make([]int, n)
 
 	var claimed atomic.Int64
+	aborted := make(chan struct{})
 	setTestWorkerHook(func(item int) {
-		if claimed.Add(1) == 3 {
-			panic("injected failure")
+		switch c := claimed.Add(1); {
+		case c == failAt:
+			panic(injectedFailure{aborted})
+		case c > failAt:
+			select {
+			case <-aborted:
+			case <-time.After(time.Minute):
+				panic("the pool never formatted the injected failure")
+			}
 		}
 	})
 	defer setTestWorkerHook(nil)
 
-	_, err := SimulateFrames(context.Background(), DefaultConfig(), tr, frames, 4)
+	_, err := SimulateFrames(context.Background(), DefaultConfig(), tr, frames, workers)
 	if err == nil {
 		t.Fatal("pool swallowed the worker failure")
 	}
 	if !strings.Contains(err.Error(), "worker") || !strings.Contains(err.Error(), "injected failure") {
 		t.Fatalf("error lost the failure cause: %v", err)
 	}
-	if got := claimed.Load(); got >= n {
+	got := claimed.Load()
+	if got >= n {
 		t.Fatalf("pool drained all %d items (%d claims) despite the failure", n, got)
 	}
+	if limit := int64(failAt + workers - 1); got > limit {
+		t.Fatalf("%d claims; the other workers may make at most one each after the failure, %d in all", got, limit)
+	}
+}
+
+// injectedFailure is the panic value of TestParallelAbortsPromptlyOnWorkerFailure.
+// Its String method releases the parked claims.
+type injectedFailure struct{ aborted chan struct{} }
+
+func (f injectedFailure) String() string {
+	close(f.aborted)
+	return "injected failure"
 }
 
 // TestRunPoolSkipsFailedWorkerRegistries: a worker that panics after

@@ -155,6 +155,12 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 			} else {
 				run.ResumedFrames = ing.Frames()
 				base = ck
+				if run.ResumedFrames < numFrames {
+					// Ingest goes on past the snapshot, so phase 2
+					// plans afresh: the records of a shorter run's
+					// plan (MaxFrames) would stay in every rewrite.
+					base.Frames = nil
+				}
 			}
 		}
 	}

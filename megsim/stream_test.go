@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
@@ -174,5 +175,52 @@ func TestSampleStreamingCancelMidWindowResumes(t *testing.T) {
 	}
 	if !offGrid {
 		t.Fatal("no cancellation landed off the checkpoint grid; the sweep tests nothing beyond periodic checkpoints")
+	}
+}
+
+// TestSampleStreamingLongerResumeDropsShorterPlan: a campaign truncated
+// by MaxFrames and then resumed over the whole stream ingests past the
+// restored snapshot and plans phase 2 afresh. Its final checkpoint must
+// be the bytes of an uninterrupted run over the whole stream, without
+// the records of the frames the truncated plan simulated.
+func TestSampleStreamingLongerResumeDropsShorterPlan(t *testing.T) {
+	tr := megsim.MustGenerateBenchmark("hcr", testScale())
+	gpu := megsim.DefaultGPUConfig()
+	dir := t.TempDir()
+	run := func(ckpt string, maxFrames int, resume bool) (*megsim.StreamingRun, []byte) {
+		t.Helper()
+		res, err := megsim.SampleStreaming(context.Background(), tr, megsim.StreamingOptions{
+			MaxFrames:  maxFrames,
+			Resilience: megsim.ResilienceConfig{CheckpointPath: ckpt, Resume: resume},
+		}, gpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, b
+	}
+	full, want := run(filepath.Join(dir, "full.ckpt"), 0, false)
+
+	ckpt := filepath.Join(dir, "stream.ckpt")
+	short, _ := run(ckpt, tr.NumFrames()/2, false)
+	stale := 0
+	for f := range short.RepresentativeStats {
+		if _, ok := full.RepresentativeStats[f]; !ok {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatal("the truncated plan simulated no frame the full plan skips; the test checks nothing")
+	}
+	resumed, got := run(ckpt, 0, true)
+	if resumed.ResumedFrames != tr.NumFrames()/2 {
+		t.Fatalf("resumed at frame %d, want the truncated run's %d", resumed.ResumedFrames, tr.NumFrames()/2)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("truncated-then-full checkpoint (%d bytes) differs from the uninterrupted run's (%d bytes); %d frames only the truncated plan simulated",
+			len(got), len(want), stale)
 	}
 }
