@@ -162,7 +162,6 @@ func TestClusterBadFlags(t *testing.T) {
 		{[]string{"-worker", "-queue", "8"}, "-queue cannot be combined with -worker"},
 		{[]string{"-worker", "-workers", "2"}, "-workers cannot be combined with -worker"},
 		{[]string{"-worker", "-frame-cache", "16"}, "-frame-cache cannot be combined with -worker"},
-		{[]string{"-worker", "-heartbeat", "1s"}, "-heartbeat cannot be combined with -worker"},
 		{[]string{"-worker", "-audit-fraction", "0.5"}, "-audit-fraction cannot be combined with -worker"},
 		{[]string{"-worker", "-chaos-seed", "7"}, "-chaos-seed cannot be combined with -worker"},
 		{[]string{"-coordinator", " , "}, "worker"}, // no usable worker URLs

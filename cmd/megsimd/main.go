@@ -60,7 +60,6 @@ func main() {
 // flagNeeds maps each flag that only tunes a mode to the flag that
 // turns the mode on.
 var flagNeeds = map[string]string{
-	"heartbeat":      "coordinator",
 	"audit-fraction": "coordinator",
 	"chaos-seed":     "coordinator",
 }
@@ -82,7 +81,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs to reach a frame boundary on shutdown")
 		workerMode   = fs.Bool("worker", false, "run as a cluster simulation worker (serves single frames, not campaigns)")
 		coordinator  = fs.String("coordinator", "", "comma-separated worker URLs; run as the cluster coordinator dispatching frames to this fleet")
-		heartbeat    = fs.Duration("heartbeat", 0, "coordinator worker-probe cadence (0 = default)")
 		auditFrac    = fs.Float64("audit-fraction", 0, "fraction of frames the coordinator re-dispatches to a second worker and digest-checks (byzantine defense; 0 = off, 1 = every frame)")
 		chaosSeed    = fs.Uint64("chaos-seed", 0, "arm the deterministic chaos transport on the coordinator's worker client with this seed (staging fault-injection profile; 0 = off)")
 	)
@@ -139,13 +137,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "megsimd: CHAOS armed on the worker client (seed %d) — staging only\n", *chaosSeed)
 		}
 		coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-			Workers:           strings.Split(*coordinator, ","),
-			Obs:               reg,
-			Client:            client,
-			HeartbeatInterval: *heartbeat,
-			AuditFraction:     *auditFrac,
-			AuditSeed:         *chaosSeed,
-			Log:               stdout,
+			Workers:       strings.Split(*coordinator, ","),
+			Obs:           reg,
+			Client:        client,
+			AuditFraction: *auditFrac,
+			AuditSeed:     *chaosSeed,
+			Log:           stdout,
 		})
 		if err != nil {
 			return err

@@ -154,7 +154,7 @@ func TestDaemonBadFlags(t *testing.T) {
 	}{
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 		{[]string{"-addr", "256.0.0.1:bad"}, "listen"},
-		{[]string{"-heartbeat", "1s"}, "-heartbeat needs -coordinator"},
+		{[]string{"-heartbeat", "1s"}, "flag provided but not defined: -heartbeat"},
 		{[]string{"-audit-fraction", "0.5"}, "-audit-fraction needs -coordinator"},
 		{[]string{"-chaos-seed", "7"}, "-chaos-seed needs -coordinator"},
 		{[]string{"-workers", "-1"}, "-workers -1"},

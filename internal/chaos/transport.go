@@ -72,8 +72,8 @@ func (t *Transport) eventLog() []event {
 // whose JSON body carries the fabric work-unit's fingerprint and frame
 // — key on host|fingerprint#frame, so a frame keeps its fault fate
 // across coordinator retries to the same worker while failover to
-// another host draws a fresh stream. Anything else (heartbeat probes,
-// health checks) keys on host|method path.
+// another host draws a fresh stream. Anything else (an operator's health
+// check, say) keys on host|method path.
 func key(req *http.Request, body []byte) string {
 	host := req.URL.Host
 	if req.Method == http.MethodPost && len(body) > 0 {

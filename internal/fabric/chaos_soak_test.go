@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,16 +13,16 @@ import (
 	"repro/internal/serve"
 )
 
-// chaosClient wraps the default transport in the deterministic chaos
+// chaosClient wraps a named fleet's client in the deterministic chaos
 // transport — the coordinator's entire view of its fleet goes through
 // the fault injector.
-func chaosClient(t *testing.T, cfg chaos.Config) *http.Client {
+func chaosClient(t *testing.T, fleet *http.Client, cfg chaos.Config) *http.Client {
 	t.Helper()
-	tr, err := chaos.NewTransport(cfg, nil)
+	tr, err := chaos.NewTransport(cfg, fleet.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &http.Client{Transport: tr, Timeout: 30 * time.Second}
+	return &http.Client{Transport: tr, Timeout: fleet.Timeout}
 }
 
 // TestChaosSoakByzantineKillRestart is the PR's capstone: a 4-worker
@@ -43,13 +42,14 @@ func chaosClient(t *testing.T, cfg chaos.Config) *http.Client {
 //     kills all three honest workers at once, including the serving
 //     one (hijack-close mid-request) — so the in-flight frame requeues
 //     through resilience.WorkerLost, guaranteed;
-//   - 300ms later the honest workers revive and the heartbeat loop
-//     resurrects them; the campaign finishes on the restarted fleet.
+//   - 300ms later the honest workers revive, and the requeued frames'
+//     dispatches re-admit them; the campaign finishes on the restarted
+//     fleet.
 func TestChaosSoakByzantineKillRestart(t *testing.T) {
 	byz := NewWorker(WorkerConfig{})
 	honest := make([]*Worker, 3)
 	switches := make([]*killSwitch, 3)
-	urls := make([]string, 4)
+	handlers := []http.Handler{byzantine(byz.Handler())}
 
 	var coordPtr atomic.Pointer[Coordinator]
 	var killOnce sync.Once
@@ -83,16 +83,12 @@ func TestChaosSoakByzantineKillRestart(t *testing.T) {
 		})
 	}
 
-	bts := httptest.NewServer(byzantine(byz.Handler()))
-	t.Cleanup(bts.Close)
-	urls[0] = bts.URL
 	for i := range honest {
 		honest[i] = NewWorker(WorkerConfig{})
 		switches[i] = &killSwitch{}
-		ts := httptest.NewServer(killable(trigger(honest[i].Handler()), switches[i]))
-		t.Cleanup(ts.Close)
-		urls[i+1] = ts.URL
+		handlers = append(handlers, killable(trigger(honest[i].Handler()), switches[i]))
 	}
+	urls, client := namedFleet(t, handlers...)
 	go func() {
 		<-revive
 		time.Sleep(300 * time.Millisecond)
@@ -104,7 +100,7 @@ func TestChaosSoakByzantineKillRestart(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Workers: urls,
 		Policy:  &roundRobin{}, // seats the byzantine worker constantly
-		Client: chaosClient(t, chaos.Config{
+		Client: chaosClient(t, client, chaos.Config{
 			Seed:            20260809,
 			DropRate:        0.08,
 			DelayRate:       0.25,
@@ -117,7 +113,6 @@ func TestChaosSoakByzantineKillRestart(t *testing.T) {
 			PartitionRate:   0.05,
 			PartitionWindow: 2,
 		}),
-		HeartbeatInterval:  5 * time.Millisecond, // fast resurrection under chaos
 		AuditFraction:      1,
 		AuditSeed:          7,
 		DigestFailureLimit: 1 << 20, // wire corruption is injected on purpose; only audits quarantine here
@@ -186,10 +181,9 @@ func TestChaosFaultClassesPreserveReport(t *testing.T) {
 		name string
 		cfg  chaos.Config
 	}{
-		// Drop stays moderate: at 0.5 the dropped heartbeat probes keep
-		// workers marked down long enough that frames can exhaust their
-		// requeue budget and degrade to a substitute — a legitimate
-		// outcome, but not the byte-identity this test asserts.
+		// Drop stays moderate: at 0.85 frames exhaust their requeue
+		// budget and degrade to a substitute — a legitimate outcome, but
+		// not the byte-identity this test asserts.
 		{"drop", chaos.Config{Seed: 101, DropRate: 0.35}},
 		{"truncate", chaos.Config{Seed: 104, TruncateRate: 0.4}},
 		{"corrupt", chaos.Config{Seed: 105, CorruptRate: 0.4}},
@@ -197,12 +191,11 @@ func TestChaosFaultClassesPreserveReport(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, urls := startFleet(t, 3)
+			_, _, urls, client := startFleet(t, 3)
 			coord, err := NewCoordinator(CoordinatorConfig{
 				Workers:            urls,
 				Policy:             &roundRobin{},
-				Client:             chaosClient(t, tc.cfg),
-				HeartbeatInterval:  5 * time.Millisecond,
+				Client:             chaosClient(t, client, tc.cfg),
 				AuditFraction:      1, // double the dispatch plan: more fault draws, audit under fire
 				DigestFailureLimit: 1 << 20,
 			})

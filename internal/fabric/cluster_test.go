@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -180,21 +181,47 @@ func killable(h http.Handler, ks *killSwitch) http.Handler {
 	})
 }
 
-// startFleet brings up n workers behind kill switches and returns their
-// pieces in index order.
-func startFleet(t *testing.T, n int) ([]*Worker, []*killSwitch, []string) {
+// namedFleet serves each handler under a stable name: the coordinator
+// addresses worker i as http://wi, and the returned client dials that
+// name to the worker's httptest listener. Every chaos roll and the
+// rendezvous hash key on the name, so a run draws the same faults and
+// routes whatever ports the listeners get.
+func namedFleet(t *testing.T, handlers ...http.Handler) ([]string, *http.Client) {
+	t.Helper()
+	urls := make([]string, len(handlers))
+	addrs := make(map[string]string, len(handlers))
+	for i, h := range handlers {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		urls[i] = fmt.Sprintf("http://w%d", i)
+		addrs[fmt.Sprintf("w%d:80", i)] = ts.Listener.Addr().String()
+	}
+	var d net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		to, ok := addrs[addr]
+		if !ok {
+			return nil, fmt.Errorf("no test worker is named %s", addr)
+		}
+		return d.DialContext(ctx, network, to)
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	return urls, &http.Client{Transport: tr, Timeout: 30 * time.Second}
+}
+
+// startFleet brings up n workers behind kill switches as a named fleet
+// and returns their pieces in index order.
+func startFleet(t *testing.T, n int) ([]*Worker, []*killSwitch, []string, *http.Client) {
 	t.Helper()
 	workers := make([]*Worker, n)
 	switches := make([]*killSwitch, n)
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
+	handlers := make([]http.Handler, n)
+	for i := range handlers {
 		workers[i] = NewWorker(WorkerConfig{})
 		switches[i] = &killSwitch{}
-		ts := httptest.NewServer(killable(workers[i].Handler(), switches[i]))
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
+		handlers[i] = killable(workers[i].Handler(), switches[i])
 	}
-	return workers, switches, urls
+	urls, client := namedFleet(t, handlers...)
+	return workers, switches, urls, client
 }
 
 func workerServed(w *Worker) uint64 {
@@ -209,7 +236,7 @@ func workerServed(w *Worker) uint64 {
 // policy is a pure function, so the test computes which worker the
 // campaign lands on and arms exactly that one.
 func TestClusterKillWorkerMidCampaign(t *testing.T) {
-	workers, switches, urls := startFleet(t, clusterWorkerCount)
+	workers, switches, urls, client := startFleet(t, clusterWorkerCount)
 
 	// Compute the campaign's routing key (its run fingerprint) and the
 	// worker affinity will choose, then arm that worker to die after
@@ -218,21 +245,10 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := megsim.RunFingerprint(tr, gpu)
-	cands := make([]Candidate, len(urls))
-	for i, u := range urls {
-		cands[i] = Candidate{Name: u}
-	}
-	target := affinity{}.Pick(fp, cands)
-	if target < 0 {
-		t.Fatal("affinity found no candidate")
-	}
+	target := affinity{}.Pick(megsim.RunFingerprint(tr, gpu), urls)
 	switches[target].killAfter = 1
 
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:           urls,
-		HeartbeatInterval: -1, // deterministic: only dispatch failures mark members down
-	})
+	coord, err := NewCoordinator(CoordinatorConfig{Workers: urls, Client: client})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +280,8 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 	// The kill actually happened and the fleet actually absorbed it: the
 	// doomed worker served exactly its one frame before dying, the
 	// survivors served every other representative, and the coordinator
-	// recorded the failover and marked the member down.
+	// recorded the failover and left the member benched (its
+	// re-admission trials found it still dead).
 	var rep serve.CampaignReport
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
@@ -300,10 +317,10 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 // state of record.
 func TestClusterDrainResumeAcrossCoordinators(t *testing.T) {
 	dir := t.TempDir()
-	_, _, urls := startFleet(t, clusterWorkerCount)
+	_, _, urls, client := startFleet(t, clusterWorkerCount)
 	body := clusterCampaignBody()
 
-	coordA, err := NewCoordinator(CoordinatorConfig{Workers: urls, HeartbeatInterval: -1})
+	coordA, err := NewCoordinator(CoordinatorConfig{Workers: urls, Client: client})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +349,7 @@ func TestClusterDrainResumeAcrossCoordinators(t *testing.T) {
 
 	// A different coordinator over a shrunk fleet (the first worker
 	// "decommissioned"), same checkpoint directory.
-	coordB, err := NewCoordinator(CoordinatorConfig{Workers: urls[1:], HeartbeatInterval: -1})
+	coordB, err := NewCoordinator(CoordinatorConfig{Workers: urls[1:], Client: client})
 	if err != nil {
 		t.Fatal(err)
 	}

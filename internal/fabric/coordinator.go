@@ -22,10 +22,6 @@ import (
 	"repro/internal/tbr"
 )
 
-// defaultHeartbeatInterval is the worker-probe cadence when
-// CoordinatorConfig leaves it zero.
-const defaultHeartbeatInterval = 2 * time.Second
-
 // maxResultBytes bounds a worker's frame-result body.
 const maxResultBytes = 32 << 20
 
@@ -50,14 +46,9 @@ type CoordinatorConfig struct {
 	// gauges (nil = a fresh metrics-only registry). Pass the campaign
 	// server's registry so /metrics exports the fleet state.
 	Obs *obs.Registry
-	// Client is the HTTP client for dispatch and heartbeats (nil = a
-	// client with a 5-minute timeout; per-frame simulation is slow).
+	// Client is the HTTP client for dispatch (nil = a client with a
+	// 5-minute timeout; per-frame simulation is slow).
 	Client *http.Client
-	// HeartbeatInterval is the health-probe cadence (0 =
-	// defaultHeartbeatInterval; negative disables the loop — workers are
-	// then only marked down by failed dispatches, and recover only via
-	// an explicit Probe).
-	HeartbeatInterval time.Duration
 
 	// AuditFraction re-dispatches this fraction of frames to a second
 	// worker and cross-checks result digests for byte-identity — the
@@ -80,9 +71,12 @@ type CoordinatorConfig struct {
 type member struct {
 	name string // normalized base URL; the routing identity
 
-	down        atomic.Bool
-	draining    atomic.Bool
-	quarantined atomic.Bool
+	// Guarded by Coordinator.mu.
+	benched     bool
+	benchedAt   uint64 // Coordinator.picks when the member was last benched
+	trial       bool   // a dispatch holds the member's re-admission trial
+	quarantined bool
+
 	inflight    atomic.Int64
 	digestFails atomic.Int64
 
@@ -98,12 +92,19 @@ type member struct {
 // Failure handling per dispatch: a worker that refuses the unit
 // deterministically (4xx — bad unit, fingerprint skew) fails the frame
 // outright, surfacing through the supervisor's ordinary retry and
-// quarantine path. A worker that dies (network error, 5xx) is marked
-// down and the dispatch fails over to the policy's next candidate; a
-// draining worker (503) fails over without being marked down. When no
-// candidates remain the dispatch returns resilience.WorkerLost, which
-// the supervisor requeues without charging the frame's attempt budget —
-// the frame re-enters the pool as soon as any worker comes back.
+// quarantine path. A worker that dies or drains (network error, 5xx,
+// 503) is benched and the dispatch fails over to the policy's next
+// candidate. When no candidates remain the dispatch returns
+// resilience.WorkerLost, which the supervisor requeues without charging
+// the frame's attempt budget.
+//
+// The coordinator's view of its fleet changes only on dispatch
+// outcomes; nothing probes the workers in the background. A benched
+// worker is eligible again once len(members) further picks have been
+// made, counting picks that found no candidate, so the requeues of a
+// wholly benched fleet's frames re-admit it. One dispatch at a time
+// holds a benched worker's trial, and a digest-valid result un-benches
+// it.
 //
 // On top of availability failures sits the trust layer. Every result
 // carries a canonical content digest; a result whose digest does not
@@ -112,9 +113,9 @@ type member struct {
 // failures quarantine it. A seed-keyed sampler audits AuditFraction of
 // frames by re-dispatching them to a second worker and cross-checking
 // digests; on divergence a third worker arbitrates and the minority
-// worker is quarantined. Quarantine is terminal: the worker is marked
-// down, skipped by heartbeat resurrection, and its in-flight frames
-// requeue through the ordinary WorkerLost/failover paths.
+// worker is quarantined. Quarantine is terminal: the worker is never
+// picked again, and its in-flight frames requeue through the ordinary
+// WorkerLost/failover paths.
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	policy  Policy
@@ -130,16 +131,13 @@ type Coordinator struct {
 	auditSampled, auditBad *obs.Counter
 	digestFailed           *obs.Counter
 
-	// ctx is cancelled by Close, bounding the heartbeat loop and any
-	// in-flight probe — a probe can't outlive its coordinator.
-	ctx       context.Context
-	cancel    context.CancelFunc
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	// mu guards picks and every member's bench and quarantine state.
+	mu    sync.Mutex
+	picks uint64 // pick calls so far: the clock benched members serve out
 }
 
-// NewCoordinator builds a coordinator over the worker fleet and starts
-// its heartbeat loop (unless disabled). Callers own Close.
+// NewCoordinator builds a coordinator over the worker fleet. Callers
+// own Close.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("fabric: coordinator needs at least one worker URL")
@@ -177,7 +175,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		auditBad:     reg.Counter("fabric.audit.mismatch"),
 		digestFailed: reg.Counter("fabric.digest.failed"),
 	}
-	c.ctx, c.cancel = context.WithCancel(context.Background())
 	seen := map[string]bool{}
 	for _, raw := range cfg.Workers {
 		name := strings.TrimRight(strings.TrimSpace(raw), "/")
@@ -198,22 +195,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, errors.New("fabric: coordinator needs at least one worker URL")
 	}
 	c.live.Set(int64(len(c.members)))
-	interval := cfg.HeartbeatInterval
-	if interval == 0 {
-		interval = defaultHeartbeatInterval
-	}
-	if interval > 0 {
-		c.wg.Add(1)
-		go c.heartbeatLoop(interval)
-	}
 	return c, nil
 }
 
-// Close stops the heartbeat loop and cancels any in-flight probe. Safe
-// to call more than once.
+// Close releases the client's idle connections. Safe to call more than
+// once.
 func (c *Coordinator) Close() {
-	c.closeOnce.Do(c.cancel)
-	c.wg.Wait()
+	c.client.CloseIdleConnections()
 }
 
 // Workers returns the normalized peer list in routing order.
@@ -228,9 +216,11 @@ func (c *Coordinator) Workers() []string {
 // quarantinedNames returns the names of quarantined workers in routing
 // order.
 func (c *Coordinator) quarantinedNames() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var names []string
 	for _, m := range c.members {
-		if m.quarantined.Load() {
+		if m.quarantined {
 			names = append(names, m.name)
 		}
 	}
@@ -366,7 +356,7 @@ func (c *Coordinator) dispatchOnce(ctx context.Context, u *WorkUnit, exclude map
 		if err := ctx.Err(); err != nil {
 			return nil, -1, err
 		}
-		idx := c.pick(u.Fingerprint, tried)
+		idx, trial := c.pick(u.Fingerprint, tried)
 		if idx < 0 {
 			c.lost.Inc()
 			return nil, -1, resilience.WorkerLost(lastErr)
@@ -380,23 +370,22 @@ func (c *Coordinator) dispatchOnce(ctx context.Context, u *WorkUnit, exclude map
 			// Deterministic refusal: the frame itself is the problem, so
 			// failover would only re-fail it N times. Let the supervisor's
 			// retry/quarantine path own it.
+			c.release(m, trial, false)
 			c.refused.Inc()
 			return nil, idx, unitErr
 		case dispErr == nil:
-			if lastErr = c.verifyResult(m, u, res); lastErr == nil {
+			lastErr = c.verifyResult(m, u, res)
+			c.release(m, trial, lastErr == nil)
+			if lastErr == nil {
 				return res, idx, nil
 			}
-		case errors.Is(dispErr, errDraining):
-			m.draining.Store(true)
-			c.logf("fabric: %s draining, failing over", m.name)
-			lastErr = dispErr
+		case ctx.Err() != nil:
+			// The transport error was our own cancellation, not the
+			// worker's death.
+			c.release(m, trial, false)
+			return nil, -1, ctx.Err()
 		default:
-			if err := ctx.Err(); err != nil {
-				// The transport error was our own cancellation, not the
-				// worker's death.
-				return nil, -1, err
-			}
-			c.markDown(m, dispErr)
+			c.bench(m, trial, dispErr)
 			lastErr = dispErr
 		}
 		c.failovers.Inc()
@@ -405,7 +394,7 @@ func (c *Coordinator) dispatchOnce(ctx context.Context, u *WorkUnit, exclude map
 
 // errDigest marks a result whose canonical digest did not verify: a
 // corrupt delivery, not a dead worker — eligible for failover without
-// marking the worker down.
+// benching the worker.
 var errDigest = errors.New("fabric: result digest mismatch")
 
 // verifyResult recomputes the result's canonical digest over what was
@@ -428,54 +417,107 @@ func (c *Coordinator) verifyResult(m *member, u *WorkUnit, res *workResult) erro
 	return fmt.Errorf("%w: %s frame %d carried %q, content digests to %q", errDigest, m.name, u.Frame, res.Digest, want)
 }
 
-// quarantine benches a worker permanently: marked down, excluded from
-// heartbeat resurrection, reflected in the quarantine gauge. Frames it
-// held fail over or requeue through the ordinary paths.
+// quarantine takes a worker out of rotation for good and reflects it in
+// the quarantine gauge. Frames it held fail over or requeue through the
+// ordinary paths.
 func (c *Coordinator) quarantine(m *member, cause error) {
-	if m.quarantined.Swap(true) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m.quarantined {
 		return
 	}
-	m.down.Store(true)
-	m.up.Set(0)
+	m.quarantined = true
 	c.logf("fabric: %s QUARANTINED: %v", m.name, cause)
-	q := int64(0)
-	for _, o := range c.members {
-		if o.quarantined.Load() {
-			q++
-		}
-	}
-	c.quarantined.Set(q)
-	c.refreshLive()
+	c.refreshLocked()
 }
 
-// pick builds the candidate view (live, untried members) and asks the
-// policy. Draining members are candidates the policy must skip, so an
-// all-draining fleet reads as "no pick" rather than an error.
-func (c *Coordinator) pick(key string, tried map[int]bool) int {
-	cands := make([]Candidate, 0, len(c.members))
+// pick counts one pick and asks the policy to choose among the eligible
+// members: not tried by this dispatch, not quarantined, and not benched
+// unless the bench has lasted len(members) picks and no other dispatch
+// holds the member's trial. trial reports that this dispatch now holds
+// it; the dispatch hands it back through bench or release.
+func (c *Coordinator) pick(key string, tried map[int]bool) (idx int, trial bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.picks++
+	names := make([]string, 0, len(c.members))
 	idxs := make([]int, 0, len(c.members))
 	for i, m := range c.members {
-		if tried[i] || m.down.Load() {
+		if tried[i] || m.quarantined ||
+			m.benched && (m.trial || c.picks-m.benchedAt < uint64(len(c.members))) {
 			continue
 		}
-		cands = append(cands, Candidate{Name: m.name, Draining: m.draining.Load()})
+		names = append(names, m.name)
 		idxs = append(idxs, i)
 	}
-	p := c.policy.Pick(key, cands)
-	if p < 0 {
-		return -1
+	if len(names) == 0 {
+		return -1, false
 	}
-	return idxs[p]
+	p := c.policy.Pick(key, names)
+	if p < 0 {
+		return -1, false
+	}
+	m := c.members[idxs[p]]
+	m.trial = m.benched
+	return idxs[p], m.trial
 }
 
-// errDraining marks a 503 from a worker: back off, don't bury it.
-var errDraining = errors.New("fabric: worker draining")
+// bench takes m out of rotation after a network error, a 5xx or a 503,
+// and ends the trial this dispatch held on it, if any.
+func (c *Coordinator) bench(m *member, trial bool, cause error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if trial {
+		m.trial = false
+	}
+	m.benchedAt = c.picks
+	if !m.benched {
+		m.benched = true
+		c.logf("fabric: %s benched: %v", m.name, cause)
+		c.refreshLocked()
+	}
+}
+
+// release ends a dispatch attempt that did not bench m. A digest-valid
+// result (ok) un-benches it; a trial that ended any other way restarts
+// its bench.
+func (c *Coordinator) release(m *member, trial, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if trial {
+		m.trial = false
+		m.benchedAt = c.picks
+	}
+	if ok && m.benched {
+		m.benched = false
+		c.logf("fabric: %s re-admitted", m.name)
+		c.refreshLocked()
+	}
+}
+
+// refreshLocked recomputes the fleet gauges; c.mu must be held.
+func (c *Coordinator) refreshLocked() {
+	var live, quarantined int64
+	for _, m := range c.members {
+		up := int64(0)
+		if !m.benched && !m.quarantined {
+			up = 1
+		}
+		m.up.Set(up)
+		live += up
+		if m.quarantined {
+			quarantined++
+		}
+	}
+	c.live.Set(live)
+	c.quarantined.Set(quarantined)
+}
 
 // post sends one unit to one member. It returns exactly one of:
 // a result; a unit error (the worker deterministically refused this
-// unit — 4xx); a dispatch error (the worker is unreachable, dying,
-// draining, or answered a body the coordinator won't trust — eligible
-// for failover).
+// unit — 4xx); a dispatch error (the worker is unreachable, dying or
+// draining (5xx, 503), or answered a body the coordinator won't trust —
+// eligible for failover).
 func (c *Coordinator) post(ctx context.Context, m *member, u *WorkUnit) (res *workResult, unitErr, dispErr error) {
 	m.inflight.Add(1)
 	m.load.Set(m.inflight.Load())
@@ -518,8 +560,6 @@ func (c *Coordinator) post(ctx context.Context, m *member, u *WorkUnit) (res *wo
 			return nil, nil, fmt.Errorf("%s answered frame %d for frame %d", m.name, out.Frame, u.Frame)
 		}
 		return out, nil, nil
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		return nil, nil, errDraining
 	case resp.StatusCode >= http.StatusInternalServerError:
 		return nil, nil, fmt.Errorf("%s answered %d: %s", m.name, resp.StatusCode, errBody(raw))
 	default:
@@ -537,88 +577,6 @@ func errBody(raw []byte) string {
 		return e.Error
 	}
 	return strings.TrimSpace(string(raw))
-}
-
-func (c *Coordinator) markDown(m *member, cause error) {
-	if !m.down.Swap(true) {
-		c.logf("fabric: %s marked down: %v", m.name, cause)
-	}
-	m.up.Set(0)
-	c.refreshLive()
-}
-
-// probe health-checks every member once, synchronously: a reachable
-// worker comes (back) up with its draining flag refreshed, an
-// unreachable one goes down. Quarantined workers are never probed and
-// never resurrected — quarantine is a trust verdict, not a liveness
-// one. The heartbeat loop calls this on its cadence; tests and a
-// heartbeat-disabled coordinator call it directly.
-func (c *Coordinator) probe(ctx context.Context) {
-	for _, m := range c.members {
-		if m.quarantined.Load() {
-			continue
-		}
-		h, err := c.probeOne(ctx, m)
-		if err != nil {
-			if !m.down.Swap(true) {
-				c.logf("fabric: %s failed heartbeat: %v", m.name, err)
-			}
-			m.up.Set(0)
-			continue
-		}
-		if m.down.Swap(false) {
-			c.logf("fabric: %s recovered", m.name)
-		}
-		m.draining.Store(h.Draining)
-		m.up.Set(1)
-	}
-	c.refreshLive()
-}
-
-func (c *Coordinator) probeOne(ctx context.Context, m *member) (*healthStatus, error) {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.name+"/fabric/v1/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("healthz answered %d", resp.StatusCode)
-	}
-	h := &healthStatus{}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(h); err != nil {
-		return nil, fmt.Errorf("malformed healthz: %w", err)
-	}
-	return h, nil
-}
-
-func (c *Coordinator) refreshLive() {
-	live := int64(0)
-	for _, m := range c.members {
-		if !m.down.Load() {
-			live++
-		}
-	}
-	c.live.Set(live)
-}
-
-func (c *Coordinator) heartbeatLoop(interval time.Duration) {
-	defer c.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-t.C:
-			c.probe(c.ctx)
-		}
-	}
 }
 
 func (c *Coordinator) logf(format string, args ...any) {

@@ -183,24 +183,24 @@ func checkCampaignModes(t *testing.T, req *serve.CampaignRequest, kill int) {
 
 	same("daemon", runServed(t, body, nil), false)
 
-	_, _, urls := startFleet(t, 2)
+	_, _, urls, client := startFleet(t, 2)
 	honest := trustLine(nil, uint64(len(rep.Representatives)), 0, 0, 0, 0)
-	cluster := func(mode string, client *http.Client) {
+	cluster := func(mode string, client *http.Client, chaotic bool) {
 		t.Helper()
-		coord, err := NewCoordinator(CoordinatorConfig{Workers: urls, Client: client, HeartbeatInterval: -1, AuditFraction: 1})
+		coord, err := NewCoordinator(CoordinatorConfig{Workers: urls, Client: client, AuditFraction: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer coord.Close()
-		same(mode, runServed(t, body, coord), client != nil)
+		same(mode, runServed(t, body, coord), chaotic)
 		if got := trustRecord(coord); got != honest {
 			t.Fatalf("%s: %s trust record %q, want the honest fleet's %q", body, mode, got, honest)
 		}
 	}
-	cluster("cluster", nil)
+	cluster("cluster", client, false)
 	for i, c := range benignChaos {
 		c.cfg.Seed = req.Seed + uint64(i)
-		cluster("cluster+"+c.name, chaosClient(t, c.cfg))
+		cluster("cluster+"+c.name, chaosClient(t, client, c.cfg), true)
 	}
 }
 

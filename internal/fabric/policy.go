@@ -2,23 +2,14 @@ package fabric
 
 import "hash/fnv"
 
-// Candidate is one dispatchable worker as a routing policy sees it.
-type Candidate struct {
-	// Name identifies the worker stably across coordinator restarts —
-	// the fabric uses the worker's base URL from the static peer list.
-	Name string
-	// Draining marks a worker that answered its drain endpoint or
-	// reported draining on a heartbeat; policies must never pick it.
-	Draining bool
-}
-
-// Policy picks the worker for one frame dispatch. Pick returns an index
-// into cands, or -1 when no candidate is eligible. Implementations must
-// be safe for concurrent use and must skip draining candidates. The
-// coordinator routes by cache affinity unless a test substitutes its
-// own policy.
+// Policy picks the worker for one frame dispatch. names lists the
+// workers eligible for it — never empty — by the name that identifies
+// each stably across coordinator restarts: its base URL from the static
+// peer list. Pick returns an index into names, or -1 to pick none.
+// Implementations must be safe for concurrent use. The coordinator
+// routes by cache affinity unless a test substitutes its own policy.
 type Policy interface {
-	Pick(key string, cands []Candidate) int
+	Pick(key string, names []string) int
 }
 
 // affinity routes by rendezvous (highest-random-weight) hashing over
@@ -35,14 +26,11 @@ type Policy interface {
 //     its placement, unlike modulo hashing where most keys reshuffle.
 type affinity struct{}
 
-func (affinity) Pick(key string, cands []Candidate) int {
+func (affinity) Pick(key string, names []string) int {
 	best, bestW := -1, uint64(0)
-	for i, c := range cands {
-		if c.Draining {
-			continue
-		}
-		w := rendezvousWeight(key, c.Name)
-		if best < 0 || w > bestW || (w == bestW && c.Name < cands[best].Name) {
+	for i, name := range names {
+		w := rendezvousWeight(key, name)
+		if best < 0 || w > bestW || (w == bestW && name < names[best]) {
 			best, bestW = i, w
 		}
 	}

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/resilience"
 )
@@ -20,32 +19,21 @@ import (
 // order — deterministic primary/audit/arbiter seating for trust tests.
 type orderedPolicy struct{ order []string }
 
-func (p *orderedPolicy) Pick(_ string, cands []Candidate) int {
-	for _, name := range p.order {
-		for i, c := range cands {
-			if c.Name == name && !c.Draining {
-				return i
-			}
+func (p *orderedPolicy) Pick(_ string, names []string) int {
+	for _, want := range p.order {
+		if i := slices.Index(names, want); i >= 0 {
+			return i
 		}
 	}
 	return -1
 }
 
-// roundRobin cycles through eligible candidates, ignoring the key, so
+// roundRobin cycles through the eligible workers, ignoring the key, so
 // a campaign's frames spread across the whole fleet.
 type roundRobin struct{ next atomic.Uint64 }
 
-func (p *roundRobin) Pick(_ string, cands []Candidate) int {
-	if len(cands) == 0 {
-		return -1
-	}
-	start := int((p.next.Add(1) - 1) % uint64(len(cands)))
-	for i := range cands {
-		if c := (start + i) % len(cands); !cands[c].Draining {
-			return c
-		}
-	}
-	return -1
+func (p *roundRobin) Pick(_ string, names []string) int {
+	return int((p.next.Add(1) - 1) % uint64(len(names)))
 }
 
 // byzantine wraps a real worker's handler and tampers with every frame
@@ -81,30 +69,27 @@ func byzantine(h http.Handler) http.Handler {
 }
 
 // trustFleet starts n real workers plus handler-level middleware per
-// index, returning URLs in seat order.
-func trustFleet(t *testing.T, n int, wrap map[int]func(http.Handler) http.Handler) ([]*Worker, []string) {
+// index as a named fleet, returning URLs in seat order.
+func trustFleet(t *testing.T, n int, wrap map[int]func(http.Handler) http.Handler) ([]*Worker, []string, *http.Client) {
 	t.Helper()
 	workers := make([]*Worker, n)
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
+	handlers := make([]http.Handler, n)
+	for i := range handlers {
 		workers[i] = NewWorker(WorkerConfig{})
-		var h http.Handler = workers[i].Handler()
+		handlers[i] = workers[i].Handler()
 		if w, ok := wrap[i]; ok {
-			h = w(h)
+			handlers[i] = w(handlers[i])
 		}
-		ts := httptest.NewServer(h)
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
 	}
-	return workers, urls
+	urls, client := namedFleet(t, handlers...)
+	return workers, urls, client
 }
 
 // TestDigestFailureFailsOverThenQuarantines: a worker that emits
 // results failing digest verification costs a failover each time (it is
-// NOT marked down — the wire, not the worker, may be at fault) until
-// the failure budget is spent, at which point it is quarantined for
-// good: gauge up, Quarantined() lists it, and Probe never resurrects
-// it.
+// NOT benched — the wire, not the worker, may be at fault) until the
+// failure budget is spent, at which point it is quarantined for good:
+// gauge up, Quarantined() lists it, and no later dispatch reaches it.
 func TestDigestFailureFailsOverThenQuarantines(t *testing.T) {
 	// Seat 0 answers every frame with a fabricated result whose digest
 	// doesn't verify; seat 1 is honest.
@@ -118,11 +103,11 @@ func TestDigestFailureFailsOverThenQuarantines(t *testing.T) {
 			writeJSON(w, http.StatusOK, &workResult{Frame: u.Frame, Digest: "crc32:deadbeef"})
 		})
 	}
-	workers, urls := trustFleet(t, 2, map[int]func(http.Handler) http.Handler{0: corrupt})
+	workers, urls, client := trustFleet(t, 2, map[int]func(http.Handler) http.Handler{0: corrupt})
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Workers:            urls,
 		Policy:             &orderedPolicy{order: urls},
-		HeartbeatInterval:  -1,
+		Client:             client,
 		DigestFailureLimit: 3,
 	})
 	if err != nil {
@@ -143,8 +128,8 @@ func TestDigestFailureFailsOverThenQuarantines(t *testing.T) {
 		if got := snap.Counters["fabric.digest.failed"]; got != uint64(frame+1) {
 			t.Fatalf("frame %d: fabric.digest.failed = %d, want %d", frame, got, frame+1)
 		}
-		// Until the limit, the corrupt worker stays eligible (not down):
-		// a corrupt delivery is a failover, not a burial.
+		// Until the limit, the corrupt worker stays eligible (not
+		// benched): a corrupt delivery is a failover, not a dead worker.
 		wantQuar := frame == 2
 		if gotQuar := len(coord.quarantinedNames()) == 1; gotQuar != wantQuar {
 			t.Fatalf("frame %d: quarantined=%v, want %v", frame, gotQuar, wantQuar)
@@ -162,11 +147,7 @@ func TestDigestFailureFailsOverThenQuarantines(t *testing.T) {
 	}
 
 	// Quarantine is terminal: the worker's server is reachable and
-	// healthy, but Probe must not resurrect it.
-	coord.probe(context.Background())
-	if q := coord.quarantinedNames(); len(q) != 1 {
-		t.Fatal("Probe resurrected a quarantined worker")
-	}
+	// healthy, but no dispatch goes to it.
 	u, _ := validWorkUnit(t, 9)
 	if _, err := coord.dispatch(context.Background(), u); err != nil {
 		t.Fatalf("dispatch after quarantine: %v", err)
@@ -182,12 +163,12 @@ func TestDigestFailureFailsOverThenQuarantines(t *testing.T) {
 // divergence, the third worker arbitrates, the byzantine minority is
 // quarantined, and the accepted result is the honest majority's.
 func TestAuditCatchesByzantineWorker(t *testing.T) {
-	workers, urls := trustFleet(t, 3, map[int]func(http.Handler) http.Handler{0: byzantine})
+	_, urls, client := trustFleet(t, 3, map[int]func(http.Handler) http.Handler{0: byzantine})
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:           urls,
-		Policy:            &orderedPolicy{order: urls}, // byzantine seats primary
-		HeartbeatInterval: -1,
-		AuditFraction:     1,
+		Workers:       urls,
+		Policy:        &orderedPolicy{order: urls}, // byzantine seats primary
+		Client:        client,
+		AuditFraction: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +183,8 @@ func TestAuditCatchesByzantineWorker(t *testing.T) {
 
 	// The honest pair agrees on the truth; dispatch a second frame to a
 	// now-byzantine-free fleet and compare an honest frame-0 answer.
-	honest := NewWorker(WorkerConfig{})
-	hts := httptest.NewServer(honest.Handler())
-	defer hts.Close()
-	hc, err := NewCoordinator(CoordinatorConfig{Workers: []string{hts.URL}, HeartbeatInterval: -1})
+	hurls, hclient := namedFleet(t, NewWorker(WorkerConfig{}).Handler())
+	hc, err := NewCoordinator(CoordinatorConfig{Workers: hurls, Client: hclient})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,19 +210,18 @@ func TestAuditCatchesByzantineWorker(t *testing.T) {
 	if q := coord.quarantinedNames(); len(q) != 1 || q[0] != urls[0] {
 		t.Fatalf("Quarantined() = %v, want the byzantine worker %s", q, urls[0])
 	}
-	_ = workers
 }
 
 // TestAuditMismatchWithoutArbiterRequeues: with only two workers and a
 // digest dispute between them there is no majority — the frame must
 // requeue (WorkerLost), never merge, and neither worker can be blamed.
 func TestAuditMismatchWithoutArbiterRequeues(t *testing.T) {
-	_, urls := trustFleet(t, 2, map[int]func(http.Handler) http.Handler{0: byzantine})
+	_, urls, client := trustFleet(t, 2, map[int]func(http.Handler) http.Handler{0: byzantine})
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:           urls,
-		Policy:            &orderedPolicy{order: urls},
-		HeartbeatInterval: -1,
-		AuditFraction:     1,
+		Workers:       urls,
+		Policy:        &orderedPolicy{order: urls},
+		Client:        client,
+		AuditFraction: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -278,12 +256,12 @@ func TestOversizedResultFailsOver(t *testing.T) {
 		})
 	}
 	var log strings.Builder
-	workers, urls := trustFleet(t, 2, map[int]func(http.Handler) http.Handler{0: oversized})
+	workers, urls, client := trustFleet(t, 2, map[int]func(http.Handler) http.Handler{0: oversized})
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:           urls,
-		Policy:            &orderedPolicy{order: urls},
-		HeartbeatInterval: -1,
-		Log:               &log,
+		Workers: urls,
+		Policy:  &orderedPolicy{order: urls},
+		Client:  client,
+		Log:     &log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,40 +293,6 @@ func TestOversizedResultFailsOver(t *testing.T) {
 	}
 }
 
-// TestCloseCancelsInflightProbe: Close must cancel the heartbeat
-// context so an in-flight probe against a hung worker cannot outlive
-// the coordinator.
-func TestCloseCancelsInflightProbe(t *testing.T) {
-	release := make(chan struct{})
-	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
-		}
-	}))
-	defer hung.Close()
-	defer close(release)
-
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:           []string{hung.URL},
-		HeartbeatInterval: time.Millisecond, // probe immediately and often
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond) // let a probe get stuck in the handler
-	done := make(chan struct{})
-	go func() {
-		coord.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(4 * time.Second):
-		t.Fatal("Close blocked on an in-flight probe; heartbeat context not cancelled")
-	}
-}
-
 // TestAuditSampleDeterministicFraction: the audit sampler is a pure
 // roll — replayable, fingerprint+frame keyed, and roughly proportional
 // to the configured fraction.
@@ -376,5 +320,4 @@ func TestAuditSampleDeterministicFraction(t *testing.T) {
 	if !always.auditSample(u(1)) {
 		t.Fatal("fraction 1 skipped a frame")
 	}
-	_ = fmt.Sprint() // keep fmt imported if asserts change
 }

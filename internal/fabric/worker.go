@@ -35,7 +35,7 @@ type WorkerConfig struct {
 // Endpoints:
 //
 //	POST /fabric/v1/frames  simulate one WorkUnit -> workResult
-//	GET  /fabric/v1/healthz liveness + draining flag (heartbeats)
+//	GET  /fabric/v1/healthz liveness + draining flag (for operators)
 //	POST /fabric/v1/drain   stop accepting frames (in-flight ones finish)
 //	GET  /metrics           the worker registry in Prometheus format
 type Worker struct {
@@ -75,10 +75,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // Handler returns the worker's HTTP handler.
 func (w *Worker) Handler() http.Handler { return w.mux }
 
-// Drain stops frame admission; in-flight frames run to completion. The
-// coordinator sees the flag on its next heartbeat (and any frame POSTed
-// meanwhile gets 503, which fails over without marking the worker
-// down).
+// Drain stops frame admission; in-flight frames run to completion. Any
+// frame POSTed afterwards gets 503, which benches the worker on the
+// coordinator and fails the frame over.
 func (w *Worker) Drain() { w.draining.Store(true) }
 
 // healthStatus answers the worker health endpoint.

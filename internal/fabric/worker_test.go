@@ -134,8 +134,8 @@ func TestWorkerRefusals(t *testing.T) {
 	}
 }
 
-// TestWorkerDrain: drain flips healthz, refuses frames with 503 (the
-// failover-without-burial signal), and is what the heartbeat reports.
+// TestWorkerDrain: drain flips healthz and refuses frames with 503 (the
+// signal that benches the worker on its coordinator).
 func TestWorkerDrain(t *testing.T) {
 	log := &lockedBuf{}
 	w := NewWorker(WorkerConfig{Log: log})

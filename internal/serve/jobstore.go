@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 )
 
 // JobState is a job's lifecycle position.
@@ -40,8 +39,6 @@ type job struct {
 	Fingerprint string
 	// Req is the validated request.
 	Req *CampaignRequest
-	// Submitted is the admission time.
-	Submitted time.Time
 
 	mu         sync.Mutex
 	state      JobState
@@ -143,7 +140,7 @@ func newStore() *store {
 // job-level singleflight AND the job-level result cache in one). A
 // failed or interrupted job is replaced by a fresh one, so resubmission
 // is the retry/resume path.
-func (s *store) Submit(req *CampaignRequest, fp string, now time.Time) (j *job, fresh bool) {
+func (s *store) Submit(req *CampaignRequest, fp string) (j *job, fresh bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j := s.byFP[fp]; j != nil {
@@ -156,7 +153,6 @@ func (s *store) Submit(req *CampaignRequest, fp string, now time.Time) (j *job, 
 		ID:          fmt.Sprintf("job-%06d", s.seq),
 		Fingerprint: fp,
 		Req:         req,
-		Submitted:   now,
 		state:       jobQueued,
 		done:        make(chan struct{}),
 	}

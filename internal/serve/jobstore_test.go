@@ -1,23 +1,20 @@
 package serve
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestStoreDedupAndRetry(t *testing.T) {
 	st := newStore()
 	req := &CampaignRequest{}
 
-	j1, fresh := st.Submit(req, "cmp-a", time.Time{})
+	j1, fresh := st.Submit(req, "cmp-a")
 	if !fresh {
 		t.Fatal("first submission not fresh")
 	}
-	if j2, fresh := st.Submit(req, "cmp-a", time.Time{}); fresh || j2 != j1 {
+	if j2, fresh := st.Submit(req, "cmp-a"); fresh || j2 != j1 {
 		t.Fatal("queued job not deduplicated")
 	}
 	j1.setRunning()
-	if j2, fresh := st.Submit(req, "cmp-a", time.Time{}); fresh || j2 != j1 {
+	if j2, fresh := st.Submit(req, "cmp-a"); fresh || j2 != j1 {
 		t.Fatal("running job not deduplicated")
 	}
 
@@ -40,23 +37,23 @@ func TestStoreDedupAndRetry(t *testing.T) {
 	if st := j1.State(); st != JobSucceeded {
 		t.Fatalf("terminal state overwritten: %s", st)
 	}
-	if j2, fresh := st.Submit(req, "cmp-a", time.Time{}); fresh || j2 != j1 {
+	if j2, fresh := st.Submit(req, "cmp-a"); fresh || j2 != j1 {
 		t.Fatal("succeeded job not reused as cached result")
 	}
 
 	// Failed and interrupted jobs are replaced on resubmission.
-	jf, _ := st.Submit(req, "cmp-b", time.Time{})
+	jf, _ := st.Submit(req, "cmp-b")
 	jf.fail(JobFailed, "boom")
 	if _, ok := jf.Result(); ok {
 		t.Fatal("failed job has a result")
 	}
-	jf2, fresh := st.Submit(req, "cmp-b", time.Time{})
+	jf2, fresh := st.Submit(req, "cmp-b")
 	if !fresh || jf2 == jf {
 		t.Fatal("failed job was not replaced")
 	}
-	ji, _ := st.Submit(req, "cmp-c", time.Time{})
+	ji, _ := st.Submit(req, "cmp-c")
 	ji.fail(JobInterrupted, "drained")
-	if ji2, fresh := st.Submit(req, "cmp-c", time.Time{}); !fresh || ji2 == ji {
+	if ji2, fresh := st.Submit(req, "cmp-c"); !fresh || ji2 == ji {
 		t.Fatal("interrupted job was not replaced")
 	}
 

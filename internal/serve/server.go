@@ -372,7 +372,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.submitted.Inc()
 	fp := req.Fingerprint()
-	j, fresh := s.store.Submit(req, fp, time.Now())
+	j, fresh := s.store.Submit(req, fp)
 	if !fresh {
 		s.deduped.Inc()
 		writeJSON(w, http.StatusOK, SubmitResponse{JobID: j.ID, Fingerprint: fp, State: j.State(), Deduped: true})
