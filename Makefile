@@ -141,10 +141,16 @@ BENCH_ARGS_workload := -bench '^BenchmarkGenerate$$' -benchtime $(BENCHTIME)
 # survivors/op (CountTriangle). They are exact like the tbr counters: a
 # kernel that drops or adds one covered sample fails on any host.
 #
+# megsim and workload counter gates: BenchmarkFrameRunner reports the
+# simulated frame's cycles/op and dram-accesses/op, and
+# BenchmarkGenerate the trace's commands/op and trace-bytes/op (the
+# bytes of its per-frame command and transform slices). They are exact
+# too: a runner that simulates an extra frame, or a generator that
+# emits more commands or stores them wider, fails on any host.
+#
 # cluster, funcsim, raster, megsim and workload take benchjson's default gates: their allocs/op
-# repeat within a few per cent (1.10x + 1 allows for that); megsim and
-# workload report no work counts, so their wall clock gates on the 2.5x
-# absolute backstop alone.
+# repeat within a few per cent (1.10x + 1 allows for that), and their
+# wall clock gates on the 2.5x absolute backstop.
 BENCH_GATE_tbr := -max-alloc-growth 2.0
 
 bench: $(addprefix bench-,$(BENCH_LAYERS))

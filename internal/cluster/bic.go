@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/pool"
@@ -151,11 +152,36 @@ type explored struct {
 	score      float64
 }
 
+// Fresh k-means++ restarts are worthwhile at small k where the solution
+// landscape is rough; at larger k the warm start dominates and fresh
+// restarts only burn time, so they thin out to one at every
+// freshRestartEvery-th k.
+const (
+	freshRestartMaxK  = 10
+	freshRestartEvery = 5
+)
+
+// freshRuns is how many fresh k-means++ restarts the search runs at k.
+func freshRuns(k, restarts int) int {
+	switch {
+	case k <= freshRestartMaxK:
+		return restarts
+	case k%freshRestartEvery == 0:
+		return 1
+	}
+	return 0
+}
+
 // Explore runs the k loop of Search: k = 1, 2, ... up to MaxK, keeping
 // at each k the lowest-WCSS of the fresh k-means++ restarts and the warm
 // start from the previous k's clustering, and stopping after Patience
 // consecutive k that do not improve on the best BIC score, or at a
 // perfect fit. Threshold is not read.
+//
+// The runs are spread over GOMAXPROCS goroutines (see schedule) with
+// the serial loop's results: the same generators, the same reduction
+// in k order, the same obs counters, and rng advanced by exactly the
+// splits the explored k consumed.
 func Explore(data [][]float64, cfg SearchConfig, rng *stats.RNG) (*Exploration, error) {
 	n := len(data)
 	if n == 0 {
@@ -181,66 +207,137 @@ func Explore(data [][]float64, cfg SearchConfig, rng *stats.RNG) (*Exploration, 
 	if restarts < 1 {
 		restarts = 1
 	}
-	patience := cfg.Patience
-	if patience < 1 {
-		patience = 1
+
+	// Every run's generator is split off up front, in the serial loop's
+	// order: at each k the fresh restarts first and the warm start last.
+	// The splits come from a copy of rng; rng then advances by the splits
+	// of the k actually explored.
+	s := &schedule{
+		data:    data,
+		cfg:     cfg,
+		maxK:    maxK,
+		first:   make([]int, maxK+1),
+		warmRNG: make([]*stats.RNG, maxK+1),
+		after:   make([]stats.RNG, maxK+1),
 	}
+	s.cond.L = &s.mu
+	gen := *rng
+	for k := 1; k <= maxK; k++ {
+		s.first[k-1] = len(s.fresh)
+		for range freshRuns(k, restarts) {
+			s.fresh = append(s.fresh, freshRun{k: k, rng: gen.Split()})
+		}
+		if k > 1 {
+			s.warmRNG[k] = gen.Split()
+		}
+		s.after[k] = gen
+	}
+	s.first[maxK] = len(s.fresh)
 
-	// Fresh k-means++ restarts are worthwhile at small k where the
-	// solution landscape is rough; at larger k the warm start dominates
-	// and fresh restarts only burn time, so they thin out.
-	const freshRestartMaxK = 10
-	const freshRestartEvery = 5
-
-	var (
-		cRuns  = cfg.Obs.Counter("cluster.kmeans.runs")
-		cIters = cfg.Obs.Counter("cluster.kmeans.iterations")
-		hIters = cfg.Obs.Histogram("cluster.kmeans.iterations_per_run")
-	)
-
+	// One chain and a helper on every other worker.
 	ex := &Exploration{n: n}
+	workers := pool.Workers(0, len(s.fresh)+1)
+	_, err := pool.Claim(context.Background(), workers, workers, func(int) (func(int), error) {
+		return func(i int) {
+			if i == 0 {
+				s.chain(ex)
+			} else {
+				s.help()
+			}
+		}, nil
+	})
+	*rng = s.after[s.k]
+	if err != nil {
+		return nil, fmt.Errorf("cluster: k=%d: %w", s.k, err)
+	}
+	return ex, nil
+}
+
+// schedule runs one Explore's k-means runs. Only the warm start at k
+// depends on an earlier result (the run kept at k-1); fresh restarts
+// depend only on the data and their generator. So one goroutine, the
+// chain, walks k in order: it runs k's warm start, runs whichever of
+// k's fresh restarts no helper has claimed, waits for the others, and
+// reduces k's runs in the serial loop's order. Helper goroutines run
+// fresh restarts ahead of it in k order, but no further than the first
+// k past the chain's that has fresh restarts, which bounds both the
+// results held and the work wasted when the stop rule fires. Restarts
+// past the k the search stops at are dropped uncounted. Every result
+// is computed exactly as the serial loop computes it and reduced in the
+// same order, so the exploration, the obs counters and the advance of
+// the caller's generator do not depend on the goroutine count.
+type schedule struct {
+	data [][]float64
+	cfg  SearchConfig
+	maxK int
+	// fresh holds every fresh restart of k = 1..maxK in k order;
+	// fresh[first[k-1]:first[k]] are k's.
+	fresh []freshRun
+	first []int
+	// warmRNG[k] is the warm start's generator at k (nil at k = 1), and
+	// after[k] the caller's generator once k's runs are split off.
+	warmRNG []*stats.RNG
+	after   []stats.RNG
+	// k is the k the chain is at. Only the chain writes it; Explore
+	// reads it after the pool has joined.
+	k int
+
+	mu   sync.Mutex
+	cond sync.Cond // on mu: a claim horizon moved, a run finished, or the chain ended
+	// next is the first fresh restart that may still be unclaimed,
+	// horizon the largest k whose fresh restarts helpers may claim, and
+	// ended is set once the chain returns (or panics).
+	next    int
+	horizon int
+	ended   bool
+}
+
+// freshRun is one fresh k-means++ restart. state, and res and panicked
+// once state is finished, are guarded by schedule.mu.
+type freshRun struct {
+	k        int
+	rng      *stats.RNG
+	state    uint8 // unclaimed, claimed or finished
+	res      run
+	panicked any
+}
+
+const (
+	unclaimed uint8 = iota
+	claimed
+	finished
+)
+
+// chain is the serial k loop: warm starts, reduction and the stop rule.
+func (s *schedule) chain(ex *Exploration) {
+	defer s.end()
 	var (
+		cRuns  = s.cfg.Obs.Counter("cluster.kmeans.runs")
+		cIters = s.cfg.Obs.Counter("cluster.kmeans.iterations")
+		hIters = s.cfg.Obs.Histogram("cluster.kmeans.iterations_per_run")
+
+		patience = max(s.cfg.Patience, 1)
 		bestSeen = math.Inf(-1)
 		dry      = 0
 		prev     *run // the clustering kept at k-1; nil when none
 	)
-	for k := 1; k <= maxK; k++ {
-		fresh := 1
-		if k <= freshRestartMaxK {
-			fresh = restarts
-		} else if k%freshRestartEvery != 0 {
-			fresh = 0
-		}
-		// Every run's generator is split off up front, fresh restarts
-		// first and the warm start last, so the runs can go in parallel
-		// and still draw exactly what a serial loop would.
-		rngs := make([]*stats.RNG, 0, fresh+1)
-		for r := 0; r < fresh; r++ {
-			rngs = append(rngs, rng.Split())
-		}
+	for k := 1; k <= s.maxK; k++ {
+		s.advance(k)
+		var runs []run
 		if k > 1 {
-			rngs = append(rngs, rng.Split())
-		}
-		runs := make([]run, len(rngs))
-		_, err := pool.Claim(context.Background(), 0, len(runs), func(int) (func(int), error) {
-			return func(r int) {
-				if r < fresh {
-					runs[r] = lloyd(data, k, rngs[r], cfg.MaxIterations, nil, nil)
-					return
-				}
-				// x-means-style warm start: refine the previous best
-				// clustering with one extra centroid. This keeps WCSS
-				// (near-)monotone in k so the BIC stop rule fires on the
-				// real optimum, not on a k-means local-minimum artifact.
-				var seeds [][]float64
-				if prev != nil {
-					seeds = prev.Centroids
-				}
-				runs[r] = lloyd(data, k, rngs[r], cfg.MaxIterations, seeds, prev)
-			}, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: k=%d: %w", k, err)
+			// x-means-style warm start: refine the previous best
+			// clustering with one extra centroid. This keeps WCSS
+			// (near-)monotone in k so the BIC stop rule fires on the
+			// real optimum, not on a k-means local-minimum artifact.
+			var seeds [][]float64
+			if prev != nil {
+				seeds = prev.Centroids
+			}
+			warm := lloyd(s.data, k, s.warmRNG[k], s.cfg.MaxIterations, seeds, prev)
+			prev = nil // its nearest state is no longer needed
+			runs = append(s.collect(k), warm)
+		} else {
+			runs = s.collect(k)
 		}
 		var best *run
 		bestWCSS := math.Inf(1)
@@ -252,16 +349,17 @@ func Explore(data [][]float64, cfg SearchConfig, rng *stats.RNG) (*Exploration, 
 				best, bestWCSS = &runs[r], runs[r].WCSS
 			}
 		}
-		prev = best
 		step := explored{score: math.Inf(-1)}
 		if best != nil {
-			step = explored{centroids: best.Centroids, iterations: best.Iterations, score: bic(data, best.Result)}
+			kept := *best // the other runs of k are released with runs
+			prev = &kept
+			step = explored{centroids: best.Centroids, iterations: best.Iterations, score: bic(s.data, best.Result)}
 		}
 		ex.steps = append(ex.steps, step)
 		score := step.score
 		if math.IsInf(score, 1) {
 			// Perfect fit: no larger k can do better.
-			break
+			return
 		}
 		if score > bestSeen {
 			bestSeen = score
@@ -269,11 +367,102 @@ func Explore(data [][]float64, cfg SearchConfig, rng *stats.RNG) (*Exploration, 
 		} else if k > 1 {
 			dry++
 			if dry >= patience {
-				break
+				return
 			}
 		}
 	}
-	return ex, nil
+}
+
+// advance moves the chain to k and the helpers' horizon to the first
+// larger k with fresh restarts.
+func (s *schedule) advance(k int) {
+	s.k = k
+	h := k + 1
+	for h < s.maxK && s.first[h-1] == s.first[h] {
+		h++
+	}
+	s.mu.Lock()
+	s.horizon = h
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
+// collect returns k's fresh restarts in order, running here the ones no
+// helper has claimed and waiting for the rest. A panic in a helper's
+// run resurfaces here, at the k the serial loop would have hit it.
+func (s *schedule) collect(k int) []run {
+	lo, hi := s.first[k-1], s.first[k]
+	for i := lo; i < hi; i++ {
+		s.mu.Lock()
+		mine := s.fresh[i].state == unclaimed
+		if mine {
+			s.fresh[i].state = claimed
+		}
+		s.mu.Unlock()
+		if mine {
+			s.runFresh(&s.fresh[i])
+		}
+	}
+	runs := make([]run, 0, hi-lo+1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := lo; i < hi; i++ {
+		f := &s.fresh[i]
+		for f.state != finished {
+			s.cond.Wait()
+		}
+		if f.panicked != nil {
+			panic(f.panicked)
+		}
+		runs = append(runs, f.res)
+		f.res = run{}
+	}
+	return runs
+}
+
+// help runs fresh restarts in k order, within the horizon, until none
+// are left or the chain has ended.
+func (s *schedule) help() {
+	for {
+		s.mu.Lock()
+		for !s.ended && s.next < len(s.fresh) && (s.fresh[s.next].state != unclaimed || s.fresh[s.next].k > s.horizon) {
+			if s.fresh[s.next].state != unclaimed {
+				s.next++
+			} else {
+				s.cond.Wait()
+			}
+		}
+		if s.ended || s.next == len(s.fresh) {
+			s.mu.Unlock()
+			return
+		}
+		f := &s.fresh[s.next]
+		f.state = claimed
+		s.mu.Unlock()
+		s.runFresh(f)
+	}
+}
+
+// runFresh runs a claimed fresh restart and marks it finished, keeping
+// a panic for collect to raise.
+func (s *schedule) runFresh(f *freshRun) {
+	var res run
+	defer func() {
+		p := recover()
+		s.mu.Lock()
+		f.state, f.res, f.panicked = finished, res, p
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	}()
+	res = lloyd(s.data, f.k, f.rng, s.cfg.MaxIterations, nil, nil)
+}
+
+// end releases the helpers once the chain returns or panics.
+func (s *schedule) end() {
+	s.mu.Lock()
+	s.ended = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // scores returns the BIC score of every k explored (scores()[i] is

@@ -79,7 +79,8 @@ func rawDataset(raw []byte) [][]float64 {
 // k-means kernel to plain Lloyd: on the filtered and on the raw
 // (NaN/Inf-carrying) dataset, KMeansSeeded fresh and warm-started
 // runs and the whole search must equal the full-scan references of
-// reference_test.go bit for bit.
+// reference_test.go bit for bit, and the scheduled k loop must equal the
+// serial one (steps, obs counters, the caller's next draw).
 func FuzzSearch(f *testing.F) {
 	// Single point.
 	one := []byte{0x00}
@@ -141,6 +142,7 @@ func FuzzSearch(f *testing.F) {
 
 		for _, ds := range [][][]float64{data, rawDataset(raw)} {
 			sameSearch(t, "search vs reference", mustSearch(t, ds, cfg, seed), refSearch(ds, cfg, stats.NewRNG(seed)))
+			matchSerialExplore(t, ds, cfg, seed)
 			var prev Result
 			for k := 1; k <= min(len(ds), 6); k++ {
 				sameResult(t, fmt.Sprintf("fresh k=%d", k), KMeans(ds, k, stats.NewRNG(seed+uint64(k)), cfg.MaxIterations),

@@ -118,6 +118,16 @@ func lloyd(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds [][]float
 	countSizes(assign, sizes)
 	res := Result{K: k}
 
+	// The update step writes each iteration's centroids into one of two
+	// buffers, alternately. st.at only ever references the centroids of
+	// the latest pass, which are in the other buffer (or the seeds). The
+	// buffers are separate allocations, so the one the run does not end
+	// on is freed with the run.
+	var (
+		flat    = [2][]float64{make([]float64, k*d), make([]float64, k*d)}
+		bufs    = [2][][]float64{rows(flat[0], d), rows(flat[1], d)}
+		scratch []float64
+	)
 	for iter := 0; iter < maxIter; iter++ {
 		changed := true
 		if iter > 0 {
@@ -125,7 +135,8 @@ func lloyd(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds [][]float
 		}
 		// Update step: per-chunk partial sums merged in chunk order, so
 		// the result is bit-identical regardless of parallelism.
-		next := sumByCluster(data, assign, k, d)
+		next := bufs[iter%2]
+		scratch = sumByCluster(flat[iter%2], data, assign, scratch)
 		// taken marks points already consumed as reseeds this iteration:
 		// when several clusters empty out at once, each must get a
 		// DISTINCT farthest point — handing them all the same one (the
@@ -235,6 +246,8 @@ type nearest struct {
 	// eps is the relative rounding margin: a generous multiple of the
 	// worst-case relative error of a d-term squared distance.
 	eps float64
+	// move and gap are pass's per-centroid scratch, reused across passes.
+	move, gap []float64
 }
 
 func newNearest(n, d int) *nearest {
@@ -252,24 +265,33 @@ func newNearest(n, d int) *nearest {
 }
 
 // scanSeeds finds every point's nearest centroid and runner-up among
-// the seeds, scanning in centroid order with a strict-< tie-break.
+// the seeds, offering them in centroid order with a strict-< tie-break.
 func (st *nearest) scanSeeds(data [][]float64, centroids [][]float64) {
-	for i, x := range data {
-		for c, cen := range centroids {
-			st.offer(i, c, linalg.SquaredDistance(x, cen))
-		}
+	for c, cen := range centroids {
+		st.offerAll(data, c, cen)
+	}
+}
+
+// offerAll offers centroid c at cen to every point, four points per
+// distance loop.
+func (st *nearest) offerAll(data [][]float64, c int, cen []float64) {
+	i := 0
+	for ; i+4 <= len(data); i += 4 {
+		s0, s1, s2, s3 := sqDist4(data[i], cen, data[i+1], cen, data[i+2], cen, data[i+3], cen)
+		st.offer(i, c, s0)
+		st.offer(i+1, c, s1)
+		st.offer(i+2, c, s2)
+		st.offer(i+3, c, s3)
+	}
+	for ; i < len(data); i++ {
+		st.offer(i, c, linalg.SquaredDistance(data[i], cen))
 	}
 }
 
 // offer folds centroid c at squared distance sd into point i's seeding
-// state. Centroids are offered in index order, so the strict < keeps
-// the first minimum — the full scan's tie-break — and NaN never wins.
+// state, the way a full scan folds it (see fold).
 func (st *nearest) offer(i, c int, sd float64) {
-	if sd < st.dist[i] {
-		st.assign[i], st.dist[i], st.lower[i] = c, sd, st.dist[i]
-	} else if sd < st.lower[i] {
-		st.lower[i] = sd
-	}
+	st.assign[i], st.dist[i], st.lower[i] = fold(st.assign[i], st.dist[i], st.lower[i], c, sd)
 }
 
 // inherit starts seeding from a finished run's final pass, whose
@@ -327,7 +349,10 @@ func (st *nearest) pass(data [][]float64, centroids [][]float64, sizes []int, fi
 	// shrinks by the largest move among the others. A non-finite move
 	// (or no bounds yet) sends every point to the full scan.
 	bounded := st.at != nil && len(st.at) == k
-	move := make([]float64, k)
+	if len(st.move) != k {
+		st.move, st.gap = make([]float64, k), make([]float64, k)
+	}
+	move, gap := st.move, st.gap
 	far, far1, far2 := -1, 0.0, 0.0
 	for c := 0; bounded && c < k; c++ {
 		m := math.Sqrt(linalg.SquaredDistance(st.at[c], centroids[c])) * (1 + st.eps)
@@ -345,9 +370,7 @@ func (st *nearest) pass(data [][]float64, centroids [][]float64, sizes []int, fi
 	// gap[c] bounds from below the distance from centroid c to its
 	// nearest other centroid: no other centroid is nearer to a point
 	// than gap[a] minus the point's distance to its own centroid a.
-	var gap []float64
 	if bounded {
-		gap = make([]float64, k)
 		for c := range gap {
 			gap[c] = math.Inf(1)
 		}
@@ -379,13 +402,19 @@ func (st *nearest) pass(data [][]float64, centroids [][]float64, sizes []int, fi
 					continue
 				}
 			}
+			// Full scan in centroid order, four centroids per distance
+			// loop.
 			best, bestD, second := 0, math.Inf(1), math.Inf(1)
-			for c, cen := range centroids {
-				if sd := linalg.SquaredDistance(x, cen); sd < bestD {
-					best, bestD, second = c, sd, bestD
-				} else if sd < second {
-					second = sd
-				}
+			c := 0
+			for ; c+4 <= k; c += 4 {
+				s0, s1, s2, s3 := sqDist4(x, centroids[c], x, centroids[c+1], x, centroids[c+2], x, centroids[c+3])
+				best, bestD, second = fold(best, bestD, second, c, s0)
+				best, bestD, second = fold(best, bestD, second, c+1, s1)
+				best, bestD, second = fold(best, bestD, second, c+2, s2)
+				best, bestD, second = fold(best, bestD, second, c+3, s3)
+			}
+			for ; c < k; c++ {
+				best, bestD, second = fold(best, bestD, second, c, linalg.SquaredDistance(x, centroids[c]))
 			}
 			if math.IsInf(bestD, 1) {
 				// No finite distance: the scan keeps centroid 0, whose
@@ -418,6 +447,43 @@ func (st *nearest) pass(data [][]float64, centroids [][]float64, sizes []int, fi
 	return changed
 }
 
+// fold folds centroid c at squared distance sd into a scan's nearest
+// centroid and runner-up distance. Centroids are folded in index order,
+// so the strict < keeps the first minimum — the full scan's tie-break —
+// and NaN never wins.
+func fold(best int, bestD, second float64, c int, sd float64) (int, float64, float64) {
+	if sd < bestD {
+		return c, sd, bestD
+	}
+	if sd < second {
+		second = sd
+	}
+	return best, bestD, second
+}
+
+// sqDist4 returns the squared distances of four pairs of equal-length
+// vectors (ai, bi) in one loop. Each pair has its own accumulator,
+// summed in index order with linalg.SquaredDistance's expression, so
+// each result is bit-identical to SquaredDistance(ai, bi); the four
+// dependency chains overlap.
+func sqDist4(a0, b0, a1, b1, a2, b2, a3, b3 []float64) (s0, s1, s2, s3 float64) {
+	n := len(a0)
+	if len(b0) != n || len(a1) != n || len(b1) != n || len(a2) != n || len(b2) != n || len(a3) != n || len(b3) != n {
+		panic("cluster: sqDist4 length mismatch")
+	}
+	for i := range a0 {
+		d0 := a0[i] - b0[i]
+		d1 := a1[i] - b1[i]
+		d2 := a2[i] - b2[i]
+		d3 := a3[i] - b3[i]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return s0, s1, s2, s3
+}
+
 // countSizes recounts cluster sizes from an assignment.
 func countSizes(assign, sizes []int) {
 	for i := range sizes {
@@ -428,47 +494,51 @@ func countSizes(assign, sizes []int) {
 	}
 }
 
-// sumByCluster accumulates per-cluster coordinate sums. Partial sums are
-// computed per fixed-size chunk and merged in chunk order, so the
-// floating-point result is identical for any worker count.
-func sumByCluster(data [][]float64, assign []int, k, d int) [][]float64 {
-	n := len(data)
-	out := make([][]float64, k)
-	backing := make([]float64, k*d)
-	for c := range out {
-		out[c], backing = backing[:d], backing[d:]
-	}
+// sumByCluster overwrites dst, k rows of d coordinates in row-major
+// order, with the per-cluster coordinate sums: cleared, then added in
+// point order. Above the parallel threshold, partial sums are computed
+// per fixed-size chunk in scratch (grown as needed and returned for the
+// next call) and merged in chunk order, so the floating-point result is
+// identical for any worker count.
+func sumByCluster(dst []float64, data [][]float64, assign []int, scratch []float64) []float64 {
+	n, d := len(data), len(data[0])
 	sumRange := func(dst []float64, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row := dst[assign[i]*d : (assign[i]+1)*d]
-			for j, v := range data[i] {
+			x := data[i]
+			row := dst[assign[i]*d:][:len(x)]
+			for j, v := range x {
 				row[j] += v
 			}
 		}
 	}
+	clear(dst)
 	if n*d >= parallelThreshold/8 && n > 2*parallelChunk {
-		partials := make([][]float64, chunks(n))
+		size := len(dst)
+		if len(scratch) < chunks(n)*size {
+			scratch = make([]float64, chunks(n)*size)
+		}
 		forChunks(n, func(ci, lo, hi int) {
-			part := make([]float64, k*d)
+			part := scratch[ci*size : (ci+1)*size]
+			clear(part)
 			sumRange(part, lo, hi)
-			partials[ci] = part
 		})
 		// Merge in chunk order for bit-stable floating point.
-		flat := make([]float64, k*d)
-		for _, part := range partials {
-			for j, v := range part {
-				flat[j] += v
+		for ci := range chunks(n) {
+			for j, v := range scratch[ci*size : (ci+1)*size] {
+				dst[j] += v
 			}
 		}
-		for c := range out {
-			copy(out[c], flat[c*d:(c+1)*d])
-		}
-		return out
+		return scratch
 	}
-	flat := make([]float64, k*d)
-	sumRange(flat, 0, n)
+	sumRange(dst, 0, n)
+	return scratch
+}
+
+// rows views flat as consecutive rows of d values.
+func rows(flat []float64, d int) [][]float64 {
+	out := make([][]float64, len(flat)/d)
 	for c := range out {
-		copy(out[c], flat[c*d:(c+1)*d])
+		out[c] = flat[c*d : (c+1)*d : (c+1)*d]
 	}
 	return out
 }
@@ -534,9 +604,7 @@ func extendPlusPlus(data [][]float64, centroids [][]float64, k int, rng *stats.R
 		}
 		c := clone(data[idx])
 		centroids = append(centroids, c)
-		for i, x := range data {
-			st.offer(i, len(centroids)-1, linalg.SquaredDistance(x, c))
-		}
+		st.offerAll(data, len(centroids)-1, c)
 	}
 	return centroids
 }
@@ -571,12 +639,23 @@ func Representatives(data [][]float64, res Result) []int {
 		best[c] = math.Inf(1)
 		reps[c] = -1
 	}
-	for i, x := range data {
-		c := res.Assign[i]
-		if dist := linalg.SquaredDistance(x, res.Centroids[c]); dist < best[c] {
+	keep := func(i int, dist float64) {
+		if c := res.Assign[i]; dist < best[c] {
 			best[c] = dist
 			reps[c] = i
 		}
+	}
+	cen := func(i int) []float64 { return res.Centroids[res.Assign[i]] }
+	i := 0
+	for ; i+4 <= len(data); i += 4 {
+		s0, s1, s2, s3 := sqDist4(data[i], cen(i), data[i+1], cen(i+1), data[i+2], cen(i+2), data[i+3], cen(i+3))
+		keep(i, s0)
+		keep(i+1, s1)
+		keep(i+2, s2)
+		keep(i+3, s3)
+	}
+	for ; i < len(data); i++ {
+		keep(i, linalg.SquaredDistance(data[i], cen(i)))
 	}
 	return reps
 }

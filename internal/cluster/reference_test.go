@@ -87,7 +87,9 @@ func refKMeansSeeded(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds
 	res := Result{K: k}
 	for iter := 0; iter < maxIter; iter++ {
 		changed := scan() || iter == 0
-		next := sumByCluster(data, assign, k, d)
+		flat := make([]float64, k*d)
+		sumByCluster(flat, data, assign, nil)
+		next := rows(flat, d)
 		var taken map[int]bool
 		for c := range next {
 			if sizes[c] == 0 {
@@ -134,10 +136,14 @@ func refKMeansSeeded(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds
 	return res
 }
 
-// refSearch is the cluster-count search as one serial loop over
-// refKMeansSeeded that keeps every k's full Result and selects from
-// them directly: the reference Explore + Cut must reproduce.
-func refSearch(data [][]float64, cfg SearchConfig, rng *stats.RNG) SearchResult {
+// refExplore is the k loop of the cluster-count search as one plain
+// serial loop over refKMeansSeeded: every run's generator split off rng
+// as it starts, each k's runs reduced in order, the obs counters
+// recorded into cfg.Obs as they are reduced. It returns the clustering
+// kept at every explored k (the zero Result where no run had a finite
+// WCSS) and its BIC score: what Explore must reproduce at any
+// GOMAXPROCS, along with the counters and rng's state afterwards.
+func refExplore(data [][]float64, cfg SearchConfig, rng *stats.RNG) (results []Result, scores []float64) {
 	n := len(data)
 	maxK := cfg.MaxK
 	if maxK <= 0 {
@@ -147,14 +153,23 @@ func refSearch(data [][]float64, cfg SearchConfig, rng *stats.RNG) SearchResult 
 	restarts := max(cfg.Restarts, 1)
 	patience := max(cfg.Patience, 1)
 	var (
-		results  []Result
-		scores   []float64
+		cRuns    = cfg.Obs.Counter("cluster.kmeans.runs")
+		cIters   = cfg.Obs.Counter("cluster.kmeans.iterations")
+		hIters   = cfg.Obs.Histogram("cluster.kmeans.iterations_per_run")
 		bestSeen = math.Inf(-1)
 		dry      = 0
 		prevRes  Result
 	)
 	for k := 1; k <= maxK; k++ {
 		best, bestWCSS := Result{}, math.Inf(1)
+		keep := func(res Result) {
+			cRuns.Inc()
+			cIters.Add(uint64(res.Iterations))
+			hIters.Observe(uint64(res.Iterations))
+			if res.WCSS < bestWCSS {
+				best, bestWCSS = res, res.WCSS
+			}
+		}
 		fresh := 1
 		if k <= 10 {
 			fresh = restarts
@@ -162,14 +177,10 @@ func refSearch(data [][]float64, cfg SearchConfig, rng *stats.RNG) SearchResult 
 			fresh = 0
 		}
 		for r := 0; r < fresh; r++ {
-			if res := refKMeansSeeded(data, k, rng.Split(), cfg.MaxIterations, nil); res.WCSS < bestWCSS {
-				best, bestWCSS = res, res.WCSS
-			}
+			keep(refKMeansSeeded(data, k, rng.Split(), cfg.MaxIterations, nil))
 		}
 		if k > 1 {
-			if res := refKMeansSeeded(data, k, rng.Split(), cfg.MaxIterations, prevRes.Centroids); res.WCSS < bestWCSS {
-				best, bestWCSS = res, res.WCSS
-			}
+			keep(refKMeansSeeded(data, k, rng.Split(), cfg.MaxIterations, prevRes.Centroids))
 		}
 		prevRes = best
 		score := bic(data, best)
@@ -186,6 +197,14 @@ func refSearch(data [][]float64, cfg SearchConfig, rng *stats.RNG) SearchResult 
 			}
 		}
 	}
+	return results, scores
+}
+
+// refSearch is refExplore followed by the selection rule applied to
+// the kept Results directly: the reference Explore + Cut must
+// reproduce.
+func refSearch(data [][]float64, cfg SearchConfig, rng *stats.RNG) SearchResult {
+	results, scores := refExplore(data, cfg, rng)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, s := range scores {
 		if !math.IsInf(s, 0) {

@@ -35,9 +35,9 @@ type WorkerConfig struct {
 // Endpoints:
 //
 //	POST /fabric/v1/frames  simulate one WorkUnit -> workResult
-//	GET  /fabric/v1/healthz liveness + draining flag (for operators)
 //	POST /fabric/v1/drain   stop accepting frames (in-flight ones finish)
-//	GET  /metrics           the worker registry in Prometheus format
+//	GET  /metrics           the worker registry in Prometheus format, plus
+//	                        the in-flight and draining gauges
 type Worker struct {
 	cfg   WorkerConfig
 	reg   *obs.Registry
@@ -66,7 +66,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	w.mux = http.NewServeMux()
 	w.mux.HandleFunc("POST /fabric/v1/frames", w.handleFrame)
-	w.mux.HandleFunc("GET /fabric/v1/healthz", w.handleHealthz)
 	w.mux.HandleFunc("POST /fabric/v1/drain", w.handleDrain)
 	w.mux.HandleFunc("GET /metrics", w.handleMetrics)
 	return w
@@ -80,21 +79,6 @@ func (w *Worker) Handler() http.Handler { return w.mux }
 // coordinator and fails the frame over.
 func (w *Worker) Drain() { w.draining.Store(true) }
 
-// healthStatus answers the worker health endpoint.
-type healthStatus struct {
-	OK       bool  `json:"ok"`
-	Draining bool  `json:"draining"`
-	Inflight int64 `json:"inflight"`
-}
-
-func (w *Worker) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
-	writeJSON(rw, http.StatusOK, healthStatus{
-		OK:       true,
-		Draining: w.draining.Load(),
-		Inflight: w.inflight.Load(),
-	})
-}
-
 func (w *Worker) handleDrain(rw http.ResponseWriter, _ *http.Request) {
 	w.Drain()
 	w.logf("fabric: worker draining")
@@ -105,7 +89,12 @@ func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	snap := w.reg.Snapshot()
 	snap.WritePrometheus(rw)
+	draining := 0
+	if w.draining.Load() {
+		draining = 1
+	}
 	fmt.Fprintf(rw, "# TYPE fabric_worker_inflight gauge\nfabric_worker_inflight %d\n", w.inflight.Load())
+	fmt.Fprintf(rw, "# TYPE fabric_worker_draining gauge\nfabric_worker_draining %d\n", draining)
 }
 
 func (w *Worker) handleFrame(rw http.ResponseWriter, r *http.Request) {

@@ -134,8 +134,9 @@ func TestWorkerRefusals(t *testing.T) {
 	}
 }
 
-// TestWorkerDrain: drain flips healthz and refuses frames with 503 (the
-// signal that benches the worker on its coordinator).
+// TestWorkerDrain: drain flips the draining gauge on /metrics and
+// refuses frames with 503 (the signal that benches the worker on its
+// coordinator). /metrics stays serviceable while draining.
 func TestWorkerDrain(t *testing.T) {
 	log := &lockedBuf{}
 	w := NewWorker(WorkerConfig{Log: log})
@@ -146,21 +147,24 @@ func TestWorkerDrain(t *testing.T) {
 		t.Fatal("fresh worker reports draining")
 	}
 
-	health := func() healthStatus {
+	metrics := func() []byte {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/fabric/v1/healthz")
+		resp, err := http.Get(ts.URL + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var h healthStatus
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			t.Fatal(err)
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("metrics: status %d, %v", resp.StatusCode, err)
 		}
-		return h
+		if !bytes.Contains(body, []byte("fabric_worker_inflight 0\n")) {
+			t.Fatalf("metrics missing the in-flight gauge:\n%s", body)
+		}
+		return body
 	}
-	if h := health(); !h.OK || h.Draining {
-		t.Fatalf("fresh worker healthz = %+v", h)
+	if body := metrics(); !bytes.Contains(body, []byte("fabric_worker_draining 0\n")) {
+		t.Fatalf("fresh worker metrics want draining 0:\n%s", body)
 	}
 
 	resp, err := http.Post(ts.URL+"/fabric/v1/drain", "application/json", nil)
@@ -171,8 +175,8 @@ func TestWorkerDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain: status %d", resp.StatusCode)
 	}
-	if h := health(); !h.Draining {
-		t.Fatalf("post-drain healthz = %+v, want draining", h)
+	if body := metrics(); !bytes.Contains(body, []byte("fabric_worker_draining 1\n")) {
+		t.Fatalf("post-drain metrics want draining 1:\n%s", body)
 	}
 	if !w.draining.Load() {
 		t.Fatal("Draining() false after drain")
@@ -185,16 +189,8 @@ func TestWorkerDrain(t *testing.T) {
 	if code, _ := postUnit(t, ts, marshalUnit(t, u)); code != http.StatusServiceUnavailable {
 		t.Fatalf("draining worker answered %d, want 503", code)
 	}
-
-	// /metrics stays serviceable while draining.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !bytes.Contains(body, []byte("fabric_worker_inflight")) {
-		t.Fatalf("metrics missing worker gauge:\n%s", body)
+	if body := metrics(); !bytes.Contains(body, []byte("fabric_worker_draining 1\n")) {
+		t.Fatalf("metrics after a refused frame want draining 1:\n%s", body)
 	}
 }
 

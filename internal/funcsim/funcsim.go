@@ -14,7 +14,6 @@ package funcsim
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"repro/internal/gltrace"
@@ -114,27 +113,4 @@ func mixChecksum(sum uint64, regSets ...shader.Regs) uint64 {
 		}
 	}
 	return sum
-}
-
-// validate checks internal consistency of a result against its trace.
-func (r *Result) validate(trace *gltrace.Trace) error {
-	if r.Trace != trace.Name {
-		return fmt.Errorf("funcsim: result for %q validated against trace %q", r.Trace, trace.Name)
-	}
-	if len(r.Profiles) != trace.NumFrames() {
-		return fmt.Errorf("funcsim: %d profiles for %d frames", len(r.Profiles), trace.NumFrames())
-	}
-	for i := range r.Profiles {
-		p := &r.Profiles[i]
-		if p.Frame != i {
-			return fmt.Errorf("funcsim: profile %d has frame index %d", i, p.Frame)
-		}
-		if len(p.VSCount) != len(trace.VertexShaders) || len(p.FSCount) != len(trace.FragmentShaders) {
-			return fmt.Errorf("funcsim: profile %d has wrong vector lengths", i)
-		}
-		if p.PrimsVisible > p.PrimsIn {
-			return fmt.Errorf("funcsim: profile %d has more visible than submitted primitives", i)
-		}
-	}
-	return nil
 }

@@ -2,8 +2,10 @@ package funcsim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/gltrace"
 	"repro/internal/tbr"
 	"repro/internal/workload"
 )
@@ -211,4 +213,27 @@ func TestRenderFrameBounds(t *testing.T) {
 	if _, err := RenderFrame(tr, tr.NumFrames()); err == nil {
 		t.Fatal("accepted out-of-range frame")
 	}
+}
+
+// validate checks internal consistency of a result against its trace.
+func (r *Result) validate(trace *gltrace.Trace) error {
+	if r.Trace != trace.Name {
+		return fmt.Errorf("funcsim: result for %q validated against trace %q", r.Trace, trace.Name)
+	}
+	if len(r.Profiles) != trace.NumFrames() {
+		return fmt.Errorf("funcsim: %d profiles for %d frames", len(r.Profiles), trace.NumFrames())
+	}
+	for i := range r.Profiles {
+		p := &r.Profiles[i]
+		if p.Frame != i {
+			return fmt.Errorf("funcsim: profile %d has frame index %d", i, p.Frame)
+		}
+		if len(p.VSCount) != len(trace.VertexShaders) || len(p.FSCount) != len(trace.FragmentShaders) {
+			return fmt.Errorf("funcsim: profile %d has wrong vector lengths", i)
+		}
+		if p.PrimsVisible > p.PrimsIn {
+			return fmt.Errorf("funcsim: profile %d has more visible than submitted primitives", i)
+		}
+	}
+	return nil
 }

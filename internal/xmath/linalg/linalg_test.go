@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -291,4 +292,25 @@ func TestClone(t *testing.T) {
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone aliases original storage")
 	}
+}
+
+// Mul returns the matrix product m * other. It panics on dimension
+// mismatch.
+func (m *matrix) Mul(other *matrix) *matrix {
+	if m.Cols != other.Rows {
+		panic(fmt.Sprintf("linalg: Mul dimension mismatch: %dx%d * %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
+	}
+	out := newMatrix(m.Rows, other.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for k := 0; k < m.Cols; k++ {
+			a := m.At(i, k)
+			if a == 0 {
+				continue
+			}
+			for j := 0; j < other.Cols; j++ {
+				out.Data[i*out.Cols+j] += a * other.At(k, j)
+			}
+		}
+	}
+	return out
 }

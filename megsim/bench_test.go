@@ -13,7 +13,8 @@ import (
 // campaign's second phase. The runner is warmed before the timer, so
 // with simulator reuse an op is one frame's simulation and its
 // allocs/op is deterministic; building a simulator per frame (and
-// re-validating the 5000-frame trace) multiplies both.
+// re-validating the 5000-frame trace) multiplies both. It reports the
+// frame's cycles/op and dram-accesses/op.
 func BenchmarkFrameRunner(b *testing.B) {
 	tr := benchTrace()
 	run := megsim.FrameRunner(tr, megsim.DefaultGPUConfig())
@@ -24,11 +25,17 @@ func BenchmarkFrameRunner(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var st megsim.FrameStats
 	for i := 0; i < b.N; i++ {
-		if _, err := run(ctx, frame, nil); err != nil {
+		var err error
+		if st, err = run(ctx, frame, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
+	// The frame's simulated work: exact on any host, so bench-check
+	// gates it for equality with the baseline.
+	b.ReportMetric(float64(st.Cycles), "cycles/op")
+	b.ReportMetric(float64(st.DRAM.Accesses), "dram-accesses/op")
 }
 
 // benchTrace generates pvz once per test binary: the benchmark function
