@@ -81,15 +81,18 @@ cover-check:
 # internal/core); it skips internal/cluster's Ablation benchmarks,
 # which compare the comparator algorithms kept in its test files and
 # are not part of any campaign. funcsim characterizes the batch-cold
-# template trace: each op profiles 1407 frames, so two ops per count
-# are already a stable measurement. Not one: with -benchtime 1x the
+# template trace (1407 frames of a 3D game) and pvz (5000 frames of a
+# 2D one, bound by depth clears), one sub-benchmark each: each op
+# profiles a whole trace, so two ops per count are already a stable
+# measurement. Not one: with -benchtime 1x the
 # testing package reports the first count of the first -cpu value from
 # its b.N=1 probe run, made at the GOMAXPROCS the test pass left behind
 # (the last -cpu value), so that -cpu 1 sample would be a GOMAXPROCS 2
 # one. raster times the two triangle walks on their own: AppendQuads
 # over tile-clipped triangles (BenchmarkAppendQuadsTiles) and over one
-# 64x64 triangle (BenchmarkRasterizeQuads64), and the count-only
-# CountTriangle (BenchmarkCountTriangle). megsim times one
+# 64x64 triangle (BenchmarkRasterizeQuads64), and characterization's
+# fused count-only pass over a sphere draw (BenchmarkCountDraw). megsim
+# times one
 # representative frame through
 # megsim.FrameRunner (BenchmarkFrameRunner) on a warmed runner, so its
 # allocs/op is one frame's and stays fixed; a runner that built a
@@ -106,7 +109,7 @@ BENCH_ARGS_cluster := -bench . -skip Ablation -benchtime $(BENCHTIME)
 BENCH_PKGS_funcsim := ./internal/funcsim
 BENCH_ARGS_funcsim := -bench '^BenchmarkCharacterize$$' -benchtime 2x
 BENCH_PKGS_raster := ./internal/raster
-BENCH_ARGS_raster := -bench '^Benchmark(AppendQuadsTiles|CountTriangle|RasterizeQuads64)$$' -benchtime $(BENCHTIME)
+BENCH_ARGS_raster := -bench '^Benchmark(AppendQuadsTiles|CountDraw|RasterizeQuads64)$$' -benchtime $(BENCHTIME)
 BENCH_PKGS_megsim := ./megsim
 BENCH_ARGS_megsim := -bench '^BenchmarkFrameRunner$$' -benchtime $(BENCHTIME)
 BENCH_PKGS_workload := ./internal/workload
@@ -138,15 +141,17 @@ BENCH_ARGS_workload := -bench '^BenchmarkGenerate$$' -benchtime $(BENCHTIME)
 # funcsim and raster counter gates: BenchmarkCharacterize reports
 # fragments/op and prims-visible/op, summed over the op's frame
 # profiles, and the raster benchmarks quads/op (AppendQuads) and
-# survivors/op (CountTriangle). They are exact like the tbr counters: a
+# survivors/op (CountDraw). They are exact like the tbr counters: a
 # kernel that drops or adds one covered sample fails on any host.
 #
 # megsim and workload counter gates: BenchmarkFrameRunner reports the
-# simulated frame's cycles/op and dram-accesses/op, and
-# BenchmarkGenerate the trace's commands/op and trace-bytes/op (the
-# bytes of its per-frame command and transform slices). They are exact
-# too: a runner that simulates an extra frame, or a generator that
-# emits more commands or stores them wider, fails on any host.
+# simulated frame's cycles/op and dram-accesses/op, and frames/op, the
+# frames one call simulates as an enabled obs registry counts them;
+# BenchmarkGenerate reports the trace's commands/op and trace-bytes/op
+# (the bytes of its per-frame command and transform slices). They are
+# exact too: a runner that simulates an extra frame, even one whose
+# stats it discards, or a generator that emits more commands or stores
+# them wider, fails on any host.
 #
 # cluster, funcsim, raster, megsim and workload take benchjson's default gates: their allocs/op
 # repeat within a few per cent (1.10x + 1 allows for that), and their
@@ -227,3 +232,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignModes$$' -fuzztime 12x ./internal/fabric
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamIngest$$' -fuzztime 5s ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzQuadWalks$$' -fuzztime 5s ./internal/raster
+	$(GO) test -run '^$$' -fuzz '^FuzzCountDraw$$' -fuzztime 5s ./internal/raster

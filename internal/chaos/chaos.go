@@ -210,17 +210,6 @@ type decision struct {
 	Partitioned bool
 }
 
-// Faults lists the drawn fault classes in class order.
-func (d *decision) Faults() []faultClass {
-	var out []faultClass
-	for class, on := range []bool{d.Drop, d.Delay, d.Duplicate, d.Truncate, d.Corrupt, d.Stall, d.Partitioned} {
-		if on {
-			out = append(out, []faultClass{classDrop, classDelay, classDuplicate, classTruncate, classCorrupt, classStall, classPartition}[class])
-		}
-	}
-	return out
-}
-
 // decide draws every fault class for one attempt of one request — a
 // pure function of the config, the request key, the per-key attempt
 // number, and (for partitions) the host's request sequence number.

@@ -35,7 +35,52 @@ func echoServer(t *testing.T, payload string) (*httptest.Server, *int) {
 	return srv, hits
 }
 
-func get(t *testing.T, tr *Transport, url string) (string, error) {
+// event is one request's fault draw as it actually happened — the
+// replayable chaos log. Two runs of the same plan under the same seed
+// produce the same events.
+type event struct {
+	Key     string
+	Attempt int
+	Faults  []faultClass
+}
+
+// faults lists d's drawn fault classes in class order.
+func faults(d decision) []faultClass {
+	var out []faultClass
+	for class, on := range []bool{d.Drop, d.Delay, d.Duplicate, d.Truncate, d.Corrupt, d.Stall, d.Partitioned} {
+		if on {
+			out = append(out, faultClass(class))
+		}
+	}
+	return out
+}
+
+// recorder logs the fault draws of the Transport it forwards to: every
+// request that drew at least one fault, in arrival order. The transport
+// keeps no log, so the recorder derives each request's chaos key and
+// draws from a ledger of its own, as the transport does; for the
+// sequential request plans of these tests that is the transport's draw.
+type recorder struct {
+	tr     *Transport
+	ledger ledger
+	events []event
+}
+
+func record(tr *Transport) *recorder { return &recorder{tr: tr, ledger: newLedger()} }
+
+func (r *recorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	req, body, err := readBody(req)
+	if err != nil {
+		return nil, err
+	}
+	d := r.ledger.draw(&r.tr.cfg, key(req, body), req.URL.Host)
+	if f := faults(d); len(f) > 0 {
+		r.events = append(r.events, event{Key: d.Key, Attempt: d.Attempt, Faults: f})
+	}
+	return r.tr.RoundTrip(req)
+}
+
+func get(t *testing.T, tr http.RoundTripper, url string) (string, error) {
 	t.Helper()
 	client := &http.Client{Transport: tr}
 	resp, err := client.Get(url)
@@ -122,7 +167,7 @@ func TestClassString(t *testing.T) {
 		}
 	}
 	d := decision{Drop: true, Stall: true}
-	if got := d.Faults(); !reflect.DeepEqual(got, []faultClass{classDrop, classStall}) {
+	if got := faults(d); !reflect.DeepEqual(got, []faultClass{classDrop, classStall}) {
 		t.Fatalf("Faults = %v", got)
 	}
 }
@@ -164,7 +209,7 @@ func TestDeterministicEventLog(t *testing.T) {
 	cfg.StallRate, cfg.StallDelay = 0.3, time.Microsecond
 	cfg.PartitionRate, cfg.PartitionWindow = 0.2, 2
 
-	plan := func(tr *Transport) {
+	plan := func(tr http.RoundTripper) {
 		client := &http.Client{Transport: tr}
 		for frame := 0; frame < 8; frame++ {
 			body := fmt.Sprintf(`{"fingerprint":"fp-golden","frame":%d}`, frame)
@@ -181,9 +226,9 @@ func TestDeterministicEventLog(t *testing.T) {
 	}
 
 	run := func() []event {
-		tr := mustTransport(t, cfg)
-		plan(tr)
-		return tr.eventLog()
+		rec := record(mustTransport(t, cfg))
+		plan(rec)
+		return rec.events
 	}
 	first, second := run(), run()
 	if len(first) == 0 {
@@ -194,9 +239,9 @@ func TestDeterministicEventLog(t *testing.T) {
 	}
 	// A different seed draws a different sequence (overwhelmingly).
 	cfg.Seed++
-	tr := mustTransport(t, cfg)
-	plan(tr)
-	if reflect.DeepEqual(first, tr.eventLog()) {
+	rec := record(mustTransport(t, cfg))
+	plan(rec)
+	if reflect.DeepEqual(first, rec.events) {
 		t.Fatal("different seed produced identical fault log")
 	}
 }
@@ -214,7 +259,7 @@ func TestDropReturnsTransportError(t *testing.T) {
 
 func TestPartitionCoversWindow(t *testing.T) {
 	srv, hits := echoServer(t, "ok")
-	tr := mustTransport(t, Config{Seed: 1, PartitionRate: 1, PartitionWindow: 3})
+	tr := record(mustTransport(t, Config{Seed: 1, PartitionRate: 1, PartitionWindow: 3}))
 	for i := 0; i < 3; i++ {
 		if _, err := get(t, tr, srv.URL); err == nil || !strings.Contains(err.Error(), "partition") {
 			t.Fatalf("request %d: expected partition error, got %v", i, err)
@@ -223,7 +268,7 @@ func TestPartitionCoversWindow(t *testing.T) {
 	if *hits != 0 {
 		t.Fatalf("partitioned requests reached the server (%d hits)", *hits)
 	}
-	ev := tr.eventLog()
+	ev := tr.events
 	if len(ev) != 3 {
 		t.Fatalf("expected 3 partition events, got %d", len(ev))
 	}
@@ -324,7 +369,7 @@ func TestStallHonorsContextCancel(t *testing.T) {
 
 func TestZeroConfigPassesThrough(t *testing.T) {
 	srv, hits := echoServer(t, "clean")
-	tr := mustTransport(t, Config{})
+	tr := record(mustTransport(t, Config{}))
 	for i := 0; i < 5; i++ {
 		body, err := get(t, tr, srv.URL)
 		if err != nil || body != "clean" {
@@ -334,7 +379,7 @@ func TestZeroConfigPassesThrough(t *testing.T) {
 	if *hits != 5 {
 		t.Fatalf("server saw %d hits, want 5", *hits)
 	}
-	if ev := tr.eventLog(); len(ev) != 0 {
+	if ev := tr.events; len(ev) != 0 {
 		t.Fatalf("zero config logged events: %+v", ev)
 	}
 }
@@ -357,7 +402,7 @@ func TestAttemptAxisAdvances(t *testing.T) {
 			break
 		}
 	}
-	tr := mustTransport(t, cfg)
+	tr := record(mustTransport(t, cfg))
 	client := &http.Client{Transport: tr}
 	post := func() error {
 		resp, err := client.Post(srv.URL+"/frame", "application/json",
@@ -374,7 +419,7 @@ func TestAttemptAxisAdvances(t *testing.T) {
 	if err := post(); err != nil {
 		t.Fatalf("attempt 2 should have succeeded: %v", err)
 	}
-	ev := tr.eventLog()
+	ev := tr.events
 	if len(ev) != 1 || ev[0].Attempt != 1 || ev[0].Key != key {
 		t.Fatalf("unexpected event log: %+v", ev)
 	}

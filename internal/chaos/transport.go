@@ -15,16 +15,6 @@ import (
 // this by the protocol's own limit.
 const maxKeyBody = 1 << 20
 
-// event is one request's fault draw as it actually happened — the
-// replayable chaos log. Two runs of the same plan under the same seed
-// produce the same Events (in per-key order; cross-key interleaving
-// follows scheduling, which is why keys carry the identity).
-type event struct {
-	Key     string
-	Attempt int
-	Faults  []faultClass
-}
-
 // Transport is a deterministic fault-injecting http.RoundTripper. It
 // wraps a real transport and, per request, draws every fault class from
 // the seed-keyed roll stream: faults that prevent delivery (drop,
@@ -35,10 +25,30 @@ type Transport struct {
 	cfg  Config
 	next http.RoundTripper
 
-	mu       sync.Mutex
-	attempts map[string]int // per-key occurrence count (1-based attempts)
-	hostSeq  map[string]int // per-host request sequence, drives partition windows
-	events   []event
+	mu     sync.Mutex
+	ledger ledger
+}
+
+// ledger is the bookkeeping that makes a request's fault draw a pure
+// function of the plan: the per-key occurrence count (1-based attempts)
+// and the per-host request sequence, which drives partition windows.
+// It keeps no record of the draws themselves.
+type ledger struct {
+	attempts map[string]int
+	hostSeq  map[string]int
+}
+
+func newLedger() ledger {
+	return ledger{attempts: make(map[string]int), hostSeq: make(map[string]int)}
+}
+
+// draw counts one more request with chaos identity key to host and
+// returns the faults cfg draws for it.
+func (l *ledger) draw(cfg *Config, key, host string) decision {
+	l.attempts[key]++
+	seq := l.hostSeq[host]
+	l.hostSeq[host]++
+	return cfg.decide(key, host, l.attempts[key], seq)
 }
 
 // NewTransport wraps next (nil = http.DefaultTransport) with
@@ -50,22 +60,7 @@ func NewTransport(cfg Config, next http.RoundTripper) (*Transport, error) {
 	if next == nil {
 		next = http.DefaultTransport
 	}
-	return &Transport{
-		cfg:      cfg,
-		next:     next,
-		attempts: make(map[string]int),
-		hostSeq:  make(map[string]int),
-	}, nil
-}
-
-// eventLog returns a copy of the fault log so far: every request that
-// drew at least one fault, in arrival order.
-func (t *Transport) eventLog() []event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]event, len(t.events))
-	copy(out, t.events)
-	return out
+	return &Transport{cfg: cfg, next: next, ledger: newLedger()}, nil
 }
 
 // key derives a request's chaos identity. Frame dispatches — POSTs
@@ -90,30 +85,17 @@ func key(req *http.Request, body []byte) string {
 
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	var body []byte
-	if req.Body != nil && req.Body != http.NoBody {
-		b, err := io.ReadAll(io.LimitReader(req.Body, maxKeyBody))
-		req.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		body = b
-		req = req.Clone(req.Context())
-		req.Body = io.NopCloser(bytes.NewReader(body))
+	req, body, err := readBody(req)
+	if err != nil {
+		return nil, err
 	}
 	key := key(req, body)
 	host := req.URL.Host
 
 	t.mu.Lock()
-	t.attempts[key]++
-	attempt := t.attempts[key]
-	seq := t.hostSeq[host]
-	t.hostSeq[host]++
-	d := t.cfg.decide(key, host, attempt, seq)
-	if faults := d.Faults(); len(faults) > 0 {
-		t.events = append(t.events, event{Key: key, Attempt: attempt, Faults: faults})
-	}
+	d := t.ledger.draw(&t.cfg, key, host)
 	t.mu.Unlock()
+	attempt := d.Attempt
 
 	if d.Partitioned {
 		return nil, fmt.Errorf("chaos: partition: %s unreachable (key %s attempt %d)", host, key, attempt)
@@ -175,6 +157,22 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp.ContentLength = int64(len(raw))
 	resp.Header.Set("Content-Length", fmt.Sprint(len(raw)))
 	return resp, nil
+}
+
+// readBody reads up to maxKeyBody bytes of req's body, for the chaos
+// key, and returns a clone of req re-armed with them.
+func readBody(req *http.Request) (*http.Request, []byte, error) {
+	if req.Body == nil || req.Body == http.NoBody {
+		return req, nil, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(req.Body, maxKeyBody))
+	req.Body.Close()
+	if err != nil {
+		return nil, nil, err
+	}
+	req = req.Clone(req.Context())
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	return req, body, nil
 }
 
 // cloneWithBody re-arms the request body for (re)delivery.

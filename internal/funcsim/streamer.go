@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/geom"
 	"repro/internal/gltrace"
 	"repro/internal/pool"
 	"repro/internal/raster"
@@ -12,16 +11,19 @@ import (
 )
 
 // Streamer characterizes frames one at a time (ProfileAt) or a range of
-// frames at once across GOMAXPROCS workers (ProfileRange). Each frame's
-// triangles go through raster's count-only walk
-// (DepthBuffer.CountTriangle), which shares its coverage code with the
-// timing simulator's rasterizer but stores nothing per quad. The
-// streamer owns the reusable geometry scratch and depth buffers, so
-// profiling a frame allocates nothing beyond the profile's count
-// vectors and the shader executor's texture trace, and frames are
-// characterized independently: the depth buffer is
-// cleared and all binding state reset at every frame start, so a frame's
-// profile is a pure function of its commands and the trace resources.
+// frames at once across GOMAXPROCS workers (ProfileRange). Each draw
+// goes through raster's fused count-only pass (DepthBuffer.CountDraw):
+// transform, cull and a count-only walk per visible triangle, which
+// shares its visibility rule and coverage code with the timing
+// simulator's geometry pass and rasterizer but stores no triangle or
+// quad. The streamer owns the reusable transform scratch and depth
+// buffers, so profiling a frame allocates nothing beyond the profile's
+// count vectors and the shader executor's texture trace, and frames are
+// characterized independently: the depth buffer is cleared and all
+// binding state reset at every frame start, so a frame's profile is a
+// pure function of its commands and the trace resources. A clear resets
+// only the rectangle the frame's depth writes reached, and the frame
+// start's clear makes the CmdClear every trace opens a frame with free.
 // That purity is what makes the frame-parallel range byte-identical to
 // the serial loop.
 //
@@ -30,7 +32,6 @@ import (
 // materializing a whole funcsim.Result.
 type Streamer struct {
 	trace *gltrace.Trace
-	clip  geom.AABB2
 	// scratch[w] is worker w's mutable state; scratch[0] also serves
 	// ProfileAt.
 	scratch []*frameScratch
@@ -45,7 +46,6 @@ type Streamer struct {
 // needs.
 type frameScratch struct {
 	depth *raster.DepthBuffer
-	tris  []raster.ScreenTriangle
 	draw  raster.DrawScratch
 }
 
@@ -56,12 +56,7 @@ func NewStreamer(tr *gltrace.Trace) (*Streamer, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Streamer{
-		trace: tr,
-		clip: geom.AABB2{Max: geom.Vec2{
-			X: float64(tr.Viewport.Width), Y: float64(tr.Viewport.Height),
-		}},
-	}
+	s := &Streamer{trace: tr}
 	s.growScratch(1)
 	for _, p := range tr.VertexShaders {
 		s.vsStatic = append(s.vsStatic, p.StaticCost())
@@ -96,7 +91,7 @@ func (s *Streamer) ProfileAt(dst *FrameProfile, f int) error {
 	if err := s.checkRange(f, 1); err != nil {
 		return err
 	}
-	s.scratch[0].profile(s.trace, s.clip, dst, f)
+	s.scratch[0].profile(s.trace, dst, f)
 	return nil
 }
 
@@ -115,7 +110,7 @@ func (s *Streamer) ProfileRange(ctx context.Context, dst []FrameProfile, lo int)
 	s.growScratch(workers)
 	_, err := pool.Claim(ctx, workers, len(dst), func(w int) (func(int), error) {
 		sc := s.scratch[w]
-		return func(i int) { sc.profile(s.trace, s.clip, &dst[i], lo+i) }, nil
+		return func(i int) { sc.profile(s.trace, &dst[i], lo+i) }, nil
 	})
 	if err != nil {
 		return fmt.Errorf("funcsim: profiling frames [%d,%d): %w", lo, lo+len(dst), err)
@@ -135,10 +130,10 @@ func (s *Streamer) checkRange(lo, n int) error {
 }
 
 // profile is the per-frame characterization body both entry points
-// execute, on frame index of a validated trace: geometry into reused
-// scratch, then one count-only raster walk per triangle that early-Z
-// tests each covered sample in place.
-func (sc *frameScratch) profile(tr *gltrace.Trace, clip geom.AABB2, dst *FrameProfile, index int) {
+// execute, on frame index of a validated trace: one fused CountDraw per
+// draw, which transforms into reused scratch and early-Z tests each
+// covered sample in place.
+func (sc *frameScratch) profile(tr *gltrace.Trace, dst *FrameProfile, index int) {
 	*dst = FrameProfile{Frame: index, VSCount: resizeU64(dst.VSCount, len(tr.VertexShaders)), FSCount: resizeU64(dst.FSCount, len(tr.FragmentShaders))}
 	frame := &tr.Frames[index]
 	depth := sc.depth
@@ -177,17 +172,11 @@ func (sc *frameScratch) profile(tr *gltrace.Trace, clip geom.AABB2, dst *FramePr
 			}, proceduralSampler{tex: curTex})
 			dst.Checksum = mixChecksum(dst.Checksum, vsOut.Regs, fsOut.Regs)
 
-			tris, gstats := raster.ProcessDraw(mesh, *mvp, tr.Viewport, cmd.DepthBias, sc.tris[:0], &sc.draw)
-			sc.tris = tris
-			dst.PrimsIn += uint64(gstats.PrimsIn)
-			dst.PrimsVisible += uint64(gstats.Visible)
-
 			// Transparent fragments are depth-tested but never write
 			// depth.
-			var shaded uint64
-			for t := range tris {
-				shaded += depth.CountTriangle(&tris[t], clip, cmd.Blend)
-			}
+			shaded, gstats := depth.CountDraw(mesh, mvp, tr.Viewport, cmd.DepthBias, cmd.Blend, &sc.draw)
+			dst.PrimsIn += uint64(gstats.PrimsIn)
+			dst.PrimsVisible += uint64(gstats.Visible)
 			dst.FSCount[curFS] += shaded
 			dst.Fragments += shaded
 		}

@@ -26,7 +26,7 @@ type Triangle2 struct {
 }
 
 // Bounds returns the 2D bounding box of the triangle.
-func (t Triangle2) Bounds() AABB2 {
+func (t *Triangle2) Bounds() AABB2 {
 	minX := min(t.V[0].X, t.V[1].X, t.V[2].X)
 	minY := min(t.V[0].Y, t.V[1].Y, t.V[2].Y)
 	maxX := max(t.V[0].X, t.V[1].X, t.V[2].X)

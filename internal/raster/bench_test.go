@@ -99,25 +99,24 @@ func BenchmarkAppendQuadsTiles(b *testing.B) {
 	b.ReportMetric(float64(quads), "quads/op")
 }
 
-// BenchmarkCountTriangle is the count-only walk characterization runs
-// over the same triangle, flat, with depth writes. Each op draws it one
-// unit nearer than the last (z = -i, exact in float32 below 2^24), so
-// every covered sample survives and is stored on every op, and
-// survivors/op is the triangle's covered sample count.
-func BenchmarkCountTriangle(b *testing.B) {
-	tri, clip := bench64, bench64Clip
-	d := NewDepthBuffer(64, 64)
+// BenchmarkCountDraw is characterization's fused pass over one draw: a
+// 16x24 sphere filling most of a 320x160 viewport, transformed, culled
+// and walked with depth writes into a buffer cleared before each op, as
+// at every frame start (the clear resets only the rectangle the last op
+// wrote). Every op counts the same samples, so survivors/op is exact on
+// any host and `make bench-check-raster` gates it for equality.
+func BenchmarkCountDraw(b *testing.B) {
+	mesh := scene.Sphere("s", 16, 24)
+	vp := geom.Viewport{Width: 320, Height: 160}
+	mvp := geom.Perspective(1.0, 2.0, 0.1, 100).
+		Mul(geom.Translate(geom.Vec3{Z: -2.2}))
+	d := NewDepthBuffer(vp.Width, vp.Height)
+	var scr DrawScratch
 	var survivors uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z := -float64(i % (1 << 23))
-		if z == 0 {
-			d.Clear()
-		}
-		for k := range tri.Tri.V {
-			tri.Tri.V[k].Z = z
-		}
-		survivors = d.CountTriangle(&tri, clip, false)
+		d.Clear()
+		survivors, _ = d.CountDraw(&mesh, &mvp, vp, 0, false, &scr)
 	}
 	if survivors == 0 {
 		b.Fatal("no fragments")

@@ -7,7 +7,7 @@ import "repro/internal/geom"
 // the frame renderer iterate these flat slices, and the backing arrays
 // are reused across triangles and tiles, so the steady-state raster hot
 // path performs no allocations. Characterization, which needs only
-// counts, uses DepthBuffer.CountTriangle instead.
+// counts, uses DepthBuffer.CountDraw instead.
 //
 // Quad i has top-left pixel (X[i], Y[i]) on the even quad grid and
 // coverage Mask[i], where bit s is set when sample s is covered; sample
@@ -48,7 +48,7 @@ func (b *QuadBatch) Reset() {
 // decisions on boundary samples. The quad-center reject and the row
 // exit (setupTriangle) skip only quads with no covered sample, so the
 // output equals an exhaustive per-sample walk of the bounding box.
-// CountTriangle shares the setup and the per-sample expressions.
+// CountDraw shares the setup and the per-sample expressions.
 func (b *QuadBatch) AppendQuads(tri *ScreenTriangle, clip geom.AABB2) {
 	b.appendQuads(tri, clip, haveWalkKernels)
 }
@@ -59,9 +59,12 @@ func (b *QuadBatch) AppendQuads(tri *ScreenTriangle, clip geom.AABB2) {
 // Tests run both wherever the kernel runs.
 func (b *QuadBatch) appendQuads(tri *ScreenTriangle, clip geom.AABB2, kernel bool) {
 	var s triSetup
-	if !setupTriangle(tri, clip, &s) {
+	if !setupTriangle(&tri.Tri, tri.Tri.Bounds(), clip, &s) {
 		return
 	}
+	s.u0, s.v0 = tri.UV[0].X, tri.UV[0].Y
+	s.u1, s.v1 = tri.UV[1].X, tri.UV[1].Y
+	s.u2, s.v2 = tri.UV[2].X, tri.UV[2].Y
 
 	// Extend the arrays to the bounding box's worst case once, then fill
 	// by index: one capacity check per triangle instead of six append
@@ -219,9 +222,10 @@ func extend[T any](s []T, newLen int) []T {
 // in sample order). A sample passes when its depth, rounded to float32,
 // is strictly nearer than the stored value; samples outside the buffer
 // fail. The buffer is updated for survivors and the surviving mask is
-// returned.
+// returned. It marks the whole buffer for the next Clear.
 func (d *DepthBuffer) TestMask(x, y int, depth []float64, mask uint8) uint8 {
 	_ = depth[3]
+	d.markAll()
 	var surviving uint8
 	w, h := d.w, d.h
 	x1, y1 := x+1, y+1

@@ -4,11 +4,12 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/gltrace"
 )
 
 // triSetup is the per-triangle state both quad walks read:
 // QuadBatch.AppendQuads (the timing simulator and the frame renderer)
-// and characterization's DepthBuffer.CountTriangle, in Go and in their
+// and characterization's DepthBuffer.CountDraw, in Go and in their
 // amd64 kernels. Computing it in one place keeps the two walks'
 // coverage decisions identical; their quad loops differ only in what
 // they do with a covered sample. The kernels take every offset from
@@ -31,13 +32,14 @@ type triSetup struct {
 	// l0, l1, l2.
 	negM0, negM1, negM2 float64
 	z0, z1, z2          float64 // the vertices' depths
-	u0, v0, u1, v1      float64 // the vertices' texture coordinates
-	u2, v2              float64
+	u0, v0, u1, v1      float64 // the vertices' texture coordinates, set
+	u2, v2              float64 // by AppendQuads only
 	bias                float64 // sampleBias, which the kernels read here
 }
 
-// setupTriangle fills s with tri's walk state for clip (in pixels,
-// max-exclusive). It returns false, leaving s partly filled, when no
+// setupTriangle fills s with the walk state of t, whose bounding box is
+// bounds, for clip (in pixels, max-exclusive); it leaves the texture
+// coordinates alone. It returns false, leaving s partly filled, when no
 // sample can be covered: the clipped bounding box is empty or the
 // triangle is degenerate.
 //
@@ -65,8 +67,8 @@ type triSetup struct {
 // quad in the row is uncovered at all four samples, by the same proof
 // that lets the margin skip the rejected quad itself, so ending the row
 // changes no coverage decision.
-func setupTriangle(tri *ScreenTriangle, clip geom.AABB2, s *triSetup) bool {
-	bb := tri.Tri.Bounds().Intersect(clip)
+func setupTriangle(t *geom.Triangle2, bounds, clip geom.AABB2, s *triSetup) bool {
+	bb := bounds.Intersect(clip)
 	if bb.Empty() {
 		return false
 	}
@@ -84,7 +86,6 @@ func setupTriangle(tri *ScreenTriangle, clip geom.AABB2, s *triSetup) bool {
 		return false
 	}
 
-	t := &tri.Tri
 	xA, yA := t.V[0].X, t.V[0].Y
 	xB, yB := t.V[1].X, t.V[1].Y
 	xC, yC := t.V[2].X, t.V[2].Y
@@ -110,54 +111,82 @@ func setupTriangle(tri *ScreenTriangle, clip geom.AABB2, s *triSetup) bool {
 	s.invDen = invDen
 	s.negM0, s.negM1, s.negM2 = -m0, -m1, -(m0 + m1)
 	s.z0, s.z1, s.z2 = t.V[0].Z, t.V[1].Z, t.V[2].Z
-	s.u0, s.v0 = tri.UV[0].X, tri.UV[0].Y
-	s.u1, s.v1 = tri.UV[1].X, tri.UV[1].Y
-	s.u2, s.v2 = tri.UV[2].X, tri.UV[2].Y
 	s.bias = sampleBias
 	return true
 }
 
-// CountTriangle rasterizes tri within clip and early-Z tests every
-// covered sample in place, returning the number that survive. When
-// blend is false survivors write their depth (TestMask); when true the
-// test is read-only (TestMaskReadOnly), the behaviour of transparent
-// fragments. Samples outside the buffer fail, as in TestMask.
+// CountDraw is characterization's fused, count-only pass over one draw:
+// it transforms mesh's vertices into scr, culls every primitive by
+// ProcessDraw's rule (cullPrim), and rasterizes each visible triangle
+// within the viewport, early-Z testing every covered sample in place.
+// It returns the number of samples that survive and the draw's geometry
+// statistics. When blend is false survivors write their depth
+// (TestMask); when true the test is read-only (TestMaskReadOnly), the
+// behaviour of transparent fragments. Samples outside the buffer fail,
+// as in TestMask.
 //
-// The count and the final buffer equal AppendQuads followed by
-// TestMask or TestMaskReadOnly over the batch: coverage and depth are
-// the same expressions evaluated in the same order, and no two samples
-// of one triangle share a pixel, so testing each as it is found
-// matches testing the batch afterwards. Nothing is stored and no U/V is
-// interpolated; this is the walk functional characterization runs,
-// which needs only surviving-fragment counts.
-func (d *DepthBuffer) CountTriangle(tri *ScreenTriangle, clip geom.AABB2, blend bool) uint64 {
-	return d.countTriangle(tri, clip, blend, haveWalkKernels)
+// The count, the statistics and the final buffer equal ProcessDraw
+// followed by AppendQuads over the viewport and TestMask or
+// TestMaskReadOnly over each batch: coverage and depth are the same
+// expressions evaluated in the same order, and no two samples of one
+// triangle share a pixel, so testing each as it is found matches
+// testing the batch afterwards. No screen triangle or quad is stored and
+// no U/V is interpolated, because characterization needs only
+// surviving-fragment counts. Depth writes grow the rectangle Clear
+// resets by each triangle's bounding box.
+func (d *DepthBuffer) CountDraw(mesh *gltrace.Mesh, mvp *geom.Mat4, vp geom.Viewport, depthBias float64, blend bool, scr *DrawScratch) (uint64, GeomStats) {
+	return d.countDraw(mesh, mvp, vp, depthBias, blend, scr, haveWalkKernels)
 }
 
-// countTriangle is CountTriangle with the kernel switched by kernel.
-// Where the triangle kernel runs (countTri, amd64 with AVX) and every
-// quad's right column lies inside the buffer, the kernel takes the run
-// of rows from y0 whose bottom sample row lies inside the buffer, with
-// the sample rows outside the clip masked; countRows walks the rest.
-// Tests run both paths wherever the kernel runs.
-func (d *DepthBuffer) countTriangle(tri *ScreenTriangle, clip geom.AABB2, blend, kernel bool) uint64 {
-	var s triSetup
-	if !setupTriangle(tri, clip, &s) {
-		return 0
+// countDraw is CountDraw with the triangle kernel switched by kernel.
+func (d *DepthBuffer) countDraw(mesh *gltrace.Mesh, mvp *geom.Mat4, vp geom.Viewport, depthBias float64, blend bool, scr *DrawScratch, kernel bool) (uint64, GeomStats) {
+	stats := GeomStats{VerticesIn: len(mesh.Vertices)}
+	xf := scr.transform(mesh, mvp, vp, depthBias)
+	clip := geom.AABB2{Max: geom.Vec2{X: float64(vp.Width), Y: float64(vp.Height)}}
+	var (
+		tri    geom.Triangle2
+		bounds geom.AABB2
+		s      triSetup
+		n      uint64
+	)
+	idx := mesh.Indices
+	for i := 0; i+2 < len(idx); i += 3 {
+		f := cullPrim(&xf[idx[i]], &xf[idx[i+1]], &xf[idx[i+2]], vp, &tri, &bounds)
+		stats.add(f)
+		if f == primVisible && setupTriangle(&tri, bounds, clip, &s) {
+			n += d.countTriangle(&s, blend, kernel)
+		}
+	}
+	return n, stats
+}
+
+// countTriangle is CountDraw's walk of one set-up triangle. Where the
+// triangle kernel runs (countTri, amd64 with AVX) and every quad's
+// right column lies inside the buffer, the kernel takes the run of rows
+// from y0 whose bottom sample row lies inside the buffer, with the
+// sample rows outside the clip masked; countRows walks the rest. Tests
+// run both paths wherever the kernel runs. A covered sample lies in
+// [x0, x1) x [y0, y1), so that is what a depth-writing walk marks.
+func (d *DepthBuffer) countTriangle(s *triSetup, blend, kernel bool) uint64 {
+	if !blend {
+		d.mark(s.x0, s.y0, s.x1, s.y1)
 	}
 	y := s.y0
 	var n uint64
 	if kernel && (s.x1+1)&^1 <= d.w {
 		// Row y's bottom sample row is inside the buffer when y < h-1.
 		if rows := (min(s.y1, d.h-1) - y + 1) / 2; rows > 0 {
-			n = countTri(&s, d.z[y*d.w+s.x0:], d.w, rows, blend)
+			n = countTri(s, d.z[y*d.w+s.x0:], d.w, rows, blend)
 			y += 2 * rows
 		}
 	}
-	return n + d.countRows(&s, y, blend)
+	if y < s.y1 {
+		n += d.countRows(s, y, blend)
+	}
+	return n
 }
 
-// countRows is CountTriangle's Go walk of the quad rows from y, a row
+// countRows is countTriangle's Go walk of the quad rows from y, a row
 // of s's walk, to the end of the bounding box: the reference for
 // countTri and the whole walk on other architectures.
 func (d *DepthBuffer) countRows(s *triSetup, y int, blend bool) uint64 {

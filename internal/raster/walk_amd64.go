@@ -2,7 +2,7 @@ package raster
 
 // haveWalkKernels reports whether appendTri and countTri, the AVX
 // triangle kernels, run on this CPU; it is decided once, at package
-// init. Without them, AppendQuads and CountTriangle run their Go walks.
+// init. Without them, AppendQuads and CountDraw run their Go walks.
 var haveWalkKernels = cpuHasWalkKernels()
 
 // cpuHasWalkKernels reports whether the CPU and the OS support the
@@ -32,7 +32,7 @@ func xgetbv0() uint32
 //go:noescape
 func appendTri(s *triSetup, b *QuadBatch, n int) int
 
-// countTri runs CountTriangle's walk of the first rows quad rows of s
+// countTri runs CountDraw's walk of the first rows quad rows of s
 // in AVX (walk_amd64.s) and returns the number of surviving samples.
 // z is the depth buffer from the first row's first quad (row s.y0,
 // column s.x0) and w the buffer's width. The caller guarantees that

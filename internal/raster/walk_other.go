@@ -4,7 +4,7 @@ package raster
 
 // haveWalkKernels reports whether appendTri and countTri are the
 // assembly triangle kernels. Without them, AppendQuads and
-// CountTriangle run their Go walks.
+// CountDraw run their Go walks.
 const haveWalkKernels = false
 
 func appendTri(s *triSetup, b *QuadBatch, n int) int {

@@ -84,7 +84,7 @@ func referenceQuads(tri *ScreenTriangle, clip geom.AABB2) []refQuad {
 //
 // "wide-row" spans a 320-px buffer, more than 64 quads per row.
 // "buffer-edge" gives the buffer an odd width and height and crosses
-// its right or bottom edge, so CountTriangle's rows whose bottom sample
+// its right or bottom edge, so CountDraw's rows whose bottom sample
 // row leaves the buffer, and whole triangles whose last quad's right
 // column does, take the Go walk beside kernel rows. "tile" clips to one
 // 32-px tile of a 320x160 viewport, the timing simulator's traffic:
@@ -248,10 +248,61 @@ func randomWalkCase(rng *rand.Rand, class int) (ScreenTriangle, geom.AABB2, *Dep
 	return tri, clip, depth
 }
 
+// cloneDepth returns a copy of d whose whole buffer is marked written.
+func cloneDepth(d *DepthBuffer) *DepthBuffer {
+	c := &DepthBuffer{w: d.w, h: d.h, z: slices.Clone(d.z)}
+	c.markAll()
+	return c
+}
+
+// refSurvivors depth-tests want, referenceQuads' output, against d with
+// TestMask (TestMaskReadOnly when blend) and returns the survivors.
+func refSurvivors(d *DepthBuffer, want []refQuad, blend bool) uint64 {
+	var survivors uint64
+	for _, q := range want {
+		var s uint8
+		if blend {
+			s = d.TestMaskReadOnly(q.X, q.Y, q.Depth[:], q.Mask)
+		} else {
+			s = d.TestMask(q.X, q.Y, q.Depth[:], q.Mask)
+		}
+		survivors += uint64(bits.OnesCount8(s))
+	}
+	return survivors
+}
+
+// sameDepth reports the first pixel at which a and b hold different
+// depth bits.
+func sameDepth(a, b *DepthBuffer) (x, y int, ok bool) {
+	for i := range a.z {
+		if math.Float32bits(a.z[i]) != math.Float32bits(b.z[i]) {
+			return i % a.w, i / a.w, false
+		}
+	}
+	return 0, 0, true
+}
+
+// walkPaths lists the count walk's paths to test: the Go walk, and the
+// triangle kernels where there are.
+func walkPaths() []bool {
+	if haveWalkKernels {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+func pathName(kernel bool) string {
+	if kernel {
+		return "kernel"
+	}
+	return "Go walk"
+}
+
 // checkQuadWalks asserts that AppendQuads equals referenceQuads quad
-// for quad, and that CountTriangle's count and final depth buffer equal
-// referenceQuads followed by TestMask (or TestMaskReadOnly when blend).
-// It checks the Go walks, and the triangle kernels where there are.
+// for quad, and that CountDraw's per-triangle walk leaves the count and
+// final depth buffer of referenceQuads followed by TestMask (or
+// TestMaskReadOnly when blend). It checks the Go walks, and the
+// triangle kernels where there are.
 func checkQuadWalks(t *testing.T, seed uint64, class uint8, blend bool) {
 	rng := rand.New(rand.NewPCG(seed, uint64(class)))
 	cls := int(class) % len(walkClasses)
@@ -261,27 +312,11 @@ func checkQuadWalks(t *testing.T, seed uint64, class uint8, blend bool) {
 	}
 
 	want := referenceQuads(&tri, clip)
-	batched := &DepthBuffer{w: depth.w, h: depth.h, z: slices.Clone(depth.z)}
-	var survivors uint64
-	for _, q := range want {
-		var s uint8
-		if blend {
-			s = batched.TestMaskReadOnly(q.X, q.Y, q.Depth[:], q.Mask)
-		} else {
-			s = batched.TestMask(q.X, q.Y, q.Depth[:], q.Mask)
-		}
-		survivors += uint64(bits.OnesCount8(s))
-	}
+	batched := cloneDepth(depth)
+	survivors := refSurvivors(batched, want, blend)
 
-	walks := []bool{false}
-	if haveWalkKernels {
-		walks = append(walks, true)
-	}
-	for _, kernel := range walks {
-		path := "Go walk"
-		if kernel {
-			path = "kernel"
-		}
+	for _, kernel := range walkPaths() {
+		path := pathName(kernel)
 		var b QuadBatch
 		b.appendQuads(&tri, clip, kernel)
 		if b.Len() != len(want) {
@@ -293,15 +328,18 @@ func checkQuadWalks(t *testing.T, seed uint64, class uint8, blend bool) {
 			}
 		}
 
-		d := &DepthBuffer{w: depth.w, h: depth.h, z: slices.Clone(depth.z)}
-		if got := d.countTriangle(&tri, clip, blend, kernel); got != survivors {
-			t.Fatalf("%s blend=%v: CountTriangle (%s) = %d, reference+TestMask = %d", ctx(), blend, path, got, survivors)
+		d := cloneDepth(depth)
+		var got uint64
+		var s triSetup
+		if setupTriangle(&tri.Tri, tri.Tri.Bounds(), clip, &s) {
+			got = d.countTriangle(&s, blend, kernel)
 		}
-		for i := range d.z {
-			if math.Float32bits(d.z[i]) != math.Float32bits(batched.z[i]) {
-				t.Fatalf("%s blend=%v: CountTriangle (%s) left depth %v at (%d,%d), reference+TestMask %v",
-					ctx(), blend, path, d.z[i], i%d.w, i/d.w, batched.z[i])
-			}
+		if got != survivors {
+			t.Fatalf("%s blend=%v: count walk (%s) = %d, reference+TestMask = %d", ctx(), blend, path, got, survivors)
+		}
+		if x, y, ok := sameDepth(d, batched); !ok {
+			t.Fatalf("%s blend=%v: count walk (%s) left depth %v at (%d,%d), reference+TestMask %v",
+				ctx(), blend, path, d.At(x, y), x, y, batched.At(x, y))
 		}
 	}
 }
@@ -309,7 +347,7 @@ func checkQuadWalks(t *testing.T, seed uint64, class uint8, blend bool) {
 // TestWalkCorpusReachesBothRowKinds checks that FuzzQuadWalks' seed
 // corpus sends quad rows down every path of the two walks. The kernels
 // take clip-edge rows, where one sample row is outside the clip, beside
-// whole rows, among them rows of more than 64 quads. CountTriangle's Go
+// whole rows, among them rows of more than 64 quads. CountDraw's Go
 // walk takes the rows whose bottom sample row leaves the buffer and
 // every row of a triangle whose last quad's right column does. The test
 // replays countTriangle's dispatch whether or not this architecture has
@@ -321,7 +359,7 @@ func TestWalkCorpusReachesBothRowKinds(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, uint64(class)))
 			tri, clip, depth := randomWalkCase(rng, class)
 			var ts triSetup
-			if !setupTriangle(&tri, clip, &ts) {
+			if !setupTriangle(&tri.Tri, tri.Tri.Bounds(), clip, &ts) {
 				continue
 			}
 			inBuffer := (ts.x1+1)&^1 <= depth.w

@@ -14,7 +14,10 @@ import (
 // with simulator reuse an op is one frame's simulation and its
 // allocs/op is deterministic; building a simulator per frame (and
 // re-validating the 5000-frame trace) multiplies both. It reports the
-// frame's cycles/op and dram-accesses/op.
+// frame's cycles/op and dram-accesses/op, and frames/op: the frames one
+// call simulates, read from an enabled obs registry on one untimed call
+// after the timed loop, so an extra simulation whose stats are
+// discarded still shows.
 func BenchmarkFrameRunner(b *testing.B) {
 	tr := benchTrace()
 	run := megsim.FrameRunner(tr, megsim.DefaultGPUConfig())
@@ -32,10 +35,16 @@ func BenchmarkFrameRunner(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	reg := megsim.NewObsRegistry(0)
+	if _, err := run(ctx, frame, reg); err != nil {
+		b.Fatal(err)
+	}
 	// The frame's simulated work: exact on any host, so bench-check
 	// gates it for equality with the baseline.
 	b.ReportMetric(float64(st.Cycles), "cycles/op")
 	b.ReportMetric(float64(st.DRAM.Accesses), "dram-accesses/op")
+	b.ReportMetric(float64(reg.Snapshot().Counters["tbr.frames"]), "frames/op")
 }
 
 // benchTrace generates pvz once per test binary: the benchmark function
