@@ -6,10 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
-
-	"repro/megsim"
 )
 
 func TestParseRange(t *testing.T) {
@@ -46,35 +45,6 @@ func TestParseRange(t *testing.T) {
 	}
 }
 
-func TestLoadTraceValidation(t *testing.T) {
-	if _, err := loadTrace("", "", 1); err == nil {
-		t.Fatal("accepted neither -trace nor -benchmark")
-	}
-	if _, err := loadTrace("a", "b", 1); err == nil {
-		t.Fatal("accepted both -trace and -benchmark")
-	}
-	if _, err := loadTrace("", "not-a-benchmark", 1); err == nil {
-		t.Fatal("accepted unknown benchmark")
-	}
-}
-
-// TestFrameDivNeedsBenchmark: -frame-div only divides a generated
-// trace, so with -trace it is refused instead of silently ignored.
-func TestFrameDivNeedsBenchmark(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hcr.trace")
-	sc := megsim.Scale{Width: 64, Height: 32, FrameDivisor: 200, DetailDivisor: 2}
-	if err := megsim.MustGenerateBenchmark("hcr", sc).SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-trace", path}, io.Discard); err != nil {
-		t.Fatalf("-trace alone: %v", err)
-	}
-	err := run(context.Background(), []string{"-trace", path, "-frame-div", "4"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-frame-div needs -benchmark") {
-		t.Fatalf("-trace -frame-div: error %v, want -frame-div needs -benchmark", err)
-	}
-}
-
 // mustValidJSON fails the test unless path holds well-formed JSON.
 func mustValidJSON(t *testing.T, path string) {
 	t.Helper()
@@ -87,25 +57,40 @@ func mustValidJSON(t *testing.T, path string) {
 	}
 }
 
+// withGOMAXPROCS runs f at the given GOMAXPROCS, the supervisor's
+// default worker count.
+func withGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // TestRunWritesObsOutputs exercises the happy path end to end: a tiny
 // generated benchmark must leave well-formed metrics and Chrome-trace
-// files behind.
+// files behind, from a -full run and from a sampled one.
 func TestRunWritesObsOutputs(t *testing.T) {
-	dir := t.TempDir()
-	metrics := filepath.Join(dir, "metrics.json")
-	trace := filepath.Join(dir, "trace.json")
-	var out strings.Builder
-	err := run(context.Background(), []string{
-		"-benchmark", "hcr", "-frame-div", "100", "-frames", "0:2",
-		"-metrics-out", metrics, "-trace-out", trace,
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustValidJSON(t, metrics)
-	mustValidJSON(t, trace)
-	if !strings.Contains(out.String(), "cycles:") {
-		t.Fatalf("summary missing from output:\n%s", out.String())
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-full", "-frames", "0:2"}, "cycles:"},
+		{nil, "estimated cycles:"},
+	} {
+		dir := t.TempDir()
+		metrics := filepath.Join(dir, "metrics.json")
+		trace := filepath.Join(dir, "trace.json")
+		var out strings.Builder
+		args := append([]string{
+			"-benchmark", "hcr", "-frame-div", "100",
+			"-metrics-out", metrics, "-trace-out", trace,
+		}, tc.args...)
+		if err := run(context.Background(), args, &out); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		mustValidJSON(t, metrics)
+		mustValidJSON(t, trace)
+		if !strings.Contains(out.String(), tc.want) {
+			t.Fatalf("%v: summary missing from output:\n%s", tc.args, out.String())
+		}
 	}
 }
 
@@ -118,7 +103,7 @@ func TestRunFlushesObsOnError(t *testing.T) {
 	metrics := filepath.Join(dir, "metrics.json")
 	trace := filepath.Join(dir, "trace.json")
 	err := run(context.Background(), []string{
-		"-benchmark", "hcr", "-frame-div", "100", "-frames", "0:2",
+		"-full", "-benchmark", "hcr", "-frame-div", "100", "-frames", "0:2",
 		"-csv", filepath.Join(dir, "missing", "frames.csv"),
 		"-metrics-out", metrics, "-trace-out", trace,
 	}, io.Discard)
@@ -139,7 +124,7 @@ func TestRunCleansUpFailedObsWrite(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "no-such-subdir", "metrics.json")
 	err := run(context.Background(), []string{
-		"-benchmark", "hcr", "-frame-div", "100", "-frames", "0:1",
+		"-full", "-benchmark", "hcr", "-frame-div", "100", "-frames", "0:1",
 		"-metrics-out", metrics,
 	}, io.Discard)
 	if err == nil {
@@ -169,12 +154,13 @@ func statLines(out string) string {
 }
 
 // TestRunCheckpointResumeByteIdentical is the CLI half of the headline
-// guarantee: a partial checkpointed run, resumed over a wider frame
-// range, produces byte-identical per-frame CSV and summary statistics
-// to an uninterrupted run — with the adopted frames reported.
+// guarantee: a partial checkpointed -full run, resumed over a wider
+// frame range at another GOMAXPROCS, produces byte-identical per-frame
+// CSV and summary statistics to an uninterrupted run — with the adopted
+// frames reported.
 func TestRunCheckpointResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	base := []string{"-benchmark", "hcr", "-frame-div", "100"}
+	base := []string{"-full", "-benchmark", "hcr", "-frame-div", "100"}
 
 	// Uninterrupted reference over frames 0:4.
 	refCSV := filepath.Join(dir, "ref.csv")
@@ -197,10 +183,12 @@ func TestRunCheckpointResumeByteIdentical(t *testing.T) {
 	resCSV := filepath.Join(dir, "res.csv")
 	var resOut strings.Builder
 	args = append(append([]string{}, base...),
-		"-frames", "0:4", "-csv", resCSV, "-checkpoint", ckpt, "-resume", "-workers", "2")
-	if err := run(context.Background(), args, &resOut); err != nil {
-		t.Fatalf("resumed run: %v\n%s", err, resOut.String())
-	}
+		"-frames", "0:4", "-csv", resCSV, "-checkpoint", ckpt, "-resume")
+	withGOMAXPROCS(2, func() {
+		if err := run(context.Background(), args, &resOut); err != nil {
+			t.Fatalf("resumed run: %v\n%s", err, resOut.String())
+		}
+	})
 	if !strings.Contains(resOut.String(), "resumed:           2 frames") {
 		t.Fatalf("resume accounting missing:\n%s", resOut.String())
 	}
@@ -230,12 +218,12 @@ func TestRunCorruptCheckpointFallsBack(t *testing.T) {
 	if err := os.WriteFile(ckpt, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out strings.Builder
-	err := run(context.Background(), []string{
-		"-benchmark", "hcr", "-frame-div", "100", "-frames", "0:2",
+	args := []string{
+		"-full", "-benchmark", "hcr", "-frame-div", "100", "-frames", "0:2",
 		"-checkpoint", ckpt, "-resume",
-	}, &out)
-	if err != nil {
+	}
+	var out strings.Builder
+	if err := run(context.Background(), args, &out); err != nil {
 		t.Fatalf("corrupt checkpoint aborted the run: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "WARNING: resume failed") {
@@ -244,11 +232,7 @@ func TestRunCorruptCheckpointFallsBack(t *testing.T) {
 
 	// The file was rewritten; a second resume must now adopt cleanly.
 	var out2 strings.Builder
-	err = run(context.Background(), []string{
-		"-benchmark", "hcr", "-frame-div", "100", "-frames", "0:2",
-		"-checkpoint", ckpt, "-resume",
-	}, &out2)
-	if err != nil {
+	if err := run(context.Background(), args, &out2); err != nil {
 		t.Fatalf("resume from repaired checkpoint: %v", err)
 	}
 	if !strings.Contains(out2.String(), "resumed:           2 frames") {
@@ -256,41 +240,13 @@ func TestRunCorruptCheckpointFallsBack(t *testing.T) {
 	}
 }
 
-// TestRunTimeoutIsResumable: a deadline that fires before the first
-// frame completes must fail with a resume hint, and a run without
-// -checkpoint must point at -checkpoint instead.
-func TestRunTimeoutIsResumable(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	err := run(context.Background(), []string{
-		"-benchmark", "hcr", "-frame-div", "100",
-		"-checkpoint", ckpt, "-run-timeout", "1ns",
-	}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-resume") {
-		t.Fatalf("supervised timeout error has no resume hint: %v", err)
-	}
-
-	err = run(context.Background(), []string{
-		"-benchmark", "hcr", "-frame-div", "100", "-run-timeout", "1ns",
-	}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
-		t.Fatalf("timeout error without -checkpoint has no checkpoint hint: %v", err)
-	}
-}
-
-func TestSupervisedFlagsRequireCheckpoint(t *testing.T) {
-	args := []string{"-benchmark", "hcr", "-frame-div", "200", "-resume"}
-	err := run(context.Background(), args, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-resume requires -checkpoint") {
-		t.Errorf("-resume without -checkpoint: error %v, want mention of -checkpoint", err)
-	}
-}
-
 // TestSupervisorFlagsWithoutCheckpoint: the frame loop is always
-// supervised, so -workers and -retries work without -checkpoint and
-// give the same per-frame CSV and summary as the default run.
+// supervised, so GOMAXPROCS and -retries change nothing without
+// -checkpoint: the per-frame CSV and summary equal the default run's,
+// and no file but the CSVs is left behind.
 func TestSupervisorFlagsWithoutCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	base := []string{"-benchmark", "hcr", "-frame-div", "100", "-frames", "0:4"}
+	base := []string{"-full", "-benchmark", "hcr", "-frame-div", "100", "-frames", "0:4"}
 	outputs := func(name string, extra ...string) (string, string) {
 		csv := filepath.Join(dir, name+".csv")
 		var out strings.Builder
@@ -304,8 +260,9 @@ func TestSupervisorFlagsWithoutCheckpoint(t *testing.T) {
 		}
 		return string(data), statLines(out.String())
 	}
-	refCSV, refStats := outputs("ref")
-	csv, stats := outputs("supervised", "-workers", "2", "-retries", "1")
+	var refCSV, refStats, csv, stats string
+	withGOMAXPROCS(1, func() { refCSV, refStats = outputs("ref") })
+	withGOMAXPROCS(2, func() { csv, stats = outputs("supervised", "-retries", "1") })
 	if csv != refCSV {
 		t.Fatalf("per-frame CSV differs:\n%s\nvs\n%s", csv, refCSV)
 	}

@@ -5,7 +5,10 @@
 // simulates the whole sequence (with invariant checking armed) and
 // reports per-metric relative error against configurable tolerance
 // bands, exiting non-zero when the accuracy gate fails (the paper's
-// Fig. 7 evaluation for a single benchmark).
+// Fig. 7 evaluation for a single benchmark). With -full it skips the
+// sampling and simulates every frame (or the -frames lo:hi range) on
+// the cycle-level simulator — the expensive baseline MEGsim
+// accelerates — printing the simulation statistics.
 //
 // Every run executes under the resilience supervisor: frames that fail
 // or panic are retried with capped backoff and quarantined when they
@@ -14,7 +17,9 @@
 // degradation is reported loudly), and SIGINT/SIGTERM cancel the run at
 // the next frame boundary. With -checkpoint, progress is snapshotted at
 // frame granularity so an interrupted run resumes with -resume and
-// produces byte-identical results to an uninterrupted one.
+// produces byte-identical results to an uninterrupted one. The
+// -metrics-out and -trace-out observability files are flushed on every
+// exit path of a local run, a failed one included.
 //
 // Usage:
 //
@@ -26,6 +31,8 @@
 //	megsim -benchmark hcr -checkpoint run.ckpt -resume  # …and pick up here
 //	megsim -benchmark hcr -stream                       # bounded-memory streaming mode
 //	megsim -benchmark hcr -stream -strata 48 -validate
+//	megsim -full -trace bbr1.trace                      # simulate every frame
+//	megsim -full -benchmark hcr -frames 0:100 -csv frames.csv
 //
 // With -stream the batch pipeline (characterize everything, then
 // cluster) is replaced by the streaming one: frames are characterized
@@ -37,6 +44,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -52,14 +60,18 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/harness"
+	"repro/internal/power"
+	"repro/internal/report"
+	"repro/internal/resilience"
 	"repro/internal/serve"
 	"repro/megsim"
 )
 
 func main() {
 	// SIGINT/SIGTERM cancel the run context: workers stop at the next
-	// frame boundary, the final checkpoint is flushed, and the process
-	// exits non-zero with a resume hint instead of losing the run.
+	// frame boundary, the final checkpoint and the observability files
+	// are flushed, and the process exits non-zero with a resume hint
+	// instead of losing the run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
@@ -68,19 +80,67 @@ func main() {
 	}
 }
 
-// flagNeeds maps each flag that only refines another to the flag it
-// needs.
-var flagNeeds = map[string]string{
-	"strata":       "stream",
-	"reservoir":    "stream",
-	"tol":          "validate",
-	"validate-out": "validate",
-	"resume":       "checkpoint",
-	"frame-div":    "benchmark",
+// flagRules holds every cross-flag rule, checked right after parsing
+// and before any trace is generated or loaded. A flag that only refines
+// another does nothing without it, so setting it needs that flag on;
+// a mode that cannot honour a flag, once on, refuses it.
+var flagRules = map[string]struct {
+	needs    string
+	excludes []string
+}{
+	"strata":       {needs: "stream"},
+	"reservoir":    {needs: "stream"},
+	"tol":          {needs: "validate"},
+	"validate-out": {needs: "validate"},
+	"resume":       {needs: "checkpoint"},
+	"frame-div":    {needs: "benchmark"},
+	"frames":       {needs: "full"},
+	"per-frame":    {needs: "full"},
+	"csv":          {needs: "full"},
+	"watts":        {needs: "full"},
+	"trace":        {excludes: []string{"benchmark"}},
+	"stream":       {excludes: []string{"save-selection"}},
+	"full":         {excludes: []string{"stream", "validate", "server", "threshold", "seed", "save-selection", "json"}},
+	// Validation is a local ground-truth pass, the daemon owns
+	// checkpointing (one file per campaign fingerprint under its
+	// -checkpoint-dir) and generates traces itself, and the
+	// observability files record local simulation only.
+	"server": {needs: "benchmark", excludes: []string{"trace", "validate", "save-selection", "checkpoint", "metrics-out", "trace-out"}},
 }
 
-// run is the whole command behind a single error return so every exit
-// path is uniform (and testable) instead of scattering os.Exit calls.
+// checkFlagRules reports every broken flagRules rule at once.
+func checkFlagRules(fs *flag.FlagSet) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	on := func(name string) bool {
+		v := fs.Lookup(name).Value.String()
+		return v != "" && v != "false"
+	}
+	var broken []string
+	fs.Visit(func(f *flag.Flag) {
+		rule := flagRules[f.Name]
+		if rule.needs != "" && !on(rule.needs) {
+			broken = append(broken, fmt.Sprintf("-%s needs -%s", f.Name, rule.needs))
+		}
+		if !on(f.Name) {
+			return
+		}
+		for _, x := range rule.excludes {
+			if set[x] {
+				broken = append(broken, fmt.Sprintf("-%s cannot be combined with -%s", x, f.Name))
+			}
+		}
+	})
+	if len(broken) > 0 {
+		return errors.New(strings.Join(broken, "; "))
+	}
+	return nil
+}
+
+// run is the whole command behind a single error return, so every exit
+// path — mid-run simulator failures and cancellation included — goes
+// through the same observability flush instead of an os.Exit that
+// would skip it.
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("megsim", flag.ContinueOnError)
 	var (
@@ -105,37 +165,32 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		streamMode   = fs.Bool("stream", false, "streaming mode: online stratification with bounded memory instead of batch clustering")
 		strata       = fs.Int("strata", 0, "streaming stratum budget (0 = default; needs -stream)")
 		reservoir    = fs.Int("reservoir", 0, "streaming per-stratum reservoir capacity (0 = default; needs -stream)")
+		full         = fs.Bool("full", false, "simulate every frame instead of sampling representatives")
+		frames       = fs.String("frames", "", "frame range lo:hi (default: all; needs -full)")
+		perFrame     = fs.Bool("per-frame", false, "print one line per frame (needs -full)")
+		csvPath      = fs.String("csv", "", "write per-frame statistics as CSV to this file (needs -full)")
+		watts        = fs.Bool("watts", false, "report estimated average power, 1 energy unit = 1 pJ (needs -full)")
+		metricsOut   = fs.String("metrics-out", "", "write observability metrics (counters/histograms) as JSON to this file")
+		traceOut     = fs.String("trace-out", "", "write a Chrome-trace JSON timeline (chrome://tracing, Perfetto) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *runTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *runTimeout)
-		defer cancel()
+	if err := checkFlagRules(fs); err != nil {
+		return err
+	}
+	if *tracePath == "" && *benchmark == "" {
+		return errors.New("need -trace or -benchmark")
 	}
 	preQuarantine, err := parseFrameList(*quarantine)
 	if err != nil {
 		return fmt.Errorf("-quarantine: %w", err)
 	}
-	// A flag that only refines another does nothing without it: refuse
-	// it instead of silently ignoring it.
-	enabled := map[string]bool{
-		"stream": *streamMode, "validate": *validate,
-		"checkpoint": *checkpoint != "", "benchmark": *benchmark != "",
-	}
-	var unmet []string
-	fs.Visit(func(f *flag.Flag) {
-		if dep := flagNeeds[f.Name]; dep != "" && !enabled[dep] {
-			unmet = append(unmet, fmt.Sprintf("-%s needs -%s", f.Name, dep))
-		}
-	})
-	if len(unmet) > 0 {
-		return errors.New(strings.Join(unmet, "; "))
-	}
 
-	// One campaign document for both modes, so a local run resolves its
-	// defaults (seed 0, threshold 0) exactly as the daemon does.
+	// One campaign document for every mode, held to the daemon's bounds
+	// and resolving its defaults (seed 0, threshold 0) as the daemon
+	// does. A -trace run names no workload source, so the copy it
+	// validates names a seed-generated one: only that check is skipped.
 	req := &serve.CampaignRequest{
 		Workload:  serve.WorkloadSpec{Benchmark: *benchmark, FrameDiv: *frameDiv},
 		Threshold: *threshold,
@@ -150,24 +205,20 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *streamMode {
 		req.Stream = &serve.StreamSpec{MaxStrata: *strata, ReservoirCap: *reservoir}
 	}
+	checked := *req
+	if *tracePath != "" {
+		checked.Workload = serve.WorkloadSpec{RandomSeed: new(uint64)}
+	}
+	if err := checked.Validate(); err != nil {
+		return err
+	}
 
+	if *runTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *runTimeout)
+		defer cancel()
+	}
 	if *server != "" {
-		// Local-only flags make no sense against a daemon: validation is
-		// a local ground-truth pass, and the daemon owns checkpointing
-		// (one file per campaign fingerprint under its -checkpoint-dir).
-		var bad []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "trace", "validate", "tol", "validate-out", "save-selection", "checkpoint", "resume":
-				bad = append(bad, "-"+f.Name)
-			}
-		})
-		if len(bad) > 0 {
-			return fmt.Errorf("%s cannot be combined with -server", strings.Join(bad, ", "))
-		}
-		if *benchmark == "" {
-			return fmt.Errorf("-server needs -benchmark (traces are generated daemon-side)")
-		}
 		return runRemote(ctx, *server, req, *jsonOut, stdout)
 	}
 
@@ -175,10 +226,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-
 	gpu, err := req.GPUConfig()
 	if err != nil {
 		return err
+	}
+	var reg *megsim.ObsRegistry
+	if *metricsOut != "" || *traceOut != "" {
+		reg = megsim.NewObsRegistry(0)
+		gpu.Obs = reg
 	}
 	// The resilience config stays local: checkpoint, resume and a
 	// sub-millisecond -stall-timeout exist only in local mode.
@@ -190,69 +245,227 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		StallTimeout:   *stallTimeout,
 	}
 
+	// The report is held back until the observability files are
+	// written, so a reader that closes stdout early cannot lose them.
+	var out bytes.Buffer
+	if *full {
+		err = runFull(ctx, &out, tr, gpu, rcfg, fullOutputs{frames: *frames, perFrame: *perFrame, csv: *csvPath, watts: *watts})
+	} else {
+		err = runSampled(ctx, &out, tr, req, gpu, rcfg, sampledOutputs{
+			json: *jsonOut, saveSel: *saveSel, validate: *validate, tol: *tolScale, valOut: *valOut,
+		})
+	}
+	// A failed or cancelled run still flushes what it recorded (the
+	// partial timeline is what debugging needs); the atomic writer
+	// leaves nothing behind when the flush itself fails.
+	if reg != nil {
+		if ferr := report.WriteObsFiles(reg.Snapshot(), *metricsOut, *traceOut); err == nil {
+			err = ferr
+		}
+	}
+	if _, werr := stdout.Write(out.Bytes()); err == nil {
+		err = werr
+	}
+	return err
+}
+
+type sampledOutputs struct {
+	json     bool
+	saveSel  string
+	validate bool
+	tol      float64
+	valOut   string
+}
+
+// runSampled is the MEGsim flow: the batch or streaming selection,
+// simulation of its representatives, and the -validate gate.
+func runSampled(ctx context.Context, stdout io.Writer, tr *megsim.Trace, req *serve.CampaignRequest, gpu megsim.GPUConfig, rcfg megsim.ResilienceConfig, o sampledOutputs) error {
 	var (
 		rep         *serve.CampaignReport
 		estimate    *megsim.FrameStats
 		sampledTime time.Duration
 	)
 	start := time.Now()
-	if *streamMode {
-		if *saveSel != "" {
-			return fmt.Errorf("-save-selection records a batch clustering; it cannot be combined with -stream")
-		}
-		opts := megsim.StreamingOptions{Stream: req.StreamConfig(), Resilience: rcfg}
-		srun, err := megsim.SampleStreaming(ctx, tr, opts, gpu)
+	if req.Stream != nil {
+		srun, err := megsim.SampleStreaming(ctx, tr, megsim.StreamingOptions{Stream: req.StreamConfig(), Resilience: rcfg}, gpu)
 		if err != nil {
-			return resumeHint(err, *checkpoint)
+			return resumeHint(err, rcfg.CheckpointPath)
 		}
 		sampledTime = time.Since(start)
 		rep, estimate = serve.NewStreamingCampaignReport(srun, sampledTime), &srun.Estimate
 	} else {
 		rrun, err := megsim.SampleResilient(ctx, tr, req.MegsimConfig(), gpu, rcfg)
 		if err != nil {
-			return resumeHint(err, *checkpoint)
+			return resumeHint(err, rcfg.CheckpointPath)
 		}
 		sampledTime = time.Since(start)
 		rep, estimate = serve.NewCampaignReport(rrun, sampledTime), &rrun.Estimate
-		if *saveSel != "" {
-			if err := writeSelection(*saveSel, tr.Name, rrun.Run); err != nil {
+		if o.saveSel != "" {
+			if err := writeSelection(o.saveSel, tr.Name, rrun.Run); err != nil {
 				return err
 			}
 		}
 	}
 
 	var val *validation
-	if *validate {
+	if o.validate {
 		// A degraded run cannot be held to the healthy-run accuracy
 		// bands: substituted representatives and rescaled weights are a
 		// best-effort estimate. Widen the bands 3x (mirroring the
 		// degraded-mode oracle gate) and say so, rather than failing a
 		// gate the methodology no longer promises, or silently passing.
 		degraded := rep.Resilience != nil && rep.Resilience.Degraded
-		effTol := *tolScale
+		effTol := o.tol
 		if degraded {
 			effTol *= 3
 		}
-		val, err = validateEstimate(ctx, tr, estimate, gpu, effTol)
+		var err error
+		val, err = validateEstimate(ctx, tr, estimate, gpu, rcfg, effTol)
 		if err != nil {
 			return err
 		}
 		val.Degraded = degraded
-		if *valOut != "" {
-			if err := writeValidation(*valOut, tr.Name, val); err != nil {
+		if o.valOut != "" {
+			if err := writeValidation(o.valOut, tr.Name, val); err != nil {
 				return err
 			}
 		}
 	}
-	return renderReport(stdout, rep, val, sampledTime, *jsonOut)
+	return renderReport(stdout, rep, val, sampledTime, o.json)
 }
 
-// resumeHint points a failed checkpointed run at -resume.
+// resumeHint points an interrupted run at the flag that resumes it.
 func resumeHint(err error, checkpoint string) error {
-	if checkpoint != "" {
+	switch {
+	case checkpoint != "":
 		return fmt.Errorf("%w (progress checkpointed to %s; rerun with -resume)", err, checkpoint)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return fmt.Errorf("%w (use -checkpoint to make runs resumable)", err)
 	}
 	return err
+}
+
+// simulateFull runs frames lo:hi on the cycle-level simulator under the
+// resilience supervisor and returns their stats in ascending frame
+// order; quarantined frames are absent from the series and listed in
+// the result, which is returned on error too. Frame isolation makes
+// the series byte-identical to a serial loop whatever GOMAXPROCS, retry
+// history or resume point.
+func simulateFull(ctx context.Context, tr *megsim.Trace, gpu megsim.GPUConfig, lo, hi int, rcfg megsim.ResilienceConfig) ([]megsim.FrameStats, *megsim.ResilienceResult, error) {
+	frames := make([]int, 0, hi-lo)
+	for f := lo; f < hi; f++ {
+		frames = append(frames, f)
+	}
+	rcfg.Fingerprint = megsim.RunFingerprint(tr, gpu)
+	rcfg.Obs = gpu.Obs
+	res, err := resilience.Run(ctx, frames, megsim.FrameRunner(tr, gpu), rcfg)
+	if err != nil {
+		return nil, res, err
+	}
+	var series []megsim.FrameStats
+	for _, f := range frames {
+		if st, ok := res.Stats[f]; ok {
+			series = append(series, st)
+		}
+	}
+	return series, res, nil
+}
+
+type fullOutputs struct {
+	frames   string
+	perFrame bool
+	csv      string
+	watts    bool
+}
+
+// runFull simulates the -frames range of a -full run and prints its
+// summary: totals, rates, power fractions and, with an enabled
+// registry, the observability counters.
+func runFull(ctx context.Context, stdout io.Writer, tr *megsim.Trace, gpu megsim.GPUConfig, rcfg megsim.ResilienceConfig, o fullOutputs) error {
+	lo, hi := 0, tr.NumFrames()
+	if o.frames != "" {
+		var err error
+		if lo, hi, err = parseRange(o.frames, tr.NumFrames()); err != nil {
+			return err
+		}
+	}
+	for _, f := range rcfg.Quarantine {
+		if f < lo || f >= hi {
+			return fmt.Errorf("-quarantine: frame %d outside the run's frames %d:%d", f, lo, hi)
+		}
+	}
+
+	start := time.Now()
+	series, res, err := simulateFull(ctx, tr, gpu, lo, hi, rcfg)
+	if res != nil && res.ResumeErr != nil {
+		fmt.Fprintf(stdout, "WARNING: resume failed, started fresh: %v\n", res.ResumeErr)
+	}
+	if err != nil {
+		return resumeHint(err, rcfg.CheckpointPath)
+	}
+	elapsed := time.Since(start)
+	if len(res.StalledWorkers) > 0 {
+		fmt.Fprintf(stdout, "WARNING: watchdog flagged stalled workers %v\n", res.StalledWorkers)
+	}
+
+	var total megsim.FrameStats
+	for _, st := range series {
+		if o.perFrame {
+			fmt.Fprintf(stdout, "frame %5d: cycles=%d dram=%d l2=%d tile=%d fragments=%d\n",
+				st.Frame, st.Cycles, st.DRAM.Accesses, st.L2.Accesses, st.TileCache.Accesses, st.FragmentsShaded)
+		}
+		total.Add(&st)
+	}
+	if o.csv != "" {
+		f, err := os.Create(o.csv)
+		if err != nil {
+			return err
+		}
+		if err := harness.WriteFrameStatsCSV(f, series); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+
+	model := power.DefaultEnergyModel()
+	b := model.FrameEnergy(&total)
+	g, ti, ra := b.Fractions()
+
+	fmt.Fprintf(stdout, "workload:          %s (%d frames simulated in %v)\n", tr.Name, len(series), elapsed.Round(time.Millisecond))
+	if len(res.Resumed) > 0 {
+		fmt.Fprintf(stdout, "resumed:           %d frames from checkpoint\n", len(res.Resumed))
+	}
+	if len(res.Quarantined) > 0 {
+		fmt.Fprintf(stdout, "PARTIAL RESULT: %d of %d frames quarantined — totals below exclude them\n",
+			len(res.Quarantined), hi-lo)
+		for _, q := range res.Quarantined {
+			fmt.Fprintf(stdout, "  %s\n", q.String())
+		}
+	}
+	fmt.Fprintf(stdout, "cycles:            %d (geometry %d, raster %d)\n", total.Cycles, total.GeometryCycles, total.RasterCycles)
+	fmt.Fprintf(stdout, "ipc:               %.2f\n", total.IPC())
+	fmt.Fprintf(stdout, "vertices shaded:   %d\n", total.VerticesShaded)
+	fmt.Fprintf(stdout, "primitives:        %d in, %d visible\n", total.PrimsIn, total.PrimsVisible)
+	fmt.Fprintf(stdout, "fragments shaded:  %d (%d occluded by early-Z)\n", total.FragmentsShaded, total.FragmentsOccluded)
+	fmt.Fprintf(stdout, "dram accesses:     %d\n", total.DRAM.Accesses)
+	fmt.Fprintf(stdout, "l2 accesses:       %d (%.1f%% hit)\n", total.L2.Accesses, total.L2.HitRate()*100)
+	fmt.Fprintf(stdout, "tile cache:        %d accesses (%.1f%% hit)\n", total.TileCache.Accesses, total.TileCache.HitRate()*100)
+	fmt.Fprintf(stdout, "texture caches:    %d accesses (%.1f%% hit)\n", total.TextureCache.Accesses, total.TextureCache.HitRate()*100)
+	fmt.Fprintf(stdout, "utilization:       VP %.1f%%, FP %.1f%%\n",
+		total.VPUtilization(gpu.NumVertexProcessors)*100, total.FPUtilization(gpu.NumFragmentProcessors)*100)
+	fmt.Fprintf(stdout, "power fractions:   geometry %.1f%%, tiling %.1f%%, raster %.1f%%\n", g*100, ti*100, ra*100)
+	if o.watts {
+		w := power.AveragePowerWatts(b, total.Cycles, 1.0, 600)
+		fmt.Fprintf(stdout, "avg power:         %.3f W (at 600 MHz, 1 pJ/unit)\n", w)
+	}
+	if gpu.Obs != nil {
+		fmt.Fprintln(stdout)
+		return report.ObsCounterTable(gpu.Obs.Snapshot()).Render(stdout)
+	}
+	return nil
 }
 
 // renderReport renders batch and streaming runs through the one shared
@@ -276,6 +489,9 @@ func renderReport(stdout io.Writer, rep *serve.CampaignReport, val *validation, 
 		}
 		fmt.Fprintf(stdout, "full simulation:  %v (%.0fx slower than the sampled run)\n",
 			val.FullSimTime.Round(time.Millisecond), float64(val.FullSimTime)/float64(sampledTime))
+		for _, q := range val.Quarantined {
+			fmt.Fprintf(stdout, "ground truth quarantined %s\n", q.String())
+		}
 		for _, m := range val.Metrics {
 			verdict := "ok"
 			if !m.Pass {
@@ -297,6 +513,9 @@ func renderReport(stdout io.Writer, rep *serve.CampaignReport, val *validation, 
 type validation struct {
 	Metrics    []check.MetricError `json:"metrics"`
 	Violations []check.Violation   `json:"violations,omitempty"`
+	// Quarantined lists ground-truth frames the supervisor gave up on;
+	// any fails the gate, since the truth no longer covers the trace.
+	Quarantined []megsim.QuarantineRecord `json:"quarantined,omitempty"`
 	// Degraded records that the estimate came from a degraded selection
 	// and the bands were widened 3x accordingly.
 	Degraded bool `json:"degraded,omitempty"`
@@ -311,22 +530,26 @@ func (v *validation) gateErr() error {
 	if v == nil || v.Pass {
 		return nil
 	}
-	return fmt.Errorf("validation failed: accuracy out of band or invariants violated")
+	return fmt.Errorf("validation failed: accuracy out of band, invariants violated or ground truth quarantined")
 }
 
-func validateEstimate(ctx context.Context, tr *megsim.Trace, est *megsim.FrameStats, gpu megsim.GPUConfig, tolScale float64) (*validation, error) {
+// validateEstimate judges est against every frame simulated by the
+// -full path: no checkpoint, no pre-quarantine, invariants armed.
+func validateEstimate(ctx context.Context, tr *megsim.Trace, est *megsim.FrameStats, gpu megsim.GPUConfig, rcfg megsim.ResilienceConfig, tolScale float64) (*validation, error) {
 	inv := check.NewInvariants(gpu)
 	gpu.Check = inv
 	start := time.Now()
-	full, err := megsim.SimulateFullParallelCtx(ctx, tr, gpu, 0)
+	full, res, err := simulateFull(ctx, tr, gpu, 0, tr.NumFrames(), megsim.ResilienceConfig{
+		MaxAttempts: rcfg.MaxAttempts, StallTimeout: rcfg.StallTimeout,
+	})
 	if err != nil {
 		return nil, err
 	}
-	val := &validation{FullSimTime: time.Since(start)}
+	val := &validation{FullSimTime: time.Since(start), Quarantined: res.Quarantined}
 	actual := megsim.SumStats(full)
 	val.Metrics = check.CompareRows(est, &actual, check.DefaultTolerance().Scaled(tolScale))
 	val.Violations = inv.Violations()
-	val.Pass = len(val.Violations) == 0
+	val.Pass = len(val.Violations) == 0 && len(val.Quarantined) == 0
 	for _, m := range val.Metrics {
 		if !m.Pass {
 			val.Pass = false
@@ -353,19 +576,32 @@ func writeValidation(path, workload string, val *validation) error {
 	return f.Close()
 }
 
+// loadTrace reads path, or generates benchmark when path is empty.
 func loadTrace(path, benchmark string, frameDiv int) (*megsim.Trace, error) {
-	switch {
-	case path != "" && benchmark != "":
-		return nil, fmt.Errorf("use either -trace or -benchmark, not both")
-	case path != "":
+	if path != "" {
 		return megsim.LoadTrace(path)
-	case benchmark != "":
-		sc := megsim.DefaultScale()
-		sc.FrameDivisor = frameDiv
-		return megsim.GenerateBenchmark(benchmark, sc)
-	default:
-		return nil, fmt.Errorf("need -trace or -benchmark")
 	}
+	sc := megsim.DefaultScale()
+	sc.FrameDivisor = frameDiv
+	return megsim.GenerateBenchmark(benchmark, sc)
+}
+
+// parseRange parses a -frames lo:hi range of an n-frame trace.
+func parseRange(s string, n int) (lo, hi int, err error) {
+	parts := strings.SplitN(s, ":", 2)
+	if len(parts) != 2 {
+		return 0, 0, fmt.Errorf("bad range %q (want lo:hi)", s)
+	}
+	if lo, err = strconv.Atoi(parts[0]); err != nil {
+		return 0, 0, fmt.Errorf("bad range %q: %v", s, err)
+	}
+	if hi, err = strconv.Atoi(parts[1]); err != nil {
+		return 0, 0, fmt.Errorf("bad range %q: %v", s, err)
+	}
+	if lo < 0 || hi > n || lo >= hi {
+		return 0, 0, fmt.Errorf("range %q out of [0,%d)", s, n)
+	}
+	return lo, hi, nil
 }
 
 // parseFrameList parses a comma-separated list of frame indices.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -91,34 +92,6 @@ func TestValidateGateFailsOnImpossibleBand(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "OUT OF BAND") {
 		t.Errorf("failing report does not mark metrics out of band:\n%s", buf.String())
-	}
-}
-
-func TestTraceAndBenchmarkAreExclusive(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-trace", "x.trace", "-benchmark", "hcr"}, &buf); err == nil {
-		t.Fatal("accepted both -trace and -benchmark")
-	}
-	if err := run(context.Background(), []string{}, &buf); err == nil {
-		t.Fatal("accepted neither -trace nor -benchmark")
-	}
-}
-
-// TestFrameDivNeedsBenchmark: -frame-div only divides a generated
-// trace, so with -trace it is refused instead of silently ignored.
-func TestFrameDivNeedsBenchmark(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hcr.trace")
-	sc := megsim.Scale{Width: 64, Height: 32, FrameDivisor: 100, DetailDivisor: 2}
-	if err := megsim.MustGenerateBenchmark("hcr", sc).SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-trace", path}, &buf); err != nil {
-		t.Fatalf("-trace alone: %v", err)
-	}
-	err := run(context.Background(), []string{"-trace", path, "-frame-div", "4"}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "-frame-div needs -benchmark") {
-		t.Fatalf("-trace -frame-div: error %v, want -frame-div needs -benchmark", err)
 	}
 }
 
@@ -257,20 +230,140 @@ func TestQuarantineDegradesLoudly(t *testing.T) {
 	}
 }
 
-// TestRunTimeoutIsResumable: a run killed by -run-timeout before any
-// frame completes must fail with a resume hint and leave a loadable
-// checkpoint behind.
-func TestRunTimeoutIsResumable(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	var buf bytes.Buffer
-	err := run(context.Background(), []string{
-		"-benchmark", "hcr", "-frame-div", "40",
-		"-checkpoint", ckpt, "-run-timeout", "1ns",
-	}, &buf)
-	if err == nil {
-		t.Fatal("1ns -run-timeout completed")
+// TestTraceAndBenchmarkAreExclusive: a run needs exactly one workload
+// source, and a named benchmark must exist, in every mode.
+func TestTraceAndBenchmarkAreExclusive(t *testing.T) {
+	for _, mode := range [][]string{nil, {"-full"}} {
+		for _, tc := range []struct {
+			args []string
+			want string
+		}{
+			{nil, "need -trace or -benchmark"},
+			{[]string{"-trace", "x.trace", "-benchmark", "hcr"}, "-benchmark cannot be combined with -trace"},
+			{[]string{"-benchmark", "not-a-benchmark"}, "unknown benchmark"},
+			{[]string{"-trace", filepath.Join(t.TempDir(), "missing.trace")}, "missing.trace"},
+		} {
+			args := append(append([]string{}, mode...), tc.args...)
+			err := run(context.Background(), args, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("args %v: error %v, want mention of %q", args, err, tc.want)
+			}
+		}
 	}
-	if !strings.Contains(err.Error(), "-resume") {
-		t.Fatalf("timeout error has no resume hint: %v", err)
+}
+
+// TestFrameDivNeedsBenchmark: -frame-div only divides a generated
+// trace, so with -trace it is refused instead of silently ignored, in
+// every mode.
+func TestFrameDivNeedsBenchmark(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hcr.trace")
+	sc := megsim.Scale{Width: 64, Height: 32, FrameDivisor: 100, DetailDivisor: 2}
+	if err := megsim.MustGenerateBenchmark("hcr", sc).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range [][]string{nil, {"-full"}} {
+		args := append(append([]string{}, mode...), "-trace", path)
+		if err := run(context.Background(), args, io.Discard); err != nil {
+			t.Fatalf("%v -trace alone: %v", mode, err)
+		}
+		err := run(context.Background(), append(args, "-frame-div", "4"), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-frame-div needs -benchmark") {
+			t.Fatalf("%v -trace -frame-div: error %v, want -frame-div needs -benchmark", mode, err)
+		}
+	}
+}
+
+// TestRunTimeoutIsResumable: a run killed by -run-timeout before any
+// frame completes must fail with a resume hint when checkpointed, and
+// point at -checkpoint when not, in every mode.
+func TestRunTimeoutIsResumable(t *testing.T) {
+	for _, mode := range [][]string{nil, {"-stream"}, {"-full"}} {
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		base := append([]string{"-benchmark", "hcr", "-frame-div", "40", "-run-timeout", "1ns"}, mode...)
+		err := run(context.Background(), append(base, "-checkpoint", ckpt), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-resume") {
+			t.Errorf("%v: checkpointed timeout error has no resume hint: %v", mode, err)
+		}
+		err = run(context.Background(), base, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
+			t.Errorf("%v: timeout error without -checkpoint has no checkpoint hint: %v", mode, err)
+		}
+	}
+}
+
+// TestFlagRules: every cross-flag rule is checked before any trace is
+// generated or loaded, so each refused run here names the broken rule,
+// not the missing trace file, and writes nothing.
+func TestFlagRules(t *testing.T) {
+	dir := t.TempDir()
+	out := func(name string) string { return filepath.Join(dir, name) }
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-stream", "-save-selection", out("sel.json")}, "-save-selection cannot be combined with -stream"},
+		{[]string{"-resume"}, "-resume needs -checkpoint"},
+		{[]string{"-full", "-resume"}, "-resume needs -checkpoint"},
+		{[]string{"-frames", "0:2"}, "-frames needs -full"},
+		{[]string{"-per-frame"}, "-per-frame needs -full"},
+		{[]string{"-csv", out("f.csv")}, "-csv needs -full"},
+		{[]string{"-watts"}, "-watts needs -full"},
+		{[]string{"-full", "-stream"}, "-stream cannot be combined with -full"},
+		{[]string{"-full", "-validate"}, "-validate cannot be combined with -full"},
+		{[]string{"-full", "-server", "127.0.0.1:1"}, "-server cannot be combined with -full"},
+		{[]string{"-full", "-threshold", "0.9"}, "-threshold cannot be combined with -full"},
+		{[]string{"-full", "-seed", "3"}, "-seed cannot be combined with -full"},
+		{[]string{"-full", "-save-selection", out("sel.json")}, "-save-selection cannot be combined with -full"},
+		{[]string{"-full", "-json"}, "-json cannot be combined with -full"},
+		{[]string{"-server", "127.0.0.1:1", "-metrics-out", out("m.json")}, "-metrics-out cannot be combined with -server"},
+		{[]string{"-server", "127.0.0.1:1", "-trace-out", out("t.json")}, "-trace-out cannot be combined with -server"},
+		{[]string{"-workers", "2"}, "flag provided but not defined: -workers"},
+	} {
+		args := append([]string{"-trace", out("missing.trace")}, tc.args...)
+		err := run(context.Background(), args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %v, want mention of %q", tc.args, err, tc.want)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) > 0 {
+		t.Fatalf("refused runs wrote %v (%v)", entries, err)
+	}
+}
+
+// TestLocalRunsValidateLikeTheDaemon: a local run holds its campaign
+// document to the daemon's bounds, a -trace run included, and no mode
+// accepts a pre-quarantined frame outside the frames it runs.
+func TestLocalRunsValidateLikeTheDaemon(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hcr.trace")
+	sc := megsim.DefaultScale()
+	sc.FrameDivisor = 50
+	if err := megsim.MustGenerateBenchmark("hcr", sc).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-quarantine", "-5"}, "negative quarantined frame -5"},
+		{[]string{"-full", "-quarantine", "-5"}, "negative quarantined frame -5"},
+		{[]string{"-retries", "1000"}, "retries 1000 out of"},
+		{[]string{"-stall-timeout", "5h"}, "stall_timeout_ms"},
+		{[]string{"-quarantine", "9999"}, "quarantined frame 9999 outside the campaign's 40 frames"},
+		{[]string{"-stream", "-quarantine", "40"}, "quarantined frame 40 outside the campaign's 40 frames"},
+		{[]string{"-full", "-frames", "0:4", "-quarantine", "4"}, "frame 4 outside the run's frames 0:4"},
+	} {
+		err := run(context.Background(), append([]string{"-trace", path}, tc.args...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %v, want mention of %q", tc.args, err, tc.want)
+		}
+	}
+
+	var buf bytes.Buffer
+	args := []string{"-trace", path, "-full", "-frames", "0:3", "-quarantine", "1"}
+	if err := run(context.Background(), args, &buf); err != nil {
+		t.Fatalf("in-range -full quarantine: %v", err)
+	}
+	if !strings.Contains(buf.String(), "PARTIAL RESULT: 1 of 3 frames quarantined") {
+		t.Fatalf("-full quarantine not reported:\n%s", buf.String())
 	}
 }

@@ -23,15 +23,12 @@ const pollInterval = 250 * time.Millisecond
 // same bound the cluster coordinator puts on a worker's frame result.
 const maxResponseBytes = 32 << 20
 
-// runRemote submits the campaign to a megsimd daemon, waits for the job
-// to finish, and renders the result with the same renderers a local run
-// uses — so apart from wall-clock timing the output is identical either
-// way. Backpressure (429) is retried after the daemon's advertised
-// delay; a draining daemon (503) is a hard error.
+// runRemote submits the validated campaign to a megsimd daemon, waits
+// for the job to finish, and renders the result with the same renderers
+// a local run uses — so apart from wall-clock timing the output is
+// identical either way. Backpressure (429) is retried after the
+// daemon's advertised delay; a draining daemon (503) is a hard error.
 func runRemote(ctx context.Context, addr string, req *serve.CampaignRequest, jsonOut bool, stdout io.Writer) error {
-	if err := req.Validate(); err != nil {
-		return err
-	}
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base

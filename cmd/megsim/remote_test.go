@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/megsim"
 )
 
 // startDaemon runs an in-process campaign service behind httptest so
@@ -87,7 +88,9 @@ func TestServerModeJobFailure(t *testing.T) {
 	ts := startDaemon(t)
 	// Pre-quarantining every frame leaves no cluster coverage, so the
 	// campaign deterministically fails server-side.
-	quarantine := make([]string, 2000)
+	sc := megsim.DefaultScale()
+	sc.FrameDivisor = 40
+	quarantine := make([]string, megsim.MustGenerateBenchmark("hcr", sc).NumFrames())
 	for f := range quarantine {
 		quarantine[f] = strconv.Itoa(f)
 	}
@@ -100,7 +103,7 @@ func TestServerModeJobFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("all-quarantined campaign did not fail")
 	}
-	if !strings.Contains(err.Error(), "failed") || !strings.Contains(err.Error(), "quarantine") {
+	if !strings.Contains(err.Error(), "failed") || !strings.Contains(err.Error(), "every cluster lost") {
 		t.Fatalf("failure error lacks job state and cause: %v", err)
 	}
 }

@@ -707,7 +707,15 @@ func TestJobFailure(t *testing.T) {
 	if s.draining.Load() {
 		t.Fatal("fresh server reports draining")
 	}
-	quarantine := make([]string, 2000)
+	req, err := DecodeCampaignRequest(strings.NewReader(serviceCampaignBody("")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := req.BuildTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	quarantine := make([]string, tr.NumFrames())
 	for i := range quarantine {
 		quarantine[i] = fmt.Sprint(i)
 	}

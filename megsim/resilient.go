@@ -38,15 +38,6 @@ type (
 	ResilientFrameFunc = resilience.FrameFunc
 )
 
-// Supervise runs fn over frames under the run supervisor: per-frame
-// retry with capped deterministic backoff, quarantine, frame-granularity
-// checkpointing with resume, and the stall watchdog. It is the
-// frame-loop primitive behind SampleResilient, exposed for callers (the
-// gpusim CLI, custom sweeps) that bring their own frame list.
-func Supervise(ctx context.Context, frames []int, fn ResilientFrameFunc, cfg ResilienceConfig) (*ResilienceResult, error) {
-	return resilience.Run(ctx, frames, fn, cfg)
-}
-
 // ResilientRun is a sampling run executed under the run supervisor. On
 // a healthy run it is exactly a Run; when frames were quarantined it
 // additionally carries the supervision record and the degradation the
@@ -215,7 +206,7 @@ func SampleResilientPrepared(ctx context.Context, tr *Trace, ch *Characterizatio
 		rcfg.Obs = gpu.Obs
 	}
 
-	deg, sup, err := settle(ctx, sel, fn, rcfg)
+	deg, sup, err := settle(ctx, tr.NumFrames(), sel, fn, rcfg)
 	run := &Run{Trace: tr, Characterization: ch, Selection: sel}
 	out := &ResilientRun{Run: run, Supervision: sup}
 	if err != nil {
@@ -244,16 +235,20 @@ type degradable interface {
 // quarantine re-plans (a substitute, or a lost group), and the new
 // frames run in the next round. Frames cfg.Quarantine excludes up front
 // are recorded as pre-quarantined, so the quarantine is visible in one
-// place in batch and streaming campaigns alike. Rounds after the first
-// resume cfg's checkpoint, so one file accumulates the whole campaign.
+// place in batch and streaming campaigns alike; one outside the
+// campaign's frames is refused. Rounds after the first resume cfg's
+// checkpoint, so one file accumulates the whole campaign.
 // The returned supervision aggregates every round, its Stats holding
 // every simulated frame, and is non-nil even on error. Terminates
 // because each round either quarantines a new frame (finitely many) or
 // requests nothing new.
-func settle(ctx context.Context, sel degradable, fn ResilientFrameFunc, cfg ResilienceConfig) (*Degradation, *ResilienceResult, error) {
+func settle(ctx context.Context, frames int, sel degradable, fn ResilientFrameFunc, cfg ResilienceConfig) (*Degradation, *ResilienceResult, error) {
 	sup := &ResilienceResult{CheckpointPath: cfg.CheckpointPath, Stats: map[int]FrameStats{}}
 	quarantined := map[int]bool{}
 	for _, f := range cfg.Quarantine {
+		if f < 0 || f >= frames {
+			return nil, sup, fmt.Errorf("resilience: quarantined frame %d outside the campaign's %d frames", f, frames)
+		}
 		if !quarantined[f] {
 			quarantined[f] = true
 			sup.Quarantined = append(sup.Quarantined, QuarantineRecord{Frame: f, Err: "pre-quarantined"})

@@ -2,7 +2,9 @@ package megsim_test
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/megsim"
@@ -136,5 +138,29 @@ func TestRunFingerprintSensitivity(t *testing.T) {
 	obs.Obs = megsim.NewObsRegistry(0)
 	if megsim.RunFingerprint(tr, obs) != base {
 		t.Fatal("fingerprint varies with observability")
+	}
+}
+
+// TestQuarantineOutsideCampaignRefused: a pre-quarantined frame the
+// campaign does not have is an error in batch and streaming campaigns
+// alike (a streaming campaign's frames end at MaxFrames), never a
+// silent no-op.
+func TestQuarantineOutsideCampaignRefused(t *testing.T) {
+	tr := megsim.MustGenerateBenchmark("hcr", testScale())
+	n := tr.NumFrames()
+	gpu := megsim.DefaultGPUConfig()
+	for _, q := range []int{-1, n} {
+		_, err := megsim.SampleResilient(context.Background(), tr, megsim.DefaultConfig(), gpu,
+			megsim.ResilienceConfig{Quarantine: []int{0, q}})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("quarantined frame %d outside", q)) {
+			t.Errorf("batch quarantine %d: error %v", q, err)
+		}
+	}
+	_, err := megsim.SampleStreaming(context.Background(), tr, megsim.StreamingOptions{
+		MaxFrames:  n / 2,
+		Resilience: megsim.ResilienceConfig{Quarantine: []int{n / 2}},
+	}, gpu)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("outside the campaign's %d frames", n/2)) {
+		t.Errorf("streaming quarantine past MaxFrames: error %v", err)
 	}
 }

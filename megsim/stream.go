@@ -252,7 +252,7 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 			return run, fmt.Errorf("megsim: strata snapshot: %w", err)
 		}
 	}
-	deg, sup, err := settle(ctx, sel, runner, cfg)
+	deg, sup, err := settle(ctx, numFrames, sel, runner, cfg)
 	run.Supervision = sup
 	if err != nil {
 		return run, err
