@@ -45,6 +45,24 @@ func TestParseRange(t *testing.T) {
 	}
 }
 
+// TestFullTraceAndBenchmarkAreExclusive: a -full run needs exactly one
+// workload source, and a named benchmark must exist.
+func TestFullTraceAndBenchmarkAreExclusive(t *testing.T) {
+	checkWorkloadSource(t, []string{"-full"})
+}
+
+// TestFullFrameDivNeedsBenchmark: -full refuses -frame-div with -trace
+// as a sampled run does.
+func TestFullFrameDivNeedsBenchmark(t *testing.T) {
+	checkFrameDivNeedsBenchmark(t, []string{"-full"})
+}
+
+// TestFullRunTimeoutIsResumable: a -full run killed by -run-timeout
+// gives the same resume and checkpoint hints as a sampled run.
+func TestFullRunTimeoutIsResumable(t *testing.T) {
+	checkRunTimeoutIsResumable(t, []string{"-full"})
+}
+
 // mustValidJSON fails the test unless path holds well-formed JSON.
 func mustValidJSON(t *testing.T, path string) {
 	t.Helper()

@@ -230,64 +230,76 @@ func TestQuarantineDegradesLoudly(t *testing.T) {
 	}
 }
 
-// TestTraceAndBenchmarkAreExclusive: a run needs exactly one workload
-// source, and a named benchmark must exist, in every mode.
+// TestTraceAndBenchmarkAreExclusive: a sampled run needs exactly one
+// workload source, and a named benchmark must exist.
 func TestTraceAndBenchmarkAreExclusive(t *testing.T) {
-	for _, mode := range [][]string{nil, {"-full"}} {
-		for _, tc := range []struct {
-			args []string
-			want string
-		}{
-			{nil, "need -trace or -benchmark"},
-			{[]string{"-trace", "x.trace", "-benchmark", "hcr"}, "-benchmark cannot be combined with -trace"},
-			{[]string{"-benchmark", "not-a-benchmark"}, "unknown benchmark"},
-			{[]string{"-trace", filepath.Join(t.TempDir(), "missing.trace")}, "missing.trace"},
-		} {
-			args := append(append([]string{}, mode...), tc.args...)
-			err := run(context.Background(), args, io.Discard)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("args %v: error %v, want mention of %q", args, err, tc.want)
-			}
+	checkWorkloadSource(t, nil)
+}
+
+// checkWorkloadSource runs the workload-source rules in one mode.
+func checkWorkloadSource(t *testing.T, mode []string) {
+	t.Helper()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "need -trace or -benchmark"},
+		{[]string{"-trace", "x.trace", "-benchmark", "hcr"}, "-benchmark cannot be combined with -trace"},
+		{[]string{"-benchmark", "not-a-benchmark"}, "unknown benchmark"},
+		{[]string{"-trace", filepath.Join(t.TempDir(), "missing.trace")}, "missing.trace"},
+	} {
+		args := append(append([]string{}, mode...), tc.args...)
+		err := run(context.Background(), args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %v, want mention of %q", args, err, tc.want)
 		}
 	}
 }
 
 // TestFrameDivNeedsBenchmark: -frame-div only divides a generated
-// trace, so with -trace it is refused instead of silently ignored, in
-// every mode.
+// trace, so with -trace it is refused instead of silently ignored.
 func TestFrameDivNeedsBenchmark(t *testing.T) {
+	checkFrameDivNeedsBenchmark(t, nil)
+}
+
+// checkFrameDivNeedsBenchmark runs the -frame-div rule in one mode.
+func checkFrameDivNeedsBenchmark(t *testing.T, mode []string) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "hcr.trace")
 	sc := megsim.Scale{Width: 64, Height: 32, FrameDivisor: 100, DetailDivisor: 2}
 	if err := megsim.MustGenerateBenchmark("hcr", sc).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range [][]string{nil, {"-full"}} {
-		args := append(append([]string{}, mode...), "-trace", path)
-		if err := run(context.Background(), args, io.Discard); err != nil {
-			t.Fatalf("%v -trace alone: %v", mode, err)
-		}
-		err := run(context.Background(), append(args, "-frame-div", "4"), io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "-frame-div needs -benchmark") {
-			t.Fatalf("%v -trace -frame-div: error %v, want -frame-div needs -benchmark", mode, err)
-		}
+	args := append(append([]string{}, mode...), "-trace", path)
+	if err := run(context.Background(), args, io.Discard); err != nil {
+		t.Fatalf("%v -trace alone: %v", mode, err)
+	}
+	err := run(context.Background(), append(args, "-frame-div", "4"), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-frame-div needs -benchmark") {
+		t.Fatalf("%v -trace -frame-div: error %v, want -frame-div needs -benchmark", mode, err)
 	}
 }
 
-// TestRunTimeoutIsResumable: a run killed by -run-timeout before any
-// frame completes must fail with a resume hint when checkpointed, and
-// point at -checkpoint when not, in every mode.
+// TestRunTimeoutIsResumable: a sampled or -stream run killed by
+// -run-timeout before any frame completes must fail with a resume hint
+// when checkpointed, and point at -checkpoint when not.
 func TestRunTimeoutIsResumable(t *testing.T) {
-	for _, mode := range [][]string{nil, {"-stream"}, {"-full"}} {
-		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-		base := append([]string{"-benchmark", "hcr", "-frame-div", "40", "-run-timeout", "1ns"}, mode...)
-		err := run(context.Background(), append(base, "-checkpoint", ckpt), io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "-resume") {
-			t.Errorf("%v: checkpointed timeout error has no resume hint: %v", mode, err)
-		}
-		err = run(context.Background(), base, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
-			t.Errorf("%v: timeout error without -checkpoint has no checkpoint hint: %v", mode, err)
-		}
+	checkRunTimeoutIsResumable(t, nil)
+	checkRunTimeoutIsResumable(t, []string{"-stream"})
+}
+
+// checkRunTimeoutIsResumable runs the -run-timeout hints in one mode.
+func checkRunTimeoutIsResumable(t *testing.T, mode []string) {
+	t.Helper()
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	base := append([]string{"-benchmark", "hcr", "-frame-div", "40", "-run-timeout", "1ns"}, mode...)
+	err := run(context.Background(), append(base, "-checkpoint", ckpt), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-resume") {
+		t.Errorf("%v: checkpointed timeout error has no resume hint: %v", mode, err)
+	}
+	err = run(context.Background(), base, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
+		t.Errorf("%v: timeout error without -checkpoint has no checkpoint hint: %v", mode, err)
 	}
 }
 
