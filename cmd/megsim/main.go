@@ -75,9 +75,19 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "megsim:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the line main prints for a failed run: the error behind
+// one "megsim: " prefix, which the library's own errors already carry.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "megsim: ") {
+		msg = "megsim: " + msg
+	}
+	return msg
 }
 
 // flagRules holds every cross-flag rule, checked right after parsing

@@ -230,6 +230,32 @@ func TestQuarantineDegradesLoudly(t *testing.T) {
 	}
 }
 
+// TestErrorLineHasOnePrefix: a run that fails inside the library prints
+// its error behind one "megsim: " prefix, as a run refused by megsim's
+// own flag checks does.
+func TestErrorLineHasOnePrefix(t *testing.T) {
+	all := make([]string, 40)
+	for f := range all {
+		all[f] = strconv.Itoa(f)
+	}
+	err := run(context.Background(), []string{
+		"-benchmark", "hcr", "-frame-div", "50", "-quarantine", strings.Join(all, ","),
+	}, io.Discard)
+	if err == nil {
+		t.Fatal("a campaign with every frame quarantined succeeded")
+	}
+	if got, want := errorLine(err), "megsim: estimation: core: every cluster lost to quarantine; no estimate possible"; got != want {
+		t.Errorf("error line %q, want %q", got, want)
+	}
+	err = run(context.Background(), []string{"-benchmark", "hcr", "-frames", "0:5"}, io.Discard)
+	if err == nil {
+		t.Fatal("-frames without -full accepted")
+	}
+	if got, want := errorLine(err), "megsim: -frames needs -full"; got != want {
+		t.Errorf("error line %q, want %q", got, want)
+	}
+}
+
 // TestTraceAndBenchmarkAreExclusive: a sampled run needs exactly one
 // workload source, and a named benchmark must exist.
 func TestTraceAndBenchmarkAreExclusive(t *testing.T) {

@@ -45,15 +45,15 @@ func main() {
 		t := float64(f) / 60
 		eye := geom.Vec3{X: 6 * math.Cos(t/4), Y: 3, Z: 6 * math.Sin(t/4)}
 		view := geom.LookAt(eye, geom.Vec3{}, geom.Vec3{Y: 1})
-		vp := proj.Mul(view)
+		vp := mul(proj, view)
 
 		rec.BeginFrame()
 		rec.UseProgram(simple)
 		rec.BindTexture(0, tex)
-		rec.Draw(ground, vp.Mul(geom.Translate(geom.Vec3{Y: -1}).Mul(geom.ScaleUniform(12))))
+		rec.Draw(ground, mul(vp, mul(geom.Translate(geom.Vec3{Y: -1}), geom.ScaleUniform(12))))
 
 		rec.UseProgram(solid)
-		rec.Draw(sphere, vp.Mul(geom.RotateY(t).Mul(geom.ScaleUniform(2))))
+		rec.Draw(sphere, mul(vp, mul(geom.RotateY(t), geom.ScaleUniform(2))))
 
 		// Phase 2 (second half): a swarm of satellites appears.
 		satellites := 3
@@ -63,7 +63,7 @@ func main() {
 		for s := 0; s < satellites; s++ {
 			angle := t*0.8 + float64(s)*2*math.Pi/float64(satellites)
 			pos := geom.Vec3{X: 3 * math.Cos(angle), Y: 0.5 * math.Sin(t+float64(s)), Z: 3 * math.Sin(angle)}
-			rec.Draw(box, vp.Mul(geom.Translate(pos).Mul(geom.ScaleUniform(0.3))))
+			rec.Draw(box, mul(vp, mul(geom.Translate(pos), geom.ScaleUniform(0.3))))
 		}
 		rec.EndFrame()
 	}
@@ -107,4 +107,11 @@ func dominantCluster(sel *megsim.Selection, lo, hi int) int {
 		}
 	}
 	return best
+}
+
+// mul returns the matrix product a * b.
+func mul(a, b geom.Mat4) geom.Mat4 {
+	var m geom.Mat4
+	m.Mul(&a, &b)
+	return m
 }

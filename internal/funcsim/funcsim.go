@@ -1,9 +1,12 @@
-// Package funcsim is the functional GPU simulator: it executes a trace's
-// command stream — transforming geometry, binning, rasterizing and
-// depth-testing exactly like the timing simulator, and functionally
-// executing shader programs — but models no timing at all. Its output is
-// the per-frame activity profile MEGsim characterizes frames with:
-// per-shader execution counts (VSCV/FSCV) and primitive counts (PRIM).
+// Package funcsim is the functional GPU simulator: it walks a trace's
+// command stream — transforming geometry, culling, rasterizing and
+// depth-testing exactly like the timing simulator, and counting the
+// shader invocations each draw makes — but models no timing and
+// executes no shader program. Its output is the per-frame activity
+// profile MEGsim characterizes frames with: per-shader invocation
+// counts (VSCV/FSCV) and primitive counts (PRIM). No characterization
+// input depends on what a shader computes, only on how often it runs
+// and on its static cost.
 //
 // This mirrors TEAPOT's instrumented-Softpipe functional component: the
 // characterization inputs are architecture-independent and cheap to
@@ -14,7 +17,6 @@ package funcsim
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/gltrace"
 	"repro/internal/obs"
@@ -39,9 +41,6 @@ type FrameProfile struct {
 	PrimsVisible uint64
 	// Fragments is the total shaded fragment count.
 	Fragments uint64
-	// Checksum is a deterministic digest of functional shader outputs,
-	// usable to verify that two runs rendered identical frames.
-	Checksum uint64
 }
 
 // Result is the functional simulation of a whole trace.
@@ -55,18 +54,6 @@ type Result struct {
 	// same pass, as the paper's first step does.
 	VSStatic []shader.Cost
 	FSStatic []shader.Cost
-}
-
-// proceduralSampler returns deterministic texel values derived from the
-// texture id and coordinates, so functional execution has real data
-// without texture images.
-type proceduralSampler struct {
-	tex int
-}
-
-func (p proceduralSampler) Sample(unit int, u, v float64, f shader.FilterMode) float64 {
-	x := math.Sin(u*12.9898+v*78.233+float64(p.tex)*3.7+float64(unit)) * 43758.5453
-	return x - math.Floor(x)
 }
 
 // Run functionally simulates every frame of the trace, which must
@@ -103,14 +90,4 @@ func Run(ctx context.Context, trace *gltrace.Trace, reg *obs.Registry) (*Result,
 		hFragments.Observe(res.Profiles[f].Fragments)
 	}
 	return res, nil
-}
-
-func mixChecksum(sum uint64, regSets ...shader.Regs) uint64 {
-	for _, regs := range regSets {
-		for _, r := range regs {
-			bits := math.Float64bits(r)
-			sum ^= bits + 0x9e3779b97f4a7c15 + (sum << 6) + (sum >> 2)
-		}
-	}
-	return sum
 }

@@ -3,6 +3,7 @@ package funcsim
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/gltrace"
@@ -43,8 +44,7 @@ func TestRunDeterministic(t *testing.T) {
 	a, _ := run(t, "jjo")
 	b, _ := run(t, "jjo")
 	for i := range a.Profiles {
-		pa, pb := &a.Profiles[i], &b.Profiles[i]
-		if pa.Checksum != pb.Checksum || pa.Fragments != pb.Fragments {
+		if !reflect.DeepEqual(a.Profiles[i], b.Profiles[i]) {
 			t.Fatalf("frame %d differs across runs", i)
 		}
 	}

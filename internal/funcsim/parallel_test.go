@@ -111,6 +111,31 @@ func TestProfileRangeReusesScratchAcrossWindows(t *testing.T) {
 	})
 }
 
+// TestProfileAtAllocatesNothing: once a reused FrameProfile's count
+// vectors are sized, profiling a frame allocates nothing, on a 2D trace
+// bound by clears and a 3D one. Each run profiles every frame of the
+// trace, so one allocation in any frame fails it.
+func TestProfileAtAllocatesNothing(t *testing.T) {
+	for _, alias := range []string{"pvz", "hwh"} {
+		tr := workload.MustGenerate(workload.Profiles[alias], workload.TestScale)
+		st, err := NewStreamer(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p FrameProfile
+		allocs := testing.AllocsPerRun(3, func() {
+			for f := range tr.NumFrames() {
+				if err := st.ProfileAt(&p, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per pass over %d frames, want 0", alias, allocs, tr.NumFrames())
+		}
+	}
+}
+
 // TestProfileRangeErrors: out-of-range windows are refused, and a
 // cancelled context surfaces as ctx's error.
 func TestProfileRangeErrors(t *testing.T) {

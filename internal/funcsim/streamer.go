@@ -16,9 +16,11 @@ import (
 // transform, cull and a count-only walk per visible triangle, which
 // shares its visibility rule and coverage code with the timing
 // simulator's geometry pass and rasterizer but stores no triangle or
-// quad. The streamer owns the reusable transform scratch and depth
-// buffers, so profiling a frame allocates nothing beyond the profile's
-// count vectors and the shader executor's texture trace, and frames are
+// quad. No shader program runs: a profile counts invocations, and the
+// programs' costs are static. The streamer owns the reusable transform
+// scratch and depth buffers, so profiling a frame allocates nothing but
+// the profile's count vectors, and none when the profile is reused (as
+// a ProfileAt loop over one FrameProfile does). Frames are
 // characterized independently: the depth buffer is cleared and all
 // binding state reset at every frame start, so a frame's profile is a
 // pure function of its commands and the trace resources. A clear resets
@@ -140,41 +142,22 @@ func (sc *frameScratch) profile(tr *gltrace.Trace, dst *FrameProfile, index int)
 	depth.Clear()
 
 	curVS, curFS := -1, -1
-	curTex := 0
 	draw := 0 // index of the next draw's transform in frame.MVPs
 	for ci := range frame.Commands {
 		cmd := &frame.Commands[ci]
 		switch cmd.Op {
 		case gltrace.CmdBindProgram:
 			curVS, curFS = int(cmd.VS), int(cmd.FS)
-		case gltrace.CmdBindTexture:
-			if cmd.Unit == 0 {
-				curTex = int(cmd.Texture)
-			}
 		case gltrace.CmdClear:
 			depth.Clear()
 		case gltrace.CmdDraw:
 			mesh := &tr.Meshes[cmd.Mesh]
 			dst.VSCount[curVS] += uint64(len(mesh.Vertices))
 
-			mvp := &frame.MVPs[draw]
-			draw++
-
-			// Functionally execute the bound programs once per draw
-			// with draw-derived inputs; lock-step warps make all
-			// invocations of a draw structurally identical, so one
-			// execution yields the per-draw functional digest.
-			vsOut := tr.VertexShaders[curVS].Exec(shader.Regs{
-				mvp[3], mvp[7], mvp[11], cmd.DepthBias,
-			}, nil)
-			fsOut := tr.FragmentShaders[curFS].Exec(shader.Regs{
-				mvp[3], mvp[7], 0.5, 0.5,
-			}, proceduralSampler{tex: curTex})
-			dst.Checksum = mixChecksum(dst.Checksum, vsOut.Regs, fsOut.Regs)
-
 			// Transparent fragments are depth-tested but never write
 			// depth.
-			shaded, gstats := depth.CountDraw(mesh, mvp, tr.Viewport, cmd.DepthBias, cmd.Blend, &sc.draw)
+			shaded, gstats := depth.CountDraw(mesh, &frame.MVPs[draw], tr.Viewport, cmd.DepthBias, cmd.Blend, &sc.draw)
+			draw++
 			dst.PrimsIn += uint64(gstats.PrimsIn)
 			dst.PrimsVisible += uint64(gstats.Visible)
 			dst.FSCount[curFS] += shaded

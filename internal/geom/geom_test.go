@@ -78,11 +78,80 @@ func TestMat4Identity(t *testing.T) {
 		t.Fatalf("I*v = %v, want %v", got, v)
 	}
 	m := Translate(Vec3{5, 6, 7})
-	if got := id.Mul(m); got != m {
+	var got Mat4
+	if got.Mul(&id, &m); got != m {
 		t.Fatal("I*M != M")
 	}
-	if got := m.Mul(id); got != m {
+	if got.Mul(&m, &id); got != m {
 		t.Fatal("M*I != M")
+	}
+}
+
+// loopMul is the plain triple loop: each element sums from zero in k
+// order.
+func loopMul(a, b *Mat4) Mat4 {
+	var out Mat4
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			s := 0.0
+			for k := 0; k < 4; k++ {
+				s += a[r*4+k] * b[k*4+c]
+			}
+			out[r*4+c] = s
+		}
+	}
+	return out
+}
+
+// TestMat4MulMatchesLoop: the unrolled product gives the triple loop's
+// bits (signed zeros included) on random matrices salted with zeros,
+// negative zeros and extremes, also when the destination aliases
+// either operand or both.
+func TestMat4MulMatchesLoop(t *testing.T) {
+	r := stats.NewRNG(11)
+	draw := func() Mat4 {
+		var m Mat4
+		for i := range m {
+			switch r.Intn(6) {
+			case 0:
+				m[i] = 0
+			case 1:
+				m[i] = math.Copysign(0, -1)
+			case 2:
+				m[i] = r.Norm(0, 1e300)
+			default:
+				m[i] = r.Norm(0, 10)
+			}
+		}
+		return m
+	}
+	same := func(x, y Mat4) bool {
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for range 2000 {
+		a, b := draw(), draw()
+		want := loopMul(&a, &b)
+		var got Mat4
+		if got.Mul(&a, &b); !same(got, want) {
+			t.Fatalf("%v * %v = %v, want %v", a, b, got, want)
+		}
+		got = a
+		if got.Mul(&got, &b); !same(got, want) {
+			t.Fatalf("destination aliasing a: %v, want %v", got, want)
+		}
+		got = b
+		if got.Mul(&a, &got); !same(got, want) {
+			t.Fatalf("destination aliasing b: %v, want %v", got, want)
+		}
+		got = a
+		if got.Mul(&got, &got); !same(got, loopMul(&a, &a)) {
+			t.Fatalf("destination aliasing both: %v, want %v", got, loopMul(&a, &a))
+		}
 	}
 }
 

@@ -3,8 +3,8 @@ package geom
 import "math"
 
 // Mat4 is a 4x4 matrix in row-major order; element (row, col) is
-// M[row*4+col]. Vectors are columns, so transforms compose left-to-right
-// as C.Mul(B).Mul(A) applying A first.
+// M[row*4+col]. Vectors are columns, so the product C * B * A applies
+// A first.
 type Mat4 [16]float64
 
 // IdentityMat4 returns the identity matrix.
@@ -17,19 +17,38 @@ func IdentityMat4() Mat4 {
 	}
 }
 
-// Mul returns the matrix product m * n.
-func (m Mat4) Mul(n Mat4) Mat4 {
-	var out Mat4
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			s := 0.0
-			for k := 0; k < 4; k++ {
-				s += m[r*4+k] * n[k*4+c]
-			}
-			out[r*4+c] = s
-		}
+// Mul sets m to the matrix product a * b; m may alias a or b.
+//
+// The product is unrolled row by row: a row of a is read before the row
+// of m it yields is written, so m may alias a, and b is copied first
+// when m aliases it. Each element sums from zero in k order, so its
+// bits are those of the plain triple loop.
+func (m *Mat4) Mul(a, b *Mat4) {
+	if m == b {
+		bc := *b
+		b = &bc
 	}
-	return out
+	var a0, a1, a2, a3 float64
+	a0, a1, a2, a3 = a[0], a[1], a[2], a[3]
+	m[0] = 0 + a0*b[0] + a1*b[4] + a2*b[8] + a3*b[12]
+	m[1] = 0 + a0*b[1] + a1*b[5] + a2*b[9] + a3*b[13]
+	m[2] = 0 + a0*b[2] + a1*b[6] + a2*b[10] + a3*b[14]
+	m[3] = 0 + a0*b[3] + a1*b[7] + a2*b[11] + a3*b[15]
+	a0, a1, a2, a3 = a[4], a[5], a[6], a[7]
+	m[4] = 0 + a0*b[0] + a1*b[4] + a2*b[8] + a3*b[12]
+	m[5] = 0 + a0*b[1] + a1*b[5] + a2*b[9] + a3*b[13]
+	m[6] = 0 + a0*b[2] + a1*b[6] + a2*b[10] + a3*b[14]
+	m[7] = 0 + a0*b[3] + a1*b[7] + a2*b[11] + a3*b[15]
+	a0, a1, a2, a3 = a[8], a[9], a[10], a[11]
+	m[8] = 0 + a0*b[0] + a1*b[4] + a2*b[8] + a3*b[12]
+	m[9] = 0 + a0*b[1] + a1*b[5] + a2*b[9] + a3*b[13]
+	m[10] = 0 + a0*b[2] + a1*b[6] + a2*b[10] + a3*b[14]
+	m[11] = 0 + a0*b[3] + a1*b[7] + a2*b[11] + a3*b[15]
+	a0, a1, a2, a3 = a[12], a[13], a[14], a[15]
+	m[12] = 0 + a0*b[0] + a1*b[4] + a2*b[8] + a3*b[12]
+	m[13] = 0 + a0*b[1] + a1*b[5] + a2*b[9] + a3*b[13]
+	m[14] = 0 + a0*b[2] + a1*b[6] + a2*b[10] + a3*b[14]
+	m[15] = 0 + a0*b[3] + a1*b[7] + a2*b[11] + a3*b[15]
 }
 
 // MulVec4 returns m * v.
@@ -96,7 +115,10 @@ func LookAt(eye, center, up Vec3) Mat4 {
 		-f.X, -f.Y, -f.Z, 0,
 		0, 0, 0, 1,
 	}
-	return rot.Mul(Translate(eye.Scale(-1)))
+	tr := Translate(eye.Scale(-1))
+	var view Mat4
+	view.Mul(&rot, &tr)
+	return view
 }
 
 // Perspective returns a perspective projection matrix with the given

@@ -11,8 +11,7 @@ import (
 func BenchmarkProcessDrawSphere(b *testing.B) {
 	mesh := scene.Sphere("s", 6, 8)
 	vp := geom.Viewport{Width: 320, Height: 160}
-	mvp := geom.Perspective(1.0, 2.0, 0.1, 100).
-		Mul(geom.Translate(geom.Vec3{Z: -3}))
+	mvp := mulMat(geom.Perspective(1.0, 2.0, 0.1, 100), geom.Translate(geom.Vec3{Z: -3}))
 	buf := make([]ScreenTriangle, 0, mesh.TriangleCount())
 	var scr DrawScratch
 	b.ResetTimer()
@@ -108,8 +107,7 @@ func BenchmarkAppendQuadsTiles(b *testing.B) {
 func BenchmarkCountDraw(b *testing.B) {
 	mesh := scene.Sphere("s", 16, 24)
 	vp := geom.Viewport{Width: 320, Height: 160}
-	mvp := geom.Perspective(1.0, 2.0, 0.1, 100).
-		Mul(geom.Translate(geom.Vec3{Z: -2.2}))
+	mvp := mulMat(geom.Perspective(1.0, 2.0, 0.1, 100), geom.Translate(geom.Vec3{Z: -2.2}))
 	d := NewDepthBuffer(vp.Width, vp.Height)
 	var scr DrawScratch
 	var survivors uint64

@@ -55,20 +55,27 @@ func randomDraw(rng *rand.Rand) drawCase {
 			}
 			m.Indices = append(m.Indices, i, j, k)
 		}
-		c.mesh, c.mvp = m, persp.Mul(move)
+		c.mesh, c.mvp = m, mulMat(persp, move)
 	case 2:
 		c.mesh = scene.Sphere("sphere", 3+rng.IntN(8), 3+rng.IntN(12))
-		c.mvp = persp.Mul(move)
+		c.mvp = mulMat(persp, move)
 	case 3:
 		c.mesh = scene.Grid("grid", 1+rng.IntN(6), 1+rng.IntN(6), func(x, z float64) float64 { return 0.3 * math.Sin(3*x+z) })
-		c.mvp = persp.Mul(move).Mul(geom.RotateY(rng.Float64() * 2 * math.Pi))
+		c.mvp = mulMat(mulMat(persp, move), geom.RotateY(rng.Float64()*2*math.Pi))
 	default:
 		c.mesh = scene.Quad("sprite")
 		ortho := geom.Orthographic(-1, 1, -1, 1, -1, 1)
-		c.mvp = ortho.Mul(geom.Translate(geom.Vec3{X: rng.Float64()*2 - 1, Y: rng.Float64()*2 - 1})).
-			Mul(geom.ScaleUniform(0.1 + rng.Float64()))
+		c.mvp = mulMat(mulMat(ortho, geom.Translate(geom.Vec3{X: rng.Float64()*2 - 1, Y: rng.Float64()*2 - 1})),
+			geom.ScaleUniform(0.1+rng.Float64()))
 	}
 	return c
+}
+
+// mulMat returns the matrix product a * b.
+func mulMat(a, b geom.Mat4) geom.Mat4 {
+	var m geom.Mat4
+	m.Mul(&a, &b)
+	return m
 }
 
 // randomDepth returns a depth buffer near the size of vp, sometimes

@@ -33,7 +33,7 @@ func TestProcessDrawRejectsBehindCamera(t *testing.T) {
 	q := scene.Quad("q")
 	// Push the quad behind the camera with a perspective projection.
 	proj := geom.Perspective(math.Pi/3, 1, 0.1, 100)
-	mvp := proj.Mul(geom.Translate(geom.Vec3{Z: 5})) // +Z is behind
+	mvp := mulMat(proj, geom.Translate(geom.Vec3{Z: 5})) // +Z is behind
 	_, st := ProcessDraw(&q, mvp, testVP, 0, nil, new(DrawScratch))
 	if st.Visible != 0 || st.Rejected != 2 {
 		t.Fatalf("stats %+v, want all rejected", st)

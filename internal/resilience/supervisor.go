@@ -192,7 +192,12 @@ func Run(ctx context.Context, frames []int, fn FrameFunc, cfg Config) (*Result, 
 	// the Result only reports the requested frames. Previously
 	// quarantined frames are retried — simulation failures are
 	// deterministic, so truly bad frames re-quarantine identically,
-	// while transiently failed ones get a fresh chance.
+	// while transiently failed ones get a fresh chance. A requested
+	// record written by a run that recorded no observations cannot
+	// supply this run's per-frame obs delta, so when cfg.Obs is enabled
+	// it is simulated again instead of adopted: its stats come out the
+	// same (a FrameFunc is pure), and the merged counters cover every
+	// frame.
 	requested := dedupe(frames)
 	want := map[int]bool{}
 	for _, f := range requested {
@@ -212,6 +217,9 @@ func Run(ctx context.Context, frames []int, fn FrameFunc, cfg Config) (*Result, 
 				cfg.StreamState = ck.Stream
 			}
 			for _, r := range ck.Frames {
+				if want[r.Frame] && r.Obs == nil && cfg.Obs.Enabled() {
+					continue
+				}
 				state.records[r.Frame] = r
 				if want[r.Frame] {
 					res.Resumed = append(res.Resumed, r.Frame)

@@ -314,6 +314,64 @@ func TestRunWatchdogFlagsStall(t *testing.T) {
 // half of the byte-identical guarantee: the parent registry's snapshot
 // is a pure function of the completed frame set — independent of worker
 // count and of how many attempts each frame needed.
+// TestResumeWithObsResimulatesUnobservedRecords: resuming with obs
+// enabled from a checkpoint written without obs simulates the adopted
+// frames again, so the merged snapshot equals an uninterrupted observed
+// run's rather than covering only the frames simulated after the
+// resume; a checkpoint written with obs is still adopted whole.
+func TestResumeWithObsResimulatesUnobservedRecords(t *testing.T) {
+	frames := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	observed := func(tr *attemptTracker) FrameFunc {
+		return func(ctx context.Context, frame int, reg *obs.Registry) (tbr.FrameStats, error) {
+			tr.next(frame)
+			reg.Counter("frame.visits").Inc()
+			reg.Histogram("frame.cycles").Observe(synthStats(frame).Cycles)
+			return synthStats(frame), nil
+		}
+	}
+	ref := obs.New()
+	want, err := Run(context.Background(), frames, observed(newAttemptTracker()), noBackoff(Config{Workers: 1, Obs: ref}))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, firstObs := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		cfg := noBackoff(Config{Workers: 1, CheckpointPath: path, Fingerprint: "fp-obs"})
+		first := cfg
+		if firstObs {
+			first.Obs = obs.New()
+		}
+		if _, err := Run(context.Background(), frames[:5], observed(newAttemptTracker()), first); err != nil {
+			t.Fatal(err)
+		}
+
+		tr := newAttemptTracker()
+		rcfg := cfg
+		rcfg.Resume = true
+		rcfg.Obs = obs.New()
+		res, err := Run(context.Background(), frames, observed(tr), rcfg)
+		if err != nil {
+			t.Fatalf("first run observed=%v: resume: %v", firstObs, err)
+		}
+		if !reflect.DeepEqual(res.Stats, want.Stats) {
+			t.Fatalf("first run observed=%v: resumed stats differ from the uninterrupted run", firstObs)
+		}
+		if snap := rcfg.Obs.Snapshot(); !reflect.DeepEqual(snap, ref.Snapshot()) {
+			t.Fatalf("first run observed=%v: resumed snapshot differs from the uninterrupted run:\n got %+v\nwant %+v",
+				firstObs, snap.Counters, ref.Snapshot().Counters)
+		}
+		wantSims, wantResumed := len(frames), 0
+		if firstObs {
+			wantSims, wantResumed = 5, 5
+		}
+		if tr.total() != wantSims || len(res.Resumed) != wantResumed {
+			t.Fatalf("first run observed=%v: %d frames simulated and %d resumed, want %d and %d",
+				firstObs, tr.total(), len(res.Resumed), wantSims, wantResumed)
+		}
+	}
+}
+
 func TestSupervisorObsDeterministicAcrossWorkersAndRetries(t *testing.T) {
 	frames := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	mkFn := func(tr *attemptTracker, flaky bool) FrameFunc {

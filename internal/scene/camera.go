@@ -40,7 +40,9 @@ func (c ChaseCamera) ViewProjection(t float64) geom.Mat4 {
 	eye := target.Sub(dir.Scale(c.Back)).Add(geom.Vec3{Y: c.Height})
 	view := geom.LookAt(eye, target.Add(dir.Scale(2)), geom.Vec3{Y: 1})
 	proj := geom.Perspective(c.FovY, c.Aspect, 0.1, 200)
-	return proj.Mul(view)
+	var vp geom.Mat4
+	vp.Mul(&proj, &view)
+	return vp
 }
 
 // SideScroller is an orthographic camera translating horizontally with
@@ -81,8 +83,8 @@ type Instance struct {
 	BobAmp, BobFreq float64
 }
 
-// Model returns the instance's model matrix at time t.
-func (in Instance) Model(t float64) geom.Mat4 {
+// Model sets m to the instance's model matrix at time t.
+func (in *Instance) Model(m *geom.Mat4, t float64) {
 	s := in.Scale
 	if s == (geom.Vec3{}) {
 		s = geom.Vec3{X: 1, Y: 1, Z: 1}
@@ -91,9 +93,12 @@ func (in Instance) Model(t float64) geom.Mat4 {
 	if in.BobAmp != 0 {
 		pos.Y += in.BobAmp * math.Sin(2*math.Pi*in.BobFreq*t)
 	}
-	m := geom.Translate(pos)
-	if in.YawSpeed != 0 {
-		m = m.Mul(geom.RotateY(in.YawSpeed * t))
+	move, scale := geom.Translate(pos), geom.ScaleXYZ(s)
+	if in.YawSpeed == 0 {
+		m.Mul(&move, &scale)
+		return
 	}
-	return m.Mul(geom.ScaleXYZ(s))
+	rot := geom.RotateY(in.YawSpeed * t)
+	m.Mul(&move, &rot)
+	m.Mul(m, &scale)
 }

@@ -132,15 +132,22 @@ func TestCircuitPathClosed(t *testing.T) {
 	}
 }
 
+// modelAt returns in's model matrix at time t.
+func modelAt(in *Instance, t float64) geom.Mat4 {
+	var m geom.Mat4
+	in.Model(&m, t)
+	return m
+}
+
 func TestInstanceModel(t *testing.T) {
 	in := Instance{Position: geom.Vec3{X: 5}, Scale: geom.Vec3{X: 2, Y: 2, Z: 2}}
-	p := in.Model(0).TransformPoint(geom.Vec3{X: 1, Y: 0, Z: 0})
+	p := modelAt(&in, 0).TransformPoint(geom.Vec3{X: 1, Y: 0, Z: 0})
 	if p != (geom.Vec3{X: 7}) {
 		t.Fatalf("model transform = %+v, want (7,0,0)", p)
 	}
 	// Default scale is identity.
 	def := Instance{Position: geom.Vec3{Y: 1}}
-	q := def.Model(0).TransformPoint(geom.Vec3{X: 1})
+	q := modelAt(&def, 0).TransformPoint(geom.Vec3{X: 1})
 	if q != (geom.Vec3{X: 1, Y: 1}) {
 		t.Fatalf("default-scale transform = %+v", q)
 	}
@@ -148,8 +155,8 @@ func TestInstanceModel(t *testing.T) {
 
 func TestInstanceBobOscillates(t *testing.T) {
 	in := Instance{BobAmp: 1, BobFreq: 0.25} // period 4s, peak at t=1
-	top := in.Model(1).TransformPoint(geom.Vec3{})
-	mid := in.Model(0).TransformPoint(geom.Vec3{})
+	top := modelAt(&in, 1).TransformPoint(geom.Vec3{})
+	mid := modelAt(&in, 0).TransformPoint(geom.Vec3{})
 	if math.Abs(top.Y-1) > 1e-9 || math.Abs(mid.Y) > 1e-9 {
 		t.Fatalf("bob: t=1 y=%v (want 1), t=0 y=%v (want 0)", top.Y, mid.Y)
 	}
@@ -157,8 +164,8 @@ func TestInstanceBobOscillates(t *testing.T) {
 
 func TestInstanceYawPreservesRadius(t *testing.T) {
 	in := Instance{YawSpeed: 1}
-	p0 := in.Model(0).TransformPoint(geom.Vec3{X: 3})
-	p1 := in.Model(2).TransformPoint(geom.Vec3{X: 3})
+	p0 := modelAt(&in, 0).TransformPoint(geom.Vec3{X: 3})
+	p1 := modelAt(&in, 2).TransformPoint(geom.Vec3{X: 3})
 	r0 := math.Hypot(p0.X, p0.Z)
 	r1 := math.Hypot(p1.X, p1.Z)
 	if math.Abs(r0-r1) > 1e-9 {

@@ -2,8 +2,15 @@ package shader
 
 import "math"
 
-// Sampler provides texel values to the executor. The functional simulator
-// passes a procedural texture; tests pass simple closures.
+// This file is a reference interpreter for the ISA. Characterization
+// only counts shader invocations and weights them by static cost, so no
+// campaign executes a program; the interpreter stays as the tests'
+// oracle that the ISA means what the cost models charge for (the
+// taken path never costs more than DynamicCost) and that any program
+// Validate accepts runs safely.
+
+// Sampler provides texel values to the executor; tests pass simple
+// closures.
 type Sampler interface {
 	// Sample returns the filtered texel value of texture unit at (u, v).
 	Sample(unit int, u, v float64, filter FilterMode) float64
@@ -25,8 +32,7 @@ func constSampler(v float64) Sampler {
 // Regs is a shader register file.
 type Regs [numRegs]float64
 
-// traceEvent records one texture access performed during execution; the
-// functional simulator forwards these to the cache models.
+// traceEvent records one texture access performed during execution.
 type traceEvent struct {
 	Sampler int
 	U, V    float64
@@ -42,9 +48,9 @@ type ExecResult struct {
 
 // Exec functionally executes the program over the given initial register
 // file. Unlike DynamicCost, Exec follows the *taken* side of branches —
-// it computes real values. The timing model uses DynamicCost (lock-step
-// warps execute both paths); the functional simulator uses Exec to
-// produce deterministic output values and texture access streams.
+// it computes real values and the texture access stream. The simulators
+// charge DynamicCost (lock-step warps execute both paths), which bounds
+// the cost Exec reports.
 //
 // A nil sampler behaves as constSampler(0).
 func (p *Program) Exec(in Regs, sampler Sampler) ExecResult {

@@ -1,7 +1,9 @@
 // Package shader defines the small shader ISA used by the graphics
 // pipeline simulators: programs made of ALU, texture and structured
-// control-flow instructions, a functional executor, and the static and
-// dynamic cost models MEGsim consumes.
+// control-flow instructions, their validation, a generator of synthetic
+// programs, and the static and dynamic cost models MEGsim consumes. No
+// simulator executes a program: invocations are counted and charged by
+// these cost models.
 //
 // Two properties from the paper drive the design:
 //

@@ -605,15 +605,15 @@ func (b *builder) emitFrame(f int, s slot) {
 	// other but not identical.
 	matShift := s.occurrence * 3
 
-	for li, layer := range ph.Layers {
-		b.emitLayer(layer, li, s, matShift, t, vp, rng)
+	for li := range ph.Layers {
+		b.emitLayer(&ph.Layers[li], li, s, matShift, t, &vp, rng)
 	}
 
 	// Event bursts add a short-lived extra layer with rare materials,
 	// creating outlier frames that should land in small clusters.
 	if b.eventFrames > 0 {
 		b.eventFrames--
-		b.emitLayer(b.eventLayer, 99, s, matShift, t, vp, rng)
+		b.emitLayer(&b.eventLayer, 99, s, matShift, t, &vp, rng)
 	} else if ph.EventRate > 0 && rng.Float64() < ph.EventRate {
 		b.eventFrames = 3 + rng.Intn(6)
 		b.eventLayer = Layer{
@@ -632,7 +632,7 @@ func (b *builder) emitFrame(f int, s slot) {
 	b.trace.Frames = append(b.trace.Frames, frame)
 }
 
-func (b *builder) emitLayer(layer Layer, li int, s slot, matShift int, t float64, vp geom.Mat4, rng *stats.RNG) {
+func (b *builder) emitLayer(layer *Layer, li int, s slot, matShift int, t float64, vp *geom.Mat4, rng *stats.RNG) {
 	p := b.profile
 	count := layer.BaseCount
 	if layer.CountAmp > 0 {
@@ -660,16 +660,19 @@ func (b *builder) emitLayer(layer Layer, li int, s slot, matShift int, t float64
 				Blend:     layer.Blend,
 			},
 		)
-		b.mvps = append(b.mvps, vp.Mul(b.instanceModel(layer, li, i, s, t)))
+		var model geom.Mat4
+		b.instanceModel(&model, layer, li, i, s, t)
+		b.mvps = append(b.mvps, geom.Mat4{})
+		b.mvps[len(b.mvps)-1].Mul(vp, &model)
 	}
 }
 
-// instanceModel computes the deterministic placement of instance i of a
-// layer. Placement is stable across frames of the same occurrence
+// instanceModel sets model to the deterministic placement of instance
+// i of a layer. Placement is stable across frames of the same occurrence
 // (scatter seeded by layer+instance+occurrence, not by frame), while the
 // animation term advances with time — consecutive frames look alike,
 // distinct occurrences differ.
-func (b *builder) instanceModel(layer Layer, li, i int, s slot, t float64) geom.Mat4 {
+func (b *builder) instanceModel(model *geom.Mat4, layer *Layer, li, i int, s slot, t float64) {
 	place := stats.NewRNG(frameSeed(b.profile.Seed^0xfeed, li*1000+i+s.occurrence*100000))
 	size := place.Range(layer.SizeMin, layer.SizeMax)
 	var pos geom.Vec3
@@ -716,5 +719,5 @@ func (b *builder) instanceModel(layer Layer, li, i int, s slot, t float64) geom.
 		inst.BobAmp = size * 0.2
 		inst.BobFreq = 0.5 + float64(i%3)*0.4
 	}
-	return inst.Model(t)
+	inst.Model(model, t)
 }
